@@ -5,6 +5,7 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     DeadlockError,
+    InvariantError,
     ModelViolationError,
     NonTerminationError,
     NotObliviousError,

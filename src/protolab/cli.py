@@ -8,7 +8,8 @@ Commands:
   list      show the built-in protocol registry
 
 Exit codes: 0 ok, 1 bad configuration, 2 enumeration budget exceeded,
-3 model violation, 4 compression refused a non-oblivious protocol.
+3 model violation, 4 compression refused a non-oblivious protocol,
+5 an internal invariant check failed (a bug in protolab).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import compression, measures, treefile, zoo
 from .errors import (
     BudgetExceededError,
     ConfigError,
+    InvariantError,
     ModelViolationError,
     NotObliviousError,
 )
@@ -35,6 +37,7 @@ EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_MODEL = 3
 EXIT_NOT_OBLIVIOUS = 4
+EXIT_INVARIANT = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,6 +307,9 @@ def main(argv=None) -> int:
     except ModelViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def entry() -> None:

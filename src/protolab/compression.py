@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, ModelViolationError
+from .errors import ConfigError, InvariantError, ModelViolationError
 from .measures import InputDistribution, acc, ic
 from .model import (
     DEFAULT_BUDGET,
@@ -260,7 +260,7 @@ def build_tree(
         )
     root = _build_node(weights)
     if root.weight != 1:
-        raise RuntimeError("tree weights do not sum to one")
+        raise InvariantError("tree weights do not sum to one")
     return TranscriptTree(owner=i, own_input=own_input,
                           public_tape=public_tape, root=root)
 

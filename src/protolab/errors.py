@@ -39,3 +39,8 @@ class SelfDelimitingError(ModelViolationError):
 class NotObliviousError(ProtoLabError):
     """An operation requiring a fixed communication pattern got a protocol
     whose wait- or send-sets depend on inputs or randomness."""
+
+
+class InvariantError(ProtoLabError, RuntimeError):
+    """An internal consistency check failed.  This is a bug in protolab,
+    not in the protocol or the input."""

@@ -1,9 +1,12 @@
 """Exact finite joint distributions and entropy/mutual-information measures.
 
-Probabilities are ``fractions.Fraction`` end to end; floating point enters
-only through ``math.log2``.  Every measure is therefore a sum of terms
-``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals, which
-keeps conditional decompositions free of drift.
+Weights are positive integer numerators over one common integer denominator
+``den``, so every probability is still an exact rational.  Floating point
+enters only through ``n / den`` (a weight) and ``math.log2`` of an exact
+integer ratio; Python's ``int / int`` is correctly rounded, so each of these
+is the double nearest the exact value.  Every measure is therefore a sum of
+terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
+which keeps conditional decompositions free of drift.
 
 Conventions:
   * ``0 * log(1/0) = 0`` (outcomes with zero conditional mass are skipped);
@@ -18,7 +21,10 @@ import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
+
+from .errors import InvariantError
 
 #: Raw mutual-information sums below this are treated as rounding residue.
 NEGATIVE_RESIDUE = 1e-12
@@ -34,53 +40,82 @@ def _as_fraction(w: Any) -> Fraction:
     raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
 
 
+def _projector(idx: Iterable[int]) -> Callable[[Outcome], Outcome]:
+    """Function mapping an outcome tuple to its sub-tuple at ``idx``."""
+    idx = tuple(idx)
+    if not idx:
+        return lambda values: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda values: (values[i],)
+    return itemgetter(*idx)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Probability mass over tuples of named discrete variables.
 
     ``variables`` gives the coordinate order of every outcome tuple.
-    ``outcomes`` lists ``(value_tuple, weight)`` pairs with positive exact
-    weights summing to exactly 1.
+    Outcome ``rows[j]`` has probability ``nums[j] / den``; the numerators
+    are positive ints summing to exactly ``den``.
     """
 
     variables: tuple[str, ...]
-    outcomes: tuple[tuple[Outcome, Fraction], ...]
+    rows: tuple[Outcome, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
         if not self.variables:
             raise ValueError("a distribution needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        if not self.outcomes:
+        if not self.rows:
             raise ValueError("a distribution needs at least one outcome")
+        if len(self.nums) != len(self.rows):
+            raise ValueError("every outcome needs exactly one weight")
         arity = len(self.variables)
         seen = set()
-        total = Fraction(0)
-        for values, weight in self.outcomes:
+        for values, n in zip(self.rows, self.nums):
             if len(values) != arity:
                 raise ValueError(
                     f"outcome {values!r} has arity {len(values)}, expected {arity}"
                 )
-            if not isinstance(weight, Fraction):
-                raise ValueError("weights must be Fraction instances")
-            if weight <= 0:
+            if not isinstance(n, int):
+                raise ValueError("weight numerators must be ints")
+            if n <= 0:
                 raise ValueError(f"outcome {values!r} has non-positive weight")
             if values in seen:
                 raise ValueError(f"duplicate outcome {values!r}")
             seen.add(values)
-            total += weight
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        if not isinstance(self.den, int) or self.den <= 0:
+            raise ValueError("the weight denominator must be a positive int")
+        total = sum(self.nums)
+        if total != self.den:
+            raise ValueError(f"weights sum to {Fraction(total, self.den)}, not 1")
 
     @classmethod
     def from_mapping(
         cls, variables: Iterable[str], weights: Mapping[Outcome, Any]
     ) -> "JointDistribution":
-        vs = tuple(variables)
-        outs = tuple(
-            (tuple(values), _as_fraction(w)) for values, w in weights.items()
+        """Joint law from ``{outcome: exact weight}``; the weights are scaled
+        to the lcm of their denominators."""
+        items = [(tuple(values), _as_fraction(w)) for values, w in weights.items()]
+        den = math.lcm(*(w.denominator for _, w in items))
+        return cls(
+            tuple(variables),
+            tuple(values for values, _ in items),
+            tuple(w.numerator * (den // w.denominator) for _, w in items),
+            den,
         )
-        return cls(vs, outs)
+
+    @property
+    def outcomes(self) -> tuple[tuple[Outcome, Fraction], ...]:
+        """``(value_tuple, weight)`` pairs with exact ``Fraction`` weights."""
+        den = self.den
+        return tuple(
+            (values, Fraction(n, den)) for values, n in zip(self.rows, self.nums)
+        )
 
     # -- selectors ---------------------------------------------------------
 
@@ -99,51 +134,91 @@ class JointDistribution:
         pos = {n: i for i, n in enumerate(self.variables)}
         return tuple(pos[n] for n in names)
 
+    def counts(self, selector: str | Iterable[str]) -> dict[Outcome, int]:
+        """Marginal numerators over ``den`` of the selected variables, keyed
+        in the order the outcomes first reach each key."""
+        project = _projector(self._indices(self.resolve(selector)))
+        out: dict[Outcome, int] = {}
+        get = out.get
+        for values, n in zip(self.rows, self.nums):
+            key = project(values)
+            out[key] = get(key, 0) + n
+        return out
+
     def marginal(self, selector: str | Iterable[str]) -> dict[Outcome, Fraction]:
         """Exact marginal mass over the selected variables."""
-        idx = self._indices(self.resolve(selector))
-        out: dict[Outcome, Fraction] = {}
-        for values, w in self.outcomes:
-            key = tuple(values[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + w
-        return out
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.counts(selector).items()}
 
     def condition(self, assignment: Mapping[str, Any]) -> "JointDistribution":
         """Renormalized distribution given ``variable == value`` constraints.
 
         Conditioned variables are kept (as constants) so selectors written
-        against the original distribution keep working.
+        against the original distribution keep working.  The kept outcomes
+        keep their numerators; the denominator becomes their total.
         """
         idx = {self.variables.index(n): v for n, v in assignment.items()}
         for n in assignment:
             if n not in self.variables:
                 raise ValueError(f"unknown variable name: {n}")
         kept = [
-            (values, w)
-            for values, w in self.outcomes
+            (values, n)
+            for values, n in zip(self.rows, self.nums)
             if all(values[i] == v for i, v in idx.items())
         ]
-        mass = sum((w for _, w in kept), Fraction(0))
+        mass = sum(n for _, n in kept)
         if mass == 0:
             raise ValueError(f"conditioning event {dict(assignment)!r} has zero mass")
         return JointDistribution(
-            self.variables, tuple((values, w / mass) for values, w in kept)
+            self.variables,
+            tuple(values for values, _ in kept),
+            tuple(n for _, n in kept),
+            mass,
         )
 
     def support_size(self, selector: str | Iterable[str]) -> int:
-        return len(self.marginal(selector))
+        return len(self.counts(selector))
 
 
-def entropy(d: JointDistribution, selector: str | Iterable[str]) -> float:
+class SharedMarginals:
+    """A joint law whose marginals are each computed once.
+
+    Accepted wherever the functions below take a joint.  Wrap a joint for
+    the length of one computation that asks for the same marginals several
+    times, then drop the wrapper: the memo must not outlive that call,
+    because ``measures.build_joint`` keeps joints for the life of the
+    process.
+    """
+
+    def __init__(self, joint: JointDistribution):
+        self.joint = joint
+        self.variables = joint.variables
+        self.den = joint.den
+        self.resolve = joint.resolve
+        self._memo: dict[tuple[str, ...], dict[Outcome, int]] = {}
+
+    def counts(self, selector: str | Iterable[str]) -> dict[Outcome, int]:
+        names = self.resolve(selector)
+        out = self._memo.get(names)
+        if out is None:
+            out = self._memo[names] = self.joint.counts(names)
+        return out
+
+
+Joint = JointDistribution | SharedMarginals
+
+
+def entropy(d: Joint, selector: str | Iterable[str]) -> float:
     """Shannon entropy H(A) in bits of the selected marginal."""
+    den = d.den
     total = 0.0
-    for w in d.marginal(selector).values():
-        total += float(w) * math.log2(w.denominator / w.numerator)
+    for n in d.counts(selector).values():
+        total += (n / den) * math.log2(den / n)
     return total
 
 
 def cond_entropy(
-    d: JointDistribution,
+    d: Joint,
     selector: str | Iterable[str],
     given: str | Iterable[str],
 ) -> float:
@@ -155,20 +230,20 @@ def cond_entropy(
     a = d.resolve(selector)
     c = d.resolve(given)
     ac = d.resolve(a + c)  # union, in distribution order
-    p_ac = d.marginal(ac)
-    p_c = d.marginal(c)
-    c_in_ac = [ac.index(n) for n in c]
+    n_ac = d.counts(ac)
+    n_c = d.counts(c)
+    project_c = _projector(ac.index(n) for n in c)
+    den = d.den
     total = 0.0
-    for values, w in p_ac.items():
-        pc = p_c[tuple(values[i] for i in c_in_ac)]
-        ratio = pc / w  # exact Fraction >= 1
-        if ratio != 1:
-            total += float(w) * math.log2(ratio.numerator / ratio.denominator)
+    for values, w in n_ac.items():
+        pc = n_c[project_c(values)]
+        if pc != w:  # the exact ratio pc / w is >= 1
+            total += (w / den) * math.log2(pc / w)
     return total
 
 
 def mutual_info(
-    d: JointDistribution,
+    d: Joint,
     a_sel: str | Iterable[str],
     b_sel: str | Iterable[str],
     given: str | Iterable[str] | None = None,
@@ -191,27 +266,27 @@ def mutual_info(
                     f"overlapping selectors: {sorted(groups[i] & groups[j])}"
                 )
     abc = tuple(n for n in d.variables if n in groups[0] | groups[1] | groups[2])
-    p_abc = d.marginal(abc)
+    n_abc = d.counts(abc)
     ac_names = tuple(n for n in abc if n in groups[0] | groups[2])
     bc_names = tuple(n for n in abc if n in groups[1] | groups[2])
     c_names = tuple(n for n in abc if n in groups[2])
-    i_ac = [abc.index(n) for n in ac_names]
-    i_bc = [abc.index(n) for n in bc_names]
-    i_c = [abc.index(n) for n in c_names]
-    p_ac = d.marginal(ac_names)
-    p_bc = d.marginal(bc_names)
-    p_c = d.marginal(c_names) if c_names else {(): Fraction(1)}
+    project_ac = _projector(abc.index(n) for n in ac_names)
+    project_bc = _projector(abc.index(n) for n in bc_names)
+    project_c = _projector(abc.index(n) for n in c_names)
+    n_ac = d.counts(ac_names)
+    n_bc = d.counts(bc_names)
+    den = d.den
+    n_c = d.counts(c_names) if c_names else {(): den}
     total = 0.0
-    for values, w in p_abc.items():
-        pac = p_ac[tuple(values[i] for i in i_ac)]
-        pbc = p_bc[tuple(values[i] for i in i_bc)]
-        pc = p_c[tuple(values[i] for i in i_c)]
-        ratio = (w * pc) / (pac * pbc)
-        if ratio != 1:
-            total += float(w) * math.log2(ratio.numerator / ratio.denominator)
+    for values, w in n_abc.items():
+        # p(abc) p(c) / (p(ac) p(bc)) on numerators: the den factors cancel.
+        num = w * n_c[project_c(values)]
+        dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
+        if num != dnm:
+            total += (w / den) * math.log2(num / dnm)
     if total < 0.0:
         if total < -NEGATIVE_RESIDUE:
-            raise RuntimeError(
+            raise InvariantError(
                 f"mutual information evaluated to {total}; "
                 "residue exceeds the rounding tolerance"
             )
@@ -245,8 +320,6 @@ def apply_function(
             return f[key[0]]
         raise ValueError(f"function not total on support: missing {key!r}")
 
-    new_outcomes = []
-    for values, w in d.outcomes:
-        key = tuple(values[i] for i in idx)
-        new_outcomes.append((values + (evaluate(key),), w))
-    return JointDistribution(d.variables + (new_name,), tuple(new_outcomes))
+    project = _projector(idx)
+    rows = tuple(values + (evaluate(project(values)),) for values in d.rows)
+    return JointDistribution(d.variables + (new_name,), rows, d.nums, d.den)

@@ -16,6 +16,7 @@ information quantities are evaluated on it.  Measure names:
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ModelViolationError
+from .errors import ConfigError, InvariantError, ModelViolationError
 from .info import (
     JointDistribution,
+    SharedMarginals,
     apply_function,
     cond_entropy,
     mutual_info,
@@ -153,6 +155,13 @@ class InputDistribution:
 # ---------------------------------------------------------------------------
 
 
+def _numerators(mu: InputDistribution) -> tuple[list[tuple[tuple, int]], int]:
+    """mu's weights as ``(x, numerator)`` pairs over the lcm of their
+    denominators, and that lcm."""
+    den = math.lcm(*(w.denominator for _, w in mu.weights))
+    return [(x, w.numerator * (den // w.denominator)) for x, w in mu.weights], den
+
+
 def _var_names(k: int) -> dict[str, list[str]]:
     return {
         "x": [f"x{i}" for i in range(1, k + 1)],
@@ -176,6 +185,8 @@ def build_joint(
     tape, ``pi1..pik`` received transcripts, ``bidi1..bidik`` bidirectional
     transcripts (received-then-sent ordering), ``pi`` the full transcript,
     ``out1..outk`` outputs, and ``f1..fk`` when a function family is given.
+    Weights are integer numerators over the lcm of mu's denominators times
+    the number of tape assignments.
     """
     mu.validate_for(p)
     table = run_all(p, budget)
@@ -185,9 +196,9 @@ def build_joint(
         names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"]
         + ["pi"] + names["out"]
     )
-    tape_weight = Fraction(1, 1 << p.total_tape_bits)
-    outcomes = {}
-    for x, wx in mu.weights:
+    weights, mu_den = _numerators(mu)
+    counts: dict[tuple, int] = {}
+    for x, n in weights:
         for privs, pub in p.tape_space():
             e = table.get(x, privs, pub)
             row = (
@@ -199,8 +210,11 @@ def build_joint(
                 + (e.full_transcript(),)
                 + tuple(e.outputs)
             )
-            outcomes[row] = outcomes.get(row, Fraction(0)) + wx * tape_weight
-    d = JointDistribution.from_mapping(variables, outcomes)
+            counts[row] = counts.get(row, 0) + n
+    d = JointDistribution(
+        tuple(variables), tuple(counts), tuple(counts.values()),
+        mu_den << p.total_tape_bits,
+    )
     if family is not None:
         for i in p.players:
             d = apply_function(
@@ -224,24 +238,46 @@ def acc(
     """Average communication under mu and uniform tapes, exact."""
     mu.validate_for(p)
     table = run_all(p, budget)
-    tape_weight = Fraction(1, 1 << p.total_tape_bits)
-    total = Fraction(0)
-    for x, wx in mu.weights:
+    weights, mu_den = _numerators(mu)
+    total = 0
+    for x, n in weights:
         for privs, pub in p.tape_space():
-            total += wx * tape_weight * table.get(x, privs, pub).total_bits
-    return total
+            total += n * table.get(x, privs, pub).total_bits
+    return Fraction(total, mu_den << p.total_tape_bits)
+
+
+def _ic_term(d, names, i: int) -> float:
+    """I(X_-i ; Pi_i | X_i R_i Rp)"""
+    return mutual_info(
+        d, _others(names["x"], i), [f"pi{i}"], [f"x{i}", f"r{i}", "rp"]
+    )
+
+
+def _pic_term(d, names, i: int) -> float:
+    """I(X_-i ; Pi_i R_-i | X_i R_i Rp)"""
+    return mutual_info(
+        d,
+        _others(names["x"], i),
+        [f"pi{i}"] + _others(names["r"], i),
+        [f"x{i}", f"r{i}", "rp"],
+    )
+
+
+def _random_term(d, names, i: int) -> float:
+    """I(R_-i ; X_-i | X_i Pi_i R_i Rp)"""
+    return mutual_info(
+        d,
+        _others(names["r"], i),
+        _others(names["x"], i),
+        [f"x{i}", f"pi{i}", f"r{i}", "rp"],
+    )
 
 
 def ic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Internal information cost sum_i I(X_-i ; Pi_i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    return sum(
-        mutual_info(
-            d, _others(names["x"], i), [f"pi{i}"], [f"x{i}", f"r{i}", "rp"]
-        )
-        for i in p.players
-    )
+    return sum(_ic_term(d, names, i) for i in p.players)
 
 
 def ic_bidirectional(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
@@ -260,15 +296,7 @@ def pic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Public information cost sum_i I(X_-i ; Pi_i R_-i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    return sum(
-        mutual_info(
-            d,
-            _others(names["x"], i),
-            [f"pi{i}"] + _others(names["r"], i),
-            [f"x{i}", f"r{i}", "rp"],
-        )
-        for i in p.players
-    )
+    return sum(_pic_term(d, names, i) for i in p.players)
 
 
 def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, float]:
@@ -280,19 +308,16 @@ def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, 
     """
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    ic_term = ic(p, mu, budget, joint=d)
-    random_term = sum(
-        mutual_info(
-            d,
-            _others(names["r"], i),
-            _others(names["x"], i),
-            [f"x{i}", f"pi{i}", f"r{i}", "rp"],
-        )
-        for i in p.players
-    )
-    total = pic(p, mu, budget, joint=d)
+    # The three terms of one player ask for 12 marginals, 6 of them
+    # distinct; each player's are shared, then dropped with the wrapper.
+    ic_term = random_term = total = 0
+    for i in p.players:
+        shared = SharedMarginals(d)
+        ic_term += _ic_term(shared, names, i)
+        random_term += _random_term(shared, names, i)
+        total += _pic_term(shared, names, i)
     if abs(ic_term + random_term - total) > TOLERANCE:
-        raise RuntimeError(
+        raise InvariantError(
             f"pic decomposition drifted: {ic_term} + {random_term} != {total}"
         )
     return ic_term, random_term
@@ -366,7 +391,9 @@ class MeasureReport:
 
     def __post_init__(self):
         if abs(self.ic + self.pic_random_term - self.pic) > self.tolerance:
-            raise RuntimeError("measure report violates pic = ic + random part")
+            raise InvariantError(
+                "measure report violates pic = ic + random part"
+            )
 
     def to_dict(self) -> dict:
         out = {
@@ -408,7 +435,7 @@ def measure_protocol(
     pic_value = ic_term + random_term
     te = transcript_entropy(p, mu, budget, joint=d)
     if te < (pic_value - ic_term) / p.k - tolerance:
-        raise RuntimeError(
+        raise InvariantError(
             "transcript entropy fell below the randomness lower bound"
         )
     leak = (
@@ -829,6 +856,10 @@ def sup_pic_grid(
 
     # Per player i: I(X_-i ; Pi_i R_-i | X_i R_i Rp)
     #             = H(AC) + H(BC) - H(ABC) - H(C) over cell groupings.
+    # Group ids are labelled in first-seen order, so equal partitions are
+    # equal arrays; a grouping holds the byte keys of its partitions, and
+    # each distinct partition's entropy is computed once per alpha row.
+    partitions: dict[bytes, np.ndarray] = {}
     groupings = []
     for i in (1, 2):
         o = 2 if i == 1 else 1
@@ -846,7 +877,9 @@ def sup_pic_grid(
                 a, b, c = keys(cell)
                 key = selector(a, b, c)
                 out.append(seen.setdefault(key, len(seen)))
-            return np.array(out)
+            g = np.array(out)
+            partitions.setdefault(g.tobytes(), g)
+            return g.tobytes()
 
         groupings.append(
             (
@@ -869,14 +902,10 @@ def sup_pic_grid(
             x_bits[None, :, 1] == 0, steps[:, None], 1 - steps[:, None]
         )  # (n_b, cells)
         weights = pa[None, :] * pb * tape_weight
+        h = {key: _vec_group_entropy(weights, g) for key, g in partitions.items()}
         total = np.zeros(n_b)
         for g_ac, g_bc, g_abc, g_c in groupings:
-            total += (
-                _vec_group_entropy(weights, g_ac)
-                + _vec_group_entropy(weights, g_bc)
-                - _vec_group_entropy(weights, g_abc)
-                - _vec_group_entropy(weights, g_c)
-            )
+            total += h[g_ac] + h[g_bc] - h[g_abc] - h[g_c]
         row_best = float(total.max())
         ib = int(np.argmax(total >= row_best - tie_window))
         if row_best > best_val + tie_window:

@@ -6,10 +6,14 @@ dicts), independently of the library's joint-distribution machinery, so a
 regression in one path cannot hide in the other.
 """
 
+from __future__ import annotations
+
 import math
 from collections import defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
 
+from protolab.info import NEGATIVE_RESIDUE, JointDistribution
 from protolab.model import ProtocolDef, run
 from protolab.measures import InputDistribution
 
@@ -313,14 +317,105 @@ def second_bit_dict() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Reference kernel: the Fraction-based entropy, cond_entropy and mutual_info,
+# kept verbatim (only renamed) as the exact-equality reference for the
+# integer-numerator kernel in protolab.info.  They read the joint law only
+# through ``resolve`` and the Fraction-valued ``marginal``.
+# ---------------------------------------------------------------------------
+
+
+def reference_entropy(d: JointDistribution, selector: str | Iterable[str]) -> float:
+    """Shannon entropy H(A) in bits of the selected marginal."""
+    total = 0.0
+    for w in d.marginal(selector).values():
+        total += float(w) * math.log2(w.denominator / w.numerator)
+    return total
+
+
+def reference_cond_entropy(
+    d: JointDistribution,
+    selector: str | Iterable[str],
+    given: str | Iterable[str],
+) -> float:
+    """Conditional entropy H(A | C) in bits.
+
+    Overlapping selectors are allowed; shared variables contribute nothing
+    (H(X | X) = 0), matching the expectation-over-conditionals definition.
+    """
+    a = d.resolve(selector)
+    c = d.resolve(given)
+    ac = d.resolve(a + c)  # union, in distribution order
+    p_ac = d.marginal(ac)
+    p_c = d.marginal(c)
+    c_in_ac = [ac.index(n) for n in c]
+    total = 0.0
+    for values, w in p_ac.items():
+        pc = p_c[tuple(values[i] for i in c_in_ac)]
+        ratio = pc / w  # exact Fraction >= 1
+        if ratio != 1:
+            total += float(w) * math.log2(ratio.numerator / ratio.denominator)
+    return total
+
+
+def reference_mutual_info(
+    d: JointDistribution,
+    a_sel: str | Iterable[str],
+    b_sel: str | Iterable[str],
+    given: str | Iterable[str] | None = None,
+) -> float:
+    """Conditional mutual information I(A ; B | C) in bits, non-negative.
+
+    Computed as a single exact-ratio sum
+    ``sum p(abc) * log2(p(abc) p(c) / (p(ac) p(bc)))`` so that only the final
+    float summation can introduce error.  Raises if the raw value falls
+    below ``-NEGATIVE_RESIDUE``.
+    """
+    a = d.resolve(a_sel)
+    b = d.resolve(b_sel)
+    c = d.resolve(given) if given is not None else ()
+    groups = (set(a), set(b), set(c))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if groups[i] & groups[j]:
+                raise ValueError(
+                    f"overlapping selectors: {sorted(groups[i] & groups[j])}"
+                )
+    abc = tuple(n for n in d.variables if n in groups[0] | groups[1] | groups[2])
+    p_abc = d.marginal(abc)
+    ac_names = tuple(n for n in abc if n in groups[0] | groups[2])
+    bc_names = tuple(n for n in abc if n in groups[1] | groups[2])
+    c_names = tuple(n for n in abc if n in groups[2])
+    i_ac = [abc.index(n) for n in ac_names]
+    i_bc = [abc.index(n) for n in bc_names]
+    i_c = [abc.index(n) for n in c_names]
+    p_ac = d.marginal(ac_names)
+    p_bc = d.marginal(bc_names)
+    p_c = d.marginal(c_names) if c_names else {(): Fraction(1)}
+    total = 0.0
+    for values, w in p_abc.items():
+        pac = p_ac[tuple(values[i] for i in i_ac)]
+        pbc = p_bc[tuple(values[i] for i in i_bc)]
+        pc = p_c[tuple(values[i] for i in i_c)]
+        ratio = (w * pc) / (pac * pbc)
+        if ratio != 1:
+            total += float(w) * math.log2(ratio.numerator / ratio.denominator)
+    if total < 0.0:
+        if total < -NEGATIVE_RESIDUE:
+            raise RuntimeError(
+                f"mutual information evaluated to {total}; "
+                "residue exceeds the rounding tolerance"
+            )
+        total = 0.0
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Random generators (seeded by the caller)
 # ---------------------------------------------------------------------------
 
 
 def random_joint(rng, n_vars=None, max_vals=3):
     """Random small exact joint distribution for property tests."""
-    from protolab.info import JointDistribution
-
     n_vars = n_vars or rng.randint(2, 4)
     names = tuple(f"v{j}" for j in range(n_vars))
     sizes = [rng.randint(2, max_vals) for _ in range(n_vars)]

@@ -207,10 +207,36 @@ def test_bad_distribution_files(tmp_path, capsys):
     assert code == 1 and "sum" in err
 
 
+def test_invariant_failure_exits_5(capsys, monkeypatch):
+    from protolab import measures
+
+    # A negative transcript entropy trips measure_protocol's check that it
+    # is at least the private-randomness part of pic over k.
+    monkeypatch.setattr(measures, "transcript_entropy", lambda *a, **kw: -1.0)
+    code, out, err = run_cli(
+        capsys, "measure", "--protocol", "ring-parity", "--k", "3", "--n", "1"
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal invariant failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_reports_identical_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import protolab
+
+    # The children run from "/", so a relative PYTHONPATH would not resolve;
+    # hand them the absolute directory this process imported protolab from.
+    src = str(Path(protolab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     argv = [
@@ -219,6 +245,6 @@ def test_reports_identical_across_processes(tmp_path):
         "--lcp", "randomized", "--eps", "0.02", "--seed", "9",
         "--trials", "3",
     ]
-    subprocess.run(argv + ["--out", str(out_a)], check=True, cwd="/")
-    subprocess.run(argv + ["--out", str(out_b)], check=True, cwd="/")
+    subprocess.run(argv + ["--out", str(out_a)], check=True, cwd="/", env=env)
+    subprocess.run(argv + ["--out", str(out_b)], check=True, cwd="/", env=env)
     assert out_a.read_bytes() == out_b.read_bytes()

@@ -1,5 +1,6 @@
 """Tests for the exact joint-distribution and information measures."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,13 +11,19 @@ from hypothesis import strategies as st
 
 from protolab.info import (
     JointDistribution,
+    SharedMarginals,
     apply_function,
     cond_entropy,
     entropy,
     mutual_info,
 )
 
-from helpers import random_joint
+from helpers import (
+    random_joint,
+    reference_cond_entropy,
+    reference_entropy,
+    reference_mutual_info,
+)
 
 TOL = 1e-9
 
@@ -272,3 +279,60 @@ def test_conditioning_reduces_entropy(d):
     assert (
         cond_entropy(d, names[0], names[1]) <= entropy(d, names[0]) + TOL
     )
+
+
+def test_integer_kernel_equals_fraction_reference():
+    """Bit-for-bit equality with the Fraction kernel on 1000 random joints:
+    H(A) for every subset A; H(A | C) for every conditioning set C and every
+    union A + C (a target overlapping C resolves to the same call); and
+    I(A ; B | C) for every split of the variables into A, B, C and unused,
+    up to swapping A and B.  The last two also run through SharedMarginals;
+    H(A) also runs on the law conditioned on the first outcome's first value.
+    """
+    rng = random.Random(20261017)
+    for _ in range(1000):
+        d = random_joint(rng)
+        shared = SharedMarginals(d)
+        vs = d.variables
+        subsets = [
+            s for r in range(1, len(vs) + 1) for s in itertools.combinations(vs, r)
+        ]
+        cond = d.condition({vs[0]: d.rows[0][0]})
+        for a in subsets:
+            assert entropy(d, a) == reference_entropy(d, a)
+            assert entropy(cond, a) == reference_entropy(cond, a)
+        for ac in subsets:
+            for c in subsets:
+                if set(c) <= set(ac):
+                    h = reference_cond_entropy(d, ac, c)
+                    assert cond_entropy(d, ac, c) == h
+                    assert cond_entropy(shared, ac, c) == h
+        for roles in itertools.product("abc-", repeat=len(vs)):
+            if "a" not in roles or "b" not in roles:
+                continue
+            if roles.index("b") < roles.index("a"):
+                continue  # I(B ; A | C) repeats the same computation
+            a, b, c = ([v for v, r in zip(vs, roles) if r == g] for g in "abc")
+            given = c or None
+            i = reference_mutual_info(d, a, b, given)
+            assert mutual_info(d, a, b, given) == i
+            assert mutual_info(shared, a, b, given) == i
+
+
+def test_public_api_keeps_fraction_weights():
+    d = JointDistribution.from_mapping(
+        ("x", "y"),
+        {("0", "0"): F(1, 6), ("0", "1"): F(1, 3), ("1", "1"): F(1, 2)},
+    )
+    # Mixed denominators are scaled to their lcm.
+    assert (d.nums, d.den) == ((1, 2, 3), 6)
+    assert all(isinstance(w, Fraction) for _, w in d.outcomes)
+    assert sum(w for _, w in d.outcomes) == 1
+    assert d.outcomes[0] == (("0", "0"), F(1, 6))
+    m = d.marginal("y")
+    assert m == {("0",): F(1, 6), ("1",): F(5, 6)}
+    assert all(isinstance(w, Fraction) for w in m.values())
+    cond = d.condition({"y": "1"})
+    assert cond.marginal("x") == {("0",): F(2, 5), ("1",): F(3, 5)}
+    assert sum(w for _, w in cond.outcomes) == 1
+    assert d.support_size("x") == 2

@@ -499,3 +499,39 @@ def test_power_distribution_matches_iterated_products():
     assert InputDistribution.power(mu, 2).weights == twice.weights
     with pytest.raises(ValueError):
         InputDistribution.power(mu, 0)
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: exact floats and report bytes recorded from the Fraction-based
+# kernel; any speed-up of the joint law, the info kernel or the grid must
+# reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def test_sup_pic_grid_golden_pin():
+    g = sup_pic_grid(get_entry("and-opt").protocol, 0.01)
+    assert g.alpha == Fraction(33, 100)
+    assert g.beta == Fraction(1, 2)
+    assert g.value == 1.5849263727797278
+    assert g.grid_value == 1.5849263727797278
+
+
+def test_measure_report_golden_pin():
+    entry = get_entry("ring-parity", k=3, n=1)
+    p = entry.protocol
+    mu = helpers.random_mu(random.Random(7), p)
+    report = measure_protocol(p, mu, entry.family)
+    assert (report.ic, report.pic, report.pic_random_term) == (
+        0.9509775004326941, 2.892878689342032, 1.9419011889093378
+    )
+    assert (report.transcript_entropy, report.spy_info) == (
+        1.0000000000000004, 2.019973094021975
+    )
+    assert report.to_json().encode() == (
+        b'{\n  "acc": "3",\n  "acc_bits": 3.0,\n  "cc": 3,\n'
+        b'  "distribution": "random",\n  "ic": 0.9509775,\n'
+        b'  "pic": 2.892878689,\n  "pic_random_term": 1.941901189,\n'
+        b'  "privacy_leakage": 0.0,\n  "protocol": "ring-parity(k=3,n=1)",\n'
+        b'  "report": "measure",\n  "spy_info": 2.019973094,\n'
+        b'  "tolerance": 1e-09,\n  "transcript_entropy": 1.0\n}\n'
+    )
