@@ -26,7 +26,6 @@ from .model import (
     Round,
     View,
     WAIT_ANY,
-    assign_lots,
     bitstrings,
     is_oblivious,
     run,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,11 +30,12 @@ from .measures import InputDistribution, acc, ic
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
+    ProgramDriver,
     ProtocolDef,
     Round,
     View,
     bitstrings,
-    replay_program,
+    fold_views,
     run_all,
 )
 from .zoo import FunctionFamily
@@ -617,16 +619,12 @@ def _profile_outputs(p, struct, inputs, public_tape, profile):
     """Outputs every player derives from its own profile transcript."""
     outputs = []
     for i in p.players:
-        events = struct.parse_transcript(i, profile[i - 1])
-        streams: dict[int, list[str]] = {}
-        for ev in events:
+        driver = ProgramDriver(p.program(i), i, inputs[i - 1], "",
+                               public_tape, p.max_local_rounds)
+        for ev in struct.parse_transcript(i, profile[i - 1]):
             if ev.direction == "r":
-                streams.setdefault(ev.peer, []).append(ev.content)
-        state = replay_program(
-            p.program(i), i, inputs[i - 1], "", public_tape, streams,
-            p.max_local_rounds,
-        )
-        outputs.append(state.output)
+                driver.feed(ev.peer, ev.content)
+        outputs.append(driver.run().output)
     return tuple(outputs)
 
 
@@ -780,23 +778,23 @@ def _encode_player(i: int, k: int) -> str:
 
 
 class _InnerSim:
-    """Replays one player's original program on the bits forwarded so far,
+    """Runs one player's original program on the bits forwarded so far,
     reassembling messages with the per-position prefix-free codebooks."""
 
     def __init__(self, p, table, i, input_value, private_tape, public_tape):
-        self.p = p
         self.codebooks = table.codebooks
         self.i = i
-        self.input = input_value
-        self.private = private_tape
-        self.public = public_tape
+        self.driver = ProgramDriver(p.program(i), i, input_value,
+                                    private_tape, public_tape,
+                                    p.max_local_rounds)
         self.bit_streams: dict[int, str] = {}
-        self.msg_streams: dict[int, list[str]] = {}
         self.read_pos: dict[int, int] = {}
-        self.queue: list[tuple[int, str]] = []  # (destination, bit)
-        self.queued_rounds = 0
-        self.output: str | None = None
+        self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)
         self._advance()
+
+    @property
+    def output(self) -> str | None:
+        return self.driver.output
 
     def feed(self, origin: int, bit: str) -> None:
         self.bit_streams[origin] = self.bit_streams.get(origin, "") + bit
@@ -821,24 +819,19 @@ class _InnerSim:
             word = match[0]
             self.bit_streams[origin] = buf[len(word):]
             self.read_pos[origin] = pos + 1
-            self.msg_streams.setdefault(origin, []).append(word)
+            self.driver.feed(origin, word)
 
     def _advance(self) -> None:
-        state = replay_program(
-            self.p.program(self.i), self.i, self.input, self.private,
-            self.public, self.msg_streams, self.p.max_local_rounds,
-        )
-        self.output = state.output
-        for round_sends, _ in state.rounds[self.queued_rounds:]:
+        queued = len(self.driver.rounds)
+        for round_sends, _ in self.driver.run().rounds[queued:]:
             for dest, content in round_sends:
-                for bit in content:
-                    self.queue.append((dest, bit))
-        self.queued_rounds = len(state.rounds)
+                self.queue.extend((dest, bit) for bit in content)
+
+    def peek_bit(self) -> tuple[int, str] | None:
+        return self.queue[0] if self.queue else None
 
     def pop_bit(self) -> tuple[int, str] | None:
-        if self.queue:
-            return self.queue.pop(0)
-        return None
+        return self.queue.popleft() if self.queue else None
 
 
 def obliviousize(
@@ -879,38 +872,42 @@ def obliviousize(
             at += 2 + width
         return items
 
-    def coordinator_state(view: View):
-        """Inner sim plus per-phase forward messages, replayed from the
-        phase replies recorded in the view (empty read rounds are the
-        forward rounds and carry nothing)."""
-        sim = _InnerSim(p, table, 1, view.input, view.private_tape,
-                        view.public_tape)
-        history = []
-        for round_reads in view.reads:
-            if not round_reads:
+    def inner_sim(i: int, view: View) -> _InnerSim:
+        return _InnerSim(p, table, i, view.input, view.private_tape,
+                         view.public_tape)
+
+    def coordinator_fold(state, round_reads, index: int) -> None:
+        """Fold one phase's replies (empty read rounds are the forward
+        rounds and carry nothing) into the inner sim and the forwards."""
+        sim, forwards = state
+        if not round_reads:
+            return
+        incoming: list[tuple[int, int, str]] = []  # (dest, origin, bit)
+        for s, m in round_reads:
+            if m == "0":
                 continue
-            incoming: list[tuple[int, int, str]] = []  # (dest, origin, bit)
-            for s, m in round_reads:
-                if m == "0":
-                    continue
-                dest = int(m[2 : 2 + width], 2) + 1
-                incoming.append((dest, s, m[1]))
-            own = sim.pop_bit()
-            if own is not None:
-                incoming.append((own[0], 1, own[1]))
-            forwards = {j: "" for j in range(2, k + 1)}
-            for dest, origin, bit in incoming:
-                if dest == 1:
-                    sim.feed(origin, bit)
-                else:
-                    forwards[dest] += "1" + bit + _encode_player(origin, k)
-            history.append({j: forwards[j] + "0" for j in forwards})
-        return sim, history
+            dest = int(m[2 : 2 + width], 2) + 1
+            incoming.append((dest, s, m[1]))
+        own = sim.pop_bit()
+        if own is not None:
+            incoming.append((own[0], 1, own[1]))
+        for j in range(2, k + 1):
+            forwards[j] = ""
+        for dest, origin, bit in incoming:
+            if dest == 1:
+                sim.feed(origin, bit)
+            else:
+                forwards[dest] += "1" + bit + _encode_player(origin, k)
+
+    coordinator_state = fold_views(
+        lambda view: (inner_sim(1, view), {}), coordinator_fold
+    )
 
     def coordinator(view: View) -> Round:
+        # The state is looked up every round, so each lookup folds one.
+        sim, forwards = coordinator_state(view)
         phase, step = divmod(view.round - 1, 2)
         if phase >= phases:
-            sim, _ = coordinator_state(view)
             out = sim.output if sim.output is not None else fallback[0]
             return Round(output=out, halt=True)
         if step == 0:
@@ -918,40 +915,34 @@ def obliviousize(
                 sends=tuple((j, "0") for j in range(2, k + 1)),
                 waits=tuple(range(2, k + 1)),
             )
-        _, history = coordinator_state(view)
-        return Round(sends=tuple(sorted(history[-1].items())), waits=())
+        return Round(
+            sends=tuple((j, forwards[j] + "0") for j in range(2, k + 1)),
+            waits=(),
+        )
 
-    def member_state(i: int, view: View, upto: int) -> _InnerSim:
-        """Replay player i over the first ``upto`` completed phases.
-
-        The member's reads alternate beacon (even index) and forward (odd
-        index) rounds; its queue pop for phase s happens before the phase-s
-        forward is applied, matching the send order in the protocol.
-        """
-        sim = _InnerSim(p, table, i, view.input, view.private_tape,
-                        view.public_tape)
-        done = 0
-        for idx in range(1, len(view.reads), 2):
-            if done >= upto:
-                break
-            (_, content), = view.reads[idx]
-            sim.pop_bit()
-            for origin, bit in parse_forward(content):
-                sim.feed(origin, bit)
-            done += 1
-        return sim
+    def member_fold(sim: _InnerSim, round_reads, index: int) -> None:
+        """Reads alternate beacon (even index) and forward (odd index)
+        rounds.  The phase's queued bit left with the reply, so it is
+        popped before the phase's forward is applied."""
+        if index % 2 == 0:
+            return
+        (_, content), = round_reads
+        sim.pop_bit()
+        for origin, bit in parse_forward(content):
+            sim.feed(origin, bit)
 
     def member(i: int):
+        member_state = fold_views(lambda view: inner_sim(i, view), member_fold)
+
         def prog(view: View) -> Round:
+            sim = member_state(view)  # every round, so each lookup folds one
             phase, step = divmod(view.round - 1, 2)
             if phase >= phases:
-                sim = member_state(i, view, phases)
                 out = sim.output if sim.output is not None else fallback[i - 1]
                 return Round(output=out, halt=True)
             if step == 0:
                 return Round(waits=(1,))
-            sim = member_state(i, view, phase)
-            item = sim.pop_bit()
+            item = sim.peek_bit()
             if item is None:
                 reply = "0"
             else:

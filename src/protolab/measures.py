@@ -36,10 +36,11 @@ from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
     ProtocolDef,
+    ProgramDriver,
     Round,
     View,
     bitstrings,
-    replay_program,
+    fold_views,
     run_all,
 )
 from .zoo import FunctionFamily
@@ -498,17 +499,21 @@ def publicize(p: ProtocolDef) -> ProtocolDef:
     if sum(p.private_tape_lengths) == 0:
         return p
     new_len = p.public_tape_length + sum(p.private_tape_lengths)
+    positions = interleave_positions(
+        [p.public_tape_length] + list(p.private_tape_lengths)
+    )
 
     def wrap(i: int):
         original = p.program(i)
+        pub_at, own_at = positions[0], positions[i]
 
         def prog(view: View) -> Round:
-            pub, privs = split_public_tape(p, view.public_tape)
+            tape = view.public_tape
             inner = View(
                 player=view.player,
                 input=view.input,
-                private_tape=privs[i - 1],
-                public_tape=pub,
+                private_tape="".join(tape[at] for at in own_at),
+                public_tape="".join(tape[at] for at in pub_at),
                 reads=view.reads,
             )
             return original(inner)
@@ -636,31 +641,6 @@ def _fixed_lengths(p: ProtocolDef) -> list[int]:
     return lengths
 
 
-@dataclass
-class _SideState:
-    sends_by_lot: dict
-    output: str | None
-
-
-def _drive_side(struct: ObliviousStructure, i: int, input_value: str,
-                private_tape: str, public_tape: str,
-                streams: dict[int, list[str]]) -> _SideState:
-    """Replay one side's player against the decoded side messages and group
-    its sends by lot number."""
-    p = struct.protocol
-    state = replay_program(
-        p.program(i), i, input_value, private_tape, public_tape, streams,
-        p.max_local_rounds,
-    )
-    sends_by_lot: dict[int, list] = {}
-    for round_sends, round_no in state.rounds:
-        if not round_sends:
-            continue
-        lot = struct.lot_of_round[(i, round_no)]
-        sends_by_lot.setdefault(lot, []).extend(round_sends)
-    return _SideState(sends_by_lot=sends_by_lot, output=state.output)
-
-
 def product_protocol(
     p: ProtocolDef, q: ProtocolDef, budget: int | None = DEFAULT_BUDGET
 ) -> ProtocolDef:
@@ -697,6 +677,13 @@ def product_protocol(
                 )
                 link_plan.setdefault((s, r, lot), set()).add(side)
 
+    # A side's lots rise along each player's sending rounds, so a lot names
+    # at most one sending round per player.
+    round_of_lot = [
+        {(i, lot): r for (i, r), lot in struct.lot_of_round.items()}
+        for struct in (sa, sb)
+    ]
+
     def split_input(i, value):
         return value[: in_a[i - 1]], value[in_a[i - 1] :]
 
@@ -706,54 +693,59 @@ def product_protocol(
     def split_pub(value):
         return value[:pub_a], value[pub_a:]
 
-    def decode_reads(i, reads):
-        """Split merged messages back into per-side FIFO streams."""
-        streams_a: dict[int, list[str]] = {}
-        streams_b: dict[int, list[str]] = {}
-        pos_a: dict[int, int] = {}
-        pos_b: dict[int, int] = {}
-        for lot_index, round_reads in enumerate(reads, start=1):
+    def make_program(i: int):
+        def start(view: View):
+            """Both side drivers, run until they block, and the next
+            first-side codebook position per sender."""
+            xa, xb = split_input(i, view.input)
+            ra, rb = split_priv(i, view.private_tape)
+            pa, pb = split_pub(view.public_tape)
+            drivers = (
+                ProgramDriver(p.program(i), i, xa, ra, pa, p.max_local_rounds),
+                ProgramDriver(q.program(i), i, xb, rb, pb, q.max_local_rounds),
+            )
+            return tuple(d.run() for d in drivers), {}
+
+        def fold(state, round_reads, index: int) -> None:
+            """Split the merged lot-(index+1) messages into side parts and
+            feed them to the side drivers."""
+            (side_a, side_b), first_pos = state
             for sender, merged in round_reads:
-                sides = link_plan.get((sender, i, lot_index), set())
+                sides = link_plan.get((sender, i, index + 1), set())
                 offset = 0
                 if 0 in sides:
-                    word = sa.decode_message(
-                        sender, i, pos_a.get(sender, 0), merged, 0
-                    )
+                    pos = first_pos.get(sender, 0)
+                    word = sa.decode_message(sender, i, pos, merged, 0)
                     if word is None:
                         raise ModelViolationError(
                             "product message does not start with a first-side "
                             "codeword"
                         )
-                    streams_a.setdefault(sender, []).append(word)
-                    pos_a[sender] = pos_a.get(sender, 0) + 1
+                    side_a.feed(sender, word)
+                    first_pos[sender] = pos + 1
                     offset = len(word)
                 if 1 in sides:
-                    rest = merged[offset:]
-                    streams_b.setdefault(sender, []).append(rest)
-                    pos_b[sender] = pos_b.get(sender, 0) + 1
+                    side_b.feed(sender, merged[offset:])
                     offset = len(merged)
                 if offset != len(merged):
                     raise ModelViolationError(
                         "product message has trailing bits after its parts"
                     )
-        return streams_a, streams_b
+            side_a.run()
+            side_b.run()
 
-    def make_program(i: int):
+        state_of = fold_views(start, fold)
+
         def prog(view: View) -> Round:
             t = view.round
-            xa, xb = split_input(i, view.input)
-            ra, rb = split_priv(i, view.private_tape)
-            pa, pb = split_pub(view.public_tape)
-            streams_a, streams_b = decode_reads(i, view.reads)
-            side_a = _drive_side(sa, i, xa, ra, pa, streams_a)
-            side_b = _drive_side(sb, i, xb, rb, pb, streams_b)
-
+            (side_a, side_b), _ = state_of(view)
             if t <= max_lot:
                 merged: dict[int, str] = {}
-                for side, state in ((0, side_a), (1, side_b)):
-                    for recipient, content in state.sends_by_lot.get(t, ()):
-                        merged[recipient] = merged.get(recipient, "") + content
+                for rounds, driver in zip(round_of_lot, (side_a, side_b)):
+                    r = rounds.get((i, t))
+                    if r is not None and r <= len(driver.rounds):
+                        for recipient, content in driver.rounds[r - 1][0]:
+                            merged[recipient] = merged.get(recipient, "") + content
                 waits = wait_plan.get((i, t), ())
                 return Round(
                     sends=tuple(sorted(merged.items())),

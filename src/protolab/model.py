@@ -256,17 +256,6 @@ class Execution:
             self.received_transcript(i) for i in self.protocol.players
         )
 
-    def link_log(self, sender: int, receiver: int) -> tuple[str, ...]:
-        """Messages sent on one directional link, in FIFO order."""
-        out = [
-            m.content
-            for m in sorted(
-                (m for m in self.messages if m.sender == sender and m.receiver == receiver),
-                key=lambda m: m.link_index,
-            )
-        ]
-        return tuple(out)
-
 
 def _validate_run_args(p, inputs, private_tapes, public_tape):
     inputs = tuple(inputs)
@@ -506,42 +495,46 @@ def _finish_execution(
 
 
 def _assign_lot_numbers(p, reads, sends, recv_round, raw):
-    """Lot number per (sender, sending round) node, by causal level."""
-    send_rounds = {}
-    for i in p.players:
-        send_rounds[i] = [
-            r for r, rs in enumerate(sends[i - 1], start=1) if rs
-        ]
-    # For dependency lookups: which (sender, sender_round) produced the
-    # message player i read at position j of its reads.
+    """Lot number per (sender, sending round) node, by causal level.
+
+    A node depends on its player's previous sending round and on the
+    sources of the messages read since that round; lots rise along a
+    player's own sending rounds, so this reaches every earlier read.
+    """
+    # Which (sender, sender_round) nodes produced the messages player q
+    # read in its read round reader_round.
     source = {}
     for s, q, content, r, pos in raw:
         reader_round = recv_round[(s, q, pos)][0]
         source.setdefault((q, reader_round), []).append((s, r))
+    deps: dict[tuple[int, int], list] = {}
+    for i in p.players:
+        prev = 0
+        for r, round_sends in enumerate(sends[i - 1], start=1):
+            if not round_sends:
+                continue
+            node_deps = [(i, prev)] if prev else []
+            for rr in range(prev, r):
+                node_deps.extend(source.get((i, rr), ()))
+            deps[(i, r)] = node_deps
+            prev = r
 
     lot: dict[tuple[int, int], int] = {}
+    active: set[tuple[int, int]] = set()
 
-    def resolve(node, stack=()):
+    def resolve(node):
         if node in lot:
             return lot[node]
-        if node in stack:
+        if node in active:
             raise ModelViolationError("causality cycle in message ordering")
-        i, r = node
-        deps = []
-        for r2 in send_rounds[i]:
-            if r2 < r:
-                deps.append((i, r2))
-        for rr in range(1, r):
-            deps.extend(source.get((i, rr), ()))
-        value = 1 + max(
-            (resolve(d, stack + (node,)) for d in deps), default=0
-        )
+        active.add(node)
+        value = 1 + max((resolve(d) for d in deps[node]), default=0)
+        active.discard(node)
         lot[node] = value
         return value
 
-    for i in p.players:
-        for r in send_rounds[i]:
-            resolve((i, r))
+    for node in deps:
+        resolve(node)
     return lot
 
 
@@ -691,13 +684,6 @@ def is_oblivious(
     return True, None
 
 
-def assign_lots(p: ProtocolDef, e: Execution) -> tuple[Message, ...]:
-    """The lot-ordered global message list of a completed execution."""
-    if p.mode != RESTRICTED:
-        raise ModelViolationError("lot assignment is defined for restricted mode")
-    return e.messages
-
-
 # ---------------------------------------------------------------------------
 # Fixed structure of an oblivious protocol (used by compression and products)
 # ---------------------------------------------------------------------------
@@ -832,81 +818,105 @@ class ObliviousStructure:
 
 
 # ---------------------------------------------------------------------------
-# Replay helpers
+# Incremental program driver
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReplayState:
-    """Result of replaying one player's program against message streams."""
+class ProgramDriver:
+    """Drives one player's program as far as the messages fed to it allow.
 
-    rounds: list  # per executed round: (sends, reads)
-    output: str | None
-    halted: bool
-    waiting_on: tuple | None
-    consumed: dict  # sender -> number of stream messages consumed
-
-
-def replay_program(
-    program: Program,
-    player: int,
-    input_value: str,
-    private_tape: str,
-    public_tape: str,
-    streams: dict[int, Sequence[str]],
-    max_rounds: int,
-) -> ReplayState:
-    """Drive one player's program as far as the given messages allow.
-
-    ``streams`` maps sender index to the FIFO list of messages available on
-    that link.  The replay stops when the program halts or its wait set asks
-    for a message that is not (yet) in the streams.
+    Messages are fed per sender in FIFO order; ``run()`` continues until
+    the program halts or its wait set asks for a message not yet fed.
+    ``rounds`` holds (sorted sends, round number) per executed round,
+    ``reads`` the read rounds, ``waiting`` the blocking wait set.
     """
-    consumed = {s: 0 for s in streams}
-    reads: list[tuple[tuple[int, str], ...]] = []
-    rounds = []
-    output = None
-    waiting: tuple | None = None
-    while True:
-        if waiting is not None:
-            if not all(
-                consumed.get(s, 0) < len(streams.get(s, ())) for s in waiting
-            ):
-                return ReplayState(rounds, output, False, waiting, consumed)
-            round_reads = []
-            for s in sorted(waiting):
-                round_reads.append((s, streams[s][consumed[s]]))
-                consumed[s] = consumed.get(s, 0) + 1
-            reads.append(tuple(round_reads))
-            waiting = None
-        if len(rounds) >= max_rounds:
-            raise NonTerminationError(
-                f"replayed player {player} exceeded {max_rounds} rounds"
-            )
-        view = View(
-            player=player,
-            input=input_value,
-            private_tape=private_tape,
-            public_tape=public_tape,
-            reads=tuple(reads),
-        )
-        act = program(view)
-        rounds.append((tuple(sorted(act.sends, key=lambda t: t[0])), view.round))
-        if act.output is not None:
-            if output is not None:
-                raise ModelViolationError(
-                    f"replayed player {player} wrote output twice"
+
+    def __init__(self, program: Program, player: int, input_value: str,
+                 private_tape: str, public_tape: str, max_rounds: int):
+        self.program = program
+        self.player = player
+        self.input = input_value
+        self.private_tape = private_tape
+        self.public_tape = public_tape
+        self.max_rounds = max_rounds
+        self.inbox: dict[int, deque] = {}
+        self.reads: list[tuple[tuple[int, str], ...]] = []
+        self.rounds: list[tuple[tuple[tuple[int, str], ...], int]] = []
+        self.output: str | None = None
+        self.halted = False
+        self.waiting: tuple[int, ...] | None = None
+
+    def feed(self, sender: int, message: str) -> None:
+        self.inbox.setdefault(sender, deque()).append(message)
+
+    def run(self) -> "ProgramDriver":
+        while not self.halted:
+            if self.waiting is not None:
+                if not all(self.inbox.get(s) for s in self.waiting):
+                    return self
+                self.reads.append(
+                    tuple((s, self.inbox[s].popleft()) for s in self.waiting)
                 )
-            output = act.output
-        if act.halt:
-            return ReplayState(rounds, output, True, None, consumed)
-        if act.waits == WAIT_ANY:
-            raise ModelViolationError("replay supports restricted wait sets only")
-        waits = tuple(sorted(set(act.waits)))
-        if waits == ():
-            reads.append(())
-            continue
-        waiting = waits
+                self.waiting = None
+            if len(self.rounds) >= self.max_rounds:
+                raise NonTerminationError(
+                    f"replayed player {self.player} exceeded "
+                    f"{self.max_rounds} rounds"
+                )
+            view = View(self.player, self.input, self.private_tape,
+                        self.public_tape, tuple(self.reads))
+            act = self.program(view)
+            self.rounds.append(
+                (tuple(sorted(act.sends, key=lambda t: t[0])), view.round)
+            )
+            if act.output is not None:
+                if self.output is not None:
+                    raise ModelViolationError(
+                        f"replayed player {self.player} wrote output twice"
+                    )
+                self.output = act.output
+            if act.halt:
+                self.halted = True
+            elif act.waits == WAIT_ANY:
+                raise ModelViolationError(
+                    "replay supports restricted wait sets only"
+                )
+            elif act.waits:
+                self.waiting = tuple(sorted(set(act.waits)))
+            else:
+                self.reads.append(())
+        return self
+
+
+def fold_views(start: Callable[[View], object],
+               fold: Callable[[object, tuple, int], None]):
+    """State lookup for a wrapper program that keeps its latest state only.
+
+    ``start(view)`` builds the state before any read round and
+    ``fold(state, round_reads, index)`` folds in read round ``index``
+    (0-based), in place.  A view that extends the kept one by exactly one
+    read round folds that round; any other view is rebuilt from scratch,
+    so the program stays a pure function of its View.
+    """
+    slot: list = [None, (), None]  # (input, tapes), reads, state
+
+    def state_of(view: View):
+        key = (view.input, view.private_tape, view.public_tape)
+        reads = view.reads
+        n = len(reads)
+        kept_key, kept_reads, state = slot
+        slot[0] = None  # a failed fold must not leave a half-folded state
+        if (kept_key == key and len(kept_reads) + 1 == n
+                and reads[:-1] == kept_reads):
+            fold(state, reads[-1], n - 1)
+        else:
+            state = start(view)
+            for index, round_reads in enumerate(reads):
+                fold(state, round_reads, index)
+        slot[:] = key, reads, state
+        return state
+
+    return state_of
 
 
 def decode_received_transcript(
@@ -929,55 +939,28 @@ def decode_received_transcript(
         if isinstance(struct_or_table, ExecutionTable)
         else struct_or_table.table.codebooks
     )
+    driver = ProgramDriver(p.program(i), i, input_value, private_tape,
+                           public_tape, p.max_local_rounds)
     read_pos: dict[int, int] = {}
     cursor = 0
-    reads: list[tuple[tuple[int, str], ...]] = []
     events: list[tuple[int, str]] = []
-    rounds = 0
-    waiting: tuple | None = None
-    while True:
-        if waiting is not None:
-            round_reads = []
-            for s in sorted(waiting):
-                pos = read_pos.get(s, 0)
-                book = codebooks.get((s, i, pos), ())
-                match = [w for w in book if transcript.startswith(w, cursor)]
-                if len(match) != 1:
-                    raise ModelViolationError(
-                        f"transcript of player {i} is not uniquely decodable "
-                        f"at bit {cursor} (link {s}->{i} position {pos})"
-                    )
-                word = match[0]
-                cursor += len(word)
-                read_pos[s] = pos + 1
-                round_reads.append((s, word))
-                events.append((s, word))
-            reads.append(tuple(round_reads))
-            waiting = None
-        if rounds >= p.max_local_rounds:
-            raise NonTerminationError("decode exceeded the round bound")
-        view = View(i, input_value, private_tape, public_tape, tuple(reads))
-        act = p.program(i)(view)
-        rounds += 1
-        if act.halt:
-            break
-        if act.waits == WAIT_ANY:
-            raise ModelViolationError("decoding requires restricted wait sets")
-        waits = tuple(sorted(set(act.waits)))
-        if waits == ():
-            reads.append(())
-            continue
-        if not all(
-            codebooks.get((s, i, read_pos.get(s, 0)))
-            and any(
-                transcript.startswith(w, cursor)
-                for w in codebooks[(s, i, read_pos.get(s, 0))]
-            )
-            for s in waits
-        ):
-            # Blocked forever (legal when the transcript is exhausted).
-            break
-        waiting = waits
+    while not driver.run().halted:
+        books = [codebooks.get((s, i, read_pos.get(s, 0)), ())
+                 for s in driver.waiting]
+        if not all(any(transcript.startswith(w, cursor) for w in book)
+                   for book in books):
+            break  # blocked forever (legal when the transcript is exhausted)
+        for s, book in zip(driver.waiting, books):
+            match = [w for w in book if transcript.startswith(w, cursor)]
+            if len(match) != 1:
+                raise ModelViolationError(
+                    f"transcript of player {i} is not uniquely decodable "
+                    f"at bit {cursor} (link {s}->{i} position {read_pos.get(s, 0)})"
+                )
+            cursor += len(match[0])
+            read_pos[s] = read_pos.get(s, 0) + 1
+            driver.feed(s, match[0])
+            events.append((s, match[0]))
     if cursor != len(transcript):
         raise ModelViolationError(
             f"transcript of player {i} has {len(transcript) - cursor} "

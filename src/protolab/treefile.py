@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, ModelViolationError
-from .model import ProtocolDef, Round, View, bitstrings
+from .model import ProtocolDef, Round, View, bitstrings, fold_views
 
 
 @dataclass
@@ -54,20 +54,25 @@ class _Node:
     children: dict | None
     outputs: tuple[str, ...] | None
     depth: int
+    reachable: tuple[frozenset[str], ...]  # per player: outputs at leaves below
 
     @property
     def is_leaf(self) -> bool:
         return self.outputs is not None
 
 
-def _parse_tree(spec: dict, k: int, depth: int, nodes: list) -> _Node:
+def _parse_tree(spec: dict, k: int, depth: int, nodes: list,
+                interned: dict) -> _Node:
+    """Parse a subtree; equal reachable-output sets share one frozenset."""
     index = len(nodes)
     nodes.append(None)
     if "outputs" in spec:
         outputs = tuple(spec["outputs"])
         if len(outputs) != k:
             raise ConfigError(f"leaf needs {k} outputs, got {len(outputs)}")
-        node = _Node(index, None, None, None, None, None, outputs, depth)
+        reachable = (frozenset((out,)) for out in outputs)
+        node = _Node(index, None, None, None, None, None, outputs, depth,
+                     tuple(interned.setdefault(r, r) for r in reachable))
     else:
         for key in ("sender", "receiver", "msg_bits", "message_table", "children"):
             if key not in spec:
@@ -80,7 +85,7 @@ def _parse_tree(spec: dict, k: int, depth: int, nodes: list) -> _Node:
             raise ConfigError("msg_bits must be positive")
         table = dict(spec["message_table"])
         children = {
-            value: _parse_tree(child, k, depth + 1, nodes)
+            value: _parse_tree(child, k, depth + 1, nodes, interned)
             for value, child in spec["children"].items()
         }
         for value in table.values():
@@ -90,7 +95,11 @@ def _parse_tree(spec: dict, k: int, depth: int, nodes: list) -> _Node:
                 )
             if value not in children:
                 raise ConfigError(f"message value {value!r} has no child")
-        node = _Node(index, sender, receiver, bits, table, children, None, depth)
+        reachable = map(
+            frozenset.union, *(c.reachable for c in children.values())
+        )
+        node = _Node(index, sender, receiver, bits, table, children, None,
+                     depth, tuple(interned.setdefault(r, r) for r in reachable))
     nodes[index] = node
     return node
 
@@ -102,6 +111,18 @@ class _Decision:
     value: str | None
     sender: int | None
     determined: str | None  # unique reachable output for this player, if any
+
+
+@dataclass
+class _Progress:
+    """A player's position after its latest view: the decision for it,
+    how many sends it has performed, and whether it wrote its output."""
+
+    key: str
+    received: tuple[tuple[int, str], ...]
+    sent: int
+    wrote: bool
+    now: _Decision
 
 
 class _TreeMachine:
@@ -121,7 +142,7 @@ class _TreeMachine:
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
         self.nodes: list[_Node] = []
-        self.root = _parse_tree(spec["tree"], self.k, 0, self.nodes)
+        self.root = _parse_tree(spec["tree"], self.k, 0, self.nodes, {})
         self.has_tapes = sum(self.private_bits) + self.public_bits > 0
         self.name = spec.get("name") or source
         self._validate_tables()
@@ -150,19 +171,6 @@ class _TreeMachine:
         if not self.has_tapes:
             return inp
         return f"{inp}:{priv}:{pub}"
-
-    def reachable_outputs(self, player: int, node: _Node) -> set[str]:
-        out = set()
-
-        def walk(n: _Node):
-            if n.is_leaf:
-                out.add(n.outputs[player - 1])
-            else:
-                for child in n.children.values():
-                    walk(child)
-
-        walk(node)
-        return out
 
     def _frontier(self, player, key, received, send_budget):
         """Consistent stop positions given the player's history.
@@ -206,9 +214,7 @@ class _TreeMachine:
 
     def _decide(self, player, key, received, send_budget) -> _Decision:
         points = self._frontier(player, key, received, send_budget)
-        outputs = set()
-        for node in points:
-            outputs |= self.reachable_outputs(player, node)
+        outputs = set().union(*(n.reachable[player - 1] for n in points))
         determined = outputs.pop() if len(outputs) == 1 else None
 
         leaves = [n for n in points if n.is_leaf]
@@ -240,23 +246,28 @@ class _TreeMachine:
         return _Decision("halt", None, None, None, determined)
 
     def program(self, player: int):
-        def prog(view: View) -> Round:
+        def start(view: View) -> _Progress:
             key = self.view_key(view.input, view.private_tape, view.public_tape)
-            # Replay earlier rounds to recover how many sends this player
-            # has performed and whether its output is already written.
-            sent = 0
-            wrote = False
-            for j in range(len(view.reads)):
-                received = tuple(
-                    item for rnd in view.reads[:j] for item in rnd
-                )
-                past = self._decide(player, key, received, sent)
-                if past.determined is not None:
-                    wrote = True
-                if past.kind == "send":
-                    sent += 1
-            now = self._decide(player, key, view.received, sent)
-            output = now.determined if (now.determined is not None and not wrote) else None
+            return _Progress(key, (), 0, False, self._decide(player, key, (), 0))
+
+        def fold(state: _Progress, round_reads, index: int) -> None:
+            # The decision taken before this read round is the newest past
+            # one: it tells whether that round sent and wrote the output.
+            past = state.now
+            if past.determined is not None:
+                state.wrote = True
+            if past.kind == "send":
+                state.sent += 1
+            state.received += round_reads
+            state.now = self._decide(player, state.key, state.received,
+                                     state.sent)
+
+        state_of = fold_views(start, fold)
+
+        def prog(view: View) -> Round:
+            state = state_of(view)
+            now = state.now
+            output = now.determined if not state.wrote else None
             if now.kind == "send":
                 return Round(
                     sends=((now.receiver, now.value),), output=output, waits=()
@@ -277,8 +288,7 @@ def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
     machine = _TreeMachine(spec, source)
     k = machine.k
     output_domains = tuple(
-        tuple(sorted(machine.reachable_outputs(i, machine.root)))
-        for i in range(1, k + 1)
+        tuple(sorted(outputs)) for outputs in machine.root.reachable
     )
     max_depth = max(node.depth for node in machine.nodes)
     return ProtocolDef(

@@ -8,6 +8,8 @@ regression in one path cannot hide in the other.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterable
@@ -59,6 +61,32 @@ def enumerate_runs(p: ProtocolDef, mu: InputDistribution):
     for x, wx in mu.weights:
         for privs, pub in p.tape_space():
             yield wx * tape_weight, run(p, x, privs, pub)
+
+
+def execution_digest(table) -> str:
+    """SHA-256 over every recorded field of every execution, in table order.
+
+    Covers inputs, tapes, outputs, per-round reads, sends and patterns, and
+    every message with its sender and receiver rounds, link index, lot and
+    global index.  ``table`` is an ``ExecutionTable`` or any iterable of
+    executions.
+    """
+    executions = table.values() if hasattr(table, "values") else table
+    h = hashlib.sha256()
+    for e in executions:
+        record = (
+            e.inputs, e.private_tapes, e.public_tape, e.outputs, e.reads,
+            e.sends, e.patterns,
+            tuple(
+                (m.sender, m.receiver, m.content, m.sender_round,
+                 m.receiver_round, m.link_index, m.lot, m.global_index)
+                for m in e.messages
+            ),
+            e.total_bits,
+        )
+        h.update(repr(record).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def _pi(e, i):
@@ -313,6 +341,30 @@ def second_bit_dict() -> dict:
                 },
             },
         },
+    }
+
+
+def random_tree_dict(rng, depth: int, input_bits: int = 1) -> dict:
+    """Complete two-player tree: every path sends ``depth`` one-bit
+    messages, each sender, message table and leaf output drawn from rng."""
+    keys = ["".join(bits) for bits in itertools.product("01", repeat=input_bits)]
+
+    def node(d: int) -> dict:
+        if d == depth:
+            return {"outputs": [rng.choice("01"), rng.choice("01")]}
+        sender = rng.choice((1, 2))
+        return {
+            "sender": sender, "receiver": 3 - sender, "msg_bits": 1,
+            "message_table": {key: rng.choice("01") for key in keys},
+            "children": {"0": node(d + 1), "1": node(d + 1)},
+        }
+
+    return {
+        "name": f"random-tree(depth={depth})",
+        "k": 2,
+        "input_bits": [input_bits, input_bits],
+        "tape_bits": {"private": [0, 0], "public": 0},
+        "tree": node(0),
     }
 
 

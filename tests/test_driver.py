@@ -1,0 +1,291 @@
+"""The incremental program driver and the wrappers that keep their latest
+state: golden execution records, linear work counts, purity under
+out-of-order calls, and the driver's own contract."""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+import helpers
+from helpers import execution_digest
+from protolab.compression import obliviousize
+from protolab.errors import ModelViolationError, NonTerminationError
+from protolab.measures import (
+    InputDistribution,
+    derandomize_zero_error,
+    product_protocol,
+    publicize,
+)
+from protolab.model import (
+    WAIT_ANY,
+    ProgramDriver,
+    Round,
+    View,
+    run_all,
+    run_relaxed,
+)
+from protolab.treefile import _TreeMachine, protocol_from_dict
+from protolab.zoo import get_entry
+
+
+def uniform(p):
+    return InputDistribution.uniform(p)
+
+
+def _zoo(name, **params):
+    return get_entry(name, **params).protocol
+
+
+def _order_leak_runs():
+    p = _zoo("order-leak")
+    return [
+        run_relaxed(p, x, schedule=schedule)
+        for x in p.input_space()
+        for schedule in (None, (3, 4), (4, 3))
+    ]
+
+
+def _derandomized(entry_name, **params):
+    entry = get_entry(entry_name, **params)
+    pub = publicize(entry.protocol)
+    det, _seed = derandomize_zero_error(pub, uniform(entry.protocol))
+    return run_all(det)
+
+
+def _obliviousized(eps):
+    q = _zoo("q-index", k=3, q=1)
+    return run_all(obliviousize(q, uniform(q), eps))
+
+
+def _tree(build):
+    return run_all(protocol_from_dict(build()))
+
+
+def _relay_pair():
+    # Both sides share the same slot-holding programs, so every call of a
+    # side program alternates between the two sides' views.
+    t = protocol_from_dict(helpers.relay3_dict())
+    return run_all(product_protocol(t, t))
+
+
+# Recorded with the replay-from-scratch code, before the incremental driver.
+GOLDEN = {
+    "ring-parity": (
+        lambda: run_all(_zoo("ring-parity", k=3, n=1)),
+        "fc8bc562a0e9c2bbd76ee420e3b249ed8e9555567494f5fe16d4bd0aaab36088",
+    ),
+    "star-parity": (
+        lambda: run_all(_zoo("star-parity", k=2, n=1)),
+        "70c7f14a4932aee65b06adde0326348c84a1f48e3114044964e4ef5566c5d29b",
+    ),
+    "and-opt": (
+        lambda: run_all(_zoo("and-opt")),
+        "1d38a86a9c2f0c675595d4337e2fbec6c472bde4ad1aacd8bb58bccef4091a41",
+    ),
+    "q-index": (
+        lambda: run_all(_zoo("q-index", k=3, q=1)),
+        "12fec19a030684af7628f7f09cf3e062a9fc6095c2616d1e4092457bf175af32",
+    ),
+    "order-leak": (
+        _order_leak_runs,
+        "a2945db92fe8a6a50bddc5e555edef4adf7d0322856b3582d73c1582220e3646",
+    ),
+    "publicize-ring": (
+        lambda: run_all(publicize(_zoo("ring-parity", k=3, n=1))),
+        "3886b8efc3d1e09234402e32345231c10820a2d9ce584b5d1f08f86ff0ce7b85",
+    ),
+    "derandomize-star": (
+        lambda: _derandomized("star-parity", k=3, n=1),
+        "01110fc753525d108a122a2688f2e75c6a312db034e5c520d5152021886aeb56",
+    ),
+    "derandomize-ring": (
+        lambda: _derandomized("ring-parity", k=3, n=1),
+        "86fa2293c85767398081f5cf96a07cfbcddacf8f8b72bd45581f5ab7565d0ee2",
+    ),
+    "product-star-ring": (
+        lambda: run_all(product_protocol(
+            _zoo("star-parity", k=3, n=1), _zoo("ring-parity", k=3, n=1)
+        )),
+        "e0c24281d64d23d3e0a419b170d228997dba459c32b50fe7ed3daad5b785b754",
+    ),
+    "product-star-threefold": (
+        lambda: run_all(product_protocol(
+            product_protocol(_zoo("star-parity", k=3, n=1),
+                             _zoo("star-parity", k=3, n=1)),
+            _zoo("star-parity", k=3, n=1),
+        )),
+        "a8ce6986ba53474bbddea20f3afef579bf25055ec1244b94ad44df72888208ae",
+    ),
+    "obliviousize-half": (
+        lambda: _obliviousized(Fraction(1, 2)),
+        "64df8346a5766d4f3cbc6265f1004f65e18a1d1eca4a24d85d0b5ff9b7288905",
+    ),
+    "obliviousize-quarter": (
+        lambda: _obliviousized(Fraction(1, 4)),
+        "5d1bec0488215d311bf384f90afd16c54100a62878128f4dafbf7a2af74e22bc",
+    ),
+    "tree-relay3": (
+        lambda: _tree(helpers.relay3_dict),
+        "42767e20f88cdbed1febfc05fb3482e4ccc009a2a43553599d573ab4f009582c",
+    ),
+    "tree-masked-ping": (
+        lambda: _tree(helpers.masked_ping_dict),
+        "8473fa608b89cda3c3b75256f5748de68156a238b36b83e6ee8c2197c2f1d835",
+    ),
+    "tree-and-mask": (
+        lambda: _tree(helpers.and_mask_dict),
+        "1a154953535e987286978c7abd1b8f37c6cd201e72815deadf934777f89735c2",
+    ),
+    "tree-second-bit": (
+        lambda: _tree(helpers.second_bit_dict),
+        "9eb97eca03a74cccc4b7cc84888c8d9fab627aa811f75f2618d53e501ef049a9",
+    ),
+    "product-relay3-relay3": (
+        _relay_pair,
+        "1adaac4abd318eadccf7111e4501afc0f94d7e7d9f4457236e7623be2ca324f9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_execution_golden_pin(case):
+    build, digest = GOLDEN[case]
+    assert execution_digest(build()) == digest
+
+
+# -- work grows linearly in rounds ---------------------------------------------
+
+
+def _counted(p):
+    """A copy of p whose programs count their calls."""
+    calls = [0]
+
+    def wrap(program):
+        def counted(view):
+            calls[0] += 1
+            return program(view)
+
+        return counted
+
+    return dataclasses.replace(
+        p, programs=tuple(wrap(prog) for prog in p.programs)
+    ), calls
+
+
+def _local_rounds(table):
+    return sum(len(pt) for e in table.values() for pt in e.patterns)
+
+
+def test_obliviousize_inner_calls_do_not_grow_with_phases():
+    # The inner program runs once per inner round however many phases
+    # carry its bits.  Replaying it from scratch every round made the calls
+    # per execution grow with the phases (58, 114, 226 here), while calls
+    # per local round stayed near 1.15 either way, so they are counted per
+    # execution.
+    base = _zoo("q-index", k=3, q=1)
+    per_execution = []
+    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+        q, calls = _counted(base)
+        obl = obliviousize(q, uniform(q), eps)
+        calls[0] = 0  # obliviousize itself enumerates q once
+        table = run_all(obl)
+        per_execution.append(calls[0] / len(table))
+    assert max(per_execution) <= 1.5 * min(per_execution), per_execution
+
+
+def test_tree_decisions_per_round_do_not_grow_with_depth(monkeypatch):
+    calls = [0]
+    decide = _TreeMachine._decide
+
+    def counted(self, *args):
+        calls[0] += 1
+        return decide(self, *args)
+
+    monkeypatch.setattr(_TreeMachine, "_decide", counted)
+    per_round = []
+    for depth in (4, 8):
+        p = protocol_from_dict(
+            helpers.random_tree_dict(random.Random(depth), depth)
+        )
+        calls[0] = 0
+        table = run_all(p)
+        per_round.append(calls[0] / _local_rounds(table))
+    assert max(per_round) <= 1.5 * min(per_round), per_round
+
+
+# -- wrappers stay pure functions of their views --------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: obliviousize(_zoo("q-index", k=3, q=1),
+                         uniform(_zoo("q-index", k=3, q=1)), Fraction(1, 2)),
+    lambda: product_protocol(_zoo("star-parity", k=3, n=1),
+                             _zoo("ring-parity", k=3, n=1)),
+    lambda: protocol_from_dict(helpers.random_tree_dict(random.Random(3), 5)),
+], ids=["obliviousize", "product", "tree"])
+def test_wrapper_rounds_do_not_depend_on_call_order(build):
+    p = build()
+    table = run_all(p)
+    calls = []
+    for (x, privs, pub), e in table.items():
+        for i in p.players:
+            for r, pattern in enumerate(e.patterns[i - 1]):
+                view = View(i, x[i - 1], privs[i - 1], pub,
+                            e.reads[i - 1][:r])
+                calls.append((view, e.sends[i - 1][r], pattern))
+    random.Random(0).shuffle(calls)
+    for view, sends, (waits, _) in calls:
+        act = p.program(view.player)(view)
+        assert tuple(sorted(act.sends)) == sends
+        if not act.halt:
+            assert tuple(sorted(set(act.waits))) == waits
+
+
+# -- the driver's contract ----------------------------------------------------
+
+
+def _driver(program, max_rounds=6):
+    return ProgramDriver(program, 1, "0", "", "", max_rounds)
+
+
+def test_driver_blocks_until_every_waited_sender_has_a_message():
+    def prog(view):
+        if view.round == 1:
+            return Round(sends=((2, "1"),), waits=(3, 2))
+        if view.round == 2:
+            return Round(waits=(2,))
+        return Round(output="".join(m for _, m in view.received), halt=True)
+
+    d = _driver(prog).run()
+    assert d.waiting == (2, 3) and not d.halted
+    d.feed(2, "01")
+    d.feed(2, "1")
+    assert d.run().waiting == (2, 3)
+    d.feed(3, "00")
+    d.run()
+    assert d.halted and d.waiting is None
+    assert d.reads == [((2, "01"), (3, "00")), ((2, "1"),)]
+    assert d.rounds == [(((2, "1"),), 1), ((), 2), ((), 3)]
+    assert d.output == "01001"
+
+
+def test_driver_runs_empty_wait_sets_without_messages():
+    def prog(view):
+        if view.round < 3:
+            return Round(sends=((2, "0"), (3, "1")) if view.round == 1 else ())
+        return Round(output="0", halt=True)
+
+    d = _driver(prog).run()
+    assert d.halted and d.reads == [(), ()]
+    assert d.rounds[0] == (((2, "0"), (3, "1")), 1)
+
+
+def test_driver_errors():
+    with pytest.raises(NonTerminationError):
+        _driver(lambda view: Round(), max_rounds=4).run()
+    with pytest.raises(ModelViolationError, match="output twice"):
+        _driver(lambda view: Round(output="0")).run()
+    with pytest.raises(ModelViolationError, match="restricted wait sets"):
+        _driver(lambda view: Round(waits=WAIT_ANY)).run()

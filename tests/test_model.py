@@ -363,17 +363,11 @@ def test_input_validation():
             ("0", "0", "0"), ("", "", ""), "")
 
 
-def test_assign_lots_returns_the_global_order():
-    from protolab.model import assign_lots
-
+def test_execution_messages_follow_the_global_order():
     p = get_entry("star-parity", k=3, n=1).protocol
     e = run(p, ("1", "0", "1"))
-    messages = assign_lots(p, e)
-    assert messages == e.messages
-    assert [m.global_index for m in messages] == [1, 2]
-    leak = get_entry("order-leak").protocol
-    with pytest.raises(ModelViolationError):
-        assign_lots(leak, run_relaxed(leak, ("0", "", "", "")))
+    assert [m.global_index for m in e.messages] == [1, 2]
+    assert [m.lot for m in e.messages] == [1, 1]
 
 
 def test_run_all_counts_match_domain_and_tapes():
