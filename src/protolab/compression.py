@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, InvariantError, ModelViolationError
-from .measures import InputDistribution, acc, ic
+from .measures import InputDistribution, acc, ic, weighted_executions
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
@@ -603,24 +603,19 @@ def distributional_error(
 ) -> Fraction:
     """Probability over mu and the tapes that some player outputs a wrong
     value for its target function."""
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    tape_weight = Fraction(1, 1 << p.total_tape_bits)
-    bad = Fraction(0)
-    for x, w in mu.weights:
-        for privs, pub in p.tape_space():
-            e = table.get(x, privs, pub)
-            if any(e.outputs[i - 1] != family.value(i, x) for i in p.players):
-                bad += w * tape_weight
-    return bad
+    rows, den = weighted_executions(p, mu, budget)
+    bad = sum(
+        n for x, n, e in rows
+        if any(e.outputs[i - 1] != family.value(i, x) for i in p.players)
+    )
+    return Fraction(bad, den)
 
 
 def _profile_outputs(p, struct, inputs, public_tape, profile):
     """Outputs every player derives from its own profile transcript."""
     outputs = []
     for i in p.players:
-        driver = ProgramDriver(p.program(i), i, inputs[i - 1], "",
-                               public_tape, p.max_local_rounds)
+        driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
         for ev in struct.parse_transcript(i, profile[i - 1]):
             if ev.direction == "r":
                 driver.feed(ev.peer, ev.content)
@@ -758,15 +753,8 @@ def truncation_mass(
     budget: int | None = DEFAULT_BUDGET,
 ) -> Fraction:
     """Exact probability that a run of p transmits >= threshold bits."""
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    tape_weight = Fraction(1, 1 << p.total_tape_bits)
-    mass = Fraction(0)
-    for x, w in mu.weights:
-        for privs, pub in p.tape_space():
-            if table.get(x, privs, pub).total_bits >= threshold:
-                mass += w * tape_weight
-    return mass
+    rows, den = weighted_executions(p, mu, budget)
+    return Fraction(sum(n for _, n, e in rows if e.total_bits >= threshold), den)
 
 
 def _player_width(k: int) -> int:
@@ -784,13 +772,12 @@ class _InnerSim:
     def __init__(self, p, table, i, input_value, private_tape, public_tape):
         self.codebooks = table.codebooks
         self.i = i
-        self.driver = ProgramDriver(p.program(i), i, input_value,
-                                    private_tape, public_tape,
-                                    p.max_local_rounds)
+        self.driver = ProgramDriver(p, i, input_value, private_tape,
+                                    public_tape)
         self.bit_streams: dict[int, str] = {}
         self.read_pos: dict[int, int] = {}
         self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)
-        self._advance()
+        self._queue_new_sends()
 
     @property
     def output(self) -> str | None:
@@ -799,7 +786,7 @@ class _InnerSim:
     def feed(self, origin: int, bit: str) -> None:
         self.bit_streams[origin] = self.bit_streams.get(origin, "") + bit
         self._decode(origin)
-        self._advance()
+        self._queue_new_sends()
 
     def _decode(self, origin: int) -> None:
         while True:
@@ -821,9 +808,9 @@ class _InnerSim:
             self.read_pos[origin] = pos + 1
             self.driver.feed(origin, word)
 
-    def _advance(self) -> None:
-        queued = len(self.driver.rounds)
-        for round_sends, _ in self.driver.run().rounds[queued:]:
+    def _queue_new_sends(self) -> None:
+        queued = len(self.driver.sends)
+        for round_sends in self.driver.run().sends[queued:]:
             for dest, content in round_sends:
                 self.queue.extend((dest, bit) for bit in content)
 

@@ -133,9 +133,6 @@ class InputDistribution:
             out = cls.product(out, mu)
         return cls(f"{mu.name}^{t}", out.weights)
 
-    def mapping(self) -> dict[tuple[str, ...], Fraction]:
-        return dict(self.weights)
-
     def validate_for(self, p: ProtocolDef) -> None:
         for x, _ in self.weights:
             if len(x) != p.k:
@@ -156,11 +153,26 @@ class InputDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _numerators(mu: InputDistribution) -> tuple[list[tuple[tuple, int]], int]:
-    """mu's weights as ``(x, numerator)`` pairs over the lcm of their
-    denominators, and that lcm."""
-    den = math.lcm(*(w.denominator for _, w in mu.weights))
-    return [(x, w.numerator * (den // w.denominator)) for x, w in mu.weights], den
+def weighted_executions(
+    p: ProtocolDef, mu: InputDistribution, budget: int | None = DEFAULT_BUDGET
+):
+    """Every execution of p on the support of mu, with an integer weight.
+
+    Returns ``(rows, den)``: ``rows`` yields ``(x, n, execution)`` per input
+    x of mu's support, then per tape assignment, and the execution has
+    probability ``n / den``.  ``den`` is the lcm of mu's denominators times
+    the number of tape assignments.
+    """
+    mu.validate_for(p)
+    executions = run_all(p, budget).executions
+    mu_den = math.lcm(*(w.denominator for _, w in mu.weights))
+    tapes = list(p.tape_space())
+    rows = (
+        (x, w.numerator * (mu_den // w.denominator), executions[(x, privs, pub)])
+        for x, w in mu.weights
+        for privs, pub in tapes
+    )
+    return rows, mu_den << p.total_tape_bits
 
 
 def _var_names(k: int) -> dict[str, list[str]]:
@@ -189,32 +201,26 @@ def build_joint(
     Weights are integer numerators over the lcm of mu's denominators times
     the number of tape assignments.
     """
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    k = p.k
-    names = _var_names(k)
+    names = _var_names(p.k)
     variables = (
         names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"]
         + ["pi"] + names["out"]
     )
-    weights, mu_den = _numerators(mu)
+    rows, den = weighted_executions(p, mu, budget)
     counts: dict[tuple, int] = {}
-    for x, n in weights:
-        for privs, pub in p.tape_space():
-            e = table.get(x, privs, pub)
-            row = (
-                tuple(x)
-                + tuple(privs)
-                + (pub,)
-                + tuple(e.received_transcript(i) for i in p.players)
-                + tuple(e.bidirectional_transcript(i) for i in p.players)
-                + (e.full_transcript(),)
-                + tuple(e.outputs)
-            )
-            counts[row] = counts.get(row, 0) + n
+    for x, n, e in rows:
+        row = (
+            x
+            + e.private_tapes
+            + (e.public_tape,)
+            + tuple(e.received_transcript(i) for i in p.players)
+            + tuple(e.bidirectional_transcript(i) for i in p.players)
+            + (e.full_transcript(),)
+            + e.outputs
+        )
+        counts[row] = counts.get(row, 0) + n
     d = JointDistribution(
-        tuple(variables), tuple(counts), tuple(counts.values()),
-        mu_den << p.total_tape_bits,
+        tuple(variables), tuple(counts), tuple(counts.values()), den
     )
     if family is not None:
         for i in p.players:
@@ -237,14 +243,8 @@ def acc(
     p: ProtocolDef, mu: InputDistribution, budget: int | None = DEFAULT_BUDGET
 ) -> Fraction:
     """Average communication under mu and uniform tapes, exact."""
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    weights, mu_den = _numerators(mu)
-    total = 0
-    for x, n in weights:
-        for privs, pub in p.tape_space():
-            total += n * table.get(x, privs, pub).total_bits
-    return Fraction(total, mu_den << p.total_tape_bits)
+    rows, den = weighted_executions(p, mu, budget)
+    return Fraction(sum(n * e.total_bits for _, n, e in rows), den)
 
 
 def _ic_term(d, names, i: int) -> float:
@@ -551,20 +551,17 @@ def public_seed_scores(
     return scores
 
 
-def _is_zero_error(p, mu, table, family) -> bool:
-    for x, _ in mu.weights:
-        reference = None
-        for privs, pub in p.tape_space():
-            outputs = table.get(x, privs, pub).outputs
-            if reference is None:
-                reference = outputs
-            elif outputs != reference:
-                return False
-        if family is not None:
-            for i in p.players:
-                if reference[i - 1] != family.value(i, x):
-                    return False
-    return True
+def _is_zero_error(p, mu, family, budget) -> bool:
+    reference = {}
+    rows, _ = weighted_executions(p, mu, budget)
+    for x, _, e in rows:
+        if reference.setdefault(x, e.outputs) != e.outputs:
+            return False
+    return family is None or all(
+        outputs[i - 1] == family.value(i, x)
+        for x, outputs in reference.items()
+        for i in p.players
+    )
 
 
 def derandomize_zero_error(
@@ -585,9 +582,7 @@ def derandomize_zero_error(
         raise ValueError(
             "derandomization needs a public-coin protocol; apply publicize()"
         )
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    if not _is_zero_error(p, mu, table, family):
+    if not _is_zero_error(p, mu, family, budget):
         raise ValueError(f"{p.name} is not zero-error on the support of {mu.name}")
     if p.public_tape_length == 0:
         return p, ""
@@ -701,8 +696,8 @@ def product_protocol(
             ra, rb = split_priv(i, view.private_tape)
             pa, pb = split_pub(view.public_tape)
             drivers = (
-                ProgramDriver(p.program(i), i, xa, ra, pa, p.max_local_rounds),
-                ProgramDriver(q.program(i), i, xb, rb, pb, q.max_local_rounds),
+                ProgramDriver(p, i, xa, ra, pa),
+                ProgramDriver(q, i, xb, rb, pb),
             )
             return tuple(d.run() for d in drivers), {}
 
@@ -743,8 +738,8 @@ def product_protocol(
                 merged: dict[int, str] = {}
                 for rounds, driver in zip(round_of_lot, (side_a, side_b)):
                     r = rounds.get((i, t))
-                    if r is not None and r <= len(driver.rounds):
-                        for recipient, content in driver.rounds[r - 1][0]:
+                    if r is not None and r <= len(driver.sends):
+                        for recipient, content in driver.sends[r - 1]:
                             merged[recipient] = merged.get(recipient, "") + content
                 waits = wait_plan.get((i, t), ())
                 return Round(

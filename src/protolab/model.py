@@ -56,7 +56,7 @@ def bitstrings(length: int) -> tuple[str, ...]:
 
 
 def is_bitstring(s: str) -> bool:
-    return isinstance(s, str) and all(c in "01" for c in s)
+    return isinstance(s, str) and not s.strip("01")
 
 
 def prefix_free_violation(strings: Iterable[str]) -> tuple[str, str] | None:
@@ -184,10 +184,6 @@ class ProtocolDef:
             n *= len(dom)
         return n << self.total_tape_bits
 
-    @property
-    def deterministic(self) -> bool:
-        return self.total_tape_bits == 0
-
 
 @dataclass(frozen=True)
 class Message:
@@ -220,9 +216,6 @@ class Execution:
     patterns: tuple[tuple[tuple[tuple[int, ...] | str, tuple[int, ...]], ...], ...]
     messages: tuple[Message, ...]
     total_bits: int
-
-    def key(self) -> tuple:
-        return (self.inputs, self.private_tapes, self.public_tape)
 
     # -- transcript orderings ----------------------------------------------
 
@@ -278,156 +271,61 @@ def _validate_run_args(p, inputs, private_tapes, public_tape):
     return inputs, private_tapes, public_tape
 
 
-def _execute(p, inputs, private_tapes, public_tape, relaxed, schedule):
+def _execute(p, inputs, private_tapes, public_tape, schedule):
     inputs, private_tapes, public_tape = _validate_run_args(
         p, inputs, private_tapes, public_tape
     )
-    k = p.k
-    channels = {
-        (s, r): deque() for s in p.players for r in p.players if s != r
-    }
-    reads = [[] for _ in range(k)]
-    sends = [[] for _ in range(k)]
-    patterns = [[] for _ in range(k)]
-    outputs: list[str | None] = [None] * k
-    status = ["ready"] * k  # ready | waiting | halted
-    waiting_on: list = [None] * k
+    schedule = iter(schedule or ())  # one iterator, shared by every driver
+    drivers = [
+        ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1], public_tape,
+                      schedule)
+        for i in p.players
+    ]
     read_clock = 0
-    read_counts = {link: 0 for link in channels}
+    read_counts: dict[tuple[int, int], int] = {}
     recv_round = {}  # (sender, receiver, link_index) -> (reader round, clock)
-    schedule_iter = iter(schedule or ())
-
-    def read_one(s, i):
-        nonlocal read_clock
-        content, _sender_round = channels[(s, i)].popleft()
-        link_index = read_counts[(s, i)]
-        read_counts[(s, i)] += 1
-        read_clock += 1
-        recv_round[(s, i, link_index)] = (len(reads[i - 1]) + 1, read_clock)
-        return (s, content)
-
-    def advance(i) -> bool:
-        """Run player i as far as it can go; return True if anything moved."""
-        moved = False
-        while True:
-            if status[i - 1] == "halted":
-                return moved
-            if status[i - 1] == "waiting":
-                w = waiting_on[i - 1]
-                if w == WAIT_ANY:
-                    avail = sorted(
-                        s for s in p.players if s != i and channels[(s, i)]
-                    )
-                    if not avail:
-                        return moved
-                    pick = avail[0]
-                    for cand in schedule_iter:
-                        if cand in avail:
-                            pick = cand
-                            break
-                    round_reads = (read_one(pick, i),)
-                else:
-                    if not all(channels[(s, i)] for s in w):
-                        return moved
-                    round_reads = tuple(read_one(s, i) for s in sorted(w))
-                reads[i - 1].append(round_reads)
-                status[i - 1] = "ready"
-                moved = True
-            # status is "ready": run the next local round
-            if len(patterns[i - 1]) >= p.max_local_rounds:
-                raise NonTerminationError(
-                    f"player {i} exceeded {p.max_local_rounds} local rounds"
-                )
-            view = View(
-                player=i,
-                input=inputs[i - 1],
-                private_tape=private_tapes[i - 1],
-                public_tape=public_tape,
-                reads=tuple(reads[i - 1]),
-            )
-            act = p.program(i)(view)
-            if not isinstance(act, Round):
-                raise ModelViolationError(
-                    f"player {i}'s program returned {type(act).__name__}"
-                )
-            recipients = []
-            for q, content in act.sends:
-                if q == i or q not in p.players:
-                    raise ModelViolationError(
-                        f"player {i} sends to invalid recipient {q}"
-                    )
-                if q in recipients:
-                    raise ModelViolationError(
-                        f"player {i} sends twice to {q} in one round"
-                    )
-                if not is_bitstring(content) or not content:
-                    raise ModelViolationError(
-                        f"player {i} sends a non-bitstring or empty message"
-                    )
-                recipients.append(q)
-            round_no = view.round
-            round_sends = tuple(sorted(act.sends, key=lambda t: t[0]))
-            for q, content in round_sends:
-                channels[(i, q)].append((content, round_no))
-            sends[i - 1].append(round_sends)
-            if act.output is not None:
-                if outputs[i - 1] is not None:
-                    raise ModelViolationError(f"player {i} wrote output twice")
-                if act.output not in p.output_domain(i):
-                    raise ModelViolationError(
-                        f"player {i} output {act.output!r} outside its domain"
-                    )
-                outputs[i - 1] = act.output
-            if act.waits == WAIT_ANY:
-                if not relaxed:
-                    raise ModelViolationError(
-                        "wait-any is only available in relaxed mode; "
-                        "restricted wait sets must be view-determined"
-                    )
-                waits_norm = WAIT_ANY
-            else:
-                waits_norm = tuple(sorted(set(act.waits)))
-                for s in waits_norm:
-                    if s == i or s not in p.players:
-                        raise ModelViolationError(
-                            f"player {i} waits on invalid player {s}"
-                        )
-            patterns[i - 1].append((waits_norm, tuple(q for q, _ in round_sends)))
-            moved = True
-            if act.halt:
-                status[i - 1] = "halted"
-                return moved
-            if waits_norm == ():
-                reads[i - 1].append(())
-                continue
-            status[i - 1] = "waiting"
-            waiting_on[i - 1] = waits_norm
 
     progress = True
     while progress:
         progress = False
-        for i in p.players:
-            if advance(i):
+        for d in drivers:
+            i = d.player
+            n_reads, n_rounds = len(d.reads), len(d.sends)
+            d.run()
+            for r in range(n_reads, len(d.reads)):
+                for s, _ in d.reads[r]:
+                    link_index = read_counts.get((s, i), 0)
+                    read_counts[(s, i)] = link_index + 1
+                    read_clock += 1
+                    recv_round[(s, i, link_index)] = (r + 1, read_clock)
+            for round_sends in d.sends[n_rounds:]:
+                for q, content in round_sends:
+                    drivers[q - 1].feed(i, content)
+            if len(d.sends) > n_rounds:
                 progress = True
 
-    missing = [i for i in p.players if outputs[i - 1] is None]
+    missing = [d.player for d in drivers if d.output is None]
     if missing:
         raise DeadlockError(
             f"execution stalled with no output from player(s) {missing}"
         )
-    stuck = {link: len(q) for link, q in channels.items() if q}
+    stuck = {
+        (s, d.player): len(d.inbox[s])
+        for s in p.players for d in drivers if s != d.player and d.inbox[s]
+    }
     if stuck:
         raise DeadlockError(f"unread messages left in transit: {stuck}")
 
     return _finish_execution(
-        p, inputs, private_tapes, public_tape, outputs, reads, sends,
-        patterns, recv_round, relaxed,
+        p, inputs, private_tapes, public_tape,
+        [d.output for d in drivers], [d.reads for d in drivers],
+        [d.sends for d in drivers], [d.patterns for d in drivers], recv_round,
     )
 
 
 def _finish_execution(
     p, inputs, private_tapes, public_tape, outputs, reads, sends,
-    patterns, recv_round, relaxed,
+    patterns, recv_round,
 ):
     # Collect raw message records: (sender, receiver, content, sender_round,
     # link_index), with link positions assigned in FIFO (send) order.
@@ -440,7 +338,7 @@ def _finish_execution(
                 link_pos[(i, q)] = pos + 1
                 raw.append((i, q, content, r, pos))
 
-    if relaxed:
+    if p.mode == RELAXED:
         # No lot structure in relaxed mode; order messages by read chronology.
         def clock(rec):
             return recv_round[(rec[0], rec[1], rec[4])][1]
@@ -549,8 +447,7 @@ def run(
         raise ModelViolationError(
             f"{p.name}: run() requires restricted mode; use run_relaxed()"
         )
-    return _execute(p, inputs, private_tapes, public_tape, relaxed=False,
-                    schedule=None)
+    return _execute(p, inputs, private_tapes, public_tape, schedule=None)
 
 
 def run_relaxed(
@@ -568,8 +465,7 @@ def run_relaxed(
     """
     if p.mode != RELAXED:
         raise ModelViolationError(f"{p.name}: protocol is not in relaxed mode")
-    return _execute(p, inputs, private_tapes, public_tape, relaxed=True,
-                    schedule=schedule)
+    return _execute(p, inputs, private_tapes, public_tape, schedule)
 
 
 @dataclass
@@ -601,7 +497,7 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     executions = {}
     for x in p.input_space():
         for privs, pub in p.tape_space():
-            e = _execute(p, x, privs, pub, relaxed=False, schedule=None)
+            e = _execute(p, x, privs, pub, schedule=None)
             executions[(tuple(x), tuple(privs), pub)] = e
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
@@ -823,66 +719,121 @@ class ObliviousStructure:
 
 
 class ProgramDriver:
-    """Drives one player's program as far as the messages fed to it allow.
+    """Runs one player's program under the model's rules, as far as the
+    messages fed to it allow.
+
+    The engine runs one driver per player, and every transform drives the
+    programs it wraps through one, so all of them share these checks: the
+    program returns a ``Round``; it sends at most one non-empty bitstring to
+    each other player per round; it writes one output, inside its domain;
+    it waits on other players only, and on "any" in relaxed mode only.
 
     Messages are fed per sender in FIFO order; ``run()`` continues until
-    the program halts or its wait set asks for a message not yet fed.
-    ``rounds`` holds (sorted sends, round number) per executed round,
-    ``reads`` the read rounds, ``waiting`` the blocking wait set.
+    the program halts or its wait set asks for a message not yet fed.  A
+    wait-any read takes the first sender of ``schedule`` that has a message
+    waiting (entries are consumed as they are tried, and drivers handed one
+    iterator share it), else the lowest such sender.  Per round the driver
+    records ``reads``, ``sends`` (sorted by recipient) and ``patterns``
+    (wait set, recipients); ``waiting`` is the blocking wait set.
     """
 
-    def __init__(self, program: Program, player: int, input_value: str,
-                 private_tape: str, public_tape: str, max_rounds: int):
-        self.program = program
+    def __init__(self, p: ProtocolDef, player: int, input_value: str,
+                 private_tape: str, public_tape: str, schedule=()):
+        self.program = p.program(player)
         self.player = player
         self.input = input_value
         self.private_tape = private_tape
         self.public_tape = public_tape
-        self.max_rounds = max_rounds
-        self.inbox: dict[int, deque] = {}
+        self.max_rounds = p.max_local_rounds
+        self.relaxed = p.mode == RELAXED
+        self.domain = p.output_domain(player)
+        self.schedule = iter(schedule)
+        # One FIFO queue per peer: its keys are also the players this one
+        # may send to or wait on.
+        self.inbox = {s: deque() for s in p.players if s != player}
         self.reads: list[tuple[tuple[int, str], ...]] = []
-        self.rounds: list[tuple[tuple[tuple[int, str], ...], int]] = []
+        self.sends: list[tuple[tuple[int, str], ...]] = []
+        self.patterns: list[tuple[tuple[int, ...] | str, tuple[int, ...]]] = []
         self.output: str | None = None
         self.halted = False
-        self.waiting: tuple[int, ...] | None = None
+        self.waiting: tuple[int, ...] | str | None = None
 
     def feed(self, sender: int, message: str) -> None:
-        self.inbox.setdefault(sender, deque()).append(message)
+        self.inbox[sender].append(message)
 
     def run(self) -> "ProgramDriver":
+        i = self.player
+        inbox = self.inbox
         while not self.halted:
-            if self.waiting is not None:
-                if not all(self.inbox.get(s) for s in self.waiting):
+            waits = self.waiting
+            if waits == WAIT_ANY:
+                avail = [s for s, queue in inbox.items() if queue]
+                if not avail:
                     return self
-                self.reads.append(
-                    tuple((s, self.inbox[s].popleft()) for s in self.waiting)
-                )
+                pick = avail[0]
+                for cand in self.schedule:
+                    if cand in avail:
+                        pick = cand
+                        break
+                waits = (pick,)
+            elif waits is not None and not all(inbox[s] for s in waits):
+                return self
+            if waits is not None:
+                self.reads.append(tuple((s, inbox[s].popleft()) for s in waits))
                 self.waiting = None
-            if len(self.rounds) >= self.max_rounds:
+            if len(self.patterns) >= self.max_rounds:
                 raise NonTerminationError(
-                    f"replayed player {self.player} exceeded "
-                    f"{self.max_rounds} rounds"
+                    f"player {i} exceeded {self.max_rounds} local rounds"
                 )
-            view = View(self.player, self.input, self.private_tape,
-                        self.public_tape, tuple(self.reads))
-            act = self.program(view)
-            self.rounds.append(
-                (tuple(sorted(act.sends, key=lambda t: t[0])), view.round)
-            )
+            act = self.program(View(i, self.input, self.private_tape,
+                                    self.public_tape, tuple(self.reads)))
+            if not isinstance(act, Round):
+                raise ModelViolationError(
+                    f"player {i}'s program returned {type(act).__name__}"
+                )
+            recipients = []
+            for q, content in act.sends:
+                if q not in inbox:
+                    raise ModelViolationError(
+                        f"player {i} sends to invalid recipient {q}"
+                    )
+                if q in recipients:
+                    raise ModelViolationError(
+                        f"player {i} sends twice to {q} in one round"
+                    )
+                if not is_bitstring(content) or not content:
+                    raise ModelViolationError(
+                        f"player {i} sends a non-bitstring or empty message"
+                    )
+                recipients.append(q)
             if act.output is not None:
                 if self.output is not None:
+                    raise ModelViolationError(f"player {i} wrote output twice")
+                if act.output not in self.domain:
                     raise ModelViolationError(
-                        f"replayed player {self.player} wrote output twice"
+                        f"player {i} output {act.output!r} outside its domain"
                     )
                 self.output = act.output
+            if act.waits == WAIT_ANY:
+                if not self.relaxed:
+                    raise ModelViolationError(
+                        "wait-any is only available in relaxed mode; "
+                        "restricted wait sets must be view-determined"
+                    )
+                waits = WAIT_ANY
+            else:
+                waits = tuple(sorted(set(act.waits)))
+                for s in waits:
+                    if s not in inbox:
+                        raise ModelViolationError(
+                            f"player {i} waits on invalid player {s}"
+                        )
+            self.sends.append(tuple(sorted(act.sends)))
+            self.patterns.append((waits, tuple(sorted(recipients))))
             if act.halt:
                 self.halted = True
-            elif act.waits == WAIT_ANY:
-                raise ModelViolationError(
-                    "replay supports restricted wait sets only"
-                )
-            elif act.waits:
-                self.waiting = tuple(sorted(set(act.waits)))
+            elif waits:
+                self.waiting = waits
             else:
                 self.reads.append(())
         return self
@@ -920,7 +871,7 @@ def fold_views(start: Callable[[View], object],
 
 
 def decode_received_transcript(
-    struct_or_table,
+    table: ExecutionTable,
     p: ProtocolDef,
     i: int,
     input_value: str,
@@ -934,13 +885,8 @@ def decode_received_transcript(
     Returns the reconstructed (sender, message) read events; raises if the
     transcript cannot be decoded or leaves trailing bits.
     """
-    codebooks = (
-        struct_or_table.codebooks
-        if isinstance(struct_or_table, ExecutionTable)
-        else struct_or_table.table.codebooks
-    )
-    driver = ProgramDriver(p.program(i), i, input_value, private_tape,
-                           public_tape, p.max_local_rounds)
+    codebooks = table.codebooks
+    driver = ProgramDriver(p, i, input_value, private_tape, public_tape)
     read_pos: dict[int, int] = {}
     cursor = 0
     events: list[tuple[int, str]] = []

@@ -284,23 +284,31 @@ class _TreeMachine:
 
 
 def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
-    """Compile a protocol-tree dictionary into an executable protocol."""
-    machine = _TreeMachine(spec, source)
-    k = machine.k
-    output_domains = tuple(
-        tuple(sorted(outputs)) for outputs in machine.root.reachable
-    )
-    max_depth = max(node.depth for node in machine.nodes)
-    return ProtocolDef(
-        name=machine.name,
-        k=k,
-        input_domains=tuple(bitstrings(b) for b in machine.input_bits),
-        output_domains=output_domains,
-        private_tape_lengths=tuple(machine.private_bits),
-        public_tape_length=machine.public_bits,
-        programs=tuple(machine.program(i) for i in range(1, k + 1)),
-        max_local_rounds=2 * max_depth + 4,
-    )
+    """Compile a protocol-tree dictionary into an executable protocol.
+
+    Any malformed field is reported as a ``ConfigError``.
+    """
+    try:
+        machine = _TreeMachine(spec, source)
+        k = machine.k
+        output_domains = tuple(
+            tuple(sorted(outputs)) for outputs in machine.root.reachable
+        )
+        max_depth = max(node.depth for node in machine.nodes)
+        return ProtocolDef(
+            name=machine.name,
+            k=k,
+            input_domains=tuple(bitstrings(b) for b in machine.input_bits),
+            output_domains=output_domains,
+            private_tape_lengths=tuple(machine.private_bits),
+            public_tape_length=machine.public_bits,
+            programs=tuple(machine.program(i) for i in range(1, k + 1)),
+            max_local_rounds=2 * max_depth + 4,
+        )
+    except KeyError as exc:
+        raise ConfigError(f"protocol tree is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed protocol tree: {exc}") from exc
 
 
 def load_protocol(path: str | Path) -> ProtocolDef:

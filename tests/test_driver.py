@@ -19,8 +19,11 @@ from protolab.measures import (
     publicize,
 )
 from protolab.model import (
+    RELAXED,
+    RESTRICTED,
     WAIT_ANY,
     ProgramDriver,
+    ProtocolDef,
     Round,
     View,
     run_all,
@@ -246,8 +249,23 @@ def test_wrapper_rounds_do_not_depend_on_call_order(build):
 # -- the driver's contract ----------------------------------------------------
 
 
-def _driver(program, max_rounds=6):
-    return ProgramDriver(program, 1, "0", "", "", max_rounds)
+def _driver(program, max_rounds=6, mode=RESTRICTED, schedule=()):
+    """A driver for player 1 of a three-player protocol running program."""
+    def idle(view):
+        return Round(output="0", halt=True)
+
+    p = ProtocolDef(
+        name="driver",
+        k=3,
+        input_domains=(("0",),) * 3,
+        output_domains=(("0", "01001"), ("0",), ("0",)),
+        private_tape_lengths=(0, 0, 0),
+        public_tape_length=0,
+        programs=(program, idle, idle),
+        max_local_rounds=max_rounds,
+        mode=mode,
+    )
+    return ProgramDriver(p, 1, "0", "", "", schedule)
 
 
 def test_driver_blocks_until_every_waited_sender_has_a_message():
@@ -267,25 +285,65 @@ def test_driver_blocks_until_every_waited_sender_has_a_message():
     d.run()
     assert d.halted and d.waiting is None
     assert d.reads == [((2, "01"), (3, "00")), ((2, "1"),)]
-    assert d.rounds == [(((2, "1"),), 1), ((), 2), ((), 3)]
+    assert d.sends == [((2, "1"),), (), ()]
+    assert d.patterns == [((2, 3), (2,)), ((2,), ()), ((), ())]
     assert d.output == "01001"
 
 
 def test_driver_runs_empty_wait_sets_without_messages():
     def prog(view):
         if view.round < 3:
-            return Round(sends=((2, "0"), (3, "1")) if view.round == 1 else ())
+            return Round(sends=((3, "1"), (2, "0")) if view.round == 1 else ())
         return Round(output="0", halt=True)
 
     d = _driver(prog).run()
     assert d.halted and d.reads == [(), ()]
-    assert d.rounds[0] == (((2, "0"), (3, "1")), 1)
+    assert d.sends[0] == ((2, "0"), (3, "1"))
+    assert d.patterns == [((), (2, 3)), ((), ()), ((), ())]
+
+
+DRIVER_ERRORS = [
+    (Round(), NonTerminationError, "player 1 exceeded 4 local rounds"),
+    (Round(output="0"), ModelViolationError, "player 1 wrote output twice"),
+    (Round(waits=WAIT_ANY), ModelViolationError,
+     "wait-any is only available in relaxed mode"),
+    (Round(sends=((1, "0"),)), ModelViolationError,
+     "player 1 sends to invalid recipient 1"),
+    (Round(sends=((4, "0"),)), ModelViolationError,
+     "player 1 sends to invalid recipient 4"),
+    (Round(sends=((2, "0"), (2, "1"))), ModelViolationError,
+     "player 1 sends twice to 2 in one round"),
+    (Round(sends=((2, ""),)), ModelViolationError,
+     "player 1 sends a non-bitstring or empty message"),
+    (Round(sends=((2, "02"),)), ModelViolationError,
+     "player 1 sends a non-bitstring or empty message"),
+    (Round(output="1", halt=True), ModelViolationError,
+     "player 1 output '1' outside its domain"),
+    (Round(waits=(1,)), ModelViolationError,
+     "player 1 waits on invalid player 1"),
+    ((), ModelViolationError, "player 1's program returned tuple"),
+]
 
 
 def test_driver_errors():
-    with pytest.raises(NonTerminationError):
-        _driver(lambda view: Round(), max_rounds=4).run()
-    with pytest.raises(ModelViolationError, match="output twice"):
-        _driver(lambda view: Round(output="0")).run()
-    with pytest.raises(ModelViolationError, match="restricted wait sets"):
-        _driver(lambda view: Round(waits=WAIT_ANY)).run()
+    for act, error, match in DRIVER_ERRORS:
+        with pytest.raises(error, match=match):
+            _driver(lambda view: act, max_rounds=4).run()
+
+
+def test_relaxed_wait_any_follows_the_schedule():
+    def prog(view):
+        if view.round < 3:
+            return Round(waits=WAIT_ANY)
+        return Round(output="0", halt=True)
+
+    d = _driver(prog, mode=RELAXED, schedule=(3,)).run()
+    assert d.waiting == WAIT_ANY and d.reads == []
+    d.feed(2, "0")
+    d.feed(3, "1")
+    d.run()
+    # The schedule picks sender 3 first; once it is used up the lowest
+    # sender with a message waiting is read.
+    assert d.halted
+    assert d.reads == [((3, "1"),), ((2, "0"),)]
+    assert d.patterns == [(WAIT_ANY, ()), (WAIT_ANY, ()), ((), ())]

@@ -125,6 +125,31 @@ def test_format_validation():
     with pytest.raises(ConfigError, match="sender/receiver"):
         protocol_from_dict(spec)
 
+    spec = and_tree_dict()
+    del spec["tape_bits"]["private"]
+    with pytest.raises(ConfigError, match="missing field 'private'"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
+    spec["k"] = "2"
+    with pytest.raises(ConfigError, match="malformed"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
+    spec["tree"]["msg_bits"] = "1"
+    with pytest.raises(ConfigError, match="malformed"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
+    spec["input_bits"] = [-1, 1]
+    with pytest.raises(ConfigError, match="malformed"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
+    spec["tree"]["children"]["0"]["outputs"] = ["", "0"]
+    with pytest.raises(ConfigError, match="non-empty"):
+        protocol_from_dict(spec)
+
 
 def test_unresolvable_wait_set_is_rejected():
     # After player 1's first bit, player 3 would have to wait on different
