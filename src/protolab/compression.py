@@ -37,6 +37,7 @@ from .model import (
     bitstrings,
     fold_views,
     run_all,
+    validate_public_tape,
 )
 from .zoo import FunctionFamily
 
@@ -250,12 +251,14 @@ def build_tree(
             f"mu gives X_{i}={own_input!r} zero mass; the conditional "
             "weights are undefined"
         )
+    public_tape = validate_public_tape(p, public_tape)
+    executions = struct.table.executions
     weights: dict[str, Fraction] = {}
     none_tapes = tuple("" for _ in range(p.k))
     for x in p.input_space():
         if x[i - 1] != own_input:
             continue
-        e = struct.table.get(x, none_tapes, public_tape)
+        e = executions[(x, none_tapes, public_tape)]
         t = e.round_interleaved_transcript(i)
         weights[t] = (
             weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal

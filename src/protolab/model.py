@@ -12,10 +12,10 @@ Executions are deterministic given inputs and tapes.  A finished execution
 records, per player, the messages read (ordered by round, then sender index)
 and sent (ordered by round, then recipient index), from which the various
 transcript orderings are derived.  The global message order groups messages
-into causal lots: the lot of the messages a player sends in some round is one
-more than the largest lot among the messages it had read before that round
-(and its own earlier sending rounds); inside a lot, messages are ordered
-lexicographically by link.
+into causal lots, assigned as messages are sent: the lot of the messages a
+player sends in some round is one more than the largest lot among the
+messages it had read before that round and its own earlier sending rounds;
+inside a lot, messages are ordered lexicographically by link.
 
 Termination: the simulation stops when nobody can advance.  That is an error
 only if some player never wrote an output or some sent message was never
@@ -27,7 +27,7 @@ never come).
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -256,8 +256,6 @@ def _validate_run_args(p, inputs, private_tapes, public_tape):
         private_tapes = tuple("" for _ in range(p.k))
     else:
         private_tapes = tuple(private_tapes)
-    if public_tape is None:
-        public_tape = ""
     if len(inputs) != p.k:
         raise ValueError("need one input per player")
     for i in p.players:
@@ -266,9 +264,16 @@ def _validate_run_args(p, inputs, private_tapes, public_tape):
         tape = private_tapes[i - 1]
         if not is_bitstring(tape) or len(tape) != p.private_len(i):
             raise ValueError(f"player {i} expects a {p.private_len(i)}-bit tape")
+    return inputs, private_tapes, validate_public_tape(p, public_tape)
+
+
+def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
+    """The public tape, "" for None, checked against the declared length."""
+    if public_tape is None:
+        public_tape = ""
     if not is_bitstring(public_tape) or len(public_tape) != p.public_tape_length:
         raise ValueError(f"public tape must have {p.public_tape_length} bits")
-    return inputs, private_tapes, public_tape
+    return public_tape
 
 
 def _execute(p, inputs, private_tapes, public_tape, schedule):
@@ -281,25 +286,40 @@ def _execute(p, inputs, private_tapes, public_tape, schedule):
                       schedule)
         for i in p.players
     ]
-    read_clock = 0
-    read_counts: dict[tuple[int, int], int] = {}
-    recv_round = {}  # (sender, receiver, link_index) -> (reader round, clock)
+    # A message is stamped with its lot when it is sent and with its
+    # receiver round and read clock when it is read.  A record holds the
+    # fields of its Message in order, up to the lot, then the read clock.
+    records = []
+    in_transit = defaultdict(deque)  # (sender, receiver) -> unread records
+    link_pos: dict[tuple[int, int], int] = {}
+    level = [0] * (p.k + 1)  # per player, the highest lot sent or read
+    clock = 0
 
     progress = True
     while progress:
         progress = False
         for d in drivers:
             i = d.player
-            n_reads, n_rounds = len(d.reads), len(d.sends)
+            n_rounds = len(d.sends)
             d.run()
-            for r in range(n_reads, len(d.reads)):
-                for s, _ in d.reads[r]:
-                    link_index = read_counts.get((s, i), 0)
-                    read_counts[(s, i)] = link_index + 1
-                    read_clock += 1
-                    recv_round[(s, i, link_index)] = (r + 1, read_clock)
-            for round_sends in d.sends[n_rounds:]:
-                for q, content in round_sends:
+            # The driver runs a round right after each read: reads[r - 1]
+            # comes right before sends[r], and no read is left over.
+            for r in range(n_rounds, len(d.sends)):
+                if r:
+                    for s, _ in d.reads[r - 1]:
+                        rec = in_transit[(s, i)].popleft()
+                        clock += 1
+                        rec[4], rec[7] = r, clock
+                        level[i] = max(level[i], rec[6])
+                if not d.sends[r]:
+                    continue
+                level[i] += 1  # this round's lot
+                for q, content in d.sends[r]:
+                    pos = link_pos.get((i, q), 0)
+                    link_pos[(i, q)] = pos + 1
+                    rec = [i, q, content, r + 1, None, pos, level[i], None]
+                    records.append(rec)
+                    in_transit[(i, q)].append(rec)
                     drivers[q - 1].feed(i, content)
             if len(d.sends) > n_rounds:
                 progress = True
@@ -316,63 +336,22 @@ def _execute(p, inputs, private_tapes, public_tape, schedule):
     if stuck:
         raise DeadlockError(f"unread messages left in transit: {stuck}")
 
-    return _finish_execution(
-        p, inputs, private_tapes, public_tape,
-        [d.output for d in drivers], [d.reads for d in drivers],
-        [d.sends for d in drivers], [d.patterns for d in drivers], recv_round,
-    )
-
-
-def _finish_execution(
-    p, inputs, private_tapes, public_tape, outputs, reads, sends,
-    patterns, recv_round,
-):
-    # Collect raw message records: (sender, receiver, content, sender_round,
-    # link_index), with link positions assigned in FIFO (send) order.
-    link_pos = {}
-    raw = []
-    for i in p.players:
-        for r, round_sends in enumerate(sends[i - 1], start=1):
-            for q, content in round_sends:
-                pos = link_pos.get((i, q), 0)
-                link_pos[(i, q)] = pos + 1
-                raw.append((i, q, content, r, pos))
-
     if p.mode == RELAXED:
         # No lot structure in relaxed mode; order messages by read chronology.
-        def clock(rec):
-            return recv_round[(rec[0], rec[1], rec[4])][1]
-
-        ordered = sorted(raw, key=clock)
-        lots = {id(rec): n + 1 for n, rec in enumerate(ordered)}
+        records.sort(key=lambda rec: rec[7])
+        for n, rec in enumerate(records, start=1):
+            rec[6] = n
     else:
-        lot_of_node = _assign_lot_numbers(p, reads, sends, recv_round, raw)
-        ordered = sorted(
-            raw, key=lambda rec: (lot_of_node[(rec[0], rec[3])], (rec[0], rec[1]))
-        )
-        lots = {id(rec): lot_of_node[(rec[0], rec[3])] for rec in ordered}
-        seen_links = {}
-        for rec in ordered:
-            lot = lots[id(rec)]
-            if (lot, rec[0], rec[1]) in seen_links:
+        records.sort(key=lambda rec: (rec[6], rec[0], rec[1]))
+        for a, b in zip(records, records[1:]):
+            if a[6] == b[6] and a[:2] == b[:2]:
                 raise ModelViolationError(
                     "two messages on one link were assigned to the same lot"
                 )
-            seen_links[(lot, rec[0], rec[1])] = True
 
     messages = tuple(
-        Message(
-            sender=s,
-            receiver=q,
-            content=content,
-            sender_round=r,
-            receiver_round=recv_round[(s, q, pos)][0],
-            link_index=pos,
-            lot=lots[id(rec)],
-            global_index=g,
-        )
-        for g, rec in enumerate(ordered, start=1)
-        for s, q, content, r, pos in (rec,)
+        Message(*rec[:7], global_index=g)
+        for g, rec in enumerate(records, start=1)
     )
     total_bits = sum(len(m.content) for m in messages)
     e = Execution(
@@ -380,60 +359,16 @@ def _finish_execution(
         inputs=inputs,
         private_tapes=private_tapes,
         public_tape=public_tape,
-        outputs=tuple(outputs),
-        reads=tuple(tuple(r) for r in reads),
-        sends=tuple(tuple(s) for s in sends),
-        patterns=tuple(tuple(pt) for pt in patterns),
+        outputs=tuple(d.output for d in drivers),
+        reads=tuple(tuple(d.reads) for d in drivers),
+        sends=tuple(tuple(d.sends) for d in drivers),
+        patterns=tuple(tuple(d.patterns) for d in drivers),
         messages=messages,
         total_bits=total_bits,
     )
     if sum(len(e.received_transcript(i)) for i in p.players) != total_bits:
         raise ModelViolationError("transcript length accounting mismatch")
     return e
-
-
-def _assign_lot_numbers(p, reads, sends, recv_round, raw):
-    """Lot number per (sender, sending round) node, by causal level.
-
-    A node depends on its player's previous sending round and on the
-    sources of the messages read since that round; lots rise along a
-    player's own sending rounds, so this reaches every earlier read.
-    """
-    # Which (sender, sender_round) nodes produced the messages player q
-    # read in its read round reader_round.
-    source = {}
-    for s, q, content, r, pos in raw:
-        reader_round = recv_round[(s, q, pos)][0]
-        source.setdefault((q, reader_round), []).append((s, r))
-    deps: dict[tuple[int, int], list] = {}
-    for i in p.players:
-        prev = 0
-        for r, round_sends in enumerate(sends[i - 1], start=1):
-            if not round_sends:
-                continue
-            node_deps = [(i, prev)] if prev else []
-            for rr in range(prev, r):
-                node_deps.extend(source.get((i, rr), ()))
-            deps[(i, r)] = node_deps
-            prev = r
-
-    lot: dict[tuple[int, int], int] = {}
-    active: set[tuple[int, int]] = set()
-
-    def resolve(node):
-        if node in lot:
-            return lot[node]
-        if node in active:
-            raise ModelViolationError("causality cycle in message ordering")
-        active.add(node)
-        value = 1 + max((resolve(d) for d in deps[node]), default=0)
-        active.discard(node)
-        lot[node] = value
-        return value
-
-    for node in deps:
-        resolve(node)
-    return lot
 
 
 def run(
@@ -604,11 +539,9 @@ class ObliviousStructure:
 
     protocol: ProtocolDef
     table: ExecutionTable
-    patterns: tuple
     lot_of_round: dict[tuple[int, int], int]
     max_lot: int
     links_in_lot: dict[int, tuple[tuple[int, int], ...]]
-    global_index: dict[tuple[int, int, int], int]
     events: dict[int, tuple[tuple[int, str, int, int], ...]]
     cc: int
 
@@ -657,23 +590,16 @@ class ObliviousStructure:
                         pos = read_pos.get(s, 0)
                         read_pos[s] = pos + 1
                         ev.append((gidx[(s, i, pos)], "r", s, pos))
-            indices = [t[0] for t in ev]
-            if indices != sorted(indices):
-                raise ModelViolationError(
-                    "per-player transcript order disagrees with the global order"
-                )
             events[i] = tuple(ev)
         cc = max(e.total_bits for e in table.values())
         return cls(
             protocol=p,
             table=table,
-            patterns=ref.patterns,
             lot_of_round=lot_of_round,
             max_lot=max(links_in_lot, default=0),
             links_in_lot={
                 lot: tuple(sorted(links)) for lot, links in links_in_lot.items()
             },
-            global_index=gidx,
             events=events,
             cc=cc,
         )
@@ -692,10 +618,20 @@ class ObliviousStructure:
         return None
 
     def parse_transcript(self, i: int, t: str) -> tuple[ParsedEvent, ...]:
-        """Split a round-interleaved transcript of player i into messages."""
+        """Split a round-interleaved transcript of player i into messages.
+
+        Compression reads the split messages in global order, so the
+        player's round-interleaved order must agree with it.
+        """
         out = []
         cursor = 0
+        last = 0
         for g, direction, peer, pos in self.events[i]:
+            if g < last:
+                raise ModelViolationError(
+                    "per-player transcript order disagrees with the global order"
+                )
+            last = g
             link = (i, peer, pos) if direction == "s" else (peer, i, pos)
             word = self.decode_message(link[0], link[1], link[2], t, cursor)
             if word is None:

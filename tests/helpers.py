@@ -15,8 +15,9 @@ from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
 
+from protolab.errors import ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
-from protolab.model import ProtocolDef, run
+from protolab.model import Message, ProtocolDef, run
 from protolab.measures import InputDistribution
 
 
@@ -87,6 +88,85 @@ def execution_digest(table) -> str:
         h.update(repr(record).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def reference_messages(e) -> tuple[Message, ...]:
+    """The messages of a restricted-mode execution, rebuilt after the run
+    from ``e.reads`` and ``e.sends`` by resolving the graph of causal
+    dependencies between sending rounds.  This is the lot assignment the
+    engine ran as a second pass before it stamped lots as messages were
+    sent, kept as the reference for that engine."""
+    p = e.protocol
+    reads, sends = e.reads, e.sends
+    read_counts: dict[tuple[int, int], int] = {}
+    recv_round = {}  # (sender, receiver, link_index) -> reader round
+    for i in p.players:
+        for r, round_reads in enumerate(reads[i - 1]):
+            for s, _ in round_reads:
+                link_index = read_counts.get((s, i), 0)
+                read_counts[(s, i)] = link_index + 1
+                recv_round[(s, i, link_index)] = r + 1
+
+    # Collect raw message records: (sender, receiver, content, sender_round,
+    # link_index), with link positions assigned in FIFO (send) order.
+    link_pos = {}
+    raw = []
+    for i in p.players:
+        for r, round_sends in enumerate(sends[i - 1], start=1):
+            for q, content in round_sends:
+                pos = link_pos.get((i, q), 0)
+                link_pos[(i, q)] = pos + 1
+                raw.append((i, q, content, r, pos))
+
+    # Which (sender, sender_round) nodes produced the messages player q
+    # read in its read round reader_round.
+    source = {}
+    for s, q, content, r, pos in raw:
+        reader_round = recv_round[(s, q, pos)]
+        source.setdefault((q, reader_round), []).append((s, r))
+    deps: dict[tuple[int, int], list] = {}
+    for i in p.players:
+        prev = 0
+        for r, round_sends in enumerate(sends[i - 1], start=1):
+            if not round_sends:
+                continue
+            node_deps = [(i, prev)] if prev else []
+            for rr in range(prev, r):
+                node_deps.extend(source.get((i, rr), ()))
+            deps[(i, r)] = node_deps
+            prev = r
+
+    lot: dict[tuple[int, int], int] = {}
+    active: set[tuple[int, int]] = set()
+
+    def resolve(node):
+        if node in lot:
+            return lot[node]
+        if node in active:
+            raise ModelViolationError("causality cycle in message ordering")
+        active.add(node)
+        value = 1 + max((resolve(d) for d in deps[node]), default=0)
+        active.discard(node)
+        lot[node] = value
+        return value
+
+    for node in deps:
+        resolve(node)
+
+    ordered = sorted(raw, key=lambda rec: (lot[(rec[0], rec[3])], (rec[0], rec[1])))
+    return tuple(
+        Message(
+            sender=s,
+            receiver=q,
+            content=content,
+            sender_round=r,
+            receiver_round=recv_round[(s, q, pos)],
+            link_index=pos,
+            lot=lot[(s, r)],
+            global_index=g,
+        )
+        for g, (s, q, content, r, pos) in enumerate(ordered, start=1)
+    )
 
 
 def _pi(e, i):

@@ -21,8 +21,8 @@ from protolab.compression import (
     obliviousize,
     truncation_mass,
 )
-from protolab.errors import ConfigError, NotObliviousError
-from protolab.measures import InputDistribution, acc, publicize
+from protolab.errors import ConfigError, ModelViolationError, NotObliviousError
+from protolab.measures import InputDistribution, acc, product_protocol, publicize
 from protolab.model import ObliviousStructure, is_oblivious, run_all
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry
@@ -169,6 +169,24 @@ def test_build_tree_preconditions():
     q = get_entry("q-index", k=3, q=1).protocol
     with pytest.raises(NotObliviousError):
         build_tree(q, 1, "0", "", uniform(q))
+
+
+def test_build_tree_rejects_a_wrong_length_public_tape():
+    p = publicize(get_entry("ring-parity", k=3, n=1).protocol)
+    assert p.public_tape_length == 1
+    for tape in ("", "01", "x"):
+        with pytest.raises(ValueError, match="public tape must have 1 bits"):
+            build_tree(p, 1, "0", tape, uniform(p))
+
+
+def test_compression_rejects_a_transcript_order_off_the_global_order():
+    # A product's rounds merge lots of both sides, so a player's
+    # round-interleaved transcript need not follow the global order.
+    p = publicize(product_protocol(get_entry("ring-parity", k=3, n=1).protocol,
+                                   get_entry("star-parity", k=3, n=1).protocol))
+    x = next(iter(p.input_space()))
+    with pytest.raises(ModelViolationError, match="disagrees with the global"):
+        compress_run(p, uniform(p), x, "0", LcpBox(mode="exact"))
 
 
 def test_candidate_leaf_rules():

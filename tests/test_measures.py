@@ -398,6 +398,19 @@ def test_product_ring_with_lifted_and():
     )
 
 
+def test_nested_product_is_additive():
+    ring = get_entry("ring-parity", k=3, n=1).protocol
+    star = get_entry("star-parity", k=3, n=1).protocol
+    nested = product_protocol(product_protocol(ring, star), star)
+    mu_r, mu_s = uniform(ring), uniform(star)
+    mu3 = InputDistribution.product(InputDistribution.product(mu_r, mu_s), mu_s)
+    assert cc(nested) == cc(ring) + 2 * cc(star) == 7
+    assert ic(nested, mu3) == pytest.approx(5.0, abs=TOL)
+    assert ic(nested, mu3) == pytest.approx(
+        ic(ring, mu_r) + 2 * ic(star, mu_s), abs=TOL
+    )
+
+
 def test_product_requires_matching_player_count():
     with pytest.raises(ConfigError, match="same number"):
         product_protocol(

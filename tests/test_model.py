@@ -1,7 +1,12 @@
 """Tests for the protocol execution engine, lot ordering, and certifications."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+import helpers
+from protolab.compression import obliviousize
 from protolab.errors import (
     BudgetExceededError,
     DeadlockError,
@@ -9,6 +14,7 @@ from protolab.errors import (
     NonTerminationError,
     SelfDelimitingError,
 )
+from protolab.measures import InputDistribution, product_protocol
 from protolab.model import (
     WAIT_ANY,
     ObliviousStructure,
@@ -21,6 +27,7 @@ from protolab.model import (
     run_all,
     run_relaxed,
 )
+from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry
 
 
@@ -123,6 +130,34 @@ def test_lot_order_respects_causality():
                 )
                 act = p.program(i)(view)
                 assert dict(act.sends)[m.receiver] == m.content
+
+
+def _reference_cases():
+    cases = [
+        get_entry("ring-parity", k=4, n=2).protocol,
+        get_entry("star-parity", k=4, n=2).protocol,
+        get_entry("q-index", k=4, q=2).protocol,
+        product_protocol(get_entry("star-parity", k=3, n=2).protocol,
+                         get_entry("ring-parity", k=3, n=1).protocol),
+    ]
+    q = get_entry("q-index", k=3, q=2).protocol
+    cases.append(obliviousize(q, InputDistribution.uniform(q), Fraction(1, 8)))
+    trees = [
+        protocol_from_dict(helpers.random_tree_dict(
+            random.Random(seed), 1 + seed % 5, 1 + seed % 2
+        ))
+        for seed in range(20)
+    ]
+    oblivious = [t for t in trees if is_oblivious(t)[0]]
+    return cases + trees + [product_protocol(oblivious[-2], oblivious[-1])]
+
+
+def test_lots_match_the_reference_resolver():
+    # The engine stamps lots as messages are sent; the reference rebuilds
+    # them after the run from the dependency graph of sending rounds.
+    for p in _reference_cases():
+        for e in run_all(p).values():
+            assert e.messages == helpers.reference_messages(e), p.name
 
 
 def test_fifo_order_within_link():
