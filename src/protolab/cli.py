@@ -218,9 +218,11 @@ def _cmd_compress(args) -> int:
     if mu is None:
         raise ConfigError("compression needs a concrete distribution")
     if args.obliviousize is not None:
-        p = compression.obliviousize(
-            p, mu, Fraction(args.obliviousize), args.budget
-        )
+        try:
+            eps = Fraction(args.obliviousize)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad --obliviousize EPS {args.obliviousize!r}")
+        p = compression.obliviousize(p, mu, eps, args.budget)
     p = measures.publicize(p)
     report = compression.compression_theorem_check(
         p, mu, args.delta, family,

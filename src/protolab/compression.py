@@ -153,10 +153,16 @@ class LcpBox:
 
 @dataclass
 class TreeNode:
+    """A node of a transcript tree.  A leaf also carries its transcript
+    parsed once, when the tree is built: the owner's output there and, per
+    other player, the ``_conversation`` with that peer."""
+
     prefix: str
     weight: Fraction
     children: dict[str, "TreeNode"]
     leaf_label: str | None = None
+    output: str | None = None
+    conversations: dict[int, tuple[str, tuple]] | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -165,25 +171,17 @@ class TreeNode:
 
 @dataclass
 class TranscriptTree:
-    """Weighted prefix tree over one player's possible transcripts."""
+    """Weighted prefix tree over one player's possible transcripts;
+    ``leaves`` maps each transcript to its leaf."""
 
     owner: int
     own_input: str
     public_tape: str
     root: TreeNode
+    leaves: dict[str, TreeNode]
 
     def leaf_weight(self, transcript: str) -> Fraction:
-        return self.path_to(transcript)[-1].weight
-
-    def path_to(self, transcript: str) -> list[TreeNode]:
-        node = self.root
-        path = [node]
-        while not node.is_leaf:
-            node = node.children[transcript[len(node.prefix)]]
-            path.append(node)
-        if node.leaf_label != transcript:
-            raise KeyError(f"{transcript!r} is not a leaf")
-        return path
+        return self.leaves[transcript].weight
 
     def depth(self) -> int:
         def walk(node):
@@ -194,7 +192,8 @@ class TranscriptTree:
         return walk(self.root)
 
 
-def _build_node(weights: dict[str, Fraction]) -> TreeNode:
+def _build_node(weights: dict[str, Fraction],
+                leaves: dict[str, TreeNode]) -> TreeNode:
     strings = sorted(weights)
     first, last = strings[0], strings[-1]
     cut = 0
@@ -202,8 +201,9 @@ def _build_node(weights: dict[str, Fraction]) -> TreeNode:
         cut += 1
     total = sum(weights.values(), Fraction(0))
     if len(strings) == 1:
-        return TreeNode(prefix=first, weight=total, children={},
-                        leaf_label=first)
+        leaves[first] = TreeNode(prefix=first, weight=total, children={},
+                                 leaf_label=first)
+        return leaves[first]
     groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
     for s, w in weights.items():
         if len(s) <= cut:
@@ -212,9 +212,28 @@ def _build_node(weights: dict[str, Fraction]) -> TreeNode:
             )
         groups[s[cut]][s] = w
     children = {
-        bit: _build_node(group) for bit, group in groups.items() if group
+        bit: _build_node(group, leaves)
+        for bit, group in groups.items() if group
     }
     return TreeNode(prefix=first[:cut], weight=total, children=children)
+
+
+def _conversation(parsed_events, peer) -> tuple[str, tuple]:
+    """Bit string and message extents of the conversation with one peer
+    inside a parsed transcript (events are in global order).  An extent is
+    (global message number, start and end bit in the conversation, start
+    bit in the transcript, "s" or "r" from the transcript owner's side)."""
+    bits = []
+    extents = []
+    cursor = 0
+    for ev in parsed_events:
+        if ev.peer != peer:
+            continue
+        bits.append(ev.content)
+        extents.append((ev.global_index, cursor, cursor + len(ev.content),
+                        ev.start, ev.direction))
+        cursor += len(ev.content)
+    return "".join(bits), tuple(extents)
 
 
 def build_tree(
@@ -232,7 +251,9 @@ def build_tree(
     Leaves cover every transcript reachable over the full domain of the
     other players' inputs; weights are the conditional law of the others'
     inputs under mu given X_i (so leaves unreachable under mu carry weight
-    zero).  Requires an oblivious public-coin protocol.
+    zero).  Each leaf's transcript is parsed here, once, into the owner's
+    output and its per-peer conversations.  Requires an oblivious public-coin
+    protocol.
     """
     struct = structure or ObliviousStructure.build(p, budget)
     if sum(p.private_tape_lengths) != 0:
@@ -254,6 +275,7 @@ def build_tree(
     public_tape = validate_public_tape(p, public_tape)
     executions = struct.table.executions
     weights: dict[str, Fraction] = {}
+    outputs: dict[str, str] = {}
     none_tapes = tuple("" for _ in range(p.k))
     for x in p.input_space():
         if x[i - 1] != own_input:
@@ -263,11 +285,19 @@ def build_tree(
         weights[t] = (
             weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
         )
-    root = _build_node(weights)
+        outputs[t] = e.outputs[i - 1]
+    leaves: dict[str, TreeNode] = {}
+    root = _build_node(weights, leaves)
     if root.weight != 1:
         raise InvariantError("tree weights do not sum to one")
+    for t, leaf in leaves.items():
+        parsed = struct.parse_transcript(i, t)
+        leaf.output = outputs[t]
+        leaf.conversations = {
+            j: _conversation(parsed, j) for j in p.players if j != i
+        }
     return TranscriptTree(owner=i, own_input=own_input,
-                          public_tape=public_tape, root=root)
+                          public_tape=public_tape, root=root, leaves=leaves)
 
 
 def candidate_leaf(tree: TranscriptTree, node: TreeNode) -> TreeNode:
@@ -299,24 +329,15 @@ def is_coherent(
     parsed = {
         i: struct.parse_transcript(i, profile[i - 1]) for i in p.players
     }
-    for i in p.players:
-        for j in p.players:
-            if i >= j:
-                continue
-            from_i = [
-                (ev.global_index, ev.direction, ev.content)
-                for ev in parsed[i]
-                if ev.peer == j
-            ]
-            from_j = [
-                (ev.global_index, "s" if ev.direction == "r" else "r",
-                 ev.content)
-                for ev in parsed[j]
-                if ev.peer == i
-            ]
-            if from_i != from_j:
-                return False
-    return True
+    # Comparing bits is enough: both sides see the same links in the same
+    # global order, and every codebook is prefix-free, so equal bits split
+    # into equal messages.
+    return all(
+        _conversation(parsed[i], j)[0] == _conversation(parsed[j], i)[0]
+        for i in p.players
+        for j in p.players
+        if i < j
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +357,7 @@ class StageRecord:
 @dataclass
 class CompressRun:
     profile: TranscriptProfile
+    outputs: tuple[str, ...]  # what each player outputs on its profile leaf
     stages: int  # stages in which a player moved
     total_stages: int  # including the final all-consistent detection stage
     comm_bits: int
@@ -362,24 +384,9 @@ def format_trace(result: CompressRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _conversation(parsed_events, peer):
-    """Bit string and message extents of the conversation with one peer
-    inside a parsed candidate transcript (events are in global order)."""
-    bits = []
-    extents = []
-    cursor = 0
-    for ev in parsed_events:
-        if ev.peer != peer:
-            continue
-        bits.append(ev.content)
-        extents.append((ev.global_index, cursor, cursor + len(ev.content), ev))
-        cursor += len(ev.content)
-    return "".join(bits), extents
-
-
 def _message_number_at(extents, bit_index):
     """Global message number of the conversation bit at ``bit_index``."""
-    for g, start, end, _ in extents:
+    for g, start, end, _, _ in extents:
         if start <= bit_index < end:
             return g
     raise ModelViolationError("lcp result points outside the conversation")
@@ -394,7 +401,6 @@ def compress_run(
     budget: int | None = DEFAULT_BUDGET,
     structure: ObliviousStructure | None = None,
     trees: dict | None = None,
-    check_against_truth: bool | None = None,
 ) -> CompressRun:
     """One run of the collaborative transcript search.
 
@@ -404,8 +410,7 @@ def compress_run(
     derail a stage) and the result may be wrong with small probability.
     """
     struct = structure or ObliviousStructure.build(p, budget)
-    if check_against_truth is None:
-        check_against_truth = box.mode == "exact"
+    exact = box.mode == "exact"
     k = p.k
     none_tapes = tuple("" for _ in range(k))
     truth = struct.table.get(inputs, none_tapes, public_tape)
@@ -435,11 +440,11 @@ def compress_run(
     # no-op stages, so randomized runs get slack and then give up with
     # whatever candidates they hold (counted as an error by the caller).
     depth_total = sum(tree_of[i].depth() for i in p.players)
-    stage_cap = depth_total + 2 if box.mode == "exact" else 16 * (depth_total + 4)
+    stage_cap = depth_total + 2 if exact else 16 * (depth_total + 4)
 
     def finish(cand):
         profile = tuple(cand[i].leaf_label for i in p.players)
-        if check_against_truth and profile != true_profile:
+        if exact and profile != true_profile:
             raise ModelViolationError(
                 "exact-box compression returned a wrong profile"
             )
@@ -449,6 +454,7 @@ def compress_run(
             log_bound += math.log2(1 / w) if w > 0 else math.inf
         return CompressRun(
             profile=profile,
+            outputs=tuple(cand[i].output for i in p.players),
             stages=sum(moves.values()),
             total_stages=stage,
             comm_bits=box.comm_bits + comm_broadcast,
@@ -460,24 +466,19 @@ def compress_run(
 
     while True:
         stage += 1
-        if stage > stage_cap:
-            if box.mode == "exact":
-                raise ModelViolationError("stage loop failed to terminate")
-            return finish({i: candidate_leaf(tree_of[i], tau[i])
-                           for i in p.players})
         cand = {i: candidate_leaf(tree_of[i], tau[i]) for i in p.players}
-        parsed = {
-            i: struct.parse_transcript(i, cand[i].leaf_label)
-            for i in p.players
-        }
+        if stage > stage_cap:
+            if exact:
+                raise ModelViolationError("stage loop failed to terminate")
+            return finish(cand)
         q_values: dict[tuple[int, int], int | None] = {}
         diff_of: dict[tuple[int, int], int] = {}
         for i in p.players:
             for j in p.players:
                 if i >= j:
                     continue
-                conv_i, ext_i = _conversation(parsed[i], j)
-                conv_j, ext_j = _conversation(parsed[j], i)
+                conv_i, ext_i = cand[i].conversations[j]
+                conv_j, ext_j = cand[j].conversations[i]
                 if not ext_i and not ext_j:
                     continue
                 diff = box.compare(conv_i, conv_j)
@@ -498,54 +499,50 @@ def compress_run(
         tie = len(winners) > 1
         # The sender of message number q_min is "correct"; the receiver of
         # that message (within the winning pair) moves.
-        mover = sender = None
-        for ev in parsed[pair[0]]:
-            if ev.global_index == q_min:
-                if ev.peer != pair[1]:
-                    raise ModelViolationError(
-                        "q_min does not belong to the winning pair"
-                    )
-                if ev.direction == "s":
-                    sender, mover = pair[0], pair[1]
-                else:
-                    sender, mover = pair[1], pair[0]
-                break
-        if mover is None:
-            raise ModelViolationError("message number lookup failed")
+        convs = cand[pair[0]].conversations
+        direction = next(
+            (d for g, _, _, _, d in convs[pair[1]][1] if g == q_min), None
+        )
+        if direction is None:
+            elsewhere = any(g == q_min for _, ext in convs.values()
+                            for g, _, _, _, _ in ext)
+            raise ModelViolationError(
+                "q_min does not belong to the winning pair" if elsewhere
+                else "message number lookup failed"
+            )
+        sender, mover = pair if direction == "s" else pair[::-1]
         if tau[mover].is_leaf:
             # Only reachable through an erring box: the mover's transcript
             # is already fully pinned, so there is nothing to revise.
-            if box.mode == "exact":
+            if exact:
                 raise ModelViolationError(
                     "exact boxes blamed a player with a settled transcript"
                 )
             trace.append(StageRecord(stage, q_values, q_min, None, tie))
             continue
-        _, ext_m = _conversation(parsed[mover], sender)
         wrong_at = None
-        for g, start, end, ev in ext_m:
+        for g, start, end, at, _ in cand[mover].conversations[sender][1]:
             if g == q_min:
                 offset = diff_of[pair] - start
-                offset = min(max(offset, 0), end - start - 1)
-                wrong_at = ev.start + offset
+                wrong_at = at + min(max(offset, 0), end - start - 1)
                 break
         if wrong_at is None:
             raise ModelViolationError("mover does not carry message q_min")
-        path = tree_of[mover].path_to(cand[mover].leaf_label)
-        anchor = tau[mover]
-        for node in path:
-            if node.is_leaf:
-                break
-            if len(tau[mover].prefix) <= len(node.prefix) <= wrong_at:
-                anchor = node
-        on_path_bit = cand[mover].leaf_label[len(anchor.prefix)]
+        # The anchor is the deepest inner node between tau and the candidate
+        # leaf whose prefix ends at or before the wrong bit.
+        label = cand[mover].leaf_label
+        anchor = node = tau[mover]
+        while not node.is_leaf and len(node.prefix) <= wrong_at:
+            anchor = node
+            node = node.children[label[len(node.prefix)]]
+        on_path_bit = label[len(anchor.prefix)]
         other_bit = "1" if on_path_bit == "0" else "0"
         if other_bit not in anchor.children:
             raise ModelViolationError(
                 "no alternative branch at the revealed position"
             )
         new_tau = anchor.children[other_bit]
-        if check_against_truth:
+        if exact:
             if len(anchor.prefix) != wrong_at:
                 raise ModelViolationError(
                     "branch point does not line up with the wrong bit"
@@ -614,18 +611,6 @@ def distributional_error(
     return Fraction(bad, den)
 
 
-def _profile_outputs(p, struct, inputs, public_tape, profile):
-    """Outputs every player derives from its own profile transcript."""
-    outputs = []
-    for i in p.players:
-        driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
-        for ev in struct.parse_transcript(i, profile[i - 1]):
-            if ev.direction == "r":
-                driver.feed(ev.peer, ev.content)
-        outputs.append(driver.run().output)
-    return tuple(outputs)
-
-
 def compression_theorem_check(
     p: ProtocolDef,
     mu: InputDistribution,
@@ -651,11 +636,13 @@ def compression_theorem_check(
     delta assertion is then skipped, since the caller chose the operating
     point, and only the measured value is reported.
     """
-    if delta <= 0:
+    if not 0 < delta < math.inf:
         raise ConfigError(
-            "delta must be positive (with randomized boxes the per-call "
-            "error rate is undefined otherwise)"
+            "delta must be positive and finite (with randomized boxes the "
+            "per-call error rate is undefined otherwise)"
         )
+    if lcp_mode == "randomized" and trials < 1:
+        raise ConfigError("randomized compression needs at least one trial")
     struct = ObliviousStructure.build(p, budget)
     if sum(p.private_tape_lengths) != 0:
         raise ConfigError("compression needs a public-coin protocol")
@@ -663,6 +650,9 @@ def compression_theorem_check(
     eps0 = float(distributional_error(p, mu, family, budget))
     tape_weight = Fraction(1, 1 << p.public_tape_length)
     trees: dict = {}
+
+    def wrong(x, result) -> bool:
+        return result.outputs != tuple(family.value(i, x) for i in p.players)
 
     exact_runs = []
     err_exact = Fraction(0)
@@ -673,8 +663,7 @@ def compression_theorem_check(
                 p, mu, x, pub, box, budget, structure=struct, trees=trees
             )
             exact_runs.append((x, pub, wx * tape_weight, result))
-            outputs = _profile_outputs(p, struct, x, pub, result.profile)
-            if any(outputs[i - 1] != family.value(i, x) for i in p.players):
+            if wrong(x, result):
                 err_exact += wx * tape_weight
 
     def mean(getter) -> float:
@@ -704,11 +693,7 @@ def compression_theorem_check(
                 result = compress_run(
                     p, mu, x, pub, box, budget, structure=struct, trees=trees
                 )
-                outputs = _profile_outputs(p, struct, x, pub, result.profile)
-                if any(
-                    outputs[i - 1] != family.value(i, x) for i in p.players
-                ):
-                    bad += 1
+                bad += wrong(x, result)
             weighted_bad += float(w) * bad / trials
         measured = weighted_bad
     else:

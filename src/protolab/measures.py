@@ -281,18 +281,6 @@ def ic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     return sum(_ic_term(d, names, i) for i in p.players)
 
 
-def ic_bidirectional(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
-    """Same as ic() but over the bidirectional transcripts (must agree)."""
-    d = joint if joint is not None else build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
-    return sum(
-        mutual_info(
-            d, _others(names["x"], i), [f"bidi{i}"], [f"x{i}", f"r{i}", "rp"]
-        )
-        for i in p.players
-    )
-
-
 def pic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Public information cost sum_i I(X_-i ; Pi_i R_-i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
@@ -823,6 +811,8 @@ def sup_pic_grid(
         raise ConfigError(
             "grid search needs two players with one-bit input domains"
         )
+    if not 0 < grid_step < math.inf:
+        raise ConfigError("grid step must be a positive finite number")
     m = round(1.0 / grid_step)
     if m < 2:
         raise ConfigError("grid step too coarse")

@@ -804,48 +804,3 @@ def fold_views(start: Callable[[View], object],
         return state
 
     return state_of
-
-
-def decode_received_transcript(
-    table: ExecutionTable,
-    p: ProtocolDef,
-    i: int,
-    input_value: str,
-    private_tape: str,
-    public_tape: str,
-    transcript: str,
-) -> tuple[tuple[int, str], ...]:
-    """Replay Pi_i through the player's wait sets, decoding message
-    boundaries with the per-position prefix-free codebooks.
-
-    Returns the reconstructed (sender, message) read events; raises if the
-    transcript cannot be decoded or leaves trailing bits.
-    """
-    codebooks = table.codebooks
-    driver = ProgramDriver(p, i, input_value, private_tape, public_tape)
-    read_pos: dict[int, int] = {}
-    cursor = 0
-    events: list[tuple[int, str]] = []
-    while not driver.run().halted:
-        books = [codebooks.get((s, i, read_pos.get(s, 0)), ())
-                 for s in driver.waiting]
-        if not all(any(transcript.startswith(w, cursor) for w in book)
-                   for book in books):
-            break  # blocked forever (legal when the transcript is exhausted)
-        for s, book in zip(driver.waiting, books):
-            match = [w for w in book if transcript.startswith(w, cursor)]
-            if len(match) != 1:
-                raise ModelViolationError(
-                    f"transcript of player {i} is not uniquely decodable "
-                    f"at bit {cursor} (link {s}->{i} position {read_pos.get(s, 0)})"
-                )
-            cursor += len(match[0])
-            read_pos[s] = read_pos.get(s, 0) + 1
-            driver.feed(s, match[0])
-            events.append((s, match[0]))
-    if cursor != len(transcript):
-        raise ModelViolationError(
-            f"transcript of player {i} has {len(transcript) - cursor} "
-            "undecoded trailing bits"
-        )
-    return tuple(events)

@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from protolab.errors import ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
-from protolab.model import Message, ProtocolDef, run
+from protolab.model import (
+    ExecutionTable,
+    Message,
+    ProgramDriver,
+    ProtocolDef,
+    run,
+)
 from protolab.measures import InputDistribution
 
 
@@ -167,6 +173,64 @@ def reference_messages(e) -> tuple[Message, ...]:
         )
         for g, (s, q, content, r, pos) in enumerate(ordered, start=1)
     )
+
+
+def decode_received_transcript(
+    table: ExecutionTable,
+    p: ProtocolDef,
+    i: int,
+    input_value: str,
+    private_tape: str,
+    public_tape: str,
+    transcript: str,
+) -> tuple[tuple[int, str], ...]:
+    """Replay Pi_i through the player's wait sets, decoding message
+    boundaries with the per-position prefix-free codebooks.
+
+    Returns the reconstructed (sender, message) read events; raises if the
+    transcript cannot be decoded or leaves trailing bits.
+    """
+    codebooks = table.codebooks
+    driver = ProgramDriver(p, i, input_value, private_tape, public_tape)
+    read_pos: dict[int, int] = {}
+    cursor = 0
+    events: list[tuple[int, str]] = []
+    while not driver.run().halted:
+        books = [codebooks.get((s, i, read_pos.get(s, 0)), ())
+                 for s in driver.waiting]
+        if not all(any(transcript.startswith(w, cursor) for w in book)
+                   for book in books):
+            break  # blocked forever (legal when the transcript is exhausted)
+        for s, book in zip(driver.waiting, books):
+            match = [w for w in book if transcript.startswith(w, cursor)]
+            if len(match) != 1:
+                raise ModelViolationError(
+                    f"transcript of player {i} is not uniquely decodable "
+                    f"at bit {cursor} (link {s}->{i} position {read_pos.get(s, 0)})"
+                )
+            cursor += len(match[0])
+            read_pos[s] = read_pos.get(s, 0) + 1
+            driver.feed(s, match[0])
+            events.append((s, match[0]))
+    if cursor != len(transcript):
+        raise ModelViolationError(
+            f"transcript of player {i} has {len(transcript) - cursor} "
+            "undecoded trailing bits"
+        )
+    return tuple(events)
+
+
+def reference_profile_outputs(p, struct, inputs, public_tape, profile):
+    """Outputs every player derives from its own profile transcript, by
+    replaying its program on the messages it received there."""
+    outputs = []
+    for i in p.players:
+        driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
+        for ev in struct.parse_transcript(i, profile[i - 1]):
+            if ev.direction == "r":
+                driver.feed(ev.peer, ev.content)
+        outputs.append(driver.run().output)
+    return tuple(outputs)
 
 
 def _pi(e, i):

@@ -110,6 +110,20 @@ def test_exit_codes(capsys, tmp_path):
         capsys, "compress", "--protocol", "q-index", "--k", "3", "--q", "1"
     )
     assert code == 4 and "--obliviousize" in err
+    # 1 again: values that parse but make no sense print one error line.
+    for argv in (
+        ("compress", "--protocol", "star-parity", "--obliviousize", "abc"),
+        ("compress", "--protocol", "star-parity", "--obliviousize", "1/0"),
+        ("measure", "--protocol", "and-opt", "--mu", "grid:0"),
+        ("measure", "--protocol", "and-opt", "--mu", "grid:nan"),
+        ("compress", "--protocol", "star-parity", "--lcp", "randomized",
+         "--trials", "0"),
+        ("compress", "--protocol", "star-parity", "--delta", "inf"),
+        ("compress", "--protocol", "star-parity", "--delta", "nan"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error: "), argv
+        assert "Traceback" not in err
 
 
 def test_audit_verdicts(capsys):

@@ -4,10 +4,12 @@ coordinator-phase conversion."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from protolab import compression
 from protolab.compression import (
     LcpBox,
     build_tree,
@@ -23,13 +25,19 @@ from protolab.compression import (
 )
 from protolab.errors import ConfigError, ModelViolationError, NotObliviousError
 from protolab.measures import InputDistribution, acc, product_protocol, publicize
-from protolab.model import ObliviousStructure, is_oblivious, run_all
+from protolab.model import (
+    ObliviousStructure,
+    bitstrings,
+    is_oblivious,
+    run_all,
+)
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry
 
 from helpers import (
     oracle_cond_entropy,
     enumerate_runs,
+    reference_profile_outputs,
     relay3_dict,
     relay3_family,
 )
@@ -187,6 +195,23 @@ def test_compression_rejects_a_transcript_order_off_the_global_order():
     x = next(iter(p.input_space()))
     with pytest.raises(ModelViolationError, match="disagrees with the global"):
         compress_run(p, uniform(p), x, "0", LcpBox(mode="exact"))
+
+
+def test_leaves_carry_the_outputs_their_transcripts_yield():
+    for p, _family in compression_cases():
+        struct = ObliviousStructure.build(p)
+        mu = uniform(p)
+        for x in p.input_space():
+            e = struct.table.get(x)
+            truth = tuple(e.round_interleaved_transcript(i) for i in p.players)
+            for i in p.players:
+                tree = build_tree(p, i, x[i - 1], "", mu, structure=struct)
+                assert sorted(tree.leaves) == sorted(leaves_of(tree))
+                for t, leaf in tree.leaves.items():
+                    profile = truth[: i - 1] + (t,) + truth[i:]
+                    outputs = reference_profile_outputs(p, struct, x, "",
+                                                        profile)
+                    assert leaf.output == outputs[i - 1]
 
 
 def test_candidate_leaf_rules():
@@ -474,3 +499,114 @@ def test_randomized_boxes_with_absurd_error_rates_degrade_gracefully():
         truth = tuple(e.round_interleaved_transcript(i) for i in p.players)
         wrong += result.profile != truth
     assert wrong / 300 <= 0.05
+
+
+# -- golden pins and work counts ---------------------------------------------------
+
+
+def publicized_ring():
+    ring = get_entry("ring-parity", k=3, n=1)
+    return publicize(ring.protocol), ring.family
+
+
+def golden_case(name):
+    if name == "star":
+        star = get_entry("star-parity", k=3, n=1)
+        return publicize(star.protocol), star.family, "exact"
+    if name == "obliviousized":
+        q = get_entry("q-index", k=3, q=1)
+        obl = obliviousize(q.protocol, uniform(q.protocol), Fraction(1, 2))
+        return publicize(obl), q.family, "exact"
+    return (*publicized_ring(), "randomized")
+
+
+# Recorded before each leaf carried its parsed conversations and output;
+# the randomized case errs on some runs, so wrong profiles are pinned too.
+COMPRESS_GOLDEN = {
+    "star": {
+        "report": "compress", "protocol": "star-parity(k=3,n=1)",
+        "distribution": "uniform", "lcp_mode": "exact", "delta": 0.1,
+        "eps_per_call": None, "original_error": 0.0, "measured_error": 0.0,
+        "acc_original": 2.0, "acc_compressed": 48.0, "cc_original": 2,
+        "ic_original": 2.0, "expected_stages": 1.0,
+        "expected_total_stages": 2.0, "expected_log_weight_bound": 2.0,
+        "bound_value": 134.853355734, "ratio": 0.355942199,
+        "mean_lcp_calls": 4.0, "max_lcp_calls": 6, "ties_seen": 0,
+    },
+    "obliviousized": {
+        "report": "compress",
+        "protocol": "obliviousize(q-index(k=3,q=1),eps=1/2)",
+        "distribution": "uniform", "lcp_mode": "exact", "delta": 0.1,
+        "eps_per_call": None, "original_error": 0.0, "measured_error": 0.0,
+        "acc_original": 58.5, "acc_compressed": 194.25, "cc_original": 62,
+        "ic_original": 3.5, "expected_stages": 1.75,
+        "expected_total_stages": 2.75, "expected_log_weight_bound": 3.5,
+        "bound_value": 2039.330791999, "ratio": 0.095251835,
+        "mean_lcp_calls": 5.5, "max_lcp_calls": 10, "ties_seen": 0,
+    },
+    "randomized": {
+        "report": "compress", "protocol": "publicize(ring-parity(k=3,n=1))",
+        "distribution": "uniform", "lcp_mode": "randomized", "delta": 0.1,
+        "eps_per_call": 0.004166667, "original_error": 0.0,
+        "measured_error": 0.0078125, "acc_original": 3.0,
+        "acc_compressed": 90.0, "cc_original": 3, "ic_original": 3.0,
+        "expected_stages": 1.5, "expected_total_stages": 2.5,
+        "expected_log_weight_bound": 3.0, "bound_value": 374.073555551,
+        "ratio": 0.240594393, "mean_lcp_calls": 7.5, "max_lcp_calls": 12,
+        "ties_seen": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPRESS_GOLDEN))
+def test_compress_report_golden_pin(name):
+    p, family, mode = golden_case(name)
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode=mode, seed=1)
+    assert report.to_dict() == COMPRESS_GOLDEN[name]
+
+
+def test_randomized_run_outputs_match_a_replay_of_their_profiles(monkeypatch):
+    p, family = publicized_ring()
+    struct = ObliviousStructure.build(p)
+    runs = []
+    original = compression.compress_run
+
+    def recording(p, mu, inputs, public_tape, box, *args, **kwargs):
+        result = original(p, mu, inputs, public_tape, box, *args, **kwargs)
+        if box.mode == "randomized":
+            runs.append((inputs, public_tape, result))
+        return result
+
+    monkeypatch.setattr(compression, "compress_run", recording)
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode="randomized", seed=1)
+    assert report.measured_error > 0  # some runs end on a wrong profile
+    assert len(runs) == 8 * len(list(p.input_space())) << p.public_tape_length
+    for x, pub, result in runs:
+        assert result.outputs == reference_profile_outputs(
+            p, struct, x, pub, result.profile
+        )
+
+
+def test_theorem_check_parses_each_leaf_once(monkeypatch):
+    p, family = publicized_ring()
+    mu = uniform(p)
+    struct = ObliviousStructure.build(p)
+    expected = Counter()
+    for i in p.players:
+        for own in p.input_domain(i):
+            for pub in bitstrings(p.public_tape_length):
+                tree = build_tree(p, i, own, pub, mu, structure=struct)
+                expected.update((i, t) for t in leaves_of(tree))
+    calls = Counter()
+    original = ObliviousStructure.parse_transcript
+
+    def counting(self, i, t):
+        calls[(i, t)] += 1
+        return original(self, i, t)
+
+    monkeypatch.setattr(ObliviousStructure, "parse_transcript", counting)
+    compression_theorem_check(p, mu, 0.1, family, lcp_mode="randomized",
+                              seed=1)
+    assert calls == expected

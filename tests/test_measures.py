@@ -16,7 +16,6 @@ from protolab.measures import (
     cc,
     derandomize_zero_error,
     ic,
-    ic_bidirectional,
     measure_protocol,
     pic,
     pic_decomposition,
@@ -215,7 +214,6 @@ def test_received_and_bidirectional_ic_agree_per_player():
         bidi = helpers.oracle_bidirectional_ic_terms(p, mu)
         for a, b in zip(got, bidi):
             assert a == pytest.approx(b, abs=TOL)
-        assert ic_bidirectional(p, mu) == pytest.approx(ic(p, mu), abs=TOL)
 
 
 def test_randomness_lower_bound_on_transcript_entropy():

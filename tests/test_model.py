@@ -21,7 +21,6 @@ from protolab.model import (
     ProtocolDef,
     Round,
     View,
-    decode_received_transcript,
     is_oblivious,
     run,
     run_all,
@@ -326,7 +325,7 @@ def test_transcripts_are_prefix_decodable():
         table = run_all(p)
         for (x, privs, pub), e in table.items():
             for i in p.players:
-                events = decode_received_transcript(
+                events = helpers.decode_received_transcript(
                     table, p, i, x[i - 1], privs[i - 1], pub,
                     e.received_transcript(i),
                 )
