@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,12 +46,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive finite number"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="protolab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def protocol_args(sp):
         sp.add_argument("--protocol", required=True,
                         help="registry name or tree:PATH")
         sp.add_argument("--k", type=int, default=None)
@@ -58,37 +75,40 @@ def _build_parser() -> _Parser:
         sp.add_argument("--q", type=int, default=None)
         sp.add_argument("--mu", default="uniform",
                         help="uniform | file:PATH | grid:STEP")
-        sp.add_argument("--tolerance", type=float, default=measures.TOLERANCE)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+
+    def output_args(sp):
         sp.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("measure", help="compute the measure suite")
-    common(sp)
-
-    sp = sub.add_parser("audit", help="privacy audit")
-    common(sp)
+    for name, text in (("measure", "compute the measure suite"),
+                       ("audit", "privacy audit")):
+        sp = sub.add_parser(name, help=text)
+        protocol_args(sp)
+        sp.add_argument("--tolerance", type=_positive_float,
+                        default=measures.TOLERANCE)
+        output_args(sp)
 
     sp = sub.add_parser("compress", help="compression experiment")
-    common(sp)
+    protocol_args(sp)
+    output_args(sp)
     sp.add_argument("--lcp", choices=("exact", "randomized"), default="exact")
     sp.add_argument("--eps", type=float, default=None,
                     help="per-call error rate for randomized lcp boxes")
     sp.add_argument("--delta", type=float, default=0.1,
                     help="error budget of the compression theorem")
     sp.add_argument("--trials", type=int, default=8)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--obliviousize", type=str, default=None, metavar="EPS",
                     help="first rewrite the protocol through a coordinator")
 
     sp = sub.add_parser("demo", help="order-leak demonstration")
-    common(sp)
+    sp.add_argument("--protocol", required=True, help="order-leak")
+    output_args(sp)
 
     sp = sub.add_parser("list", help="list built-in protocols")
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
-    sp.add_argument("--out", default=None)
+    output_args(sp)
     return parser
 
 
@@ -137,7 +157,12 @@ def _load_distribution(args, p):
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, default=str,
+                              allow_nan=False)
+        except ValueError as exc:
+            raise InvariantError(f"report is not strict JSON: {exc}")
+        return text + "\n"
     if fmt == "csv":
         flat = {
             k: (json.dumps(v) if isinstance(v, (list, dict)) else v)
@@ -153,8 +178,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _emit(payload: dict, args) -> None:
-    text = _render(payload, getattr(args, "format", "json"))
-    if getattr(args, "out", None):
+    text = _render(payload, args.format)
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -162,8 +187,6 @@ def _emit(payload: dict, args) -> None:
 
 def _cmd_measure(args) -> int:
     p, family, _ = _load_protocol(args)
-    if args.tolerance <= 0 or args.budget <= 0:
-        raise ConfigError("tolerance and budget must be positive")
     mu, grid_step = _load_distribution(args, p)
     extras = {}
     if grid_step is not None:

@@ -172,24 +172,24 @@ class TreeNode:
 @dataclass
 class TranscriptTree:
     """Weighted prefix tree over one player's possible transcripts;
-    ``leaves`` maps each transcript to its leaf."""
+    ``leaves`` maps each transcript to its leaf, and ``depth`` counts the
+    branching nodes on the longest root-to-leaf path."""
 
     owner: int
     own_input: str
     public_tape: str
     root: TreeNode
     leaves: dict[str, TreeNode]
+    depth: int
 
     def leaf_weight(self, transcript: str) -> Fraction:
         return self.leaves[transcript].weight
 
-    def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(c) for c in node.children.values())
 
-        return walk(self.root)
+def _height(node: TreeNode) -> int:
+    if node.is_leaf:
+        return 0
+    return 1 + max(_height(c) for c in node.children.values())
 
 
 def _build_node(weights: dict[str, Fraction],
@@ -297,7 +297,8 @@ def build_tree(
             j: _conversation(parsed, j) for j in p.players if j != i
         }
     return TranscriptTree(owner=i, own_input=own_input,
-                          public_tape=public_tape, root=root, leaves=leaves)
+                          public_tape=public_tape, root=root, leaves=leaves,
+                          depth=_height(root))
 
 
 def candidate_leaf(tree: TranscriptTree, node: TreeNode) -> TreeNode:
@@ -439,7 +440,7 @@ def compress_run(
     # loop is bounded by the total tree depth; erring boxes can also cause
     # no-op stages, so randomized runs get slack and then give up with
     # whatever candidates they hold (counted as an error by the caller).
-    depth_total = sum(tree_of[i].depth() for i in p.players)
+    depth_total = sum(tree_of[i].depth for i in p.players)
     stage_cap = depth_total + 2 if exact else 16 * (depth_total + 4)
 
     def finish(cand):
@@ -583,7 +584,7 @@ class CompressionReport:
     expected_total_stages: float
     expected_log_weight_bound: float
     bound_value: float
-    ratio: float
+    ratio: float | None
     mean_lcp_calls: float
     max_lcp_calls: int
     ties_seen: int
@@ -628,7 +629,8 @@ def compression_theorem_check(
     Reports the measured average communication of the compressed protocol,
     the measured distributional error, and the ratio to the bound value
     ``k^2 * ic * log2(cc) * log2(k^2 * ic * log2(cc) / delta)``; the ratio
-    is reported, never asserted, since the bound's constant is unspecified.
+    is reported, never asserted, since the bound's constant is unspecified,
+    and is None when the bound is not positive (say ic = 0 or cc = 1).
     With randomized boxes the per-call error rate defaults to delta over
     twice the exact pass's worst-case call count (so the union bound stays
     within delta), and the measured error comes from seeded Monte-Carlo
@@ -720,7 +722,7 @@ def compression_theorem_check(
         expected_total_stages=mean(lambda r: r.total_stages),
         expected_log_weight_bound=mean(lambda r: r.log_weight_bound),
         bound_value=bound,
-        ratio=acc_compressed / bound if bound > 0 else math.inf,
+        ratio=acc_compressed / bound if bound > 0 else None,
         mean_lcp_calls=mean(lambda r: r.lcp_calls),
         max_lcp_calls=max_calls,
         ties_seen=sum(

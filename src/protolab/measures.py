@@ -419,6 +419,8 @@ def measure_protocol(
 ) -> MeasureReport:
     """Compute the full measure suite; cross-checks the decomposition and
     the randomness lower bound before returning."""
+    if not 0 < tolerance < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
     d = build_joint(p, mu, family, budget)
     ic_term, random_term = pic_decomposition(p, mu, budget, joint=d)
     pic_value = ic_term + random_term
@@ -803,8 +805,11 @@ def sup_pic_grid(
     """Maximize pic over a grid of independent Ber(alpha) x Ber(beta) input
     distributions for a two-player one-bit protocol.
 
-    The grid is scanned with a vectorized float evaluation; the winning grid
-    point (ties resolved toward smaller alpha, then smaller beta) is then
+    With X_i in the conditioning, player i's term of pic under a product
+    law is ``sum_v P[X_i=v] g_iv(P[X_o=0])``, where ``g_iv`` is the term on
+    the executions with X_i = v.  Each ``g_iv`` is evaluated once as a
+    vectorized float curve over the grid steps; the winning grid point
+    (ties resolved toward smaller alpha, then smaller beta) is then
     re-evaluated exactly.  Returns a lower bound on the supremum.
     """
     if p.k != 2 or any(set(d) != {"0", "1"} for d in p.input_domains):
@@ -816,73 +821,47 @@ def sup_pic_grid(
     m = round(1.0 / grid_step)
     if m < 2:
         raise ConfigError("grid step too coarse")
-    table = run_all(p, budget)
+    steps = np.arange(1, m) / m
     tape_weight = 1.0 / (1 << p.total_tape_bits)
 
-    cells = []
-    for x in p.input_space():
-        for privs, pub in p.tape_space():
-            e = table.get(x, privs, pub)
-            cells.append(
-                {
-                    "x": x,
-                    "tapes": (privs, pub),
-                    "pi": tuple(e.received_transcript(i) for i in (1, 2)),
-                }
-            )
+    # Per player i and own input v, the cells (A, B, C) of
+    # I(A ; B | C) = H(AC) + H(BC) - H(ABC) - H(C) with A = X_o,
+    # B = (Pi_i, R_o), C = (R_i, Rp).
+    cells: dict[tuple[int, str], list] = {
+        (i, v): [] for i in (1, 2) for v in "01"
+    }
+    rows, _ = weighted_executions(p, InputDistribution.uniform(p), budget)
+    for x, _, e in rows:
+        for i, o in ((1, 2), (2, 1)):
+            cells[i, x[i - 1]].append((
+                x[o - 1],
+                (e.received_transcript(i), e.private_tapes[o - 1]),
+                (e.private_tapes[i - 1], e.public_tape),
+            ))
+    g = {}
+    for key, group in cells.items():
+        zero = np.array([a == "0" for a, _, _ in group])
+        bias = np.where(zero, steps[:, None], 1 - steps[:, None])
+        weights = bias * tape_weight
 
-    # Per player i: I(X_-i ; Pi_i R_-i | X_i R_i Rp)
-    #             = H(AC) + H(BC) - H(ABC) - H(C) over cell groupings.
-    # Group ids are labelled in first-seen order, so equal partitions are
-    # equal arrays; a grouping holds the byte keys of its partitions, and
-    # each distinct partition's entropy is computed once per alpha row.
-    partitions: dict[bytes, np.ndarray] = {}
-    groupings = []
-    for i in (1, 2):
-        o = 2 if i == 1 else 1
-
-        def keys(cell, i=i, o=o):
-            a = cell["x"][o - 1]
-            b = (cell["pi"][i - 1], cell["tapes"][0][o - 1])
-            c = (cell["x"][i - 1], cell["tapes"][0][i - 1], cell["tapes"][1])
-            return a, b, c
-
-        def ids(selector):
+        def h(selector):
             seen: dict = {}
-            out = []
-            for cell in cells:
-                a, b, c = keys(cell)
-                key = selector(a, b, c)
-                out.append(seen.setdefault(key, len(seen)))
-            g = np.array(out)
-            partitions.setdefault(g.tobytes(), g)
-            return g.tobytes()
+            ids = [seen.setdefault(selector(*c), len(seen)) for c in group]
+            return _vec_group_entropy(weights, np.array(ids))
 
-        groupings.append(
-            (
-                ids(lambda a, b, c: (a, c)),
-                ids(lambda a, b, c: (b, c)),
-                ids(lambda a, b, c: (a, b, c)),
-                ids(lambda a, b, c: (c,)),
-            )
+        g[key] = (
+            h(lambda a, b, c: (a, c)) + h(lambda a, b, c: (b, c))
+            - h(lambda a, b, c: (a, b, c)) - h(lambda a, b, c: c)
         )
 
-    steps = np.arange(1, m) / m
-    n_b = len(steps)
     best_val = -1.0
     best_ia = best_ib = 1
     tie_window = 1e-12  # float ties resolve toward smaller alpha, then beta
-    x_bits = np.array([[int(cell["x"][0]), int(cell["x"][1])] for cell in cells])
-    for ia, alpha in enumerate(np.asarray(steps), start=1):
-        pa = np.where(x_bits[:, 0] == 0, alpha, 1 - alpha)  # per cell
-        pb = np.where(
-            x_bits[None, :, 1] == 0, steps[:, None], 1 - steps[:, None]
-        )  # (n_b, cells)
-        weights = pa[None, :] * pb * tape_weight
-        h = {key: _vec_group_entropy(weights, g) for key, g in partitions.items()}
-        total = np.zeros(n_b)
-        for g_ac, g_bc, g_abc, g_c in groupings:
-            total += h[g_ac] + h[g_bc] - h[g_abc] - h[g_c]
+    for ia, alpha in enumerate(steps, start=1):
+        total = (
+            alpha * g[1, "0"] + (1 - alpha) * g[1, "1"]
+            + steps * g[2, "0"][ia - 1] + (1 - steps) * g[2, "1"][ia - 1]
+        )
         row_best = float(total.max())
         ib = int(np.argmax(total >= row_best - tie_window))
         if row_best > best_val + tie_window:

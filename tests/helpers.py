@@ -15,16 +15,26 @@ from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
 
-from protolab.errors import ModelViolationError
+import numpy as np
+
+from protolab.errors import ConfigError, ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
 from protolab.model import (
+    DEFAULT_BUDGET,
     ExecutionTable,
     Message,
     ProgramDriver,
     ProtocolDef,
+    bitstrings,
     run,
+    run_all,
 )
-from protolab.measures import InputDistribution
+from protolab.measures import (
+    GridResult,
+    InputDistribution,
+    _vec_group_entropy,
+    pic,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +498,24 @@ def second_bit_dict() -> dict:
     }
 
 
-def random_tree_dict(rng, depth: int, input_bits: int = 1) -> dict:
+def random_tree_dict(rng, depth: int, input_bits: int = 1,
+                     private: tuple[int, int] = (0, 0),
+                     public: int = 0) -> dict:
     """Complete two-player tree: every path sends ``depth`` one-bit
-    messages, each sender, message table and leaf output drawn from rng."""
-    keys = ["".join(bits) for bits in itertools.product("01", repeat=input_bits)]
+    messages, each sender, message table and leaf output drawn from rng.
+    With tape bits the message tables are keyed ``input:private:public``
+    over the sender's tapes."""
+    inputs = ["".join(b) for b in itertools.product("01", repeat=input_bits)]
+
+    def keys(sender: int) -> list[str]:
+        if not any(private) and not public:
+            return inputs
+        return [
+            f"{x}:{r}:{rp}"
+            for x in inputs
+            for r in bitstrings(private[sender - 1])
+            for rp in bitstrings(public)
+        ]
 
     def node(d: int) -> dict:
         if d == depth:
@@ -499,7 +523,7 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1) -> dict:
         sender = rng.choice((1, 2))
         return {
             "sender": sender, "receiver": 3 - sender, "msg_bits": 1,
-            "message_table": {key: rng.choice("01") for key in keys},
+            "message_table": {key: rng.choice("01") for key in keys(sender)},
             "children": {"0": node(d + 1), "1": node(d + 1)},
         }
 
@@ -507,7 +531,7 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1) -> dict:
         "name": f"random-tree(depth={depth})",
         "k": 2,
         "input_bits": [input_bits, input_bits],
-        "tape_bits": {"private": [0, 0], "public": 0},
+        "tape_bits": {"private": list(private), "public": public},
         "tree": node(0),
     }
 
@@ -654,3 +678,115 @@ def random_mu(rng, p: ProtocolDef, name="random") -> InputDistribution:
         weights[x] = Fraction(num, denom)
         remaining -= num
     return InputDistribution.from_weights(name, weights)
+
+
+# ---------------------------------------------------------------------------
+# Reference pic grid scan
+# ---------------------------------------------------------------------------
+
+
+def reference_sup_pic_grid(
+    p: ProtocolDef,
+    grid_step: float = 0.001,
+    budget: int | None = DEFAULT_BUDGET,
+) -> GridResult:
+    """The two-dimensional pic grid scan that ``measures.sup_pic_grid``
+    replaced, kept verbatim (only renamed) as its reference: every grid
+    point's four grouped entropies over every cell of the input space.
+
+    Maximize pic over a grid of independent Ber(alpha) x Ber(beta) input
+    distributions for a two-player one-bit protocol.
+
+    The grid is scanned with a vectorized float evaluation; the winning grid
+    point (ties resolved toward smaller alpha, then smaller beta) is then
+    re-evaluated exactly.  Returns a lower bound on the supremum.
+    """
+    if p.k != 2 or any(set(d) != {"0", "1"} for d in p.input_domains):
+        raise ConfigError(
+            "grid search needs two players with one-bit input domains"
+        )
+    if not 0 < grid_step < math.inf:
+        raise ConfigError("grid step must be a positive finite number")
+    m = round(1.0 / grid_step)
+    if m < 2:
+        raise ConfigError("grid step too coarse")
+    table = run_all(p, budget)
+    tape_weight = 1.0 / (1 << p.total_tape_bits)
+
+    cells = []
+    for x in p.input_space():
+        for privs, pub in p.tape_space():
+            e = table.get(x, privs, pub)
+            cells.append(
+                {
+                    "x": x,
+                    "tapes": (privs, pub),
+                    "pi": tuple(e.received_transcript(i) for i in (1, 2)),
+                }
+            )
+
+    # Per player i: I(X_-i ; Pi_i R_-i | X_i R_i Rp)
+    #             = H(AC) + H(BC) - H(ABC) - H(C) over cell groupings.
+    # Group ids are labelled in first-seen order, so equal partitions are
+    # equal arrays; a grouping holds the byte keys of its partitions, and
+    # each distinct partition's entropy is computed once per alpha row.
+    partitions: dict[bytes, np.ndarray] = {}
+    groupings = []
+    for i in (1, 2):
+        o = 2 if i == 1 else 1
+
+        def keys(cell, i=i, o=o):
+            a = cell["x"][o - 1]
+            b = (cell["pi"][i - 1], cell["tapes"][0][o - 1])
+            c = (cell["x"][i - 1], cell["tapes"][0][i - 1], cell["tapes"][1])
+            return a, b, c
+
+        def ids(selector):
+            seen: dict = {}
+            out = []
+            for cell in cells:
+                a, b, c = keys(cell)
+                key = selector(a, b, c)
+                out.append(seen.setdefault(key, len(seen)))
+            g = np.array(out)
+            partitions.setdefault(g.tobytes(), g)
+            return g.tobytes()
+
+        groupings.append(
+            (
+                ids(lambda a, b, c: (a, c)),
+                ids(lambda a, b, c: (b, c)),
+                ids(lambda a, b, c: (a, b, c)),
+                ids(lambda a, b, c: (c,)),
+            )
+        )
+
+    steps = np.arange(1, m) / m
+    n_b = len(steps)
+    best_val = -1.0
+    best_ia = best_ib = 1
+    tie_window = 1e-12  # float ties resolve toward smaller alpha, then beta
+    x_bits = np.array([[int(cell["x"][0]), int(cell["x"][1])] for cell in cells])
+    for ia, alpha in enumerate(np.asarray(steps), start=1):
+        pa = np.where(x_bits[:, 0] == 0, alpha, 1 - alpha)  # per cell
+        pb = np.where(
+            x_bits[None, :, 1] == 0, steps[:, None], 1 - steps[:, None]
+        )  # (n_b, cells)
+        weights = pa[None, :] * pb * tape_weight
+        h = {key: _vec_group_entropy(weights, g) for key, g in partitions.items()}
+        total = np.zeros(n_b)
+        for g_ac, g_bc, g_abc, g_c in groupings:
+            total += h[g_ac] + h[g_bc] - h[g_abc] - h[g_c]
+        row_best = float(total.max())
+        ib = int(np.argmax(total >= row_best - tie_window))
+        if row_best > best_val + tie_window:
+            best_val = row_best
+            best_ia, best_ib = ia, ib + 1
+
+    alpha = Fraction(best_ia, m)
+    beta = Fraction(best_ib, m)
+    mu = InputDistribution.independent_bits(alpha, beta)
+    mu = InputDistribution(f"grid({alpha},{beta})", mu.weights)
+    exact = pic(p, mu, budget)
+    return GridResult(alpha=alpha, beta=beta, value=exact,
+                      grid_value=best_val, mu=mu)

@@ -36,10 +36,7 @@ def test_measure_star_pic(capsys):
 
 
 def test_measure_is_byte_identical_across_runs(capsys):
-    args = (
-        "measure", "--protocol", "and-opt", "--mu", "grid:0.01",
-        "--seed", "7",
-    )
+    args = ("measure", "--protocol", "and-opt", "--mu", "grid:0.01")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
@@ -120,10 +117,44 @@ def test_exit_codes(capsys, tmp_path):
          "--trials", "0"),
         ("compress", "--protocol", "star-parity", "--delta", "inf"),
         ("compress", "--protocol", "star-parity", "--delta", "nan"),
+        ("audit", "--protocol", "ring-parity", "--tolerance", "nan"),
+        ("audit", "--protocol", "ring-parity", "--tolerance", "-1"),
+        ("audit", "--protocol", "star-parity", "--tolerance", "inf"),
+        ("measure", "--protocol", "star-parity", "--tolerance", "0"),
+        ("measure", "--protocol", "star-parity", "--tolerance", "abc"),
+        ("audit", "--protocol", "star-parity", "--budget", "0"),
+        ("measure", "--protocol", "star-parity", "--budget", "-3"),
+        ("compress", "--protocol", "star-parity", "--budget", "0"),
     ):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+        assert out == "", argv
+
+
+def test_each_command_rejects_options_it_does_not_read(capsys):
+    for argv in (
+        ("measure", "--protocol", "and-opt", "--seed", "7"),
+        ("audit", "--protocol", "ring-parity", "--seed", "7"),
+        ("demo", "--protocol", "order-leak", "--seed", "7"),
+        ("compress", "--protocol", "star-parity", "--tolerance", "1e-9"),
+        ("demo", "--protocol", "order-leak", "--tolerance", "1e-9"),
+        ("demo", "--protocol", "order-leak", "--k", "3"),
+        ("demo", "--protocol", "order-leak", "--n", "1"),
+        ("demo", "--protocol", "order-leak", "--q", "1"),
+        ("demo", "--protocol", "order-leak", "--mu", "uniform"),
+        ("demo", "--protocol", "order-leak", "--budget", "10"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error: unrecognized"), argv
+        assert err.count("\n") == 1 and out == "", argv
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in report")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_audit_verdicts(capsys):
@@ -145,6 +176,30 @@ def test_compress_star(capsys):
     assert payload["measured_error"] == 0.0
     assert payload["expected_stages"] <= 2.0
     assert payload["ratio"] > 0
+
+
+def test_compress_report_with_zero_bound_is_strict_json(capsys):
+    # cc = 1, so log2 cc = 0 and the bound is 0: the ratio is undefined.
+    code, out, _ = run_cli(
+        capsys, "compress", "--protocol", "star-parity", "--k", "2", "--n", "1"
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["bound_value"] == 0.0
+    assert payload["ratio"] is None
+
+
+def test_non_finite_report_value_exits_5(capsys, monkeypatch):
+    from protolab import measures
+
+    monkeypatch.setattr(
+        measures, "privacy_terms", lambda *a, **kw: [math.nan, 0.0, 0.0]
+    )
+    code, out, err = run_cli(capsys, "audit", "--protocol", "ring-parity")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal invariant failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_compress_with_obliviousize_and_randomized_boxes(capsys):

@@ -149,6 +149,7 @@ def test_build_tree_star_center_is_uniform():
     assert len(leaves) == 4  # all pairs of peer inputs
     assert all(leaf.weight == Fraction(1, 4) for leaf in leaves)
     assert tree.root.weight == 1
+    assert tree.depth == 2
 
 
 def test_build_tree_star_leaf_is_singleton():
@@ -156,6 +157,7 @@ def test_build_tree_star_leaf_is_singleton():
     tree = build_tree(p, 2, "1", "", uniform(p))
     assert tree.root.is_leaf
     assert tree.root.leaf_label == "1"
+    assert tree.depth == 0
 
 
 def test_build_tree_and_alice_conditional_weights():
@@ -168,6 +170,7 @@ def test_build_tree_and_alice_conditional_weights():
         node.leaf_label: node.weight for node in tree.root.children.values()
     }
     assert weights == {"10": Fraction(1, 4), "11": Fraction(3, 4)}
+    assert tree.depth == 1
 
 
 def test_build_tree_preconditions():

@@ -467,6 +467,55 @@ def test_sup_pic_grid_rejects_wrong_arity():
         sup_pic_grid(get_entry("star-parity", k=3, n=1).protocol, 0.01)
 
 
+def _assert_same_grid(p, step):
+    got = sup_pic_grid(p, step)
+    want = helpers.reference_sup_pic_grid(p, step)
+    assert (got.alpha, got.beta, got.value) == (
+        want.alpha, want.beta, want.value
+    ), (p.name, step)
+    assert abs(got.grid_value - want.grid_value) <= 1e-12, (p.name, step)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.01, 0.005, 0.002])
+def test_sup_pic_grid_matches_the_reference_scan_on_and_opt(step):
+    _assert_same_grid(get_entry("and-opt").protocol, step)
+
+
+def test_sup_pic_grid_matches_the_reference_scan_on_trees_with_tapes():
+    tapes = set()
+    for seed in range(24):
+        spec = helpers.random_tree_dict(
+            random.Random(seed), 1 + seed % 4,
+            private=(seed % 2, seed // 2 % 2), public=seed // 4 % 3,
+        )
+        p = protocol_from_dict(spec)
+        tapes.add((p.private_tape_lengths, p.public_tape_length))
+        _assert_same_grid(p, 0.02)
+    assert len(tapes) >= 8
+
+
+def test_sup_pic_grid_entropy_calls_do_not_grow_with_the_grid(monkeypatch):
+    from protolab import measures
+
+    calls = [0]
+    original = measures._vec_group_entropy
+
+    def counted(weights, group_ids):
+        calls[0] += 1
+        return original(weights, group_ids)
+
+    monkeypatch.setattr(measures, "_vec_group_entropy", counted)
+    p = protocol_from_dict(helpers.random_tree_dict(
+        random.Random(5), 3, private=(1, 1), public=1
+    ))
+    per_step = []
+    for step in (0.1, 0.01):
+        calls[0] = 0
+        sup_pic_grid(p, step)
+        per_step.append(calls[0])
+    assert per_step[0] == per_step[1] <= 16, per_step
+
+
 # -- distributions -------------------------------------------------------------
 
 
@@ -515,7 +564,11 @@ def test_power_distribution_matches_iterated_products():
 # ---------------------------------------------------------------------------
 # Golden pins: exact floats and report bytes recorded from the Fraction-based
 # kernel; any speed-up of the joint law, the info kernel or the grid must
-# reproduce them bit for bit.
+# reproduce them bit for bit.  The one exception is the grid's float scan
+# value: when the scan became four one-dimensional curves (player i's term
+# is sum_v P[X_i=v] g_iv), its summation order changed, and ``grid_value``
+# was recorded again (1.5849263727797278 -> 1.5849263727797274).  The
+# winning point and its exact value did not move.
 # ---------------------------------------------------------------------------
 
 
@@ -524,7 +577,14 @@ def test_sup_pic_grid_golden_pin():
     assert g.alpha == Fraction(33, 100)
     assert g.beta == Fraction(1, 2)
     assert g.value == 1.5849263727797278
-    assert g.grid_value == 1.5849263727797278
+    assert g.grid_value == 1.5849263727797274
+
+
+def test_measure_protocol_rejects_a_bad_tolerance():
+    p = get_entry("star-parity", k=3, n=1).protocol
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tolerance"):
+            measure_protocol(p, uniform(p), tolerance=tolerance)
 
 
 def test_measure_report_golden_pin():
