@@ -55,7 +55,6 @@ from .compression import (
     LcpBox,
     TranscriptTree,
     build_tree,
-    candidate_leaf,
     compress_run,
     compression_theorem_check,
     is_coherent,

@@ -7,9 +7,10 @@ Commands:
   demo      run the order-leak demonstration (relaxed scheduler)
   list      show the built-in protocol registry
 
-Exit codes: 0 ok, 1 bad configuration, 2 enumeration budget exceeded,
-3 model violation, 4 compression refused a non-oblivious protocol,
-5 an internal invariant check failed (a bug in protolab).
+Exit codes: 0 ok, 1 bad configuration, 2 budget exceeded (the budget caps
+enumerated executions and the pic grid's points per axis), 3 model
+violation, 4 compression refused a non-oblivious protocol, 5 an internal
+invariant check failed (a bug in protolab).
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .model import (
     ProtocolDef,
     Round,
     View,
-    bitstrings,
     fold_views,
     run_all,
     validate_public_tape,
@@ -153,13 +152,20 @@ class LcpBox:
 
 @dataclass
 class TreeNode:
-    """A node of a transcript tree.  A leaf also carries its transcript
-    parsed once, when the tree is built: the owner's output there and, per
-    other player, the ``_conversation`` with that peer."""
+    """A node of a transcript tree; an inner node has both children.
+    ``candidate`` is the leaf the max-weight descent from the node reaches
+    (ties take the 0-labelled child), ``height`` the number of branching
+    nodes on the longest path down.  A leaf is its own candidate and also
+    carries its transcript parsed once, when the tree is built: the owner's
+    output there and, per other player, the ``_conversation`` with that
+    peer."""
 
     prefix: str
     weight: Fraction
     children: dict[str, "TreeNode"]
+    candidate: "TreeNode | None" = field(default=None, repr=False,
+                                         compare=False)
+    height: int = 0
     leaf_label: str | None = None
     output: str | None = None
     conversations: dict[int, tuple[str, tuple]] | None = None
@@ -172,24 +178,18 @@ class TreeNode:
 @dataclass
 class TranscriptTree:
     """Weighted prefix tree over one player's possible transcripts;
-    ``leaves`` maps each transcript to its leaf, and ``depth`` counts the
-    branching nodes on the longest root-to-leaf path."""
+    ``leaves`` maps each transcript to its leaf."""
 
-    owner: int
-    own_input: str
-    public_tape: str
     root: TreeNode
     leaves: dict[str, TreeNode]
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        """Branching nodes on the longest root-to-leaf path."""
+        return self.root.height
 
     def leaf_weight(self, transcript: str) -> Fraction:
         return self.leaves[transcript].weight
-
-
-def _height(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(_height(c) for c in node.children.values())
 
 
 def _build_node(weights: dict[str, Fraction],
@@ -201,9 +201,10 @@ def _build_node(weights: dict[str, Fraction],
         cut += 1
     total = sum(weights.values(), Fraction(0))
     if len(strings) == 1:
-        leaves[first] = TreeNode(prefix=first, weight=total, children={},
-                                 leaf_label=first)
-        return leaves[first]
+        leaf = leaves[first] = TreeNode(prefix=first, weight=total,
+                                        children={}, leaf_label=first)
+        leaf.candidate = leaf
+        return leaf
     groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
     for s, w in weights.items():
         if len(s) <= cut:
@@ -211,11 +212,14 @@ def _build_node(weights: dict[str, Fraction],
                 f"transcript {s!r} is a proper prefix of another transcript"
             )
         groups[s[cut]][s] = w
-    children = {
-        bit: _build_node(group, leaves)
-        for bit, group in groups.items() if group
-    }
-    return TreeNode(prefix=first[:cut], weight=total, children=children)
+    # The sorted first and last transcripts differ at the cut, so both
+    # groups are non-empty.
+    zero, one = (_build_node(groups[bit], leaves) for bit in "01")
+    return TreeNode(
+        prefix=first[:cut], weight=total, children={"0": zero, "1": one},
+        candidate=(zero if zero.weight >= one.weight else one).candidate,
+        height=1 + max(zero.height, one.height),
+    )
 
 
 def _conversation(parsed_events, peer) -> tuple[str, tuple]:
@@ -296,23 +300,7 @@ def build_tree(
         leaf.conversations = {
             j: _conversation(parsed, j) for j in p.players if j != i
         }
-    return TranscriptTree(owner=i, own_input=own_input,
-                          public_tape=public_tape, root=root, leaves=leaves,
-                          depth=_height(root))
-
-
-def candidate_leaf(tree: TranscriptTree, node: TreeNode) -> TreeNode:
-    """Max-weight descent from a node; ties take the 0-labelled child."""
-    while not node.is_leaf:
-        zero = node.children.get("0")
-        one = node.children.get("1")
-        if zero is None:
-            node = one
-        elif one is None or zero.weight >= one.weight:
-            node = zero
-        else:
-            node = one
-    return node
+    return TranscriptTree(root=root, leaves=leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +455,7 @@ def compress_run(
 
     while True:
         stage += 1
-        cand = {i: candidate_leaf(tree_of[i], tau[i]) for i in p.players}
+        cand = {i: tau[i].candidate for i in p.players}
         if stage > stage_cap:
             if exact:
                 raise ModelViolationError("stage loop failed to terminate")
@@ -530,19 +518,15 @@ def compress_run(
         if wrong_at is None:
             raise ModelViolationError("mover does not carry message q_min")
         # The anchor is the deepest inner node between tau and the candidate
-        # leaf whose prefix ends at or before the wrong bit.
+        # leaf whose prefix ends at or before the wrong bit; the mover takes
+        # its child off that path.
         label = cand[mover].leaf_label
         anchor = node = tau[mover]
         while not node.is_leaf and len(node.prefix) <= wrong_at:
             anchor = node
             node = node.children[label[len(node.prefix)]]
         on_path_bit = label[len(anchor.prefix)]
-        other_bit = "1" if on_path_bit == "0" else "0"
-        if other_bit not in anchor.children:
-            raise ModelViolationError(
-                "no alternative branch at the revealed position"
-            )
-        new_tau = anchor.children[other_bit]
+        new_tau = anchor.children["1" if on_path_bit == "0" else "0"]
         if exact:
             if len(anchor.prefix) != wrong_at:
                 raise ModelViolationError(
@@ -648,32 +632,32 @@ def compression_theorem_check(
     struct = ObliviousStructure.build(p, budget)
     if sum(p.private_tape_lengths) != 0:
         raise ConfigError("compression needs a public-coin protocol")
-    mu.validate_for(p)
     eps0 = float(distributional_error(p, mu, family, budget))
-    tape_weight = Fraction(1, 1 << p.public_tape_length)
     trees: dict = {}
 
     def wrong(x, result) -> bool:
         return result.outputs != tuple(family.value(i, x) for i in p.players)
 
-    exact_runs = []
-    err_exact = Fraction(0)
-    for x, wx in mu.weights:
-        for pub in bitstrings(p.public_tape_length):
-            box = LcpBox(mode="exact")
-            result = compress_run(
-                p, mu, x, pub, box, budget, structure=struct, trees=trees
-            )
-            exact_runs.append((x, pub, wx * tape_weight, result))
-            if wrong(x, result):
-                err_exact += wx * tape_weight
+    # One exact run per (input, public tape); it has probability n / den.
+    rows, den = weighted_executions(p, mu, budget)
+    exact_runs = [
+        (x, n, e.public_tape,
+         compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"), budget,
+                      structure=struct, trees=trees))
+        for x, n, e in rows
+    ]
+    err_exact = Fraction(
+        sum(n for x, n, _, r in exact_runs if wrong(x, r)), den
+    )
 
     def mean(getter) -> float:
-        return float(sum(float(w) * getter(r) for _, _, w, r in exact_runs))
+        return sum(n * getter(r) for _, n, _, r in exact_runs) / den
 
     ic_value = ic(p, mu, budget)
     cc_value = struct.cc
-    inner = p.k * p.k * ic_value * math.log2(cc_value)
+    # log2(cc) is 0 at cc = 1, and a protocol that sends nothing (cc = 0)
+    # gets the same zero bound.
+    inner = p.k * p.k * ic_value * math.log2(max(cc_value, 1))
     bound = inner * math.log2(inner / delta) if inner > 0 else 0.0
     acc_compressed = mean(lambda r: r.comm_bits)
     max_calls = max(r.lcp_calls for _, _, _, r in exact_runs)
@@ -686,18 +670,16 @@ def compression_theorem_check(
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
         rng = random.Random(seed)
-        weighted_bad = 0.0
-        for x, pub, w, _ in exact_runs:
-            bad = 0
+        bad = 0
+        for x, n, pub, _ in exact_runs:
             for _ in range(trials):
                 box = LcpBox(mode="randomized", eps=eps_call,
                              seed=rng.getrandbits(48))
                 result = compress_run(
                     p, mu, x, pub, box, budget, structure=struct, trees=trees
                 )
-                bad += wrong(x, result)
-            weighted_bad += float(w) * bad / trials
-        measured = weighted_bad
+                bad += n * wrong(x, result)
+        measured = bad / (den * trials)
     else:
         raise ConfigError(f"unknown lcp mode {lcp_mode!r}")
 

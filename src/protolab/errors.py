@@ -10,14 +10,15 @@ class ConfigError(ProtoLabError):
 
 
 class BudgetExceededError(ProtoLabError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """Some work would exceed the configured budget: ``required`` counts it
+    in ``unit`` (executions of an exhaustive enumeration by default)."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration needs {required} executions, budget is {budget}"
-        )
+    def __init__(self, required: int, budget: int, work: str = "enumeration",
+                 unit: str = "executions"):
+        super().__init__(f"{work} needs {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
+        self.unit = unit
 
 
 class ModelViolationError(ProtoLabError):

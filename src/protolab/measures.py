@@ -24,7 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, ModelViolationError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    InvariantError,
+    ModelViolationError,
+)
 from .info import (
     JointDistribution,
     SharedMarginals,
@@ -810,7 +815,8 @@ def sup_pic_grid(
     the executions with X_i = v.  Each ``g_iv`` is evaluated once as a
     vectorized float curve over the grid steps; the winning grid point
     (ties resolved toward smaller alpha, then smaller beta) is then
-    re-evaluated exactly.  Returns a lower bound on the supremum.
+    re-evaluated exactly.  Returns a lower bound on the supremum.  The
+    budget caps the grid points per axis as well as the executions.
     """
     if p.k != 2 or any(set(d) != {"0", "1"} for d in p.input_domains):
         raise ConfigError(
@@ -821,6 +827,9 @@ def sup_pic_grid(
     m = round(1.0 / grid_step)
     if m < 2:
         raise ConfigError("grid step too coarse")
+    if budget is not None and m - 1 > budget:
+        raise BudgetExceededError(m - 1, budget, "pic grid",
+                                  "grid points per axis")
     steps = np.arange(1, m) / m
     tape_weight = 1.0 / (1 << p.total_tape_bits)
 

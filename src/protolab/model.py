@@ -527,17 +527,17 @@ class ParsedEvent:
     global_index: int
     direction: str  # "s" or "r"
     peer: int
-    link_index: int
     start: int
-    end: int
     content: str
 
 
 @dataclass
 class ObliviousStructure:
-    """Everything about an oblivious protocol that is input-independent."""
+    """Everything about an oblivious protocol that is input-independent.
+    ``events[i]`` lists player i's messages in round-interleaved order (per
+    local round: sends by recipient, then reads by sender) as
+    ``(global index, "s" or "r", peer, position on the link)``."""
 
-    protocol: ProtocolDef
     table: ExecutionTable
     lot_of_round: dict[tuple[int, int], int]
     max_lot: int
@@ -553,55 +553,33 @@ class ObliviousStructure:
                 f"{p.name} has an input-dependent communication pattern "
                 f"({witness.describe()})"
             )
+        # Every execution has the reference's wait and send sets, so its
+        # messages have the same rounds, link positions, lots and numbers.
         table = run_all(p, budget)
         ref = next(iter(table.values()))
         lot_of_round = {}
         links_in_lot: dict[int, list] = {}
-        gidx = {}
+        keyed = {i: [] for i in p.players}  # (order key, event) per player
         for m in ref.messages:
             lot_of_round[(m.sender, m.sender_round)] = m.lot
             links_in_lot.setdefault(m.lot, []).append((m.sender, m.receiver))
-            gidx[(m.sender, m.receiver, m.link_index)] = m.global_index
-        for e in table.values():
-            if [
-                (m.sender, m.receiver, m.link_index, m.lot, m.global_index)
-                for m in e.messages
-            ] != [
-                (m.sender, m.receiver, m.link_index, m.lot, m.global_index)
-                for m in ref.messages
-            ]:
-                raise NotObliviousError(
-                    f"{p.name}: lot structure varies across executions"
-                )
-        events = {}
-        for i in p.players:
-            ev = []
-            send_pos = {}
-            read_pos = {}
-            n_rounds = len(ref.patterns[i - 1])
-            for r in range(1, n_rounds + 1):
-                if r <= len(ref.sends[i - 1]):
-                    for q, _ in ref.sends[i - 1][r - 1]:
-                        pos = send_pos.get(q, 0)
-                        send_pos[q] = pos + 1
-                        ev.append((gidx[(i, q, pos)], "s", q, pos))
-                if r <= len(ref.reads[i - 1]):
-                    for s, _ in ref.reads[i - 1][r - 1]:
-                        pos = read_pos.get(s, 0)
-                        read_pos[s] = pos + 1
-                        ev.append((gidx[(s, i, pos)], "r", s, pos))
-            events[i] = tuple(ev)
-        cc = max(e.total_bits for e in table.values())
+            g, pos = m.global_index, m.link_index
+            keyed[m.sender].append(
+                ((m.sender_round, 0, m.receiver), (g, "s", m.receiver, pos))
+            )
+            keyed[m.receiver].append(
+                ((m.receiver_round, 1, m.sender), (g, "r", m.sender, pos))
+            )
         return cls(
-            protocol=p,
             table=table,
             lot_of_round=lot_of_round,
             max_lot=max(links_in_lot, default=0),
             links_in_lot={
                 lot: tuple(sorted(links)) for lot, links in links_in_lot.items()
             },
-            events=events,
-            cc=cc,
+            events={i: tuple(ev for _, ev in sorted(keyed[i]))
+                    for i in p.players},
+            cc=max(e.total_bits for e in table.values()),
         )
 
     def decode_message(self, sender: int, receiver: int, pos: int,
@@ -638,9 +616,7 @@ class ObliviousStructure:
                 raise ModelViolationError(
                     f"transcript of player {i} is unparseable at bit {cursor}"
                 )
-            out.append(
-                ParsedEvent(g, direction, peer, pos, cursor, cursor + len(word), word)
-            )
+            out.append(ParsedEvent(g, direction, peer, cursor, word))
             cursor += len(word)
         if cursor != len(t):
             raise ModelViolationError(

@@ -286,7 +286,8 @@ class _TreeMachine:
 def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
     """Compile a protocol-tree dictionary into an executable protocol.
 
-    Any malformed field is reported as a ``ConfigError``.
+    Any malformed field, and a tree nested too deeply to parse, is reported
+    as a ``ConfigError``.
     """
     try:
         machine = _TreeMachine(spec, source)
@@ -309,6 +310,8 @@ def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
         raise ConfigError(f"protocol tree is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed protocol tree: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("protocol tree is nested too deeply") from exc
 
 
 def load_protocol(path: str | Path) -> ProtocolDef:
@@ -318,4 +321,6 @@ def load_protocol(path: str | Path) -> ProtocolDef:
         spec = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load protocol tree {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("protocol tree is nested too deeply") from exc
     return protocol_from_dict(spec, source=path.stem)

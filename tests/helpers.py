@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
@@ -35,6 +36,7 @@ from protolab.measures import (
     _vec_group_entropy,
     pic,
 )
+from protolab.treefile import protocol_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,62 @@ def decode_received_transcript(
             "undecoded trailing bits"
         )
     return tuple(events)
+
+
+def reference_events(p) -> dict:
+    """Each player's events in round-interleaved order, as
+    ``ObliviousStructure.events`` holds them, found by walking the reference
+    execution's rounds and counting link positions.  This is the walk
+    ``ObliviousStructure.build`` ran before it sorted the messages, kept as
+    the reference for that sort."""
+    table = run_all(p)
+    ref = next(iter(table.values()))
+    gidx = {}
+    for m in ref.messages:
+        gidx[(m.sender, m.receiver, m.link_index)] = m.global_index
+    events = {}
+    for i in p.players:
+        ev = []
+        send_pos = {}
+        read_pos = {}
+        n_rounds = len(ref.patterns[i - 1])
+        for r in range(1, n_rounds + 1):
+            if r <= len(ref.sends[i - 1]):
+                for q, _ in ref.sends[i - 1][r - 1]:
+                    pos = send_pos.get(q, 0)
+                    send_pos[q] = pos + 1
+                    ev.append((gidx[(i, q, pos)], "s", q, pos))
+            if r <= len(ref.reads[i - 1]):
+                for s, _ in ref.reads[i - 1][r - 1]:
+                    pos = read_pos.get(s, 0)
+                    read_pos[s] = pos + 1
+                    ev.append((gidx[(s, i, pos)], "r", s, pos))
+        events[i] = tuple(ev)
+    return events
+
+
+def reference_candidate_leaf(node):
+    """Max-weight descent from a transcript-tree node; ties take the
+    0-labelled child.  The descent ``compress_run`` made at every stage
+    before each node stored its ``candidate``."""
+    while not node.is_leaf:
+        zero = node.children.get("0")
+        one = node.children.get("1")
+        if zero is None:
+            node = one
+        elif one is None or zero.weight >= one.weight:
+            node = zero
+        else:
+            node = one
+    return node
+
+
+def reference_height(node) -> int:
+    """Branching nodes on the longest path down from a transcript-tree
+    node, by recursion (each node now stores its ``height``)."""
+    if node.is_leaf:
+        return 0
+    return 1 + max(reference_height(c) for c in node.children.values())
 
 
 def reference_profile_outputs(p, struct, inputs, public_tape, profile):
@@ -500,12 +558,14 @@ def second_bit_dict() -> dict:
 
 def random_tree_dict(rng, depth: int, input_bits: int = 1,
                      private: tuple[int, int] = (0, 0),
-                     public: int = 0) -> dict:
+                     public: int = 0, oblivious: bool = False) -> dict:
     """Complete two-player tree: every path sends ``depth`` one-bit
     messages, each sender, message table and leaf output drawn from rng.
     With tape bits the message tables are keyed ``input:private:public``
-    over the sender's tapes."""
+    over the sender's tapes.  With ``oblivious`` each depth draws one
+    sender for all its nodes, so the tree is an oblivious protocol."""
     inputs = ["".join(b) for b in itertools.product("01", repeat=input_bits)]
+    senders = [rng.choice((1, 2)) for _ in range(depth)] if oblivious else None
 
     def keys(sender: int) -> list[str]:
         if not any(private) and not public:
@@ -520,7 +580,7 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1,
     def node(d: int) -> dict:
         if d == depth:
             return {"outputs": [rng.choice("01"), rng.choice("01")]}
-        sender = rng.choice((1, 2))
+        sender = senders[d] if oblivious else rng.choice((1, 2))
         return {
             "sender": sender, "receiver": 3 - sender, "msg_bits": 1,
             "message_table": {key: rng.choice("01") for key in keys(sender)},
@@ -534,6 +594,19 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1,
         "tape_bits": {"private": list(private), "public": public},
         "tree": node(0),
     }
+
+
+def oblivious_trees(count: int = 20) -> list[ProtocolDef]:
+    """Seeded oblivious two-player trees of depth 1 to 4 with private and
+    public tape bits."""
+    return [
+        protocol_from_dict(random_tree_dict(
+            random.Random(seed), 1 + seed % 4, 1,
+            private=(seed % 2, (seed // 2) % 2), public=(seed // 4) % 2,
+            oblivious=True,
+        ))
+        for seed in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,16 @@ def test_exit_codes(capsys, tmp_path):
     )
     assert code == 4 and "--obliviousize" in err
     # 1 again: values that parse but make no sense print one error line.
+    deep = tmp_path / "deep.json"
+    link = ('{"sender": 1, "receiver": 2, "msg_bits": 1, '
+            '"message_table": {"0": "0", "1": "0"}, "children": {"0": ')
+    deep.write_text(
+        '{"k": 2, "input_bits": [1, 1], '
+        '"tape_bits": {"private": [0, 0], "public": 0}, "tree": '
+        + link * 3000 + '{"outputs": ["0", "0"]}' + "}}" * 3000 + "}"
+    )
     for argv in (
+        ("measure", "--protocol", f"tree:{deep}"),
         ("compress", "--protocol", "star-parity", "--obliviousize", "abc"),
         ("compress", "--protocol", "star-parity", "--obliviousize", "1/0"),
         ("measure", "--protocol", "and-opt", "--mu", "grid:0"),
@@ -128,6 +137,15 @@ def test_exit_codes(capsys, tmp_path):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+        assert out == "", argv
+    # 2 again: the budget also caps the pic grid's points per axis.
+    for argv in (
+        ("measure", "--protocol", "and-opt", "--mu", "grid:1e-15"),
+        ("measure", "--protocol", "and-opt", "--mu", "grid:0.00001"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert out == "", argv
 

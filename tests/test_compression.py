@@ -13,7 +13,6 @@ from protolab import compression
 from protolab.compression import (
     LcpBox,
     build_tree,
-    candidate_leaf,
     compress_run,
     compression_theorem_check,
     distributional_error,
@@ -32,11 +31,15 @@ from protolab.model import (
     run_all,
 )
 from protolab.treefile import protocol_from_dict
-from protolab.zoo import get_entry
+from protolab.zoo import FunctionFamily, get_entry
 
 from helpers import (
+    oblivious_trees,
     oracle_cond_entropy,
     enumerate_runs,
+    random_mu,
+    reference_candidate_leaf,
+    reference_height,
     reference_profile_outputs,
     relay3_dict,
     relay3_family,
@@ -221,7 +224,7 @@ def test_candidate_leaf_rules():
     p = get_entry("star-parity", k=3, n=1).protocol
     tree = build_tree(p, 1, "0", "", uniform(p))
     # Uniform weights: ties all the way down the 0-branches.
-    assert candidate_leaf(tree, tree.root).leaf_label == "00"
+    assert tree.root.candidate.leaf_label == "00"
     skewed = InputDistribution.from_weights(
         "skewed",
         {
@@ -232,9 +235,38 @@ def test_candidate_leaf_rules():
         },
     )
     tree2 = build_tree(p, 1, "0", "", skewed)
-    assert candidate_leaf(tree2, tree2.root).leaf_label == "11"
-    leaf = candidate_leaf(tree2, tree2.root)
-    assert candidate_leaf(tree2, leaf) is leaf
+    assert tree2.root.candidate.leaf_label == "11"
+    leaf = tree2.root.candidate
+    assert leaf.candidate is leaf
+
+
+def nodes_of(node):
+    yield node
+    for child in node.children.values():
+        yield from nodes_of(child)
+
+
+def test_nodes_store_their_candidate_leaf_and_height():
+    protocols = [p for p, _ in compression_cases()]
+    protocols += [publicize(t) for t in oblivious_trees()]
+    protocols.append(golden_case("obliviousized")[0])  # has uneven subtrees
+    rng = random.Random(3)
+    for p in protocols:
+        struct = ObliviousStructure.build(p)
+        for mu in (uniform(p), random_mu(rng, p)):
+            own_inputs = {
+                (i, x[i - 1])
+                for x, w in mu.weights if w > 0
+                for i in p.players
+            }
+            for i, own in sorted(own_inputs):
+                for pub in bitstrings(p.public_tape_length):
+                    tree = build_tree(p, i, own, pub, mu, structure=struct)
+                    assert tree.depth == reference_height(tree.root)
+                    for node in nodes_of(tree.root):
+                        assert node.candidate is reference_candidate_leaf(node)
+                        assert node.height == reference_height(node)
+                        assert node.is_leaf or list(node.children) == ["0", "1"]
 
 
 # -- coherence ------------------------------------------------------------------
@@ -386,6 +418,34 @@ def test_compression_rejects_bad_inputs():
         compression_theorem_check(
             ring.protocol, uniform(ring.protocol), 0.1, ring.family
         )
+
+
+def test_random_oblivious_trees_meet_the_exact_box_relations():
+    # Exact boxes reproduce the protocol, and the expected number of moving
+    # stages is at most ic, which equals the expected log-weight bound.
+    for tree in oblivious_trees():
+        p = publicize(tree)
+        constant = FunctionFamily("constant", (lambda x: "0",) * p.k)
+        report = compression_theorem_check(p, uniform(p), 0.25, constant)
+        assert report.measured_error == report.original_error, p.name
+        assert report.expected_stages <= report.ic_original + TOL, p.name
+        assert report.expected_log_weight_bound == pytest.approx(
+            report.ic_original, abs=TOL
+        ), p.name
+
+
+def test_a_protocol_that_sends_nothing_has_a_zero_bound():
+    silent = protocol_from_dict({
+        "name": "silent", "k": 2, "input_bits": [1, 1],
+        "tape_bits": {"private": [0, 0], "public": 0},
+        "tree": {"outputs": ["0", "0"]},
+    })
+    constant = FunctionFamily("constant", (lambda x: "0",) * 2)
+    report = compression_theorem_check(silent, uniform(silent), 0.1, constant)
+    assert report.cc_original == 0
+    assert report.measured_error == 0.0
+    assert report.bound_value == 0.0
+    assert report.ratio is None
 
 
 def test_publicized_ring_compresses():

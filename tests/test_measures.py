@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from protolab.errors import ConfigError
+from protolab.errors import BudgetExceededError, ConfigError
 from protolab.info import entropy, mutual_info
 from protolab.measures import (
     InputDistribution,
@@ -465,6 +465,14 @@ def test_sup_pic_grid_constant_protocol_is_flat():
 def test_sup_pic_grid_rejects_wrong_arity():
     with pytest.raises(ConfigError, match="two players"):
         sup_pic_grid(get_entry("star-parity", k=3, n=1).protocol, 0.01)
+
+
+def test_sup_pic_grid_budget_caps_points_per_axis():
+    p = get_entry("and-opt").protocol
+    assert sup_pic_grid(p, 0.001, budget=999).alpha > 0  # 999 points per axis
+    with pytest.raises(BudgetExceededError, match="999 grid points") as err:
+        sup_pic_grid(p, 0.001, budget=998)
+    assert err.value.unit == "grid points per axis"
 
 
 def _assert_same_grid(p, step):

@@ -14,7 +14,7 @@ from protolab.errors import (
     NonTerminationError,
     SelfDelimitingError,
 )
-from protolab.measures import InputDistribution, product_protocol
+from protolab.measures import InputDistribution, product_protocol, publicize
 from protolab.model import (
     WAIT_ANY,
     ObliviousStructure,
@@ -157,6 +157,37 @@ def test_lots_match_the_reference_resolver():
     for p in _reference_cases():
         for e in run_all(p).values():
             assert e.messages == helpers.reference_messages(e), p.name
+
+
+def test_events_match_the_reference_walk():
+    # ObliviousStructure sorts the reference execution's messages into each
+    # player's events; the reference walks its rounds and counts positions.
+    star = get_entry("star-parity", k=3, n=1).protocol
+    ring = get_entry("ring-parity", k=3, n=1).protocol
+    q1 = get_entry("q-index", k=3, q=1).protocol
+    cases = [
+        ring,
+        star,
+        get_entry("and-opt").protocol,
+        get_entry("q-index", k=3, q=2).protocol,
+        publicize(ring),
+        product_protocol(star, ring),
+        product_protocol(product_protocol(star, star), star),
+        publicize(obliviousize(q1, InputDistribution.uniform(q1),
+                               Fraction(1, 2))),
+    ]
+    for p in cases + helpers.oblivious_trees():
+        assert is_oblivious(p)[0], p.name
+        struct = ObliviousStructure.build(p)
+        assert struct.events == helpers.reference_events(p), p.name
+        # The structure is read off one execution; every other one has the
+        # same message layout.
+        layouts = {
+            tuple((m.sender, m.receiver, m.link_index, m.lot, m.global_index)
+                  for m in e.messages)
+            for e in run_all(p).values()
+        }
+        assert len(layouts) == 1, p.name
 
 
 def test_fifo_order_within_link():

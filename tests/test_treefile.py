@@ -150,6 +150,16 @@ def test_format_validation():
     with pytest.raises(ConfigError, match="non-empty"):
         protocol_from_dict(spec)
 
+    spec = and_tree_dict()
+    for _ in range(3000):  # a chain, one level per message
+        spec["tree"] = {
+            "sender": 1, "receiver": 2, "msg_bits": 1,
+            "message_table": {"0": "0", "1": "0"},
+            "children": {"0": spec["tree"]},
+        }
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        protocol_from_dict(spec)
+
 
 def test_unresolvable_wait_set_is_rejected():
     # After player 1's first bit, player 3 would have to wait on different
