@@ -850,18 +850,30 @@ def sup_pic_grid(
     g = {}
     for key, group in cells.items():
         zero = np.array([a == "0" for a, _, _ in group])
-        bias = np.where(zero, steps[:, None], 1 - steps[:, None])
-        weights = bias * tape_weight
 
-        def h(selector):
+        def ids(selector):
             seen: dict = {}
-            ids = [seen.setdefault(selector(*c), len(seen)) for c in group]
-            return _vec_group_entropy(weights, np.array(ids))
+            return np.array(
+                [seen.setdefault(selector(*c), len(seen)) for c in group]
+            )
 
-        g[key] = (
-            h(lambda a, b, c: (a, c)) + h(lambda a, b, c: (b, c))
-            - h(lambda a, b, c: (a, b, c)) - h(lambda a, b, c: c)
+        partitions = (
+            ids(lambda a, b, c: (a, c)), ids(lambda a, b, c: (b, c)),
+            ids(lambda a, b, c: (a, b, c)), ids(lambda a, b, c: c),
         )
+        # Grid rows are independent; blocks of them keep every array at
+        # most DEFAULT_BUDGET entries whatever the grid and the executions.
+        block = max(1, DEFAULT_BUDGET // len(group))
+        curve = []
+        for lo in range(0, m - 1, block):
+            rows = steps[lo : lo + block, None]
+            weights = np.where(zero, rows, 1 - rows) * tape_weight
+            h_ac, h_bc, h_abc, h_c = (
+                _vec_group_entropy(weights, group_ids)
+                for group_ids in partitions
+            )
+            curve.append(h_ac + h_bc - h_abc - h_c)
+        g[key] = np.concatenate(curve)
 
     best_val = -1.0
     best_ia = best_ib = 1

@@ -276,14 +276,19 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
     return public_tape
 
 
-def _execute(p, inputs, private_tapes, public_tape, schedule):
+def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
+    """One execution.  ``tries`` holds one view trie per player;
+    ``_enumerate_all`` shares them across its executions.  Without them
+    each driver starts its own, and frees each view as it moves on."""
     inputs, private_tapes, public_tape = _validate_run_args(
         p, inputs, private_tapes, public_tape
     )
     schedule = iter(schedule or ())  # one iterator, shared by every driver
+    if tries is None:
+        tries = [None] * p.k
     drivers = [
         ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1], public_tape,
-                      schedule)
+                      schedule, tries[i - 1])
         for i in p.players
     ]
     # A message is stamped with its lot when it is sent and with its
@@ -430,9 +435,10 @@ class ExecutionTable:
 @lru_cache(maxsize=None)
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     executions = {}
+    tries = [{} for _ in p.players]  # dropped when the enumeration returns
     for x in p.input_space():
         for privs, pub in p.tape_space():
-            e = _execute(p, x, privs, pub, schedule=None)
+            e = _execute(p, x, privs, pub, None, tries)
             executions[(tuple(x), tuple(privs), pub)] = e
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
@@ -630,6 +636,17 @@ class ObliviousStructure:
 # ---------------------------------------------------------------------------
 
 
+class _ViewNode(dict):
+    """One view of a player in a view trie.  As a dict it maps each next
+    read round to the child view; ``round`` is the ``Round`` the program
+    returned for this view, once it has run on it."""
+
+    __slots__ = ("round",)
+
+    def __init__(self):
+        self.round = None
+
+
 class ProgramDriver:
     """Runs one player's program under the model's rules, as far as the
     messages fed to it allow.
@@ -639,6 +656,7 @@ class ProgramDriver:
     program returns a ``Round``; it sends at most one non-empty bitstring to
     each other player per round; it writes one output, inside its domain;
     it waits on other players only, and on "any" in relaxed mode only.
+    They are made on every round.
 
     Messages are fed per sender in FIFO order; ``run()`` continues until
     the program halts or its wait set asks for a message not yet fed.  A
@@ -647,10 +665,21 @@ class ProgramDriver:
     iterator share it), else the lowest such sender.  Per round the driver
     records ``reads``, ``sends`` (sorted by recipient) and ``patterns``
     (wait set, recipients); ``waiting`` is the blocking wait set.
+
+    A program is a pure function of its ``View``, so the driver walks a
+    trie of the player's views: ``trie`` maps (input, private tape, public
+    tape) to a root node, and each child is keyed by one read round (``()``
+    for a round that waited on nobody).  A node keeps the ``Round`` the
+    program returned for its view, so the program runs, and its ``View``
+    is built, only on a view that no driver sharing the trie has reached.
+    The engine shares one trie per player across one enumeration; a driver
+    without one gets a fresh trie.  Nodes keep no reads of their own: a
+    tuple of every read per node would cost memory and garbage-collector
+    time growing with rounds squared.
     """
 
     def __init__(self, p: ProtocolDef, player: int, input_value: str,
-                 private_tape: str, public_tape: str, schedule=()):
+                 private_tape: str, public_tape: str, schedule=(), trie=None):
         self.program = p.program(player)
         self.player = player
         self.input = input_value
@@ -660,6 +689,12 @@ class ProgramDriver:
         self.relaxed = p.mode == RELAXED
         self.domain = p.output_domain(player)
         self.schedule = iter(schedule)
+        if trie is None:
+            trie = {}
+        root_key = (input_value, private_tape, public_tape)
+        if root_key not in trie:
+            trie[root_key] = _ViewNode()
+        self.node = trie[root_key]
         # One FIFO queue per peer: its keys are also the players this one
         # may send to or wait on.
         self.inbox = {s: deque() for s in p.players if s != player}
@@ -691,18 +726,27 @@ class ProgramDriver:
             elif waits is not None and not all(inbox[s] for s in waits):
                 return self
             if waits is not None:
-                self.reads.append(tuple((s, inbox[s].popleft()) for s in waits))
+                # Step to the view that adds this read round.
+                round_reads = tuple((s, inbox[s].popleft()) for s in waits)
+                child = self.node.get(round_reads)
+                if child is None:
+                    child = self.node[round_reads] = _ViewNode()
+                self.node = child
+                self.reads.append(round_reads)
                 self.waiting = None
             if len(self.patterns) >= self.max_rounds:
                 raise NonTerminationError(
                     f"player {i} exceeded {self.max_rounds} local rounds"
                 )
-            act = self.program(View(i, self.input, self.private_tape,
-                                    self.public_tape, tuple(self.reads)))
-            if not isinstance(act, Round):
-                raise ModelViolationError(
-                    f"player {i}'s program returned {type(act).__name__}"
-                )
+            act = self.node.round
+            if act is None:
+                act = self.program(View(i, self.input, self.private_tape,
+                                        self.public_tape, tuple(self.reads)))
+                if not isinstance(act, Round):
+                    raise ModelViolationError(
+                        f"player {i}'s program returned {type(act).__name__}"
+                    )
+                self.node.round = act
             recipients = []
             for q, content in act.sends:
                 if q not in inbox:
@@ -744,10 +788,8 @@ class ProgramDriver:
             self.patterns.append((waits, tuple(sorted(recipients))))
             if act.halt:
                 self.halted = True
-            elif waits:
-                self.waiting = waits
             else:
-                self.reads.append(())
+                self.waiting = waits  # () is read at once, as a round
         return self
 
 

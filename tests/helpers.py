@@ -108,6 +108,20 @@ def execution_digest(table) -> str:
     return h.hexdigest()
 
 
+def distinct_views(table) -> int:
+    """How many distinct views the players' programs ran on, over every
+    execution: one per (player, input, private tape, public tape, reads
+    prefix) for each local round a player ran."""
+    views = set()
+    for e in table.values():
+        for i in e.protocol.players:
+            reads = e.reads[i - 1]
+            for r in range(len(e.patterns[i - 1])):
+                views.add((i, e.inputs[i - 1], e.private_tapes[i - 1],
+                           e.public_tape, reads[:r]))
+    return len(views)
+
+
 def reference_messages(e) -> tuple[Message, ...]:
     """The messages of a restricted-mode execution, rebuilt after the run
     from ``e.reads`` and ``e.sends`` by resolving the graph of causal

@@ -1,9 +1,12 @@
 """The incremental program driver and the wrappers that keep their latest
 state: golden execution records, linear work counts, purity under
-out-of-order calls, and the driver's own contract."""
+out-of-order calls, the driver's own contract and the engine's view
+tries."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from protolab.model import (
     ProtocolDef,
     Round,
     View,
+    run,
     run_all,
     run_relaxed,
 )
@@ -347,3 +351,132 @@ def test_relaxed_wait_any_follows_the_schedule():
     assert d.halted
     assert d.reads == [((3, "1"),), ((2, "0"),)]
     assert d.patterns == [(WAIT_ANY, ()), (WAIT_ANY, ()), ((), ())]
+
+
+# -- one view trie per player per enumeration -----------------------------------
+
+
+def _seeded_tree(seed):
+    return protocol_from_dict(helpers.random_tree_dict(
+        random.Random(seed), 3, private=(1, 1), public=1,
+    ))
+
+
+@pytest.mark.parametrize("build,views", [
+    (lambda: _zoo("ring-parity", k=4, n=2), 140),
+    (lambda: product_protocol(_zoo("star-parity", k=3, n=2),
+                              _zoo("ring-parity", k=3, n=1)), 1144),
+    (lambda: obliviousize(_zoo("q-index", k=3, q=2),
+                          uniform(_zoo("q-index", k=3, q=2)),
+                          Fraction(1, 8)), None),
+    (lambda: _seeded_tree(11), None),
+], ids=["ring-parity", "product", "obliviousize", "tree"])
+def test_run_all_runs_each_program_once_per_distinct_view(build, views):
+    p, calls = _counted(build())
+    table = run_all(p)
+    assert calls[0] == helpers.distinct_views(table)
+    if views is not None:
+        assert calls[0] == views
+    # Every execution reaches one view per local round, so the trie saves
+    # calls wherever executions share a view.
+    assert calls[0] < _local_rounds(table)
+
+
+def _differential_cases():
+    star = _zoo("star-parity", k=3, n=1)
+    ring = _zoo("ring-parity", k=3, n=1)
+    zoo = [
+        ring, star, _zoo("ring-parity", k=4, n=2),
+        _zoo("star-parity", k=3, n=2), _zoo("and-opt"),
+        _zoo("q-index", k=3, q=1), _zoo("q-index", k=3, q=2),
+    ]
+    trees = [_seeded_tree(seed) for seed in range(6)]
+    nested = [
+        product_protocol(product_protocol(star, ring), star),
+        product_protocol(star, product_protocol(ring, ring)),
+    ]
+    return zoo + trees + nested
+
+
+def test_run_all_matches_runs_with_a_fresh_trie():
+    for p in _differential_cases():
+        for key, e in run_all(p).items():
+            assert e == run(p, *key), (p.name, key)
+
+
+def _shared_prefix(later_round):
+    """Player 2 sends "1", then its input; player 1 reads both.  Player 1's
+    first two views are the same under both of player 2's inputs; from its
+    third round on it runs ``later_round(round, input of player 2)``."""
+    def first(view):
+        if view.round < 3:
+            return Round(waits=(2,))
+        return later_round(view.round, view.reads[1][0][1])
+
+    def second(view):
+        if view.round == 1:
+            return Round(sends=((1, "1"),))
+        return Round(sends=((1, view.input),), output="0", halt=True)
+
+    return ProtocolDef(
+        name="shared-prefix",
+        k=2,
+        input_domains=(("0",), ("0", "1")),
+        output_domains=(("0",), ("0",)),
+        private_tape_lengths=(0, 0),
+        public_tape_length=0,
+        programs=(first, second),
+        max_local_rounds=4,
+    )
+
+
+# Each later round is legal when player 2's input is "0" and breaks one
+# rule when it is "1".
+SHARED_PREFIX_ERRORS = {
+    "outside-domain": (
+        lambda r, x: Round(output="0" if x == "0" else "1", halt=True),
+        ModelViolationError, "player 1 output '1' outside its domain",
+    ),
+    "too-many-rounds": (
+        lambda r, x: Round(output="0" if r == 3 else None, halt=x == "0"),
+        NonTerminationError, "player 1 exceeded 4 local rounds",
+    ),
+    "output-twice": (
+        lambda r, x: Round(output="0", halt=x == "0" or r == 4),
+        ModelViolationError, "player 1 wrote output twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PREFIX_ERRORS))
+def test_model_checks_fire_after_a_shared_prefix(case):
+    later_round, error, match = SHARED_PREFIX_ERRORS[case]
+    p = _shared_prefix(later_round)
+    # Input "0" runs first and fills player 1's trie; input "1" reaches
+    # the same first two views before it breaks a rule.
+    assert run(p, ("0", "0")).outputs == ("0", "0")
+    with pytest.raises(error, match=match) as fresh:
+        run(p, ("0", "1"))
+    with pytest.raises(error) as enumerated:
+        run_all(p)
+    assert type(enumerated.value) is type(fresh.value)
+    assert str(enumerated.value) == str(fresh.value)
+
+
+def test_the_trie_does_not_outlive_the_enumeration():
+    refs = []
+
+    def keep(program):
+        def kept(view):
+            act = dataclasses.replace(program(view))  # a Round of its own
+            refs.append(weakref.ref(act))
+            return act
+
+        return kept
+
+    p = _zoo("ring-parity", k=3, n=1)
+    p = dataclasses.replace(p, programs=tuple(keep(f) for f in p.programs))
+    table = run_all(p)
+    gc.collect()
+    assert refs and len(table) == p.execution_count()
+    assert all(ref() is None for ref in refs)

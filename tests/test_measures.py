@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from protolab.measures import (
     sup_pic_grid,
     transcript_entropy,
 )
-from protolab.model import is_oblivious, run
+from protolab.model import is_oblivious, run, run_all
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry, lift_entry
 
@@ -522,6 +523,25 @@ def test_sup_pic_grid_entropy_calls_do_not_grow_with_the_grid(monkeypatch):
         sup_pic_grid(p, step)
         per_step.append(calls[0])
     assert per_step[0] == per_step[1] <= 16, per_step
+
+
+def test_sup_pic_grid_memory_does_not_grow_with_the_grid():
+    # 1024 executions, 512 per curve: unblocked, step 0.0002 held float
+    # arrays of 4999 x 512 entries and peaked near 100 MiB.
+    p = protocol_from_dict(helpers.random_tree_dict(
+        random.Random(7), 3, private=(3, 3), public=2
+    ))
+    run_all(p)
+    peaks = []
+    for step in (0.01, 0.0002):
+        tracemalloc.start()
+        try:
+            sup_pic_grid(p, step)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0] + (1 << 20), peaks
+    assert peaks[1] < 16 << 20, peaks
 
 
 # -- distributions -------------------------------------------------------------
