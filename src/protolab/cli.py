@@ -8,9 +8,10 @@ Commands:
   list      show the built-in protocol registry
 
 Exit codes: 0 ok, 1 bad configuration, 2 budget exceeded (the budget caps
-enumerated executions and the pic grid's points per axis), 3 model
-violation, 4 compression refused a non-oblivious protocol, 5 an internal
-invariant check failed (a bug in protolab).
+enumerated executions, the pic grid's points per axis and the local rounds
+of --obliviousize), 3 model violation, 4 compression refused a
+non-oblivious protocol, 5 an internal invariant check failed (a bug in
+protolab).
 """
 
 from __future__ import annotations
@@ -114,12 +115,19 @@ def _build_parser() -> _Parser:
 
 
 def _load_protocol(args):
+    """The protocol, its function family and its name; a protocol whose
+    executions exceed the budget fails here, before any distribution over
+    its input space is built."""
     name = args.protocol
     if name.startswith("tree:"):
-        p = treefile.load_protocol(name[len("tree:"):])
-        return p, None, name
-    entry = zoo.get_entry(name, k=args.k, n=args.n, q=args.q)
-    return entry.protocol, entry.family, name
+        p, family = treefile.load_protocol(name[len("tree:"):]), None
+    else:
+        entry = zoo.get_entry(name, k=args.k, n=args.n, q=args.q)
+        p, family = entry.protocol, entry.family
+    required = p.execution_count()
+    if required > args.budget:
+        raise BudgetExceededError(required, args.budget)
+    return p, family, name
 
 
 def _load_distribution(args, p):

@@ -25,7 +25,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, InvariantError, ModelViolationError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    InvariantError,
+    ModelViolationError,
+)
 from .measures import InputDistribution, acc, ic, weighted_executions
 from .model import (
     DEFAULT_BUDGET,
@@ -808,7 +813,8 @@ def obliviousize(
     forwarded bits.  After the last phase everyone outputs what its local
     replay produced, or a fixed fallback if the replay is unfinished; a run
     is truncated only if p would transmit at least T bits, which has
-    probability at most acc/T <= eps/2 by Markov.
+    probability at most acc/T <= eps/2 by Markov.  The budget caps each
+    player's 2T + 2 local rounds as well as the executions.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -817,6 +823,10 @@ def obliviousize(
     table = run_all(p, budget)
     avg = acc(p, mu, budget)
     phases = max(1, math.ceil(2 * avg / eps))
+    rounds = 2 * phases + 2
+    if budget is not None and rounds > budget:
+        raise BudgetExceededError(rounds, budget, "obliviousize",
+                                  "local rounds")
     k = p.k
     width = _player_width(k)
     fallback = tuple(min(p.output_domain(i)) for i in p.players)
@@ -923,6 +933,6 @@ def obliviousize(
         private_tape_lengths=p.private_tape_lengths,
         public_tape_length=p.public_tape_length,
         programs=programs,
-        max_local_rounds=2 * phases + 2,
+        max_local_rounds=rounds,
         mode=p.mode,
     )

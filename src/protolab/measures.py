@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -381,7 +381,6 @@ class MeasureReport:
     transcript_entropy: float
     spy_info: float
     privacy_leakage: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if abs(self.ic + self.pic_random_term - self.pic) > self.tolerance:
@@ -390,7 +389,7 @@ class MeasureReport:
             )
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "report": "measure",
             "protocol": self.protocol,
             "distribution": self.distribution,
@@ -408,8 +407,6 @@ class MeasureReport:
                 else round(self.privacy_leakage, 9)
             ),
         }
-        out.update(self.extras)
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -791,15 +788,17 @@ class GridResult:
     mu: InputDistribution
 
 
-def _vec_group_entropy(weights: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
-    """Entropy over grouped cells, vectorized across the leading axis."""
-    n_groups = int(group_ids.max()) + 1
-    probs = np.zeros((weights.shape[0], n_groups))
-    for cell, g in enumerate(group_ids):
-        probs[:, g] += weights[:, cell]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(probs > 0, np.log2(np.where(probs > 0, probs, 1.0)), 0.0)
-    return -(probs * logs).sum(axis=1)
+def _mi_curve(p0: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """I(A ; S) in bits at each bias t = P[A=0], where S has the law p0
+    given A = 0 and p1 given A = 1: the t-weighted Jensen-Shannon
+    divergence of p0 and p1 (Lin 1991).  Entries where both laws vanish
+    are not passed in, so the mixture is positive wherever it is read."""
+    t = t[:, None]
+    mix = t * p0 + (1 - t) * p1
+    return sum(
+        (w * p * np.log2(np.where(p > 0, p, mix) / mix)).sum(axis=1)
+        for w, p in ((t, p0), (1 - t, p1))
+    )
 
 
 def sup_pic_grid(
@@ -811,12 +810,13 @@ def sup_pic_grid(
     distributions for a two-player one-bit protocol.
 
     With X_i in the conditioning, player i's term of pic under a product
-    law is ``sum_v P[X_i=v] g_iv(P[X_o=0])``, where ``g_iv`` is the term on
-    the executions with X_i = v.  Each ``g_iv`` is evaluated once as a
-    vectorized float curve over the grid steps; the winning grid point
-    (ties resolved toward smaller alpha, then smaller beta) is then
-    re-evaluated exactly.  Returns a lower bound on the supremum.  The
-    budget caps the grid points per axis as well as the executions.
+    law is ``sum_v P[X_i=v] g_iv(P[X_o=0])``.  X_o is independent of the
+    tapes, so ``g_iv`` is I(X_o ; Pi_i R_o R_i Rp | X_i=v), a mutual
+    information curve in the bias of X_o.  Each curve is evaluated once
+    over the grid steps; the winning grid point (ties resolved toward
+    smaller alpha, then smaller beta) is then re-evaluated exactly.
+    Returns a lower bound on the supremum.  The budget caps the grid
+    points per axis as well as the executions.
     """
     if p.k != 2 or any(set(d) != {"0", "1"} for d in p.input_domains):
         raise ConfigError(
@@ -831,49 +831,29 @@ def sup_pic_grid(
         raise BudgetExceededError(m - 1, budget, "pic grid",
                                   "grid points per axis")
     steps = np.arange(1, m) / m
-    tape_weight = 1.0 / (1 << p.total_tape_bits)
 
-    # Per player i and own input v, the cells (A, B, C) of
-    # I(A ; B | C) = H(AC) + H(BC) - H(ABC) - H(C) with A = X_o,
-    # B = (Pi_i, R_o), C = (R_i, Rp).
-    cells: dict[tuple[int, str], list] = {
-        (i, v): [] for i in (1, 2) for v in "01"
+    # Per player i and own input v: the executions per value of
+    # (Pi_i, R_o, R_i, Rp), counted apart for X_o = 0 and X_o = 1.
+    counts: dict[tuple[int, str], dict] = {
+        (i, v): {} for i in (1, 2) for v in "01"
     }
     rows, _ = weighted_executions(p, InputDistribution.uniform(p), budget)
     for x, _, e in rows:
         for i, o in ((1, 2), (2, 1)):
-            cells[i, x[i - 1]].append((
-                x[o - 1],
-                (e.received_transcript(i), e.private_tapes[o - 1]),
-                (e.private_tapes[i - 1], e.public_tape),
-            ))
+            key = (e.received_transcript(i), e.private_tapes[o - 1],
+                   e.private_tapes[i - 1], e.public_tape)
+            table = counts[i, x[i - 1]]
+            table.setdefault(key, [0, 0])[int(x[o - 1])] += 1
     g = {}
-    for key, group in cells.items():
-        zero = np.array([a == "0" for a, _, _ in group])
-
-        def ids(selector):
-            seen: dict = {}
-            return np.array(
-                [seen.setdefault(selector(*c), len(seen)) for c in group]
-            )
-
-        partitions = (
-            ids(lambda a, b, c: (a, c)), ids(lambda a, b, c: (b, c)),
-            ids(lambda a, b, c: (a, b, c)), ids(lambda a, b, c: c),
-        )
+    for key, table in counts.items():
+        p0, p1 = (np.array(list(table.values())) / (1 << p.total_tape_bits)).T
         # Grid rows are independent; blocks of them keep every array at
         # most DEFAULT_BUDGET entries whatever the grid and the executions.
-        block = max(1, DEFAULT_BUDGET // len(group))
-        curve = []
-        for lo in range(0, m - 1, block):
-            rows = steps[lo : lo + block, None]
-            weights = np.where(zero, rows, 1 - rows) * tape_weight
-            h_ac, h_bc, h_abc, h_c = (
-                _vec_group_entropy(weights, group_ids)
-                for group_ids in partitions
-            )
-            curve.append(h_ac + h_bc - h_abc - h_c)
-        g[key] = np.concatenate(curve)
+        block = max(1, DEFAULT_BUDGET // len(table))
+        g[key] = np.concatenate([
+            _mi_curve(p0, p1, steps[lo : lo + block])
+            for lo in range(0, m - 1, block)
+        ])
 
     best_val = -1.0
     best_ia = best_ib = 1

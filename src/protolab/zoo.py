@@ -3,6 +3,7 @@ queries, and the order-leak demonstration for the relaxed scheduler."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -224,11 +225,10 @@ def q_index(k: int, q: int) -> ZooEntry:
     if not 1 <= q <= k - 1:
         raise ConfigError("need 1 <= q <= k-1 indices")
     w = _index_width(k)
-    index_domain = []
-    for combo in bitstrings(q * w):
-        targets = _decode_indices(combo, k, q)
-        if len(set(targets)) == q and all(1 <= t <= k - 1 for t in targets):
-            index_domain.append(combo)
+    index_domain = [
+        "".join(format(t - 1, f"0{w}b") for t in targets)
+        for targets in itertools.permutations(range(1, k), q)
+    ]
 
     def querier(view: View) -> Round:
         targets = _decode_indices(view.input, k, q)

@@ -33,7 +33,6 @@ from protolab.model import (
 from protolab.measures import (
     GridResult,
     InputDistribution,
-    _vec_group_entropy,
     pic,
 )
 from protolab.treefile import protocol_from_dict
@@ -770,6 +769,17 @@ def random_mu(rng, p: ProtocolDef, name="random") -> InputDistribution:
 # ---------------------------------------------------------------------------
 # Reference pic grid scan
 # ---------------------------------------------------------------------------
+
+
+def _vec_group_entropy(weights: np.ndarray, group_ids: np.ndarray) -> np.ndarray:
+    """Entropy over grouped cells, vectorized across the leading axis."""
+    n_groups = int(group_ids.max()) + 1
+    probs = np.zeros((weights.shape[0], n_groups))
+    for cell, g in enumerate(group_ids):
+        probs[:, g] += weights[:, cell]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(probs > 0, np.log2(np.where(probs > 0, probs, 1.0)), 0.0)
+    return -(probs * logs).sum(axis=1)
 
 
 def reference_sup_pic_grid(

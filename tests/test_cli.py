@@ -139,10 +139,16 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 1 and err.startswith("error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert out == "", argv
-    # 2 again: the budget also caps the pic grid's points per axis.
+    # 2 again: the budget also caps the pic grid's points per axis and the
+    # local rounds of --obliviousize, and a protocol over the budget fails
+    # before any distribution over its input space is built.
     for argv in (
         ("measure", "--protocol", "and-opt", "--mu", "grid:1e-15"),
         ("measure", "--protocol", "and-opt", "--mu", "grid:0.00001"),
+        ("measure", "--protocol", "ring-parity", "--n", "16"),
+        ("measure", "--protocol", "q-index", "--k", "9", "--q", "8"),
+        ("compress", "--protocol", "q-index", "--k", "3", "--q", "1",
+         "--obliviousize", "0.00001"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error: "), argv

@@ -22,7 +22,12 @@ from protolab.compression import (
     obliviousize,
     truncation_mass,
 )
-from protolab.errors import ConfigError, ModelViolationError, NotObliviousError
+from protolab.errors import (
+    BudgetExceededError,
+    ConfigError,
+    ModelViolationError,
+    NotObliviousError,
+)
 from protolab.measures import InputDistribution, acc, product_protocol, publicize
 from protolab.model import (
     ObliviousStructure,
@@ -497,6 +502,19 @@ def test_obliviousize_validates_eps():
         obliviousize(p, uniform(p), 0)
     with pytest.raises(ConfigError):
         obliviousize(p, uniform(p), 2)
+
+
+def test_obliviousize_budget_caps_local_rounds():
+    p = get_entry("q-index", k=3, q=1).protocol
+    mu = uniform(p)
+    # acc = 2 bits, so eps = 1/2 makes 8 phases: 18 local rounds.
+    assert obliviousize(p, mu, Fraction(1, 2), budget=18).max_local_rounds == 18
+    with pytest.raises(BudgetExceededError, match="18 local rounds") as err:
+        obliviousize(p, mu, Fraction(1, 2), budget=17)
+    assert err.value.unit == "local rounds"
+    # No budget, no cap: 400000 phases are built (and not run).
+    wide = obliviousize(p, mu, Fraction(1, 100000), budget=None)
+    assert wide.max_local_rounds == 800002
 
 
 def test_obliviousize_then_compress_end_to_end():

@@ -1,6 +1,7 @@
 """Tests for the built-in protocols."""
 
 import itertools
+import math
 
 import pytest
 
@@ -92,6 +93,21 @@ def test_q_index_domain_excludes_duplicates():
     assert set(p.input_domain(3)) == {"01", "10"}
     with pytest.raises(ValueError, match="domain"):
         run(p, ("0", "0", "00"))
+
+
+def test_q_index_domain_is_every_index_tuple_in_bitstring_order():
+    # Oracle: filter every string of q w-bit fields for distinct holders.
+    for k in range(3, 7):
+        w = max(1, math.ceil(math.log2(k - 1)))
+        for q in range(1, k):
+            want = []
+            for bits in itertools.product("01", repeat=q * w):
+                s = "".join(bits)
+                targets = [int(s[j * w:(j + 1) * w], 2) + 1 for j in range(q)]
+                if len(set(targets)) == q and max(targets) <= k - 1:
+                    want.append(s)
+            assert q_index(k, q).protocol.input_domain(k) == tuple(want)
+    assert len(q_index(9, 8).protocol.input_domain(9)) == math.factorial(8)
 
 
 def test_q_index_parameter_validation():
