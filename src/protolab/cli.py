@@ -119,15 +119,16 @@ def _load_protocol(args):
     executions exceed the budget fails here, before any distribution over
     its input space is built."""
     name = args.protocol
-    if name.startswith("tree:"):
-        p, family = treefile.load_protocol(name[len("tree:"):]), None
-    else:
-        entry = zoo.get_entry(name, k=args.k, n=args.n, q=args.q)
-        p, family = entry.protocol, entry.family
+    if not name.startswith("tree:"):
+        # The zoo checks the budget before it builds any input domain.
+        entry = zoo.get_entry(name, budget=args.budget,
+                              k=args.k, n=args.n, q=args.q)
+        return entry.protocol, entry.family, name
+    p = treefile.load_protocol(name[len("tree:"):])
     required = p.execution_count()
     if required > args.budget:
         raise BudgetExceededError(required, args.budget)
-    return p, family, name
+    return p, None, name
 
 
 def _load_distribution(args, p):

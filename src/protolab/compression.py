@@ -104,9 +104,9 @@ def lcp_randomized(
             return True
         xp = xi >> (len(x) - length)
         yp = yi >> (len(y) - length)
+        diff = xp ^ yp  # <x, m> and <y, m> differ iff <x ^ y, m> is odd
         for _ in range(hash_bits):
-            mask = rng.getrandbits(length)
-            if (xp & mask).bit_count() & 1 != (yp & mask).bit_count() & 1:
+            if (diff & rng.getrandbits(length)).bit_count() & 1:
                 return False
         return True
 

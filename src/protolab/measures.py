@@ -471,14 +471,6 @@ def interleave_positions(lengths: list[int]) -> list[list[int]]:
     return positions
 
 
-def split_public_tape(p: ProtocolDef, combined: str) -> tuple[str, tuple[str, ...]]:
-    """Invert the bit-by-bit interleaving used by publicize()."""
-    lengths = [p.public_tape_length] + list(p.private_tape_lengths)
-    positions = interleave_positions(lengths)
-    parts = ["".join(combined[at] for at in sub) for sub in positions]
-    return parts[0], tuple(parts[1:])
-
-
 def publicize(p: ProtocolDef) -> ProtocolDef:
     """Move all private tapes onto one enlarged public tape.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -216,12 +216,14 @@ class Execution:
     patterns: tuple[tuple[tuple[tuple[int, ...] | str, tuple[int, ...]], ...], ...]
     messages: tuple[Message, ...]
     total_bits: int
+    # Pi_i per player, joined once from ``reads`` when the run ends.
+    received: tuple[str, ...] = field(compare=False, repr=False)
 
     # -- transcript orderings ----------------------------------------------
 
     def received_transcript(self, i: int) -> str:
         """Pi_i: messages read by player i, by round then sender index."""
-        return "".join(m for rnd in self.reads[i - 1] for _, m in rnd)
+        return self.received[i - 1]
 
     def sent_transcript(self, i: int) -> str:
         """Messages sent by player i, by round then recipient index."""
@@ -245,9 +247,7 @@ class Execution:
 
     def full_transcript(self) -> str:
         """Pi: concatenation of all Pi_i by player index."""
-        return "".join(
-            self.received_transcript(i) for i in self.protocol.players
-        )
+        return "".join(self.received)
 
 
 def _validate_run_args(p, inputs, private_tapes, public_tape):
@@ -278,14 +278,16 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
 
 def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
     """One execution.  ``tries`` holds one view trie per player;
-    ``_enumerate_all`` shares them across its executions.  Without them
-    each driver starts its own, and frees each view as it moves on."""
-    inputs, private_tapes, public_tape = _validate_run_args(
-        p, inputs, private_tapes, public_tape
-    )
-    schedule = iter(schedule or ())  # one iterator, shared by every driver
+    ``_enumerate_all`` shares them across its executions and builds the
+    arguments from the protocol's own spaces, so they are not checked
+    again.  Without tries each driver starts its own, and frees each view
+    as it moves on."""
     if tries is None:
+        inputs, private_tapes, public_tape = _validate_run_args(
+            p, inputs, private_tapes, public_tape
+        )
         tries = [None] * p.k
+    schedule = iter(schedule or ())  # one iterator, shared by every driver
     drivers = [
         ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1], public_tape,
                       schedule, tries[i - 1])
@@ -293,7 +295,8 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
     ]
     # A message is stamped with its lot when it is sent and with its
     # receiver round and read clock when it is read.  A record holds the
-    # fields of its Message in order, up to the lot, then the read clock.
+    # fields of its Message in order, up to the lot, then the read clock,
+    # which gives way to the global index once the records are sorted.
     records = []
     in_transit = defaultdict(deque)  # (sender, receiver) -> unread records
     link_pos: dict[tuple[int, int], int] = {}
@@ -315,7 +318,8 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
                         rec = in_transit[(s, i)].popleft()
                         clock += 1
                         rec[4], rec[7] = r, clock
-                        level[i] = max(level[i], rec[6])
+                        if rec[6] > level[i]:
+                            level[i] = rec[6]
                 if not d.sends[r]:
                     continue
                 level[i] += 1  # this round's lot
@@ -325,7 +329,7 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
                     rec = [i, q, content, r + 1, None, pos, level[i], None]
                     records.append(rec)
                     in_transit[(i, q)].append(rec)
-                    drivers[q - 1].feed(i, content)
+                    drivers[q - 1].inbox[i].append(content)
             if len(d.sends) > n_rounds:
                 progress = True
 
@@ -334,10 +338,8 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
         raise DeadlockError(
             f"execution stalled with no output from player(s) {missing}"
         )
-    stuck = {
-        (s, d.player): len(d.inbox[s])
-        for s in p.players for d in drivers if s != d.player and d.inbox[s]
-    }
+    stuck = {link: len(unread)
+             for link, unread in sorted(in_transit.items()) if unread}
     if stuck:
         raise DeadlockError(f"unread messages left in transit: {stuck}")
 
@@ -349,17 +351,20 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
     else:
         records.sort(key=lambda rec: (rec[6], rec[0], rec[1]))
         for a, b in zip(records, records[1:]):
-            if a[6] == b[6] and a[:2] == b[:2]:
+            if a[6] == b[6] and a[0] == b[0] and a[1] == b[1]:
                 raise ModelViolationError(
                     "two messages on one link were assigned to the same lot"
                 )
-
-    messages = tuple(
-        Message(*rec[:7], global_index=g)
-        for g, rec in enumerate(records, start=1)
-    )
+    for g, rec in enumerate(records, start=1):
+        rec[7] = g
+    messages = tuple(itertools.starmap(Message, records))
     total_bits = sum(len(m.content) for m in messages)
-    e = Execution(
+    received = tuple(
+        "".join(m for rnd in d.reads for _, m in rnd) for d in drivers
+    )
+    if sum(map(len, received)) != total_bits:
+        raise ModelViolationError("transcript length accounting mismatch")
+    return Execution(
         protocol=p,
         inputs=inputs,
         private_tapes=private_tapes,
@@ -370,10 +375,8 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
         patterns=tuple(tuple(d.patterns) for d in drivers),
         messages=messages,
         total_bits=total_bits,
+        received=received,
     )
-    if sum(len(e.received_transcript(i)) for i in p.players) != total_bits:
-        raise ModelViolationError("transcript length accounting mismatch")
-    return e
 
 
 def run(
@@ -638,13 +641,14 @@ class ObliviousStructure:
 
 class _ViewNode(dict):
     """One view of a player in a view trie.  As a dict it maps each next
-    read round to the child view; ``round`` is the ``Round`` the program
-    returned for this view, once it has run on it."""
+    read round to the child view; ``act`` is the checked round the program
+    returned for this view, once it has run on it: (sends sorted by
+    recipient, (wait set, recipients), output, halt)."""
 
-    __slots__ = ("round",)
+    __slots__ = ("act",)
 
     def __init__(self):
-        self.round = None
+        self.act = None
 
 
 class ProgramDriver:
@@ -656,7 +660,10 @@ class ProgramDriver:
     program returns a ``Round``; it sends at most one non-empty bitstring to
     each other player per round; it writes one output, inside its domain;
     it waits on other players only, and on "any" in relaxed mode only.
-    They are made on every round.
+    Each is a function of the view alone (the view fixes every earlier
+    round, so also whether an output was written), so they are made once
+    per view, when the program runs on it.  The bound on local rounds is
+    checked on every round.
 
     Messages are fed per sender in FIFO order; ``run()`` continues until
     the program halts or its wait set asks for a message not yet fed.  A
@@ -669,9 +676,10 @@ class ProgramDriver:
     A program is a pure function of its ``View``, so the driver walks a
     trie of the player's views: ``trie`` maps (input, private tape, public
     tape) to a root node, and each child is keyed by one read round (``()``
-    for a round that waited on nobody).  A node keeps the ``Round`` the
-    program returned for its view, so the program runs, and its ``View``
-    is built, only on a view that no driver sharing the trie has reached.
+    for a round that waited on nobody).  A node keeps the checked round
+    the program returned for its view, so the program runs, its ``View``
+    is built and its round is checked only on a view that no driver
+    sharing the trie has reached.  A round that breaks a rule is not kept.
     The engine shares one trie per player across one enumeration; a driver
     without one gets a fresh trie.  Nodes keep no reads of their own: a
     tuple of every read per node would cost memory and garbage-collector
@@ -723,7 +731,7 @@ class ProgramDriver:
                         pick = cand
                         break
                 waits = (pick,)
-            elif waits is not None and not all(inbox[s] for s in waits):
+            elif waits is not None and not all(map(inbox.__getitem__, waits)):
                 return self
             if waits is not None:
                 # Step to the view that adds this read round.
@@ -738,59 +746,70 @@ class ProgramDriver:
                 raise NonTerminationError(
                     f"player {i} exceeded {self.max_rounds} local rounds"
                 )
-            act = self.node.round
+            act = self.node.act
             if act is None:
-                act = self.program(View(i, self.input, self.private_tape,
-                                        self.public_tape, tuple(self.reads)))
-                if not isinstance(act, Round):
-                    raise ModelViolationError(
-                        f"player {i}'s program returned {type(act).__name__}"
-                    )
-                self.node.round = act
-            recipients = []
-            for q, content in act.sends:
-                if q not in inbox:
-                    raise ModelViolationError(
-                        f"player {i} sends to invalid recipient {q}"
-                    )
-                if q in recipients:
-                    raise ModelViolationError(
-                        f"player {i} sends twice to {q} in one round"
-                    )
-                if not is_bitstring(content) or not content:
-                    raise ModelViolationError(
-                        f"player {i} sends a non-bitstring or empty message"
-                    )
-                recipients.append(q)
-            if act.output is not None:
-                if self.output is not None:
-                    raise ModelViolationError(f"player {i} wrote output twice")
-                if act.output not in self.domain:
-                    raise ModelViolationError(
-                        f"player {i} output {act.output!r} outside its domain"
-                    )
-                self.output = act.output
-            if act.waits == WAIT_ANY:
-                if not self.relaxed:
-                    raise ModelViolationError(
-                        "wait-any is only available in relaxed mode; "
-                        "restricted wait sets must be view-determined"
-                    )
-                waits = WAIT_ANY
-            else:
-                waits = tuple(sorted(set(act.waits)))
-                for s in waits:
-                    if s not in inbox:
-                        raise ModelViolationError(
-                            f"player {i} waits on invalid player {s}"
-                        )
-            self.sends.append(tuple(sorted(act.sends)))
-            self.patterns.append((waits, tuple(sorted(recipients))))
-            if act.halt:
+                act = self.node.act = self._checked(self.program(View(
+                    i, self.input, self.private_tape, self.public_tape,
+                    tuple(self.reads),
+                )))
+            sends, pattern, output, halt = act
+            self.sends.append(sends)
+            self.patterns.append(pattern)
+            if output is not None:
+                self.output = output
+            if halt:
                 self.halted = True
             else:
-                self.waiting = waits  # () is read at once, as a round
+                self.waiting = pattern[0]  # () is read at once, as a round
         return self
+
+    def _checked(self, act: Round):
+        """The program's round for the current view, checked against the
+        model's rules, as a trie node keeps it."""
+        i = self.player
+        inbox = self.inbox
+        if not isinstance(act, Round):
+            raise ModelViolationError(
+                f"player {i}'s program returned {type(act).__name__}"
+            )
+        recipients = []
+        for q, content in act.sends:
+            if q not in inbox:
+                raise ModelViolationError(
+                    f"player {i} sends to invalid recipient {q}"
+                )
+            if q in recipients:
+                raise ModelViolationError(
+                    f"player {i} sends twice to {q} in one round"
+                )
+            if not is_bitstring(content) or not content:
+                raise ModelViolationError(
+                    f"player {i} sends a non-bitstring or empty message"
+                )
+            recipients.append(q)
+        if act.output is not None:
+            if self.output is not None:
+                raise ModelViolationError(f"player {i} wrote output twice")
+            if act.output not in self.domain:
+                raise ModelViolationError(
+                    f"player {i} output {act.output!r} outside its domain"
+                )
+        if act.waits == WAIT_ANY:
+            if not self.relaxed:
+                raise ModelViolationError(
+                    "wait-any is only available in relaxed mode; "
+                    "restricted wait sets must be view-determined"
+                )
+            waits = WAIT_ANY
+        else:
+            waits = tuple(sorted(set(act.waits)))
+            for s in waits:
+                if s not in inbox:
+                    raise ModelViolationError(
+                        f"player {i} waits on invalid player {s}"
+                    )
+        return (tuple(sorted(act.sends)), (waits, tuple(sorted(recipients))),
+                act.output, act.halt)
 
 
 def fold_views(start: Callable[[View], object],

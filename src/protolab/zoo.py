@@ -8,7 +8,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .model import (
     RELAXED,
     WAIT_ANY,
@@ -58,16 +58,23 @@ def _parity_family(k: int, n: int) -> FunctionFamily:
     return FunctionFamily(f"bitwise-parity(k={k},n={n})", tuple(funcs))
 
 
+def _ring_parity_executions(k: int, n: int) -> int:
+    """Executions of ring_parity(k, n), from its parameters alone: k n-bit
+    inputs and player 1's n-bit tape."""
+    if k < 3:
+        raise ConfigError("ring parity needs at least 3 players")
+    if n < 1:
+        raise ConfigError("ring parity needs at least 1 input bit")
+    return 1 << (k * n + n)
+
+
 def ring_parity(k: int, n: int) -> ZooEntry:
     """Parity around a ring, one-time-padded by player 1's private tape.
 
     Player 1 sends x1 xor r to player 2; each next player xors in its input
     and forwards; player 1 strips the pad and outputs the bitwise parity.
     """
-    if k < 3:
-        raise ConfigError("ring parity needs at least 3 players")
-    if n < 1:
-        raise ConfigError("ring parity needs at least 1 input bit")
+    _ring_parity_executions(k, n)
 
     def first(view: View) -> Round:
         if view.round == 1:
@@ -121,12 +128,19 @@ def ring_parity(k: int, n: int) -> ZooEntry:
     )
 
 
-def star_parity(k: int, n: int) -> ZooEntry:
-    """Deterministic parity: players 2..k send their inputs to player 1."""
+def _star_parity_executions(k: int, n: int) -> int:
+    """Executions of star_parity(k, n), from its parameters alone: k n-bit
+    inputs and no tapes."""
     if k < 2:
         raise ConfigError("star parity needs at least 2 players")
     if n < 1:
         raise ConfigError("star parity needs at least 1 input bit")
+    return 1 << (k * n)
+
+
+def star_parity(k: int, n: int) -> ZooEntry:
+    """Deterministic parity: players 2..k send their inputs to player 1."""
+    _star_parity_executions(k, n)
 
     def center(view: View) -> Round:
         if view.round == 1:
@@ -214,16 +228,23 @@ def _decode_indices(encoded: str, k: int, q: int) -> tuple[int, ...]:
     return tuple(int(encoded[j * w : (j + 1) * w], 2) + 1 for j in range(q))
 
 
+def _q_index_executions(k: int, q: int) -> int:
+    """Executions of q_index(k, q), from its parameters alone: k - 1 input
+    bits and an ordered choice of q distinct indices."""
+    if k < 3:
+        raise ConfigError("q-index needs at least 3 players")
+    if not 1 <= q <= k - 1:
+        raise ConfigError("need 1 <= q <= k-1 indices")
+    return math.perm(k - 1, q) << (k - 1)
+
+
 def q_index(k: int, q: int) -> ZooEntry:
     """Player k holds q distinct indices and pings exactly those players,
     who reply with their bit; everyone else outputs immediately and is left
     waiting for a ping that never comes (legal: output written, no message
     in transit).  The communication pattern depends on the index input, so
     the protocol is not oblivious whenever q < k - 1."""
-    if k < 3:
-        raise ConfigError("q-index needs at least 3 players")
-    if not 1 <= q <= k - 1:
-        raise ConfigError("need 1 <= q <= k-1 indices")
+    _q_index_executions(k, q)
     w = _index_width(k)
     index_domain = [
         "".join(format(t - 1, f"0{w}b") for t in targets)
@@ -384,30 +405,35 @@ def lift_entry(entry: ZooEntry, k: int) -> ZooEntry:
 REGISTRY = {
     "ring-parity": {
         "factory": ring_parity,
+        "executions": _ring_parity_executions,
         "params": ("k", "n"),
         "defaults": {"k": 3, "n": 1},
         "summary": "private parity around a ring, padded by player 1",
     },
     "star-parity": {
         "factory": star_parity,
+        "executions": _star_parity_executions,
         "params": ("k", "n"),
         "defaults": {"k": 3, "n": 1},
         "summary": "deterministic parity with all inputs sent to player 1",
     },
     "and-opt": {
         "factory": and_opt,
+        "executions": lambda: 4,
         "params": (),
         "defaults": {},
         "summary": "two-message AND protocol",
     },
     "q-index": {
         "factory": q_index,
+        "executions": _q_index_executions,
         "params": ("k", "q"),
         "defaults": {"k": 3, "q": 1},
         "summary": "player k queries q selected bit-holders",
     },
     "order-leak": {
         "factory": order_leak_demo,
+        "executions": lambda: 2,
         "params": (),
         "defaults": {},
         "summary": "relaxed-mode demo: message order leaks a bit",
@@ -417,9 +443,11 @@ REGISTRY = {
 _entry_cache: dict = {}
 
 
-def get_entry(name: str, **params) -> ZooEntry:
+def get_entry(name: str, budget: int | None = None, **params) -> ZooEntry:
     """Build (and cache) a registry entry; unknown names or parameters are
-    configuration errors."""
+    configuration errors.  An entry with more executions than ``budget``
+    fails before its input domains are built: its count comes from the
+    parameters alone."""
     if name not in REGISTRY:
         raise ConfigError(
             f"unknown protocol {name!r}; known: {', '.join(sorted(REGISTRY))}"
@@ -432,6 +460,9 @@ def get_entry(name: str, **params) -> ZooEntry:
         if key not in meta["params"]:
             raise ConfigError(f"protocol {name!r} takes no parameter {key!r}")
         args[key] = value
+    required = meta["executions"](**args)
+    if budget is not None and required > budget:
+        raise BudgetExceededError(required, budget)
     cache_key = (name, tuple(sorted(args.items())))
     if cache_key not in _entry_cache:
         _entry_cache[cache_key] = meta["factory"](**args)

@@ -15,9 +15,11 @@ import random
 from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from protolab.compression import _len_exchange_bits
 from protolab.errors import ConfigError, ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
 from protolab.model import (
@@ -26,6 +28,8 @@ from protolab.model import (
     Message,
     ProgramDriver,
     ProtocolDef,
+    Round,
+    View,
     bitstrings,
     run,
     run_all,
@@ -33,6 +37,7 @@ from protolab.model import (
 from protolab.measures import (
     GridResult,
     InputDistribution,
+    interleave_positions,
     pic,
 )
 from protolab.treefile import protocol_from_dict
@@ -243,6 +248,49 @@ def decode_received_transcript(
             "undecoded trailing bits"
         )
     return tuple(events)
+
+
+def reference_lcp_randomized(x: str, y: str, eps: float, rng: random.Random):
+    """``compression.lcp_randomized`` with one inner-product hash per string
+    and mask, compared bit by bit: the same verdicts from the same
+    ``getrandbits`` calls, so the RNG ends in the same state."""
+    comm = _len_exchange_bits(max(len(x), len(y)))
+    m = min(len(x), len(y))
+    tests = max(1, math.ceil(math.log2(m + 1)))
+    hash_bits = max(1, math.ceil(math.log2(tests / eps)))
+    xi = int(x, 2) if x else 0
+    yi = int(y, 2) if y else 0
+
+    def prefixes_equal(length: int) -> bool:
+        if length == 0:
+            return True
+        xp = xi >> (len(x) - length)
+        yp = yi >> (len(y) - length)
+        for _ in range(hash_bits):
+            mask = rng.getrandbits(length)
+            if (xp & mask).bit_count() & 1 != (yp & mask).bit_count() & 1:
+                return False
+        return True
+
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        comm += hash_bits + 1
+        if prefixes_equal(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == len(x) == len(y):
+        return None, comm
+    return lo, comm
+
+
+def split_public_tape(p: ProtocolDef, combined: str) -> tuple[str, tuple[str, ...]]:
+    """Invert the bit-by-bit interleaving used by publicize()."""
+    lengths = [p.public_tape_length] + list(p.private_tape_lengths)
+    positions = interleave_positions(lengths)
+    parts = ["".join(combined[at] for at in sub) for sub in positions]
+    return parts[0], tuple(parts[1:])
 
 
 def reference_events(p) -> dict:
@@ -607,6 +655,75 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1,
         "tape_bits": {"private": list(private), "public": public},
         "tree": node(0),
     }
+
+
+def random_table_protocol(seed: int, k: int, ticks: int,
+                          private: tuple[int, ...], public: int) -> ProtocolDef:
+    """A seeded k-player protocol whose programs are random tables from
+    view to ``Round``, with one-bit inputs and the given tapes.
+
+    Every player runs one local round per tick: it sends to the players
+    drawn for it at that tick from the public tape, then reads what was
+    sent to it at that tick, so nothing deadlocks and the pattern moves
+    with the public tape.  Message contents, the output and the order of
+    sends and waits (waits repeat some senders) are drawn from the whole
+    view; the round that writes the output is drawn from the input and
+    tapes.  Each message's length is fixed by its link and position, so
+    every codebook is prefix-free.  A view's entry is drawn from a seed
+    built from the view alone, so the table does not depend on the order
+    in which views are met."""
+    players = range(1, k + 1)
+
+    @lru_cache(maxsize=None)
+    def recipients(pub: str, t: int) -> dict:
+        rng = random.Random(repr((seed, "send-sets", pub, t)))
+        return {
+            j: tuple(q for q in players if q != j and rng.random() < 0.5)
+            for j in players
+        }
+
+    def program(i: int):
+        table = {}
+
+        def prog(view: View) -> Round:
+            key = (view.input, view.private_tape, view.public_tape, view.reads)
+            if key not in table:
+                table[key] = entry(view)
+            return table[key]
+
+        def entry(view: View) -> Round:
+            rng = random.Random(repr((seed, i, view)))
+            tapes = (view.input, view.private_tape, view.public_tape)
+            out_tick = random.Random(repr((seed, i, tapes))).randint(
+                1, ticks + 1
+            )
+            t, pub = view.round, view.public_tape
+            output = rng.choice(("0", "1", "10")) if t == out_tick else None
+            if t > ticks:
+                return Round(output=output, halt=True)
+            sends = []
+            for q in recipients(pub, t)[i]:
+                pos = sum(q in recipients(pub, u)[i] for u in range(1, t))
+                bits = [rng.choice("01") for _ in range(1 + (i + q + pos) % 2)]
+                sends.append((q, "".join(bits)))
+            waits = [j for j in players if i in recipients(pub, t)[j]]
+            waits += rng.sample(waits, rng.randint(0, len(waits)))
+            rng.shuffle(sends)
+            rng.shuffle(waits)
+            return Round(sends=tuple(sends), output=output, waits=tuple(waits))
+
+        return prog
+
+    return ProtocolDef(
+        name=f"random-table(seed={seed},k={k},ticks={ticks})",
+        k=k,
+        input_domains=(("0", "1"),) * k,
+        output_domains=(("0", "1", "10"),) * k,
+        private_tape_lengths=tuple(private),
+        public_tape_length=public,
+        programs=tuple(program(i) for i in players),
+        max_local_rounds=ticks + 1,
+    )
 
 
 def oblivious_trees(count: int = 20) -> list[ProtocolDef]:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from protolab import zoo
 from protolab.cli import main
 
 from helpers import relay3_dict
@@ -154,6 +155,24 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 2 and err.startswith("error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert out == "", argv
+
+
+def test_budget_fails_before_the_zoo_builds_a_protocol(capsys, monkeypatch):
+    def refuse(**params):
+        raise AssertionError(f"factory called with {params}")
+
+    for name in ("ring-parity", "q-index"):
+        monkeypatch.setitem(zoo.REGISTRY[name], "factory", refuse)
+    for argv in (
+        ("measure", "--protocol", "ring-parity", "--n", "18"),
+        ("audit", "--protocol", "ring-parity", "--k", "40"),
+        ("compress", "--protocol", "q-index", "--k", "12", "--q", "11"),
+        ("measure", "--protocol", "ring-parity", "--k", "4", "--n", "2",
+         "--budget", "10"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: enumeration needs "), argv
+        assert err.count("\n") == 1 and out == "", argv
 
 
 def test_each_command_rejects_options_it_does_not_read(capsys):

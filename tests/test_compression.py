@@ -45,6 +45,7 @@ from helpers import (
     random_mu,
     reference_candidate_leaf,
     reference_height,
+    reference_lcp_randomized,
     reference_profile_outputs,
     relay3_dict,
     relay3_family,
@@ -89,6 +90,26 @@ def test_lcp_randomized_matches_exact_answers():
         want = lcp_exact(x, y)
         got, _ = lcp_randomized(x, y, 1e-6, rng)
         assert got == want  # at this eps a miss would be astronomically odd
+
+
+def test_lcp_randomized_matches_the_two_hash_oracle():
+    # One parity per mask, of x ^ y, against one per string: the same
+    # answers and communication, and the RNG in the same state after every
+    # call, so randomized compress reports do not move.
+    draw = random.Random(29)
+    rng, ref = random.Random(31), random.Random(31)
+    for _ in range(300):
+        x = "".join(draw.choice("01") for _ in range(draw.randint(0, 48)))
+        if draw.random() < 0.5:
+            cut = draw.randint(0, len(x))
+            x_tail = "".join(draw.choice("01") for _ in range(len(x) - cut))
+            y = x[:cut] + x_tail
+        else:
+            y = "".join(draw.choice("01") for _ in range(draw.randint(0, 48)))
+        eps = draw.choice((0.5, 0.2, 0.05, 1e-3))
+        got = lcp_randomized(x, y, eps, rng)
+        assert got == reference_lcp_randomized(x, y, eps, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_lcp_randomized_equal_strings_never_err():

@@ -404,6 +404,28 @@ def test_run_all_matches_runs_with_a_fresh_trie():
             assert e == run(p, *key), (p.name, key)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_run_all_matches_runs_on_random_table_protocols(seed):
+    k = 3 + seed % 2
+    p = helpers.random_table_protocol(
+        seed, k, ticks=3 + seed % 2, private=(1,) + (0,) * (k - 2) + (1,),
+        public=1,
+    )
+    table = run_all(p)
+    assert len(table) == p.execution_count()
+    for key, e in table.items():
+        fresh = run(p, *key)
+        assert e == fresh, key
+        assert e.messages == fresh.messages == helpers.reference_messages(e)
+        joined = ["".join(m for rnd in e.reads[i - 1] for _, m in rnd)
+                  for i in p.players]
+        assert [e.received_transcript(i) for i in p.players] == joined
+        assert e.full_transcript() == "".join(joined)
+        # Pi_i is kept apart from the record: it takes no part in equality.
+        twin = dataclasses.replace(e, received=("1",) * k)
+        assert twin == e and hash(twin) == hash(e)
+
+
 def _shared_prefix(later_round):
     """Player 2 sends "1", then its input; player 1 reads both.  Player 1's
     first two views are the same under both of player 2's inputs; from its

@@ -24,7 +24,6 @@ from protolab.measures import (
     product_protocol,
     public_seed_scores,
     publicize,
-    split_public_tape,
     spy_info,
     sup_pic_grid,
     transcript_entropy,
@@ -44,6 +43,7 @@ from helpers import (
     oracle_transcript_entropy,
     random_mu,
     second_bit_dict,
+    split_public_tape,
 )
 
 TOL = 1e-9

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from protolab.errors import ConfigError
+from protolab.errors import BudgetExceededError, ConfigError
 from protolab.model import run, run_all, run_relaxed
 from protolab.zoo import (
+    REGISTRY,
     get_entry,
     lift_entry,
     q_index,
@@ -140,6 +141,28 @@ def test_registry_errors():
         get_entry("no-such")
     with pytest.raises(ConfigError, match="no parameter"):
         get_entry("and-opt", k=5)
+
+
+def test_registry_counts_executions_from_the_parameters():
+    cases = {
+        "ring-parity": [{"k": k, "n": n} for k in (3, 4, 5)
+                        for n in (1, 2, 3)],
+        "star-parity": [{"k": k, "n": n} for k in (2, 3, 5)
+                        for n in (1, 2, 3)],
+        "and-opt": [{}],
+        "q-index": [{"k": k, "q": q} for k in (3, 4, 5, 7)
+                    for q in range(1, k)],
+        "order-leak": [{}],
+    }
+    assert set(cases) == set(REGISTRY)
+    for name, params in cases.items():
+        for args in params:
+            count = REGISTRY[name]["executions"](**args)
+            built = REGISTRY[name]["factory"](**args).protocol
+            assert count == built.execution_count(), (name, args)
+            assert get_entry(name, budget=count, **args).protocol.k == built.k
+            with pytest.raises(BudgetExceededError):
+                get_entry(name, budget=count - 1, **args)
 
 
 def test_registry_caches_entries():
