@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -922,17 +922,13 @@ def obliviousize(
         return prog
 
     programs = (coordinator,) + tuple(member(i) for i in range(2, k + 1))
-    return ProtocolDef(
+    return replace(
+        p,
         name=f"obliviousize({p.name},eps={eps})",
-        k=k,
-        input_domains=p.input_domains,
         output_domains=tuple(
             tuple(sorted(set(p.output_domain(i)) | {fallback[i - 1]}))
             for i in p.players
         ),
-        private_tape_lengths=p.private_tape_lengths,
-        public_tape_length=p.public_tape_length,
         programs=programs,
         max_local_rounds=rounds,
-        mode=p.mode,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,7 +33,6 @@ from .errors import (
 from .info import (
     JointDistribution,
     SharedMarginals,
-    apply_function,
     cond_entropy,
     mutual_info,
 )
@@ -211,6 +210,8 @@ def build_joint(
         names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"]
         + ["pi"] + names["out"]
     )
+    if family is not None:
+        variables += [f"f{i}" for i in p.players]
     rows, den = weighted_executions(p, mu, budget)
     counts: dict[tuple, int] = {}
     for x, n, e in rows:
@@ -223,16 +224,12 @@ def build_joint(
             + (e.full_transcript(),)
             + e.outputs
         )
+        if family is not None:
+            row += tuple(family.value(i, x) for i in p.players)
         counts[row] = counts.get(row, 0) + n
-    d = JointDistribution(
+    return JointDistribution(
         tuple(variables), tuple(counts), tuple(counts.values()), den
     )
-    if family is not None:
-        for i in p.players:
-            d = apply_function(
-                d, names["x"], lambda key, i=i: family.value(i, key), f"f{i}"
-            )
-    return d
 
 
 def _others(names: list[str], i: int) -> list[str]:
@@ -471,6 +468,18 @@ def interleave_positions(lengths: list[int]) -> list[list[int]]:
     return positions
 
 
+def _with_tapes(p: ProtocolDef, tapes) -> tuple:
+    """p's programs, each run on its view with the private and public tapes
+    replaced by ``tapes(i, view)``."""
+
+    def wrap(i: int, original):
+        return lambda view: original(
+            View(view.player, view.input, *tapes(i, view), view.reads)
+        )
+
+    return tuple(wrap(i, p.program(i)) for i in p.players)
+
+
 def publicize(p: ProtocolDef) -> ProtocolDef:
     """Move all private tapes onto one enlarged public tape.
 
@@ -487,33 +496,16 @@ def publicize(p: ProtocolDef) -> ProtocolDef:
         [p.public_tape_length] + list(p.private_tape_lengths)
     )
 
-    def wrap(i: int):
-        original = p.program(i)
-        pub_at, own_at = positions[0], positions[i]
+    def tapes(i: int, view: View) -> tuple[str, ...]:
+        tape = view.public_tape  # i's private tape, then the old public one
+        return tuple("".join(tape[at] for at in positions[j]) for j in (i, 0))
 
-        def prog(view: View) -> Round:
-            tape = view.public_tape
-            inner = View(
-                player=view.player,
-                input=view.input,
-                private_tape="".join(tape[at] for at in own_at),
-                public_tape="".join(tape[at] for at in pub_at),
-                reads=view.reads,
-            )
-            return original(inner)
-
-        return prog
-
-    return ProtocolDef(
+    return replace(
+        p,
         name=f"publicize({p.name})",
-        k=p.k,
-        input_domains=p.input_domains,
-        output_domains=p.output_domains,
         private_tape_lengths=(0,) * p.k,
         public_tape_length=new_len,
-        programs=tuple(wrap(i) for i in p.players),
-        max_local_rounds=p.max_local_rounds,
-        mode=p.mode,
+        programs=_with_tapes(p, tapes),
     )
 
 
@@ -573,31 +565,11 @@ def derandomize_zero_error(
     scores = public_seed_scores(p, mu, budget)
     seed = min(scores, key=lambda r: (scores[r], r))
 
-    def wrap(i: int):
-        original = p.program(i)
-
-        def prog(view: View) -> Round:
-            inner = View(
-                player=view.player,
-                input=view.input,
-                private_tape=view.private_tape,
-                public_tape=seed,
-                reads=view.reads,
-            )
-            return original(inner)
-
-        return prog
-
-    fixed = ProtocolDef(
+    fixed = replace(
+        p,
         name=f"derandomize({p.name},seed={seed})",
-        k=p.k,
-        input_domains=p.input_domains,
-        output_domains=p.output_domains,
-        private_tape_lengths=(0,) * p.k,
         public_tape_length=0,
-        programs=tuple(wrap(i) for i in p.players),
-        max_local_rounds=p.max_local_rounds,
-        mode=p.mode,
+        programs=_with_tapes(p, lambda i, view: ("", seed)),
     )
     return fixed, seed
 

@@ -423,10 +423,17 @@ class ExecutionTable:
         return len(self.executions)
 
     def get(self, inputs, private_tapes=None, public_tape=None) -> Execution:
-        inputs, private_tapes, public_tape = _validate_run_args(
-            self.protocol, inputs, private_tapes, public_tape
-        )
-        return self.executions[(inputs, private_tapes, public_tape)]
+        """The execution on these arguments.  Every key the table holds is
+        valid, so the arguments are checked only when the lookup misses."""
+        if private_tapes is None:
+            private_tapes = ("",) * self.protocol.k
+        key = (tuple(inputs), tuple(private_tapes),
+               "" if public_tape is None else public_tape)
+        try:
+            return self.executions[key]
+        except (KeyError, TypeError):  # a miss, or an unhashable argument
+            key = _validate_run_args(self.protocol, *key)
+        return self.executions[key]
 
     def values(self):
         return self.executions.values()

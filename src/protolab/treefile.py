@@ -23,15 +23,16 @@ keyed by message value; leaves carry per-player outputs.  The view key is
 the sender's input when the protocol declares no tape bits at all, and
 ``"input:private:public"`` otherwise.
 
-The compiler turns the tree into per-player programs.  A player tracks the
-set of tree positions consistent with what it has itself seen and done:
-its own sends follow its message table, its reads consume its received
-messages in order, and nodes between other players fan out over all
-branches.  It acts when every consistent position agrees on its role:
-send the (necessarily unique) table value, wait on the (necessarily unique)
-next sender, or halt at leaves.  The player writes its output at the first
-round where all leaves still reachable agree on it, which lets a player
-finish early on branches that never involve it again.
+The compiler turns the tree into per-player programs.  A player carries
+from round to round the set of tree positions consistent with what it has
+itself seen and done: each round every position follows the message the
+player sent (its message table) or read (dropping those that do not match),
+then fans out over other players' nodes to the next leaves and nodes where
+the player sends or receives.  It acts when every consistent position
+agrees on its role: send the (necessarily unique) table value, wait on the
+(necessarily unique) next sender, or halt at leaves.  The player writes its
+output at the first round where all leaves still reachable agree on it,
+which lets a player finish early on branches that never involve it again.
 """
 
 from __future__ import annotations
@@ -111,18 +112,17 @@ class _Decision:
     value: str | None
     sender: int | None
     determined: str | None  # unique reachable output for this player, if any
+    points: list[_Node]  # the tree positions it was taken at
 
 
 @dataclass
-class _Progress:
-    """A player's position after its latest view: the decision for it,
-    how many sends it has performed, and whether it wrote its output."""
+class _PlayerState:
+    """A player's view key, its decision for its latest view, and whether
+    it wrote its output before that view."""
 
     key: str
-    received: tuple[tuple[int, str], ...]
-    sent: int
-    wrote: bool
     now: _Decision
+    wrote: bool
 
 
 class _TreeMachine:
@@ -172,48 +172,24 @@ class _TreeMachine:
             return inp
         return f"{inp}:{priv}:{pub}"
 
-    def _frontier(self, player, key, received, send_budget):
-        """Consistent stop positions given the player's history.
-
-        ``send_budget`` is how many of its own sends the player has already
-        performed; the walk stops at the next own-send node once the budget
-        is used up.
-        """
+    def _decide(self, player, key, nodes) -> _Decision:
+        """The player's decision at the next leaves and nodes where it sends
+        or receives below ``nodes``; other players' nodes fan out."""
         points: list[_Node] = []
 
-        def walk(node: _Node, consumed: int, sent: int):
-            if node.is_leaf:
-                if consumed == len(received):
-                    points.append(node)
-                return
-            if node.sender == player:
-                if sent < send_budget:
-                    walk(node.children[node.message_table[key]],
-                         consumed, sent + 1)
-                else:
-                    if consumed == len(received):
-                        points.append(node)
-                return
-            if node.receiver == player:
-                if consumed < len(received):
-                    sender, value = received[consumed]
-                    if sender == node.sender and value in node.children:
-                        walk(node.children[value], consumed + 1, sent)
-                    return
+        def walk(node: _Node):
+            if node.is_leaf or player in (node.sender, node.receiver):
                 points.append(node)
-                return
-            for child in node.children.values():
-                walk(child, consumed, sent)
+            else:
+                for child in node.children.values():
+                    walk(child)
 
-        walk(self.root, 0, 0)
+        for node in nodes:
+            walk(node)
         if not points:
             raise ModelViolationError(
                 f"player {player} observed messages inconsistent with the tree"
             )
-        return points
-
-    def _decide(self, player, key, received, send_budget) -> _Decision:
-        points = self._frontier(player, key, received, send_budget)
         outputs = set().union(*(n.reachable[player - 1] for n in points))
         determined = outputs.pop() if len(outputs) == 1 else None
 
@@ -234,7 +210,7 @@ class _TreeMachine:
                     "branches it cannot distinguish"
                 )
             receiver, value = moves.pop()
-            return _Decision("send", receiver, value, None, determined)
+            return _Decision("send", receiver, value, None, determined, points)
         if waits:
             senders = {n.sender for n in waits}
             if len(senders) != 1:
@@ -242,25 +218,29 @@ class _TreeMachine:
                     f"player {player} cannot form a wait set: possible "
                     f"senders {sorted(senders)}"
                 )
-            return _Decision("wait", None, None, senders.pop(), determined)
-        return _Decision("halt", None, None, None, determined)
+            return _Decision("wait", None, None, senders.pop(), determined,
+                             points)
+        return _Decision("halt", None, None, None, determined, points)
 
     def program(self, player: int):
-        def start(view: View) -> _Progress:
+        def start(view: View) -> _PlayerState:
             key = self.view_key(view.input, view.private_tape, view.public_tape)
-            return _Progress(key, (), 0, False, self._decide(player, key, (), 0))
+            return _PlayerState(key, self._decide(player, key, (self.root,)),
+                                False)
 
-        def fold(state: _Progress, round_reads, index: int) -> None:
+        def fold(state: _PlayerState, round_reads, index: int) -> None:
             # The decision taken before this read round is the newest past
             # one: it tells whether that round sent and wrote the output.
             past = state.now
             if past.determined is not None:
                 state.wrote = True
-            if past.kind == "send":
-                state.sent += 1
-            state.received += round_reads
-            state.now = self._decide(player, state.key, state.received,
-                                     state.sent)
+            # Every position follows the message sent (the player's table
+            # value at each of them) or read; leaves and mismatches drop out.
+            value = past.value if past.kind == "send" else round_reads[0][1]
+            state.now = self._decide(player, state.key, [
+                n.children[value] for n in past.points
+                if not n.is_leaf and value in n.children
+            ])
 
         state_of = fold_views(start, fold)
 

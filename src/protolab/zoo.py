@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BudgetExceededError, ConfigError
 from .model import (
@@ -371,16 +371,14 @@ def lift_entry(entry: ZooEntry, k: int) -> ZooEntry:
     def idle(view: View) -> Round:
         return Round(output="0", halt=True)
 
-    lifted = ProtocolDef(
+    lifted = replace(
+        p,
         name=f"lift({p.name},k={k})",
         k=k,
         input_domains=p.input_domains + (("",),) * (k - p.k),
         output_domains=p.output_domains + (("0",),) * (k - p.k),
         private_tape_lengths=p.private_tape_lengths + (0,) * (k - p.k),
-        public_tape_length=p.public_tape_length,
         programs=p.programs + (idle,) * (k - p.k),
-        max_local_rounds=p.max_local_rounds,
-        mode=p.mode,
     )
     family = None
     if entry.family is not None:

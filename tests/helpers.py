@@ -8,6 +8,7 @@ regression in one path cannot hide in the other.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -31,6 +32,7 @@ from protolab.model import (
     Round,
     View,
     bitstrings,
+    fold_views,
     run,
     run_all,
 )
@@ -40,7 +42,7 @@ from protolab.measures import (
     interleave_positions,
     pic,
 )
-from protolab.treefile import protocol_from_dict
+from protolab.treefile import _TreeMachine, protocol_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +657,236 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1,
         "tape_bits": {"private": list(private), "public": public},
         "tree": node(0),
     }
+
+
+def random_multiparty_tree_dict(seed: int, k: int, depth: int,
+                                private: tuple[int, ...] | None = None,
+                                public: int = 0, valid: bool = True) -> dict:
+    """A seeded k-player tree with one-bit inputs and the given tapes.
+
+    With ``valid`` every node at one depth has the sender/receiver pair
+    drawn for that depth, sends one bit and has both children; a node's
+    message table is drawn from (depth, the messages the sender sent and
+    read on the path so far) and a leaf's output for each player from that
+    player's own messages on the path.  Each player can then tell what to
+    do from what it has seen, so every draw is a valid protocol, and a
+    player that takes no part at some depth fans out over its branches.
+    Without ``valid`` each node draws its own pair, a one- or two-bit
+    message per view key and children for the values drawn (plus a spare
+    one), and leaves draw every output: most such draws break a rule."""
+    rng = random.Random(repr(("multiparty-tree", seed, k, depth, valid)))
+    private = tuple(private or (0,) * k)
+    players = range(1, k + 1)
+    pairs = [tuple(rng.sample(players, 2)) for _ in range(depth)]
+
+    def keys(sender: int) -> list[str]:
+        if not any(private) and not public:
+            return ["0", "1"]
+        return [f"{x}:{r}:{rp}" for x in "01"
+                for r in bitstrings(private[sender - 1])
+                for rp in bitstrings(public)]
+
+    def node(d: int, seen: dict) -> dict:
+        if d == depth:
+            if valid:
+                return {"outputs": [
+                    random.Random(repr((seed, "out", i, seen[i]))).choice("01")
+                    for i in players
+                ]}
+            return {"outputs": [rng.choice("01") for _ in players]}
+        if valid:
+            (sender, receiver), bits = pairs[d], 1
+            draw = random.Random(repr((seed, d, seen[sender])))
+            table = {key: draw.choice("01") for key in keys(sender)}
+            values = ("0", "1")
+        else:
+            sender, receiver = rng.sample(players, 2)
+            bits = rng.choice((1, 2))
+            table = {key: rng.choice(bitstrings(bits)) for key in keys(sender)}
+            values = sorted(set(table.values()) | {rng.choice(bitstrings(bits))})
+        children = {}
+        for value in values:
+            after = dict(seen)
+            after[sender] += (value,)
+            after[receiver] += (value,)
+            children[value] = node(d + 1, after)
+        return {"sender": sender, "receiver": receiver, "msg_bits": bits,
+                "message_table": table, "children": children}
+
+    return {
+        "name": f"multiparty-tree(seed={seed},k={k},depth={depth})",
+        "k": k,
+        "input_bits": [1] * k,
+        "tape_bits": {"private": list(private), "public": public},
+        "tree": node(0, {i: () for i in players}),
+    }
+
+
+def walk_tree(spec: dict, inputs, private_tapes, public_tape):
+    """Follow a tree dictionary from the root on one (input, tape)
+    assignment: the leaf's outputs and, per link, the messages sent on it
+    in order."""
+    tapes = spec["tape_bits"]
+    has_tapes = sum(tapes["private"]) + tapes["public"] > 0
+    node = spec["tree"]
+    links: dict[tuple[int, int], list[str]] = defaultdict(list)
+    while "outputs" not in node:
+        s = node["sender"]
+        key = (f"{inputs[s - 1]}:{private_tapes[s - 1]}:{public_tape}"
+               if has_tapes else inputs[s - 1])
+        value = node["message_table"][key]
+        links[(s, node["receiver"])].append(value)
+        node = node["children"][value]
+    return tuple(node["outputs"]), dict(links)
+
+
+# ---------------------------------------------------------------------------
+# Reference tree compiler: each round re-walks the tree from the root with
+# the player's whole history (reads and number of sends).  ``_frontier`` and
+# ``_decide`` are kept verbatim from the compiler before it carried its
+# positions from round to round, as the reference for that compiler.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceDecision:
+    kind: str  # "send" | "wait" | "halt"
+    receiver: int | None
+    value: str | None
+    sender: int | None
+    determined: str | None  # unique reachable output for this player, if any
+
+
+@dataclasses.dataclass
+class _ReferenceProgress:
+    key: str
+    received: tuple[tuple[int, str], ...]
+    sent: int
+    wrote: bool
+    now: _ReferenceDecision
+
+
+def reference_frontier(self, player, key, received, send_budget):
+    """Consistent stop positions given the player's history.
+
+    ``send_budget`` is how many of its own sends the player has already
+    performed; the walk stops at the next own-send node once the budget
+    is used up.
+    """
+    points = []
+
+    def walk(node, consumed: int, sent: int):
+        if node.is_leaf:
+            if consumed == len(received):
+                points.append(node)
+            return
+        if node.sender == player:
+            if sent < send_budget:
+                walk(node.children[node.message_table[key]],
+                     consumed, sent + 1)
+            else:
+                if consumed == len(received):
+                    points.append(node)
+            return
+        if node.receiver == player:
+            if consumed < len(received):
+                sender, value = received[consumed]
+                if sender == node.sender and value in node.children:
+                    walk(node.children[value], consumed + 1, sent)
+                return
+            points.append(node)
+            return
+        for child in node.children.values():
+            walk(child, consumed, sent)
+
+    walk(self.root, 0, 0)
+    if not points:
+        raise ModelViolationError(
+            f"player {player} observed messages inconsistent with the tree"
+        )
+    return points
+
+
+def reference_decide(self, player, key, received, send_budget):
+    points = reference_frontier(self, player, key, received, send_budget)
+    outputs = set().union(*(n.reachable[player - 1] for n in points))
+    determined = outputs.pop() if len(outputs) == 1 else None
+
+    leaves = [n for n in points if n.is_leaf]
+    own = [n for n in points if not n.is_leaf and n.sender == player]
+    waits = [n for n in points if not n.is_leaf and n.receiver == player]
+
+    if own:
+        if leaves or waits:
+            raise ModelViolationError(
+                f"player {player} cannot tell whether it must send "
+                "(mixed roles across indistinguishable branches)"
+            )
+        moves = {(n.receiver, n.message_table[key]) for n in own}
+        if len(moves) != 1:
+            raise ModelViolationError(
+                f"player {player} would send different messages on "
+                "branches it cannot distinguish"
+            )
+        receiver, value = moves.pop()
+        return _ReferenceDecision("send", receiver, value, None, determined)
+    if waits:
+        senders = {n.sender for n in waits}
+        if len(senders) != 1:
+            raise ModelViolationError(
+                f"player {player} cannot form a wait set: possible "
+                f"senders {sorted(senders)}"
+            )
+        return _ReferenceDecision("wait", None, None, senders.pop(), determined)
+    return _ReferenceDecision("halt", None, None, None, determined)
+
+
+def reference_tree_protocol(spec: dict) -> ProtocolDef:
+    """``protocol_from_dict(spec)`` with the reference compiler's programs."""
+    machine = _TreeMachine(spec, "tree")
+
+    def program(player: int):
+        def start(view: View) -> _ReferenceProgress:
+            key = machine.view_key(view.input, view.private_tape,
+                                   view.public_tape)
+            return _ReferenceProgress(
+                key, (), 0, False, reference_decide(machine, player, key, (), 0)
+            )
+
+        def fold(state, round_reads, index: int) -> None:
+            past = state.now
+            if past.determined is not None:
+                state.wrote = True
+            if past.kind == "send":
+                state.sent += 1
+            state.received += round_reads
+            state.now = reference_decide(machine, player, state.key,
+                                         state.received, state.sent)
+
+        state_of = fold_views(start, fold)
+
+        def prog(view: View) -> Round:
+            state = state_of(view)
+            now = state.now
+            output = now.determined if not state.wrote else None
+            if now.kind == "send":
+                return Round(
+                    sends=((now.receiver, now.value),), output=output, waits=()
+                )
+            if now.kind == "wait":
+                return Round(output=output, waits=(now.sender,))
+            if output is None and now.determined is None:
+                raise ModelViolationError(
+                    f"player {player} reached leaves with conflicting outputs"
+                )
+            return Round(output=output, halt=True)
+
+        return prog
+
+    return dataclasses.replace(
+        protocol_from_dict(spec),
+        programs=tuple(program(i) for i in range(1, machine.k + 1)),
+    )
 
 
 def random_table_protocol(seed: int, k: int, ticks: int,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from protolab import compression
+from protolab import compression, model
 from protolab.compression import (
     LcpBox,
     build_tree,
@@ -481,6 +481,24 @@ def test_publicized_ring_compresses():
     report = compression_theorem_check(p, mu, 0.25, ring.family)
     assert report.measured_error == 0.0
     assert report.expected_stages <= report.ic_original + TOL
+
+
+def test_theorem_check_looks_true_executions_up_without_checking(monkeypatch):
+    # compress_run reads each true execution off the table by a key the
+    # table holds, so the argument check never runs.
+    calls = [0]
+    check = model._validate_run_args
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(model, "_validate_run_args", counted)
+    ring = get_entry("ring-parity", k=3, n=1)
+    p = publicize(ring.protocol)
+    report = compression_theorem_check(p, uniform(p), 0.25, ring.family)
+    assert report.measured_error == 0.0
+    assert calls[0] == 0
 
 
 # -- obliviousize -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the complexity measures and protocol transformations."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from protolab.compression import obliviousize
 from protolab.errors import BudgetExceededError, ConfigError
-from protolab.info import entropy, mutual_info
+from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
     InputDistribution,
     MeasureReport,
@@ -28,7 +30,7 @@ from protolab.measures import (
     sup_pic_grid,
     transcript_entropy,
 )
-from protolab.model import is_oblivious, run, run_all
+from protolab.model import ProtocolDef, is_oblivious, run, run_all
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry, lift_entry
 
@@ -80,6 +82,52 @@ def test_measures_agree_with_brute_force_oracles(name, params):
     if entry.family is not None:
         assert privacy_leakage(p, mu, entry.family) == pytest.approx(
             oracle_privacy_leakage(p, mu, entry.family), abs=TOL
+        )
+
+
+@pytest.mark.parametrize("name,params", MEASURED_ZOO)
+def test_build_joint_family_columns_match_apply_function(name, params):
+    entry = get_entry(name, **params)
+    p = entry.protocol
+    mu = random_mu(random.Random(name), p)
+    want = build_joint(p, mu, None)
+    xs = [f"x{i}" for i in p.players]
+    for i in p.players:
+        want = apply_function(
+            want, xs, lambda key, i=i: entry.family.value(i, key), f"f{i}"
+        )
+    got = build_joint(p, mu, entry.family)
+    assert (got.variables, got.rows, got.nums, got.den) == (
+        want.variables, want.rows, want.nums, want.den
+    )
+
+
+def _assert_keeps_fields(child, parent, changed):
+    """Every field of child but those named in changed equals parent's."""
+    for f in dataclasses.fields(ProtocolDef):
+        if f.name not in changed:
+            assert getattr(child, f.name) == getattr(parent, f.name), f.name
+
+
+def test_derived_protocols_keep_the_fields_they_do_not_change():
+    tapes = ("name", "private_tape_lengths", "public_tape_length", "programs")
+    ring = get_entry("ring-parity", k=3, n=1)
+    for p in (ring.protocol, protocol_from_dict(masked_ping_dict())):
+        _assert_keeps_fields(publicize(p), p, tapes)
+    pub = publicize(ring.protocol)
+    det, _ = derandomize_zero_error(pub, uniform(pub), ring.family)
+    _assert_keeps_fields(det, pub, ("name", "public_tape_length", "programs"))
+    q = get_entry("q-index", k=3, q=1).protocol
+    _assert_keeps_fields(
+        obliviousize(q, uniform(q), Fraction(1, 2)), q,
+        ("name", "output_domains", "programs", "max_local_rounds"),
+    )
+    for name, k in (("and-opt", 3), ("order-leak", 5)):
+        entry = get_entry(name)
+        _assert_keeps_fields(
+            lift_entry(entry, k).protocol, entry.protocol,
+            ("name", "k", "input_domains", "output_domains",
+             "private_tape_lengths", "programs"),
         )
 
 

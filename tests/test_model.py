@@ -428,6 +428,21 @@ def test_input_validation():
             ("0", "0", "0"), ("", "", ""), "")
 
 
+def test_execution_table_get_checks_arguments_only_on_a_miss():
+    p = protocol_from_dict(helpers.masked_ping_dict())  # a 1-bit pad for 1
+    table = run_all(p)
+    assert table.get(["1", "0"], ["1", ""]) == run(p, ("1", "0"), ("1", ""))
+    for args, message in [
+        ((("2", "0"), ("0", ""), ""), "input '2' not in player 1's domain"),
+        ((["0", ["0"]], ("0", ""), ""), r"input \['0'\] not in player 2's"),
+        ((("0", "0"), ("01", ""), ""), "player 1 expects a 1-bit tape"),
+        ((("0", "0"), None, ""), "player 1 expects a 1-bit tape"),
+        ((("0", "0"), ("0", ""), "1"), "public tape must have 0 bits"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            table.get(*args)
+
+
 def test_execution_messages_follow_the_global_order():
     p = get_entry("star-parity", k=3, n=1).protocol
     e = run(p, ("1", "0", "1"))

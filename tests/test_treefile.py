@@ -1,10 +1,17 @@
 """Tests for the protocol-tree file format and its compiler."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
-from protolab.errors import ConfigError, ModelViolationError
+import helpers
+from protolab.errors import (
+    ConfigError,
+    DeadlockError,
+    ModelViolationError,
+    ProtoLabError,
+)
 from protolab.measures import InputDistribution, acc
 from protolab.model import is_oblivious, run, run_all
 from protolab.treefile import load_protocol, protocol_from_dict
@@ -197,3 +204,57 @@ def test_output_written_exactly_once_with_early_determination():
     p = protocol_from_dict(second_bit_dict())
     for x in p.input_space():
         run(p, x)
+
+
+# -- random k >= 3 trees --------------------------------------------------------
+
+
+def _multiparty_draw(seed: int, valid: bool) -> dict:
+    """Seeded k in {3, 4, 5} trees, some with private and public tape bits."""
+    k = 3 + seed % 3 if valid else 3 + seed % 2
+    depth = 3 + seed % 3 if valid else 2 + seed % 2
+    private = tuple((seed >> j) & 1 for j in range(k)) if seed % 3 == 0 else None
+    public = seed % 2 if seed % 5 == 0 else 0
+    return helpers.random_multiparty_tree_dict(seed, k, depth, private,
+                                               public, valid)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_multiparty_trees_match_a_direct_walk(seed):
+    spec = _multiparty_draw(seed, valid=True)
+    table = run_all(protocol_from_dict(spec))
+    for (x, privs, pub), e in table.items():
+        outputs, links = helpers.walk_tree(spec, x, privs, pub)
+        assert e.outputs == outputs
+        sent = defaultdict(list)
+        for m in sorted(e.messages, key=lambda m: m.link_index):
+            sent[(m.sender, m.receiver)].append(m.content)
+        assert sent == links
+
+
+def _outcome(p, x, privs, pub):
+    try:
+        e = run(p, x, privs, pub)
+    except ProtoLabError as exc:
+        return type(exc), str(exc)
+    return e.outputs, e.reads, e.sends, e.patterns, e.messages
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_compiled_trees_match_the_reference_compiler(block):
+    # Carrying the positions from round to round gives the rounds, or the
+    # error, of re-walking the tree from the root with the whole history.
+    kinds = set()
+    for seed in range(40 * block, 40 * (block + 1)):
+        for valid in (False, True):
+            spec = _multiparty_draw(seed, valid)
+            p = protocol_from_dict(spec)
+            ref = helpers.reference_tree_protocol(spec)
+            for x in p.input_space():
+                for privs, pub in p.tape_space():
+                    got = _outcome(p, x, privs, pub)
+                    assert got == _outcome(ref, x, privs, pub)
+                    kinds.add(got[0] if isinstance(got[0], type) else "ok")
+                    if valid:
+                        assert not isinstance(got[0], type), got
+    assert kinds == {"ok", ModelViolationError, DeadlockError}
