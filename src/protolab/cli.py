@@ -144,8 +144,18 @@ def _load_distribution(args, p):
         weights = {}
         try:
             for item in entries:
-                key = tuple(item["inputs"])
-                weights[key] = Fraction(item["num"], item["den"])
+                inputs, num, den = item["inputs"], item["num"], item["den"]
+                if not (isinstance(inputs, list)
+                        and all(isinstance(v, str) for v in inputs)):
+                    raise TypeError(f"inputs {inputs!r} is not a list of "
+                                    "bit strings")
+                if any(type(n) is not int for n in (num, den)):
+                    raise TypeError(f"num {num!r} and den {den!r} must be "
+                                    "integers")
+                if tuple(inputs) in weights:
+                    raise ConfigError(f"bad distribution entry in {path}: "
+                                      f"inputs {inputs!r} listed twice")
+                weights[tuple(inputs)] = Fraction(num, den)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad distribution entry in {path}: {exc}")
         try:
@@ -190,7 +200,10 @@ def _render(payload: dict, fmt: str) -> str:
 def _emit(payload: dict, args) -> None:
     text = _render(payload, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 

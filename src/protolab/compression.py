@@ -162,8 +162,8 @@ class TreeNode:
     (ties take the 0-labelled child), ``height`` the number of branching
     nodes on the longest path down.  A leaf is its own candidate and also
     carries its transcript parsed once, when the tree is built: the owner's
-    output there and, per other player, the ``_conversation`` with that
-    peer."""
+    output there and its conversation with each peer, as
+    ``ObliviousStructure.parse_transcript`` returns them."""
 
     prefix: str
     weight: Fraction
@@ -227,24 +227,6 @@ def _build_node(weights: dict[str, Fraction],
     )
 
 
-def _conversation(parsed_events, peer) -> tuple[str, tuple]:
-    """Bit string and message extents of the conversation with one peer
-    inside a parsed transcript (events are in global order).  An extent is
-    (global message number, start and end bit in the conversation, start
-    bit in the transcript, "s" or "r" from the transcript owner's side)."""
-    bits = []
-    extents = []
-    cursor = 0
-    for ev in parsed_events:
-        if ev.peer != peer:
-            continue
-        bits.append(ev.content)
-        extents.append((ev.global_index, cursor, cursor + len(ev.content),
-                        ev.start, ev.direction))
-        cursor += len(ev.content)
-    return "".join(bits), tuple(extents)
-
-
 def build_tree(
     p: ProtocolDef,
     i: int,
@@ -300,11 +282,8 @@ def build_tree(
     if root.weight != 1:
         raise InvariantError("tree weights do not sum to one")
     for t, leaf in leaves.items():
-        parsed = struct.parse_transcript(i, t)
         leaf.output = outputs[t]
-        leaf.conversations = {
-            j: _conversation(parsed, j) for j in p.players if j != i
-        }
+        leaf.conversations = struct.parse_transcript(i, t)
     return TranscriptTree(root=root, leaves=leaves)
 
 
@@ -327,7 +306,7 @@ def is_coherent(
     # global order, and every codebook is prefix-free, so equal bits split
     # into equal messages.
     return all(
-        _conversation(parsed[i], j)[0] == _conversation(parsed[j], i)[0]
+        parsed[i][j][0] == parsed[j][i][0]
         for i in p.players
         for j in p.players
         if i < j
@@ -744,58 +723,36 @@ def _encode_player(i: int, k: int) -> str:
 
 class _InnerSim:
     """Runs one player's original program on the bits forwarded so far,
-    reassembling messages with the per-position prefix-free codebooks."""
+    splitting each sender's bits into messages with the table's
+    ``codeword``."""
 
     def __init__(self, p, table, i, input_value, private_tape, public_tape):
-        self.codebooks = table.codebooks
+        self.table = table
         self.i = i
         self.driver = ProgramDriver(p, i, input_value, private_tape,
                                     public_tape)
-        self.bit_streams: dict[int, str] = {}
+        self.partial: dict[int, str] = {}  # sender -> unfinished message bits
         self.read_pos: dict[int, int] = {}
         self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)
         self._queue_new_sends()
 
-    @property
-    def output(self) -> str | None:
-        return self.driver.output
-
     def feed(self, origin: int, bit: str) -> None:
-        self.bit_streams[origin] = self.bit_streams.get(origin, "") + bit
-        self._decode(origin)
+        bits = self.partial.get(origin, "") + bit
+        pos = self.read_pos.get(origin, 0)
+        word = self.table.codeword(origin, self.i, pos, bits)
+        if word is None:
+            self.partial[origin] = bits
+            return
+        self.partial[origin] = ""
+        self.read_pos[origin] = pos + 1
+        self.driver.feed(origin, word)
         self._queue_new_sends()
-
-    def _decode(self, origin: int) -> None:
-        while True:
-            pos = self.read_pos.get(origin, 0)
-            book = self.codebooks.get((origin, self.i, pos))
-            if not book:
-                return
-            buf = self.bit_streams.get(origin, "")
-            match = [w for w in book if buf.startswith(w)]
-            if not match:
-                if buf and not any(w.startswith(buf) for w in book):
-                    raise ModelViolationError(
-                        f"forwarded bits to player {self.i} from {origin} "
-                        "do not decode"
-                    )
-                return
-            word = match[0]
-            self.bit_streams[origin] = buf[len(word):]
-            self.read_pos[origin] = pos + 1
-            self.driver.feed(origin, word)
 
     def _queue_new_sends(self) -> None:
         queued = len(self.driver.sends)
         for round_sends in self.driver.run().sends[queued:]:
             for dest, content in round_sends:
                 self.queue.extend((dest, bit) for bit in content)
-
-    def peek_bit(self) -> tuple[int, str] | None:
-        return self.queue[0] if self.queue else None
-
-    def pop_bit(self) -> tuple[int, str] | None:
-        return self.queue.popleft() if self.queue else None
 
 
 def obliviousize(
@@ -857,9 +814,9 @@ def obliviousize(
                 continue
             dest = int(m[2 : 2 + width], 2) + 1
             incoming.append((dest, s, m[1]))
-        own = sim.pop_bit()
-        if own is not None:
-            incoming.append((own[0], 1, own[1]))
+        if sim.queue:
+            dest, bit = sim.queue.popleft()
+            incoming.append((dest, 1, bit))
         for j in range(2, k + 1):
             forwards[j] = ""
         for dest, origin, bit in incoming:
@@ -877,7 +834,7 @@ def obliviousize(
         sim, forwards = coordinator_state(view)
         phase, step = divmod(view.round - 1, 2)
         if phase >= phases:
-            out = sim.output if sim.output is not None else fallback[0]
+            out = sim.driver.output or fallback[0]
             return Round(output=out, halt=True)
         if step == 0:
             return Round(
@@ -896,7 +853,8 @@ def obliviousize(
         if index % 2 == 0:
             return
         (_, content), = round_reads
-        sim.pop_bit()
+        if sim.queue:
+            sim.queue.popleft()
         for origin, bit in parse_forward(content):
             sim.feed(origin, bit)
 
@@ -907,16 +865,15 @@ def obliviousize(
             sim = member_state(view)  # every round, so each lookup folds one
             phase, step = divmod(view.round - 1, 2)
             if phase >= phases:
-                out = sim.output if sim.output is not None else fallback[i - 1]
+                out = sim.driver.output or fallback[i - 1]
                 return Round(output=out, halt=True)
             if step == 0:
                 return Round(waits=(1,))
-            item = sim.peek_bit()
-            if item is None:
-                reply = "0"
-            else:
-                dest, bit = item
+            if sim.queue:
+                dest, bit = sim.queue[0]
                 reply = "1" + bit + _encode_player(dest, k)
+            else:
+                reply = "0"
             return Round(sends=((1, reply),), waits=(1,))
 
         return prog

@@ -601,10 +601,11 @@ def product_protocol(
     The combined protocol proceeds in one local round per lot: in round t a
     player emits, per link, the first side's lot-t message followed by the
     second side's (either part may be absent), and waits on exactly the
-    senders that a lot-t message is due from.  Message parts are split with
-    the sides' per-position prefix-free codebooks, so each side's view is
-    reconstructed exactly.  Both protocols must be oblivious and have the
-    same number of players.
+    senders that a lot-t message is due from.  This lot plan is read off
+    each side's reference execution, and the first side's part of a merged
+    message is split off with that side's ``ExecutionTable.codeword``, so
+    each side's view is reconstructed exactly.  Both protocols must be
+    oblivious and have the same number of players.
     """
     if p.k != q.k:
         raise ConfigError("product needs the same number of players")
@@ -614,68 +615,54 @@ def product_protocol(
     in_a, in_b = _fixed_lengths(p), _fixed_lengths(q)
     priv_a, priv_b = p.private_tape_lengths, q.private_tape_lengths
     pub_a = p.public_tape_length
-    max_lot = max(sa.max_lot, sb.max_lot)
 
-    # Fixed plans: who sends to / waits on whom in each combined round.
-    wait_plan: dict[tuple[int, int], tuple[int, ...]] = {}
-    link_plan: dict[tuple[int, int], set] = {}
-    for struct, side in ((sa, 0), (sb, 1)):
-        for lot, links in struct.links_in_lot.items():
-            for s, r in links:
-                wait_plan.setdefault((r, lot), ())
-                wait_plan[(r, lot)] = tuple(
-                    sorted(set(wait_plan[(r, lot)]) | {s})
-                )
-                link_plan.setdefault((s, r, lot), set()).add(side)
-
-    # A side's lots rise along each player's sending rounds, so a lot names
-    # at most one sending round per player.
-    round_of_lot = [
-        {(i, lot): r for (i, r), lot in struct.lot_of_round.items()}
-        for struct in (sa, sb)
-    ]
-
-    def split_input(i, value):
-        return value[: in_a[i - 1]], value[in_a[i - 1] :]
-
-    def split_priv(i, value):
-        return value[: priv_a[i - 1]], value[priv_a[i - 1] :]
-
-    def split_pub(value):
-        return value[:pub_a], value[pub_a:]
+    # Fixed plans, the same in every execution of an oblivious side: per
+    # side the sending round of each (player, lot) (a side's lots rise
+    # along a player's sending rounds), per (sender, receiver, lot) the
+    # sides that send on that link with their link positions, and per
+    # (player, lot) the senders it waits on.
+    round_of_lot: tuple[dict, dict] = ({}, {})
+    link_plan: dict[tuple[int, int, int], dict[int, int]] = {}
+    wait_plan: dict[tuple[int, int], set[int]] = {}
+    for side, struct in enumerate((sa, sb)):
+        for m in next(iter(struct.table.values())).messages:
+            round_of_lot[side][(m.sender, m.lot)] = m.sender_round
+            parts = link_plan.setdefault((m.sender, m.receiver, m.lot), {})
+            parts[side] = m.link_index
+            wait_plan.setdefault((m.receiver, m.lot), set()).add(m.sender)
+    max_lot = max((lot for _, lot in wait_plan), default=0)
 
     def make_program(i: int):
         def start(view: View):
-            """Both side drivers, run until they block, and the next
-            first-side codebook position per sender."""
-            xa, xb = split_input(i, view.input)
-            ra, rb = split_priv(i, view.private_tape)
-            pa, pb = split_pub(view.public_tape)
+            """Both side drivers, run until they block."""
+            cut, tape_cut = in_a[i - 1], priv_a[i - 1]
             drivers = (
-                ProgramDriver(p, i, xa, ra, pa),
-                ProgramDriver(q, i, xb, rb, pb),
+                ProgramDriver(p, i, view.input[:cut],
+                              view.private_tape[:tape_cut],
+                              view.public_tape[:pub_a]),
+                ProgramDriver(q, i, view.input[cut:],
+                              view.private_tape[tape_cut:],
+                              view.public_tape[pub_a:]),
             )
-            return tuple(d.run() for d in drivers), {}
+            return tuple(d.run() for d in drivers)
 
         def fold(state, round_reads, index: int) -> None:
             """Split the merged lot-(index+1) messages into side parts and
             feed them to the side drivers."""
-            (side_a, side_b), first_pos = state
+            side_a, side_b = state
             for sender, merged in round_reads:
-                sides = link_plan.get((sender, i, index + 1), set())
+                parts = link_plan.get((sender, i, index + 1), {})
                 offset = 0
-                if 0 in sides:
-                    pos = first_pos.get(sender, 0)
-                    word = sa.decode_message(sender, i, pos, merged, 0)
+                if 0 in parts:
+                    word = sa.table.codeword(sender, i, parts[0], merged)
                     if word is None:
                         raise ModelViolationError(
                             "product message does not start with a first-side "
                             "codeword"
                         )
                     side_a.feed(sender, word)
-                    first_pos[sender] = pos + 1
                     offset = len(word)
-                if 1 in sides:
+                if 1 in parts:
                     side_b.feed(sender, merged[offset:])
                     offset = len(merged)
                 if offset != len(merged):
@@ -689,7 +676,7 @@ def product_protocol(
 
         def prog(view: View) -> Round:
             t = view.round
-            (side_a, side_b), _ = state_of(view)
+            side_a, side_b = state_of(view)
             if t <= max_lot:
                 merged: dict[int, str] = {}
                 for rounds, driver in zip(round_of_lot, (side_a, side_b)):
@@ -697,10 +684,9 @@ def product_protocol(
                     if r is not None and r <= len(driver.sends):
                         for recipient, content in driver.sends[r - 1]:
                             merged[recipient] = merged.get(recipient, "") + content
-                waits = wait_plan.get((i, t), ())
                 return Round(
                     sends=tuple(sorted(merged.items())),
-                    waits=waits,
+                    waits=tuple(sorted(wait_plan.get((i, t), ()))),
                 )
             if side_a.output is None or side_b.output is None:
                 raise ModelViolationError(

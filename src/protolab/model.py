@@ -435,6 +435,26 @@ class ExecutionTable:
             key = _validate_run_args(self.protocol, *key)
         return self.executions[key]
 
+    def codeword(self, sender: int, receiver: int, pos: int, bits: str,
+                 offset: int = 0) -> str | None:
+        """The codeword of link position ``pos`` that ``bits`` carries at
+        ``offset``, or None while those bits are only a proper prefix of
+        one.  Every codebook is prefix-free, so at most one word fits."""
+        book = self.codebooks.get((sender, receiver, pos))
+        if book is None:
+            raise ModelViolationError(
+                f"no codebook for link {sender}->{receiver} position {pos}"
+            )
+        for word in book:
+            if bits.startswith(word, offset):
+                return word
+        rest = bits[offset:]
+        if any(word.startswith(rest) for word in book):
+            return None
+        raise ModelViolationError(
+            f"bits at link {sender}->{receiver} position {pos} fit no codeword"
+        )
+
     def values(self):
         return self.executions.values()
 
@@ -536,28 +556,16 @@ def is_oblivious(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedEvent:
-    """One message of a parsed per-player transcript."""
-
-    global_index: int
-    direction: str  # "s" or "r"
-    peer: int
-    start: int
-    content: str
-
-
 @dataclass
 class ObliviousStructure:
-    """Everything about an oblivious protocol that is input-independent.
-    ``events[i]`` lists player i's messages in round-interleaved order (per
-    local round: sends by recipient, then reads by sender) as
+    """What compression needs of an oblivious protocol, fixed across its
+    executions: the execution ``table`` (whose ``codeword`` splits bits
+    into messages), the worst-case communication ``cc``, and per player i
+    ``events[i]``, its messages in round-interleaved order (per local
+    round: sends by recipient, then reads by sender) as
     ``(global index, "s" or "r", peer, position on the link)``."""
 
     table: ExecutionTable
-    lot_of_round: dict[tuple[int, int], int]
-    max_lot: int
-    links_in_lot: dict[int, tuple[tuple[int, int], ...]]
     events: dict[int, tuple[tuple[int, str, int, int], ...]]
     cc: int
 
@@ -573,12 +581,8 @@ class ObliviousStructure:
         # messages have the same rounds, link positions, lots and numbers.
         table = run_all(p, budget)
         ref = next(iter(table.values()))
-        lot_of_round = {}
-        links_in_lot: dict[int, list] = {}
         keyed = {i: [] for i in p.players}  # (order key, event) per player
         for m in ref.messages:
-            lot_of_round[(m.sender, m.sender_round)] = m.lot
-            links_in_lot.setdefault(m.lot, []).append((m.sender, m.receiver))
             g, pos = m.global_index, m.link_index
             keyed[m.sender].append(
                 ((m.sender_round, 0, m.receiver), (g, "s", m.receiver, pos))
@@ -588,36 +592,22 @@ class ObliviousStructure:
             )
         return cls(
             table=table,
-            lot_of_round=lot_of_round,
-            max_lot=max(links_in_lot, default=0),
-            links_in_lot={
-                lot: tuple(sorted(links)) for lot, links in links_in_lot.items()
-            },
             events={i: tuple(ev for _, ev in sorted(keyed[i]))
                     for i in p.players},
             cc=max(e.total_bits for e in table.values()),
         )
 
-    def decode_message(self, sender: int, receiver: int, pos: int,
-                       bits: str, offset: int) -> str | None:
-        """Unique prefix-free codeword starting at ``offset``, if complete."""
-        book = self.table.codebooks.get((sender, receiver, pos))
-        if book is None:
-            raise ModelViolationError(
-                f"no codebook for link {sender}->{receiver} position {pos}"
-            )
-        for word in book:
-            if bits.startswith(word, offset):
-                return word
-        return None
-
-    def parse_transcript(self, i: int, t: str) -> tuple[ParsedEvent, ...]:
-        """Split a round-interleaved transcript of player i into messages.
+    def parse_transcript(self, i: int, t: str) -> dict[int, tuple[str, tuple]]:
+        """Split a round-interleaved transcript of player i into messages
+        and return its conversation with each peer: the bits and the
+        message extents, each (global message number, start and end bit
+        in the conversation, start bit in the transcript, "s" or "r" from
+        player i's side).
 
         Compression reads the split messages in global order, so the
         player's round-interleaved order must agree with it.
         """
-        out = []
+        convs = {j: ([], []) for j in self.table.protocol.players if j != i}
         cursor = 0
         last = 0
         for g, direction, peer, pos in self.events[i]:
@@ -626,19 +616,23 @@ class ObliviousStructure:
                     "per-player transcript order disagrees with the global order"
                 )
             last = g
-            link = (i, peer, pos) if direction == "s" else (peer, i, pos)
-            word = self.decode_message(link[0], link[1], link[2], t, cursor)
+            link = (i, peer) if direction == "s" else (peer, i)
+            word = self.table.codeword(*link, pos, t, cursor)
             if word is None:
                 raise ModelViolationError(
                     f"transcript of player {i} is unparseable at bit {cursor}"
                 )
-            out.append(ParsedEvent(g, direction, peer, cursor, word))
+            words, extents = convs[peer]
+            start = extents[-1][2] if extents else 0
+            words.append(word)
+            extents.append((g, start, start + len(word), cursor, direction))
             cursor += len(word)
         if cursor != len(t):
             raise ModelViolationError(
                 f"transcript of player {i} has {len(t) - cursor} trailing bits"
             )
-        return tuple(out)
+        return {j: ("".join(words), tuple(extents))
+                for j, (words, extents) in convs.items()}
 
 
 # ---------------------------------------------------------------------------

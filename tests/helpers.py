@@ -357,9 +357,11 @@ def reference_profile_outputs(p, struct, inputs, public_tape, profile):
     outputs = []
     for i in p.players:
         driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
-        for ev in struct.parse_transcript(i, profile[i - 1]):
-            if ev.direction == "r":
-                driver.feed(ev.peer, ev.content)
+        convs = struct.parse_transcript(i, profile[i - 1])
+        for peer, (bits, extents) in convs.items():
+            for _, start, end, _, direction in extents:
+                if direction == "r":
+                    driver.feed(peer, bits[start:end])
         outputs.append(driver.run().output)
     return tuple(outputs)
 

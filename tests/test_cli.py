@@ -135,6 +135,8 @@ def test_exit_codes(capsys, tmp_path):
         ("audit", "--protocol", "star-parity", "--budget", "0"),
         ("measure", "--protocol", "star-parity", "--budget", "-3"),
         ("compress", "--protocol", "star-parity", "--budget", "0"),
+        ("list", "--out", str(tmp_path / "missing" / "x.json")),
+        ("list", "--out", str(tmp_path)),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
@@ -317,6 +319,19 @@ def test_bad_distribution_files(tmp_path, capsys):
         capsys, "measure", "--protocol", "and-opt", "--mu", f"file:{path}"
     )
     assert code == 1 and "sum" in err
+    # inputs must be a list of strings, num and den integers but not bools,
+    # and each input tuple is listed once (here the weights sum to 3/2).
+    for entry in ('{"inputs": "00", "num": 1, "den": 1}',
+                  '{"inputs": ["0", "0"], "num": true, "den": 1}',
+                  '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
+                  '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
+                  '{"inputs": ["1", "1"], "num": 1, "den": 2}'):
+        path.write_text("[" + entry + "]")
+        code, out, err = run_cli(
+            capsys, "measure", "--protocol", "and-opt", "--mu", f"file:{path}"
+        )
+        assert code == 1 and err.startswith("error: "), entry
+        assert err.count("\n") == 1 and out == "", entry
 
 
 def test_invariant_failure_exits_5(capsys, monkeypatch):

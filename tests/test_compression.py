@@ -38,6 +38,7 @@ from protolab.model import (
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import FunctionFamily, get_entry
 
+import helpers
 from helpers import (
     oblivious_trees,
     oracle_cond_entropy,
@@ -576,6 +577,29 @@ def test_obliviousize_ring_with_private_tape():
     table_new = run_all(obl)
     for key, e_old in table_old.items():
         assert table_new.executions[key].outputs == e_old.outputs
+
+
+@pytest.mark.parametrize("case", ["ring-parity", 0, 1, 2])
+def test_obliviousize_reassembles_multi_bit_messages(case):
+    # The replays split forwarded bits into 2-bit (and 1-bit) messages.
+    if case == "ring-parity":
+        p = get_entry("ring-parity", k=3, n=2).protocol
+    else:
+        p = helpers.random_table_protocol(case, 3, ticks=2, private=(1, 0, 1),
+                                          public=0)
+    table_old = run_all(p)
+    assert any(len(w) == 2 for book in table_old.codebooks.values()
+               for w in book)
+    obl = obliviousize(p, uniform(p), Fraction(1, 2))
+    ok, witness = is_oblivious(obl)
+    assert ok, witness
+    phases = (obl.max_local_rounds - 2) // 2
+    table_new = run_all(obl)
+    below = {key: e.outputs for key, e in table_old.items()
+             if e.total_bits < phases}
+    assert below
+    for key, outputs in below.items():
+        assert table_new.executions[key].outputs == outputs
 
 
 def test_trace_format_is_line_oriented():

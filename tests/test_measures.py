@@ -12,6 +12,7 @@ from protolab.compression import obliviousize
 from protolab.errors import BudgetExceededError, ConfigError
 from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
+    TOLERANCE,
     InputDistribution,
     MeasureReport,
     acc,
@@ -271,6 +272,21 @@ def test_randomness_lower_bound_on_transcript_entropy():
         mu = uniform(p)
         lhs = transcript_entropy(p, mu)
         assert lhs >= (pic(p, mu) - ic(p, mu)) / p.k - TOL
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_information_relations_on_random_table_protocols(seed):
+    k = 3 + seed % 2
+    p = helpers.random_table_protocol(seed, k, ticks=2, private=(1,) * k,
+                                      public=seed % 2)
+    mu = uniform(p)
+    ic_value, pic_value = ic(p, mu), pic(p, mu)
+    assert ic_value <= pic_value + TOLERANCE
+    assert pic_value <= cc(p) + TOLERANCE
+    assert pic_value == pytest.approx(ic(publicize(p), mu), abs=TOLERANCE)
+    assert transcript_entropy(p, mu) >= (pic_value - ic_value) / k - TOLERANCE
+    _, random_term = pic_decomposition(p, mu)
+    assert random_term <= (k - 1) * sum(p.private_tape_lengths) + TOLERANCE
 
 
 def test_private_protocol_randomness_corollary():

@@ -209,8 +209,10 @@ def test_fifo_order_within_link():
 def test_oblivious_lot_structure_constant():
     p = get_entry("ring-parity", k=3, n=2).protocol
     struct = ObliviousStructure.build(p)
-    assert struct.max_lot == 3
-    assert struct.links_in_lot == {1: ((1, 2),), 2: ((2, 3),), 3: ((3, 1),)}
+    for e in struct.table.values():
+        assert [(m.lot, m.sender, m.receiver) for m in e.messages] == [
+            (1, 1, 2), (2, 2, 3), (3, 3, 1)
+        ]
 
 
 def test_degenerate_protocol_reports_missing_output():
@@ -441,6 +443,29 @@ def test_execution_table_get_checks_arguments_only_on_a_miss():
     ]:
         with pytest.raises(ValueError, match=message):
             table.get(*args)
+
+
+def test_codeword_splits_bits_at_one_link_position():
+    p = helpers.random_table_protocol(0, 3, ticks=2, private=(1, 0, 1),
+                                      public=0)
+    table = run_all(p)
+    assert table.codebooks[(2, 3, 0)] == ("00", "11")
+    # A whole codeword, at offset 0 and further on; bits past it are left.
+    assert table.codeword(2, 3, 0, "11") == "11"
+    assert table.codeword(2, 3, 0, "0011") == "00"
+    assert table.codeword(2, 3, 0, "1011", 2) == "11"
+    # A proper prefix of a codeword, the empty one included, is not yet one.
+    assert table.codeword(2, 3, 0, "0") is None
+    assert table.codeword(2, 3, 0, "101", 2) is None
+    assert table.codeword(2, 3, 0, "10", 2) is None
+    for bits, offset in (("01", 0), ("110", 1)):
+        with pytest.raises(ModelViolationError, match="fit no codeword"):
+            table.codeword(2, 3, 0, bits, offset)
+    # Player 3 sends to 2 once per execution, and nobody sends to itself.
+    assert (3, 2, 0) in table.codebooks
+    for sender, receiver, pos in ((3, 2, 1), (2, 2, 0)):
+        with pytest.raises(ModelViolationError, match="no codebook"):
+            table.codeword(sender, receiver, pos, "00")
 
 
 def test_execution_messages_follow_the_global_order():
