@@ -138,6 +138,8 @@ class LcpBox:
     def __post_init__(self):
         if self.mode not in ("exact", "randomized"):
             raise ConfigError(f"unknown lcp mode {self.mode!r}")
+        if self.mode == "randomized" and not 0 < self.eps < 1:
+            raise ConfigError("lcp error rate must be in (0, 1)")
         self._rng = random.Random(self.seed)
 
     def compare(self, x: str, y: str) -> int | None:
@@ -183,18 +185,17 @@ class TreeNode:
 @dataclass
 class TranscriptTree:
     """Weighted prefix tree over one player's possible transcripts;
-    ``leaves`` maps each transcript to its leaf."""
+    ``leaves`` maps each transcript to its leaf, and ``reached`` each full
+    input with the owner's input to the leaf its execution reaches."""
 
     root: TreeNode
     leaves: dict[str, TreeNode]
+    reached: dict[tuple[str, ...], TreeNode]
 
     @property
     def depth(self) -> int:
         """Branching nodes on the longest root-to-leaf path."""
         return self.root.height
-
-    def leaf_weight(self, transcript: str) -> Fraction:
-        return self.leaves[transcript].weight
 
 
 def _build_node(weights: dict[str, Fraction],
@@ -243,8 +244,8 @@ def build_tree(
     other players' inputs; weights are the conditional law of the others'
     inputs under mu given X_i (so leaves unreachable under mu carry weight
     zero).  Each leaf's transcript is parsed here, once, into the owner's
-    output and its per-peer conversations.  Requires an oblivious public-coin
-    protocol.
+    output and its per-peer conversations, and each full input is mapped to
+    the leaf it reaches.  Requires an oblivious public-coin protocol.
     """
     struct = structure or ObliviousStructure.build(p, budget)
     if sum(p.private_tape_lengths) != 0:
@@ -267,12 +268,13 @@ def build_tree(
     executions = struct.table.executions
     weights: dict[str, Fraction] = {}
     outputs: dict[str, str] = {}
+    transcript_of: dict[tuple[str, ...], str] = {}
     none_tapes = tuple("" for _ in range(p.k))
     for x in p.input_space():
         if x[i - 1] != own_input:
             continue
         e = executions[(x, none_tapes, public_tape)]
-        t = e.round_interleaved_transcript(i)
+        t = transcript_of[x] = e.round_interleaved_transcript(i)
         weights[t] = (
             weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
         )
@@ -284,7 +286,10 @@ def build_tree(
     for t, leaf in leaves.items():
         leaf.output = outputs[t]
         leaf.conversations = struct.parse_transcript(i, t)
-    return TranscriptTree(root=root, leaves=leaves)
+    return TranscriptTree(
+        root=root, leaves=leaves,
+        reached={x: leaves[t] for x, t in transcript_of.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +302,22 @@ def is_coherent(
     p: ProtocolDef,
     structure: ObliviousStructure | None = None,
 ) -> bool:
-    """True iff every pairwise conversation matches message by message."""
+    """True iff every pairwise conversation matches message by message;
+    False also when a transcript does not split into its player's
+    messages."""
     struct = structure or ObliviousStructure.build(p)
-    parsed = {
-        i: struct.parse_transcript(i, profile[i - 1]) for i in p.players
-    }
+    if len(profile) != p.k:
+        raise ValueError(
+            f"a profile holds {p.k} transcripts, not {len(profile)}"
+        )
+    parsed = {}
+    for i in p.players:  # every player, so an order violation still raises
+        try:
+            parsed[i] = struct.parse_transcript(i, profile[i - 1])
+        except ValueError:  # not a split into player i's messages
+            pass
+    if len(parsed) < p.k:
+        return False
     # Comparing bits is enough: both sides see the same links in the same
     # global order, and every codebook is prefix-free, so equal bits split
     # into equal messages.
@@ -357,11 +373,11 @@ def format_trace(result: CompressRun) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _message_number_at(extents, bit_index):
-    """Global message number of the conversation bit at ``bit_index``."""
-    for g, start, end, _, _ in extents:
+def _extent_at(extents, bit_index):
+    """Index of the extent that holds the conversation bit ``bit_index``."""
+    for n, (_, start, end, _) in enumerate(extents):
         if start <= bit_index < end:
-            return g
+            return n
     raise ModelViolationError("lcp result points outside the conversation")
 
 
@@ -377,19 +393,19 @@ def compress_run(
 ) -> CompressRun:
     """One run of the collaborative transcript search.
 
-    With an exact box the returned profile always equals the true one and
-    the stage invariants are asserted against the simulator's ground truth;
-    with a randomized box the truth checks are skipped (a box error may
-    derail a stage) and the result may be wrong with small probability.
+    The run reads only the players' trees, the structure's message
+    skeleton and the box's answers.  With an exact box the returned
+    profile always equals the true one and the stage invariants are
+    asserted against the true leaves the trees recorded; with a
+    randomized box the truth checks are skipped (a box error may derail a
+    stage) and the result may be wrong with small probability.
     """
     struct = structure or ObliviousStructure.build(p, budget)
     exact = box.mode == "exact"
     k = p.k
-    none_tapes = tuple("" for _ in range(k))
-    truth = struct.table.get(inputs, none_tapes, public_tape)
-    true_profile = tuple(
-        truth.round_interleaved_transcript(i) for i in p.players
-    )
+    inputs = tuple(inputs)
+    if len(inputs) != k:
+        raise ValueError("need one input per player")
     tree_of = {}
     for i in p.players:
         key = (i, inputs[i - 1], public_tape)
@@ -401,6 +417,8 @@ def compress_run(
             )
             if trees is not None:
                 trees[key] = tree_of[i]
+    # Each tree checked its owner's input, so the trees reached this one.
+    truth = {i: tree_of[i].reached[inputs] for i in p.players}
 
     tau = {i: tree_of[i].root for i in p.players}
     moves = {i: 0 for i in p.players}
@@ -416,17 +434,16 @@ def compress_run(
     stage_cap = depth_total + 2 if exact else 16 * (depth_total + 4)
 
     def finish(cand):
-        profile = tuple(cand[i].leaf_label for i in p.players)
-        if exact and profile != true_profile:
+        if exact and cand != truth:
             raise ModelViolationError(
                 "exact-box compression returned a wrong profile"
             )
-        log_bound = 0.0
-        for i in p.players:
-            w = tree_of[i].leaf_weight(true_profile[i - 1])
-            log_bound += math.log2(1 / w) if w > 0 else math.inf
+        log_bound = sum(
+            math.log2(1 / leaf.weight) if leaf.weight else math.inf
+            for leaf in truth.values()
+        )
         return CompressRun(
-            profile=profile,
+            profile=tuple(cand[i].leaf_label for i in p.players),
             outputs=tuple(cand[i].output for i in p.players),
             stages=sum(moves.values()),
             total_stages=stage,
@@ -445,7 +462,7 @@ def compress_run(
                 raise ModelViolationError("stage loop failed to terminate")
             return finish(cand)
         q_values: dict[tuple[int, int], int | None] = {}
-        diff_of: dict[tuple[int, int], int] = {}
+        hits: dict[tuple[int, int], tuple[int, int]] = {}  # (diff, extent)
         for i in p.players:
             for j in p.players:
                 if i >= j:
@@ -459,8 +476,9 @@ def compress_run(
                     q_values[(i, j)] = None
                     continue
                 extents = ext_i if diff < len(conv_i) else ext_j
-                q_values[(i, j)] = _message_number_at(extents, diff)
-                diff_of[(i, j)] = diff
+                n = _extent_at(extents, diff)
+                q_values[(i, j)] = extents[n][0]
+                hits[(i, j)] = diff, n
         comm_broadcast += k * (k - 1) * broadcast_bits
         finite = {pair: g for pair, g in q_values.items() if g is not None}
         if not finite:
@@ -470,20 +488,13 @@ def compress_run(
         winners = sorted(pair for pair, g in finite.items() if g == q_min)
         pair = winners[0]
         tie = len(winners) > 1
-        # The sender of message number q_min is "correct"; the receiver of
-        # that message (within the winning pair) moves.
-        convs = cand[pair[0]].conversations
-        direction = next(
-            (d for g, _, _, _, d in convs[pair[1]][1] if g == q_min), None
-        )
-        if direction is None:
-            elsewhere = any(g == q_min for _, ext in convs.values()
-                            for g, _, _, _, _ in ext)
+        # Message q_min's sender is "correct"; its receiver moves.
+        message = struct.messages[q_min - 1]
+        sender, mover = message.sender, message.receiver
+        if {sender, mover} != set(pair):
             raise ModelViolationError(
-                "q_min does not belong to the winning pair" if elsewhere
-                else "message number lookup failed"
+                "q_min does not belong to the winning pair"
             )
-        sender, mover = pair if direction == "s" else pair[::-1]
         if tau[mover].is_leaf:
             # Only reachable through an erring box: the mover's transcript
             # is already fully pinned, so there is nothing to revise.
@@ -493,14 +504,11 @@ def compress_run(
                 )
             trace.append(StageRecord(stage, q_values, q_min, None, tie))
             continue
-        wrong_at = None
-        for g, start, end, at, _ in cand[mover].conversations[sender][1]:
-            if g == q_min:
-                offset = diff_of[pair] - start
-                wrong_at = at + min(max(offset, 0), end - start - 1)
-                break
-        if wrong_at is None:
-            raise ModelViolationError("mover does not carry message q_min")
+        # Both sides of a conversation list its messages in global order,
+        # so the mover's extent of message q_min has the same index.
+        diff, n = hits[pair]
+        _, start, end, at = cand[mover].conversations[sender][1][n]
+        wrong_at = at + min(max(diff - start, 0), end - start - 1)
         # The anchor is the deepest inner node between tau and the candidate
         # leaf whose prefix ends at or before the wrong bit; the mover takes
         # its child off that path.
@@ -516,7 +524,7 @@ def compress_run(
                 raise ModelViolationError(
                     "branch point does not line up with the wrong bit"
                 )
-            if not true_profile[mover - 1].startswith(new_tau.prefix):
+            if not truth[mover].leaf_label.startswith(new_tau.prefix):
                 raise ModelViolationError(
                     "stage invariant broken: node is not a prefix of the "
                     "true transcript"

@@ -625,7 +625,7 @@ def product_protocol(
     link_plan: dict[tuple[int, int, int], dict[int, int]] = {}
     wait_plan: dict[tuple[int, int], set[int]] = {}
     for side, struct in enumerate((sa, sb)):
-        for m in next(iter(struct.table.values())).messages:
+        for m in struct.messages:
             round_of_lot[side][(m.sender, m.lot)] = m.sender_round
             parts = link_plan.setdefault((m.sender, m.receiver, m.lot), {})
             parts[side] = m.link_index

@@ -560,12 +560,15 @@ def is_oblivious(
 class ObliviousStructure:
     """What compression needs of an oblivious protocol, fixed across its
     executions: the execution ``table`` (whose ``codeword`` splits bits
-    into messages), the worst-case communication ``cc``, and per player i
+    into messages), the reference execution's ``messages`` in global
+    order (the skeleton every execution shares: only the contents
+    differ), the worst-case communication ``cc``, and per player i
     ``events[i]``, its messages in round-interleaved order (per local
     round: sends by recipient, then reads by sender) as
     ``(global index, "s" or "r", peer, position on the link)``."""
 
     table: ExecutionTable
+    messages: tuple[Message, ...]
     events: dict[int, tuple[tuple[int, str, int, int], ...]]
     cc: int
 
@@ -592,6 +595,7 @@ class ObliviousStructure:
             )
         return cls(
             table=table,
+            messages=ref.messages,
             events={i: tuple(ev for _, ev in sorted(keyed[i]))
                     for i in p.players},
             cc=max(e.total_bits for e in table.values()),
@@ -601,34 +605,36 @@ class ObliviousStructure:
         """Split a round-interleaved transcript of player i into messages
         and return its conversation with each peer: the bits and the
         message extents, each (global message number, start and end bit
-        in the conversation, start bit in the transcript, "s" or "r" from
-        player i's side).
+        in the conversation, start bit in the transcript).  Raises
+        ``ValueError`` when ``t`` does not split into player i's messages.
 
         Compression reads the split messages in global order, so the
         player's round-interleaved order must agree with it.
         """
+        events = self.events[i]
+        if any(a[0] > b[0] for a, b in zip(events, events[1:])):
+            raise ModelViolationError(
+                "per-player transcript order disagrees with the global order"
+            )
         convs = {j: ([], []) for j in self.table.protocol.players if j != i}
         cursor = 0
-        last = 0
-        for g, direction, peer, pos in self.events[i]:
-            if g < last:
-                raise ModelViolationError(
-                    "per-player transcript order disagrees with the global order"
-                )
-            last = g
+        for g, direction, peer, pos in events:
             link = (i, peer) if direction == "s" else (peer, i)
-            word = self.table.codeword(*link, pos, t, cursor)
+            try:
+                word = self.table.codeword(*link, pos, t, cursor)
+            except ModelViolationError:  # the bits fit no codeword
+                word = None
             if word is None:
-                raise ModelViolationError(
+                raise ValueError(
                     f"transcript of player {i} is unparseable at bit {cursor}"
                 )
             words, extents = convs[peer]
             start = extents[-1][2] if extents else 0
             words.append(word)
-            extents.append((g, start, start + len(word), cursor, direction))
+            extents.append((g, start, start + len(word), cursor))
             cursor += len(word)
         if cursor != len(t):
-            raise ModelViolationError(
+            raise ValueError(
                 f"transcript of player {i} has {len(t) - cursor} trailing bits"
             )
         return {j: ("".join(words), tuple(extents))

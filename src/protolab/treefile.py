@@ -85,15 +85,18 @@ def _parse_tree(spec: dict, k: int, depth: int, nodes: list,
         if bits < 1:
             raise ConfigError("msg_bits must be positive")
         table = dict(spec["message_table"])
+        for what, values in (("child key", spec["children"]),
+                             ("message value", table.values())):
+            for value in values:
+                if len(value) != bits or any(c not in "01" for c in value):
+                    raise ConfigError(
+                        f"{what} {value!r} is not a {bits}-bit string"
+                    )
         children = {
             value: _parse_tree(child, k, depth + 1, nodes, interned)
             for value, child in spec["children"].items()
         }
         for value in table.values():
-            if len(value) != bits or any(c not in "01" for c in value):
-                raise ConfigError(
-                    f"message value {value!r} is not a {bits}-bit string"
-                )
             if value not in children:
                 raise ConfigError(f"message value {value!r} has no child")
         reachable = map(
@@ -157,15 +160,25 @@ class _TreeMachine:
                 else ("",)
             )
             pubs = bitstrings(self.public_bits) if self.has_tapes else ("",)
-            for inp in bitstrings(self.input_bits[node.sender - 1]):
-                for priv in tapes:
-                    for pub in pubs:
-                        key = self.view_key(inp, priv, pub)
-                        if key not in node.message_table:
-                            raise ConfigError(
-                                f"message_table of node {node.index} is "
-                                f"missing view key {key!r}"
-                            )
+            keys = [
+                self.view_key(inp, priv, pub)
+                for inp in bitstrings(self.input_bits[node.sender - 1])
+                for priv in tapes
+                for pub in pubs
+            ]
+            for key in keys:
+                if key not in node.message_table:
+                    raise ConfigError(
+                        f"message_table of node {node.index} is "
+                        f"missing view key {key!r}"
+                    )
+            extra = node.message_table.keys() - set(keys)
+            if extra:
+                raise ConfigError(
+                    f"message_table of node {node.index} has key "
+                    f"{min(extra)!r}, which is not a view key of player "
+                    f"{node.sender}"
+                )
 
     def view_key(self, inp: str, priv: str, pub: str) -> str:
         if not self.has_tapes:

@@ -359,8 +359,8 @@ def reference_profile_outputs(p, struct, inputs, public_tape, profile):
         driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
         convs = struct.parse_transcript(i, profile[i - 1])
         for peer, (bits, extents) in convs.items():
-            for _, start, end, _, direction in extents:
-                if direction == "r":
+            for g, start, end, _ in extents:
+                if struct.messages[g - 1].receiver == i:
                     driver.feed(peer, bits[start:end])
         outputs.append(driver.run().output)
     return tuple(outputs)

@@ -117,8 +117,14 @@ def test_exit_codes(capsys, tmp_path):
         '"tape_bits": {"private": [0, 0], "public": 0}, "tree": '
         + link * 3000 + '{"outputs": ["0", "0"]}' + "}}" * 3000 + "}"
     )
+    junk = tmp_path / "junk.json"
+    junk_tree = relay3_dict()
+    junk_tree["tree"]["message_table"]["junk"] = "0"
+    junk_tree["tree"]["children"]["111"] = {"outputs": ["10", "01", "0"]}
+    junk.write_text(json.dumps(junk_tree))
     for argv in (
         ("measure", "--protocol", f"tree:{deep}"),
+        ("measure", "--protocol", f"tree:{junk}"),
         ("compress", "--protocol", "star-parity", "--obliviousize", "abc"),
         ("compress", "--protocol", "star-parity", "--obliviousize", "1/0"),
         ("measure", "--protocol", "and-opt", "--mu", "grid:0"),

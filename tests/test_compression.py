@@ -4,6 +4,7 @@ coordinator-phase conversion."""
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from protolab.errors import (
 from protolab.measures import InputDistribution, acc, product_protocol, publicize
 from protolab.model import (
     ObliviousStructure,
+    ProtocolDef,
+    Round,
     bitstrings,
     is_oblivious,
     run_all,
@@ -158,6 +161,13 @@ def test_lcp_box_accounting():
     assert box.comm_bits > 0
     with pytest.raises(ConfigError):
         LcpBox(mode="quantum")
+
+
+def test_randomized_box_checks_its_rate_up_front():
+    for eps in (2, 1, 0, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match="error rate"):
+            LcpBox(mode="randomized", eps=eps)
+    assert LcpBox(mode="randomized", eps=0.5).compare("01", "00") in (1, None)
 
 
 # -- transcript trees ----------------------------------------------------------
@@ -315,6 +325,39 @@ def test_true_profiles_are_coherent_and_flips_are_not():
             assert not is_coherent(tuple(flipped), p, struct)
 
 
+def test_a_transcript_that_does_not_split_is_not_coherent():
+    p = get_entry("star-parity", k=3, n=1).protocol
+    struct = ObliviousStructure.build(p)
+    e = struct.table.get(("0", "1", "1"))
+    profile = tuple(e.round_interleaved_transcript(i) for i in p.players)
+    assert is_coherent(profile, p, struct)
+    t = profile[0]
+    for broken, why in ((t[:-1], "unparseable at bit 1"),
+                        (t + "0", "1 trailing bits")):
+        with pytest.raises(ValueError, match=why):
+            struct.parse_transcript(1, broken)
+        assert not is_coherent((broken,) + profile[1:], p, struct)
+    for wrong_count in (profile[:2], profile + ("0",)):
+        with pytest.raises(ValueError, match="holds 3 transcripts"):
+            is_coherent(wrong_count, p, struct)
+
+
+def test_coherence_still_rejects_an_order_off_the_global_order():
+    # Player 2 of this product is the one out of order, so a transcript of
+    # another player that does not split must not hide it.
+    p = publicize(product_protocol(get_entry("ring-parity", k=3, n=1).protocol,
+                                   get_entry("star-parity", k=3, n=1).protocol))
+    struct = ObliviousStructure.build(p)
+    e = next(iter(struct.table.values()))
+    profile = tuple(e.round_interleaved_transcript(i) for i in p.players)
+    for i in (None, *p.players):
+        broken = list(profile)
+        if i is not None:
+            broken[i - 1] = broken[i - 1][:-1]
+        with pytest.raises(ModelViolationError, match="disagrees with the global"):
+            is_coherent(tuple(broken), p, struct)
+
+
 def leaves_of(tree):
     out = []
 
@@ -366,7 +409,7 @@ def test_compress_run_recovers_every_profile_exactly():
             )
             # Per player: moves <= log2(1/weight of its true leaf) + 1.
             for i in p.players:
-                w = trees[(i, x[i - 1], "")].leaf_weight(result.profile[i - 1])
+                w = trees[(i, x[i - 1], "")].reached[x].weight
                 assert result.moves_per_player[i] <= math.log2(1 / w) + 1
             assert result.stages <= result.log_weight_bound + TOL
 
@@ -485,8 +528,8 @@ def test_publicized_ring_compresses():
 
 
 def test_theorem_check_looks_true_executions_up_without_checking(monkeypatch):
-    # compress_run reads each true execution off the table by a key the
-    # table holds, so the argument check never runs.
+    # The trees read each execution off the table by a key the table holds,
+    # and compress_run reads none, so the argument check never runs.
     calls = [0]
     check = model._validate_run_args
 
@@ -500,6 +543,125 @@ def test_theorem_check_looks_true_executions_up_without_checking(monkeypatch):
     report = compression_theorem_check(p, uniform(p), 0.25, ring.family)
     assert report.measured_error == 0.0
     assert calls[0] == 0
+
+
+def test_theorem_check_reads_transcripts_only_in_tree_builds(monkeypatch):
+    # compress_run takes the true leaves from its trees, so the check looks
+    # no execution up, and only build_tree reads transcripts: one per full
+    # input each tree covers.
+    gets = []
+    callers = Counter()
+    get = model.ExecutionTable.get
+    transcript = model.Execution.round_interleaved_transcript
+
+    def counted_get(self, *args, **kwargs):
+        gets.append(args)
+        return get(self, *args, **kwargs)
+
+    def counted_transcript(self, i):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return transcript(self, i)
+
+    monkeypatch.setattr(model.ExecutionTable, "get", counted_get)
+    monkeypatch.setattr(model.Execution, "round_interleaved_transcript",
+                        counted_transcript)
+    p, family = publicized_ring()
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode="randomized", seed=1)
+    assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
+    assert gets == []
+    runs = len(list(p.input_space())) << p.public_tape_length
+    assert callers == {"build_tree": p.k * runs}
+
+
+def test_compress_run_rejects_inputs_and_tapes_off_the_domain():
+    p, _family = publicized_ring()
+    mu = uniform(p)
+    struct = ObliviousStructure.build(p)
+    x = ("0", "1", "1")
+    for trees in (None, {}):
+        compress_run(p, mu, x, "0", LcpBox(), structure=struct, trees=trees)
+        for bad in (("0", "1", "2"), ("00", "1", "1"), x[:2], x + ("0",)):
+            with pytest.raises(ValueError):
+                compress_run(p, mu, bad, "0", LcpBox(), structure=struct,
+                             trees=trees)
+        for tape in ("", "01", "x"):
+            with pytest.raises(ValueError, match="public tape"):
+                compress_run(p, mu, x, tape, LcpBox(), structure=struct,
+                             trees=trees)
+
+
+class OneSidedBox(LcpBox):
+    """Answers as ``lcp_randomized`` may: never below the first difference
+    d, a seeded draw in [d, shorter length], and None ("equal") when the
+    draw reaches both lengths."""
+
+    def compare(self, x, y):
+        self.calls += 1
+        d = lcp_exact(x, y)
+        if d is None:
+            return None
+        draw = self._rng.randint(d, min(len(x), len(y)))
+        return None if draw == len(x) == len(y) else draw
+
+
+def prefix_code_protocol():
+    """Player 1 sends its input as one of the prefix-free words 0, 10, 11
+    and player 2 answers with its bit, so the two candidate conversations
+    of the pair can differ in length."""
+    words = {"00": "0", "01": "10", "10": "11", "11": "11"}
+
+    def first(view):
+        if view.round == 1:
+            return Round(sends=((2, words[view.input]),), waits=(2,))
+        return Round(output=view.received[0][1], halt=True)
+
+    def second(view):
+        if view.round == 1:
+            return Round(waits=(1,))
+        return Round(sends=((1, view.input),),
+                     output=view.received[0][1][0], halt=True)
+
+    return ProtocolDef(
+        name="prefix-code", k=2,
+        input_domains=(tuple(words), ("0", "1")),
+        output_domains=(("0", "1"), ("0", "1")),
+        private_tape_lengths=(0, 0), public_tape_length=0,
+        programs=(first, second), max_local_rounds=3,
+    )
+
+
+def test_a_box_that_never_undershoots_meets_no_model_check():
+    # Such a box derails stages and often ends on a wrong profile, but the
+    # model checks compress_run keeps for every box (the winning pair owns
+    # q_min, the moving weight halves) are out of its reach.
+    protocols = [
+        publicize(get_entry("star-parity", k=3, n=2).protocol),
+        publicize(get_entry("ring-parity", k=3, n=2).protocol),
+        get_entry("and-opt").protocol,
+        golden_case("obliviousized")[0],
+        prefix_code_protocol(),
+    ]
+    runs = wrong = 0
+    for p in protocols:
+        mu = uniform(p)
+        struct = ObliviousStructure.build(p)
+        trees = {}
+        for seed in range(10):
+            for x in p.input_space():
+                for pub in bitstrings(p.public_tape_length):
+                    result = compress_run(
+                        p, mu, x, pub, OneSidedBox("randomized", seed=seed),
+                        structure=struct, trees=trees,
+                    )
+                    truth = tuple(trees[(i, x[i - 1], pub)].reached[x]
+                                  for i in p.players)
+                    runs += 1
+                    wrong += result.profile != tuple(
+                        leaf.leaf_label for leaf in truth
+                    )
+    assert runs == 10 * (64 + 256 + 4 + 8 + 8)
+    assert 0 < wrong < runs
 
 
 # -- obliviousize -----------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_format_validation():
         protocol_from_dict(spec)
 
     spec = and_tree_dict()
+    spec["tree"]["children"]["111"] = {"outputs": ["10", "01"]}
+    with pytest.raises(ConfigError, match="child key '111' is not a 1-bit"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
+    spec["tree"]["children"]["1"]["message_table"]["junk"] = "0"
+    with pytest.raises(ConfigError, match="key 'junk', which is not a view"):
+        protocol_from_dict(spec)
+
+    spec = and_tree_dict()
     for _ in range(3000):  # a chain, one level per message
         spec["tree"] = {
             "sender": 1, "receiver": 2, "msg_bits": 1,
