@@ -99,9 +99,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--eps", type=float, default=None,
                     help="per-call error rate for randomized lcp boxes")
     sp.add_argument("--delta", type=float, default=0.1,
-                    help="error budget of the compression theorem")
-    sp.add_argument("--trials", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=0)
+                    help="error budget of the compression theorem, in (0, 1)")
+    sp.add_argument("--trials", type=int, default=None,
+                    help="runs per input and tape for randomized lcp boxes "
+                         "(default 8)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the randomized lcp boxes (default 0)")
     sp.add_argument("--obliviousize", type=str, default=None, metavar="EPS",
                     help="first rewrite the protocol through a coordinator")
 
@@ -257,6 +260,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    if args.lcp == "exact":
+        for flag in ("eps", "trials", "seed"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} is read by --lcp randomized only")
     p, family, _ = _load_protocol(args)
     if family is None:
         raise ConfigError("compression check needs a function family")
@@ -272,9 +279,9 @@ def _cmd_compress(args) -> int:
     p = measures.publicize(p)
     report = compression.compression_theorem_check(
         p, mu, args.delta, family,
-        lcp_mode=args.lcp, seed=args.seed, trials=args.trials,
-        budget=args.budget,
-        eps_call=args.eps if args.lcp == "randomized" else None,
+        lcp_mode=args.lcp, seed=args.seed or 0,
+        trials=8 if args.trials is None else args.trials,
+        budget=args.budget, eps_call=args.eps,
     )
     _emit(report.to_dict(), args)
     return EXIT_OK
@@ -318,7 +325,7 @@ def _cmd_list(args) -> int:
     protocols = [
         {
             "name": name,
-            "parameters": list(meta["params"]),
+            "parameters": list(meta["defaults"]),
             "defaults": meta["defaults"],
             "summary": meta["summary"],
         }

@@ -100,8 +100,6 @@ def lcp_randomized(
     yi = int(y, 2) if y else 0
 
     def prefixes_equal(length: int) -> bool:
-        if length == 0:
-            return True
         xp = xi >> (len(x) - length)
         yp = yi >> (len(y) - length)
         diff = xp ^ yp  # <x, m> and <y, m> differ iff <x ^ y, m> is odd
@@ -612,13 +610,12 @@ def compression_theorem_check(
     within delta), and the measured error comes from seeded Monte-Carlo
     trials.  Passing ``eps_call`` overrides the rate; the error-within-
     delta assertion is then skipped, since the caller chose the operating
-    point, and only the measured value is reported.
+    point, and only the measured value is reported.  ``delta`` is an error
+    probability, so it must lie in (0, 1).
     """
-    if not 0 < delta < math.inf:
-        raise ConfigError(
-            "delta must be positive and finite (with randomized boxes the "
-            "per-call error rate is undefined otherwise)"
-        )
+    if not 0 < delta < 1:
+        raise ConfigError(f"delta must be an error probability in (0, 1), "
+                          f"got {delta}")
     if lcp_mode == "randomized" and trials < 1:
         raise ConfigError("randomized compression needs at least one trial")
     struct = ObliviousStructure.build(p, budget)

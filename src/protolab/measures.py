@@ -185,7 +185,6 @@ def _var_names(k: int) -> dict[str, list[str]]:
         "r": [f"r{i}" for i in range(1, k + 1)],
         "pi": [f"pi{i}" for i in range(1, k + 1)],
         "bidi": [f"bidi{i}" for i in range(1, k + 1)],
-        "out": [f"out{i}" for i in range(1, k + 1)],
     }
 
 
@@ -196,19 +195,18 @@ def build_joint(
     family: FunctionFamily | None = None,
     budget: int | None = DEFAULT_BUDGET,
 ) -> JointDistribution:
-    """Exact joint law of inputs, tapes, transcripts, and outputs.
+    """Exact joint law of inputs, tapes and transcripts.
 
     Variables: ``x1..xk`` inputs, ``r1..rk`` private tapes, ``rp`` public
     tape, ``pi1..pik`` received transcripts, ``bidi1..bidik`` bidirectional
     transcripts (received-then-sent ordering), ``pi`` the full transcript,
-    ``out1..outk`` outputs, and ``f1..fk`` when a function family is given.
+    and ``f1..fk`` when a function family is given.
     Weights are integer numerators over the lcm of mu's denominators times
     the number of tape assignments.
     """
     names = _var_names(p.k)
     variables = (
-        names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"]
-        + ["pi"] + names["out"]
+        names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"] + ["pi"]
     )
     if family is not None:
         variables += [f"f{i}" for i in p.players]
@@ -222,7 +220,6 @@ def build_joint(
             + tuple(e.received_transcript(i) for i in p.players)
             + tuple(e.bidirectional_transcript(i) for i in p.players)
             + (e.full_transcript(),)
-            + e.outputs
         )
         if family is not None:
             row += tuple(family.value(i, x) for i in p.players)

@@ -23,6 +23,11 @@ keyed by message value; leaves carry per-player outputs.  The view key is
 the sender's input when the protocol declares no tape bits at all, and
 ``"input:private:public"`` otherwise.
 
+The tree is checked as it is parsed, in one pass: each node's fields, its
+child keys and message values (``msg_bits``-bit strings, each value with a
+child), and its ``message_table``, whose keys must be exactly the sender's
+view keys.  The first fault raises ``ConfigError``.
+
 The compiler turns the tree into per-player programs.  A player carries
 from round to round the set of tree positions consistent with what it has
 itself seen and done: each round every position follows the message the
@@ -38,7 +43,7 @@ which lets a player finish early on branches that never involve it again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ModelViolationError
@@ -47,14 +52,12 @@ from .model import ProtocolDef, Round, View, bitstrings, fold_views
 
 @dataclass
 class _Node:
-    index: int
     sender: int | None
     receiver: int | None
-    msg_bits: int | None
     message_table: dict | None
     children: dict | None
     outputs: tuple[str, ...] | None
-    depth: int
+    height: int  # messages on the longest path down to a leaf
     reachable: tuple[frozenset[str], ...]  # per player: outputs at leaves below
 
     @property
@@ -62,58 +65,56 @@ class _Node:
         return self.outputs is not None
 
 
-def _parse_tree(spec: dict, k: int, depth: int, nodes: list,
-                interned: dict) -> _Node:
-    """Parse a subtree; equal reachable-output sets share one frozenset."""
-    index = len(nodes)
-    nodes.append(None)
+def _parse_tree(spec: dict, view_keys: list, interned: dict) -> _Node:
+    """Parse a subtree, checking each node as it is built; ``view_keys[i-1]``
+    is player i's set of view keys, and equal reachable-output sets share
+    one frozenset."""
+    k = len(view_keys)
     if "outputs" in spec:
         outputs = tuple(spec["outputs"])
         if len(outputs) != k:
             raise ConfigError(f"leaf needs {k} outputs, got {len(outputs)}")
         reachable = (frozenset((out,)) for out in outputs)
-        node = _Node(index, None, None, None, None, None, outputs, depth,
+        return _Node(None, None, None, None, outputs, 0,
                      tuple(interned.setdefault(r, r) for r in reachable))
-    else:
-        for key in ("sender", "receiver", "msg_bits", "message_table", "children"):
-            if key not in spec:
-                raise ConfigError(f"tree node is missing field {key!r}")
-        sender, receiver = spec["sender"], spec["receiver"]
-        bits = spec["msg_bits"]
-        if not (1 <= sender <= k and 1 <= receiver <= k) or sender == receiver:
-            raise ConfigError(f"bad sender/receiver pair ({sender}, {receiver})")
-        if bits < 1:
-            raise ConfigError("msg_bits must be positive")
-        table = dict(spec["message_table"])
-        for what, values in (("child key", spec["children"]),
-                             ("message value", table.values())):
-            for value in values:
-                if len(value) != bits or any(c not in "01" for c in value):
-                    raise ConfigError(
-                        f"{what} {value!r} is not a {bits}-bit string"
-                    )
-        children = {
-            value: _parse_tree(child, k, depth + 1, nodes, interned)
-            for value, child in spec["children"].items()
-        }
-        for value in table.values():
-            if value not in children:
-                raise ConfigError(f"message value {value!r} has no child")
-        reachable = map(
-            frozenset.union, *(c.reachable for c in children.values())
+    sender, receiver = spec["sender"], spec["receiver"]
+    bits = spec["msg_bits"]
+    if not (1 <= sender <= k and 1 <= receiver <= k) or sender == receiver:
+        raise ConfigError(f"bad sender/receiver pair ({sender}, {receiver})")
+    if bits < 1:
+        raise ConfigError("msg_bits must be positive")
+    table = dict(spec["message_table"])
+    for what, values in (("child key", spec["children"]),
+                         ("message value", table.values())):
+        for value in values:
+            if len(value) != bits or any(c not in "01" for c in value):
+                raise ConfigError(f"{what} {value!r} is not a {bits}-bit string")
+    keys = view_keys[sender - 1]
+    if table.keys() != keys:
+        where = f"message_table of a node where player {sender} sends"
+        missing = keys - table.keys()
+        if missing:
+            raise ConfigError(f"{where} is missing view key {min(missing)!r}")
+        raise ConfigError(
+            f"{where} has key {min(table.keys() - keys)!r}, which is not a "
+            f"view key of player {sender}"
         )
-        node = _Node(index, sender, receiver, bits, table, children, None,
-                     depth, tuple(interned.setdefault(r, r) for r in reachable))
-    nodes[index] = node
-    return node
+    children = {
+        value: _parse_tree(child, view_keys, interned)
+        for value, child in spec["children"].items()
+    }
+    for value in table.values():
+        if value not in children:
+            raise ConfigError(f"message value {value!r} has no child")
+    reachable = map(frozenset.union, *(c.reachable for c in children.values()))
+    return _Node(sender, receiver, table, children, None,
+                 1 + max(c.height for c in children.values()),
+                 tuple(interned.setdefault(r, r) for r in reachable))
 
 
 @dataclass(frozen=True)
 class _Decision:
-    kind: str  # "send" | "wait" | "halt"
-    receiver: int | None
-    value: str | None
-    sender: int | None
+    act: Round  # the round the player plays, without its output
     determined: str | None  # unique reachable output for this player, if any
     points: list[_Node]  # the tree positions it was taken at
 
@@ -132,9 +133,6 @@ class _TreeMachine:
     """Shared immutable data for the per-player compiled programs."""
 
     def __init__(self, spec: dict, source: str):
-        for key in ("k", "input_bits", "tape_bits", "tree"):
-            if key not in spec:
-                raise ConfigError(f"protocol tree is missing field {key!r}")
         self.k = spec["k"]
         if self.k < 2:
             raise ConfigError("a protocol tree needs at least 2 players")
@@ -144,41 +142,17 @@ class _TreeMachine:
         self.public_bits = tape["public"]
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
-        self.nodes: list[_Node] = []
-        self.root = _parse_tree(spec["tree"], self.k, 0, self.nodes, {})
         self.has_tapes = sum(self.private_bits) + self.public_bits > 0
+        # Without tapes every tape is "", so each player's keys are its inputs.
+        view_keys = [
+            frozenset(self.view_key(inp, priv, pub)
+                      for inp in bitstrings(bits)
+                      for priv in bitstrings(private)
+                      for pub in bitstrings(self.public_bits))
+            for bits, private in zip(self.input_bits, self.private_bits)
+        ]
+        self.root = _parse_tree(spec["tree"], view_keys, {})
         self.name = spec.get("name") or source
-        self._validate_tables()
-
-    def _validate_tables(self):
-        for node in self.nodes:
-            if node.is_leaf:
-                continue
-            tapes = (
-                bitstrings(self.private_bits[node.sender - 1])
-                if self.has_tapes
-                else ("",)
-            )
-            pubs = bitstrings(self.public_bits) if self.has_tapes else ("",)
-            keys = [
-                self.view_key(inp, priv, pub)
-                for inp in bitstrings(self.input_bits[node.sender - 1])
-                for priv in tapes
-                for pub in pubs
-            ]
-            for key in keys:
-                if key not in node.message_table:
-                    raise ConfigError(
-                        f"message_table of node {node.index} is "
-                        f"missing view key {key!r}"
-                    )
-            extra = node.message_table.keys() - set(keys)
-            if extra:
-                raise ConfigError(
-                    f"message_table of node {node.index} has key "
-                    f"{min(extra)!r}, which is not a view key of player "
-                    f"{node.sender}"
-                )
 
     def view_key(self, inp: str, priv: str, pub: str) -> str:
         if not self.has_tapes:
@@ -222,18 +196,18 @@ class _TreeMachine:
                     f"player {player} would send different messages on "
                     "branches it cannot distinguish"
                 )
-            receiver, value = moves.pop()
-            return _Decision("send", receiver, value, None, determined, points)
-        if waits:
+            act = Round(sends=(moves.pop(),))
+        elif waits:
             senders = {n.sender for n in waits}
             if len(senders) != 1:
                 raise ModelViolationError(
                     f"player {player} cannot form a wait set: possible "
                     f"senders {sorted(senders)}"
                 )
-            return _Decision("wait", None, None, senders.pop(), determined,
-                             points)
-        return _Decision("halt", None, None, None, determined, points)
+            act = Round(waits=(senders.pop(),))
+        else:
+            act = Round(halt=True)
+        return _Decision(act, determined, points)
 
     def program(self, player: int):
         def start(view: View) -> _PlayerState:
@@ -249,7 +223,8 @@ class _TreeMachine:
                 state.wrote = True
             # Every position follows the message sent (the player's table
             # value at each of them) or read; leaves and mismatches drop out.
-            value = past.value if past.kind == "send" else round_reads[0][1]
+            sends = past.act.sends
+            value = sends[0][1] if sends else round_reads[0][1]
             state.now = self._decide(player, state.key, [
                 n.children[value] for n in past.points
                 if not n.is_leaf and value in n.children
@@ -261,17 +236,11 @@ class _TreeMachine:
             state = state_of(view)
             now = state.now
             output = now.determined if not state.wrote else None
-            if now.kind == "send":
-                return Round(
-                    sends=((now.receiver, now.value),), output=output, waits=()
-                )
-            if now.kind == "wait":
-                return Round(output=output, waits=(now.sender,))
-            if output is None and now.determined is None:
+            if now.act.halt and output is None and now.determined is None:
                 raise ModelViolationError(
                     f"player {player} reached leaves with conflicting outputs"
                 )
-            return Round(output=output, halt=True)
+            return replace(now.act, output=output)
 
         return prog
 
@@ -288,7 +257,6 @@ def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
         output_domains = tuple(
             tuple(sorted(outputs)) for outputs in machine.root.reachable
         )
-        max_depth = max(node.depth for node in machine.nodes)
         return ProtocolDef(
             name=machine.name,
             k=k,
@@ -297,7 +265,7 @@ def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
             private_tape_lengths=tuple(machine.private_bits),
             public_tape_length=machine.public_bits,
             programs=tuple(machine.program(i) for i in range(1, k + 1)),
-            max_local_rounds=2 * max_depth + 4,
+            max_local_rounds=2 * machine.root.height + 4,
         )
     except KeyError as exc:
         raise ConfigError(f"protocol tree is missing field {exc}") from exc

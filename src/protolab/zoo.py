@@ -404,35 +404,30 @@ REGISTRY = {
     "ring-parity": {
         "factory": ring_parity,
         "executions": _ring_parity_executions,
-        "params": ("k", "n"),
         "defaults": {"k": 3, "n": 1},
         "summary": "private parity around a ring, padded by player 1",
     },
     "star-parity": {
         "factory": star_parity,
         "executions": _star_parity_executions,
-        "params": ("k", "n"),
         "defaults": {"k": 3, "n": 1},
         "summary": "deterministic parity with all inputs sent to player 1",
     },
     "and-opt": {
         "factory": and_opt,
         "executions": lambda: 4,
-        "params": (),
         "defaults": {},
         "summary": "two-message AND protocol",
     },
     "q-index": {
         "factory": q_index,
         "executions": _q_index_executions,
-        "params": ("k", "q"),
         "defaults": {"k": 3, "q": 1},
         "summary": "player k queries q selected bit-holders",
     },
     "order-leak": {
         "factory": order_leak_demo,
         "executions": lambda: 2,
-        "params": (),
         "defaults": {},
         "summary": "relaxed-mode demo: message order leaks a bit",
     },
@@ -455,7 +450,7 @@ def get_entry(name: str, budget: int | None = None, **params) -> ZooEntry:
     for key, value in params.items():
         if value is None:
             continue
-        if key not in meta["params"]:
+        if key not in meta["defaults"]:
             raise ConfigError(f"protocol {name!r} takes no parameter {key!r}")
         args[key] = value
     required = meta["executions"](**args)

@@ -50,16 +50,6 @@ from protolab.treefile import _TreeMachine, protocol_from_dict
 # ---------------------------------------------------------------------------
 
 
-def oracle_entropy(weighted_values) -> float:
-    """H of a list of (Fraction weight, value) with weights summing to 1."""
-    mass = defaultdict(Fraction)
-    for w, v in weighted_values:
-        mass[v] += w
-    return sum(
-        float(w) * math.log2(1 / float(w)) for w in mass.values() if w > 0
-    )
-
-
 def oracle_cond_entropy(rows) -> float:
     """H(A | C) from rows of (Fraction weight, a, c)."""
     joint = defaultdict(Fraction)

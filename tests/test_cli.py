@@ -148,6 +148,20 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 1 and err.startswith("error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert out == "", argv
+    # delta is an error probability, and --eps, --trials and --seed steer
+    # randomized lcp boxes only: the error line names the offending flag.
+    for argv, flag in (
+        (("--lcp", "randomized", "--delta", "1"), "delta"),
+        (("--lcp", "randomized", "--delta", "20"), "delta"),
+        (("--delta", "5"), "delta"),
+        (("--lcp", "exact", "--eps", "0.01"), "--eps"),
+        (("--lcp", "exact", "--trials", "2"), "--trials"),
+        (("--lcp", "exact", "--seed", "3"), "--seed"),
+    ):
+        code, out, err = run_cli(capsys, "compress", "--protocol",
+                                 "star-parity", *argv)
+        assert code == 1 and err.startswith("error: ") and flag in err, argv
+        assert err.count("\n") == 1 and out == "", argv
     # 2 again: the budget also caps the pic grid's points per axis and the
     # local rounds of --obliviousize, and a protocol over the budget fails
     # before any distribution over its input space is built.

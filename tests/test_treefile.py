@@ -117,6 +117,19 @@ def test_format_validation():
         protocol_from_dict(spec)
 
     spec = and_tree_dict()
+    del spec["tree"]["children"]["1"]["message_table"]["1"]  # below the root
+    with pytest.raises(ConfigError,
+                       match="player 2 sends is missing view key '1'"):
+        protocol_from_dict(spec)
+
+    for field in ("k", "tree"):
+        spec = and_tree_dict()
+        del spec[field]
+        with pytest.raises(ConfigError,
+                           match=f"protocol tree is missing field '{field}'"):
+            protocol_from_dict(spec)
+
+    spec = and_tree_dict()
     spec["tree"]["children"]["0"]["outputs"] = ["0"]  # wrong arity
     with pytest.raises(ConfigError, match="outputs"):
         protocol_from_dict(spec)
@@ -240,6 +253,20 @@ def test_random_multiparty_trees_match_a_direct_walk(seed):
         for m in sorted(e.messages, key=lambda m: m.link_index):
             sent[(m.sender, m.receiver)].append(m.content)
         assert sent == links
+
+
+def _longest_path(node: dict) -> int:
+    if "outputs" in node:
+        return 0
+    return 1 + max(_longest_path(c) for c in node["children"].values())
+
+
+@pytest.mark.parametrize("valid", (False, True))
+def test_local_round_bound_follows_the_longest_path(valid):
+    for seed in range(40):
+        spec = _multiparty_draw(seed, valid)
+        d = _longest_path(spec["tree"])
+        assert protocol_from_dict(spec).max_local_rounds == 2 * d + 4
 
 
 def _outcome(p, x, privs, pub):
