@@ -656,6 +656,10 @@ def compression_theorem_check(
         measured = float(err_exact)
         eps_call = None
     elif lcp_mode == "randomized":
+        runs = len(exact_runs) * trials
+        if budget is not None and runs > budget:
+            raise BudgetExceededError(runs, budget, "randomized compression",
+                                      "compress runs")
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
         rng = random.Random(seed)

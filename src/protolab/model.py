@@ -11,11 +11,14 @@ exactly the loophole the restricted model closes.
 Executions are deterministic given inputs and tapes.  A finished execution
 records, per player, the messages read (ordered by round, then sender index)
 and sent (ordered by round, then recipient index), from which the various
-transcript orderings are derived.  The global message order groups messages
-into causal lots, assigned as messages are sent: the lot of the messages a
-player sends in some round is one more than the largest lot among the
-messages it had read before that round and its own earlier sending rounds;
-inside a lot, messages are ordered lexicographically by link.
+transcript orderings are derived.  The engine only feeds messages from
+senders to readers; the message list in the global order is derived from
+those records when it is first read.  The global order groups messages into
+causal lots: the lot of the messages a player sends in some round is one
+more than the largest lot among the messages it had read before that round
+and its own earlier sending rounds; inside a lot, messages are ordered
+lexicographically by link.  Relaxed mode has no lots: the engine keeps a log
+of the links it read from, in order, and messages follow that log.
 
 Termination: the simulation stops when nobody can advance.  That is an error
 only if some player never wrote an output or some sent message was never
@@ -30,7 +33,7 @@ import itertools
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BudgetExceededError,
@@ -204,7 +207,9 @@ PerRound = tuple[tuple[tuple[int, str], ...], ...]
 
 @dataclass(frozen=True)
 class Execution:
-    """Full record of one deterministic run."""
+    """Full record of one deterministic run: what each player read, sent
+    and waited for, round by round.  ``messages`` is derived from it when
+    first read, so the engine builds no per-message records."""
 
     protocol: ProtocolDef
     inputs: tuple[str, ...]
@@ -214,10 +219,64 @@ class Execution:
     reads: tuple[PerRound, ...]
     sends: tuple[PerRound, ...]
     patterns: tuple[tuple[tuple[tuple[int, ...] | str, tuple[int, ...]], ...], ...]
-    messages: tuple[Message, ...]
     total_bits: int
     # Pi_i per player, joined once from ``reads`` when the run ends.
     received: tuple[str, ...] = field(compare=False, repr=False)
+    # Relaxed mode only: the (sender, receiver) link of every read, in the
+    # order the engine made them.
+    read_log: tuple[tuple[int, int], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @cached_property
+    def messages(self) -> tuple[Message, ...]:
+        """Every message in the global order, derived from ``reads`` and
+        ``sends`` on first access.  In restricted mode the players' rounds
+        are walked in causal order: a sending round's lot is one more than
+        the largest lot the player sent in an earlier round or read before
+        it, and messages are sorted by lot, then link.  In relaxed mode the
+        order is that of the read log, and each lot is the global index."""
+        k = self.protocol.k
+        # A record holds the fields of its Message in order; the receiver
+        # round is filled in when the walk reads it, the global index last.
+        sent = defaultdict(list)  # (sender, receiver) -> records, FIFO
+        n_read = defaultdict(int)  # (sender, receiver) -> records read
+        level = [0] * (k + 1)  # per player, the highest lot sent or read
+        done = [0] * (k + 1)  # per player, the local rounds walked
+        progress = True
+        while progress:
+            progress = False
+            for i in range(1, k + 1):
+                reads, sends = self.reads[i - 1], self.sends[i - 1]
+                for r in range(done[i], len(sends)):
+                    # Local round r + 1 runs right after read round r.
+                    links = [(s, i) for s, _ in reads[r - 1]] if r else []
+                    if any(n_read[link] == len(sent[link]) for link in links):
+                        break  # it reads a message not yet walked
+                    for link in links:
+                        rec = sent[link][n_read[link]]
+                        n_read[link] += 1
+                        rec[4] = r
+                        level[i] = max(level[i], rec[6])
+                    if sends[r]:
+                        level[i] += 1
+                        for q, content in sends[r]:
+                            fifo = sent[(i, q)]
+                            fifo.append([i, q, content, r + 1, None,
+                                         len(fifo), level[i], None])
+                    done[i] = r + 1
+                    progress = True
+        if self.read_log is None:
+            records = sorted((rec for link in sent.values() for rec in link),
+                             key=lambda rec: (rec[6], rec[0], rec[1]))
+        else:
+            unread = {link: iter(recs) for link, recs in sent.items()}
+            records = [next(unread[link]) for link in self.read_log]
+            for n, rec in enumerate(records, start=1):
+                rec[6] = n
+        for g, rec in enumerate(records, start=1):
+            rec[7] = g
+        return tuple(itertools.starmap(Message, records))
 
     # -- transcript orderings ----------------------------------------------
 
@@ -293,77 +352,43 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
                       schedule, tries[i - 1])
         for i in p.players
     ]
-    # A message is stamped with its lot when it is sent and with its
-    # receiver round and read clock when it is read.  A record holds the
-    # fields of its Message in order, up to the lot, then the read clock,
-    # which gives way to the global index once the records are sorted.
-    records = []
-    in_transit = defaultdict(deque)  # (sender, receiver) -> unread records
-    link_pos: dict[tuple[int, int], int] = {}
-    level = [0] * (p.k + 1)  # per player, the highest lot sent or read
-    clock = 0
+    inboxes = [d.inbox for d in drivers]
+    # Relaxed mode orders its messages by when they were read: the
+    # (sender, receiver) link of every read, in the order reads happen.
+    read_log = [] if p.mode == RELAXED else None
 
     progress = True
     while progress:
         progress = False
         for d in drivers:
-            i = d.player
-            n_rounds = len(d.sends)
+            sends = d.sends
+            n_rounds = len(sends)
             d.run()
-            # The driver runs a round right after each read: reads[r - 1]
-            # comes right before sends[r], and no read is left over.
-            for r in range(n_rounds, len(d.sends)):
-                if r:
-                    for s, _ in d.reads[r - 1]:
-                        rec = in_transit[(s, i)].popleft()
-                        clock += 1
-                        rec[4], rec[7] = r, clock
-                        if rec[6] > level[i]:
-                            level[i] = rec[6]
-                if not d.sends[r]:
-                    continue
-                level[i] += 1  # this round's lot
-                for q, content in d.sends[r]:
-                    pos = link_pos.get((i, q), 0)
-                    link_pos[(i, q)] = pos + 1
-                    rec = [i, q, content, r + 1, None, pos, level[i], None]
-                    records.append(rec)
-                    in_transit[(i, q)].append(rec)
-                    drivers[q - 1].inbox[i].append(content)
-            if len(d.sends) > n_rounds:
-                progress = True
+            if len(sends) == n_rounds:
+                continue
+            progress = True
+            i = d.player
+            if read_log is not None:
+                # The driver runs a round right after each read: reads[r - 1]
+                # comes right before sends[r].
+                for rnd in d.reads[max(n_rounds, 1) - 1:]:
+                    read_log.extend((s, i) for s, _ in rnd)
+            for rnd in sends[n_rounds:]:
+                for q, content in rnd:
+                    inboxes[q - 1][i].append(content)
 
     missing = [d.player for d in drivers if d.output is None]
     if missing:
         raise DeadlockError(
             f"execution stalled with no output from player(s) {missing}"
         )
-    stuck = {link: len(unread)
-             for link, unread in sorted(in_transit.items()) if unread}
-    if stuck:
+    if any(map(any, map(dict.values, inboxes))):  # a message is unread
+        stuck = dict(sorted(((s, d.player), len(unread)) for d in drivers
+                            for s, unread in d.inbox.items() if unread))
         raise DeadlockError(f"unread messages left in transit: {stuck}")
-
-    if p.mode == RELAXED:
-        # No lot structure in relaxed mode; order messages by read chronology.
-        records.sort(key=lambda rec: rec[7])
-        for n, rec in enumerate(records, start=1):
-            rec[6] = n
-    else:
-        records.sort(key=lambda rec: (rec[6], rec[0], rec[1]))
-        for a, b in zip(records, records[1:]):
-            if a[6] == b[6] and a[0] == b[0] and a[1] == b[1]:
-                raise ModelViolationError(
-                    "two messages on one link were assigned to the same lot"
-                )
-    for g, rec in enumerate(records, start=1):
-        rec[7] = g
-    messages = tuple(itertools.starmap(Message, records))
-    total_bits = sum(len(m.content) for m in messages)
     received = tuple(
-        "".join(m for rnd in d.reads for _, m in rnd) for d in drivers
+        ["".join([m for rnd in d.reads for _, m in rnd]) for d in drivers]
     )
-    if sum(map(len, received)) != total_bits:
-        raise ModelViolationError("transcript length accounting mismatch")
     return Execution(
         protocol=p,
         inputs=inputs,
@@ -373,9 +398,9 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
         reads=tuple(tuple(d.reads) for d in drivers),
         sends=tuple(tuple(d.sends) for d in drivers),
         patterns=tuple(tuple(d.patterns) for d in drivers),
-        messages=messages,
-        total_bits=total_bits,
+        total_bits=sum(map(len, received)),
         received=received,
+        read_log=None if read_log is None else tuple(read_log),
     )
 
 
@@ -472,12 +497,15 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
             executions[(tuple(x), tuple(privs), pub)] = e
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
-        for m in e.messages:
-            codebooks.setdefault((m.sender, m.receiver, m.link_index), set()).add(
-                m.content
-            )
+        for i, rounds in enumerate(e.sends, start=1):
+            pos = {}
+            for rnd in rounds:
+                for q, content in rnd:
+                    n = pos.get(q, 0)
+                    pos[q] = n + 1
+                    codebooks.setdefault((i, q, n), set()).add(content)
     frozen = {}
-    for key, contents in codebooks.items():
+    for key, contents in sorted(codebooks.items()):
         witness = prefix_free_violation(contents)
         if witness:
             raise SelfDelimitingError(

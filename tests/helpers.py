@@ -121,9 +121,8 @@ def distinct_views(table) -> int:
 def reference_messages(e) -> tuple[Message, ...]:
     """The messages of a restricted-mode execution, rebuilt after the run
     from ``e.reads`` and ``e.sends`` by resolving the graph of causal
-    dependencies between sending rounds.  This is the lot assignment the
-    engine ran as a second pass before it stamped lots as messages were
-    sent, kept as the reference for that engine."""
+    dependencies between sending rounds, kept as the reference for the
+    causal walk of ``Execution.messages``."""
     p = e.protocol
     reads, sends = e.reads, e.sends
     read_counts: dict[tuple[int, int], int] = {}

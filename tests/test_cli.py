@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from protolab import zoo
+from protolab import compression, zoo
 from protolab.cli import main
 
 from helpers import relay3_dict
@@ -179,6 +180,27 @@ def test_exit_codes(capsys, tmp_path):
         assert out == "", argv
 
 
+def test_budget_caps_randomized_compress_runs(capsys, monkeypatch):
+    # 8 (input, public tape) rows x 200 trials is 1600 compress runs; the
+    # budget refuses them after the exact pass, before the first trial.
+    calls = []
+    exact = compression.compress_run
+
+    def counted(*args, **kwargs):
+        calls.append(args[4].mode)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(compression, "compress_run", counted)
+    code, out, err = run_cli(
+        capsys, "compress", "--protocol", "star-parity", "--lcp",
+        "randomized", "--budget", "100", "--trials", "200",
+    )
+    assert code == 2 and out == ""
+    assert err == ("error: randomized compression needs 1600 compress runs, "
+                   "budget is 100\n")
+    assert calls == ["exact"] * 8
+
+
 def test_budget_fails_before_the_zoo_builds_a_protocol(capsys, monkeypatch):
     def refuse(**params):
         raise AssertionError(f"factory called with {params}")
@@ -286,6 +308,10 @@ def test_demo_order_leak(capsys):
     assert payload["content_transcripts_identical"] is True
     assert payload["outputs_differ"] is True
     assert payload["second_player_outputs"] == ["0", "1"]
+    # Pinned from an engine that built every message record as it ran.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2d8a9a3e2c00958dd26c1b28278845012fcf93caedf271fd50220fecf955958"
+    )
     code, _, _ = run_cli(capsys, "demo", "--protocol", "and-opt")
     assert code == 1
 

@@ -1,6 +1,8 @@
 """Tests for the protocol execution engine, lot ordering, and certifications."""
 
+import dataclasses
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from protolab.errors import (
 )
 from protolab.measures import InputDistribution, product_protocol, publicize
 from protolab.model import (
+    RELAXED,
     WAIT_ANY,
     ObliviousStructure,
     ProtocolDef,
@@ -27,7 +30,7 @@ from protolab.model import (
     run_relaxed,
 )
 from protolab.treefile import protocol_from_dict
-from protolab.zoo import get_entry
+from protolab.zoo import get_entry, ring_parity
 
 
 def two_player(name, prog1, prog2, **kw):
@@ -148,14 +151,39 @@ def _reference_cases():
         for seed in range(20)
     ]
     oblivious = [t for t in trees if is_oblivious(t)[0]]
-    return cases + trees + [product_protocol(oblivious[-2], oblivious[-1])]
+    drawn = [
+        helpers.random_table_protocol(
+            seed, k, ticks=3 + seed % 2, private=(1,) + (0,) * (k - 2) + (1,),
+            public=1,
+        )
+        for seed in range(100, 104) for k in (3, 4)
+    ]
+    return (cases + trees + [product_protocol(oblivious[-2], oblivious[-1])]
+            + drawn)
+
+
+def _assert_message_invariants(e):
+    # On every link, link positions count up from 0 in the global order
+    # and lots strictly increase; the messages carry every bit read.
+    per_link = defaultdict(list)
+    for m in e.messages:
+        per_link[(m.sender, m.receiver)].append(m)
+    for msgs in per_link.values():
+        assert [m.link_index for m in msgs] == list(range(len(msgs)))
+        assert all(a.lot < b.lot for a, b in zip(msgs, msgs[1:]))
+    assert [m.global_index for m in e.messages] == list(
+        range(1, len(e.messages) + 1)
+    )
+    assert (e.total_bits == sum(len(m.content) for m in e.messages)
+            == len(e.full_transcript()))
 
 
 def test_lots_match_the_reference_resolver():
-    # The engine stamps lots as messages are sent; the reference rebuilds
-    # them after the run from the dependency graph of sending rounds.
+    # Messages are derived from the players' rounds on demand; the
+    # reference rebuilds them from the dependency graph of sending rounds.
     for p in _reference_cases():
         for e in run_all(p).values():
+            _assert_message_invariants(e)
             assert e.messages == helpers.reference_messages(e), p.name
 
 
@@ -234,6 +262,24 @@ def test_unread_message_is_a_violation():
     p = two_player("lost-message", sender, ignorer)
     with pytest.raises(DeadlockError, match="unread"):
         run(p, ("0", "0"))
+
+    # Nobody reads: player 3 leaves three messages to 1 and one to 2, and
+    # player 1 one to 2.  Links are listed in (sender, receiver) order.
+    def chatty(view):
+        if view.round < 3:
+            return Round(sends=((1, "1"),), waits=())
+        return Round(sends=((2, "0"), (1, "0")), output="0", halt=True)
+
+    p = ProtocolDef(
+        name="unread", k=3, input_domains=(("0",),) * 3,
+        output_domains=(("0",),) * 3, private_tape_lengths=(0, 0, 0),
+        public_tape_length=0, programs=(sender, ignorer, chatty),
+        max_local_rounds=6,
+    )
+    with pytest.raises(DeadlockError) as err:
+        run(p, ("0", "0", "0"))
+    assert str(err.value) == ("unread messages left in transit: "
+                              "{(1, 2): 1, (3, 1): 3, (3, 2): 1}")
 
 
 def test_round_limit_is_enforced():
@@ -325,6 +371,34 @@ def test_prefix_free_certification():
     p = two_player("prefix-broken", variable, receiver)
     with pytest.raises(SelfDelimitingError):
         run_all(p)
+
+
+def test_prefix_free_violation_names_the_smallest_link():
+    # Player 1 sends to 3, then to 2, and neither codebook is prefix-free.
+    # Links are checked in (sender, receiver, position) order, so the error
+    # names 1->2 whichever link the enumeration met first.
+    def variable(view):
+        word = "0" if view.input == "0" else "00"
+        if view.round == 1:
+            return Round(sends=((3, word),))
+        return Round(sends=((2, word),), output="0", halt=True)
+
+    def receiver(view):
+        if view.round == 1:
+            return Round(waits=(1,))
+        return Round(output="0", halt=True)
+
+    p = ProtocolDef(
+        name="two-broken-links", k=3,
+        input_domains=(("0", "1"), ("0",), ("0",)),
+        output_domains=(("0",),) * 3, private_tape_lengths=(0, 0, 0),
+        public_tape_length=0, programs=(variable, receiver, receiver),
+        max_local_rounds=3,
+    )
+    with pytest.raises(SelfDelimitingError) as err:
+        run_all(p)
+    assert str(err.value) == ("messages at link 1->2 position 0 are not "
+                              "prefix-free: '0' prefixes '00'")
 
 
 def test_budget_exceeded_reports_requirement():
@@ -478,3 +552,76 @@ def test_execution_messages_follow_the_global_order():
 def test_run_all_counts_match_domain_and_tapes():
     assert len(run_all(get_entry("and-opt").protocol)) == 4
     assert len(run_all(get_entry("ring-parity", k=3, n=1).protocol)) == 16
+
+
+# Relaxed-mode messages as the engine that stamped every message while it
+# ran produced them: (sender, receiver, content, sender round, receiver
+# round, link index, lot, global index).  Messages follow the order of
+# reads, and each lot is the global index.
+ORDER_LEAK_MESSAGES = {
+    "0": [(1, 3, "0", 1, 1, 0, 1, 1), (3, 2, "0", 2, 1, 0, 2, 2),
+          (2, 3, "0", 2, 2, 0, 3, 3), (3, 1, "0", 3, 1, 0, 4, 4),
+          (1, 4, "0", 2, 1, 0, 5, 5), (4, 2, "0", 2, 2, 0, 6, 6),
+          (2, 4, "0", 3, 2, 0, 7, 7), (4, 1, "0", 3, 2, 0, 8, 8)],
+    "1": [(1, 4, "0", 1, 1, 0, 1, 1), (4, 2, "0", 2, 1, 0, 2, 2),
+          (2, 4, "0", 2, 2, 0, 3, 3), (4, 1, "0", 3, 1, 0, 4, 4),
+          (1, 3, "0", 2, 1, 0, 5, 5), (3, 2, "0", 2, 2, 0, 6, 6),
+          (2, 3, "0", 3, 2, 0, 7, 7), (3, 1, "0", 3, 2, 0, 8, 8)],
+}
+
+
+def test_relaxed_messages_follow_the_read_order():
+    p = get_entry("order-leak").protocol
+    for schedule in (None, (2,), (3,)):
+        for x, expected in ORDER_LEAK_MESSAGES.items():
+            e = run_relaxed(p, (x, "", "", ""), schedule=schedule)
+            assert list(map(dataclasses.astuple, e.messages)) == expected
+
+
+def test_relaxed_message_order_follows_the_schedule():
+    # Players 2 and 3 race to player 1, who reads whichever the schedule
+    # picks first, answers that one and outputs the first bit it read.
+    def first(view):
+        if view.round == 1:
+            return Round(waits=WAIT_ANY)
+        if view.round == 2:
+            return Round(sends=((view.received[0][0], "1"),), waits=WAIT_ANY)
+        return Round(output=view.received[0][1][:1], halt=True)
+
+    def racer(bits):
+        def prog(view):
+            if view.round == 1:
+                return Round(sends=((1, bits),), output="0", waits=(1,))
+            return Round(halt=True)
+
+        return prog
+
+    p = ProtocolDef(
+        name="race", k=3, input_domains=(("0",),) * 3,
+        output_domains=(("0", "1"), ("0",), ("0",)),
+        private_tape_lengths=(0, 0, 0), public_tape_length=0,
+        programs=(first, racer("0"), racer("11")), max_local_rounds=4,
+        mode=RELAXED,
+    )
+    two_first = [(2, 1, "0", 1, 1, 0, 1, 1), (3, 1, "11", 1, 2, 0, 2, 2),
+                 (1, 2, "1", 2, 1, 0, 3, 3)]
+    three_first = [(3, 1, "11", 1, 1, 0, 1, 1), (2, 1, "0", 1, 2, 0, 2, 2),
+                   (1, 3, "1", 2, 1, 0, 3, 3)]
+    for schedule, output, expected in (
+        (None, "0", two_first), ((2,), "0", two_first),
+        ((3,), "1", three_first), ((3, 2), "1", three_first),
+    ):
+        e = run_relaxed(p, ("0",) * 3, schedule=schedule)
+        assert e.outputs == (output, "0", "0")
+        assert list(map(dataclasses.astuple, e.messages)) == expected
+
+
+def test_only_the_reference_execution_derives_its_messages():
+    # A fresh protocol object, so no other test has read its executions.
+    p = ring_parity(4, 2).protocol
+    table = run_all(p)
+    struct = ObliviousStructure.build(p)
+    assert struct.table is table
+    derived = [key for key, e in table.items() if "messages" in vars(e)]
+    assert derived == [next(iter(table.executions))]
+
