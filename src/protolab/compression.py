@@ -1,7 +1,7 @@
 """Interactive compression for oblivious public-coin protocols.
 
 Each player i, knowing its own input, organizes the possible values of its
-round-interleaved transcript (per local round: sent, then received messages)
+transcript (its messages, sent and received, in the global message order)
 into a weighted binary prefix tree.  The players then search for the one
 "coherent" profile of transcripts, i.e. the tuple in which every pairwise
 conversation matches message by message.  Per stage, each pair compares its
@@ -10,7 +10,11 @@ everyone broadcasts the smallest inconsistent global message number, and the
 receiver of that message moves to the subtree consistent with the revealed
 bit; its node weight at least halves with each move, which bounds the
 expected number of moving stages by the protocol's internal information
-cost.
+cost.  The global order makes every move sound: a message's lot exceeds
+the lot of every message its sender read before sending it, so every bit
+of the mover's transcript before message q_min belongs to a message
+numbered below q_min, and those messages agree (Braverman and Rao,
+"Information equals amortized communication", FOCS 2011).
 
 Also here: the coordinator-phase conversion that makes any protocol
 oblivious at a bounded error cost, by forcing all traffic through player 1
@@ -226,6 +230,13 @@ def _build_node(weights: dict[str, Fraction],
     )
 
 
+def _require_public_coin(p: ProtocolDef) -> None:
+    """Compression reads transcripts keyed by input and public tape only;
+    checked before any enumeration, so no budget error can hide it."""
+    if sum(p.private_tape_lengths) != 0:
+        raise ConfigError("compression needs a public-coin protocol")
+
+
 def build_tree(
     p: ProtocolDef,
     i: int,
@@ -245,9 +256,8 @@ def build_tree(
     output and its per-peer conversations, and each full input is mapped to
     the leaf it reaches.  Requires an oblivious public-coin protocol.
     """
+    _require_public_coin(p)
     struct = structure or ObliviousStructure.build(p, budget)
-    if sum(p.private_tape_lengths) != 0:
-        raise ConfigError("transcript trees need a public-coin protocol")
     if own_input not in p.input_domain(i):
         raise ValueError(f"{own_input!r} is not an input of player {i}")
     mu.validate_for(p)
@@ -272,7 +282,7 @@ def build_tree(
         if x[i - 1] != own_input:
             continue
         e = executions[(x, none_tapes, public_tape)]
-        t = transcript_of[x] = e.round_interleaved_transcript(i)
+        t = transcript_of[x] = struct.transcript(e, i)
         weights[t] = (
             weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
         )
@@ -308,19 +318,16 @@ def is_coherent(
         raise ValueError(
             f"a profile holds {p.k} transcripts, not {len(profile)}"
         )
-    parsed = {}
-    for i in p.players:  # every player, so an order violation still raises
-        try:
-            parsed[i] = struct.parse_transcript(i, profile[i - 1])
-        except ValueError:  # not a split into player i's messages
-            pass
-    if len(parsed) < p.k:
+    try:
+        parsed = [struct.parse_transcript(i, t)
+                  for i, t in zip(p.players, profile)]
+    except ValueError:  # a transcript does not split into its messages
         return False
     # Comparing bits is enough: both sides see the same links in the same
     # global order, and every codebook is prefix-free, so equal bits split
     # into equal messages.
     return all(
-        parsed[i][j][0] == parsed[j][i][0]
+        parsed[i - 1][j][0] == parsed[j - 1][i][0]
         for i in p.players
         for j in p.players
         if i < j
@@ -398,6 +405,7 @@ def compress_run(
     randomized box the truth checks are skipped (a box error may derail a
     stage) and the result may be wrong with small probability.
     """
+    _require_public_coin(p)
     struct = structure or ObliviousStructure.build(p, budget)
     exact = box.mode == "exact"
     k = p.k
@@ -618,9 +626,8 @@ def compression_theorem_check(
                           f"got {delta}")
     if lcp_mode == "randomized" and trials < 1:
         raise ConfigError("randomized compression needs at least one trial")
+    _require_public_coin(p)
     struct = ObliviousStructure.build(p, budget)
-    if sum(p.private_tape_lengths) != 0:
-        raise ConfigError("compression needs a public-coin protocol")
     eps0 = float(distributional_error(p, mu, family, budget))
     trees: dict = {}
 

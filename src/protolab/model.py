@@ -292,18 +292,6 @@ class Execution:
         """Received-then-sent concatenation (the base model's ordering)."""
         return self.received_transcript(i) + self.sent_transcript(i)
 
-    def round_interleaved_transcript(self, i: int) -> str:
-        """Per round: sent messages then read messages (compression ordering)."""
-        sends = self.sends[i - 1]
-        reads = self.reads[i - 1]
-        parts = []
-        for r in range(max(len(sends), len(reads))):
-            if r < len(sends):
-                parts.extend(m for _, m in sends[r])
-            if r < len(reads):
-                parts.extend(m for _, m in reads[r])
-        return "".join(parts)
-
     def full_transcript(self) -> str:
         """Pi: concatenation of all Pi_i by player index."""
         return "".join(self.received)
@@ -591,9 +579,10 @@ class ObliviousStructure:
     into messages), the reference execution's ``messages`` in global
     order (the skeleton every execution shares: only the contents
     differ), the worst-case communication ``cc``, and per player i
-    ``events[i]``, its messages in round-interleaved order (per local
-    round: sends by recipient, then reads by sender) as
-    ``(global index, "s" or "r", peer, position on the link)``."""
+    ``events[i]``, its messages, sent and received, in global order as
+    ``(global index, "s" or "r", peer, position on the link)``.  Player
+    i's compression transcript joins the contents of those messages in
+    that order."""
 
     table: ExecutionTable
     messages: tuple[Message, ...]
@@ -612,41 +601,40 @@ class ObliviousStructure:
         # messages have the same rounds, link positions, lots and numbers.
         table = run_all(p, budget)
         ref = next(iter(table.values()))
-        keyed = {i: [] for i in p.players}  # (order key, event) per player
+        events = {i: [] for i in p.players}
         for m in ref.messages:
             g, pos = m.global_index, m.link_index
-            keyed[m.sender].append(
-                ((m.sender_round, 0, m.receiver), (g, "s", m.receiver, pos))
-            )
-            keyed[m.receiver].append(
-                ((m.receiver_round, 1, m.sender), (g, "r", m.sender, pos))
-            )
+            events[m.sender].append((g, "s", m.receiver, pos))
+            events[m.receiver].append((g, "r", m.sender, pos))
         return cls(
             table=table,
             messages=ref.messages,
-            events={i: tuple(ev for _, ev in sorted(keyed[i]))
-                    for i in p.players},
+            events={i: tuple(ev) for i, ev in events.items()},
             cc=max(e.total_bits for e in table.values()),
         )
 
-    def parse_transcript(self, i: int, t: str) -> dict[int, tuple[str, tuple]]:
-        """Split a round-interleaved transcript of player i into messages
-        and return its conversation with each peer: the bits and the
-        message extents, each (global message number, start and end bit
-        in the conversation, start bit in the transcript).  Raises
-        ``ValueError`` when ``t`` does not split into player i's messages.
+    def transcript(self, e: Execution, i: int) -> str:
+        """Player i's transcript in ``e``: the contents of its messages,
+        sent and received, joined in global order.  They are looked up in
+        ``e.sends`` and ``e.reads``, so ``e.messages`` is never derived."""
+        words = {}  # ("s" or "r", peer) -> contents on that link, FIFO
+        for direction, rounds in (("s", e.sends[i - 1]), ("r", e.reads[i - 1])):
+            for rnd in rounds:
+                for peer, content in rnd:
+                    words.setdefault((direction, peer), []).append(content)
+        return "".join([words[(direction, peer)][pos]
+                        for _, direction, peer, pos in self.events[i]])
 
-        Compression reads the split messages in global order, so the
-        player's round-interleaved order must agree with it.
-        """
-        events = self.events[i]
-        if any(a[0] > b[0] for a, b in zip(events, events[1:])):
-            raise ModelViolationError(
-                "per-player transcript order disagrees with the global order"
-            )
+    def parse_transcript(self, i: int, t: str) -> dict[int, tuple[str, tuple]]:
+        """Split a transcript of player i, its messages in global order,
+        into those messages and return its conversation with each peer:
+        the bits and the message extents, each (global message number,
+        start and end bit in the conversation, start bit in the
+        transcript).  Raises ``ValueError`` when ``t`` does not split into
+        player i's messages."""
         convs = {j: ([], []) for j in self.table.protocol.players if j != i}
         cursor = 0
-        for g, direction, peer, pos in events:
+        for g, direction, peer, pos in self.events[i]:
             link = (i, peer) if direction == "s" else (peer, i)
             try:
                 word = self.table.codeword(*link, pos, t, cursor)

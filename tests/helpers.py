@@ -284,12 +284,25 @@ def split_public_tape(p: ProtocolDef, combined: str) -> tuple[str, tuple[str, ..
     return parts[0], tuple(parts[1:])
 
 
+def round_interleaved_transcript(e, i: int) -> str:
+    """Player i's messages per local round: sent, then read.  On the zoo
+    protocols this equals the global-order transcript compression reads
+    (``ObliviousStructure.transcript``)."""
+    sends, reads = e.sends[i - 1], e.reads[i - 1]
+    parts = []
+    for r in range(max(len(sends), len(reads))):
+        if r < len(sends):
+            parts.extend(m for _, m in sends[r])
+        if r < len(reads):
+            parts.extend(m for _, m in reads[r])
+    return "".join(parts)
+
+
 def reference_events(p) -> dict:
-    """Each player's events in round-interleaved order, as
+    """Each player's events in round-interleaved order, in the form
     ``ObliviousStructure.events`` holds them, found by walking the reference
-    execution's rounds and counting link positions.  This is the walk
-    ``ObliviousStructure.build`` ran before it sorted the messages, kept as
-    the reference for that sort."""
+    execution's rounds and counting link positions.  Sorted by global
+    index, a player's walk is its ``events``."""
     table = run_all(p)
     ref = next(iter(table.values()))
     gidx = {}

@@ -181,8 +181,11 @@ def test_criterion_6_compression_zero_error_and_stage_bound():
                 structure=struct, trees=trees,
             )
             e = struct.table.get(x)
-            ok &= result.profile == tuple(
-                e.round_interleaved_transcript(i) for i in p.players
+            truth = tuple(struct.transcript(e, i) for i in p.players)
+            ok &= result.profile == truth
+            # On these protocols a player's round order is the global one.
+            ok &= truth == tuple(
+                helpers.round_interleaved_transcript(e, i) for i in p.players
             )
         rep = compression_theorem_check(p, mu, 0.25, family)
         ok &= rep.measured_error == 0.0
@@ -195,7 +198,7 @@ def test_criterion_6_compression_zero_error_and_stage_bound():
         entropy_sum = sum(
             oracle_cond_entropy(
                 [
-                    (w, e.round_interleaved_transcript(i),
+                    (w, struct.transcript(e, i),
                      (e.inputs[i - 1], e.public_tape))
                     for w, e in helpers.enumerate_runs(p, mu)
                 ]
@@ -237,6 +240,14 @@ def test_criterion_7_coherent_profile_uniqueness():
                 if is_coherent(tuple(profile), p, struct)
             ]
             ok &= len(coherent) == 1
+            # The one coherent profile is the true one, in global order,
+            # which on these protocols is also each player's round order.
+            e = struct.table.get(x)
+            truth = tuple(struct.transcript(e, i) for i in p.players)
+            ok &= coherent == [truth]
+            ok &= truth == tuple(
+                helpers.round_interleaved_transcript(e, i) for i in p.players
+            )
     report(7, "exactly one coherent profile per input, exhaustively", ok)
 
 

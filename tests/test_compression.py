@@ -26,10 +26,16 @@ from protolab.compression import (
 from protolab.errors import (
     BudgetExceededError,
     ConfigError,
-    ModelViolationError,
     NotObliviousError,
 )
-from protolab.measures import InputDistribution, acc, product_protocol, publicize
+from protolab.measures import (
+    InputDistribution,
+    acc,
+    ic,
+    product_protocol,
+    publicize,
+    weighted_executions,
+)
 from protolab.model import (
     ObliviousStructure,
     ProtocolDef,
@@ -230,14 +236,85 @@ def test_build_tree_rejects_a_wrong_length_public_tape():
             build_tree(p, 1, "0", tape, uniform(p))
 
 
-def test_compression_rejects_a_transcript_order_off_the_global_order():
+def ring_star_product():
+    """publicize(ring-parity(3,1) x star-parity(3,1)) and its family: a
+    player's input and output are its ring part, then its star part."""
+    ring = get_entry("ring-parity", k=3, n=1)
+    star = get_entry("star-parity", k=3, n=1)
+    p = publicize(product_protocol(ring.protocol, star.protocol))
+
+    def target(i):
+        return lambda x: (ring.family.value(i, tuple(v[0] for v in x))
+                          + star.family.value(i, tuple(v[1] for v in x)))
+
+    return p, FunctionFamily("ring x star", tuple(map(target, p.players)))
+
+
+def test_a_product_compresses_with_zero_error():
     # A product's rounds merge lots of both sides, so a player's
-    # round-interleaved transcript need not follow the global order.
-    p = publicize(product_protocol(get_entry("ring-parity", k=3, n=1).protocol,
-                                   get_entry("star-parity", k=3, n=1).protocol))
-    x = next(iter(p.input_space()))
-    with pytest.raises(ModelViolationError, match="disagrees with the global"):
-        compress_run(p, uniform(p), x, "0", LcpBox(mode="exact"))
+    # round-interleaved transcript can leave the global order; compression
+    # reads the global order and recovers every profile.
+    p, family = ring_star_product()
+    struct = ObliviousStructure.build(p)
+    mu = uniform(p)
+    trees = {}
+    off_order = 0
+    for e in struct.table.values():
+        x, pub = e.inputs, e.public_tape
+        truth = tuple(struct.transcript(e, i) for i in p.players)
+        off_order += truth != tuple(
+            helpers.round_interleaved_transcript(e, i) for i in p.players
+        )
+        result = compress_run(p, mu, x, pub, LcpBox(mode="exact"),
+                              structure=struct, trees=trees)
+        assert result.profile == truth
+        assert result.outputs == e.outputs
+        assert result.stages <= result.log_weight_bound + TOL
+    assert off_order > 0
+    report = compression_theorem_check(p, mu, 0.25, family)
+    assert report.measured_error == report.original_error == 0.0
+    assert report.expected_stages == pytest.approx(2.5, abs=TOL)
+    assert report.ic_original == pytest.approx(5.0, abs=TOL)
+
+
+def test_random_oblivious_protocols_compress_exactly():
+    # Seeded k = 3, 4 protocols; most exchange messages inside one lot, so
+    # their round order is off the global order.  Every exact run returns
+    # the true profile within its log-weight bound, and E[stages] <= ic.
+    for seed in range(40):
+        k = 3 + seed % 2
+        p = publicize(helpers.random_table_protocol(
+            seed, k, ticks=2, private=(1,) * k, public=0))
+        struct = ObliviousStructure.build(p)
+        mu = uniform(p)
+        trees = {}
+        rows, den = weighted_executions(p, mu)
+        stages = 0
+        for x, n, e in rows:
+            result = compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"),
+                                  structure=struct, trees=trees)
+            assert result.profile == tuple(
+                struct.transcript(e, i) for i in p.players), seed
+            assert result.outputs == e.outputs, seed
+            assert result.stages <= result.log_weight_bound + TOL, seed
+            stages += n * result.stages
+        assert stages / den <= ic(p, mu) + TOL, seed
+
+
+def test_a_private_coin_protocol_is_refused_before_enumeration():
+    # Unpublicized ring-parity(3,1) has 16 executions, more than the budget
+    # of 4, yet every entry point names the missing public coins first.
+    ring = get_entry("ring-parity", k=3, n=1)
+    p, mu = ring.protocol, uniform(ring.protocol)
+    with pytest.raises(BudgetExceededError):
+        build_tree(publicize(p), 1, "0", "0", uniform(publicize(p)), budget=4)
+    for call in (
+        lambda: build_tree(p, 1, "0", "", mu, budget=4),
+        lambda: compress_run(p, mu, ("0",) * 3, "", LcpBox(), budget=4),
+        lambda: compression_theorem_check(p, mu, 0.1, ring.family, budget=4),
+    ):
+        with pytest.raises(ConfigError, match="public-coin"):
+            call()
 
 
 def test_leaves_carry_the_outputs_their_transcripts_yield():
@@ -246,7 +323,7 @@ def test_leaves_carry_the_outputs_their_transcripts_yield():
         mu = uniform(p)
         for x in p.input_space():
             e = struct.table.get(x)
-            truth = tuple(e.round_interleaved_transcript(i) for i in p.players)
+            truth = tuple(struct.transcript(e, i) for i in p.players)
             for i in p.players:
                 tree = build_tree(p, i, x[i - 1], "", mu, structure=struct)
                 assert sorted(tree.leaves) == sorted(leaves_of(tree))
@@ -315,7 +392,7 @@ def test_true_profiles_are_coherent_and_flips_are_not():
         for x in p.input_space():
             e = struct.table.get(x)
             profile = tuple(
-                e.round_interleaved_transcript(i) for i in p.players
+                struct.transcript(e, i) for i in p.players
             )
             assert is_coherent(profile, p, struct)
             flipped = list(profile)
@@ -329,7 +406,7 @@ def test_a_transcript_that_does_not_split_is_not_coherent():
     p = get_entry("star-parity", k=3, n=1).protocol
     struct = ObliviousStructure.build(p)
     e = struct.table.get(("0", "1", "1"))
-    profile = tuple(e.round_interleaved_transcript(i) for i in p.players)
+    profile = tuple(struct.transcript(e, i) for i in p.players)
     assert is_coherent(profile, p, struct)
     t = profile[0]
     for broken, why in ((t[:-1], "unparseable at bit 1"),
@@ -342,20 +419,16 @@ def test_a_transcript_that_does_not_split_is_not_coherent():
             is_coherent(wrong_count, p, struct)
 
 
-def test_coherence_still_rejects_an_order_off_the_global_order():
-    # Player 2 of this product is the one out of order, so a transcript of
-    # another player that does not split must not hide it.
-    p = publicize(product_protocol(get_entry("ring-parity", k=3, n=1).protocol,
-                                   get_entry("star-parity", k=3, n=1).protocol))
+def test_a_product_true_profile_is_coherent_and_a_truncated_one_is_not():
+    p, _family = ring_star_product()
     struct = ObliviousStructure.build(p)
-    e = next(iter(struct.table.values()))
-    profile = tuple(e.round_interleaved_transcript(i) for i in p.players)
-    for i in (None, *p.players):
-        broken = list(profile)
-        if i is not None:
+    for e in struct.table.values():
+        profile = tuple(struct.transcript(e, i) for i in p.players)
+        assert is_coherent(profile, p, struct)
+        for i in p.players:
+            broken = list(profile)
             broken[i - 1] = broken[i - 1][:-1]
-        with pytest.raises(ModelViolationError, match="disagrees with the global"):
-            is_coherent(tuple(broken), p, struct)
+            assert not is_coherent(tuple(broken), p, struct)
 
 
 def leaves_of(tree):
@@ -405,7 +478,7 @@ def test_compress_run_recovers_every_profile_exactly():
             )
             e = struct.table.get(x)
             assert result.profile == tuple(
-                e.round_interleaved_transcript(i) for i in p.players
+                struct.transcript(e, i) for i in p.players
             )
             # Per player: moves <= log2(1/weight of its true leaf) + 1.
             for i in p.players:
@@ -416,6 +489,7 @@ def test_compress_run_recovers_every_profile_exactly():
 
 def test_expected_stage_count_bounded_by_ic():
     for p, family in compression_cases():
+        struct = ObliviousStructure.build(p)
         mu = uniform(p)
         report = compression_theorem_check(p, mu, 0.25, family)
         assert report.measured_error == report.original_error == 0.0
@@ -429,7 +503,7 @@ def test_expected_stage_count_bounded_by_ic():
         entropy_sum = sum(
             oracle_cond_entropy(
                 [
-                    (w, e.round_interleaved_transcript(i),
+                    (w, struct.transcript(e, i),
                      (e.inputs[i - 1], e.public_tape))
                     for w, e in enumerate_runs(p, mu)
                 ]
@@ -552,18 +626,18 @@ def test_theorem_check_reads_transcripts_only_in_tree_builds(monkeypatch):
     gets = []
     callers = Counter()
     get = model.ExecutionTable.get
-    transcript = model.Execution.round_interleaved_transcript
+    transcript = model.ObliviousStructure.transcript
 
     def counted_get(self, *args, **kwargs):
         gets.append(args)
         return get(self, *args, **kwargs)
 
-    def counted_transcript(self, i):
+    def counted_transcript(self, e, i):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return transcript(self, i)
+        return transcript(self, e, i)
 
     monkeypatch.setattr(model.ExecutionTable, "get", counted_get)
-    monkeypatch.setattr(model.Execution, "round_interleaved_transcript",
+    monkeypatch.setattr(model.ObliviousStructure, "transcript",
                         counted_transcript)
     p, family = publicized_ring()
     report = compression_theorem_check(p, uniform(p), 0.1, family,
@@ -802,7 +876,7 @@ def test_randomized_boxes_with_absurd_error_rates_degrade_gracefully():
         result = compress_run(p, mu, x, "", box, structure=struct,
                               trees=trees)
         e = struct.table.get(x)
-        truth = tuple(e.round_interleaved_transcript(i) for i in p.players)
+        truth = tuple(struct.transcript(e, i) for i in p.players)
         wrong += result.profile != truth
     assert wrong / 300 <= 0.05
 

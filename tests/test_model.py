@@ -187,9 +187,11 @@ def test_lots_match_the_reference_resolver():
             assert e.messages == helpers.reference_messages(e), p.name
 
 
-def test_events_match_the_reference_walk():
-    # ObliviousStructure sorts the reference execution's messages into each
-    # player's events; the reference walks its rounds and counts positions.
+def test_events_follow_the_global_order():
+    # A player's events are its messages in strictly increasing global
+    # index; the reference walks its rounds and counts positions, and
+    # sorted by global index it gives the same events.  The transcript
+    # joins the contents of those messages in that order.
     star = get_entry("star-parity", k=3, n=1).protocol
     ring = get_entry("ring-parity", k=3, n=1).protocol
     q1 = get_entry("q-index", k=3, q=1).protocol
@@ -200,14 +202,26 @@ def test_events_match_the_reference_walk():
         get_entry("q-index", k=3, q=2).protocol,
         publicize(ring),
         product_protocol(star, ring),
+        product_protocol(ring, star),
         product_protocol(product_protocol(star, star), star),
         publicize(obliviousize(q1, InputDistribution.uniform(q1),
                                Fraction(1, 2))),
     ]
+    cases += [
+        helpers.random_table_protocol(seed, k, ticks=2, private=(1,) * k,
+                                      public=0)
+        for seed, k in ((0, 3), (1, 4))
+    ]
+    walks_off_the_global_order = 0
     for p in cases + helpers.oblivious_trees():
         assert is_oblivious(p)[0], p.name
         struct = ObliviousStructure.build(p)
-        assert struct.events == helpers.reference_events(p), p.name
+        walk = helpers.reference_events(p)
+        for i in p.players:
+            numbers = [g for g, *_ in struct.events[i]]
+            assert all(a < b for a, b in zip(numbers, numbers[1:])), p.name
+            assert struct.events[i] == tuple(sorted(walk[i])), p.name
+            walks_off_the_global_order += struct.events[i] != walk[i]
         # The structure is read off one execution; every other one has the
         # same message layout.
         layouts = {
@@ -216,6 +230,12 @@ def test_events_match_the_reference_walk():
             for e in run_all(p).values()
         }
         assert len(layouts) == 1, p.name
+        for e in run_all(p).values():
+            for i in p.players:
+                assert struct.transcript(e, i) == "".join(
+                    m.content for m in e.messages if i in (m.sender, m.receiver)
+                ), p.name
+    assert walks_off_the_global_order > 0
 
 
 def test_fifo_order_within_link():
@@ -448,10 +468,11 @@ def test_bidirectional_orderings():
     assert e.received_transcript(2) == "1"
     assert e.sent_transcript(2) == "1"
     assert e.bidirectional_transcript(2) == "11"  # received then sent
-    assert e.round_interleaved_transcript(2) == "11"  # round 1 recv, round 2 sent
+    # Round 1 received, round 2 sent:
+    assert helpers.round_interleaved_transcript(e, 2) == "11"
     # Player 1 (round 1: send x; round 2: read reply):
     assert e.bidirectional_transcript(1) == "11"
-    assert e.round_interleaved_transcript(1) == "11"
+    assert helpers.round_interleaved_transcript(e, 1) == "11"
 
 
 def test_relaxed_schedule_controls_wait_any():
