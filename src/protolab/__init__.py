@@ -51,6 +51,7 @@ from .measures import (
     sup_pic_grid,
     transcript_entropy,
 )
+from .oblivious import obliviousize, truncation_mass
 from .compression import (
     LcpBox,
     TranscriptTree,
@@ -60,8 +61,6 @@ from .compression import (
     is_coherent,
     lcp_exact,
     lcp_randomized,
-    obliviousize,
-    truncation_mass,
 )
 from .treefile import load_protocol, protocol_from_dict
 from .zoo import FunctionFamily, ZooEntry, get_entry, lift_entry

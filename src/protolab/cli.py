@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import compression, measures, treefile, zoo
+from . import compression, measures, oblivious, treefile, zoo
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -275,7 +275,7 @@ def _cmd_compress(args) -> int:
             eps = Fraction(args.obliviousize)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad --obliviousize EPS {args.obliviousize!r}")
-        p = compression.obliviousize(p, mu, eps, args.budget)
+        p = oblivious.obliviousize(p, mu, eps, args.budget)
     p = measures.publicize(p)
     report = compression.compression_theorem_check(
         p, mu, args.delta, family,

@@ -16,16 +16,14 @@ of the mover's transcript before message q_min belongs to a message
 numbered below q_min, and those messages agree (Braverman and Rao,
 "Information equals amortized communication", FOCS 2011).
 
-Also here: the coordinator-phase conversion that makes any protocol
-oblivious at a bounded error cost, by forcing all traffic through player 1
-in fixed phases of one queued bit per player.
+The coordinator-phase conversion that makes any protocol oblivious lives in
+``oblivious.py``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -39,12 +37,7 @@ from .measures import InputDistribution, acc, ic, weighted_executions
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
-    ProgramDriver,
     ProtocolDef,
-    Round,
-    View,
-    fold_views,
-    run_all,
     validate_public_tape,
 )
 from .zoo import FunctionFamily
@@ -102,24 +95,35 @@ def lcp_randomized(
     hash_bits = max(1, math.ceil(math.log2(tests / eps)))
     xi = int(x, 2) if x else 0
     yi = int(y, 2) if y else 0
-
-    def prefixes_equal(length: int) -> bool:
-        xp = xi >> (len(x) - length)
-        yp = yi >> (len(y) - length)
-        diff = xp ^ yp  # <x, m> and <y, m> differ iff <x ^ y, m> is odd
-        for _ in range(hash_bits):
-            if (diff & rng.getrandbits(length)).bit_count() & 1:
-                return False
-        return True
-
+    full_diff = (xi >> (len(x) - m)) ^ (yi >> (len(y) - m))
+    first_diff = m - full_diff.bit_length()
+    # A test at or below the first difference compares equal prefixes and
+    # passes whatever its masks are, so a run of such tests only owes the
+    # RNG the 32-bit words its masks take; they are drawn in one call before
+    # the next test that reads its masks, which leaves the RNG in the same
+    # state as drawing each mask.
+    owed = 0
     lo, hi = 0, m
     while lo < hi:
         mid = (lo + hi + 1) // 2
         comm += hash_bits + 1
-        if prefixes_equal(mid):
+        if mid <= first_diff:
+            owed += hash_bits * -(-mid // 32)
             lo = mid
+            continue
+        if owed:
+            rng.getrandbits(32 * owed)
+            owed = 0
+        # <x, mask> and <y, mask> differ iff <x ^ y, mask> is odd
+        diff = full_diff >> (m - mid)
+        for _ in range(hash_bits):
+            if (diff & rng.getrandbits(mid)).bit_count() & 1:
+                hi = mid - 1
+                break
         else:
-            hi = mid - 1
+            lo = mid
+    if owed:
+        rng.getrandbits(32 * owed)
     if lo == len(x) == len(y):
         return None, comm
     return lo, comm
@@ -128,13 +132,16 @@ def lcp_randomized(
 @dataclass
 class LcpBox:
     """Accounting wrapper around the exact or randomized first-difference
-    subroutine; exact mode never errs."""
+    subroutine; exact mode never errs.  ``history`` lists every call as
+    (x, y, answer), in order."""
 
     mode: str = "exact"
     eps: float = 0.01
     seed: int = 0
-    calls: int = 0
     comm_bits: int = 0
+    history: list[tuple[str, str, int | None]] = field(
+        default_factory=list, repr=False
+    )
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -144,14 +151,23 @@ class LcpBox:
             raise ConfigError("lcp error rate must be in (0, 1)")
         self._rng = random.Random(self.seed)
 
+    @property
+    def calls(self) -> int:
+        return len(self.history)
+
     def compare(self, x: str, y: str) -> int | None:
-        self.calls += 1
         if self.mode == "exact":
-            self.comm_bits += lcp_exact_cost(x, y)
-            return lcp_exact(x, y)
-        answer, comm = lcp_randomized(x, y, self.eps, self._rng)
+            answer, comm = lcp_exact(x, y), lcp_exact_cost(x, y)
+        else:
+            answer, comm = lcp_randomized(x, y, self.eps, self._rng)
         self.comm_bits += comm
+        self.history.append((x, y, answer))
         return answer
+
+    def replays(self, history) -> bool:
+        """Answer another box's calls in order; False at the first answer
+        that differs from the recorded one."""
+        return all(self.compare(x, y) == answer for x, y, answer in history)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +635,28 @@ def compression_theorem_check(
     trials.  Passing ``eps_call`` overrides the rate; the error-within-
     delta assertion is then skipped, since the caller chose the operating
     point, and only the measured value is reported.  ``delta`` is an error
-    probability, so it must lie in (0, 1).
+    probability, so it must lie in (0, 1); the mode and ``eps_call`` are
+    checked before any enumeration too.
+
+    A run is a deterministic function of its box's answers, so a trial
+    follows the exact run until its box's first wrong answer (the fact
+    behind Braverman and Rao's union bound).  Each trial therefore first
+    replays the exact run's lcp calls on its seeded box; if every answer is
+    the exact one, its outputs are the exact run's.  At the first answer
+    that differs the trial runs ``compress_run`` with a fresh box on the
+    same seed, which draws the same words up to that call and so returns
+    what running the trial in full returns.  Reports stay byte-identical to
+    running every trial through ``compress_run``; the trials cost about
+    lcp calls times trials, plus one run per trial that meets a wrong
+    answer.
     """
     if not 0 < delta < 1:
         raise ConfigError(f"delta must be an error probability in (0, 1), "
                           f"got {delta}")
+    if lcp_mode not in ("exact", "randomized"):
+        raise ConfigError(f"unknown lcp mode {lcp_mode!r}")
+    if eps_call is not None and not 0 < eps_call < 1:
+        raise ConfigError("lcp error rate must be in (0, 1)")
     if lcp_mode == "randomized" and trials < 1:
         raise ConfigError("randomized compression needs at least one trial")
     _require_public_coin(p)
@@ -631,23 +664,29 @@ def compression_theorem_check(
     eps0 = float(distributional_error(p, mu, family, budget))
     trees: dict = {}
 
-    def wrong(x, result) -> bool:
-        return result.outputs != tuple(family.value(i, x) for i in p.players)
+    def wrong(x, outputs) -> bool:
+        return outputs != tuple(family.value(i, x) for i in p.players)
 
     # One exact run per (input, public tape); it has probability n / den.
+    # Each is kept with its box's calls, for the trials to replay, and
+    # without its stage trace, of which the report reads only the ties.
     rows, den = weighted_executions(p, mu, budget)
-    exact_runs = [
-        (x, n, e.public_tape,
-         compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"), budget,
-                      structure=struct, trees=trees))
-        for x, n, e in rows
-    ]
+    exact_runs = []
+    ties = 0
+    for x, n, e in rows:
+        box = LcpBox(mode="exact")
+        r = compress_run(p, mu, x, e.public_tape, box, budget,
+                         structure=struct, trees=trees)
+        ties += sum(rec.tie for rec in r.trace)
+        exact_runs.append(
+            (x, n, e.public_tape, replace(r, trace=[]), box.history)
+        )
     err_exact = Fraction(
-        sum(n for x, n, _, r in exact_runs if wrong(x, r)), den
+        sum(n for x, n, _, r, _ in exact_runs if wrong(x, r.outputs)), den
     )
 
     def mean(getter) -> float:
-        return sum(n * getter(r) for _, n, _, r in exact_runs) / den
+        return sum(n * getter(r) for _, n, _, r, _ in exact_runs) / den
 
     ic_value = ic(p, mu, budget)
     cc_value = struct.cc
@@ -656,32 +695,36 @@ def compression_theorem_check(
     inner = p.k * p.k * ic_value * math.log2(max(cc_value, 1))
     bound = inner * math.log2(inner / delta) if inner > 0 else 0.0
     acc_compressed = mean(lambda r: r.comm_bits)
-    max_calls = max(r.lcp_calls for _, _, _, r in exact_runs)
+    max_calls = max(r.lcp_calls for _, _, _, r, _ in exact_runs)
 
     assert_budget = eps_call is None
     if lcp_mode == "exact":
         measured = float(err_exact)
         eps_call = None
-    elif lcp_mode == "randomized":
+    else:
         runs = len(exact_runs) * trials
         if budget is not None and runs > budget:
             raise BudgetExceededError(runs, budget, "randomized compression",
                                       "compress runs")
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
+
+        def trial_box(box_seed: int) -> LcpBox:
+            return LcpBox(mode="randomized", eps=eps_call, seed=box_seed)
+
         rng = random.Random(seed)
         bad = 0
-        for x, n, pub, _ in exact_runs:
+        for x, n, pub, r, history in exact_runs:
             for _ in range(trials):
-                box = LcpBox(mode="randomized", eps=eps_call,
-                             seed=rng.getrandbits(48))
-                result = compress_run(
-                    p, mu, x, pub, box, budget, structure=struct, trees=trees
-                )
-                bad += n * wrong(x, result)
+                box_seed = rng.getrandbits(48)
+                outputs = r.outputs
+                if not trial_box(box_seed).replays(history):
+                    outputs = compress_run(
+                        p, mu, x, pub, trial_box(box_seed), budget,
+                        structure=struct, trees=trees,
+                    ).outputs
+                bad += n * wrong(x, outputs)
         measured = bad / (den * trials)
-    else:
-        raise ConfigError(f"unknown lcp mode {lcp_mode!r}")
 
     if assert_budget and measured > eps0 + delta + 1e-12:
         raise ModelViolationError(
@@ -707,201 +750,5 @@ def compression_theorem_check(
         ratio=acc_compressed / bound if bound > 0 else None,
         mean_lcp_calls=mean(lambda r: r.lcp_calls),
         max_lcp_calls=max_calls,
-        ties_seen=sum(
-            1 for _, _, _, r in exact_runs for rec in r.trace if rec.tie
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Coordinator-phase conversion to an oblivious protocol
-# ---------------------------------------------------------------------------
-
-
-def truncation_mass(
-    p: ProtocolDef,
-    mu: InputDistribution,
-    threshold: int,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Fraction:
-    """Exact probability that a run of p transmits >= threshold bits."""
-    rows, den = weighted_executions(p, mu, budget)
-    return Fraction(sum(n for _, n, e in rows if e.total_bits >= threshold), den)
-
-
-def _player_width(k: int) -> int:
-    return max(1, math.ceil(math.log2(k)))
-
-
-def _encode_player(i: int, k: int) -> str:
-    return format(i - 1, f"0{_player_width(k)}b")
-
-
-class _InnerSim:
-    """Runs one player's original program on the bits forwarded so far,
-    splitting each sender's bits into messages with the table's
-    ``codeword``."""
-
-    def __init__(self, p, table, i, input_value, private_tape, public_tape):
-        self.table = table
-        self.i = i
-        self.driver = ProgramDriver(p, i, input_value, private_tape,
-                                    public_tape)
-        self.partial: dict[int, str] = {}  # sender -> unfinished message bits
-        self.read_pos: dict[int, int] = {}
-        self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)
-        self._queue_new_sends()
-
-    def feed(self, origin: int, bit: str) -> None:
-        bits = self.partial.get(origin, "") + bit
-        pos = self.read_pos.get(origin, 0)
-        word = self.table.codeword(origin, self.i, pos, bits)
-        if word is None:
-            self.partial[origin] = bits
-            return
-        self.partial[origin] = ""
-        self.read_pos[origin] = pos + 1
-        self.driver.feed(origin, word)
-        self._queue_new_sends()
-
-    def _queue_new_sends(self) -> None:
-        queued = len(self.driver.sends)
-        for round_sends in self.driver.run().sends[queued:]:
-            for dest, content in round_sends:
-                self.queue.extend((dest, bit) for bit in content)
-
-
-def obliviousize(
-    p: ProtocolDef,
-    mu: InputDistribution,
-    eps: float | Fraction,
-    budget: int | None = DEFAULT_BUDGET,
-) -> ProtocolDef:
-    """Coordinator-phase rewrite of p into an oblivious protocol.
-
-    Player 1 runs T = ceil(2*acc/eps) fixed phases.  Each phase: a beacon
-    to every player; every other player returns either its next queued bit
-    with its destination or "no"; player 1 forwards the tagged bits (and
-    injects one bit of its own queue).  Players replay p locally on the
-    forwarded bits.  After the last phase everyone outputs what its local
-    replay produced, or a fixed fallback if the replay is unfinished; a run
-    is truncated only if p would transmit at least T bits, which has
-    probability at most acc/T <= eps/2 by Markov.  The budget caps each
-    player's 2T + 2 local rounds as well as the executions.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ConfigError("obliviousize needs eps in (0, 1)")
-    mu.validate_for(p)
-    table = run_all(p, budget)
-    avg = acc(p, mu, budget)
-    phases = max(1, math.ceil(2 * avg / eps))
-    rounds = 2 * phases + 2
-    if budget is not None and rounds > budget:
-        raise BudgetExceededError(rounds, budget, "obliviousize",
-                                  "local rounds")
-    k = p.k
-    width = _player_width(k)
-    fallback = tuple(min(p.output_domain(i)) for i in p.players)
-
-    def parse_forward(content: str) -> list[tuple[int, str]]:
-        items = []
-        at = 0
-        while content[at] == "1":
-            bit = content[at + 1]
-            origin = int(content[at + 2 : at + 2 + width], 2) + 1
-            items.append((origin, bit))
-            at += 2 + width
-        return items
-
-    def inner_sim(i: int, view: View) -> _InnerSim:
-        return _InnerSim(p, table, i, view.input, view.private_tape,
-                         view.public_tape)
-
-    def coordinator_fold(state, round_reads, index: int) -> None:
-        """Fold one phase's replies (empty read rounds are the forward
-        rounds and carry nothing) into the inner sim and the forwards."""
-        sim, forwards = state
-        if not round_reads:
-            return
-        incoming: list[tuple[int, int, str]] = []  # (dest, origin, bit)
-        for s, m in round_reads:
-            if m == "0":
-                continue
-            dest = int(m[2 : 2 + width], 2) + 1
-            incoming.append((dest, s, m[1]))
-        if sim.queue:
-            dest, bit = sim.queue.popleft()
-            incoming.append((dest, 1, bit))
-        for j in range(2, k + 1):
-            forwards[j] = ""
-        for dest, origin, bit in incoming:
-            if dest == 1:
-                sim.feed(origin, bit)
-            else:
-                forwards[dest] += "1" + bit + _encode_player(origin, k)
-
-    coordinator_state = fold_views(
-        lambda view: (inner_sim(1, view), {}), coordinator_fold
-    )
-
-    def coordinator(view: View) -> Round:
-        # The state is looked up every round, so each lookup folds one.
-        sim, forwards = coordinator_state(view)
-        phase, step = divmod(view.round - 1, 2)
-        if phase >= phases:
-            out = sim.driver.output or fallback[0]
-            return Round(output=out, halt=True)
-        if step == 0:
-            return Round(
-                sends=tuple((j, "0") for j in range(2, k + 1)),
-                waits=tuple(range(2, k + 1)),
-            )
-        return Round(
-            sends=tuple((j, forwards[j] + "0") for j in range(2, k + 1)),
-            waits=(),
-        )
-
-    def member_fold(sim: _InnerSim, round_reads, index: int) -> None:
-        """Reads alternate beacon (even index) and forward (odd index)
-        rounds.  The phase's queued bit left with the reply, so it is
-        popped before the phase's forward is applied."""
-        if index % 2 == 0:
-            return
-        (_, content), = round_reads
-        if sim.queue:
-            sim.queue.popleft()
-        for origin, bit in parse_forward(content):
-            sim.feed(origin, bit)
-
-    def member(i: int):
-        member_state = fold_views(lambda view: inner_sim(i, view), member_fold)
-
-        def prog(view: View) -> Round:
-            sim = member_state(view)  # every round, so each lookup folds one
-            phase, step = divmod(view.round - 1, 2)
-            if phase >= phases:
-                out = sim.driver.output or fallback[i - 1]
-                return Round(output=out, halt=True)
-            if step == 0:
-                return Round(waits=(1,))
-            if sim.queue:
-                dest, bit = sim.queue[0]
-                reply = "1" + bit + _encode_player(dest, k)
-            else:
-                reply = "0"
-            return Round(sends=((1, reply),), waits=(1,))
-
-        return prog
-
-    programs = (coordinator,) + tuple(member(i) for i in range(2, k + 1))
-    return replace(
-        p,
-        name=f"obliviousize({p.name},eps={eps})",
-        output_domains=tuple(
-            tuple(sorted(set(p.output_domain(i)) | {fallback[i - 1]}))
-            for i in p.players
-        ),
-        programs=programs,
-        max_local_rounds=rounds,
+        ties_seen=ties,
     )

@@ -20,13 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from protolab.compression import _len_exchange_bits
+from protolab.compression import LcpBox, _len_exchange_bits, compress_run
 from protolab.errors import ConfigError, ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
 from protolab.model import (
     DEFAULT_BUDGET,
     ExecutionTable,
     Message,
+    ObliviousStructure,
     ProgramDriver,
     ProtocolDef,
     Round,
@@ -41,6 +42,7 @@ from protolab.measures import (
     InputDistribution,
     interleave_positions,
     pic,
+    weighted_executions,
 )
 from protolab.treefile import _TreeMachine, protocol_from_dict
 
@@ -366,6 +368,36 @@ def reference_profile_outputs(p, struct, inputs, public_tape, profile):
                     driver.feed(peer, bits[start:end])
         outputs.append(driver.run().output)
     return tuple(outputs)
+
+
+def reference_randomized_error(p, mu, delta, family, seed=0, trials=8,
+                               eps_call=None) -> float:
+    """``measured_error`` of a randomized ``compression_theorem_check``
+    with every trial a full ``compress_run``: the default rate from the
+    exact runs' worst call count, then ``trials`` runs per (input, public
+    tape), each on a box seeded from one ``Random(seed)``."""
+    struct = ObliviousStructure.build(p)
+    trees: dict = {}
+    rows, den = weighted_executions(p, mu)
+    rows = list(rows)
+    if eps_call is None:
+        max_calls = max(
+            compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"),
+                         structure=struct, trees=trees).lcp_calls
+            for x, _, e in rows
+        )
+        eps_call = delta / max(2 * max_calls, 1)
+    rng = random.Random(seed)
+    bad = 0
+    for x, n, e in rows:
+        want = tuple(family.value(i, x) for i in p.players)
+        for _ in range(trials):
+            box = LcpBox(mode="randomized", eps=eps_call,
+                         seed=rng.getrandbits(48))
+            result = compress_run(p, mu, x, e.public_tape, box,
+                                  structure=struct, trees=trees)
+            bad += n * (result.outputs != want)
+    return bad / (den * trials)
 
 
 def _pi(e, i):

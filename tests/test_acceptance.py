@@ -17,8 +17,6 @@ from protolab.compression import (
     compress_run,
     compression_theorem_check,
     is_coherent,
-    obliviousize,
-    truncation_mass,
 )
 from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
@@ -36,6 +34,7 @@ from protolab.measures import (
     transcript_entropy,
 )
 from protolab.model import ObliviousStructure, is_oblivious, run_all, run_relaxed
+from protolab.oblivious import obliviousize, truncation_mass
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry, lift_entry
 

@@ -20,8 +20,6 @@ from protolab.compression import (
     is_coherent,
     lcp_exact,
     lcp_randomized,
-    obliviousize,
-    truncation_mass,
 )
 from protolab.errors import (
     BudgetExceededError,
@@ -44,6 +42,7 @@ from protolab.model import (
     is_oblivious,
     run_all,
 )
+from protolab.oblivious import obliviousize, truncation_mass
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import FunctionFamily, get_entry
 
@@ -103,19 +102,21 @@ def test_lcp_randomized_matches_exact_answers():
 
 
 def test_lcp_randomized_matches_the_two_hash_oracle():
-    # One parity per mask, of x ^ y, against one per string: the same
+    # One parity per mask, of x ^ y, against one per string, and the masks
+    # of tests at or below the first difference drawn in one call: the same
     # answers and communication, and the RNG in the same state after every
-    # call, so randomized compress reports do not move.
+    # call, so randomized compress reports do not move.  Strings run past
+    # two 32-bit words, so merged draws cover multi-word prefixes.
     draw = random.Random(29)
     rng, ref = random.Random(31), random.Random(31)
     for _ in range(300):
-        x = "".join(draw.choice("01") for _ in range(draw.randint(0, 48)))
+        x = "".join(draw.choice("01") for _ in range(draw.randint(0, 160)))
         if draw.random() < 0.5:
             cut = draw.randint(0, len(x))
             x_tail = "".join(draw.choice("01") for _ in range(len(x) - cut))
             y = x[:cut] + x_tail
         else:
-            y = "".join(draw.choice("01") for _ in range(draw.randint(0, 48)))
+            y = "".join(draw.choice("01") for _ in range(draw.randint(0, 160)))
         eps = draw.choice((0.5, 0.2, 0.05, 1e-3))
         got = lcp_randomized(x, y, eps, rng)
         assert got == reference_lcp_randomized(x, y, eps, ref)
@@ -671,12 +672,12 @@ class OneSidedBox(LcpBox):
     draw reaches both lengths."""
 
     def compare(self, x, y):
-        self.calls += 1
-        d = lcp_exact(x, y)
-        if d is None:
-            return None
-        draw = self._rng.randint(d, min(len(x), len(y)))
-        return None if draw == len(x) == len(y) else draw
+        answer = d = lcp_exact(x, y)
+        if d is not None:
+            draw = self._rng.randint(d, min(len(x), len(y)))
+            answer = None if draw == len(x) == len(y) else draw
+        self.history.append((x, y, answer))
+        return answer
 
 
 def prefix_code_protocol():
@@ -959,14 +960,82 @@ def test_randomized_run_outputs_match_a_replay_of_their_profiles(monkeypatch):
         return result
 
     monkeypatch.setattr(compression, "compress_run", recording)
-    report = compression_theorem_check(p, uniform(p), 0.1, family,
+    mu = uniform(p)
+    report = compression_theorem_check(p, mu, 0.1, family,
                                        lcp_mode="randomized", seed=1)
     assert report.measured_error > 0  # some runs end on a wrong profile
-    assert len(runs) == 8 * len(list(p.input_space())) << p.public_tape_length
     for x, pub, result in runs:
         assert result.outputs == reference_profile_outputs(
             p, struct, x, pub, result.profile
         )
+    # A trial runs compress_run only when its box meets a wrong answer,
+    # i.e. when its full run on the same seed leaves the exact run's calls.
+    rng = random.Random(1)
+    trees = {}
+    rows = list(weighted_executions(p, mu)[0])
+    met_wrong = 0
+    for x, _, e in rows:
+        exact = LcpBox(mode="exact")
+        original(p, mu, x, e.public_tape, exact, structure=struct,
+                 trees=trees)
+        for _ in range(8):
+            box = LcpBox(mode="randomized", eps=report.eps_per_call,
+                         seed=rng.getrandbits(48))
+            original(p, mu, x, e.public_tape, box, structure=struct,
+                     trees=trees)
+            met_wrong += box.history != exact.history
+    assert 0 < len(runs) == met_wrong < 8 * len(rows)
+
+
+@pytest.mark.parametrize("case", ["ring", "star", "relay3", "coarse-rate"])
+def test_randomized_error_matches_a_full_run_per_trial(case):
+    # The replayed trials report exactly what running every trial through
+    # compress_run reports; at eps_call = 0.3 many trials fall back.
+    seed, trials, delta, eps_call = 1, 8, 0.1, None
+    if case == "star":
+        star = get_entry("star-parity", k=3, n=1)
+        p, family = star.protocol, star.family
+        seed, trials, delta = 11, 6, 0.3
+    elif case == "relay3":
+        p, family = protocol_from_dict(relay3_dict()), relay3_family()
+    else:
+        p, family = publicized_ring()
+        if case == "coarse-rate":
+            eps_call = 0.3
+    mu = uniform(p)
+    report = compression_theorem_check(
+        p, mu, delta, family, lcp_mode="randomized", seed=seed,
+        trials=trials, eps_call=eps_call,
+    )
+    assert report.measured_error == helpers.reference_randomized_error(
+        p, mu, delta, family, seed=seed, trials=trials, eps_call=eps_call
+    )
+    if case in ("ring", "coarse-rate"):
+        assert report.measured_error > 0
+
+
+def test_theorem_check_refuses_a_bad_mode_or_rate_before_enumeration(
+        monkeypatch):
+    calls = Counter()
+    for module, name in ((compression, "compress_run"), (model, "run_all")):
+        def counted(*args, _original=getattr(module, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    star = get_entry("star-parity", k=4, n=2)
+    p = publicize(star.protocol)
+    for kwargs in ({"lcp_mode": "randomized", "eps_call": 2.0},
+                   {"lcp_mode": "randomized", "eps_call": 0.0},
+                   {"lcp_mode": "exact", "eps_call": float("nan")}):
+        with pytest.raises(ConfigError, match="error rate"):
+            compression_theorem_check(p, uniform(p), 0.1, star.family,
+                                      **kwargs)
+    with pytest.raises(ConfigError, match="unknown lcp mode"):
+        compression_theorem_check(p, uniform(p), 0.1, star.family,
+                                  lcp_mode="bogus")
+    assert calls == Counter()
 
 
 def test_theorem_check_parses_each_leaf_once(monkeypatch):

@@ -13,7 +13,6 @@ import pytest
 
 import helpers
 from helpers import execution_digest
-from protolab.compression import obliviousize
 from protolab.errors import ModelViolationError, NonTerminationError
 from protolab.measures import (
     InputDistribution,
@@ -33,6 +32,7 @@ from protolab.model import (
     run_all,
     run_relaxed,
 )
+from protolab.oblivious import obliviousize
 from protolab.treefile import _TreeMachine, protocol_from_dict
 from protolab.zoo import get_entry
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from protolab.compression import obliviousize
 from protolab.errors import BudgetExceededError, ConfigError
 from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
@@ -32,6 +31,7 @@ from protolab.measures import (
     transcript_entropy,
 )
 from protolab.model import ProtocolDef, is_oblivious, run, run_all
+from protolab.oblivious import obliviousize
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry, lift_entry
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from protolab.compression import obliviousize
 from protolab.errors import (
     BudgetExceededError,
     DeadlockError,
@@ -29,6 +28,7 @@ from protolab.model import (
     run_all,
     run_relaxed,
 )
+from protolab.oblivious import obliviousize
 from protolab.treefile import protocol_from_dict
 from protolab.zoo import get_entry, ring_parity
 
