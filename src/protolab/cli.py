@@ -119,19 +119,15 @@ def _build_parser() -> _Parser:
 
 def _load_protocol(args):
     """The protocol, its function family and its name; a protocol whose
-    executions exceed the budget fails here, before any distribution over
-    its input space is built."""
+    executions exceed the budget fails here, before any input domain is
+    built."""
     name = args.protocol
-    if not name.startswith("tree:"):
-        # The zoo checks the budget before it builds any input domain.
-        entry = zoo.get_entry(name, budget=args.budget,
-                              k=args.k, n=args.n, q=args.q)
-        return entry.protocol, entry.family, name
-    p = treefile.load_protocol(name[len("tree:"):])
-    required = p.execution_count()
-    if required > args.budget:
-        raise BudgetExceededError(required, args.budget)
-    return p, None, name
+    if name.startswith("tree:"):
+        p = treefile.load_protocol(name[len("tree:"):], budget=args.budget)
+        return p, None, name
+    entry = zoo.get_entry(name, budget=args.budget,
+                          k=args.k, n=args.n, q=args.q)
+    return entry.protocol, entry.family, name
 
 
 def _load_distribution(args, p):

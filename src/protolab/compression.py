@@ -54,18 +54,24 @@ def _len_exchange_bits(n: int) -> int:
     return 2 * math.ceil(math.log2(n + 2))
 
 
+def _prefix_xor(x: str, y: str) -> tuple[int, int]:
+    """The shorter length m and the XOR of both m-bit prefixes as integers;
+    the strings first differ at ``m - xor.bit_length()``."""
+    m = min(len(x), len(y))
+    xi = int(x, 2) if x else 0
+    yi = int(y, 2) if y else 0
+    return m, (xi >> (len(x) - m)) ^ (yi >> (len(y) - m))
+
+
 def lcp_exact(x: str, y: str) -> int | None:
     """First index where the strings differ; None if equal.
 
     Unequal lengths with one a prefix of the other report the difference at
     the shorter length (the position where one string ran out).
     """
-    m = min(len(x), len(y))
-    for j in range(m):
-        if x[j] != y[j]:
-            return j
-    if len(x) != len(y):
-        return m
+    m, diff = _prefix_xor(x, y)
+    if diff or len(x) != len(y):
+        return m - diff.bit_length()
     return None
 
 
@@ -90,13 +96,10 @@ def lcp_randomized(
     if not 0 < eps < 1:
         raise ConfigError("lcp error rate must be in (0, 1)")
     comm = _len_exchange_bits(max(len(x), len(y)))
-    m = min(len(x), len(y))
+    m, full_diff = _prefix_xor(x, y)
+    first_diff = m - full_diff.bit_length()
     tests = max(1, math.ceil(math.log2(m + 1)))
     hash_bits = max(1, math.ceil(math.log2(tests / eps)))
-    xi = int(x, 2) if x else 0
-    yi = int(y, 2) if y else 0
-    full_diff = (xi >> (len(x) - m)) ^ (yi >> (len(y) - m))
-    first_diff = m - full_diff.bit_length()
     # A test at or below the first difference compares equal prefixes and
     # passes whatever its masks are, so a run of such tests only owes the
     # RNG the 32-bit words its masks take; they are drawn in one call before

@@ -17,8 +17,8 @@ those records when it is first read.  The global order groups messages into
 causal lots: the lot of the messages a player sends in some round is one
 more than the largest lot among the messages it had read before that round
 and its own earlier sending rounds; inside a lot, messages are ordered
-lexicographically by link.  Relaxed mode has no lots: the engine keeps a log
-of the links it read from, in order, and messages follow that log.
+lexicographically by link.  Relaxed mode has no lots: messages follow the
+order in which they were read, which the walk that derives them replays.
 
 Termination: the simulation stops when nobody can advance.  That is an error
 only if some player never wrote an output or some sent message was never
@@ -63,12 +63,12 @@ def is_bitstring(s: str) -> bool:
 
 
 def prefix_free_violation(strings: Iterable[str]) -> tuple[str, str] | None:
-    """Return a (prefix, longer) witness pair if the set is not prefix-free."""
-    uniq = sorted(set(strings), key=len)
-    for i, short in enumerate(uniq):
-        for long in uniq[i + 1 :]:
-            if len(long) > len(short) and long.startswith(short):
-                return (short, long)
+    """The lexicographically first (word, successor) pair in which the word
+    prefixes its successor; a word that prefixes any other does."""
+    uniq = sorted(set(strings))
+    for short, long in zip(uniq, uniq[1:]):
+        if long.startswith(short):
+            return (short, long)
     return None
 
 
@@ -222,20 +222,15 @@ class Execution:
     total_bits: int
     # Pi_i per player, joined once from ``reads`` when the run ends.
     received: tuple[str, ...] = field(compare=False, repr=False)
-    # Relaxed mode only: the (sender, receiver) link of every read, in the
-    # order the engine made them.
-    read_log: tuple[tuple[int, int], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
         """Every message in the global order, derived from ``reads`` and
-        ``sends`` on first access.  In restricted mode the players' rounds
-        are walked in causal order: a sending round's lot is one more than
-        the largest lot the player sent in an earlier round or read before
-        it, and messages are sorted by lot, then link.  In relaxed mode the
-        order is that of the read log, and each lot is the global index."""
+        ``sends`` on first access by walking the players' rounds in the
+        engine's sweeps, so in the engine's read order.  A sending round's
+        lot is one more than the largest lot the player sent in an earlier
+        round or read before it.  Restricted mode sorts messages by lot,
+        then link; relaxed mode keeps read order, each lot its index."""
         k = self.protocol.k
         # A record holds the fields of its Message in order; the receiver
         # round is filled in when the walk reads it, the global index last.
@@ -243,6 +238,7 @@ class Execution:
         n_read = defaultdict(int)  # (sender, receiver) -> records read
         level = [0] * (k + 1)  # per player, the highest lot sent or read
         done = [0] * (k + 1)  # per player, the local rounds walked
+        records = []  # every record, in the order the walk reads it
         progress = True
         while progress:
             progress = False
@@ -256,6 +252,7 @@ class Execution:
                     for link in links:
                         rec = sent[link][n_read[link]]
                         n_read[link] += 1
+                        records.append(rec)
                         rec[4] = r
                         level[i] = max(level[i], rec[6])
                     if sends[r]:
@@ -266,12 +263,9 @@ class Execution:
                                          len(fifo), level[i], None])
                     done[i] = r + 1
                     progress = True
-        if self.read_log is None:
-            records = sorted((rec for link in sent.values() for rec in link),
-                             key=lambda rec: (rec[6], rec[0], rec[1]))
+        if self.protocol.mode == RESTRICTED:
+            records.sort(key=lambda rec: (rec[6], rec[0], rec[1]))
         else:
-            unread = {link: iter(recs) for link, recs in sent.items()}
-            records = [next(unread[link]) for link in self.read_log]
             for n, rec in enumerate(records, start=1):
                 rec[6] = n
         for g, rec in enumerate(records, start=1):
@@ -324,11 +318,13 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
 
 
 def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
-    """One execution.  ``tries`` holds one view trie per player;
-    ``_enumerate_all`` shares them across its executions and builds the
-    arguments from the protocol's own spaces, so they are not checked
-    again.  Without tries each driver starts its own, and frees each view
-    as it moves on."""
+    """One execution, in sweeps: each driver in index order runs as far as
+    its inbox allows, then its new sends are fed to their readers' inboxes
+    (the sweeps ``Execution.messages`` replays).  ``tries`` holds one view
+    trie per player; ``_enumerate_all`` shares them across its executions
+    and builds the arguments from the protocol's own spaces, so they are
+    not checked again.  Without tries each driver starts its own, and
+    frees each view as it moves on."""
     if tries is None:
         inputs, private_tapes, public_tape = _validate_run_args(
             p, inputs, private_tapes, public_tape
@@ -341,9 +337,6 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
         for i in p.players
     ]
     inboxes = [d.inbox for d in drivers]
-    # Relaxed mode orders its messages by when they were read: the
-    # (sender, receiver) link of every read, in the order reads happen.
-    read_log = [] if p.mode == RELAXED else None
 
     progress = True
     while progress:
@@ -356,11 +349,6 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
                 continue
             progress = True
             i = d.player
-            if read_log is not None:
-                # The driver runs a round right after each read: reads[r - 1]
-                # comes right before sends[r].
-                for rnd in d.reads[max(n_rounds, 1) - 1:]:
-                    read_log.extend((s, i) for s, _ in rnd)
             for rnd in sends[n_rounds:]:
                 for q, content in rnd:
                     inboxes[q - 1][i].append(content)
@@ -388,7 +376,6 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
         patterns=tuple(tuple(d.patterns) for d in drivers),
         total_bits=sum(map(len, received)),
         received=received,
-        read_log=None if read_log is None else tuple(read_log),
     )
 
 

@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, ModelViolationError
+from .errors import BudgetExceededError, ConfigError, ModelViolationError
 from .model import ProtocolDef, Round, View, bitstrings, fold_views
 
 
@@ -132,7 +132,7 @@ class _PlayerState:
 class _TreeMachine:
     """Shared immutable data for the per-player compiled programs."""
 
-    def __init__(self, spec: dict, source: str):
+    def __init__(self, spec: dict, source: str, budget: int | None = None):
         self.k = spec["k"]
         if self.k < 2:
             raise ConfigError("a protocol tree needs at least 2 players")
@@ -142,7 +142,11 @@ class _TreeMachine:
         self.public_bits = tape["public"]
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
-        self.has_tapes = sum(self.private_bits) + self.public_bits > 0
+        tape_bits = sum(self.private_bits) + self.public_bits
+        self.has_tapes = tape_bits > 0
+        required = 1 << (sum(self.input_bits) + tape_bits)
+        if budget is not None and required > budget:
+            raise BudgetExceededError(required, budget)
         # Without tapes every tape is "", so each player's keys are its inputs.
         view_keys = [
             frozenset(self.view_key(inp, priv, pub)
@@ -245,14 +249,16 @@ class _TreeMachine:
         return prog
 
 
-def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
+def protocol_from_dict(spec: dict, source: str = "tree",
+                       budget: int | None = None) -> ProtocolDef:
     """Compile a protocol-tree dictionary into an executable protocol.
 
     Any malformed field, and a tree nested too deeply to parse, is reported
-    as a ``ConfigError``.
+    as a ``ConfigError``; more executions than ``budget``, as a
+    ``BudgetExceededError`` from the header, before any view key is built.
     """
     try:
-        machine = _TreeMachine(spec, source)
+        machine = _TreeMachine(spec, source, budget)
         k = machine.k
         output_domains = tuple(
             tuple(sorted(outputs)) for outputs in machine.root.reachable
@@ -275,8 +281,8 @@ def protocol_from_dict(spec: dict, source: str = "tree") -> ProtocolDef:
         raise ConfigError("protocol tree is nested too deeply") from exc
 
 
-def load_protocol(path: str | Path) -> ProtocolDef:
-    """Load a protocol-tree JSON file."""
+def load_protocol(path: str | Path, budget: int | None = None) -> ProtocolDef:
+    """Load a protocol-tree JSON file (see ``protocol_from_dict``)."""
     path = Path(path)
     try:
         spec = json.loads(path.read_text())
@@ -284,4 +290,4 @@ def load_protocol(path: str | Path) -> ProtocolDef:
         raise ConfigError(f"cannot load protocol tree {path}: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("protocol tree is nested too deeply") from exc
-    return protocol_from_dict(spec, source=path.stem)
+    return protocol_from_dict(spec, source=path.stem, budget=budget)

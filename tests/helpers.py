@@ -30,6 +30,8 @@ from protolab.model import (
     ObliviousStructure,
     ProgramDriver,
     ProtocolDef,
+    RELAXED,
+    WAIT_ANY,
     Round,
     View,
     bitstrings,
@@ -195,6 +197,80 @@ def reference_messages(e) -> tuple[Message, ...]:
             global_index=g,
         )
         for g, (s, q, content, r, pos) in enumerate(ordered, start=1)
+    )
+
+
+def reference_read_log(p: ProtocolDef, inputs, schedule=None) -> list:
+    """The (sender, receiver) link of every read of a tape-free relaxed
+    execution, in the order the engine's sweeps make them.  This is the
+    engine loop that kept the log itself while it ran, kept as the
+    reference for the read order ``Execution.messages`` replays."""
+    schedule = iter(schedule or ())  # one iterator, shared by every driver
+    drivers = [ProgramDriver(p, i, inputs[i - 1], "", "", schedule)
+               for i in p.players]
+    read_log = []
+    progress = True
+    while progress:
+        progress = False
+        for d in drivers:
+            n_rounds = len(d.sends)
+            d.run()
+            if len(d.sends) == n_rounds:
+                continue
+            progress = True
+            # The driver runs a round right after each read: reads[r - 1]
+            # comes right before sends[r].
+            for rnd in d.reads[max(n_rounds, 1) - 1:]:
+                read_log.extend((s, d.player) for s, _ in rnd)
+            for rnd in d.sends[n_rounds:]:
+                for q, content in rnd:
+                    drivers[q - 1].feed(d.player, content)
+    return read_log
+
+
+def random_relaxed_protocol(seed: int, k: int, ticks: int) -> ProtocolDef:
+    """A seeded k-player relaxed protocol whose programs are random tables
+    from view to ``Round``, with one-bit inputs and no tapes.
+
+    Each player writes its output in round 1.  In each of its first
+    ``ticks`` rounds it sends 1- or 2-bit messages to a random set of
+    players and then waits on ``WAIT_ANY`` or on a random explicit set
+    (possibly empty); after that it only waits on ``WAIT_ANY``, so it
+    drains what is left in its inbox.  Every draw is seeded by the view
+    alone.  Some runs deadlock on an explicit wait; they raise a
+    ``ModelViolationError``."""
+    players = range(1, k + 1)
+
+    def program(i: int):
+        others = [q for q in players if q != i]
+
+        def prog(view: View) -> Round:
+            rng = random.Random(repr((seed, i, view)))
+            output = rng.choice("01") if view.round == 1 else None
+            if view.round > ticks:
+                return Round(output=output, waits=WAIT_ANY)
+            sends = tuple(
+                (q, "".join(rng.choice("01") for _ in range(rng.randint(1, 2))))
+                for q in others if rng.random() < 0.5
+            )
+            if rng.random() < 0.5:
+                waits = WAIT_ANY
+            else:
+                waits = tuple(q for q in others if rng.random() < 0.4)
+            return Round(sends=sends, output=output, waits=waits)
+
+        return prog
+
+    return ProtocolDef(
+        name=f"random-relaxed(seed={seed},k={k},ticks={ticks})",
+        k=k,
+        input_domains=(("0", "1"),) * k,
+        output_domains=(("0", "1"),) * k,
+        private_tape_lengths=(0,) * k,
+        public_tape_length=0,
+        programs=tuple(program(i) for i in players),
+        max_local_rounds=ticks * k + 1,
+        mode=RELAXED,
     )
 
 

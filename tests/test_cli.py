@@ -219,6 +219,43 @@ def test_budget_fails_before_the_zoo_builds_a_protocol(capsys, monkeypatch):
         assert err.count("\n") == 1 and out == "", argv
 
 
+def test_budget_fails_on_a_tree_header_before_compiling(
+        capsys, monkeypatch, tmp_path):
+    from protolab import treefile
+
+    calls = []
+
+    def counting(length):
+        calls.append(length)
+        return bitstrings(length)
+
+    bitstrings = treefile.bitstrings
+    monkeypatch.setattr(treefile, "bitstrings", counting)
+
+    def tree(**header):
+        spec = {"k": 2, "input_bits": [14, 1],
+                "tape_bits": {"private": [0, 0], "public": 0},
+                "tree": {"outputs": ["0", "0"]}, **header}
+        path = tmp_path / f"tree{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(spec))
+        return f"tree:{path}"
+
+    code, out, err = run_cli(capsys, "measure", "--protocol", tree(),
+                             "--budget", "4")
+    assert code == 2 and out == "" and calls == []
+    assert err == ("error: enumeration needs 32768 executions, "
+                   "budget is 4\n")
+    # A malformed header is still a configuration error, budget or not.
+    for header in ({"k": 1}, {"input_bits": [1]},
+                   {"tape_bits": {"private": [0, 0]}}):
+        code, out, err = run_cli(capsys, "measure", "--protocol",
+                                 tree(**header), "--budget", "4")
+        assert code == 1 and out == "" and calls == [], header
+    code, out, _ = run_cli(capsys, "measure", "--protocol",
+                           tree(input_bits=[1, 1]), "--budget", "4")
+    assert code == 0 and calls
+
+
 def test_each_command_rejects_options_it_does_not_read(capsys):
     for argv in (
         ("measure", "--protocol", "and-opt", "--seed", "7"),

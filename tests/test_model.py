@@ -1,6 +1,7 @@
 """Tests for the protocol execution engine, lot ordering, and certifications."""
 
 import dataclasses
+import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -421,6 +422,59 @@ def test_prefix_free_violation_names_the_smallest_link():
                               "prefix-free: '0' prefixes '00'")
 
 
+# Player 1 sends one of five words to player 2, whose codebook
+# {0, 1, 00, 10, 11} has three prefix pairs; the child prints the error.
+PREFIX_WITNESS_SCRIPT = """
+from protolab.errors import SelfDelimitingError
+from protolab.model import ProtocolDef, Round, run_all
+
+words = dict(zip(("000", "001", "010", "011", "100"),
+                 ("0", "1", "00", "10", "11")))
+
+def sender(view):
+    return Round(sends=((2, words[view.input]),), output="0", halt=True)
+
+def receiver(view):
+    if view.round == 1:
+        return Round(waits=(1,))
+    return Round(output="0", halt=True)
+
+p = ProtocolDef(
+    name="five-words", k=2, input_domains=(tuple(words), ("0",)),
+    output_domains=(("0",), ("0",)), private_tape_lengths=(0, 0),
+    public_tape_length=0, programs=(sender, receiver), max_local_rounds=2,
+)
+try:
+    run_all(p)
+except SelfDelimitingError as exc:
+    print(exc)
+"""
+
+
+def test_prefix_free_witness_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import protolab
+
+    src = str(Path(protolab.__file__).resolve().parent.parent)
+    messages = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", PREFIX_WITNESS_SCRIPT], env=env,
+            check=True, capture_output=True, text=True,
+        )
+        messages.add(done.stdout)
+    assert messages == {"messages at link 1->2 position 0 are not "
+                        "prefix-free: '0' prefixes '00'\n"}
+
+
 def test_budget_exceeded_reports_requirement():
     p = get_entry("ring-parity", k=3, n=2).protocol  # 2^6 inputs x 2^2 pads
     with pytest.raises(BudgetExceededError) as err:
@@ -599,9 +653,10 @@ def test_relaxed_messages_follow_the_read_order():
             assert list(map(dataclasses.astuple, e.messages)) == expected
 
 
-def test_relaxed_message_order_follows_the_schedule():
-    # Players 2 and 3 race to player 1, who reads whichever the schedule
-    # picks first, answers that one and outputs the first bit it read.
+def race_protocol() -> ProtocolDef:
+    """Players 2 and 3 race to player 1, who reads whichever the schedule
+    picks first, answers that one and outputs the first bit it read."""
+
     def first(view):
         if view.round == 1:
             return Round(waits=WAIT_ANY)
@@ -617,13 +672,17 @@ def test_relaxed_message_order_follows_the_schedule():
 
         return prog
 
-    p = ProtocolDef(
+    return ProtocolDef(
         name="race", k=3, input_domains=(("0",),) * 3,
         output_domains=(("0", "1"), ("0",), ("0",)),
         private_tape_lengths=(0, 0, 0), public_tape_length=0,
         programs=(first, racer("0"), racer("11")), max_local_rounds=4,
         mode=RELAXED,
     )
+
+
+def test_relaxed_message_order_follows_the_schedule():
+    p = race_protocol()
     two_first = [(2, 1, "0", 1, 1, 0, 1, 1), (3, 1, "11", 1, 2, 0, 2, 2),
                  (1, 2, "1", 2, 1, 0, 3, 3)]
     three_first = [(3, 1, "11", 1, 1, 0, 1, 1), (2, 1, "0", 1, 2, 0, 2, 2),
@@ -635,6 +694,36 @@ def test_relaxed_message_order_follows_the_schedule():
         e = run_relaxed(p, ("0",) * 3, schedule=schedule)
         assert e.outputs == (output, "0", "0")
         assert list(map(dataclasses.astuple, e.messages)) == expected
+
+
+def test_relaxed_messages_follow_the_engine_read_log():
+    # The causal walk of Execution.messages must read in the engine's
+    # order: players in index order per sweep, each as far as its reads
+    # allow.  A walk that sweeps in another order still passes the fixed
+    # cases above but not the random ones.
+    def links(p, inputs, schedule):
+        e = run_relaxed(p, inputs, schedule=schedule)
+        got = [(m.sender, m.receiver) for m in e.messages]
+        assert got == helpers.reference_read_log(p, inputs, schedule)
+
+    for schedule in (None, (2,), (3,), (3, 2)):
+        for x in ORDER_LEAK_MESSAGES:
+            links(get_entry("order-leak").protocol, (x, "", "", ""), schedule)
+        links(race_protocol(), ("0",) * 3, schedule)
+    completed = 0
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        k = rng.randint(3, 5)
+        p = helpers.random_relaxed_protocol(seed, k, ticks=rng.randint(1, 3))
+        inputs = tuple(rng.choice("01") for _ in range(k))
+        schedule = [rng.randint(1, k) for _ in range(rng.randint(0, 12))]
+        try:
+            links(p, inputs, schedule)
+        except ModelViolationError:  # a deadlock: no execution to order
+            continue
+        completed += 1
+        if completed == 200:
+            break
 
 
 def test_only_the_reference_execution_derives_its_messages():
