@@ -9,13 +9,25 @@ class ConfigError(ProtoLabError):
     """Bad user-supplied configuration, file, or CLI argument."""
 
 
+def format_count(n: int) -> str:
+    """A count in decimal while it has at most 20 digits, else by its
+    binary magnitude: decimal conversion of a huge int is slow, and Python
+    refuses it beyond 4300 digits."""
+    if n.bit_length() <= 64:
+        return str(n)
+    if n & (n - 1) == 0:
+        return f"2^{n.bit_length() - 1}"
+    return f"more than 2^{n.bit_length() - 1}"
+
+
 class BudgetExceededError(ProtoLabError):
     """Some work would exceed the configured budget: ``required`` counts it
     in ``unit`` (executions of an exhaustive enumeration by default)."""
 
     def __init__(self, required: int, budget: int, work: str = "enumeration",
                  unit: str = "executions"):
-        super().__init__(f"{work} needs {required} {unit}, budget is {budget}")
+        super().__init__(f"{work} needs {format_count(required)} {unit}, "
+                         f"budget is {format_count(budget)}")
         self.required = required
         self.budget = budget
         self.unit = unit

@@ -601,7 +601,9 @@ def product_protocol(
     senders that a lot-t message is due from.  This lot plan is read off
     each side's reference execution, and the first side's part of a merged
     message is split off with that side's ``ExecutionTable.codeword``, so
-    each side's view is reconstructed exactly.  Both protocols must be
+    each side's view is reconstructed exactly.  Each player keeps one view
+    trie per side for as long as the product lives, so a side program runs
+    once per distinct side view of that player.  Both protocols must be
     oblivious and have the same number of players.
     """
     if p.k != q.k:
@@ -630,16 +632,20 @@ def product_protocol(
     max_lot = max((lot for _, lot in wait_plan), default=0)
 
     def make_program(i: int):
+        # One view trie per side, shared by every state this player builds,
+        # so a rebuilt state runs no side program on a view already met.
+        trie_a, trie_b = {}, {}
+
         def start(view: View):
             """Both side drivers, run until they block."""
             cut, tape_cut = in_a[i - 1], priv_a[i - 1]
             drivers = (
                 ProgramDriver(p, i, view.input[:cut],
                               view.private_tape[:tape_cut],
-                              view.public_tape[:pub_a]),
+                              view.public_tape[:pub_a], trie=trie_a),
                 ProgramDriver(q, i, view.input[cut:],
                               view.private_tape[tape_cut:],
-                              view.public_tape[pub_a:]),
+                              view.public_tape[pub_a:], trie=trie_b),
             )
             return tuple(d.run() for d in drivers)
 

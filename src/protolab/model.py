@@ -299,6 +299,8 @@ def _validate_run_args(p, inputs, private_tapes, public_tape):
         private_tapes = tuple(private_tapes)
     if len(inputs) != p.k:
         raise ValueError("need one input per player")
+    if len(private_tapes) != p.k:
+        raise ValueError("need one private tape per player")
     for i in p.players:
         if inputs[i - 1] not in p.input_domain(i):
             raise ValueError(f"input {inputs[i-1]!r} not in player {i}'s domain")
@@ -317,25 +319,27 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
     return public_tape
 
 
-def _execute(p, inputs, private_tapes, public_tape, schedule, tries=None):
+def _execute(p, inputs, private_tapes, public_tape, schedule, drivers=None):
     """One execution, in sweeps: each driver in index order runs as far as
     its inbox allows, then its new sends are fed to their readers' inboxes
-    (the sweeps ``Execution.messages`` replays).  ``tries`` holds one view
-    trie per player; ``_enumerate_all`` shares them across its executions
-    and builds the arguments from the protocol's own spaces, so they are
-    not checked again.  Without tries each driver starts its own, and
-    frees each view as it moves on."""
-    if tries is None:
+    (the sweeps ``Execution.messages`` replays).  ``drivers`` holds one
+    driver per player; ``_enumerate_all`` restarts the same drivers, with
+    their view tries, for each of its executions and builds the arguments
+    from the protocol's own spaces, so they are not checked again.  Without
+    drivers the execution builds its own, which keep no view trie."""
+    if drivers is None:
         inputs, private_tapes, public_tape = _validate_run_args(
             p, inputs, private_tapes, public_tape
         )
-        tries = [None] * p.k
-    schedule = iter(schedule or ())  # one iterator, shared by every driver
-    drivers = [
-        ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1], public_tape,
-                      schedule, tries[i - 1])
-        for i in p.players
-    ]
+        schedule = iter(schedule or ())  # one iterator, shared by every driver
+        drivers = [
+            ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1],
+                          public_tape, schedule)
+            for i in p.players
+        ]
+    else:
+        for d, x, tape in zip(drivers, inputs, private_tapes):
+            d.restart(x, tape, public_tape)
     inboxes = [d.inbox for d in drivers]
 
     progress = True
@@ -464,12 +468,14 @@ class ExecutionTable:
 
 @lru_cache(maxsize=None)
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
-    executions = {}
-    tries = [{} for _ in p.players]  # dropped when the enumeration returns
-    for x in p.input_space():
-        for privs, pub in p.tape_space():
-            e = _execute(p, x, privs, pub, None, tries)
-            executions[(tuple(x), tuple(privs), pub)] = e
+    keys = [(x, privs, pub)
+            for x in p.input_space() for privs, pub in p.tape_space()]
+    # One driver and one view trie per player, restarted for every
+    # execution and dropped when the enumeration returns.
+    x, privs, pub = keys[0]
+    drivers = [ProgramDriver(p, i, x[i - 1], privs[i - 1], pub, (), {})
+               for i in p.players]
+    executions = {key: _execute(p, *key, None, drivers) for key in keys}
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
         for i, rounds in enumerate(e.sends, start=1):
@@ -690,38 +696,52 @@ class ProgramDriver:
     the program returned for its view, so the program runs, its ``View``
     is built and its round is checked only on a view that no driver
     sharing the trie has reached.  A round that breaks a rule is not kept.
-    The engine shares one trie per player across one enumeration; a driver
-    without one gets a fresh trie.  Nodes keep no reads of their own: a
-    tuple of every read per node would cost memory and garbage-collector
-    time growing with rounds squared.
+    The engine keeps one driver and one trie per player across one
+    enumeration and ``restart``s the driver for each execution; a product
+    keeps one trie per player and side.  A driver without a trie keeps no
+    view it has left, so each is freed as the driver moves on.  Nodes keep
+    no reads of their own: a tuple of every read per node would cost
+    memory and garbage-collector time growing with rounds squared.
     """
 
     def __init__(self, p: ProtocolDef, player: int, input_value: str,
                  private_tape: str, public_tape: str, schedule=(), trie=None):
         self.program = p.program(player)
         self.player = player
-        self.input = input_value
-        self.private_tape = private_tape
-        self.public_tape = public_tape
         self.max_rounds = p.max_local_rounds
         self.relaxed = p.mode == RELAXED
         self.domain = p.output_domain(player)
         self.schedule = iter(schedule)
-        if trie is None:
-            trie = {}
-        root_key = (input_value, private_tape, public_tape)
-        if root_key not in trie:
-            trie[root_key] = _ViewNode()
-        self.node = trie[root_key]
+        self.trie = trie
         # One FIFO queue per peer: its keys are also the players this one
         # may send to or wait on.
         self.inbox = {s: deque() for s in p.players if s != player}
+        self.restart(input_value, private_tape, public_tape)
+
+    def restart(self, input_value: str, private_tape: str,
+                public_tape: str) -> "ProgramDriver":
+        """Start the player over on these input and tapes, from its root
+        view.  The program, the trie, the schedule and the inbox are kept,
+        so the inbox must hold no message: a completed execution reads
+        every message it sends."""
+        self.input = input_value
+        self.private_tape = private_tape
+        self.public_tape = public_tape
+        if self.trie is None:
+            self.node = _ViewNode()
+        else:
+            root_key = (input_value, private_tape, public_tape)
+            node = self.trie.get(root_key)
+            if node is None:
+                node = self.trie[root_key] = _ViewNode()
+            self.node = node
         self.reads: list[tuple[tuple[int, str], ...]] = []
         self.sends: list[tuple[tuple[int, str], ...]] = []
         self.patterns: list[tuple[tuple[int, ...] | str, tuple[int, ...]]] = []
         self.output: str | None = None
         self.halted = False
         self.waiting: tuple[int, ...] | str | None = None
+        return self
 
     def feed(self, sender: int, message: str) -> None:
         self.inbox[sender].append(message)

@@ -8,6 +8,7 @@ import pytest
 
 from protolab import compression, zoo
 from protolab.cli import main
+from protolab.errors import format_count
 
 from helpers import relay3_dict
 
@@ -254,6 +255,26 @@ def test_budget_fails_on_a_tree_header_before_compiling(
     code, out, _ = run_cli(capsys, "measure", "--protocol",
                            tree(input_bits=[1, 1]), "--budget", "4")
     assert code == 0 and calls
+
+
+def test_budget_error_names_a_huge_count_by_its_power_of_two(
+        capsys, tmp_path):
+    # Python refuses to write an int of over 4300 digits in decimal.
+    spec = {"k": 2, "input_bits": [20000, 1],
+            "tape_bits": {"private": [0, 0], "public": 0},
+            "tree": {"outputs": ["0", "0"]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    for argv, count in (
+        (("--protocol", "ring-parity", "--n", "5000"), "2^20000"),
+        (("--protocol", f"tree:{path}"), "2^20001"),
+    ):
+        code, out, err = run_cli(capsys, "measure", *argv)
+        assert code == 2 and out == "", argv
+        assert err == (f"error: enumeration needs {count} executions, "
+                       "budget is 65536\n")
+    assert [format_count(n) for n in ((1 << 64) - 1, 1 << 64, 3 << 64)] == [
+        "18446744073709551615", "2^64", "more than 2^65"]
 
 
 def test_each_command_rejects_options_it_does_not_read(capsys):

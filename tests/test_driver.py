@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from protolab.model import (
     ProtocolDef,
     Round,
     View,
+    _enumerate_all,
     run,
     run_all,
     run_relaxed,
@@ -165,20 +167,20 @@ def test_execution_golden_pin(case):
 # -- work grows linearly in rounds ---------------------------------------------
 
 
-def _counted(p):
-    """A copy of p whose programs count their calls."""
-    calls = [0]
+def _recorded(p):
+    """A copy of p whose programs record the views they are called on."""
+    views = []
 
     def wrap(program):
-        def counted(view):
-            calls[0] += 1
+        def recorded(view):
+            views.append(view)
             return program(view)
 
-        return counted
+        return recorded
 
     return dataclasses.replace(
         p, programs=tuple(wrap(prog) for prog in p.programs)
-    ), calls
+    ), views
 
 
 def _local_rounds(table):
@@ -194,11 +196,11 @@ def test_obliviousize_inner_calls_do_not_grow_with_phases():
     base = _zoo("q-index", k=3, q=1)
     per_execution = []
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-        q, calls = _counted(base)
+        q, calls = _recorded(base)
         obl = obliviousize(q, uniform(q), eps)
-        calls[0] = 0  # obliviousize itself enumerates q once
+        calls.clear()  # obliviousize itself enumerates q once
         table = run_all(obl)
-        per_execution.append(calls[0] / len(table))
+        per_execution.append(len(calls) / len(table))
     assert max(per_execution) <= 1.5 * min(per_execution), per_execution
 
 
@@ -372,14 +374,42 @@ def _seeded_tree(seed):
     (lambda: _seeded_tree(11), None),
 ], ids=["ring-parity", "product", "obliviousize", "tree"])
 def test_run_all_runs_each_program_once_per_distinct_view(build, views):
-    p, calls = _counted(build())
+    p, calls = _recorded(build())
     table = run_all(p)
-    assert calls[0] == helpers.distinct_views(table)
+    assert len(calls) == helpers.distinct_views(table)
     if views is not None:
-        assert calls[0] == views
+        assert len(calls) == views
     # Every execution reaches one view per local round, so the trie saves
     # calls wherever executions share a view.
-    assert calls[0] < _local_rounds(table)
+    assert len(calls) < _local_rounds(table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda side: product_protocol(side(_zoo("star-parity", k=3, n=2)),
+                                  side(_zoo("ring-parity", k=3, n=1))),
+    lambda side: product_protocol(
+        side(product_protocol(side(_zoo("star-parity", k=3, n=1)),
+                              side(_zoo("star-parity", k=3, n=1)))),
+        side(_zoo("star-parity", k=3, n=1)),
+    ),
+], ids=["star-ring", "nested"])
+def test_product_runs_each_side_program_once_per_distinct_view(build):
+    recorded = []
+
+    def side(p):
+        q, views = _recorded(p)
+        recorded.append(views)
+        return q
+
+    product = build(side)
+    for views in recorded:
+        views.clear()  # the calls of each side's own enumeration
+    run_all(product)
+    assert any(recorded)
+    # A View names its player, so a repeat is one product player's.
+    for views in recorded:
+        repeated = [v for v, n in Counter(views).items() if n > 1]
+        assert not repeated, repeated[:3]
 
 
 def _differential_cases():
@@ -501,4 +531,72 @@ def test_the_trie_does_not_outlive_the_enumeration():
     table = run_all(p)
     gc.collect()
     assert refs and len(table) == p.execution_count()
+    assert all(ref() is None for ref in refs)
+
+
+def _drive(d, e):
+    """Feed driver d everything its player read in e, and run it."""
+    for rnd in e.reads[d.player - 1]:
+        for sender, content in rnd:
+            d.feed(sender, content)
+    return d.run()
+
+
+def _record(d):
+    return (d.reads, d.sends, d.patterns, d.output, d.halted, d.waiting)
+
+
+@pytest.mark.parametrize("new_trie", [lambda: None, dict],
+                         ids=["no-trie", "trie"])
+def test_a_restarted_driver_matches_a_fresh_one(new_trie):
+    p = _zoo("ring-parity", k=3, n=1)
+    table = run_all(p)
+    items = list(table.items())
+    for i in p.players:
+        (x, privs, pub), first = items[0]
+        d = _drive(ProgramDriver(p, i, x[i - 1], privs[i - 1], pub, (),
+                                 new_trie()), first)
+        for (x, privs, pub), e in items[1:]:
+            assert d.halted and not any(d.inbox.values())
+            args = (x[i - 1], privs[i - 1], pub)
+            _drive(d.restart(*args), e)
+            fresh = _drive(ProgramDriver(p, i, *args), e)
+            assert _record(d) == _record(fresh)
+            assert (d.reads, d.sends, d.patterns, d.output) == (
+                list(e.reads[i - 1]), list(e.sends[i - 1]),
+                list(e.patterns[i - 1]), e.outputs[i - 1])
+
+
+def test_product_side_tries_are_freed_with_the_product():
+    class Output(str):
+        """An output string that a weak reference can follow."""
+
+    refs = []
+
+    def keep(program):
+        def kept(view):
+            act = program(view)
+            if act.output is None:
+                return act
+            output = Output(act.output)
+            refs.append(weakref.ref(output))
+            return dataclasses.replace(act, output=output)
+
+        return kept
+
+    def side(p):
+        return dataclasses.replace(
+            p, programs=tuple(keep(f) for f in p.programs))
+
+    product = product_protocol(side(_zoo("star-parity", k=3, n=1)),
+                               side(_zoo("ring-parity", k=3, n=1)))
+    refs.clear()  # the outputs of each side's own enumeration
+    table = run_all(product)
+    gc.collect()
+    # The side tries keep the checked rounds, outputs too, while the
+    # product lives.
+    assert refs and all(ref() is not None for ref in refs)
+    del product, table
+    _enumerate_all.cache_clear()
+    gc.collect()
     assert all(ref() is None for ref in refs)

@@ -574,9 +574,15 @@ def test_input_validation():
     p = get_entry("and-opt").protocol
     with pytest.raises(ValueError, match="domain"):
         run(p, ("2", "0"))
+    ring = get_entry("ring-parity", k=3, n=1).protocol
     with pytest.raises(ValueError, match="tape"):
-        run(get_entry("ring-parity", k=3, n=1).protocol,
-            ("0", "0", "0"), ("", "", ""), "")
+        run(ring, ("0", "0", "0"), ("", "", ""), "")
+    x = ("0", "0", "0")
+    for tapes in (("0",), ("0",) * 4):
+        with pytest.raises(ValueError, match="need one private tape per player"):
+            run(ring, x, tapes)
+        with pytest.raises(ValueError, match="need one private tape per player"):
+            run_all(ring).get(x, tapes)
 
 
 def test_execution_table_get_checks_arguments_only_on_a_miss():
