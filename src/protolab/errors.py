@@ -1,5 +1,8 @@
 """Semantic exception hierarchy shared by the whole package."""
 
+import operator
+from collections.abc import Callable
+
 
 class ProtoLabError(Exception):
     """Base class for all package-specific errors."""
@@ -22,15 +25,35 @@ def format_count(n: int) -> str:
 
 class BudgetExceededError(ProtoLabError):
     """Some work would exceed the configured budget: ``required`` counts it
-    in ``unit`` (executions of an exhaustive enumeration by default)."""
+    in ``unit`` (executions of an exhaustive enumeration by default), or is
+    None and ``count`` prints a count too large to build."""
 
-    def __init__(self, required: int, budget: int, work: str = "enumeration",
-                 unit: str = "executions"):
-        super().__init__(f"{work} needs {format_count(required)} {unit}, "
-                         f"budget is {format_count(budget)}")
+    def __init__(self, required: int | None, budget: int,
+                 work: str = "enumeration", unit: str = "executions",
+                 count: str | None = None):
+        super().__init__(f"{work} needs {count or format_count(required)} "
+                         f"{unit}, budget is {format_count(budget)}")
         self.required = required
         self.budget = budget
         self.unit = unit
+
+
+def budgeted_count(budget: int | None, exponent: int,
+                   factor: Callable[[], int] | None = None) -> int:
+    """An enumeration's executions, 2^exponent times ``factor()`` (a
+    positive int, 1 when absent), checked against ``budget``.  A count that
+    2^exponent >= 2^64 alone puts over the budget is named by that power,
+    never built: ``1 << 10**20`` and ``math.perm`` at such sizes hang."""
+    exponent = operator.index(exponent)
+    if budget is not None and exponent >= max(budget.bit_length(), 64):
+        count = f"2^{exponent}" if factor is None else f"at least 2^{exponent}"
+        raise BudgetExceededError(None, budget, count=count)
+    required = 1 << exponent
+    if factor is not None:
+        required *= factor()
+    if budget is not None and required > budget:
+        raise BudgetExceededError(required, budget)
+    return required
 
 
 class ModelViolationError(ProtoLabError):

@@ -639,15 +639,13 @@ def product_protocol(
         def start(view: View):
             """Both side drivers, run until they block."""
             cut, tape_cut = in_a[i - 1], priv_a[i - 1]
-            drivers = (
-                ProgramDriver(p, i, view.input[:cut],
-                              view.private_tape[:tape_cut],
-                              view.public_tape[:pub_a], trie=trie_a),
-                ProgramDriver(q, i, view.input[cut:],
-                              view.private_tape[tape_cut:],
-                              view.public_tape[pub_a:], trie=trie_b),
-            )
-            return tuple(d.run() for d in drivers)
+            side_a = ProgramDriver(p, i, trie=trie_a).restart(
+                view.input[:cut], view.private_tape[:tape_cut],
+                view.public_tape[:pub_a])
+            side_b = ProgramDriver(q, i, trie=trie_b).restart(
+                view.input[cut:], view.private_tape[tape_cut:],
+                view.public_tape[pub_a:])
+            return side_a.run(), side_b.run()
 
         def fold(state, round_reads, index: int) -> None:
             """Split the merged lot-(index+1) messages into side parts and

@@ -293,10 +293,8 @@ class Execution:
 
 def _validate_run_args(p, inputs, private_tapes, public_tape):
     inputs = tuple(inputs)
-    if private_tapes is None:
-        private_tapes = tuple("" for _ in range(p.k))
-    else:
-        private_tapes = tuple(private_tapes)
+    private_tapes = (("",) * p.k if private_tapes is None
+                     else tuple(private_tapes))
     if len(inputs) != p.k:
         raise ValueError("need one input per player")
     if len(private_tapes) != p.k:
@@ -319,27 +317,15 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
     return public_tape
 
 
-def _execute(p, inputs, private_tapes, public_tape, schedule, drivers=None):
-    """One execution, in sweeps: each driver in index order runs as far as
-    its inbox allows, then its new sends are fed to their readers' inboxes
-    (the sweeps ``Execution.messages`` replays).  ``drivers`` holds one
-    driver per player; ``_enumerate_all`` restarts the same drivers, with
-    their view tries, for each of its executions and builds the arguments
-    from the protocol's own spaces, so they are not checked again.  Without
-    drivers the execution builds its own, which keep no view trie."""
-    if drivers is None:
-        inputs, private_tapes, public_tape = _validate_run_args(
-            p, inputs, private_tapes, public_tape
-        )
-        schedule = iter(schedule or ())  # one iterator, shared by every driver
-        drivers = [
-            ProgramDriver(p, i, inputs[i - 1], private_tapes[i - 1],
-                          public_tape, schedule)
-            for i in p.players
-        ]
-    else:
-        for d, x, tape in zip(drivers, inputs, private_tapes):
-            d.restart(x, tape, public_tape)
+def _execute(p, inputs, private_tapes, public_tape, drivers):
+    """One execution by ``drivers``, one per player: each is restarted on
+    its input and tapes, then they run in sweeps, each in index order as
+    far as its inbox allows, its new sends fed to their readers' inboxes
+    (the sweeps ``Execution.messages`` replays).  The arguments are not
+    checked here: ``run`` and ``run_relaxed`` check them, and
+    ``_enumerate_all`` builds them from the protocol's own spaces."""
+    for d, x, tape in zip(drivers, inputs, private_tapes):
+        d.restart(x, tape, public_tape)
     inboxes = [d.inbox for d in drivers]
 
     progress = True
@@ -383,6 +369,15 @@ def _execute(p, inputs, private_tapes, public_tape, schedule, drivers=None):
     )
 
 
+def _run_once(p, inputs, private_tapes, public_tape, schedule):
+    """One execution on checked arguments, by fresh drivers that share one
+    schedule iterator."""
+    args = _validate_run_args(p, inputs, private_tapes, public_tape)
+    schedule = iter(schedule)
+    return _execute(p, *args, [ProgramDriver(p, i, schedule)
+                               for i in p.players])
+
+
 def run(
     p: ProtocolDef,
     inputs: Sequence[str],
@@ -394,7 +389,7 @@ def run(
         raise ModelViolationError(
             f"{p.name}: run() requires restricted mode; use run_relaxed()"
         )
-    return _execute(p, inputs, private_tapes, public_tape, schedule=None)
+    return _run_once(p, inputs, private_tapes, public_tape, ())
 
 
 def run_relaxed(
@@ -412,7 +407,7 @@ def run_relaxed(
     """
     if p.mode != RELAXED:
         raise ModelViolationError(f"{p.name}: protocol is not in relaxed mode")
-    return _execute(p, inputs, private_tapes, public_tape, schedule)
+    return _run_once(p, inputs, private_tapes, public_tape, schedule or ())
 
 
 @dataclass
@@ -427,17 +422,10 @@ class ExecutionTable:
         return len(self.executions)
 
     def get(self, inputs, private_tapes=None, public_tape=None) -> Execution:
-        """The execution on these arguments.  Every key the table holds is
-        valid, so the arguments are checked only when the lookup misses."""
-        if private_tapes is None:
-            private_tapes = ("",) * self.protocol.k
-        key = (tuple(inputs), tuple(private_tapes),
-               "" if public_tape is None else public_tape)
-        try:
-            return self.executions[key]
-        except (KeyError, TypeError):  # a miss, or an unhashable argument
-            key = _validate_run_args(self.protocol, *key)
-        return self.executions[key]
+        """The execution on these arguments, checked the way ``run`` checks
+        them."""
+        return self.executions[_validate_run_args(
+            self.protocol, inputs, private_tapes, public_tape)]
 
     def codeword(self, sender: int, receiver: int, pos: int, bits: str,
                  offset: int = 0) -> str | None:
@@ -468,14 +456,11 @@ class ExecutionTable:
 
 @lru_cache(maxsize=None)
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
-    keys = [(x, privs, pub)
-            for x in p.input_space() for privs, pub in p.tape_space()]
     # One driver and one view trie per player, restarted for every
     # execution and dropped when the enumeration returns.
-    x, privs, pub = keys[0]
-    drivers = [ProgramDriver(p, i, x[i - 1], privs[i - 1], pub, (), {})
-               for i in p.players]
-    executions = {key: _execute(p, *key, None, drivers) for key in keys}
+    drivers = [ProgramDriver(p, i) for i in p.players]
+    executions = {(x, privs, pub): _execute(p, x, privs, pub, drivers)
+                  for x in p.input_space() for privs, pub in p.tape_space()}
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
         for i, rounds in enumerate(e.sends, start=1):
@@ -689,6 +674,7 @@ class ProgramDriver:
     records ``reads``, ``sends`` (sorted by recipient) and ``patterns``
     (wait set, recipients); ``waiting`` is the blocking wait set.
 
+    A driver is built once per player; ``restart`` starts each of its runs.
     A program is a pure function of its ``View``, so the driver walks a
     trie of the player's views: ``trie`` maps (input, private tape, public
     tape) to a root node, and each child is keyed by one read round (``()``
@@ -696,45 +682,39 @@ class ProgramDriver:
     the program returned for its view, so the program runs, its ``View``
     is built and its round is checked only on a view that no driver
     sharing the trie has reached.  A round that breaks a rule is not kept.
-    The engine keeps one driver and one trie per player across one
-    enumeration and ``restart``s the driver for each execution; a product
-    keeps one trie per player and side.  A driver without a trie keeps no
-    view it has left, so each is freed as the driver moves on.  Nodes keep
-    no reads of their own: a tuple of every read per node would cost
-    memory and garbage-collector time growing with rounds squared.
+    A driver given no trie makes its own.  The engine keeps one driver and
+    one trie per player across one enumeration; a product keeps one trie
+    per player and side.  Nodes keep no reads of their own: a tuple of
+    every read per node would cost memory and garbage-collector time
+    growing with rounds squared.
     """
 
-    def __init__(self, p: ProtocolDef, player: int, input_value: str,
-                 private_tape: str, public_tape: str, schedule=(), trie=None):
+    def __init__(self, p: ProtocolDef, player: int, schedule=(), trie=None):
         self.program = p.program(player)
         self.player = player
         self.max_rounds = p.max_local_rounds
         self.relaxed = p.mode == RELAXED
         self.domain = p.output_domain(player)
         self.schedule = iter(schedule)
-        self.trie = trie
+        self.trie = {} if trie is None else trie
         # One FIFO queue per peer: its keys are also the players this one
         # may send to or wait on.
         self.inbox = {s: deque() for s in p.players if s != player}
-        self.restart(input_value, private_tape, public_tape)
 
     def restart(self, input_value: str, private_tape: str,
                 public_tape: str) -> "ProgramDriver":
-        """Start the player over on these input and tapes, from its root
-        view.  The program, the trie, the schedule and the inbox are kept,
-        so the inbox must hold no message: a completed execution reads
-        every message it sends."""
+        """Start the player on these input and tapes, from its root view:
+        the only way to start a run.  The program, the trie, the schedule
+        and the inbox are kept, so the inbox must hold no message: a
+        completed execution reads every message it sends."""
         self.input = input_value
         self.private_tape = private_tape
         self.public_tape = public_tape
-        if self.trie is None:
-            self.node = _ViewNode()
-        else:
-            root_key = (input_value, private_tape, public_tape)
-            node = self.trie.get(root_key)
-            if node is None:
-                node = self.trie[root_key] = _ViewNode()
-            self.node = node
+        root_key = (input_value, private_tape, public_tape)
+        node = self.trie.get(root_key)
+        if node is None:
+            node = self.trie[root_key] = _ViewNode()
+        self.node = node
         self.reads: list[tuple[tuple[int, str], ...]] = []
         self.sends: list[tuple[tuple[int, str], ...]] = []
         self.patterns: list[tuple[tuple[int, ...] | str, tuple[int, ...]]] = []

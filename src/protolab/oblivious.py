@@ -52,8 +52,8 @@ class _InnerSim:
     def __init__(self, p, table, i, input_value, private_tape, public_tape):
         self.table = table
         self.i = i
-        self.driver = ProgramDriver(p, i, input_value, private_tape,
-                                    public_tape)
+        self.driver = ProgramDriver(p, i).restart(input_value, private_tape,
+                                                  public_tape)
         self.partial: dict[int, str] = {}  # sender -> unfinished message bits
         self.read_pos: dict[int, int] = {}
         self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)

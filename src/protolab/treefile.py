@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import BudgetExceededError, ConfigError, ModelViolationError
+from .errors import ConfigError, ModelViolationError, budgeted_count
 from .model import ProtocolDef, Round, View, bitstrings, fold_views
 
 
@@ -144,9 +144,7 @@ class _TreeMachine:
             raise ConfigError("input_bits/tape_bits must list every player")
         tape_bits = sum(self.private_bits) + self.public_bits
         self.has_tapes = tape_bits > 0
-        required = 1 << (sum(self.input_bits) + tape_bits)
-        if budget is not None and required > budget:
-            raise BudgetExceededError(required, budget)
+        budgeted_count(budget, sum(self.input_bits) + tape_bits)
         # Without tapes every tape is "", so each player's keys are its inputs.
         view_keys = [
             frozenset(self.view_key(inp, priv, pub)

@@ -8,7 +8,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError, budgeted_count
 from .model import (
     RELAXED,
     WAIT_ANY,
@@ -58,14 +58,14 @@ def _parity_family(k: int, n: int) -> FunctionFamily:
     return FunctionFamily(f"bitwise-parity(k={k},n={n})", tuple(funcs))
 
 
-def _ring_parity_executions(k: int, n: int) -> int:
+def _ring_parity_executions(k: int, n: int, budget: int | None = None) -> int:
     """Executions of ring_parity(k, n), from its parameters alone: k n-bit
     inputs and player 1's n-bit tape."""
     if k < 3:
         raise ConfigError("ring parity needs at least 3 players")
     if n < 1:
         raise ConfigError("ring parity needs at least 1 input bit")
-    return 1 << (k * n + n)
+    return budgeted_count(budget, k * n + n)
 
 
 def ring_parity(k: int, n: int) -> ZooEntry:
@@ -128,14 +128,14 @@ def ring_parity(k: int, n: int) -> ZooEntry:
     )
 
 
-def _star_parity_executions(k: int, n: int) -> int:
+def _star_parity_executions(k: int, n: int, budget: int | None = None) -> int:
     """Executions of star_parity(k, n), from its parameters alone: k n-bit
     inputs and no tapes."""
     if k < 2:
         raise ConfigError("star parity needs at least 2 players")
     if n < 1:
         raise ConfigError("star parity needs at least 1 input bit")
-    return 1 << (k * n)
+    return budgeted_count(budget, k * n)
 
 
 def star_parity(k: int, n: int) -> ZooEntry:
@@ -228,14 +228,14 @@ def _decode_indices(encoded: str, k: int, q: int) -> tuple[int, ...]:
     return tuple(int(encoded[j * w : (j + 1) * w], 2) + 1 for j in range(q))
 
 
-def _q_index_executions(k: int, q: int) -> int:
+def _q_index_executions(k: int, q: int, budget: int | None = None) -> int:
     """Executions of q_index(k, q), from its parameters alone: k - 1 input
     bits and an ordered choice of q distinct indices."""
     if k < 3:
         raise ConfigError("q-index needs at least 3 players")
     if not 1 <= q <= k - 1:
         raise ConfigError("need 1 <= q <= k-1 indices")
-    return math.perm(k - 1, q) << (k - 1)
+    return budgeted_count(budget, k - 1, lambda: math.perm(k - 1, q))
 
 
 def q_index(k: int, q: int) -> ZooEntry:
@@ -415,7 +415,7 @@ REGISTRY = {
     },
     "and-opt": {
         "factory": and_opt,
-        "executions": lambda: 4,
+        "executions": lambda budget=None: budgeted_count(budget, 2),
         "defaults": {},
         "summary": "two-message AND protocol",
     },
@@ -427,7 +427,7 @@ REGISTRY = {
     },
     "order-leak": {
         "factory": order_leak_demo,
-        "executions": lambda: 2,
+        "executions": lambda budget=None: budgeted_count(budget, 1),
         "defaults": {},
         "summary": "relaxed-mode demo: message order leaks a bit",
     },
@@ -453,9 +453,7 @@ def get_entry(name: str, budget: int | None = None, **params) -> ZooEntry:
         if key not in meta["defaults"]:
             raise ConfigError(f"protocol {name!r} takes no parameter {key!r}")
         args[key] = value
-    required = meta["executions"](**args)
-    if budget is not None and required > budget:
-        raise BudgetExceededError(required, budget)
+    meta["executions"](budget=budget, **args)
     cache_key = (name, tuple(sorted(args.items())))
     if cache_key not in _entry_cache:
         _entry_cache[cache_key] = meta["factory"](**args)

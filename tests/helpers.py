@@ -206,7 +206,7 @@ def reference_read_log(p: ProtocolDef, inputs, schedule=None) -> list:
     engine loop that kept the log itself while it ran, kept as the
     reference for the read order ``Execution.messages`` replays."""
     schedule = iter(schedule or ())  # one iterator, shared by every driver
-    drivers = [ProgramDriver(p, i, inputs[i - 1], "", "", schedule)
+    drivers = [ProgramDriver(p, i, schedule).restart(inputs[i - 1], "", "")
                for i in p.players]
     read_log = []
     progress = True
@@ -290,7 +290,8 @@ def decode_received_transcript(
     transcript cannot be decoded or leaves trailing bits.
     """
     codebooks = table.codebooks
-    driver = ProgramDriver(p, i, input_value, private_tape, public_tape)
+    driver = ProgramDriver(p, i).restart(input_value, private_tape,
+                                         public_tape)
     read_pos: dict[int, int] = {}
     cursor = 0
     events: list[tuple[int, str]] = []
@@ -436,7 +437,7 @@ def reference_profile_outputs(p, struct, inputs, public_tape, profile):
     replaying its program on the messages it received there."""
     outputs = []
     for i in p.players:
-        driver = ProgramDriver(p, i, inputs[i - 1], "", public_tape)
+        driver = ProgramDriver(p, i).restart(inputs[i - 1], "", public_tape)
         convs = struct.parse_transcript(i, profile[i - 1])
         for peer, (bits, extents) in convs.items():
             for g, start, end, _ in extents:

@@ -3,14 +3,22 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import protolab
 from protolab import compression, zoo
 from protolab.cli import main
 from protolab.errors import format_count
 
-from helpers import relay3_dict
+from helpers import random_tree_dict, relay3_dict
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +285,48 @@ def test_budget_error_names_a_huge_count_by_its_power_of_two(
         "18446744073709551615", "2^64", "more than 2^65"]
 
 
+HUGE = "99999999999999999999"
+
+
+def test_huge_protocol_sizes_exit_2_before_anything_is_shifted(
+        capsys, tmp_path):
+    def tree(name, **header):
+        spec = {"k": 2, "input_bits": [1, 1],
+                "tape_bits": {"private": [0, 0], "public": 0},
+                "tree": {"outputs": ["0", "0"]}, **header}
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        return f"tree:{path}"
+
+    for argv, count in (
+        (("--protocol", "ring-parity", "--k", HUGE), f"2^{int(HUGE) + 1}"),
+        (("--protocol", "ring-parity", "--n", HUGE), f"2^{4 * int(HUGE)}"),
+        (("--protocol", "star-parity", "--k", HUGE), f"2^{HUGE}"),
+        (("--protocol", "q-index", "--k", HUGE, "--q", "1"),
+         f"at least 2^{int(HUGE) - 1}"),
+        (("--protocol", tree("inputs.json", input_bits=[10**20, 1])),
+         f"2^{10**20 + 1}"),
+        (("--protocol", tree("tape.json", tape_bits={"private": [0, 0],
+                                                     "public": 10**20})),
+         f"2^{10**20 + 2}"),
+    ):
+        code, out, err = run_cli(capsys, "measure", *argv)
+        assert code == 2 and out == "", argv
+        assert err == (f"error: enumeration needs {count} executions, "
+                       "budget is 65536\n"), argv
+    # q-index's 2^(k-1) factor is checked before math.perm, which would not
+    # finish here and which no signal interrupts: a child process with a
+    # timeout turns a regression into a failure instead of a stall.
+    proc = subprocess.run(
+        [sys.executable, "-m", "protolab.cli", "measure", "--protocol",
+         "q-index", "--k", "99999999999", "--q", "99999999990"],
+        capture_output=True, text=True, timeout=20, cwd="/", env=_child_env(),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: enumeration needs at least 2^99999999998 "
+                           "executions, budget is 65536\n")
+
+
 def test_each_command_rejects_options_it_does_not_read(capsys):
     for argv in (
         ("measure", "--protocol", "and-opt", "--seed", "7"),
@@ -453,21 +503,20 @@ def test_invariant_failure_exits_5(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_reports_identical_across_processes(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import protolab
-
-    # The children run from "/", so a relative PYTHONPATH would not resolve;
-    # hand them the absolute directory this process imported protolab from.
+def _child_env() -> dict:
+    """The environment of a child ``python -m protolab.cli``.  Children run
+    from "/", so a relative PYTHONPATH would not resolve; they get the
+    absolute directory this process imported protolab from."""
     src = str(Path(protolab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_reports_identical_across_processes(tmp_path):
+    env = _child_env()
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     argv = [
@@ -479,3 +528,129 @@ def test_reports_identical_across_processes(tmp_path):
     subprocess.run(argv + ["--out", str(out_a)], check=True, cwd="/", env=env)
     subprocess.run(argv + ["--out", str(out_b)], check=True, cwd="/", env=env)
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# -- fuzzing the command line ----------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                  st.floats(), st.text("01x:", max_size=4))
+# Each value comes as (well-formed, malformed): a well-formed value parses,
+# though it may be extreme; a malformed one need not.
+_INT_TEXT = (
+    st.one_of(st.integers(-3, 8).map(str),
+              st.sampled_from([HUGE, "-" + HUGE])),
+    st.sampled_from(["1" + "0" * 5000, "1e3", "0x10", "2.5", "nan", "inf",
+                     "", "abc"]),
+)
+_FLOAT_TEXT = (
+    st.one_of(st.floats().map(repr), st.sampled_from(
+        ["0.5", "0.25", "1e-300", "1e400", "-inf", "nan"])),
+    st.sampled_from(["1/3", "", "abc", "1e" + HUGE]),
+)
+_MU_ENTRY = st.fixed_dictionaries({
+    "inputs": st.one_of(st.lists(st.text("01", max_size=2), max_size=4),
+                        _JUNK),
+    "num": st.one_of(st.integers(-1, 4), _JUNK),
+    "den": st.one_of(st.integers(-1, 8), _JUNK),
+})
+_MU_FILE = st.one_of(st.lists(_MU_ENTRY, max_size=5), _JUNK)
+_HEADER = st.dictionaries(st.sampled_from(["k", "input_bits", "tape_bits"]),
+                          st.one_of(
+    _JUNK, st.integers(1, 3), st.integers(10**19, 10**21),
+    st.lists(st.one_of(st.integers(-1, 3), st.just(10**20)), max_size=3),
+    st.fixed_dictionaries({"private": st.lists(st.integers(-1, 2), max_size=3),
+                           "public": st.one_of(st.integers(-1, 2), _JUNK)}),
+), max_size=1)
+
+
+@st.composite
+def _tree_file(draw):
+    """A small random two-player tree, its header sometimes broken."""
+    spec = random_tree_dict(
+        random.Random(draw(st.integers(0, 999))), draw(st.integers(0, 3)),
+        private=draw(st.sampled_from([(0, 0), (1, 0)])),
+        public=draw(st.integers(0, 1)), oblivious=draw(st.booleans()),
+    )
+    spec.update(draw(_HEADER))
+    return spec
+
+
+_MEASURE_FLAGS = ("--mu", "--format", "--out")
+# The flags of each command besides --protocol, the protocol's own
+# parameters and --budget, as the README lists them.
+_FLAGS = {
+    "measure": _MEASURE_FLAGS + ("--tolerance",),
+    "audit": _MEASURE_FLAGS + ("--tolerance",),
+    "compress": _MEASURE_FLAGS + ("--lcp", "--eps", "--delta", "--trials",
+                                  "--seed", "--obliviousize"),
+    "demo": ("--format", "--out"),
+    "list": ("--format", "--out"),
+}
+
+
+@st.composite
+def _argv(draw, tmp_path):
+    """A command line over the documented flags, with values that are
+    valid, extreme or malformed, and paths to the drawn files, to a
+    directory and to nothing.  A well-formed draw takes well-formed values
+    only, so it gets past the parser."""
+    mu, tree = tmp_path / "mu.json", tmp_path / "tree.json"
+    mu.write_text(json.dumps(draw(_MU_FILE)))
+    tree.write_text(json.dumps(draw(_tree_file())))
+    nowhere = st.sampled_from([str(tmp_path),
+                               str(tmp_path / "missing" / "x.json")])
+    values = {
+        "--protocol": (
+            st.one_of(st.sampled_from(sorted(zoo.REGISTRY)),
+                      st.just(f"tree:{tree}")),
+            st.one_of(st.sampled_from(["no-such", ""]),
+                      nowhere.map("tree:{}".format)),
+        ),
+        "--k": _INT_TEXT, "--n": _INT_TEXT, "--q": _INT_TEXT,
+        "--mu": (
+            st.one_of(st.sampled_from(["uniform", f"file:{mu}"]),
+                      _FLOAT_TEXT[0].map("grid:{}".format)),
+            st.one_of(st.just("grid:"), nowhere.map("file:{}".format),
+                      _FLOAT_TEXT[1].map("grid:{}".format)),
+        ),
+        "--tolerance": _FLOAT_TEXT, "--eps": _FLOAT_TEXT,
+        "--delta": _FLOAT_TEXT, "--obliviousize": _FLOAT_TEXT,
+        "--trials": _INT_TEXT, "--seed": _INT_TEXT, "--budget": _INT_TEXT,
+        "--lcp": (st.sampled_from(["exact", "randomized"]), st.just("fast")),
+        "--format": (st.sampled_from(["json", "csv", "text"]), st.just("xml")),
+        "--out": (st.just(str(tmp_path / "out.json")), nowhere),
+    }
+    malformed = draw(st.booleans())
+
+    def value(flag):
+        good, bad = values[flag]
+        return draw(st.one_of(good, bad) if malformed else good)
+
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command != "list":
+        protocol = value("--protocol")
+        argv += ["--protocol", protocol]
+        if command != "demo" and protocol in zoo.REGISTRY:
+            for name in sorted(zoo.REGISTRY[protocol]["defaults"]):
+                argv += [f"--{name}", value(f"--{name}")]
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=4))
+    if malformed and draw(st.booleans()):  # a flag the command may not read
+        flags.append(draw(st.sampled_from(sorted(values))))
+    for flag in flags:
+        argv += [flag, value(flag)]
+    if command in ("measure", "audit", "compress"):
+        budget = draw(st.one_of(st.just(64), st.integers(1, 64)))
+        argv += ["--budget", str(budget)]
+    return argv
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_command_line_exits_with_a_documented_code(data, capsys, tmp_path):
+    argv = data.draw(_argv(tmp_path))
+    code = main(argv)  # an exception escaping main fails the test
+    _, err = capsys.readouterr()
+    assert code in range(6), (argv, code)
+    assert code == 0 or err.startswith("error: "), (argv, err)

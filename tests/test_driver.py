@@ -30,6 +30,7 @@ from protolab.model import (
     Round,
     View,
     _enumerate_all,
+    _ViewNode,
     run,
     run_all,
     run_relaxed,
@@ -271,7 +272,7 @@ def _driver(program, max_rounds=6, mode=RESTRICTED, schedule=()):
         max_local_rounds=max_rounds,
         mode=mode,
     )
-    return ProgramDriver(p, 1, "0", "", "", schedule)
+    return ProgramDriver(p, 1, schedule).restart("0", "", "")
 
 
 def test_driver_blocks_until_every_waited_sender_has_a_message():
@@ -515,23 +516,49 @@ def test_model_checks_fire_after_a_shared_prefix(case):
     assert str(enumerated.value) == str(fresh.value)
 
 
-def test_the_trie_does_not_outlive_the_enumeration():
-    refs = []
-
-    def keep(program):
-        def kept(view):
-            act = dataclasses.replace(program(view))  # a Round of its own
-            refs.append(weakref.ref(act))
-            return act
-
-        return kept
-
-    p = _zoo("ring-parity", k=3, n=1)
-    p = dataclasses.replace(p, programs=tuple(keep(f) for f in p.programs))
-    table = run_all(p)
+def _live_view_nodes():
     gc.collect()
-    assert refs and len(table) == p.execution_count()
-    assert all(ref() is None for ref in refs)
+    return sum(isinstance(obj, _ViewNode) for obj in gc.get_objects())
+
+
+def _assert_no_view_node_survives(p, execute):
+    """Run ``execute(p)`` and check that every view node it made is freed
+    when it returns, while what it returns is still held.  A program call
+    in a later round counts the nodes alive then, so the check sees that
+    the run made some."""
+    during = []
+
+    def watch(program):
+        def watched(view):
+            if view.round > 1 and not during:
+                during.append(_live_view_nodes())
+            return program(view)
+
+        return watched
+
+    # Fresh programs, so run_all enumerates instead of hitting its cache.
+    p = dataclasses.replace(p, programs=tuple(map(watch, p.programs)))
+    before = _live_view_nodes()
+    result = execute(p)
+    assert during and during[0] > before
+    assert _live_view_nodes() == before
+    return result
+
+
+def test_the_trie_does_not_outlive_the_enumeration():
+    p = _zoo("ring-parity", k=3, n=1)
+    table = _assert_no_view_node_survives(p, run_all)
+    assert len(table) == p.execution_count()
+
+
+@pytest.mark.parametrize("name,execute", [
+    ("ring-parity", lambda p: run(p, ("0", "1", "1"), ("1", "", ""))),
+    ("order-leak",
+     lambda p: run_relaxed(p, ("1", "", "", ""), schedule=(4, 3))),
+], ids=["run", "run_relaxed"])
+def test_a_run_frees_its_drivers_tries(name, execute):
+    e = _assert_no_view_node_survives(_zoo(name), execute)
+    assert all(e.outputs)
 
 
 def _drive(d, e):
@@ -547,20 +574,20 @@ def _record(d):
 
 
 @pytest.mark.parametrize("new_trie", [lambda: None, dict],
-                         ids=["no-trie", "trie"])
+                         ids=["own-trie", "trie"])
 def test_a_restarted_driver_matches_a_fresh_one(new_trie):
     p = _zoo("ring-parity", k=3, n=1)
     table = run_all(p)
     items = list(table.items())
     for i in p.players:
         (x, privs, pub), first = items[0]
-        d = _drive(ProgramDriver(p, i, x[i - 1], privs[i - 1], pub, (),
-                                 new_trie()), first)
+        d = _drive(ProgramDriver(p, i, trie=new_trie()).restart(
+            x[i - 1], privs[i - 1], pub), first)
         for (x, privs, pub), e in items[1:]:
             assert d.halted and not any(d.inbox.values())
             args = (x[i - 1], privs[i - 1], pub)
             _drive(d.restart(*args), e)
-            fresh = _drive(ProgramDriver(p, i, *args), e)
+            fresh = _drive(ProgramDriver(p, i).restart(*args), e)
             assert _record(d) == _record(fresh)
             assert (d.reads, d.sends, d.patterns, d.output) == (
                 list(e.reads[i - 1]), list(e.sends[i - 1]),

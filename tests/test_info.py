@@ -264,14 +264,14 @@ def tiny_joint(draw):
     return random_joint(rng)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(tiny_joint())
 def test_mutual_info_nonnegative(d):
     names = d.variables
     assert mutual_info(d, names[0], names[1:]) >= 0.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(tiny_joint())
 def test_conditioning_reduces_entropy(d):
     # H(X | Y) <= H(X), a direct consequence of I >= 0.

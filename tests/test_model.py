@@ -585,7 +585,7 @@ def test_input_validation():
             run_all(ring).get(x, tapes)
 
 
-def test_execution_table_get_checks_arguments_only_on_a_miss():
+def test_execution_table_get_checks_its_arguments():
     p = protocol_from_dict(helpers.masked_ping_dict())  # a 1-bit pad for 1
     table = run_all(p)
     assert table.get(["1", "0"], ["1", ""]) == run(p, ("1", "0"), ("1", ""))
