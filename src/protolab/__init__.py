@@ -52,15 +52,12 @@ from .measures import (
     transcript_entropy,
 )
 from .oblivious import obliviousize, truncation_mass
+from .lcp import LcpBox, lcp_exact, lcp_randomized
+from .transcripts import TranscriptTree, build_tree
 from .compression import (
-    LcpBox,
-    TranscriptTree,
-    build_tree,
     compress_run,
     compression_theorem_check,
     is_coherent,
-    lcp_exact,
-    lcp_randomized,
 )
 from .treefile import load_protocol, protocol_from_dict
 from .zoo import FunctionFamily, ZooEntry, get_entry, lift_entry

@@ -138,7 +138,7 @@ def _load_distribution(args, p):
         path = Path(spec[len("file:"):])
         try:
             entries = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # also bad UTF-8, huge ints
             raise ConfigError(f"cannot read distribution {path}: {exc}")
         weights = {}
         try:

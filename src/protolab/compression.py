@@ -16,7 +16,8 @@ of the mover's transcript before message q_min belongs to a message
 numbered below q_min, and those messages agree (Braverman and Rao,
 "Information equals amortized communication", FOCS 2011).
 
-The coordinator-phase conversion that makes any protocol oblivious lives in
+The transcript trees live in ``transcripts.py``, the lcp boxes in ``lcp.py``,
+and the coordinator-phase conversion that makes any protocol oblivious in
 ``oblivious.py``.
 """
 
@@ -24,299 +25,27 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
     ConfigError,
-    InvariantError,
     ModelViolationError,
 )
-from .measures import InputDistribution, acc, ic, weighted_executions
-from .model import (
-    DEFAULT_BUDGET,
-    ObliviousStructure,
-    ProtocolDef,
-    validate_public_tape,
+from .lcp import (  # lcp_exact and lcp_randomized are re-exported
+    LcpBox,
+    draw_plan,
+    lcp_exact,
+    lcp_randomized,
+    plan_holds,
 )
+from .measures import InputDistribution, acc, ic, weighted_executions
+from .model import DEFAULT_BUDGET, ObliviousStructure, ProtocolDef
+from .transcripts import _require_public_coin, build_tree
 from .zoo import FunctionFamily
 
 TranscriptProfile = tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# lcp boxes
-# ---------------------------------------------------------------------------
-
-
-def _len_exchange_bits(n: int) -> int:
-    return 2 * math.ceil(math.log2(n + 2))
-
-
-def _prefix_xor(x: str, y: str) -> tuple[int, int]:
-    """The shorter length m and the XOR of both m-bit prefixes as integers;
-    the strings first differ at ``m - xor.bit_length()``."""
-    m = min(len(x), len(y))
-    xi = int(x, 2) if x else 0
-    yi = int(y, 2) if y else 0
-    return m, (xi >> (len(x) - m)) ^ (yi >> (len(y) - m))
-
-
-def lcp_exact(x: str, y: str) -> int | None:
-    """First index where the strings differ; None if equal.
-
-    Unequal lengths with one a prefix of the other report the difference at
-    the shorter length (the position where one string ran out).
-    """
-    m, diff = _prefix_xor(x, y)
-    if diff or len(x) != len(y):
-        return m - diff.bit_length()
-    return None
-
-
-def lcp_exact_cost(x: str, y: str) -> int:
-    """Accounted bits: both lengths, then the answer index (with slots for
-    "equal" and an out-of-range sentinel)."""
-    n = max(len(x), len(y))
-    return _len_exchange_bits(n) + math.ceil(math.log2(n + 2))
-
-
-def lcp_randomized(
-    x: str, y: str, eps: float, rng: random.Random
-) -> tuple[int | None, int]:
-    """Randomized first-difference finder; errs with probability <= eps.
-
-    Binary search over prefix lengths; each equality test compares shared
-    random inner-product hashes.  Collisions are one-sided (an "unequal"
-    verdict is always true), so a union bound over the tests gives the
-    per-call error.  Returns (answer, communicated bits): the two lengths,
-    then per test one hash and a one-bit verdict.
-    """
-    if not 0 < eps < 1:
-        raise ConfigError("lcp error rate must be in (0, 1)")
-    comm = _len_exchange_bits(max(len(x), len(y)))
-    m, full_diff = _prefix_xor(x, y)
-    first_diff = m - full_diff.bit_length()
-    tests = max(1, math.ceil(math.log2(m + 1)))
-    hash_bits = max(1, math.ceil(math.log2(tests / eps)))
-    # A test at or below the first difference compares equal prefixes and
-    # passes whatever its masks are, so a run of such tests only owes the
-    # RNG the 32-bit words its masks take; they are drawn in one call before
-    # the next test that reads its masks, which leaves the RNG in the same
-    # state as drawing each mask.
-    owed = 0
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        comm += hash_bits + 1
-        if mid <= first_diff:
-            owed += hash_bits * -(-mid // 32)
-            lo = mid
-            continue
-        if owed:
-            rng.getrandbits(32 * owed)
-            owed = 0
-        # <x, mask> and <y, mask> differ iff <x ^ y, mask> is odd
-        diff = full_diff >> (m - mid)
-        for _ in range(hash_bits):
-            if (diff & rng.getrandbits(mid)).bit_count() & 1:
-                hi = mid - 1
-                break
-        else:
-            lo = mid
-    if owed:
-        rng.getrandbits(32 * owed)
-    if lo == len(x) == len(y):
-        return None, comm
-    return lo, comm
-
-
-@dataclass
-class LcpBox:
-    """Accounting wrapper around the exact or randomized first-difference
-    subroutine; exact mode never errs.  ``history`` lists every call as
-    (x, y, answer), in order."""
-
-    mode: str = "exact"
-    eps: float = 0.01
-    seed: int = 0
-    comm_bits: int = 0
-    history: list[tuple[str, str, int | None]] = field(
-        default_factory=list, repr=False
-    )
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "randomized"):
-            raise ConfigError(f"unknown lcp mode {self.mode!r}")
-        if self.mode == "randomized" and not 0 < self.eps < 1:
-            raise ConfigError("lcp error rate must be in (0, 1)")
-        self._rng = random.Random(self.seed)
-
-    @property
-    def calls(self) -> int:
-        return len(self.history)
-
-    def compare(self, x: str, y: str) -> int | None:
-        if self.mode == "exact":
-            answer, comm = lcp_exact(x, y), lcp_exact_cost(x, y)
-        else:
-            answer, comm = lcp_randomized(x, y, self.eps, self._rng)
-        self.comm_bits += comm
-        self.history.append((x, y, answer))
-        return answer
-
-    def replays(self, history) -> bool:
-        """Answer another box's calls in order; False at the first answer
-        that differs from the recorded one."""
-        return all(self.compare(x, y) == answer for x, y, answer in history)
-
-
-# ---------------------------------------------------------------------------
-# Transcript trees
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TreeNode:
-    """A node of a transcript tree; an inner node has both children.
-    ``candidate`` is the leaf the max-weight descent from the node reaches
-    (ties take the 0-labelled child), ``height`` the number of branching
-    nodes on the longest path down.  A leaf is its own candidate and also
-    carries its transcript parsed once, when the tree is built: the owner's
-    output there and its conversation with each peer, as
-    ``ObliviousStructure.parse_transcript`` returns them."""
-
-    prefix: str
-    weight: Fraction
-    children: dict[str, "TreeNode"]
-    candidate: "TreeNode | None" = field(default=None, repr=False,
-                                         compare=False)
-    height: int = 0
-    leaf_label: str | None = None
-    output: str | None = None
-    conversations: dict[int, tuple[str, tuple]] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_label is not None
-
-
-@dataclass
-class TranscriptTree:
-    """Weighted prefix tree over one player's possible transcripts;
-    ``leaves`` maps each transcript to its leaf, and ``reached`` each full
-    input with the owner's input to the leaf its execution reaches."""
-
-    root: TreeNode
-    leaves: dict[str, TreeNode]
-    reached: dict[tuple[str, ...], TreeNode]
-
-    @property
-    def depth(self) -> int:
-        """Branching nodes on the longest root-to-leaf path."""
-        return self.root.height
-
-
-def _build_node(weights: dict[str, Fraction],
-                leaves: dict[str, TreeNode]) -> TreeNode:
-    strings = sorted(weights)
-    first, last = strings[0], strings[-1]
-    cut = 0
-    while cut < min(len(first), len(last)) and first[cut] == last[cut]:
-        cut += 1
-    total = sum(weights.values(), Fraction(0))
-    if len(strings) == 1:
-        leaf = leaves[first] = TreeNode(prefix=first, weight=total,
-                                        children={}, leaf_label=first)
-        leaf.candidate = leaf
-        return leaf
-    groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
-    for s, w in weights.items():
-        if len(s) <= cut:
-            raise ModelViolationError(
-                f"transcript {s!r} is a proper prefix of another transcript"
-            )
-        groups[s[cut]][s] = w
-    # The sorted first and last transcripts differ at the cut, so both
-    # groups are non-empty.
-    zero, one = (_build_node(groups[bit], leaves) for bit in "01")
-    return TreeNode(
-        prefix=first[:cut], weight=total, children={"0": zero, "1": one},
-        candidate=(zero if zero.weight >= one.weight else one).candidate,
-        height=1 + max(zero.height, one.height),
-    )
-
-
-def _require_public_coin(p: ProtocolDef) -> None:
-    """Compression reads transcripts keyed by input and public tape only;
-    checked before any enumeration, so no budget error can hide it."""
-    if sum(p.private_tape_lengths) != 0:
-        raise ConfigError("compression needs a public-coin protocol")
-
-
-def build_tree(
-    p: ProtocolDef,
-    i: int,
-    own_input: str,
-    public_tape: str,
-    mu: InputDistribution,
-    budget: int | None = DEFAULT_BUDGET,
-    structure: ObliviousStructure | None = None,
-) -> TranscriptTree:
-    """Weighted prefix tree of player i's possible transcripts given its
-    input and the public tape.
-
-    Leaves cover every transcript reachable over the full domain of the
-    other players' inputs; weights are the conditional law of the others'
-    inputs under mu given X_i (so leaves unreachable under mu carry weight
-    zero).  Each leaf's transcript is parsed here, once, into the owner's
-    output and its per-peer conversations, and each full input is mapped to
-    the leaf it reaches.  Requires an oblivious public-coin protocol.
-    """
-    _require_public_coin(p)
-    struct = structure or ObliviousStructure.build(p, budget)
-    if own_input not in p.input_domain(i):
-        raise ValueError(f"{own_input!r} is not an input of player {i}")
-    mu.validate_for(p)
-    marginal = Fraction(0)
-    cond: dict[tuple, Fraction] = {}
-    for x, w in mu.weights:
-        if x[i - 1] == own_input:
-            marginal += w
-            cond[x] = w
-    if marginal == 0:
-        raise ValueError(
-            f"mu gives X_{i}={own_input!r} zero mass; the conditional "
-            "weights are undefined"
-        )
-    public_tape = validate_public_tape(p, public_tape)
-    executions = struct.table.executions
-    weights: dict[str, Fraction] = {}
-    outputs: dict[str, str] = {}
-    transcript_of: dict[tuple[str, ...], str] = {}
-    none_tapes = tuple("" for _ in range(p.k))
-    for x in p.input_space():
-        if x[i - 1] != own_input:
-            continue
-        e = executions[(x, none_tapes, public_tape)]
-        t = transcript_of[x] = struct.transcript(e, i)
-        weights[t] = (
-            weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
-        )
-        outputs[t] = e.outputs[i - 1]
-    leaves: dict[str, TreeNode] = {}
-    root = _build_node(weights, leaves)
-    if root.weight != 1:
-        raise InvariantError("tree weights do not sum to one")
-    for t, leaf in leaves.items():
-        leaf.output = outputs[t]
-        leaf.conversations = struct.parse_transcript(i, t)
-    return TranscriptTree(
-        root=root, leaves=leaves,
-        reached={x: leaves[t] for x, t in transcript_of.items()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +372,16 @@ def compression_theorem_check(
 
     A run is a deterministic function of its box's answers, so a trial
     follows the exact run until its box's first wrong answer (the fact
-    behind Braverman and Rao's union bound).  Each trial therefore first
-    replays the exact run's lcp calls on its seeded box; if every answer is
-    the exact one, its outputs are the exact run's.  At the first answer
-    that differs the trial runs ``compress_run`` with a fresh box on the
-    same seed, which draws the same words up to that call and so returns
-    what running the trial in full returns.  Reports stay byte-identical to
+    behind Braverman and Rao's union bound).  A box answers wrong exactly
+    when a hash test on the exact search path collides, and those tests
+    depend only on the exact run's lcp calls and the rate.  So each exact
+    run's calls are compiled once into a draw plan (``lcp.draw_plan``), and
+    a trial walks the plan with its seed (``lcp.plan_holds``); if no test
+    collides, its outputs are the exact run's.  Otherwise the trial runs
+    ``compress_run`` with a fresh box on the same seed, which returns what
+    running the trial in full returns.  Reports stay byte-identical to
     running every trial through ``compress_run``; the trials cost about
-    lcp calls times trials, plus one run per trial that meets a wrong
+    planned tests times trials, plus one run per trial that meets a wrong
     answer.
     """
     if not 0 < delta < 1:
@@ -671,7 +402,7 @@ def compression_theorem_check(
         return outputs != tuple(family.value(i, x) for i in p.players)
 
     # One exact run per (input, public tape); it has probability n / den.
-    # Each is kept with its box's calls, for the trials to replay, and
+    # Each is kept with its box's calls, for the trials' draw plans, and
     # without its stage trace, of which the report reads only the ties.
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
@@ -712,20 +443,19 @@ def compression_theorem_check(
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
 
-        def trial_box(box_seed: int) -> LcpBox:
-            return LcpBox(mode="randomized", eps=eps_call, seed=box_seed)
-
         rng = random.Random(seed)
         bad = 0
         for x, n, pub, r, history in exact_runs:
+            plan = draw_plan(history, eps_call)
+            exact_wrong = wrong(x, r.outputs)
             for _ in range(trials):
                 box_seed = rng.getrandbits(48)
-                outputs = r.outputs
-                if not trial_box(box_seed).replays(history):
-                    outputs = compress_run(
-                        p, mu, x, pub, trial_box(box_seed), budget,
-                        structure=struct, trees=trees,
-                    ).outputs
+                if plan_holds(plan, box_seed):
+                    bad += n * exact_wrong
+                    continue
+                box = LcpBox(mode="randomized", eps=eps_call, seed=box_seed)
+                outputs = compress_run(p, mu, x, pub, box, budget,
+                                       structure=struct, trees=trees).outputs
                 bad += n * wrong(x, outputs)
         measured = bad / (den * trials)
 

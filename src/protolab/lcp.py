@@ -1,0 +1,198 @@
+"""lcp boxes: the first-difference subroutine the compression stages call.
+
+``lcp_exact`` answers exactly; ``lcp_randomized`` runs a binary search over
+prefix lengths whose equality tests compare shared random inner-product
+hashes, so it errs only by a hash collision, with probability at most its
+rate (Feige, Raghavan, Peleg and Upfal, "Computing with noisy
+information", SIAM J. Comput. 1994).  ``LcpBox`` wraps either one with
+the bit accounting and keeps a history of its calls.
+
+A randomized box answers a history of calls exactly iff no test on the
+exact search path collides, and which tests those are depends only on the
+strings and the rate.  ``draw_plan`` lists them once, and ``plan_holds``
+decides for one seed, drawing the same random words as the box, whether a
+box on that seed would answer the whole history exactly.  Randomized
+compression trials use the pair instead of running a box per trial.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass, field
+
+from .errors import ConfigError
+
+# (owed words, mid, XOR of the mid-bit prefixes, hash_bits) per planned test
+DrawPlan = list[tuple[int, int, int, int]]
+
+
+def _len_exchange_bits(n: int) -> int:
+    return 2 * math.ceil(math.log2(n + 2))
+
+
+def _prefix_xor(x: str, y: str) -> tuple[int, int]:
+    """The shorter length m and the XOR of both m-bit prefixes as integers;
+    the strings first differ at ``m - xor.bit_length()``."""
+    m = min(len(x), len(y))
+    xi = int(x, 2) if x else 0
+    yi = int(y, 2) if y else 0
+    return m, (xi >> (len(x) - m)) ^ (yi >> (len(y) - m))
+
+
+def _hash_bits(m: int, eps: float) -> int:
+    """Masks per equality test of a search over m prefix lengths: the union
+    bound over its at most ``tests`` tests stays within eps."""
+    tests = max(1, math.ceil(math.log2(m + 1)))
+    return max(1, math.ceil(math.log2(tests / eps)))
+
+
+def lcp_exact(x: str, y: str) -> int | None:
+    """First index where the strings differ; None if equal.
+
+    Unequal lengths with one a prefix of the other report the difference at
+    the shorter length (the position where one string ran out).
+    """
+    m, diff = _prefix_xor(x, y)
+    if diff or len(x) != len(y):
+        return m - diff.bit_length()
+    return None
+
+
+def lcp_exact_cost(x: str, y: str) -> int:
+    """Accounted bits: both lengths, then the answer index (with slots for
+    "equal" and an out-of-range sentinel)."""
+    n = max(len(x), len(y))
+    return _len_exchange_bits(n) + math.ceil(math.log2(n + 2))
+
+
+def lcp_randomized(
+    x: str, y: str, eps: float, rng: random.Random
+) -> tuple[int | None, int]:
+    """Randomized first-difference finder; errs with probability <= eps.
+
+    Binary search over prefix lengths; each equality test compares shared
+    random inner-product hashes.  Collisions are one-sided (an "unequal"
+    verdict is always true), so a union bound over the tests gives the
+    per-call error.  Returns (answer, communicated bits): the two lengths,
+    then per test one hash and a one-bit verdict.
+    """
+    if not 0 < eps < 1:
+        raise ConfigError("lcp error rate must be in (0, 1)")
+    comm = _len_exchange_bits(max(len(x), len(y)))
+    m, full_diff = _prefix_xor(x, y)
+    first_diff = m - full_diff.bit_length()
+    hash_bits = _hash_bits(m, eps)
+    # A test at or below the first difference compares equal prefixes and
+    # passes whatever its masks are, so a run of such tests only owes the
+    # RNG the 32-bit words its masks take; they are drawn in one call before
+    # the next test that reads its masks, which leaves the RNG in the same
+    # state as drawing each mask.
+    owed = 0
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        comm += hash_bits + 1
+        if mid <= first_diff:
+            owed += hash_bits * -(-mid // 32)
+            lo = mid
+            continue
+        if owed:
+            rng.getrandbits(32 * owed)
+            owed = 0
+        # <x, mask> and <y, mask> differ iff <x ^ y, mask> is odd
+        diff = full_diff >> (m - mid)
+        for _ in range(hash_bits):
+            if (diff & rng.getrandbits(mid)).bit_count() & 1:
+                hi = mid - 1
+                break
+        else:
+            lo = mid
+    if owed:
+        rng.getrandbits(32 * owed)
+    if lo == len(x) == len(y):
+        return None, comm
+    return lo, comm
+
+
+def draw_plan(history, eps: float) -> DrawPlan:
+    """The tests that can collide when a randomized box of rate eps answers
+    ``history``'s calls (x, y, answer) exactly, in order.
+
+    These are the exact search path's tests above each call's first
+    difference.  Each carries the words that the always-passing tests
+    before it owe the RNG, since the previous planned test and across call
+    boundaries; words owed after the last test are never read.
+    """
+    plan: DrawPlan = []
+    owed = 0
+    for x, y, _ in history:
+        m, full_diff = _prefix_xor(x, y)
+        first_diff = m - full_diff.bit_length()
+        hash_bits = _hash_bits(m, eps)
+        lo, hi = 0, m
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid <= first_diff:
+                owed += hash_bits * -(-mid // 32)
+                lo = mid
+            else:
+                plan.append((owed, mid, full_diff >> (m - mid), hash_bits))
+                owed = 0
+                hi = mid - 1
+    return plan
+
+
+def plan_holds(plan: DrawPlan, seed: int) -> bool:
+    """True iff a randomized box seeded with ``seed`` answers the planned
+    history exactly: at every planned test some mask has odd parity against
+    the prefixes' XOR.  Draws the box's words in the box's order, the owed
+    words of each run of passing tests in one call."""
+    if not plan:
+        return True
+    getrandbits = random.Random(seed).getrandbits
+    for owed, mid, diff, hash_bits in plan:
+        if owed:
+            getrandbits(32 * owed)
+        for _ in range(hash_bits):
+            if (diff & getrandbits(mid)).bit_count() & 1:
+                break
+        else:
+            return False
+    return True
+
+
+@dataclass
+class LcpBox:
+    """Accounting wrapper around the exact or randomized first-difference
+    subroutine; exact mode never errs.  ``history`` lists every call as
+    (x, y, answer), in order."""
+
+    mode: str = "exact"
+    eps: float = 0.01
+    seed: int = 0
+    comm_bits: int = 0
+    history: list[tuple[str, str, int | None]] = field(
+        default_factory=list, repr=False
+    )
+    _rng: random.Random = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "randomized"):
+            raise ConfigError(f"unknown lcp mode {self.mode!r}")
+        if self.mode == "randomized" and not 0 < self.eps < 1:
+            raise ConfigError("lcp error rate must be in (0, 1)")
+        self._rng = random.Random(self.seed)
+
+    @property
+    def calls(self) -> int:
+        return len(self.history)
+
+    def compare(self, x: str, y: str) -> int | None:
+        if self.mode == "exact":
+            answer, comm = lcp_exact(x, y), lcp_exact_cost(x, y)
+        else:
+            answer, comm = lcp_randomized(x, y, self.eps, self._rng)
+        self.comm_bits += comm
+        self.history.append((x, y, answer))
+        return answer

@@ -138,6 +138,13 @@ class InputDistribution:
         return cls(f"{mu.name}^{t}", out.weights)
 
     def validate_for(self, p: ProtocolDef) -> None:
+        k = p.k
+        domains = [frozenset(dom) for dom in p.input_domains]
+        contains = frozenset.__contains__
+        if all(len(x) == k and all(map(contains, domains, x))
+               for x, _ in self.weights):
+            return
+        # Only to raise: the first bad entry, in mu's order, names the fault.
         for x, _ in self.weights:
             if len(x) != p.k:
                 raise ConfigError(

@@ -129,17 +129,33 @@ class _PlayerState:
     wrote: bool
 
 
+def _header_count(value, field: str) -> int:
+    """A header size: a non-negative int (a JSON ``true`` is no size)."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"malformed protocol tree: {field} must be a "
+                          f"non-negative integer, got {value!r}")
+    return value
+
+
+def _header_counts(values, field: str) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"malformed protocol tree: {field} must be a list, "
+                          f"got {values!r}")
+    return [_header_count(v, f"{field}[{n}]") for n, v in enumerate(values)]
+
+
 class _TreeMachine:
     """Shared immutable data for the per-player compiled programs."""
 
     def __init__(self, spec: dict, source: str, budget: int | None = None):
-        self.k = spec["k"]
+        self.k = _header_count(spec["k"], "k")
         if self.k < 2:
             raise ConfigError("a protocol tree needs at least 2 players")
-        self.input_bits = list(spec["input_bits"])
+        self.input_bits = _header_counts(spec["input_bits"], "input_bits")
         tape = spec["tape_bits"]
-        self.private_bits = list(tape["private"])
-        self.public_bits = tape["public"]
+        self.private_bits = _header_counts(tape["private"],
+                                           "tape_bits.private")
+        self.public_bits = _header_count(tape["public"], "tape_bits.public")
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
         tape_bits = sum(self.private_bits) + self.public_bits
@@ -284,7 +300,7 @@ def load_protocol(path: str | Path, budget: int | None = None) -> ProtocolDef:
     path = Path(path)
     try:
         spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8, huge ints
         raise ConfigError(f"cannot load protocol tree {path}: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("protocol tree is nested too deeply") from exc

@@ -20,9 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from protolab.compression import LcpBox, _len_exchange_bits, compress_run
+from protolab.compression import compress_run
 from protolab.errors import ConfigError, ModelViolationError
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
+from protolab.lcp import LcpBox, _len_exchange_bits
 from protolab.model import (
     DEFAULT_BUDGET,
     ExecutionTable,
@@ -353,6 +354,12 @@ def reference_lcp_randomized(x: str, y: str, eps: float, rng: random.Random):
     if lo == len(x) == len(y):
         return None, comm
     return lo, comm
+
+
+def reference_replays(box: LcpBox, history) -> bool:
+    """Answer another box's calls in order; False at the first answer
+    that differs from the recorded one."""
+    return all(box.compare(x, y) == answer for x, y, answer in history)
 
 
 def split_public_tape(p: ProtocolDef, combined: str) -> tuple[str, tuple[str, ...]]:

@@ -488,6 +488,20 @@ def test_bad_distribution_files(tmp_path, capsys):
         assert err.count("\n") == 1 and out == "", entry
 
 
+def test_unreadable_json_files_exit_1(tmp_path, capsys):
+    # Bytes that are not UTF-8, and an integer past Python's 4300-digit
+    # limit, are faults of the file: one error line, no traceback.
+    for name, data in (("binary.json", b"\xff\xfe\x00"),
+                       ("huge.json", b"[" + b"1" * 5000 + b"]")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (("--protocol", f"tree:{path}"),
+                     ("--protocol", "and-opt", "--mu", f"file:{path}")):
+            code, out, err = run_cli(capsys, "measure", *argv)
+            assert code == 1 and err.startswith("error: cannot "), argv
+            assert err.count("\n") == 1 and out == "", argv
+
+
 def test_invariant_failure_exits_5(capsys, monkeypatch):
     from protolab import measures
 

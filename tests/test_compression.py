@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from protolab import compression, model
+from protolab import compression, lcp, model
 from protolab.compression import (
     LcpBox,
     build_tree,
@@ -56,6 +56,7 @@ from helpers import (
     reference_height,
     reference_lcp_randomized,
     reference_profile_outputs,
+    reference_replays,
     relay3_dict,
     relay3_family,
 )
@@ -175,6 +176,52 @@ def test_randomized_box_checks_its_rate_up_front():
         with pytest.raises(ConfigError, match="error rate"):
             LcpBox(mode="randomized", eps=eps)
     assert LcpBox(mode="randomized", eps=0.5).compare("01", "00") in (1, None)
+
+
+def random_lcp_pair(rng: random.Random) -> tuple[str, str]:
+    """Two strings of 0-160 bits: equal, one a prefix of the other, one
+    empty, or first differing at an index that often lies past one or two
+    32-bit words."""
+    s = "".join(rng.choice("01") for _ in range(rng.randint(0, 160)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        pair = s, s
+    elif kind == 1:
+        pair = s, s[:rng.randint(0, len(s))]
+    elif kind == 2:
+        pair = s, ""
+    else:
+        d = rng.choice((rng.randint(0, 159), rng.randint(33, 159),
+                        rng.randint(65, 159)))
+        head = "".join(rng.choice("01") for _ in range(d))
+        bit = rng.choice("01")
+        tails = ("".join(rng.choice("01")
+                         for _ in range(rng.randint(0, 159 - d)))
+                 for _ in range(2))
+        pair = tuple(head + b + t
+                     for b, t in zip((bit, "10"[int(bit)]), tails))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def test_draw_plans_match_the_box_they_replace():
+    # For every seed, walking a history's draw plan gives the verdict of
+    # replaying the history on a randomized box with that seed, at rates
+    # where collisions are rare (1e-3) to common (0.3).
+    rng = random.Random(22)
+    verdicts = Counter()
+    for _ in range(300):
+        eps = rng.choice((1e-3, 0.05, 0.3))
+        pairs = [random_lcp_pair(rng) for _ in range(rng.randint(1, 6))]
+        history = [(x, y, lcp_exact(x, y)) for x, y in pairs]
+        plan = lcp.draw_plan(history, eps)
+        for _ in range(12):
+            seed = rng.getrandbits(48)
+            box = LcpBox(mode="randomized", eps=eps, seed=seed)
+            want = reference_replays(box, history)
+            assert lcp.plan_holds(plan, seed) == want, (history, eps, seed)
+            verdicts[eps, want] += 1
+    assert all(verdicts[eps, held] for eps in (0.05, 0.3)
+               for held in (True, False)), verdicts
 
 
 # -- transcript trees ----------------------------------------------------------
@@ -987,9 +1034,35 @@ def test_randomized_run_outputs_match_a_replay_of_their_profiles(monkeypatch):
     assert 0 < len(runs) == met_wrong < 8 * len(rows)
 
 
+def test_randomized_trials_call_boxes_only_in_fallback_runs(monkeypatch):
+    # Trials walk draw plans, so every randomized lcp call comes from a
+    # compress_run of a trial that met a wrong answer.
+    depth, calls = [0], Counter()
+    run, randomized = compression.compress_run, lcp.lcp_randomized
+
+    def counted_run(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return run(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_randomized(*args):
+        calls["inside" if depth[0] else "outside"] += 1
+        return randomized(*args)
+
+    monkeypatch.setattr(compression, "compress_run", counted_run)
+    monkeypatch.setattr(lcp, "lcp_randomized", counted_randomized)
+    p, family = publicized_ring()
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode="randomized", seed=1)
+    assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
+    assert calls["outside"] == 0 and calls["inside"] > 0, calls
+
+
 @pytest.mark.parametrize("case", ["ring", "star", "relay3", "coarse-rate"])
 def test_randomized_error_matches_a_full_run_per_trial(case):
-    # The replayed trials report exactly what running every trial through
+    # The planned trials report exactly what running every trial through
     # compress_run reports; at eps_call = 0.3 many trials fall back.
     seed, trials, delta, eps_call = 1, 8, 0.1, None
     if case == "star":

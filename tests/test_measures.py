@@ -627,6 +627,29 @@ def test_input_distribution_validation():
         short.validate_for(p)
 
 
+def test_validate_for_names_the_first_bad_entry():
+    # Entries are checked in mu's sorted order and, within an entry, its
+    # arity before its players in order; the first fault is the one named.
+    p = get_entry("and-opt").protocol
+    half = Fraction(1, 2)
+    cases = [
+        ({("0", "0"): half, ("0", "1", "1"): half},
+         "distribution 'mu' has 3-tuples for a 2-player protocol"),
+        ({("0", "0", "0"): half, ("0", "2"): half},
+         "distribution 'mu' has 3-tuples for a 2-player protocol"),
+        ({("0", "2"): half, ("1",): half},
+         "distribution 'mu' puts weight on '2', outside player 2's domain"),
+        ({("1", "1"): half, ("x", "y"): half},
+         "distribution 'mu' puts weight on 'x', outside player 1's domain"),
+    ]
+    for weights, message in cases:
+        mu = InputDistribution.from_weights("mu", weights)
+        with pytest.raises(ConfigError) as info:
+            mu.validate_for(p)
+        assert str(info.value) == message, weights
+    InputDistribution.uniform(p).validate_for(p)
+
+
 def test_independent_bits_bounds():
     with pytest.raises(ValueError):
         InputDistribution.independent_bits(Fraction(0), Fraction(1, 2))

@@ -180,6 +180,33 @@ def test_format_validation():
     with pytest.raises(ConfigError, match="key 'junk', which is not a view"):
         protocol_from_dict(spec)
 
+    # Header sizes are checked before they are summed or compared, and
+    # the error names the field; JSON true is no size.
+    for name, value in [(name, value)
+                        for name in ("k", "input_bits[0]",
+                                     "tape_bits.private[1]",
+                                     "tape_bits.public")
+                        for value in (None, "1", 1.5, True, -1)]:
+        spec = and_tree_dict()
+        if name == "k":
+            spec["k"] = value
+        elif name == "input_bits[0]":
+            spec["input_bits"] = [value, 1]
+        elif name == "tape_bits.private[1]":
+            spec["tape_bits"]["private"] = [0, value]
+        else:
+            spec["tape_bits"]["public"] = value
+        with pytest.raises(ConfigError) as info:
+            protocol_from_dict(spec)
+        assert str(info.value) == (
+            f"malformed protocol tree: {name} must be a non-negative "
+            f"integer, got {value!r}"
+        )
+    spec = and_tree_dict()
+    spec["input_bits"] = None
+    with pytest.raises(ConfigError, match="input_bits must be a list"):
+        protocol_from_dict(spec)
+
     spec = and_tree_dict()
     for _ in range(3000):  # a chain, one level per message
         spec["tree"] = {
