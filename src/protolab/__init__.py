@@ -53,8 +53,9 @@ from .measures import (
 )
 from .oblivious import obliviousize, truncation_mass
 from .lcp import LcpBox, lcp_exact, lcp_randomized
-from .transcripts import TranscriptTree, build_tree
 from .compression import (
+    TranscriptTree,
+    build_tree,
     compress_run,
     compression_theorem_check,
     is_coherent,

@@ -16,21 +16,21 @@ of the mover's transcript before message q_min belongs to a message
 numbered below q_min, and those messages agree (Braverman and Rao,
 "Information equals amortized communication", FOCS 2011).
 
-The transcript trees live in ``transcripts.py``, the lcp boxes in ``lcp.py``,
-and the coordinator-phase conversion that makes any protocol oblivious in
-``oblivious.py``.
+The lcp boxes live in ``lcp.py``, and the coordinator-phase conversion that
+makes any protocol oblivious in ``oblivious.py``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
     ConfigError,
+    InvariantError,
     ModelViolationError,
 )
 from .lcp import (  # lcp_exact and lcp_randomized are re-exported
@@ -41,11 +41,161 @@ from .lcp import (  # lcp_exact and lcp_randomized are re-exported
     plan_holds,
 )
 from .measures import InputDistribution, acc, ic, weighted_executions
-from .model import DEFAULT_BUDGET, ObliviousStructure, ProtocolDef
-from .transcripts import _require_public_coin, build_tree
+from .model import (
+    DEFAULT_BUDGET,
+    ObliviousStructure,
+    ProtocolDef,
+    validate_public_tape,
+)
 from .zoo import FunctionFamily
 
 TranscriptProfile = tuple[str, ...]
+
+
+# ---------------------------------------------------------------------------
+# Transcript trees
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TreeNode:
+    """A node of a transcript tree; an inner node has both children.
+    ``candidate`` is the leaf the max-weight descent from the node reaches
+    (ties take the 0-labelled child), ``height`` the number of branching
+    nodes on the longest path down.  A leaf is its own candidate and also
+    carries its transcript parsed once, when the tree is built: the owner's
+    output there and its conversation with each peer, as
+    ``ObliviousStructure.parse_transcript`` returns them."""
+
+    prefix: str
+    weight: Fraction
+    children: dict[str, "TreeNode"]
+    candidate: "TreeNode | None" = field(default=None, repr=False,
+                                         compare=False)
+    height: int = 0
+    leaf_label: str | None = None
+    output: str | None = None
+    conversations: dict[int, tuple[str, tuple]] | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.leaf_label is not None
+
+
+@dataclass
+class TranscriptTree:
+    """Weighted prefix tree over one player's possible transcripts;
+    ``leaves`` maps each transcript to its leaf, and ``reached`` each full
+    input with the owner's input to the leaf its execution reaches."""
+
+    root: TreeNode
+    leaves: dict[str, TreeNode]
+    reached: dict[tuple[str, ...], TreeNode]
+
+    @property
+    def depth(self) -> int:
+        """Branching nodes on the longest root-to-leaf path."""
+        return self.root.height
+
+
+def _build_node(weights: dict[str, Fraction],
+                leaves: dict[str, TreeNode]) -> TreeNode:
+    strings = sorted(weights)
+    first, last = strings[0], strings[-1]
+    cut = 0
+    while cut < min(len(first), len(last)) and first[cut] == last[cut]:
+        cut += 1
+    total = sum(weights.values(), Fraction(0))
+    if len(strings) == 1:
+        leaf = leaves[first] = TreeNode(prefix=first, weight=total,
+                                        children={}, leaf_label=first)
+        leaf.candidate = leaf
+        return leaf
+    groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
+    for s, w in weights.items():
+        if len(s) <= cut:
+            raise ModelViolationError(
+                f"transcript {s!r} is a proper prefix of another transcript"
+            )
+        groups[s[cut]][s] = w
+    # The sorted first and last transcripts differ at the cut, so both
+    # groups are non-empty.
+    zero, one = (_build_node(groups[bit], leaves) for bit in "01")
+    return TreeNode(
+        prefix=first[:cut], weight=total, children={"0": zero, "1": one},
+        candidate=(zero if zero.weight >= one.weight else one).candidate,
+        height=1 + max(zero.height, one.height),
+    )
+
+
+def _require_public_coin(p: ProtocolDef) -> None:
+    """Compression reads transcripts keyed by input and public tape only;
+    checked before any enumeration, so no budget error can hide it."""
+    if sum(p.private_tape_lengths) != 0:
+        raise ConfigError("compression needs a public-coin protocol")
+
+
+def build_tree(
+    p: ProtocolDef,
+    i: int,
+    own_input: str,
+    public_tape: str,
+    mu: InputDistribution,
+    budget: int | None = DEFAULT_BUDGET,
+    structure: ObliviousStructure | None = None,
+) -> TranscriptTree:
+    """Weighted prefix tree of player i's possible transcripts given its
+    input and the public tape.
+
+    Leaves cover every transcript reachable over the full domain of the
+    other players' inputs; weights are the conditional law of the others'
+    inputs under mu given X_i (so leaves unreachable under mu carry weight
+    zero).  Each leaf's transcript is parsed here, once, into the owner's
+    output and its per-peer conversations, and each full input is mapped to
+    the leaf it reaches.  Requires an oblivious public-coin protocol.
+    """
+    _require_public_coin(p)
+    struct = structure or ObliviousStructure.build(p, budget)
+    if own_input not in p.input_domain(i):
+        raise ValueError(f"{own_input!r} is not an input of player {i}")
+    mu.validate_for(p)
+    marginal = Fraction(0)
+    cond: dict[tuple, Fraction] = {}
+    for x, w in mu.weights:
+        if x[i - 1] == own_input:
+            marginal += w
+            cond[x] = w
+    if marginal == 0:
+        raise ValueError(
+            f"mu gives X_{i}={own_input!r} zero mass; the conditional "
+            "weights are undefined"
+        )
+    public_tape = validate_public_tape(p, public_tape)
+    executions = struct.table.executions
+    weights: dict[str, Fraction] = {}
+    outputs: dict[str, str] = {}
+    transcript_of: dict[tuple[str, ...], str] = {}
+    none_tapes = tuple("" for _ in range(p.k))
+    for x in p.input_space():
+        if x[i - 1] != own_input:
+            continue
+        e = executions[(x, none_tapes, public_tape)]
+        t = transcript_of[x] = struct.transcript(e, i)
+        weights[t] = (
+            weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
+        )
+        outputs[t] = e.outputs[i - 1]
+    leaves: dict[str, TreeNode] = {}
+    root = _build_node(weights, leaves)
+    if root.weight != 1:
+        raise InvariantError("tree weights do not sum to one")
+    for t, leaf in leaves.items():
+        leaf.output = outputs[t]
+        leaf.conversations = struct.parse_transcript(i, t)
+    return TranscriptTree(
+        root=root, leaves=leaves,
+        reached={x: leaves[t] for x, t in transcript_of.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +552,9 @@ def compression_theorem_check(
         return outputs != tuple(family.value(i, x) for i in p.players)
 
     # One exact run per (input, public tape); it has probability n / den.
-    # Each is kept with its box's calls, for the trials' draw plans, and
-    # without its stage trace, of which the report reads only the ties.
+    # Each is kept with its verdict and its box's calls, for the trials'
+    # draw plans, and without its stage trace, of which the report reads
+    # only the ties.
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
     ties = 0
@@ -412,15 +563,14 @@ def compression_theorem_check(
         r = compress_run(p, mu, x, e.public_tape, box, budget,
                          structure=struct, trees=trees)
         ties += sum(rec.tie for rec in r.trace)
-        exact_runs.append(
-            (x, n, e.public_tape, replace(r, trace=[]), box.history)
-        )
+        exact_runs.append((x, n, e.public_tape, replace(r, trace=[]),
+                           wrong(x, r.outputs), box.history))
     err_exact = Fraction(
-        sum(n for x, n, _, r, _ in exact_runs if wrong(x, r.outputs)), den
+        sum(n for _, n, _, _, is_wrong, _ in exact_runs if is_wrong), den
     )
 
     def mean(getter) -> float:
-        return sum(n * getter(r) for _, n, _, r, _ in exact_runs) / den
+        return sum(n * getter(r) for _, n, _, r, _, _ in exact_runs) / den
 
     ic_value = ic(p, mu, budget)
     cc_value = struct.cc
@@ -429,7 +579,7 @@ def compression_theorem_check(
     inner = p.k * p.k * ic_value * math.log2(max(cc_value, 1))
     bound = inner * math.log2(inner / delta) if inner > 0 else 0.0
     acc_compressed = mean(lambda r: r.comm_bits)
-    max_calls = max(r.lcp_calls for _, _, _, r, _ in exact_runs)
+    max_calls = max(r.lcp_calls for _, _, _, r, _, _ in exact_runs)
 
     assert_budget = eps_call is None
     if lcp_mode == "exact":
@@ -445,13 +595,12 @@ def compression_theorem_check(
 
         rng = random.Random(seed)
         bad = 0
-        for x, n, pub, r, history in exact_runs:
+        for x, n, pub, _, is_wrong, history in exact_runs:
             plan = draw_plan(history, eps_call)
-            exact_wrong = wrong(x, r.outputs)
             for _ in range(trials):
                 box_seed = rng.getrandbits(48)
                 if plan_holds(plan, box_seed):
-                    bad += n * exact_wrong
+                    bad += n * is_wrong
                     continue
                 box = LcpBox(mode="randomized", eps=eps_call, seed=box_seed)
                 outputs = compress_run(p, mu, x, pub, box, budget,

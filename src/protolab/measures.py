@@ -94,9 +94,9 @@ class InputDistribution:
         for dom in p.input_domains:
             n *= len(dom)
         w = Fraction(1, n)
-        return cls("uniform", _normalize_weights(
-            {x: w for x in p.input_space()}
-        ))
+        # Distinct domain entries give n distinct tuples of weight 1/n, so
+        # the weights need only the sort that _normalize_weights would do.
+        return cls("uniform", tuple(sorted((x, w) for x in p.input_space())))
 
     @classmethod
     def independent_bits(cls, alpha: Fraction, beta: Fraction) -> "InputDistribution":
@@ -138,25 +138,21 @@ class InputDistribution:
         return cls(f"{mu.name}^{t}", out.weights)
 
     def validate_for(self, p: ProtocolDef) -> None:
-        k = p.k
         domains = [frozenset(dom) for dom in p.input_domains]
         contains = frozenset.__contains__
-        if all(len(x) == k and all(map(contains, domains, x))
-               for x, _ in self.weights):
-            return
-        # Only to raise: the first bad entry, in mu's order, names the fault.
         for x, _ in self.weights:
             if len(x) != p.k:
                 raise ConfigError(
                     f"distribution {self.name!r} has {len(x)}-tuples for a "
                     f"{p.k}-player protocol"
                 )
-            for i in p.players:
-                if x[i - 1] not in p.input_domain(i):
-                    raise ConfigError(
-                        f"distribution {self.name!r} puts weight on "
-                        f"{x[i-1]!r}, outside player {i}'s domain"
-                    )
+            if not all(map(contains, domains, x)):
+                i = next(i for i, (dom, xi) in enumerate(zip(domains, x), 1)
+                         if xi not in dom)
+                raise ConfigError(
+                    f"distribution {self.name!r} puts weight on "
+                    f"{x[i-1]!r}, outside player {i}'s domain"
+                )
 
 
 # ---------------------------------------------------------------------------

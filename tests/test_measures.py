@@ -613,6 +613,20 @@ def test_sup_pic_grid_memory_does_not_grow_with_the_grid():
 # -- distributions -------------------------------------------------------------
 
 
+def test_uniform_equals_normalized_equal_weights():
+    # uniform skips the normalization's checks; its weights must still be
+    # what from_weights makes of the same mapping, domains in any order.
+    for p in (get_entry("star-parity", k=3, n=2).protocol,
+              get_entry("q-index", k=3, q=1).protocol,
+              dataclasses.replace(get_entry("and-opt").protocol,
+                                  input_domains=(("1", "0"), ("1", "0")))):
+        n = math.prod(len(dom) for dom in p.input_domains)
+        mapping = {x: Fraction(1, n) for x in p.input_space()}
+        mu = InputDistribution.uniform(p)
+        assert mu == InputDistribution.from_weights("uniform", mapping)
+        mu.validate_for(p)
+
+
 def test_input_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
         InputDistribution.from_weights("bad", {("0", "0"): Fraction(1, 2)})
