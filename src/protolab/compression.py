@@ -33,7 +33,7 @@ from .errors import (
     InvariantError,
     ModelViolationError,
 )
-from .lcp import (  # lcp_exact and lcp_randomized are re-exported
+from .lcp import (  # lcp_randomized is re-exported
     LcpBox,
     draw_plan,
     lcp_exact,
@@ -102,15 +102,13 @@ def _build_node(weights: dict[str, Fraction],
                 leaves: dict[str, TreeNode]) -> TreeNode:
     strings = sorted(weights)
     first, last = strings[0], strings[-1]
-    cut = 0
-    while cut < min(len(first), len(last)) and first[cut] == last[cut]:
-        cut += 1
     total = sum(weights.values(), Fraction(0))
     if len(strings) == 1:
         leaf = leaves[first] = TreeNode(prefix=first, weight=total,
                                         children={}, leaf_label=first)
         leaf.candidate = leaf
         return leaf
+    cut = lcp_exact(first, last)
     groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
     for s, w in weights.items():
         if len(s) <= cut:

@@ -6,7 +6,8 @@ enters only through ``n / den`` (a weight) and ``math.log2`` of an exact
 integer ratio; Python's ``int / int`` is correctly rounded, so each of these
 is the double nearest the exact value.  Every measure is therefore a sum of
 terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
-which keeps conditional decompositions free of drift.
+which keeps conditional decompositions free of drift.  One such sum serves
+every measure: I(A ; B | C), then H(A | C) at B = A and H(A) at C = {}.
 
 Conventions:
   * ``0 * log(1/0) = 0`` (outcomes with zero conditional mass are skipped);
@@ -208,13 +209,38 @@ class SharedMarginals:
 Joint = JointDistribution | SharedMarginals
 
 
-def entropy(d: Joint, selector: str | Iterable[str]) -> float:
-    """Shannon entropy H(A) in bits of the selected marginal."""
+def _info_sum(d: Joint, a: tuple[str, ...], b: tuple[str, ...],
+              c: tuple[str, ...]) -> float:
+    """The raw sum ``sum p(abc) * log2(p(abc) p(c) / (p(ac) p(bc)))`` on
+    integer numerators, where the den factors cancel; marginals that name
+    the same variables are counted once."""
+    names = set(a) | set(b) | set(c)
+    abc = tuple(n for n in d.variables if n in names)
+    memo = {abc: d.counts(abc), (): {(): d.den}}
+
+    def marginal(group: tuple[str, ...]):
+        sub = tuple(n for n in abc if n in group)
+        if sub not in memo:
+            memo[sub] = d.counts(sub)
+        return memo[sub], _projector(map(abc.index, sub))
+
+    n_ac, project_ac = marginal(a + c)
+    n_bc, project_bc = marginal(b + c)
+    n_c, project_c = marginal(c)
     den = d.den
     total = 0.0
-    for n in d.counts(selector).values():
-        total += (n / den) * math.log2(den / n)
+    for values, w in memo[abc].items():
+        num = w * n_c[project_c(values)]
+        dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
+        if num != dnm:
+            total += (w / den) * math.log2(num / dnm)
     return total
+
+
+def entropy(d: Joint, selector: str | Iterable[str]) -> float:
+    """Shannon entropy H(A) in bits of the selected marginal: H(A | {})."""
+    a = d.resolve(selector)
+    return _info_sum(d, a, a, ())
 
 
 def cond_entropy(
@@ -222,24 +248,13 @@ def cond_entropy(
     selector: str | Iterable[str],
     given: str | Iterable[str],
 ) -> float:
-    """Conditional entropy H(A | C) in bits.
+    """Conditional entropy H(A | C) in bits: the information sum at B = A.
 
     Overlapping selectors are allowed; shared variables contribute nothing
     (H(X | X) = 0), matching the expectation-over-conditionals definition.
     """
     a = d.resolve(selector)
-    c = d.resolve(given)
-    ac = d.resolve(a + c)  # union, in distribution order
-    n_ac = d.counts(ac)
-    n_c = d.counts(c)
-    project_c = _projector(ac.index(n) for n in c)
-    den = d.den
-    total = 0.0
-    for values, w in n_ac.items():
-        pc = n_c[project_c(values)]
-        if pc != w:  # the exact ratio pc / w is >= 1
-            total += (w / den) * math.log2(pc / w)
-    return total
+    return _info_sum(d, a, a, d.resolve(given))
 
 
 def mutual_info(
@@ -250,40 +265,17 @@ def mutual_info(
 ) -> float:
     """Conditional mutual information I(A ; B | C) in bits, non-negative.
 
-    Computed as a single exact-ratio sum
-    ``sum p(abc) * log2(p(abc) p(c) / (p(ac) p(bc)))`` so that only the final
-    float summation can introduce error.  Raises if the raw value falls
-    below ``-NEGATIVE_RESIDUE``.
+    The selectors must be disjoint.  Raises if the raw sum falls below
+    ``-NEGATIVE_RESIDUE``.
     """
     a = d.resolve(a_sel)
     b = d.resolve(b_sel)
     c = d.resolve(given) if given is not None else ()
-    groups = (set(a), set(b), set(c))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if groups[i] & groups[j]:
-                raise ValueError(
-                    f"overlapping selectors: {sorted(groups[i] & groups[j])}"
-                )
-    abc = tuple(n for n in d.variables if n in groups[0] | groups[1] | groups[2])
-    n_abc = d.counts(abc)
-    ac_names = tuple(n for n in abc if n in groups[0] | groups[2])
-    bc_names = tuple(n for n in abc if n in groups[1] | groups[2])
-    c_names = tuple(n for n in abc if n in groups[2])
-    project_ac = _projector(abc.index(n) for n in ac_names)
-    project_bc = _projector(abc.index(n) for n in bc_names)
-    project_c = _projector(abc.index(n) for n in c_names)
-    n_ac = d.counts(ac_names)
-    n_bc = d.counts(bc_names)
-    den = d.den
-    n_c = d.counts(c_names) if c_names else {(): den}
-    total = 0.0
-    for values, w in n_abc.items():
-        # p(abc) p(c) / (p(ac) p(bc)) on numerators: the den factors cancel.
-        num = w * n_c[project_c(values)]
-        dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
-        if num != dnm:
-            total += (w / den) * math.log2(num / dnm)
+    for g, h in ((a, b), (a, c), (b, c)):
+        shared = set(g) & set(h)
+        if shared:
+            raise ValueError(f"overlapping selectors: {sorted(shared)}")
+    total = _info_sum(d, a, b, c)
     if total < 0.0:
         if total < -NEGATIVE_RESIDUE:
             raise InvariantError(

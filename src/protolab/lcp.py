@@ -12,13 +12,15 @@ exact search path collides, and which tests those are depends only on the
 strings and the rate.  ``draw_plan`` lists them once, and ``plan_holds``
 decides for one seed, drawing the same random words as the box, whether a
 box on that seed would answer the whole history exactly.  Randomized
-compression trials use the pair instead of running a box per trial.
+compression trials use the pair instead of running a box per trial.  Box
+and plan share one search walk, ``_walk``, and one test, ``_detected``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -66,6 +68,47 @@ def lcp_exact_cost(x: str, y: str) -> int:
     return _len_exchange_bits(n) + math.ceil(math.log2(n + 2))
 
 
+def _walk(x: str, y: str, eps: float, owed: int,
+          test: Callable[[tuple], bool]) -> tuple[int, int, int]:
+    """A randomized box's binary search over the prefix lengths of x and
+    y, ``owed`` RNG words in debt.  A test at or below the first difference
+    passes whatever its masks are, so it only owes the 32-bit words they
+    take; any other calls ``test((owed, mid, XOR of the mid-bit prefixes,
+    hash_bits))``, which pays the debt and is True iff it finds them
+    unequal.  Returns the answer, the tests' bits and the words owed."""
+    m, full_diff = _prefix_xor(x, y)
+    first_diff = m - full_diff.bit_length()
+    hash_bits = _hash_bits(m, eps)
+    tests = 0
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        tests += 1
+        if mid <= first_diff:
+            owed += hash_bits * -(-mid // 32)
+            lo = mid
+        elif test((owed, mid, full_diff >> (m - mid), hash_bits)):
+            hi, owed = mid - 1, 0
+        else:
+            lo, owed = mid, 0
+    return lo, tests * (hash_bits + 1), owed
+
+
+def _detected(getrandbits, tests) -> bool:
+    """True iff every test finds its prefixes unequal as a box draws it: the
+    owed words in one call (the RNG ends as if it drew each mask), then up
+    to ``hash_bits`` masks; <x, mask> != <y, mask> iff <x ^ y, mask> is odd."""
+    for owed, mid, diff, hash_bits in tests:
+        if owed:
+            getrandbits(32 * owed)
+        for _ in range(hash_bits):
+            if (diff & getrandbits(mid)).bit_count() & 1:
+                break
+        else:
+            return False
+    return True
+
+
 def lcp_randomized(
     x: str, y: str, eps: float, rng: random.Random
 ) -> tuple[int | None, int]:
@@ -79,37 +122,12 @@ def lcp_randomized(
     """
     if not 0 < eps < 1:
         raise ConfigError("lcp error rate must be in (0, 1)")
-    comm = _len_exchange_bits(max(len(x), len(y)))
-    m, full_diff = _prefix_xor(x, y)
-    first_diff = m - full_diff.bit_length()
-    hash_bits = _hash_bits(m, eps)
-    # A test at or below the first difference compares equal prefixes and
-    # passes whatever its masks are, so a run of such tests only owes the
-    # RNG the 32-bit words its masks take; they are drawn in one call before
-    # the next test that reads its masks, which leaves the RNG in the same
-    # state as drawing each mask.
-    owed = 0
-    lo, hi = 0, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        comm += hash_bits + 1
-        if mid <= first_diff:
-            owed += hash_bits * -(-mid // 32)
-            lo = mid
-            continue
-        if owed:
-            rng.getrandbits(32 * owed)
-            owed = 0
-        # <x, mask> and <y, mask> differ iff <x ^ y, mask> is odd
-        diff = full_diff >> (m - mid)
-        for _ in range(hash_bits):
-            if (diff & rng.getrandbits(mid)).bit_count() & 1:
-                hi = mid - 1
-                break
-        else:
-            lo = mid
+    getrandbits = rng.getrandbits
+    lo, test_bits, owed = _walk(x, y, eps, 0,
+                                lambda test: _detected(getrandbits, (test,)))
     if owed:
-        rng.getrandbits(32 * owed)
+        getrandbits(32 * owed)
+    comm = _len_exchange_bits(max(len(x), len(y))) + test_bits
     if lo == len(x) == len(y):
         return None, comm
     return lo, comm
@@ -125,41 +143,21 @@ def draw_plan(history, eps: float) -> DrawPlan:
     boundaries; words owed after the last test are never read.
     """
     plan: DrawPlan = []
+
+    def planned(test) -> bool:
+        plan.append(test)
+        return True  # the exact path: the test finds the prefixes unequal
+
     owed = 0
     for x, y, _ in history:
-        m, full_diff = _prefix_xor(x, y)
-        first_diff = m - full_diff.bit_length()
-        hash_bits = _hash_bits(m, eps)
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid <= first_diff:
-                owed += hash_bits * -(-mid // 32)
-                lo = mid
-            else:
-                plan.append((owed, mid, full_diff >> (m - mid), hash_bits))
-                owed = 0
-                hi = mid - 1
+        owed = _walk(x, y, eps, owed, planned)[2]
     return plan
 
 
 def plan_holds(plan: DrawPlan, seed: int) -> bool:
     """True iff a randomized box seeded with ``seed`` answers the planned
-    history exactly: at every planned test some mask has odd parity against
-    the prefixes' XOR.  Draws the box's words in the box's order, the owed
-    words of each run of passing tests in one call."""
-    if not plan:
-        return True
-    getrandbits = random.Random(seed).getrandbits
-    for owed, mid, diff, hash_bits in plan:
-        if owed:
-            getrandbits(32 * owed)
-        for _ in range(hash_bits):
-            if (diff & getrandbits(mid)).bit_count() & 1:
-                break
-        else:
-            return False
-    return True
+    history exactly: every planned test finds its prefixes unequal."""
+    return not plan or _detected(random.Random(seed).getrandbits, plan)
 
 
 @dataclass

@@ -604,10 +604,10 @@ def product_protocol(
     senders that a lot-t message is due from.  This lot plan is read off
     each side's reference execution, and the first side's part of a merged
     message is split off with that side's ``ExecutionTable.codeword``, so
-    each side's view is reconstructed exactly.  Each player keeps one view
-    trie per side for as long as the product lives, so a side program runs
-    once per distinct side view of that player.  Both protocols must be
-    oblivious and have the same number of players.
+    each side's view is reconstructed exactly.  Each player keeps one
+    driver per side, restarted for every state it rebuilds, so a side
+    program runs once per distinct side view of that player.  Both
+    protocols must be oblivious and have the same number of players.
     """
     if p.k != q.k:
         raise ConfigError("product needs the same number of players")
@@ -635,19 +635,18 @@ def product_protocol(
     max_lot = max((lot for _, lot in wait_plan), default=0)
 
     def make_program(i: int):
-        # One view trie per side, shared by every state this player builds,
+        # One driver per side, restarted by every state this player builds,
         # so a rebuilt state runs no side program on a view already met.
-        trie_a, trie_b = {}, {}
+        drivers = ProgramDriver(p, i), ProgramDriver(q, i)
 
         def start(view: View):
-            """Both side drivers, run until they block."""
+            """Both side drivers, restarted and run until they block."""
             cut, tape_cut = in_a[i - 1], priv_a[i - 1]
-            side_a = ProgramDriver(p, i, trie=trie_a).restart(
-                view.input[:cut], view.private_tape[:tape_cut],
-                view.public_tape[:pub_a])
-            side_b = ProgramDriver(q, i, trie=trie_b).restart(
-                view.input[cut:], view.private_tape[tape_cut:],
-                view.public_tape[pub_a:])
+            side_a, side_b = drivers
+            side_a.restart(view.input[:cut], view.private_tape[:tape_cut],
+                           view.public_tape[:pub_a])
+            side_b.restart(view.input[cut:], view.private_tape[tape_cut:],
+                           view.public_tape[pub_a:])
             return side_a.run(), side_b.run()
 
         def fold(state, round_reads, index: int) -> None:

@@ -459,8 +459,9 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # One driver and one view trie per player, restarted for every
     # execution and dropped when the enumeration returns.
     drivers = [ProgramDriver(p, i) for i in p.players]
+    tapes = list(p.tape_space())
     executions = {(x, privs, pub): _execute(p, x, privs, pub, drivers)
-                  for x in p.input_space() for privs, pub in p.tape_space()}
+                  for x in p.input_space() for privs, pub in tapes}
     codebooks: dict[tuple[int, int, int], set[str]] = {}
     for e in executions.values():
         for i, rounds in enumerate(e.sends, start=1):
@@ -674,29 +675,27 @@ class ProgramDriver:
     records ``reads``, ``sends`` (sorted by recipient) and ``patterns``
     (wait set, recipients); ``waiting`` is the blocking wait set.
 
-    A driver is built once per player; ``restart`` starts each of its runs.
-    A program is a pure function of its ``View``, so the driver walks a
-    trie of the player's views: ``trie`` maps (input, private tape, public
-    tape) to a root node, and each child is keyed by one read round (``()``
-    for a round that waited on nobody).  A node keeps the checked round
-    the program returned for its view, so the program runs, its ``View``
-    is built and its round is checked only on a view that no driver
-    sharing the trie has reached.  A round that breaks a rule is not kept.
-    A driver given no trie makes its own.  The engine keeps one driver and
-    one trie per player across one enumeration; a product keeps one trie
-    per player and side.  Nodes keep no reads of their own: a tuple of
-    every read per node would cost memory and garbage-collector time
-    growing with rounds squared.
+    A driver is built once per player (and side, in a wrapper) and kept;
+    ``restart`` starts each of its runs.  A program is a pure function of
+    its ``View``, so the driver walks its own trie of the player's views:
+    ``trie`` maps (input, private tape, public tape) to a root node, and
+    each child is keyed by one read round (``()`` for a round that waited
+    on nobody).  A node keeps the checked round the program returned for
+    its view, so the program runs, its ``View`` is built and its round is
+    checked only on a view no earlier run reached.  A round that breaks a
+    rule is not kept.  Nodes keep no reads of their own: a tuple of every
+    read per node would cost memory and garbage-collector time growing
+    with rounds squared.
     """
 
-    def __init__(self, p: ProtocolDef, player: int, schedule=(), trie=None):
+    def __init__(self, p: ProtocolDef, player: int, schedule=()):
         self.program = p.program(player)
         self.player = player
         self.max_rounds = p.max_local_rounds
         self.relaxed = p.mode == RELAXED
         self.domain = p.output_domain(player)
         self.schedule = iter(schedule)
-        self.trie = {} if trie is None else trie
+        self.trie = {}
         # One FIFO queue per peer: its keys are also the players this one
         # may send to or wait on.
         self.inbox = {s: deque() for s in p.players if s != player}
@@ -704,9 +703,11 @@ class ProgramDriver:
     def restart(self, input_value: str, private_tape: str,
                 public_tape: str) -> "ProgramDriver":
         """Start the player on these input and tapes, from its root view:
-        the only way to start a run.  The program, the trie, the schedule
-        and the inbox are kept, so the inbox must hold no message: a
-        completed execution reads every message it sends."""
+        the only way to start a run.  The program, the trie and the
+        schedule are kept; a message that an abandoned run left unread is
+        dropped."""
+        for queue in self.inbox.values():
+            queue.clear()
         self.input = input_value
         self.private_tape = private_tape
         self.public_tape = public_tape

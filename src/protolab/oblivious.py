@@ -47,22 +47,24 @@ def _encode_player(i: int, k: int) -> str:
 class _InnerSim:
     """Runs one player's original program on the bits forwarded so far,
     splitting each sender's bits into messages with the table's
-    ``codeword``."""
+    ``codeword``.  Built once per player; ``restart`` starts each run."""
 
-    def __init__(self, p, table, i, input_value, private_tape, public_tape):
+    def __init__(self, p, table, i):
         self.table = table
-        self.i = i
-        self.driver = ProgramDriver(p, i).restart(input_value, private_tape,
-                                                  public_tape)
+        self.driver = ProgramDriver(p, i)
+
+    def restart(self, view: View) -> "_InnerSim":
+        self.driver.restart(view.input, view.private_tape, view.public_tape)
         self.partial: dict[int, str] = {}  # sender -> unfinished message bits
         self.read_pos: dict[int, int] = {}
         self.queue: deque[tuple[int, str]] = deque()  # (destination, bit)
         self._queue_new_sends()
+        return self
 
     def feed(self, origin: int, bit: str) -> None:
         bits = self.partial.get(origin, "") + bit
         pos = self.read_pos.get(origin, 0)
-        word = self.table.codeword(origin, self.i, pos, bits)
+        word = self.table.codeword(origin, self.driver.player, pos, bits)
         if word is None:
             self.partial[origin] = bits
             return
@@ -121,10 +123,6 @@ def obliviousize(
             at += 2 + width
         return items
 
-    def inner_sim(i: int, view: View) -> _InnerSim:
-        return _InnerSim(p, table, i, view.input, view.private_tape,
-                         view.public_tape)
-
     def coordinator_fold(state, round_reads, index: int) -> None:
         """Fold one phase's replies (empty read rounds are the forward
         rounds and carry nothing) into the inner sim and the forwards."""
@@ -148,8 +146,9 @@ def obliviousize(
             else:
                 forwards[dest] += "1" + bit + _encode_player(origin, k)
 
+    coordinator_sim = _InnerSim(p, table, 1)
     coordinator_state = fold_views(
-        lambda view: (inner_sim(1, view), {}), coordinator_fold
+        lambda view: (coordinator_sim.restart(view), {}), coordinator_fold
     )
 
     def coordinator(view: View) -> Round:
@@ -182,7 +181,7 @@ def obliviousize(
             sim.feed(origin, bit)
 
     def member(i: int):
-        member_state = fold_views(lambda view: inner_sim(i, view), member_fold)
+        member_state = fold_views(_InnerSim(p, table, i).restart, member_fold)
 
         def prog(view: View) -> Round:
             sim = member_state(view)  # every round, so each lookup folds one

@@ -71,20 +71,26 @@ def _parse_tree(spec: dict, view_keys: list, interned: dict) -> _Node:
     one frozenset."""
     k = len(view_keys)
     if "outputs" in spec:
-        outputs = tuple(spec["outputs"])
+        outputs = spec["outputs"]
+        _typed(outputs, "outputs", "a list of strings",
+               isinstance(outputs, (list, tuple))
+               and all(isinstance(out, str) for out in outputs))
+        outputs = tuple(outputs)
         if len(outputs) != k:
             raise ConfigError(f"leaf needs {k} outputs, got {len(outputs)}")
         reachable = (frozenset((out,)) for out in outputs)
         return _Node(None, None, None, None, outputs, 0,
                      tuple(interned.setdefault(r, r) for r in reachable))
-    sender, receiver = spec["sender"], spec["receiver"]
-    bits = spec["msg_bits"]
+    sender, receiver, bits = (_count(spec[field], field)
+                              for field in ("sender", "receiver", "msg_bits"))
     if not (1 <= sender <= k and 1 <= receiver <= k) or sender == receiver:
         raise ConfigError(f"bad sender/receiver pair ({sender}, {receiver})")
     if bits < 1:
         raise ConfigError("msg_bits must be positive")
-    table = dict(spec["message_table"])
-    for what, values in (("child key", spec["children"]),
+    table, children = (_typed(spec[field], field, "an object",
+                              isinstance(spec[field], dict))
+                       for field in ("message_table", "children"))
+    for what, values in (("child key", children),
                          ("message value", table.values())):
         for value in values:
             if len(value) != bits or any(c not in "01" for c in value):
@@ -101,13 +107,13 @@ def _parse_tree(spec: dict, view_keys: list, interned: dict) -> _Node:
         )
     children = {
         value: _parse_tree(child, view_keys, interned)
-        for value, child in spec["children"].items()
+        for value, child in children.items()
     }
     for value in table.values():
         if value not in children:
             raise ConfigError(f"message value {value!r} has no child")
     reachable = map(frozenset.union, *(c.reachable for c in children.values()))
-    return _Node(sender, receiver, table, children, None,
+    return _Node(sender, receiver, dict(table), children, None,
                  1 + max(c.height for c in children.values()),
                  tuple(interned.setdefault(r, r) for r in reachable))
 
@@ -129,33 +135,36 @@ class _PlayerState:
     wrote: bool
 
 
-def _header_count(value, field: str) -> int:
-    """A header size: a non-negative int (a JSON ``true`` is no size)."""
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"malformed protocol tree: {field} must be a "
-                          f"non-negative integer, got {value!r}")
+def _typed(value, field: str, kind: str, ok: bool):
+    """``value``, which ``ok`` says is the ``kind`` that ``field`` needs."""
+    if not ok:
+        raise ConfigError(f"malformed protocol tree: {field} must be {kind}, "
+                          f"got {value!r}")
     return value
 
 
-def _header_counts(values, field: str) -> list[int]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"malformed protocol tree: {field} must be a list, "
-                          f"got {values!r}")
-    return [_header_count(v, f"{field}[{n}]") for n, v in enumerate(values)]
+def _count(value, field: str) -> int:
+    """A size or player index: a non-negative int, never a JSON true."""
+    return _typed(value, field, "a non-negative integer",
+                  type(value) is int and value >= 0)
+
+
+def _counts(values, field: str) -> list[int]:
+    _typed(values, field, "a list", isinstance(values, (list, tuple)))
+    return [_count(v, f"{field}[{n}]") for n, v in enumerate(values)]
 
 
 class _TreeMachine:
     """Shared immutable data for the per-player compiled programs."""
 
     def __init__(self, spec: dict, source: str, budget: int | None = None):
-        self.k = _header_count(spec["k"], "k")
+        self.k = _count(spec["k"], "k")
         if self.k < 2:
             raise ConfigError("a protocol tree needs at least 2 players")
-        self.input_bits = _header_counts(spec["input_bits"], "input_bits")
+        self.input_bits = _counts(spec["input_bits"], "input_bits")
         tape = spec["tape_bits"]
-        self.private_bits = _header_counts(tape["private"],
-                                           "tape_bits.private")
-        self.public_bits = _header_count(tape["public"], "tape_bits.public")
+        self.private_bits = _counts(tape["private"], "tape_bits.private")
+        self.public_bits = _count(tape["public"], "tape_bits.public")
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
         tape_bits = sum(self.private_bits) + self.public_bits

@@ -502,6 +502,20 @@ def test_unreadable_json_files_exit_1(tmp_path, capsys):
             assert err.count("\n") == 1 and out == "", argv
 
 
+def test_mistyped_tree_node_exits_1(tmp_path, capsys):
+    # A list where the children object belongs is a fault of the file, not
+    # a traceback.
+    spec = relay3_dict()
+    spec["tree"]["children"] = sorted(spec["tree"]["children"])
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "measure", "--protocol", f"tree:{path}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed protocol tree: children must be "
+                          "an object, got [")
+    assert err.count("\n") == 1
+
+
 def test_invariant_failure_exits_5(capsys, monkeypatch):
     from protolab import measures
 

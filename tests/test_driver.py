@@ -228,14 +228,55 @@ def test_tree_decisions_per_round_do_not_grow_with_depth(monkeypatch):
 # -- wrappers stay pure functions of their views --------------------------------
 
 
+def _split_read():
+    """Player 1 reads players 2 and 3 in one read round, but player 3 sends
+    only after reading player 2, so the two messages come in different
+    lots (and, obliviousized, in different phases).  Player 1 then sends
+    player 2 their XOR and outputs both."""
+    def first(view):
+        if view.round == 1:
+            return Round(waits=(2, 3))
+        (_, a), (_, b) = view.reads[0]
+        return Round(sends=((2, str(int(a) ^ int(b))),), output=a + b,
+                     halt=True)
+
+    def second(view):
+        if view.round == 1:
+            return Round(sends=((1, view.input), (3, view.input)), waits=(1,))
+        return Round(output=view.reads[0][0][1], halt=True)
+
+    def third(view):
+        if view.round == 1:
+            return Round(waits=(2,))
+        return Round(sends=((1, view.input),), output=view.input, halt=True)
+
+    return ProtocolDef(
+        name="split-read",
+        k=3,
+        input_domains=(("0",), ("0", "1"), ("0", "1")),
+        output_domains=(("00", "01", "10", "11"), ("0", "1"), ("0", "1")),
+        private_tape_lengths=(0, 0, 0),
+        public_tape_length=0,
+        programs=(first, second, third),
+        max_local_rounds=2,
+    )
+
+
 @pytest.mark.parametrize("build", [
     lambda: obliviousize(_zoo("q-index", k=3, q=1),
                          uniform(_zoo("q-index", k=3, q=1)), Fraction(1, 2)),
     lambda: product_protocol(_zoo("star-parity", k=3, n=1),
                              _zoo("ring-parity", k=3, n=1)),
     lambda: protocol_from_dict(helpers.random_tree_dict(random.Random(3), 5)),
-], ids=["obliviousize", "product", "tree"])
+    lambda: product_protocol(_split_read(), _split_read()),
+    lambda: obliviousize(_split_read(), uniform(_split_read()),
+                         Fraction(1, 2)),
+], ids=["obliviousize", "product", "tree", "product-split-read",
+        "obliviousize-split-read"])
 def test_wrapper_rounds_do_not_depend_on_call_order(build):
+    # A wrapper that restarts a kept inner driver must not carry a message
+    # that an abandoned state left unread into the next state: the split
+    # reads leave one in the inbox between lots or phases.
     p = build()
     table = run_all(p)
     calls = []
@@ -245,12 +286,20 @@ def test_wrapper_rounds_do_not_depend_on_call_order(build):
                 view = View(i, x[i - 1], privs[i - 1], pub,
                             e.reads[i - 1][:r])
                 calls.append((view, e.sends[i - 1][r], pattern))
-    random.Random(0).shuffle(calls)
-    for view, sends, (waits, _) in calls:
+
+    def play(view, sends, pattern):
         act = p.program(view.player)(view)
         assert tuple(sorted(act.sends)) == sends
         if not act.halt:
-            assert tuple(sorted(set(act.waits))) == waits
+            assert tuple(sorted(set(act.waits))) == pattern[0]
+        return act.output
+
+    # The engine's order gives each view's output; any order gives the same.
+    outputs = [play(*call) for call in calls]
+    order = list(range(len(calls)))
+    random.Random(0).shuffle(order)
+    for n in order:
+        assert play(*calls[n]) == outputs[n]
 
 
 # -- the driver's contract ----------------------------------------------------
@@ -573,16 +622,14 @@ def _record(d):
     return (d.reads, d.sends, d.patterns, d.output, d.halted, d.waiting)
 
 
-@pytest.mark.parametrize("new_trie", [lambda: None, dict],
-                         ids=["own-trie", "trie"])
-def test_a_restarted_driver_matches_a_fresh_one(new_trie):
+def test_a_restarted_driver_matches_a_fresh_one():
     p = _zoo("ring-parity", k=3, n=1)
     table = run_all(p)
     items = list(table.items())
     for i in p.players:
         (x, privs, pub), first = items[0]
-        d = _drive(ProgramDriver(p, i, trie=new_trie()).restart(
-            x[i - 1], privs[i - 1], pub), first)
+        d = _drive(ProgramDriver(p, i).restart(x[i - 1], privs[i - 1], pub),
+                   first)
         for (x, privs, pub), e in items[1:]:
             assert d.halted and not any(d.inbox.values())
             args = (x[i - 1], privs[i - 1], pub)

@@ -495,6 +495,37 @@ def test_is_oblivious_examples():
     assert is_oblivious(get_entry("q-index", k=3, q=2).protocol)[0]
 
 
+def test_is_oblivious_names_a_send_set_that_follows_an_input():
+    # Player 1 reaches players 2 and 3 in an order its input bit picks;
+    # every wait set is fixed, so only the send sets tell the runs apart.
+    def sender(view):
+        first, second = (2, 3) if view.input == "0" else (3, 2)
+        if view.round == 1:
+            return Round(sends=((first, "1"),))
+        return Round(sends=((second, "1"),), output="0", halt=True)
+
+    def reader(view):
+        if view.round == 1:
+            return Round(waits=(1,))
+        return Round(output="0", halt=True)
+
+    p = ProtocolDef(
+        name="send-order",
+        k=3,
+        input_domains=(("0", "1"), ("0",), ("0",)),
+        output_domains=(("0",),) * 3,
+        private_tape_lengths=(0, 0, 0),
+        public_tape_length=0,
+        programs=(sender, reader, reader),
+        max_local_rounds=2,
+    )
+    ok, witness = is_oblivious(p)
+    assert not ok
+    assert (witness.player, witness.round, witness.kind) == (1, 1, "send set")
+    assert (witness.value_a, witness.value_b) == ((2,), (3,))
+    assert witness.key_a != witness.key_b
+
+
 def test_transcripts_are_prefix_decodable():
     for entry in (
         get_entry("ring-parity", k=3, n=2),

@@ -207,6 +207,37 @@ def test_format_validation():
     with pytest.raises(ConfigError, match="input_bits must be a list"):
         protocol_from_dict(spec)
 
+    # So are a node's player indices and message width.
+    for name in ("sender", "receiver", "msg_bits"):
+        for value in (None, "1", 1.0, True, -1):
+            spec = and_tree_dict()
+            spec["tree"]["children"]["1"][name] = value
+            with pytest.raises(ConfigError) as info:
+                protocol_from_dict(spec)
+            assert str(info.value) == (
+                f"malformed protocol tree: {name} must be a non-negative "
+                f"integer, got {value!r}"
+            )
+
+    # A node's tables are JSON objects and a leaf's outputs a list of
+    # strings: a list of keys or one string of outputs is no substitute.
+    for name, value, kind in [
+        ("children", ["0", "1"], "an object"),
+        ("message_table", ["0", "1"], "an object"),
+        ("message_table", "01", "an object"),
+        ("outputs", "00", "a list of strings"),
+        ("outputs", [0, 0], "a list of strings"),
+        ("outputs", None, "a list of strings"),
+    ]:
+        spec = and_tree_dict()
+        node = spec["tree"]["children"]["0" if name == "outputs" else "1"]
+        node[name] = value
+        with pytest.raises(ConfigError) as info:
+            protocol_from_dict(spec)
+        assert str(info.value) == (
+            f"malformed protocol tree: {name} must be {kind}, got {value!r}"
+        )
+
     spec = and_tree_dict()
     for _ in range(3000):  # a chain, one level per message
         spec["tree"] = {
