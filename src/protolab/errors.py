@@ -41,17 +41,19 @@ class BudgetExceededError(ProtoLabError):
 def budgeted_count(budget: int | None, exponent: int,
                    factor: Callable[[], int] | None = None) -> int:
     """An enumeration's executions, 2^exponent times ``factor()`` (a
-    positive int, 1 when absent), checked against ``budget``.  A count that
-    2^exponent >= 2^64 alone puts over the budget is named by that power,
-    never built: ``1 << 10**20`` and ``math.perm`` at such sizes hang."""
+    positive int, 1 when absent), checked against ``budget`` (2^64 if None:
+    no enumeration runs longer).  A count that 2^exponent >= 2^64 alone puts
+    over the budget is named by that power, never built: ``1 << 10**20``
+    and ``math.perm`` at such sizes hang."""
     exponent = operator.index(exponent)
-    if budget is not None and exponent >= max(budget.bit_length(), 64):
+    budget = 1 << 64 if budget is None else budget
+    if exponent >= max(budget.bit_length(), 64):
         count = f"2^{exponent}" if factor is None else f"at least 2^{exponent}"
         raise BudgetExceededError(None, budget, count=count)
     required = 1 << exponent
     if factor is not None:
         required *= factor()
-    if budget is not None and required > budget:
+    if required > budget:
         raise BudgetExceededError(required, budget)
     return required
 

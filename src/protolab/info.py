@@ -185,10 +185,8 @@ class SharedMarginals:
     """A joint law whose marginals are each computed once.
 
     Accepted wherever the functions below take a joint.  Wrap a joint for
-    the length of one computation that asks for the same marginals several
-    times, then drop the wrapper: the memo must not outlive that call,
-    because ``measures.build_joint`` keeps joints for the life of the
-    process.
+    one computation that asks for the same marginals several times; the
+    memo is freed with the wrapper.
     """
 
     def __init__(self, joint: JointDistribution):

@@ -20,7 +20,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -191,7 +190,6 @@ def _var_names(k: int) -> dict[str, list[str]]:
     }
 
 
-@lru_cache(maxsize=128)
 def build_joint(
     p: ProtocolDef,
     mu: InputDistribution,
@@ -700,23 +698,15 @@ def product_protocol(
 
         return prog
 
-    input_domains = tuple(
-        tuple(
-            a + b for a in p.input_domain(i) for b in q.input_domain(i)
-        )
-        for i in p.players
-    )
-    output_domains = tuple(
-        tuple(
-            a + b for a in p.output_domain(i) for b in q.output_domain(i)
-        )
-        for i in p.players
-    )
+    def joined(p_domains, q_domains):
+        return tuple(tuple(a + b for a in dp for b in dq)
+                     for dp, dq in zip(p_domains, q_domains))
+
     return ProtocolDef(
         name=f"product({p.name},{q.name})",
         k=k,
-        input_domains=input_domains,
-        output_domains=output_domains,
+        input_domains=joined(p.input_domains, q.input_domains),
+        output_domains=joined(p.output_domains, q.output_domains),
         private_tape_lengths=tuple(
             priv_a[i - 1] + priv_b[i - 1] for i in p.players
         ),

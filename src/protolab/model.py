@@ -33,7 +33,7 @@ import itertools
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -186,6 +186,10 @@ class ProtocolDef:
         for dom in self.input_domains:
             n *= len(dom)
         return n << self.total_tape_bits
+
+    @cached_property
+    def _table(self) -> ExecutionTable:
+        return _enumerate_all(self)
 
 
 @dataclass(frozen=True)
@@ -454,7 +458,6 @@ class ExecutionTable:
         return self.executions.items()
 
 
-@lru_cache(maxsize=None)
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # One driver and one view trie per player, restarted for every
     # execution and dropped when the enumeration returns.
@@ -488,6 +491,8 @@ def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTab
 
     Certifies termination (every run completes), the self-delimiting
     invariant (per-position codebooks are prefix-free), and output validity.
+    The budget is checked on every call; the table is built once per
+    protocol object and freed with it.
     """
     if p.mode != RESTRICTED:
         raise ModelViolationError(
@@ -496,7 +501,7 @@ def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTab
     required = p.execution_count()
     if budget is not None and required > budget:
         raise BudgetExceededError(required, budget)
-    return _enumerate_all(p)
+    return p._table
 
 
 @dataclass(frozen=True)

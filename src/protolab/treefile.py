@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ModelViolationError, budgeted_count
-from .model import ProtocolDef, Round, View, bitstrings, fold_views
+from .model import ProtocolDef, Round, View, bitstrings, fold_views, is_bitstring
 
 
 @dataclass
@@ -70,7 +70,8 @@ def _parse_tree(spec: dict, view_keys: list, interned: dict) -> _Node:
     is player i's set of view keys, and equal reachable-output sets share
     one frozenset."""
     k = len(view_keys)
-    if "outputs" in spec:
+    if "outputs" in _typed(spec, "a tree node", "an object",
+                           isinstance(spec, dict)):
         outputs = spec["outputs"]
         _typed(outputs, "outputs", "a list of strings",
                isinstance(outputs, (list, tuple))
@@ -93,7 +94,7 @@ def _parse_tree(spec: dict, view_keys: list, interned: dict) -> _Node:
     for what, values in (("child key", children),
                          ("message value", table.values())):
         for value in values:
-            if len(value) != bits or any(c not in "01" for c in value):
+            if not (is_bitstring(value) and len(value) == bits):
                 raise ConfigError(f"{what} {value!r} is not a {bits}-bit string")
     keys = view_keys[sender - 1]
     if table.keys() != keys:
@@ -163,6 +164,7 @@ class _TreeMachine:
             raise ConfigError("a protocol tree needs at least 2 players")
         self.input_bits = _counts(spec["input_bits"], "input_bits")
         tape = spec["tape_bits"]
+        _typed(tape, "tape_bits", "an object", isinstance(tape, dict))
         self.private_bits = _counts(tape["private"], "tape_bits.private")
         self.public_bits = _count(tape["public"], "tape_bits.public")
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:

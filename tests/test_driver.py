@@ -14,9 +14,14 @@ import pytest
 
 import helpers
 from helpers import execution_digest
-from protolab.errors import ModelViolationError, NonTerminationError
+from protolab.errors import (
+    BudgetExceededError,
+    ModelViolationError,
+    NonTerminationError,
+)
 from protolab.measures import (
     InputDistribution,
+    build_joint,
     derandomize_zero_error,
     product_protocol,
     publicize,
@@ -29,7 +34,6 @@ from protolab.model import (
     ProtocolDef,
     Round,
     View,
-    _enumerate_all,
     _ViewNode,
     run,
     run_all,
@@ -641,6 +645,21 @@ def test_a_restarted_driver_matches_a_fresh_one():
                 list(e.patterns[i - 1]), e.outputs[i - 1])
 
 
+def test_tables_and_joints_live_as_long_as_their_owners():
+    p = publicize(_zoo("ring-parity", k=3, n=1))
+    table = run_all(p)
+    # A protocol that lives keeps its one table, and the budget is still
+    # checked on every call.
+    assert run_all(p) is table and run_all(p, budget=None) is table
+    with pytest.raises(BudgetExceededError):
+        run_all(p, budget=len(table) - 1)
+    joint = build_joint(p, uniform(p))
+    refs = [weakref.ref(obj) for obj in (p, table, joint)]
+    del p, table, joint
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
 def test_product_side_tries_are_freed_with_the_product():
     class Output(str):
         """An output string that a weak reference can follow."""
@@ -671,6 +690,5 @@ def test_product_side_tries_are_freed_with_the_product():
     # product lives.
     assert refs and all(ref() is not None for ref in refs)
     del product, table
-    _enumerate_all.cache_clear()
     gc.collect()
     assert all(ref() is None for ref in refs)

@@ -122,6 +122,26 @@ def test_construction_validations():
         JointDistribution.from_mapping(("x", "x"), {("0", "0"): F(1)})
 
 
+# The checks test_construction_validations does not reach through
+# from_mapping, each with its whole message.
+@pytest.mark.parametrize("variables,rows,nums,den,message", [
+    ((), ((),), (1,), 1, "a distribution needs at least one variable"),
+    (("x",), (), (), 1, "a distribution needs at least one outcome"),
+    (("x",), (("0",),), (1, 1), 2, "every outcome needs exactly one weight"),
+    (("x",), (("0",),), (1.0,), 1, "weight numerators must be ints"),
+    (("x",), (("0",), ("0",)), (1, 1), 2, "duplicate outcome ('0',)"),
+    (("x",), (("0",),), (1,), 1.0,
+     "the weight denominator must be a positive int"),
+    (("x",), (("0",),), (1,), 0,
+     "the weight denominator must be a positive int"),
+])
+def test_each_construction_check_names_its_fault(variables, rows, nums, den,
+                                                 message):
+    with pytest.raises(ValueError) as info:
+        JointDistribution(variables, rows, nums, den)
+    assert str(info.value) == message
+
+
 def test_apply_function_identity_and_constant():
     d = apply_function(UNIFORM_XY, "x", lambda v: v[0], "fx")
     assert mutual_info(d, "x", "fx") == pytest.approx(entropy(d, "x"), abs=TOL)

@@ -601,6 +601,36 @@ def test_eternal_wait_after_output_is_legal():
     assert e.total_bits == 2
 
 
+def _idle(view):
+    return Round(output="0", halt=True)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"k": 1}, "need at least two players"),
+    ({"mode": "async"}, "unknown mode 'async'"),
+    ({"input_domains": (("0", "1"),)},
+     "input_domains must have one entry per player"),
+    ({"output_domains": (("0", "1"),) * 3},
+     "output_domains must have one entry per player"),
+    ({"programs": (_idle,)}, "programs must have one entry per player"),
+    ({"private_tape_lengths": (0,)},
+     "private_tape_lengths must have one entry per player"),
+    ({"input_domains": ((), ("0",))}, "empty domain"),
+    ({"output_domains": (("0", "0"), ("0",))},
+     "domain entries must be distinct"),
+    ({"input_domains": (("0", "2"), ("0",))},
+     "domain value '2' is not a bitstring"),
+    ({"output_domains": (("",), ("0",))}, "outputs must be non-empty strings"),
+    ({"max_local_rounds": 0}, "max_local_rounds must be positive"),
+    ({"public_tape_length": -1}, "tape lengths must be non-negative"),
+    ({"private_tape_lengths": (0, -1)}, "tape lengths must be non-negative"),
+])
+def test_each_protocol_check_names_its_fault(fields, message):
+    with pytest.raises(ValueError) as info:
+        two_player("bad", _idle, _idle, **fields)
+    assert str(info.value) == message
+
+
 def test_input_validation():
     p = get_entry("and-opt").protocol
     with pytest.raises(ValueError, match="domain"):

@@ -238,6 +238,26 @@ def test_format_validation():
             f"malformed protocol tree: {name} must be {kind}, got {value!r}"
         )
 
+    # A node, a message value and the tape header of the wrong JSON type
+    # are named, as are a zero width and a message value with no child.
+    for change, message in [
+        (lambda spec: spec["tree"]["children"].update({"0": 5}),
+         "malformed protocol tree: a tree node must be an object, got 5"),
+        (lambda spec: spec["tree"]["message_table"].update({"0": 0}),
+         "message value 0 is not a 1-bit string"),
+        (lambda spec: spec.update(tape_bits=[0, 0]),
+         "malformed protocol tree: tape_bits must be an object, got [0, 0]"),
+        (lambda spec: spec["tree"].update(msg_bits=0),
+         "msg_bits must be positive"),
+        (lambda spec: spec["tree"]["children"].pop("1"),
+         "message value '1' has no child"),
+    ]:
+        spec = and_tree_dict()
+        change(spec)
+        with pytest.raises(ConfigError) as info:
+            protocol_from_dict(spec)
+        assert str(info.value) == message
+
     spec = and_tree_dict()
     for _ in range(3000):  # a chain, one level per message
         spec["tree"] = {
@@ -277,6 +297,48 @@ def test_unresolvable_wait_set_is_rejected():
     p = protocol_from_dict(spec)
     with pytest.raises(ModelViolationError, match="wait set"):
         run(p, ("0", "0", "0"))
+
+
+def _hidden_root(child0, child1) -> dict:
+    """Three players with 1-bit inputs; player 3 does not see the root
+    1->2 message, so it cannot tell the root's two children apart."""
+    return {
+        "k": 3,
+        "input_bits": [1, 1, 1],
+        "tape_bits": {"private": [0, 0, 0], "public": 0},
+        "tree": {
+            "sender": 1, "receiver": 2, "msg_bits": 1,
+            "message_table": {"0": "0", "1": "1"},
+            "children": {"0": child0, "1": child1},
+        },
+    }
+
+
+def _sends(sender, receiver, value):
+    """A node where ``sender`` sends ``value`` whatever its input."""
+    return {"sender": sender, "receiver": receiver, "msg_bits": 1,
+            "message_table": {"0": value, "1": value},
+            "children": {value: {"outputs": ["0", "0", "0"]}}}
+
+
+@pytest.mark.parametrize("child0,child1,message", [
+    (_sends(3, 1, "0"), {"outputs": ["0", "0", "0"]},
+     "player 3 cannot tell whether it must send (mixed roles across "
+     "indistinguishable branches)"),
+    (_sends(3, 1, "0"), _sends(3, 1, "1"),
+     "player 3 would send different messages on branches it cannot "
+     "distinguish"),
+    (_sends(1, 3, "0"), _sends(2, 3, "0"),
+     "player 3 cannot form a wait set: possible senders [1, 2]"),
+    ({"outputs": ["0", "0", "0"]}, {"outputs": ["0", "0", "1"]},
+     "player 3 reached leaves with conflicting outputs"),
+], ids=["send-or-halt", "two-messages", "two-senders", "two-outputs"])
+def test_the_compiler_refuses_what_a_player_cannot_tell_apart(
+        child0, child1, message):
+    p = protocol_from_dict(_hidden_root(child0, child1))
+    with pytest.raises(ModelViolationError) as info:
+        run_all(p)
+    assert str(info.value) == message
 
 
 def test_output_written_exactly_once_with_early_determination():

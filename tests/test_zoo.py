@@ -7,6 +7,7 @@ import pytest
 
 from protolab.errors import BudgetExceededError, ConfigError
 from protolab.model import run, run_all, run_relaxed
+from protolab.treefile import protocol_from_dict
 from protolab.zoo import (
     REGISTRY,
     get_entry,
@@ -163,6 +164,27 @@ def test_registry_counts_executions_from_the_parameters():
             assert get_entry(name, budget=count, **args).protocol.k == built.k
             with pytest.raises(BudgetExceededError):
                 get_entry(name, budget=count - 1, **args)
+
+
+def test_huge_sizes_without_a_budget_are_named_not_shifted():
+    # No budget means 2^64 executions: past it a count is named by its
+    # power of two, never built; up to it, it is returned.
+    tree = {"k": 2, "input_bits": [10**20, 1],
+            "tape_bits": {"private": [0, 0], "public": 0},
+            "tree": {"outputs": ["0", "0"]}}
+    for build, count in (
+        (lambda: get_entry("ring-parity", k=10**20), f"2^{10**20 + 1}"),
+        (lambda: get_entry("q-index", k=10**20, q=1),
+         f"at least 2^{10**20 - 1}"),
+        (lambda: ring_parity(10**20, 1), f"2^{10**20 + 1}"),
+        (lambda: protocol_from_dict(tree), f"2^{10**20 + 1}"),
+        (lambda: REGISTRY["star-parity"]["executions"](k=65, n=1), "2^65"),
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            build()
+        assert str(info.value) == (
+            f"enumeration needs {count} executions, budget is 2^64")
+    assert REGISTRY["star-parity"]["executions"](k=64, n=1) == 1 << 64
 
 
 def test_registry_caches_entries():
