@@ -33,13 +33,7 @@ from .errors import (
     InvariantError,
     ModelViolationError,
 )
-from .lcp import (  # lcp_randomized is re-exported
-    LcpBox,
-    draw_plan,
-    lcp_exact,
-    lcp_randomized,
-    plan_holds,
-)
+from .lcp import LcpBox, draw_plan, lcp_exact, plan_holds
 from .measures import InputDistribution, acc, ic, weighted_executions
 from .model import (
     DEFAULT_BUDGET,
@@ -308,17 +302,15 @@ def compress_run(
     inputs = tuple(inputs)
     if len(inputs) != k:
         raise ValueError("need one input per player")
+    trees = {} if trees is None else trees
     tree_of = {}
     for i in p.players:
         key = (i, inputs[i - 1], public_tape)
-        if trees is not None and key in trees:
-            tree_of[i] = trees[key]
-        else:
-            tree_of[i] = build_tree(
+        if key not in trees:
+            trees[key] = build_tree(
                 p, i, inputs[i - 1], public_tape, mu, budget, structure=struct
             )
-            if trees is not None:
-                trees[key] = tree_of[i]
+        tree_of[i] = trees[key]
     # Each tree checked its owner's input, so the trees reached this one.
     truth = {i: tree_of[i].reached[inputs] for i in p.players}
 

@@ -8,6 +8,8 @@ is the double nearest the exact value.  Every measure is therefore a sum of
 terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
 which keeps conditional decompositions free of drift.  One such sum serves
 every measure: I(A ; B | C), then H(A | C) at B = A and H(A) at C = {}.
+One kernel call (``mutual_infos`` takes several triples) counts each
+marginal it needs once, and its memo is freed when the call returns.
 
 Conventions:
   * ``0 * log(1/0) = 0`` (outcomes with zero conditional mass are skipped);
@@ -158,10 +160,10 @@ class JointDistribution:
         against the original distribution keep working.  The kept outcomes
         keep their numerators; the denominator becomes their total.
         """
-        idx = {self.variables.index(n): v for n, v in assignment.items()}
         for n in assignment:
             if n not in self.variables:
                 raise ValueError(f"unknown variable name: {n}")
+        idx = {self.variables.index(n): v for n, v in assignment.items()}
         kept = [
             (values, n)
             for values, n in zip(self.rows, self.nums)
@@ -181,68 +183,45 @@ class JointDistribution:
         return len(self.counts(selector))
 
 
-class SharedMarginals:
-    """A joint law whose marginals are each computed once.
-
-    Accepted wherever the functions below take a joint.  Wrap a joint for
-    one computation that asks for the same marginals several times; the
-    memo is freed with the wrapper.
-    """
-
-    def __init__(self, joint: JointDistribution):
-        self.joint = joint
-        self.variables = joint.variables
-        self.den = joint.den
-        self.resolve = joint.resolve
-        self._memo: dict[tuple[str, ...], dict[Outcome, int]] = {}
-
-    def counts(self, selector: str | Iterable[str]) -> dict[Outcome, int]:
-        names = self.resolve(selector)
-        out = self._memo.get(names)
-        if out is None:
-            out = self._memo[names] = self.joint.counts(names)
-        return out
-
-
-Joint = JointDistribution | SharedMarginals
-
-
-def _info_sum(d: Joint, a: tuple[str, ...], b: tuple[str, ...],
-              c: tuple[str, ...]) -> float:
+def _info_sums(d: JointDistribution, triples) -> list[float]:
     """The raw sum ``sum p(abc) * log2(p(abc) p(c) / (p(ac) p(bc)))`` on
-    integer numerators, where the den factors cancel; marginals that name
-    the same variables are counted once."""
-    names = set(a) | set(b) | set(c)
-    abc = tuple(n for n in d.variables if n in names)
-    memo = {abc: d.counts(abc), (): {(): d.den}}
-
-    def marginal(group: tuple[str, ...]):
-        sub = tuple(n for n in abc if n in group)
-        if sub not in memo:
-            memo[sub] = d.counts(sub)
-        return memo[sub], _projector(map(abc.index, sub))
-
-    n_ac, project_ac = marginal(a + c)
-    n_bc, project_bc = marginal(b + c)
-    n_c, project_c = marginal(c)
+    integer numerators, where the den factors cancel, for each resolved
+    ``(a, b, c)``; one memo counts each marginal the call asks for once."""
+    memo: dict[tuple[str, ...], dict[Outcome, int]] = {(): {(): d.den}}
     den = d.den
-    total = 0.0
-    for values, w in memo[abc].items():
-        num = w * n_c[project_c(values)]
-        dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
-        if num != dnm:
-            total += (w / den) * math.log2(num / dnm)
-    return total
+    sums = []
+    for a, b, c in triples:
+        names = set(a) | set(b) | set(c)
+        abc = tuple(n for n in d.variables if n in names)
+
+        def marginal(group: tuple[str, ...]):
+            sub = tuple(n for n in abc if n in group)
+            if sub not in memo:
+                memo[sub] = d.counts(sub)
+            return memo[sub], _projector(map(abc.index, sub))
+
+        n_abc = marginal(abc)[0]
+        n_ac, project_ac = marginal(a + c)
+        n_bc, project_bc = marginal(b + c)
+        n_c, project_c = marginal(c)
+        total = 0.0
+        for values, w in n_abc.items():
+            num = w * n_c[project_c(values)]
+            dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
+            if num != dnm:
+                total += (w / den) * math.log2(num / dnm)
+        sums.append(total)
+    return sums
 
 
-def entropy(d: Joint, selector: str | Iterable[str]) -> float:
+def entropy(d: JointDistribution, selector: str | Iterable[str]) -> float:
     """Shannon entropy H(A) in bits of the selected marginal: H(A | {})."""
     a = d.resolve(selector)
-    return _info_sum(d, a, a, ())
+    return _info_sums(d, [(a, a, ())])[0]
 
 
 def cond_entropy(
-    d: Joint,
+    d: JointDistribution,
     selector: str | Iterable[str],
     given: str | Iterable[str],
 ) -> float:
@@ -252,36 +231,49 @@ def cond_entropy(
     (H(X | X) = 0), matching the expectation-over-conditionals definition.
     """
     a = d.resolve(selector)
-    return _info_sum(d, a, a, d.resolve(given))
+    return _info_sums(d, [(a, a, d.resolve(given))])[0]
+
+
+def mutual_infos(d: JointDistribution, triples) -> list[float]:
+    """Conditional mutual informations I(A ; B | C) in bits, non-negative,
+    one per ``(A, B, C)`` selector triple (C may be None).
+
+    One call counts each marginal its triples share once.  Each triple's
+    selectors must be disjoint.  Raises if a raw sum falls below
+    ``-NEGATIVE_RESIDUE``.
+    """
+    resolved = []
+    for a_sel, b_sel, given in triples:
+        a = d.resolve(a_sel)
+        b = d.resolve(b_sel)
+        c = d.resolve(given) if given is not None else ()
+        for g, h in ((a, b), (a, c), (b, c)):
+            shared = set(g) & set(h)
+            if shared:
+                raise ValueError(f"overlapping selectors: {sorted(shared)}")
+        resolved.append((a, b, c))
+    out = []
+    for total in _info_sums(d, resolved):
+        if total < 0.0:
+            if total < -NEGATIVE_RESIDUE:
+                raise InvariantError(
+                    f"mutual information evaluated to {total}; "
+                    "residue exceeds the rounding tolerance"
+                )
+            total = 0.0
+        out.append(total)
+    return out
 
 
 def mutual_info(
-    d: Joint,
+    d: JointDistribution,
     a_sel: str | Iterable[str],
     b_sel: str | Iterable[str],
     given: str | Iterable[str] | None = None,
 ) -> float:
-    """Conditional mutual information I(A ; B | C) in bits, non-negative.
-
-    The selectors must be disjoint.  Raises if the raw sum falls below
-    ``-NEGATIVE_RESIDUE``.
-    """
-    a = d.resolve(a_sel)
-    b = d.resolve(b_sel)
-    c = d.resolve(given) if given is not None else ()
-    for g, h in ((a, b), (a, c), (b, c)):
-        shared = set(g) & set(h)
-        if shared:
-            raise ValueError(f"overlapping selectors: {sorted(shared)}")
-    total = _info_sum(d, a, b, c)
-    if total < 0.0:
-        if total < -NEGATIVE_RESIDUE:
-            raise InvariantError(
-                f"mutual information evaluated to {total}; "
-                "residue exceeds the rounding tolerance"
-            )
-        total = 0.0
-    return total
+    """Conditional mutual information I(A ; B | C) in bits, non-negative:
+    ``mutual_infos`` of the one triple."""
+    return mutual_infos(d, [(a_sel, b_sel, given)])[0]
 
 
 def apply_function(

@@ -163,24 +163,25 @@ def plan_holds(plan: DrawPlan, seed: int) -> bool:
 @dataclass
 class LcpBox:
     """Accounting wrapper around the exact or randomized first-difference
-    subroutine; exact mode never errs.  ``history`` lists every call as
-    (x, y, answer), in order."""
+    subroutine; exact mode never errs and draws no randomness.  ``history``
+    lists every call as (x, y, answer), in order."""
 
     mode: str = "exact"
     eps: float = 0.01
     seed: int = 0
-    comm_bits: int = 0
+    comm_bits: int = field(init=False, default=0)
     history: list[tuple[str, str, int | None]] = field(
-        default_factory=list, repr=False
+        init=False, default_factory=list, repr=False
     )
-    _rng: random.Random = field(init=False, repr=False)
+    _rng: random.Random | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "randomized"):
             raise ConfigError(f"unknown lcp mode {self.mode!r}")
-        if self.mode == "randomized" and not 0 < self.eps < 1:
-            raise ConfigError("lcp error rate must be in (0, 1)")
-        self._rng = random.Random(self.seed)
+        if self.mode == "randomized":
+            if not 0 < self.eps < 1:
+                raise ConfigError("lcp error rate must be in (0, 1)")
+            self._rng = random.Random(self.seed)
 
     @property
     def calls(self) -> int:

@@ -29,12 +29,7 @@ from .errors import (
     InvariantError,
     ModelViolationError,
 )
-from .info import (
-    JointDistribution,
-    SharedMarginals,
-    cond_entropy,
-    mutual_info,
-)
+from .info import JointDistribution, cond_entropy, mutual_info, mutual_infos
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
@@ -247,27 +242,23 @@ def acc(
     return Fraction(sum(n * e.total_bits for _, n, e in rows), den)
 
 
-def _ic_term(d, names, i: int) -> float:
+def _ic_term(names, i: int) -> tuple:
     """I(X_-i ; Pi_i | X_i R_i Rp)"""
-    return mutual_info(
-        d, _others(names["x"], i), [f"pi{i}"], [f"x{i}", f"r{i}", "rp"]
-    )
+    return _others(names["x"], i), [f"pi{i}"], [f"x{i}", f"r{i}", "rp"]
 
 
-def _pic_term(d, names, i: int) -> float:
+def _pic_term(names, i: int) -> tuple:
     """I(X_-i ; Pi_i R_-i | X_i R_i Rp)"""
-    return mutual_info(
-        d,
+    return (
         _others(names["x"], i),
         [f"pi{i}"] + _others(names["r"], i),
         [f"x{i}", f"r{i}", "rp"],
     )
 
 
-def _random_term(d, names, i: int) -> float:
+def _random_term(names, i: int) -> tuple:
     """I(R_-i ; X_-i | X_i Pi_i R_i Rp)"""
-    return mutual_info(
-        d,
+    return (
         _others(names["r"], i),
         _others(names["x"], i),
         [f"x{i}", f"pi{i}", f"r{i}", "rp"],
@@ -278,14 +269,14 @@ def ic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Internal information cost sum_i I(X_-i ; Pi_i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    return sum(_ic_term(d, names, i) for i in p.players)
+    return sum(mutual_info(d, *_ic_term(names, i)) for i in p.players)
 
 
 def pic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Public information cost sum_i I(X_-i ; Pi_i R_-i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    return sum(_pic_term(d, names, i) for i in p.players)
+    return sum(mutual_info(d, *_pic_term(names, i)) for i in p.players)
 
 
 def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, float]:
@@ -297,14 +288,16 @@ def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, 
     """
     d = joint if joint is not None else build_joint(p, mu, None, budget)
     names = _var_names(p.k)
-    # The three terms of one player ask for 12 marginals, 6 of them
-    # distinct; each player's are shared, then dropped with the wrapper.
+    # One player's three terms ask for 6 distinct marginals, so one kernel
+    # call per player counts each once; no memo outlives the player.
     ic_term = random_term = total = 0
     for i in p.players:
-        shared = SharedMarginals(d)
-        ic_term += _ic_term(shared, names, i)
-        random_term += _random_term(shared, names, i)
-        total += _pic_term(shared, names, i)
+        ic_i, random_i, pic_i = mutual_infos(
+            d, [_ic_term(names, i), _random_term(names, i), _pic_term(names, i)]
+        )
+        ic_term += ic_i
+        random_term += random_i
+        total += pic_i
     if abs(ic_term + random_term - total) > TOLERANCE:
         raise InvariantError(
             f"pic decomposition drifted: {ic_term} + {random_term} != {total}"

@@ -158,6 +158,18 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 1 and err.startswith("error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert out == "", argv
+    for argv, message in (
+        (("measure", "--protocol", "and-opt", "--mu", "grid:abc"),
+         "bad grid step in 'grid:abc'"),
+        (("compress", "--protocol", "star-parity", "--mu", "grid:0.1"),
+         "compression needs a concrete distribution"),
+        (("measure", "--protocol", "ring-parity", "--q", "1"),
+         "protocol 'ring-parity' takes no parameter 'q'"),
+        (("measure", "--protocol", "ring-parity", "--k", "2"),
+         "ring parity needs at least 3 players"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
     # delta is an error probability, and --eps, --trials and --seed steer
     # randomized lcp boxes only: the error line names the offending flag.
     for argv, flag in (

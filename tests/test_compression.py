@@ -19,13 +19,13 @@ from protolab.compression import (
     distributional_error,
     is_coherent,
     lcp_exact,
-    lcp_randomized,
 )
 from protolab.errors import (
     BudgetExceededError,
     ConfigError,
     NotObliviousError,
 )
+from protolab.lcp import lcp_randomized
 from protolab.measures import (
     InputDistribution,
     acc,
@@ -167,14 +167,20 @@ def test_lcp_box_accounting():
     assert box.compare("0101", "0111") == 2
     assert box.calls == 1
     assert box.comm_bits > 0
+    assert box._rng is None  # an exact box draws no randomness
     with pytest.raises(ConfigError):
         LcpBox(mode="quantum")
+    for counter in ({"comm_bits": 1}, {"history": []}):
+        with pytest.raises(TypeError):
+            LcpBox(**counter)
 
 
 def test_randomized_box_checks_its_rate_up_front():
     for eps in (2, 1, 0, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="error rate"):
             LcpBox(mode="randomized", eps=eps)
+        with pytest.raises(ConfigError, match="error rate"):
+            lcp_randomized("01", "00", eps, random.Random(0))
     assert LcpBox(mode="randomized", eps=0.5).compare("01", "00") in (1, None)
 
 
@@ -465,6 +471,23 @@ def test_a_transcript_that_does_not_split_is_not_coherent():
     for wrong_count in (profile[:2], profile + ("0",)):
         with pytest.raises(ValueError, match="holds 3 transcripts"):
             is_coherent(wrong_count, p, struct)
+    # Bits that start no codeword: player 1 sends 00 or 11, so player 2's
+    # transcript 01 fits no word of the 2-bit codebook.
+    p = protocol_from_dict({
+        "k": 2, "input_bits": [1, 1],
+        "tape_bits": {"private": [0, 0], "public": 0},
+        "tree": {
+            "sender": 1, "receiver": 2, "msg_bits": 2,
+            "message_table": {"0": "00", "1": "11"},
+            "children": {"00": {"outputs": ["0", "0"]},
+                         "11": {"outputs": ["1", "1"]}},
+        },
+    })
+    struct = ObliviousStructure.build(p)
+    assert is_coherent(("11", "11"), p, struct)
+    with pytest.raises(ValueError, match="unparseable at bit 0"):
+        struct.parse_transcript(2, "01")
+    assert not is_coherent(("00", "01"), p, struct)
 
 
 def test_a_product_true_profile_is_coherent_and_a_truncated_one_is_not():

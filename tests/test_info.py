@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from protolab.info import (
     JointDistribution,
-    SharedMarginals,
     apply_function,
     cond_entropy,
     entropy,
     mutual_info,
+    mutual_infos,
 )
 
 from helpers import (
@@ -107,6 +107,19 @@ def test_unknown_variable_name():
         entropy(UNIFORM_XY, "zz")
     with pytest.raises(ValueError, match="unknown variable"):
         cond_entropy(UNIFORM_XY, "x", ("y", "zz"))
+    with pytest.raises(ValueError, match="empty variable selector"):
+        entropy(UNIFORM_XY, [])
+
+
+def test_mutual_infos_checks_and_answers_each_triple():
+    triples = [("x", "y", None), ("x", "y", "y"), (("x",), "y", ())]
+    with pytest.raises(ValueError, match="overlapping"):
+        mutual_infos(COPY_XY, triples[:2])
+    with pytest.raises(ValueError, match="empty variable selector"):
+        mutual_infos(COPY_XY, triples[::2])
+    assert mutual_infos(COPY_XY, []) == []
+    assert mutual_infos(COPY_XY, [triples[0]] * 2) == [1.0, 1.0]
+    assert mutual_infos(UNIFORM_XY, [triples[0], ("y", "x", None)]) == [0, 0]
 
 
 def test_construction_validations():
@@ -120,6 +133,8 @@ def test_construction_validations():
         )
     with pytest.raises(ValueError, match="duplicate variable"):
         JointDistribution.from_mapping(("x", "x"), {("0", "0"): F(1)})
+    with pytest.raises(TypeError, match="exact rationals, got float"):
+        JointDistribution.from_mapping(("x",), {("0",): 1.0})
 
 
 # The checks test_construction_validations does not reach through
@@ -178,6 +193,9 @@ def test_condition():
     assert d.marginal("y") == {("0",): F(1)}
     with pytest.raises(ValueError, match="zero mass"):
         COPY_XY.condition({"x": "2"})
+    with pytest.raises(ValueError) as info:
+        COPY_XY.condition({"nope": "0"})
+    assert str(info.value) == "unknown variable name: nope"
 
 
 def test_mi_clamps_tiny_negative_only():
@@ -306,13 +324,13 @@ def test_integer_kernel_equals_fraction_reference():
     H(A) for every subset A; H(A | C) for every conditioning set C and every
     union A + C (a target overlapping C resolves to the same call); and
     I(A ; B | C) for every split of the variables into A, B, C and unused,
-    up to swapping A and B.  The last two also run through SharedMarginals;
-    H(A) also runs on the law conditioned on the first outcome's first value.
+    up to swapping A and B.  The mutual informations also run as one
+    ``mutual_infos`` call per joint over all of its triples; H(A) also runs
+    on the law conditioned on the first outcome's first value.
     """
     rng = random.Random(20261017)
     for _ in range(1000):
         d = random_joint(rng)
-        shared = SharedMarginals(d)
         vs = d.variables
         subsets = [
             s for r in range(1, len(vs) + 1) for s in itertools.combinations(vs, r)
@@ -326,7 +344,7 @@ def test_integer_kernel_equals_fraction_reference():
                 if set(c) <= set(ac):
                     h = reference_cond_entropy(d, ac, c)
                     assert cond_entropy(d, ac, c) == h
-                    assert cond_entropy(shared, ac, c) == h
+        triples, expected = [], []
         for roles in itertools.product("abc-", repeat=len(vs)):
             if "a" not in roles or "b" not in roles:
                 continue
@@ -336,7 +354,9 @@ def test_integer_kernel_equals_fraction_reference():
             given = c or None
             i = reference_mutual_info(d, a, b, given)
             assert mutual_info(d, a, b, given) == i
-            assert mutual_info(shared, a, b, given) == i
+            triples.append((a, b, given))
+            expected.append(i)
+        assert mutual_infos(d, triples) == expected
 
 
 def test_public_api_keeps_fraction_weights():
@@ -344,8 +364,9 @@ def test_public_api_keeps_fraction_weights():
         ("x", "y"),
         {("0", "0"): F(1, 6), ("0", "1"): F(1, 3), ("1", "1"): F(1, 2)},
     )
-    # Mixed denominators are scaled to their lcm.
+    # Mixed denominators are scaled to their lcm; an int is exact too.
     assert (d.nums, d.den) == ((1, 2, 3), 6)
+    assert JointDistribution.from_mapping(("x",), {("0",): 1}).nums == (1,)
     assert all(isinstance(w, Fraction) for _, w in d.outcomes)
     assert sum(w for _, w in d.outcomes) == 1
     assert d.outcomes[0] == (("0", "0"), F(1, 6))

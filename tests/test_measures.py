@@ -23,6 +23,7 @@ from protolab.measures import (
     pic,
     pic_decomposition,
     privacy_leakage,
+    privacy_terms,
     product_protocol,
     public_seed_scores,
     publicize,
@@ -400,6 +401,8 @@ def test_derandomize_preconditions():
     ring = get_entry("ring-parity", k=3, n=1)
     with pytest.raises(ValueError, match="publicize"):
         derandomize_zero_error(ring.protocol, uniform(ring.protocol))
+    with pytest.raises(ValueError, match="defined for public-coin protocols"):
+        public_seed_scores(ring.protocol, uniform(ring.protocol))
     # A protocol whose output depends on the coin is not zero-error.
     coin_flip = {
         "name": "coin-flip", "k": 2, "input_bits": [1, 1],
@@ -530,6 +533,8 @@ def test_sup_pic_grid_constant_protocol_is_flat():
 def test_sup_pic_grid_rejects_wrong_arity():
     with pytest.raises(ConfigError, match="two players"):
         sup_pic_grid(get_entry("star-parity", k=3, n=1).protocol, 0.01)
+    with pytest.raises(ConfigError, match="grid step too coarse"):
+        sup_pic_grid(get_entry("and-opt").protocol, 0.8)
 
 
 def test_sup_pic_grid_budget_caps_points_per_axis():
@@ -639,6 +644,18 @@ def test_input_distribution_validation():
     short = InputDistribution.from_weights("short", {("0",): Fraction(1)})
     with pytest.raises(ConfigError, match="player"):
         short.validate_for(p)
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="negative weight for"):
+        InputDistribution.from_weights(
+            "neg", {("0", "0"): Fraction(3, 2), ("0", "1"): -half}
+        )
+    # "01" names the same tuple of per-player inputs as ("0", "1").
+    with pytest.raises(ValueError, match="duplicate input tuples"):
+        InputDistribution.from_weights("dup", {"01": half, ("0", "1"): half})
+    with pytest.raises(ValueError, match="player counts differ"):
+        InputDistribution.product(
+            uniform(get_entry("star-parity", k=3, n=1).protocol), uniform(p)
+        )
 
 
 def test_validate_for_names_the_first_bad_entry():
@@ -673,6 +690,9 @@ def test_and_opt_leaks_despite_computing_the_function():
     entry = get_entry("and-opt")
     mu = uniform(entry.protocol)
     assert privacy_leakage(entry.protocol, mu, entry.family) > 0.0
+    joint = build_joint(entry.protocol, mu)
+    with pytest.raises(ValueError, match="built without a function family"):
+        privacy_terms(entry.protocol, mu, entry.family, joint=joint)
 
 
 def test_one_time_padded_message_carries_no_spy_information():

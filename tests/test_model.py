@@ -638,6 +638,8 @@ def test_input_validation():
     ring = get_entry("ring-parity", k=3, n=1).protocol
     with pytest.raises(ValueError, match="tape"):
         run(ring, ("0", "0", "0"), ("", "", ""), "")
+    with pytest.raises(ValueError, match="need one input per player"):
+        run(ring, ("0",))
     x = ("0", "0", "0")
     for tapes in (("0",), ("0",) * 4):
         with pytest.raises(ValueError, match="need one private tape per player"):

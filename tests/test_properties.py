@@ -1,0 +1,101 @@
+"""Property tests: the paper's relations on random protocols under random
+input laws, drawn by ``hypothesis`` (derandomized in ``conftest.py``).
+
+The seeded tests elsewhere check these relations under the uniform law;
+here every draw also draws its law.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protolab.compression import compression_theorem_check
+from protolab.measures import (
+    TOLERANCE,
+    InputDistribution,
+    build_joint,
+    cc,
+    ic,
+    pic,
+    pic_decomposition,
+    product_protocol,
+    publicize,
+    transcript_entropy,
+)
+from protolab.model import run, run_all
+from protolab.zoo import FunctionFamily
+
+import helpers
+
+
+@st.composite
+def table_protocols(draw, k=None, public=None):
+    """``helpers.random_table_protocol`` with k in {3, 4}, at most two
+    ticks, a drawn private bit count per player and 0 or 1 public bit."""
+    k = draw(st.sampled_from((3, 4))) if k is None else k
+    return helpers.random_table_protocol(
+        draw(st.integers(0, 2**32 - 1)),
+        k,
+        ticks=draw(st.integers(1, 2)),
+        private=tuple(draw(st.lists(st.integers(0, 1), min_size=k,
+                                    max_size=k))),
+        public=draw(st.integers(0, 1)) if public is None else public,
+    )
+
+
+@st.composite
+def laws(draw, p):
+    """``helpers.random_mu`` over p's inputs, from a drawn seed."""
+    return helpers.random_mu(random.Random(draw(st.integers(0, 2**32 - 1))), p)
+
+
+@st.composite
+def protocols_with_laws(draw, **protocol_args):
+    p = draw(table_protocols(**protocol_args))
+    return p, draw(laws(p))
+
+
+@settings(max_examples=30)
+@given(protocols_with_laws(), st.data())
+def test_information_relations_hold_on_every_draw(drawn, data):
+    p, mu = drawn
+    joint = build_joint(p, mu)
+    ic_value, pic_value = ic(p, mu, joint=joint), pic(p, mu, joint=joint)
+    assert ic_value <= pic_value + TOLERANCE
+    assert pic_value <= cc(p) + TOLERANCE
+    assert pic_value == pytest.approx(ic(publicize(p), mu), abs=TOLERANCE)
+    te = transcript_entropy(p, mu, joint=joint)
+    assert te >= (pic_value - ic_value) / p.k - TOLERANCE
+    _, random_term = pic_decomposition(p, mu, joint=joint)
+    assert random_term <= (
+        (p.k - 1) * sum(p.private_tape_lengths) + TOLERANCE
+    )
+    table = run_all(p)
+    (x, privs, pub), e = data.draw(st.sampled_from(sorted(table.items())))
+    assert run(p, x, privs, pub) == e
+
+
+@settings(max_examples=10)
+@given(st.sampled_from((3, 4)).flatmap(
+    lambda k: st.tuples(protocols_with_laws(k=k, public=0),
+                        protocols_with_laws(k=k, public=0))))
+def test_ic_and_cc_add_up_over_products(pair):
+    (p, mu_p), (q, mu_q) = pair
+    prod = product_protocol(p, q)
+    mu = InputDistribution.product(mu_p, mu_q)
+    assert ic(prod, mu) == pytest.approx(ic(p, mu_p) + ic(q, mu_q),
+                                         abs=TOLERANCE)
+    assert cc(prod) == cc(p) + cc(q)
+
+
+@settings(max_examples=20)
+@given(protocols_with_laws(public=0))
+def test_exact_compression_keeps_the_error_and_stays_within_ic(drawn):
+    p, mu = drawn
+    p = publicize(p)
+    zeros = FunctionFamily("zeros", (lambda x: "0",) * p.k)
+    report = compression_theorem_check(p, mu, 0.1, zeros)
+    assert report.measured_error == report.original_error
+    assert report.expected_stages <= report.ic_original + TOLERANCE

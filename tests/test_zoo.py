@@ -203,12 +203,16 @@ def test_lift_entry():
         assert e.outputs == (want, want, "0")
         assert e.total_bits == 2
     assert entry.family.value(1, (x, y, "")) == want
+    assert lift_entry(entry, 3) is entry
+    with pytest.raises(ConfigError, match="can only lift to more players"):
+        lift_entry(entry, 2)
 
 
 def test_xor_bits():
     assert xor_bits("1010", "0110") == "1100"
-    with pytest.raises(ValueError):
-        xor_bits("10", "1")
+    for a, b in (("10", "1"), ("0", "01")):
+        with pytest.raises(ValueError, match="equal lengths"):
+            xor_bits(a, b)
 
 
 def test_documented_expected_measures_hold():
