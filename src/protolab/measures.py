@@ -209,13 +209,15 @@ def build_joint(
     rows, den = weighted_executions(p, mu, budget)
     counts: dict[tuple, int] = {}
     for x, n, e in rows:
+        recs = [e.record(i) for i in p.players]
+        received = tuple([rec.received for rec in recs])
         row = (
             x
             + e.private_tapes
             + (e.public_tape,)
-            + tuple(e.received_transcript(i) for i in p.players)
-            + tuple(e.bidirectional_transcript(i) for i in p.players)
-            + (e.full_transcript(),)
+            + received
+            + tuple([rec.received + rec.sent for rec in recs])
+            + ("".join(received),)
         )
         if family is not None:
             row += tuple(family.value(i, x) for i in p.players)

@@ -9,16 +9,20 @@ in relaxed mode a program may instead wait for "any next message", which is
 exactly the loophole the restricted model closes.
 
 Executions are deterministic given inputs and tapes.  A finished execution
-records, per player, the messages read (ordered by round, then sender index)
-and sent (ordered by round, then recipient index), from which the various
-transcript orderings are derived.  The engine only feeds messages from
-senders to readers; the message list in the global order is derived from
-those records when it is first read.  The global order groups messages into
-causal lots: the lot of the messages a player sends in some round is one
-more than the largest lot among the messages it had read before that round
-and its own earlier sending rounds; inside a lot, messages are ordered
-lexicographically by link.  Relaxed mode has no lots: messages follow the
-order in which they were read, which the walk that derives them replays.
+keeps its inputs, tapes and outputs and, per player, the final view it
+reached in its driver's view trie.  The final view yields the player's
+record: the messages read (ordered by round, then sender index) and sent
+(ordered by round, then recipient index), from which the various transcript
+orderings are derived; it is derived once per distinct final view and
+shared by every execution that ends there.  The engine only feeds messages
+from senders to readers; the message list in the global order is derived
+from those records when it is first read.  The global order groups
+messages into causal lots: the lot of the messages a player sends in some
+round is one more than the largest lot among the messages it had read
+before that round and its own earlier sending rounds; inside a lot,
+messages are ordered lexicographically by link.  Relaxed mode has no lots:
+messages follow the order in which they were read, which the walk that
+derives them replays.
 
 Termination: the simulation stops when nobody can advance.  That is an error
 only if some player never wrote an output or some sent message was never
@@ -34,6 +38,7 @@ from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -207,25 +212,78 @@ class Message:
 
 
 PerRound = tuple[tuple[tuple[int, str], ...], ...]
+Pattern = tuple[tuple[int, ...] | str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+class ViewRecord(NamedTuple):
+    """A player's rounds up to one of its views: per round what it read,
+    sent and waited for (``patterns``: wait set, recipients), and the
+    strings it read (Pi_i) and sent, each joined in round order."""
+
+    reads: PerRound
+    sends: PerRound
+    patterns: tuple[Pattern, ...]
+    received: str
+    sent: str
+
+
+@dataclass(frozen=True, eq=False)
 class Execution:
-    """Full record of one deterministic run: what each player read, sent
-    and waited for, round by round.  ``messages`` is derived from it when
-    first read, so the engine builds no per-message records."""
+    """One deterministic run: its inputs, tapes and outputs, and per player
+    the final view it reached in its driver's trie.  What each player read,
+    sent and waited for, round by round, is that view's ``ViewRecord``
+    (``record(i)``), derived once per distinct final view and shared by
+    every execution that ends there; ``reads``, ``sends``, ``patterns``,
+    ``received`` and ``total_bits`` are read off the records.  Equality
+    and hashing go over that content, not over the trie nodes, so a fresh
+    ``run`` equals the ``run_all`` execution on the same arguments.
+    ``messages`` is derived when first read, so the engine builds no
+    per-message records."""
 
     protocol: ProtocolDef
     inputs: tuple[str, ...]
     private_tapes: tuple[str, ...]
     public_tape: str
     outputs: tuple[str, ...]
-    reads: tuple[PerRound, ...]
-    sends: tuple[PerRound, ...]
-    patterns: tuple[tuple[tuple[tuple[int, ...] | str, tuple[int, ...]], ...], ...]
-    total_bits: int
-    # Pi_i per player, joined once from ``reads`` when the run ends.
-    received: tuple[str, ...] = field(compare=False, repr=False)
+    nodes: tuple[_ViewNode, ...] = field(repr=False)
+
+    def record(self, i: int) -> ViewRecord:
+        """Player i's reads, sends, patterns, Pi_i and sent string."""
+        return self.nodes[i - 1].record()
+
+    @property
+    def reads(self) -> tuple[PerRound, ...]:
+        return tuple([node.record().reads for node in self.nodes])
+
+    @property
+    def sends(self) -> tuple[PerRound, ...]:
+        return tuple([node.record().sends for node in self.nodes])
+
+    @property
+    def patterns(self) -> tuple[tuple[Pattern, ...], ...]:
+        return tuple([node.record().patterns for node in self.nodes])
+
+    @property
+    def received(self) -> tuple[str, ...]:
+        """Pi_i per player."""
+        return tuple([node.record().received for node in self.nodes])
+
+    @property
+    def total_bits(self) -> int:
+        return sum([len(node.record().received) for node in self.nodes])
+
+    def _content(self) -> tuple:
+        return (self.protocol, self.inputs, self.private_tapes,
+                self.public_tape, self.outputs,
+                tuple([node.record()[:3] for node in self.nodes]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
@@ -280,15 +338,16 @@ class Execution:
 
     def received_transcript(self, i: int) -> str:
         """Pi_i: messages read by player i, by round then sender index."""
-        return self.received[i - 1]
+        return self.record(i).received
 
     def sent_transcript(self, i: int) -> str:
         """Messages sent by player i, by round then recipient index."""
-        return "".join(m for rnd in self.sends[i - 1] for _, m in rnd)
+        return self.record(i).sent
 
     def bidirectional_transcript(self, i: int) -> str:
         """Received-then-sent concatenation (the base model's ordering)."""
-        return self.received_transcript(i) + self.sent_transcript(i)
+        rec = self.record(i)
+        return rec.received + rec.sent
 
     def full_transcript(self) -> str:
         """Pi: concatenation of all Pi_i by player index."""
@@ -356,21 +415,9 @@ def _execute(p, inputs, private_tapes, public_tape, drivers):
         stuck = dict(sorted(((s, d.player), len(unread)) for d in drivers
                             for s, unread in d.inbox.items() if unread))
         raise DeadlockError(f"unread messages left in transit: {stuck}")
-    received = tuple(
-        ["".join([m for rnd in d.reads for _, m in rnd]) for d in drivers]
-    )
-    return Execution(
-        protocol=p,
-        inputs=inputs,
-        private_tapes=private_tapes,
-        public_tape=public_tape,
-        outputs=tuple(d.output for d in drivers),
-        reads=tuple(tuple(d.reads) for d in drivers),
-        sends=tuple(tuple(d.sends) for d in drivers),
-        patterns=tuple(tuple(d.patterns) for d in drivers),
-        total_bits=sum(map(len, received)),
-        received=received,
-    )
+    return Execution(p, inputs, private_tapes, public_tape,
+                     tuple([d.output for d in drivers]),
+                     tuple([d.node for d in drivers]))
 
 
 def _run_once(p, inputs, private_tapes, public_tape, schedule):
@@ -460,20 +507,29 @@ class ExecutionTable:
 
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # One driver and one view trie per player, restarted for every
-    # execution and dropped when the enumeration returns.
+    # execution; the executions keep their final views, so the tries live
+    # as long as the table.
     drivers = [ProgramDriver(p, i) for i in p.players]
     tapes = list(p.tape_space())
     executions = {(x, privs, pub): _execute(p, x, privs, pub, drivers)
                   for x in p.input_space() for privs, pub in tapes}
+    # Every view in a trie is on the path of some execution, so one walk
+    # per trie, once per distinct view, finds every (position, content)
+    # sent on each link.  The walk carries the link position per recipient.
     codebooks: dict[tuple[int, int, int], set[str]] = {}
-    for e in executions.values():
-        for i, rounds in enumerate(e.sends, start=1):
-            pos = {}
-            for rnd in rounds:
-                for q, content in rnd:
+    for d in drivers:
+        i = d.player
+        stack = [(root, {}) for root in d.trie.values()]
+        while stack:
+            node, pos = stack.pop()
+            sends = node.act[0]
+            if sends:
+                pos = pos.copy()
+                for q, content in sends:
                     n = pos.get(q, 0)
                     pos[q] = n + 1
                     codebooks.setdefault((i, q, n), set()).add(content)
+            stack.extend([(child, pos) for child in node.values()])
     frozen = {}
     for key, contents in sorted(codebooks.items()):
         witness = prefix_free_violation(contents)
@@ -531,8 +587,10 @@ def is_oblivious(
     items = list(table.items())
     ref_key, ref = items[0]
     for key, e in items[1:]:
-        for i in p.players:
-            a, b = ref.patterns[i - 1], e.patterns[i - 1]
+        for i, ref_node, node in zip(p.players, ref.nodes, e.nodes):
+            if node is ref_node:  # the same final view, the same record
+                continue
+            a, b = ref_node.record().patterns, node.record().patterns
             for r in range(max(len(a), len(b))):
                 pa = a[r] if r < len(a) else None
                 pb = b[r] if r < len(b) else None
@@ -600,9 +658,10 @@ class ObliviousStructure:
     def transcript(self, e: Execution, i: int) -> str:
         """Player i's transcript in ``e``: the contents of its messages,
         sent and received, joined in global order.  They are looked up in
-        ``e.sends`` and ``e.reads``, so ``e.messages`` is never derived."""
+        player i's own record, so ``e.messages`` is never derived."""
+        rec = e.record(i)
         words = {}  # ("s" or "r", peer) -> contents on that link, FIFO
-        for direction, rounds in (("s", e.sends[i - 1]), ("r", e.reads[i - 1])):
+        for direction, rounds in (("s", rec.sends), ("r", rec.reads)):
             for rnd in rounds:
                 for peer, content in rnd:
                     words.setdefault((direction, peer), []).append(content)
@@ -648,14 +707,46 @@ class ObliviousStructure:
 
 class _ViewNode(dict):
     """One view of a player in a view trie.  As a dict it maps each next
-    read round to the child view; ``act`` is the checked round the program
+    read round to the child view; ``parent`` is the view it extends and
+    ``step`` the read round that leads to it (None at a root), both set
+    when the node is made.  ``act`` is the checked round the program
     returned for this view, once it has run on it: (sends sorted by
     recipient, (wait set, recipients), output, halt)."""
 
-    __slots__ = ("act",)
+    __slots__ = ("act", "parent", "step", "_record")
 
-    def __init__(self):
+    def __init__(self, parent: _ViewNode | None = None, step=None):
         self.act = None
+        self.parent = parent
+        self.step = step
+        self._record = None
+
+    def path(self) -> list[_ViewNode]:
+        """The views from the root to this one."""
+        path = []
+        node = self
+        while node is not None:
+            path.append(node)
+            node = node.parent
+        path.reverse()
+        return path
+
+    def record(self) -> ViewRecord:
+        """The player's rounds up to and including this view's, read up
+        the parent chain on first request and kept.  Only final views are
+        asked, so inner views of a deep trie keep no copies."""
+        rec = self._record
+        if rec is None:
+            path = self.path()
+            reads = tuple([node.step for node in path[1:]])
+            acts = [node.act for node in path]
+            sends = tuple([act[0] for act in acts])
+            rec = self._record = ViewRecord(
+                reads, sends, tuple([act[1] for act in acts]),
+                "".join([m for rnd in reads for _, m in rnd]),
+                "".join([m for rnd in sends for _, m in rnd]),
+            )
+        return rec
 
 
 class ProgramDriver:
@@ -677,8 +768,9 @@ class ProgramDriver:
     wait-any read takes the first sender of ``schedule`` that has a message
     waiting (entries are consumed as they are tried, and drivers handed one
     iterator share it), else the lowest such sender.  Per round the driver
-    records ``reads``, ``sends`` (sorted by recipient) and ``patterns``
-    (wait set, recipients); ``waiting`` is the blocking wait set.
+    records ``reads`` and ``sends`` (sorted by recipient); ``patterns``
+    (wait set, recipients) is read off its trie, and ``waiting`` is the
+    blocking wait set.
 
     A driver is built once per player (and side, in a wrapper) and kept;
     ``restart`` starts each of its runs.  A program is a pure function of
@@ -688,9 +780,11 @@ class ProgramDriver:
     on nobody).  A node keeps the checked round the program returned for
     its view, so the program runs, its ``View`` is built and its round is
     checked only on a view no earlier run reached.  A round that breaks a
-    rule is not kept.  Nodes keep no reads of their own: a tuple of every
-    read per node would cost memory and garbage-collector time growing
-    with rounds squared.
+    rule is not kept.  A node keeps one parent pointer and the read round
+    that leads to it, not the reads before it: a tuple of every read per
+    node would cost memory and garbage-collector time growing with rounds
+    squared.  Only a final view, where an execution stopped, keeps its
+    record (``_ViewNode.record``), once it is asked for.
     """
 
     def __init__(self, p: ProtocolDef, player: int, schedule=()):
@@ -723,11 +817,15 @@ class ProgramDriver:
         self.node = node
         self.reads: list[tuple[tuple[int, str], ...]] = []
         self.sends: list[tuple[tuple[int, str], ...]] = []
-        self.patterns: list[tuple[tuple[int, ...] | str, tuple[int, ...]]] = []
         self.output: str | None = None
         self.halted = False
         self.waiting: tuple[int, ...] | str | None = None
         return self
+
+    @property
+    def patterns(self) -> list[Pattern]:
+        """(wait set, recipients) of every local round run so far."""
+        return [node.act[1] for node in self.node.path()[:len(self.sends)]]
 
     def feed(self, sender: int, message: str) -> None:
         self.inbox[sender].append(message)
@@ -752,13 +850,14 @@ class ProgramDriver:
             if waits is not None:
                 # Step to the view that adds this read round.
                 round_reads = tuple((s, inbox[s].popleft()) for s in waits)
-                child = self.node.get(round_reads)
+                node = self.node
+                child = node.get(round_reads)
                 if child is None:
-                    child = self.node[round_reads] = _ViewNode()
+                    child = node[round_reads] = _ViewNode(node, round_reads)
                 self.node = child
                 self.reads.append(round_reads)
                 self.waiting = None
-            if len(self.patterns) >= self.max_rounds:
+            if len(self.sends) >= self.max_rounds:
                 raise NonTerminationError(
                     f"player {i} exceeded {self.max_rounds} local rounds"
                 )
@@ -770,7 +869,6 @@ class ProgramDriver:
                 )))
             sends, pattern, output, halt = act
             self.sends.append(sends)
-            self.patterns.append(pattern)
             if output is not None:
                 self.output = output
             if halt:

@@ -48,6 +48,7 @@ from protolab.measures import (
     weighted_executions,
 )
 from protolab.treefile import _TreeMachine, protocol_from_dict
+from protolab.zoo import xor_bits
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,22 @@ def distinct_views(table) -> int:
                 views.add((i, e.inputs[i - 1], e.private_tapes[i - 1],
                            e.public_tape, reads[:r]))
     return len(views)
+
+
+def reference_codebooks(table) -> dict:
+    """Per (sender, receiver, link position), the sorted contents sent there
+    in any execution of ``table``, found by walking every execution's
+    sends; the engine walks each player's view trie once instead."""
+    books: dict[tuple[int, int, int], set[str]] = {}
+    for e in table.values():
+        for i, rounds in enumerate(e.sends, start=1):
+            pos: dict[int, int] = {}
+            for rnd in rounds:
+                for q, content in rnd:
+                    n = pos.get(q, 0)
+                    pos[q] = n + 1
+                    books.setdefault((i, q, n), set()).add(content)
+    return {key: tuple(sorted(words)) for key, words in sorted(books.items())}
 
 
 def reference_messages(e) -> tuple[Message, ...]:
@@ -1076,6 +1093,54 @@ def random_table_protocol(seed: int, k: int, ticks: int,
         programs=tuple(program(i) for i in players),
         max_local_rounds=ticks + 1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic wrappers: rewrites that must leave every measure unchanged
+# ---------------------------------------------------------------------------
+
+
+def xor_tapes(p: ProtocolDef, private_masks: tuple[str, ...],
+              public_mask: str) -> ProtocolDef:
+    """p with each private tape and the public tape XORed with a fixed mask
+    before its program reads them.  A uniform tape stays uniform, so every
+    measure is unchanged."""
+
+    def wrap(program, mask):
+        return lambda view: program(dataclasses.replace(
+            view, private_tape=xor_bits(view.private_tape, mask),
+            public_tape=xor_bits(view.public_tape, public_mask),
+        ))
+
+    return dataclasses.replace(
+        p, name=f"xor-tapes({p.name})",
+        programs=tuple(map(wrap, p.programs, private_masks)),
+    )
+
+
+def relabel_inputs(p: ProtocolDef, mu: InputDistribution,
+                   relabel: tuple[dict[str, str], ...]
+                   ) -> tuple[ProtocolDef, InputDistribution]:
+    """p with player i's input v renamed ``relabel[i - 1][v]`` (a bijection
+    onto new bitstrings), each program undoing the renaming before it runs,
+    and mu pushed forward through it.  Every measure is unchanged."""
+
+    def wrap(program, rename):
+        undo = {new: old for old, new in rename.items()}
+        return lambda view: program(
+            dataclasses.replace(view, input=undo[view.input]))
+
+    relabeled = dataclasses.replace(
+        p, name=f"relabel({p.name})",
+        input_domains=tuple(tuple(map(rename.__getitem__, dom))
+                            for dom, rename in zip(p.input_domains, relabel)),
+        programs=tuple(map(wrap, p.programs, relabel)),
+    )
+    pushed = InputDistribution.from_weights(mu.name, {
+        tuple(rename[v] for v, rename in zip(x, relabel)): w
+        for x, w in mu.weights
+    })
+    return relabeled, pushed
 
 
 def oblivious_trees(count: int = 20) -> list[ProtocolDef]:

@@ -6,6 +6,7 @@ tries."""
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +42,7 @@ from protolab.model import (
 )
 from protolab.oblivious import obliviousize
 from protolab.treefile import _TreeMachine, protocol_from_dict
-from protolab.zoo import get_entry
+from protolab.zoo import get_entry, ring_parity
 
 
 def uniform(p):
@@ -505,9 +506,61 @@ def test_run_all_matches_runs_on_random_table_protocols(seed):
                   for i in p.players]
         assert [e.received_transcript(i) for i in p.players] == joined
         assert e.full_transcript() == "".join(joined)
-        # Pi_i is kept apart from the record: it takes no part in equality.
-        twin = dataclasses.replace(e, received=("1",) * k)
-        assert twin == e and hash(twin) == hash(e)
+        # The fresh run walked its own trie: equality and hashing go over
+        # the records, not over the trie nodes.
+        assert hash(e) == hash(fresh)
+
+
+def _random_table_cases():
+    return [
+        helpers.random_table_protocol(
+            seed, 3 + seed % 2, ticks=2 + seed % 3,
+            private=(seed % 2,) * (3 + seed % 2), public=seed % 3 // 2,
+        )
+        for seed in range(8)
+    ]
+
+
+def test_trie_walk_codebooks_equal_the_walk_over_every_execution():
+    q = _zoo("q-index", k=3, q=1)
+    deep = obliviousize(q, uniform(q), Fraction(1, 4))
+    for p in _differential_cases() + _random_table_cases() + [deep]:
+        table = run_all(p)
+        assert table.codebooks == helpers.reference_codebooks(table), p.name
+
+
+def test_executions_that_end_at_one_view_share_its_record():
+    shared = 0
+    for p in [_zoo("ring-parity", k=3, n=1), _zoo("q-index", k=3, q=1),
+              *_random_table_cases()]:
+        for i in p.players:
+            by_view = {}
+            for e in run_all(p).values():
+                by_view.setdefault(id(e.nodes[i - 1]), []).append(e)
+            for group in by_view.values():
+                first = group[0]
+                for e in group[1:]:
+                    assert e.sends[i - 1] is first.sends[i - 1]
+                    assert e.record(i) is first.record(i)
+                    assert (e.received_transcript(i)
+                            is first.received_transcript(i))
+                shared += len(group) - 1
+    assert shared > 0
+
+
+def test_an_enumeration_holds_little_memory():
+    # A fresh protocol, so run_all enumerates and keeps its own table.
+    p = ring_parity(4, 2).protocol
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = run_all(p)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == p.execution_count()
+    assert held < 1 << 20
 
 
 def _shared_prefix(later_round):
@@ -574,34 +627,19 @@ def _live_view_nodes():
     return sum(isinstance(obj, _ViewNode) for obj in gc.get_objects())
 
 
-def _assert_no_view_node_survives(p, execute):
-    """Run ``execute(p)`` and check that every view node it made is freed
-    when it returns, while what it returns is still held.  A program call
-    in a later round counts the nodes alive then, so the check sees that
-    the run made some."""
-    during = []
-
-    def watch(program):
-        def watched(view):
-            if view.round > 1 and not during:
-                during.append(_live_view_nodes())
-            return program(view)
-
-        return watched
-
-    # Fresh programs, so run_all enumerates instead of hitting its cache.
-    p = dataclasses.replace(p, programs=tuple(map(watch, p.programs)))
+def test_the_tries_live_as_long_as_the_table():
     before = _live_view_nodes()
-    result = execute(p)
-    assert during and during[0] > before
-    assert _live_view_nodes() == before
-    return result
-
-
-def test_the_trie_does_not_outlive_the_enumeration():
-    p = _zoo("ring-parity", k=3, n=1)
-    table = _assert_no_view_node_survives(p, run_all)
+    # A fresh protocol object, so run_all enumerates instead of reading a
+    # table some other test built.
+    p = dataclasses.replace(_zoo("ring-parity", k=3, n=1))
+    table = run_all(p)
     assert len(table) == p.execution_count()
+    del table
+    # The protocol keeps its table, whose executions keep their final
+    # views, and so the tries.
+    assert _live_view_nodes() > before
+    del p
+    assert _live_view_nodes() == before
 
 
 @pytest.mark.parametrize("name,execute", [
@@ -609,9 +647,13 @@ def test_the_trie_does_not_outlive_the_enumeration():
     ("order-leak",
      lambda p: run_relaxed(p, ("1", "", "", ""), schedule=(4, 3))),
 ], ids=["run", "run_relaxed"])
-def test_a_run_frees_its_drivers_tries(name, execute):
-    e = _assert_no_view_node_survives(_zoo(name), execute)
+def test_a_runs_tries_are_freed_with_the_execution(name, execute):
+    before = _live_view_nodes()
+    e = execute(_zoo(name))
     assert all(e.outputs)
+    assert _live_view_nodes() > before
+    del e
+    assert _live_view_nodes() == before
 
 
 def _drive(d, e):

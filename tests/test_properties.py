@@ -18,6 +18,7 @@ from protolab.measures import (
     build_joint,
     cc,
     ic,
+    measure_protocol,
     pic,
     pic_decomposition,
     product_protocol,
@@ -99,3 +100,50 @@ def test_exact_compression_keeps_the_error_and_stays_within_ic(drawn):
     report = compression_theorem_check(p, mu, 0.1, zeros)
     assert report.measured_error == report.original_error
     assert report.expected_stages <= report.ic_original + TOLERANCE
+
+
+def bitstrings_of(length):
+    return st.lists(st.sampled_from("01"), min_size=length,
+                    max_size=length).map("".join)
+
+
+def first_input(k, undo=None):
+    """f_i(x) = player 1's input, read through ``undo`` if given."""
+    read = (lambda v: v) if undo is None else undo.__getitem__
+    return FunctionFamily("first-input", (lambda x: read(x[0]),) * k)
+
+
+def assert_same_measures(a, b):
+    assert (b.cc, b.acc) == (a.cc, a.acc)
+    for name in ("ic", "pic", "pic_random_term", "transcript_entropy",
+                 "spy_info", "privacy_leakage"):
+        assert getattr(b, name) == pytest.approx(getattr(a, name),
+                                                 abs=TOLERANCE), name
+
+
+@settings(max_examples=30)
+@given(protocols_with_laws(), st.data())
+def test_masking_the_tapes_changes_no_measure(drawn, data):
+    p, mu = drawn
+    masks = tuple(data.draw(bitstrings_of(n)) for n in p.private_tape_lengths)
+    masked = helpers.xor_tapes(p, masks,
+                               data.draw(bitstrings_of(p.public_tape_length)))
+    family = first_input(p.k)
+    assert_same_measures(measure_protocol(p, mu, family),
+                         measure_protocol(masked, mu, family))
+
+
+@settings(max_examples=30)
+@given(protocols_with_laws(), st.data())
+def test_relabeling_the_inputs_changes_no_measure(drawn, data):
+    p, mu = drawn
+    labels = st.sampled_from(("0", "1", "00", "01", "10", "11"))
+    relabel = tuple(
+        dict(zip(dom, data.draw(st.lists(labels, min_size=len(dom),
+                                         max_size=len(dom), unique=True))))
+        for dom in p.input_domains
+    )
+    q, nu = helpers.relabel_inputs(p, mu, relabel)
+    undo = {new: old for old, new in relabel[0].items()}
+    assert_same_measures(measure_protocol(p, mu, first_input(p.k)),
+                         measure_protocol(q, nu, first_input(p.k, undo)))
