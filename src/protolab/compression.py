@@ -22,6 +22,7 @@ makes any protocol oblivious in ``oblivious.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -54,15 +55,16 @@ TranscriptProfile = tuple[str, ...]
 @dataclass
 class TreeNode:
     """A node of a transcript tree; an inner node has both children.
-    ``candidate`` is the leaf the max-weight descent from the node reaches
-    (ties take the 0-labelled child), ``height`` the number of branching
-    nodes on the longest path down.  A leaf is its own candidate and also
-    carries its transcript parsed once, when the tree is built: the owner's
-    output there and its conversation with each peer, as
+    ``weight`` sums mu's integer numerators over the inputs that reach the
+    node, ``candidate`` is the leaf the max-weight descent from the node
+    reaches (ties take the 0-labelled child), ``height`` the number of
+    branching nodes on the longest path down.  A leaf is its own candidate
+    and also carries its transcript parsed once, when the tree is built:
+    the owner's output there and its conversation with each peer, as
     ``ObliviousStructure.parse_transcript`` returns them."""
 
     prefix: str
-    weight: Fraction
+    weight: int
     children: dict[str, "TreeNode"]
     candidate: "TreeNode | None" = field(default=None, repr=False,
                                          compare=False)
@@ -92,18 +94,18 @@ class TranscriptTree:
         return self.root.height
 
 
-def _build_node(weights: dict[str, Fraction],
+def _build_node(weights: dict[str, int],
                 leaves: dict[str, TreeNode]) -> TreeNode:
     strings = sorted(weights)
     first, last = strings[0], strings[-1]
-    total = sum(weights.values(), Fraction(0))
+    total = sum(weights.values())
     if len(strings) == 1:
         leaf = leaves[first] = TreeNode(prefix=first, weight=total,
                                         children={}, leaf_label=first)
         leaf.candidate = leaf
         return leaf
     cut = lcp_exact(first, last)
-    groups: dict[str, dict[str, Fraction]] = {"0": {}, "1": {}}
+    groups: dict[str, dict[str, int]] = {"0": {}, "1": {}}
     for s, w in weights.items():
         if len(s) <= cut:
             raise ModelViolationError(
@@ -140,9 +142,9 @@ def build_tree(
     input and the public tape.
 
     Leaves cover every transcript reachable over the full domain of the
-    other players' inputs; weights are the conditional law of the others'
-    inputs under mu given X_i (so leaves unreachable under mu carry weight
-    zero).  Each leaf's transcript is parsed here, once, into the owner's
+    other players' inputs; a node's weight over the root's is its
+    probability given X_i under mu (so leaves unreachable under mu carry
+    weight zero), and the root holds X_i's marginal numerator.  Each leaf's transcript is parsed here, once, into the owner's
     output and its per-peer conversations, and each full input is mapped to
     the leaf it reaches.  Requires an oblivious public-coin protocol.
     """
@@ -151,12 +153,8 @@ def build_tree(
     if own_input not in p.input_domain(i):
         raise ValueError(f"{own_input!r} is not an input of player {i}")
     mu.validate_for(p)
-    marginal = Fraction(0)
-    cond: dict[tuple, Fraction] = {}
-    for x, w in mu.weights:
-        if x[i - 1] == own_input:
-            marginal += w
-            cond[x] = w
+    cond = {x: n for x, n in zip(mu.inputs, mu.nums) if x[i - 1] == own_input}
+    marginal = sum(cond.values())
     if marginal == 0:
         raise ValueError(
             f"mu gives X_{i}={own_input!r} zero mass; the conditional "
@@ -164,23 +162,22 @@ def build_tree(
         )
     public_tape = validate_public_tape(p, public_tape)
     executions = struct.table.executions
-    weights: dict[str, Fraction] = {}
+    weights: dict[str, int] = {}
     outputs: dict[str, str] = {}
     transcript_of: dict[tuple[str, ...], str] = {}
     none_tapes = tuple("" for _ in range(p.k))
-    for x in p.input_space():
-        if x[i - 1] != own_input:
-            continue
+    # The inputs that hold the owner's, in input_space() order.
+    domains = list(p.input_domains)
+    domains[i - 1] = (own_input,)
+    for x in itertools.product(*domains):
         e = executions[(x, none_tapes, public_tape)]
         t = transcript_of[x] = struct.transcript(e, i)
-        weights[t] = (
-            weights.get(t, Fraction(0)) + cond.get(x, Fraction(0)) / marginal
-        )
+        weights[t] = weights.get(t, 0) + cond.get(x, 0)
         outputs[t] = e.outputs[i - 1]
     leaves: dict[str, TreeNode] = {}
     root = _build_node(weights, leaves)
-    if root.weight != 1:
-        raise InvariantError("tree weights do not sum to one")
+    if root.weight != marginal:
+        raise InvariantError("tree weights do not sum to the owner's marginal")
     for t, leaf in leaves.items():
         leaf.output = outputs[t]
         leaf.conversations = struct.parse_transcript(i, t)
@@ -247,7 +244,7 @@ class CompressRun:
     comm_bits: int
     lcp_calls: int
     trace: list[StageRecord]
-    log_weight_bound: float  # sum_i log2(1 / weight of the true leaf)
+    log_weight_bound: float  # sum_i log2(root weight / true leaf weight)
     moves_per_player: dict[int, int]
 
 
@@ -333,8 +330,9 @@ def compress_run(
                 "exact-box compression returned a wrong profile"
             )
         log_bound = sum(
-            math.log2(1 / leaf.weight) if leaf.weight else math.inf
-            for leaf in truth.values()
+            math.log2(tree_of[i].root.weight / leaf.weight)
+            if leaf.weight else math.inf
+            for i, leaf in truth.items()
         )
         return CompressRun(
             profile=tuple(cand[i].leaf_label for i in p.players),

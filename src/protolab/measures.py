@@ -3,8 +3,9 @@ transformations that relate them (publicization, derandomization, products,
 and the two-party grid search for the distribution maximizing PIC).
 
 Every measure is an exact finite sum: the joint law of inputs, tapes,
-transcripts and outputs is enumerated with rational weights, and the
-information quantities are evaluated on it.  Measure names:
+transcripts and outputs is enumerated, and the information quantities are
+evaluated on it.  Every exact law (input distribution, joint law, transcript
+tree) holds integer numerators over one integer denominator.  Measure names:
 
   cc    worst-case total communication, in bits (an integer)
   acc   expected total communication under an input distribution (rational)
@@ -52,45 +53,50 @@ TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _normalize_weights(weights) -> tuple:
-    items = []
-    for outcome, w in (
-        weights.items() if isinstance(weights, Mapping) else weights
-    ):
-        frac = w if isinstance(w, Fraction) else Fraction(w)
-        if frac < 0:
-            raise ValueError(f"negative weight for {outcome!r}")
-        if frac > 0:
-            items.append((tuple(outcome), frac))
-    items.sort()
-    total = sum((w for _, w in items), Fraction(0))
-    if total != 1:
-        raise ValueError(f"input weights sum to {total}, not 1")
-    if len({o for o, _ in items}) != len(items):
-        raise ValueError("duplicate input tuples")
-    return tuple(items)
-
-
 @dataclass(frozen=True)
 class InputDistribution:
-    """Exact rational weights over tuples of per-player inputs."""
+    """Exact law over tuples of per-player inputs: sorted distinct
+    ``inputs``, positive int ``nums`` with ``sum(nums) == den`` and
+    ``gcd(den, *nums) == 1``, as ``JointDistribution`` holds its rows."""
 
     name: str
-    weights: tuple[tuple[tuple[str, ...], Fraction], ...]
+    inputs: tuple[tuple[str, ...], ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def weights(self) -> tuple[tuple[tuple[str, ...], Fraction], ...]:
+        """``(input, Fraction)`` pairs, derived on each read."""
+        return tuple((x, Fraction(n, self.den))
+                     for x, n in zip(self.inputs, self.nums))
 
     @classmethod
     def from_weights(cls, name: str, weights) -> "InputDistribution":
-        return cls(name, _normalize_weights(weights))
+        """Law from ``{input: exact weight}`` or pairs, over the lcm."""
+        items = []
+        for outcome, w in (
+            weights.items() if isinstance(weights, Mapping) else weights
+        ):
+            frac = w if isinstance(w, Fraction) else Fraction(w)
+            if frac < 0:
+                raise ValueError(f"negative weight for {outcome!r}")
+            if frac > 0:
+                items.append((tuple(outcome), frac))
+        items.sort()
+        total = sum((w for _, w in items), Fraction(0))
+        if total != 1:
+            raise ValueError(f"input weights sum to {total}, not 1")
+        if len({o for o, _ in items}) != len(items):
+            raise ValueError("duplicate input tuples")
+        den = math.lcm(*(w.denominator for _, w in items))
+        return cls(name, tuple(x for x, _ in items),
+                   tuple(w.numerator * (den // w.denominator) for _, w in items),
+                   den)
 
     @classmethod
     def uniform(cls, p: ProtocolDef) -> "InputDistribution":
-        n = 1
-        for dom in p.input_domains:
-            n *= len(dom)
-        w = Fraction(1, n)
-        # Distinct domain entries give n distinct tuples of weight 1/n, so
-        # the weights need only the sort that _normalize_weights would do.
-        return cls("uniform", tuple(sorted((x, w) for x in p.input_space())))
+        inputs = tuple(sorted(p.input_space()))
+        return cls("uniform", inputs, (1,) * len(inputs), len(inputs))
 
     @classmethod
     def independent_bits(cls, alpha: Fraction, beta: Fraction) -> "InputDistribution":
@@ -104,22 +110,23 @@ class InputDistribution:
             ("1", "0"): (1 - alpha) * beta,
             ("1", "1"): (1 - alpha) * (1 - beta),
         }
-        return cls(f"ber({alpha})*ber({beta})", _normalize_weights(weights))
+        return cls.from_weights(f"ber({alpha})*ber({beta})", weights)
 
     @classmethod
     def product(
         cls, a: "InputDistribution", b: "InputDistribution", name: str | None = None
     ) -> "InputDistribution":
         """Product measure on per-player concatenated inputs."""
-        weights: dict[tuple[str, ...], Fraction] = {}
-        for xa, wa in a.weights:
-            for xb, wb in b.weights:
+        nums: dict[tuple[str, ...], int] = {}
+        for xa, na in zip(a.inputs, a.nums):
+            for xb, nb in zip(b.inputs, b.nums):
                 if len(xa) != len(xb):
                     raise ValueError("player counts differ")
                 key = tuple(s + t for s, t in zip(xa, xb))
-                weights[key] = weights.get(key, Fraction(0)) + wa * wb
-        return cls(name or f"product({a.name},{b.name})",
-                   _normalize_weights(weights))
+                nums[key] = nums.get(key, 0) + na * nb
+        den = a.den * b.den
+        return cls.from_weights(name or f"product({a.name},{b.name})",
+                                {x: Fraction(n, den) for x, n in nums.items()})
 
     @classmethod
     def power(cls, mu: "InputDistribution", t: int) -> "InputDistribution":
@@ -129,12 +136,12 @@ class InputDistribution:
         out = mu
         for _ in range(t - 1):
             out = cls.product(out, mu)
-        return cls(f"{mu.name}^{t}", out.weights)
+        return replace(out, name=f"{mu.name}^{t}")
 
     def validate_for(self, p: ProtocolDef) -> None:
         domains = [frozenset(dom) for dom in p.input_domains]
         contains = frozenset.__contains__
-        for x, _ in self.weights:
+        for x in self.inputs:
             if len(x) != p.k:
                 raise ConfigError(
                     f"distribution {self.name!r} has {len(x)}-tuples for a "
@@ -161,19 +168,18 @@ def weighted_executions(
 
     Returns ``(rows, den)``: ``rows`` yields ``(x, n, execution)`` per input
     x of mu's support, then per tape assignment, and the execution has
-    probability ``n / den``.  ``den`` is the lcm of mu's denominators times
-    the number of tape assignments.
+    probability ``n / den``.  ``den`` is ``mu.den`` times the number of
+    tape assignments, and ``n`` is x's numerator in mu.
     """
     mu.validate_for(p)
     executions = run_all(p, budget).executions
-    mu_den = math.lcm(*(w.denominator for _, w in mu.weights))
     tapes = list(p.tape_space())
     rows = (
-        (x, w.numerator * (mu_den // w.denominator), executions[(x, privs, pub)])
-        for x, w in mu.weights
+        (x, n, executions[(x, privs, pub)])
+        for x, n in zip(mu.inputs, mu.nums)
         for privs, pub in tapes
     )
-    return rows, mu_den << p.total_tape_bits
+    return rows, mu.den << p.total_tape_bits
 
 
 def _var_names(k: int) -> dict[str, list[str]]:
@@ -197,8 +203,8 @@ def build_joint(
     tape, ``pi1..pik`` received transcripts, ``bidi1..bidik`` bidirectional
     transcripts (received-then-sent ordering), ``pi`` the full transcript,
     and ``f1..fk`` when a function family is given.
-    Weights are integer numerators over the lcm of mu's denominators times
-    the number of tape assignments.
+    Weights are integer numerators over ``mu.den`` times the number of tape
+    assignments.
     """
     names = _var_names(p.k)
     variables = (
@@ -809,8 +815,8 @@ def sup_pic_grid(
 
     alpha = Fraction(best_ia, m)
     beta = Fraction(best_ib, m)
-    mu = InputDistribution.independent_bits(alpha, beta)
-    mu = InputDistribution(f"grid({alpha},{beta})", mu.weights)
+    mu = replace(InputDistribution.independent_bits(alpha, beta),
+                 name=f"grid({alpha},{beta})")
     exact = pic(p, mu, budget)
     return GridResult(alpha=alpha, beta=beta, value=exact,
                       grid_value=best_val, mu=mu)

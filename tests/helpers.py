@@ -448,6 +448,28 @@ def reference_candidate_leaf(node):
     return node
 
 
+def reference_tree_weights(p, i: int, own: str, pub: str, mu):
+    """The transcript-tree law as ``build_tree`` computed it in Fractions:
+    filter the whole input space for the owner's input and divide each
+    input's weight by the owner's marginal.  Returns ``(weights, reached)``:
+    each transcript's probability given X_i = own, and each full input's
+    transcript, in input-space order."""
+    struct = ObliviousStructure.build(p)
+    cond = {x: w for x, w in mu.weights if x[i - 1] == own}
+    marginal = sum(cond.values(), Fraction(0))
+    none_tapes = ("",) * p.k
+    weights: dict[str, Fraction] = {}
+    reached: dict[tuple[str, ...], str] = {}
+    for x in p.input_space():
+        if x[i - 1] != own:
+            continue
+        e = struct.table.executions[(x, none_tapes, pub)]
+        t = reached[x] = struct.transcript(e, i)
+        weights[t] = (weights.get(t, Fraction(0))
+                      + cond.get(x, Fraction(0)) / marginal)
+    return weights, reached
+
+
 def reference_height(node) -> int:
     """Branching nodes on the longest path down from a transcript-tree
     node, by recursion (each node now stores its ``height``)."""
@@ -1284,8 +1306,9 @@ def random_joint(rng, n_vars=None, max_vals=3):
     return JointDistribution.from_mapping(names, weights)
 
 
-def random_mu(rng, p: ProtocolDef, name="random") -> InputDistribution:
-    """Random exact input distribution over a protocol's full domain."""
+def random_weights(rng, p: ProtocolDef) -> dict:
+    """Random ``{input: Fraction}`` weights summing to one over a
+    protocol's full domain; the law ``random_mu`` builds."""
     tuples = list(p.input_space())
     support = [x for x in tuples if rng.random() < 0.85] or tuples[:1]
     denom = rng.randint(len(support), 5 * len(support))
@@ -1297,7 +1320,12 @@ def random_mu(rng, p: ProtocolDef, name="random") -> InputDistribution:
         num = rng.randint(1, hi) if left else remaining
         weights[x] = Fraction(num, denom)
         remaining -= num
-    return InputDistribution.from_weights(name, weights)
+    return weights
+
+
+def random_mu(rng, p: ProtocolDef, name="random") -> InputDistribution:
+    """Random exact input distribution over a protocol's full domain."""
+    return InputDistribution.from_weights(name, random_weights(rng, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1416,8 +1444,8 @@ def reference_sup_pic_grid(
 
     alpha = Fraction(best_ia, m)
     beta = Fraction(best_ib, m)
-    mu = InputDistribution.independent_bits(alpha, beta)
-    mu = InputDistribution(f"grid({alpha},{beta})", mu.weights)
+    mu = dataclasses.replace(InputDistribution.independent_bits(alpha, beta),
+                             name=f"grid({alpha},{beta})")
     exact = pic(p, mu, budget)
     return GridResult(alpha=alpha, beta=beta, value=exact,
                       grid_value=best_val, mu=mu)

@@ -70,6 +70,25 @@ def test_measure_with_distribution_file(tmp_path, capsys):
     assert payload["pic"] == pytest.approx(math.log2(3), abs=1e-9)
 
 
+def test_unreduced_distribution_file_prints_the_reduced_bytes(
+        tmp_path, capsys):
+    # The law reduces to one form, so 2/8 and 6/8 print what 1/4 and 3/4
+    # print, name included.
+    path = tmp_path / "mu.json"
+    outs = []
+    for (n0, d0), (n1, d1) in (((1, 4), (3, 4)), ((2, 8), (6, 8))):
+        path.write_text(json.dumps([
+            {"inputs": ["0", "1"], "num": n0, "den": d0},
+            {"inputs": ["1", "1"], "num": n1, "den": d1},
+        ]))
+        code, out, _ = run_cli(capsys, "measure", "--protocol", "and-opt",
+                               "--mu", f"file:{path}")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["acc"] == "2"
+
+
 def test_measure_grid_locates_optimum(capsys):
     code, out, _ = run_cli(
         capsys, "measure", "--protocol", "and-opt", "--mu", "grid:0.005"

@@ -247,8 +247,10 @@ def test_build_tree_star_center_is_uniform():
 
     walk(tree.root)
     assert len(leaves) == 4  # all pairs of peer inputs
-    assert all(leaf.weight == Fraction(1, 4) for leaf in leaves)
-    assert tree.root.weight == 1
+    assert all(Fraction(leaf.weight, tree.root.weight) == Fraction(1, 4)
+               for leaf in leaves)
+    # The root holds the numerator of P[X_1 = "0"] over mu.den.
+    assert tree.root.weight == 4
     assert tree.depth == 2
 
 
@@ -267,7 +269,8 @@ def test_build_tree_and_alice_conditional_weights():
     # Alice with x=1 sees Bob's reply = y: weights follow mu(Y | X=1).
     assert not tree.root.is_leaf
     weights = {
-        node.leaf_label: node.weight for node in tree.root.children.values()
+        node.leaf_label: Fraction(node.weight, tree.root.weight)
+        for node in tree.root.children.values()
     }
     assert weights == {"10": Fraction(1, 4), "11": Fraction(3, 4)}
     assert tree.depth == 1
@@ -437,6 +440,50 @@ def test_nodes_store_their_candidate_leaf_and_height():
                         assert node.is_leaf or list(node.children) == ["0", "1"]
 
 
+def test_tree_weights_and_log_bounds_match_the_fraction_oracle():
+    # Integer node weights over the root's are the conditional law the
+    # Fraction-based builder computed, and log_weight_bound is the same
+    # double as its sum of log2(1 / weight).
+    protocols = [p for p, _ in compression_cases()]
+    protocols.append(golden_case("obliviousized")[0])
+    protocols += [
+        publicize(helpers.random_table_protocol(
+            seed, 3 + seed % 2, ticks=1 + seed % 2,
+            private=(seed % 2, 1, 0, 1)[:3 + seed % 2], public=0))
+        for seed in range(6)
+    ]
+    rng = random.Random(5)
+    for p in protocols:
+        struct = ObliviousStructure.build(p)
+        for mu in (uniform(p), random_mu(rng, p)):
+            oracle = {}
+            trees = {}
+            for i in p.players:
+                for own in sorted({x[i - 1] for x in mu.inputs}):
+                    for pub in bitstrings(p.public_tape_length):
+                        weights, reached = helpers.reference_tree_weights(
+                            p, i, own, pub, mu)
+                        tree = trees[(i, own, pub)] = build_tree(
+                            p, i, own, pub, mu, structure=struct)
+                        assert list(tree.leaves) == sorted(weights)
+                        for t, leaf in tree.leaves.items():
+                            assert (Fraction(leaf.weight, tree.root.weight)
+                                    == weights[t]), (p.name, i, own, t)
+                        assert [(x, leaf.leaf_label)
+                                for x, leaf in tree.reached.items()] == list(
+                                    reached.items())
+                        oracle[(i, own, pub)] = weights, reached
+            for x in mu.inputs:
+                for pub in bitstrings(p.public_tape_length):
+                    run = compress_run(p, mu, x, pub, LcpBox(mode="exact"),
+                                       structure=struct, trees=trees)
+                    expected = 0
+                    for i in p.players:
+                        weights, reached = oracle[(i, x[i - 1], pub)]
+                        expected += math.log2(1 / weights[reached[x]])
+                    assert run.log_weight_bound == expected, (p.name, x, pub)
+
+
 # -- coherence ------------------------------------------------------------------
 
 
@@ -553,7 +600,8 @@ def test_compress_run_recovers_every_profile_exactly():
             )
             # Per player: moves <= log2(1/weight of its true leaf) + 1.
             for i in p.players:
-                w = trees[(i, x[i - 1], "")].reached[x].weight
+                tree = trees[(i, x[i - 1], "")]
+                w = Fraction(tree.reached[x].weight, tree.root.weight)
                 assert result.moves_per_player[i] <= math.log2(1 / w) + 1
             assert result.stages <= result.log_weight_bound + TOL
 

@@ -30,6 +30,7 @@ from protolab.measures import (
     spy_info,
     sup_pic_grid,
     transcript_entropy,
+    weighted_executions,
 )
 from protolab.model import ProtocolDef, is_oblivious, run, run_all
 from protolab.oblivious import obliviousize
@@ -253,7 +254,10 @@ def test_fifty_random_distributions_on_one_protocol():
     p = get_entry("ring-parity", k=3, n=1).protocol
     bound = cc(p)
     for t in range(50):
-        mu = random_mu(rng, p, name=f"r{t}")
+        # What random_mu(rng, p, name=f"r{t}") returns, with its weights.
+        weights = helpers.random_weights(rng, p)
+        mu = InputDistribution.from_weights(f"r{t}", weights)
+        assert_exact_law(mu, weights, p)
         assert pic(p, mu) <= bound + TOL
 
 
@@ -618,21 +622,45 @@ def test_sup_pic_grid_memory_does_not_grow_with_the_grid():
 # -- distributions -------------------------------------------------------------
 
 
+def assert_exact_law(mu, reference, p=None):
+    """mu holds ``reference``, a ``{input tuple: weight}`` mapping, as
+    sorted distinct inputs with positive int numerators over their lcm;
+    with a protocol, ``weighted_executions`` scales that lcm by the tapes."""
+    assert list(mu.inputs) == sorted(set(mu.inputs))
+    assert all(type(n) is int and n > 0 for n in mu.nums)
+    assert sum(mu.nums) == mu.den
+    assert math.gcd(mu.den, *mu.nums) == 1
+    fractions = {x: Fraction(w) for x, w in reference.items() if w}
+    assert mu.weights == tuple(sorted(fractions.items()))
+    if p is not None:
+        lcm = math.lcm(*(w.denominator for w in fractions.values()))
+        assert weighted_executions(p, mu)[1] == lcm << p.total_tape_bits
+
+
 def test_uniform_equals_normalized_equal_weights():
     # uniform skips the normalization's checks; its weights must still be
     # what from_weights makes of the same mapping, domains in any order.
     for p in (get_entry("star-parity", k=3, n=2).protocol,
               get_entry("q-index", k=3, q=1).protocol,
+              get_entry("ring-parity", k=3, n=1).protocol,
               dataclasses.replace(get_entry("and-opt").protocol,
                                   input_domains=(("1", "0"), ("1", "0")))):
         n = math.prod(len(dom) for dom in p.input_domains)
         mapping = {x: Fraction(1, n) for x in p.input_space()}
         mu = InputDistribution.uniform(p)
         assert mu == InputDistribution.from_weights("uniform", mapping)
-        mu.validate_for(p)
+        assert (mu.nums, mu.den) == ((1,) * n, n)
+        assert_exact_law(mu, mapping, p)
 
 
 def test_input_distribution_validation():
+    # Unreduced and float weights reduce to the same law; zeros drop out.
+    quarter = {("0", "0"): Fraction(1, 4), ("1", "1"): Fraction(3, 4)}
+    for weights in ({("1", "1"): Fraction(6, 8), ("0", "0"): Fraction(2, 8)},
+                    {("0", "0"): 0.25, ("0", "1"): 0, ("1", "1"): 0.75}):
+        mu = InputDistribution.from_weights("quarter", weights)
+        assert (mu.nums, mu.den) == ((1, 3), 4)
+        assert_exact_law(mu, quarter, get_entry("and-opt").protocol)
     with pytest.raises(ValueError, match="sum"):
         InputDistribution.from_weights("bad", {("0", "0"): Fraction(1, 2)})
     p = get_entry("and-opt").protocol
@@ -684,6 +712,13 @@ def test_validate_for_names_the_first_bad_entry():
 def test_independent_bits_bounds():
     with pytest.raises(ValueError):
         InputDistribution.independent_bits(Fraction(0), Fraction(1, 2))
+    a, b = Fraction(1, 3), Fraction(1, 4)
+    mu = InputDistribution.independent_bits(a, b)
+    assert mu.den == 12
+    assert_exact_law(mu, {
+        ("0", "0"): a * b, ("0", "1"): a * (1 - b),
+        ("1", "0"): (1 - a) * b, ("1", "1"): (1 - a) * (1 - b),
+    }, get_entry("and-opt").protocol)
 
 
 def test_and_opt_leaks_despite_computing_the_function():
@@ -700,6 +735,17 @@ def test_one_time_padded_message_carries_no_spy_information():
     assert spy_info(p, uniform(p)) == pytest.approx(0.0, abs=TOL)
 
 
+def reference_product(a, b) -> dict:
+    """The product of two laws given as ``(input, Fraction)`` pairs,
+    multiplied out in Fractions."""
+    out = {}
+    for xa, wa in a:
+        for xb, wb in b:
+            key = tuple(s + t for s, t in zip(xa, xb))
+            out[key] = out.get(key, 0) + wa * wb
+    return out
+
+
 def test_power_distribution_matches_iterated_products():
     s = get_entry("star-parity", k=3, n=1).protocol
     mu = uniform(s)
@@ -710,6 +756,16 @@ def test_power_distribution_matches_iterated_products():
     assert InputDistribution.power(mu, 2).weights == twice.weights
     with pytest.raises(ValueError):
         InputDistribution.power(mu, 0)
+    rng = random.Random(11)
+    a, b = random_mu(rng, s, "a"), random_mu(rng, s, "b")
+    ab = InputDistribution.product(a, b)
+    assert ab.name == "product(a,b)"
+    assert_exact_law(ab, reference_product(a.weights, b.weights),
+                     product_protocol(s, s))
+    cubed = InputDistribution.power(a, 3)
+    assert cubed.name == "a^3"
+    squared = reference_product(a.weights, a.weights).items()
+    assert_exact_law(cubed, reference_product(squared, a.weights))
 
 
 # ---------------------------------------------------------------------------

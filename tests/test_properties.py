@@ -5,13 +5,15 @@ The seeded tests elsewhere check these relations under the uniform law;
 here every draw also draws its law.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protolab.compression import compression_theorem_check
+from protolab.compression import compress_run, compression_theorem_check
+from protolab.lcp import LcpBox
 from protolab.measures import (
     TOLERANCE,
     InputDistribution,
@@ -25,7 +27,7 @@ from protolab.measures import (
     publicize,
     transcript_entropy,
 )
-from protolab.model import run, run_all
+from protolab.model import ObliviousStructure, bitstrings, run, run_all
 from protolab.zoo import FunctionFamily
 
 import helpers
@@ -100,6 +102,26 @@ def test_exact_compression_keeps_the_error_and_stays_within_ic(drawn):
     report = compression_theorem_check(p, mu, 0.1, zeros)
     assert report.measured_error == report.original_error
     assert report.expected_stages <= report.ic_original + TOLERANCE
+
+
+@settings(max_examples=40)
+@given(protocols_with_laws(public=0))
+def test_every_exact_run_stays_within_its_weight_bound(drawn):
+    # Each move at least halves the mover's node weight, and the node
+    # always holds the true leaf, so the bound holds run by run.
+    p, mu = drawn
+    p = publicize(p)
+    struct = ObliviousStructure.build(p)
+    trees: dict = {}
+    for x in mu.inputs:
+        for pub in bitstrings(p.public_tape_length):
+            r = compress_run(p, mu, x, pub, LcpBox(mode="exact"),
+                             structure=struct, trees=trees)
+            assert r.stages <= r.log_weight_bound + TOLERANCE
+            for i in p.players:
+                tree = trees[(i, x[i - 1], pub)]
+                assert r.moves_per_player[i] <= math.log2(
+                    tree.root.weight / tree.reached[x].weight) + 1
 
 
 def bitstrings_of(length):
