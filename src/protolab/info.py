@@ -8,8 +8,16 @@ is the double nearest the exact value.  Every measure is therefore a sum of
 terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
 which keeps conditional decompositions free of drift.  One such sum serves
 every measure: I(A ; B | C), then H(A | C) at B = A and H(A) at C = {}.
-One kernel call (``mutual_infos`` takes several triples) counts each
-marginal it needs once, and its memo is freed when the call returns.
+
+Inside the kernel a marginal is keyed by one packed int, not a tuple of
+values.  On its first kernel call a joint codes each variable's values as
+0..m-1, in the order the outcomes first reach them, gives each variable
+its own bit field and packs every outcome into one int; the joint owns
+these packed rows.  A selector is then the OR of its variables' field
+masks, and an outcome's key in a marginal is ``row & mask``.  One kernel
+call (``mutual_infos`` takes several triples) counts each marginal it needs
+once, from the smallest marginal it has already counted whose mask covers
+it (or from the packed rows), and its memo is freed when the call returns.
 
 Conventions:
   * ``0 * log(1/0) = 0`` (outcomes with zero conditional mass are skipped);
@@ -24,7 +32,8 @@ import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import cached_property
+from operator import itemgetter, or_
 from typing import Any
 
 from .errors import InvariantError
@@ -182,32 +191,77 @@ class JointDistribution:
     def support_size(self, selector: str | Iterable[str]) -> int:
         return len(self.counts(selector))
 
+    @cached_property
+    def _packed(self) -> tuple[list[int], dict[str, int]]:
+        """The outcomes as packed ints, and each variable's field mask.
+
+        A variable with m distinct values gets a field of
+        ``max(1, (m - 1).bit_length())`` bits holding its value's code, the
+        order in which the outcomes first reach that value.  Computed on
+        the first kernel call and kept for the life of the joint.
+        """
+        packed = [0] * len(self.rows)
+        masks = {}
+        shift = 0
+        for j, name in enumerate(self.variables):
+            column = list(map(itemgetter(j), self.rows))
+            codes = {v: i << shift for i, v in enumerate(dict.fromkeys(column))}
+            width = max(1, (len(codes) - 1).bit_length())
+            masks[name] = ((1 << width) - 1) << shift
+            shift += width
+            packed = list(map(or_, packed, map(codes.__getitem__, column)))
+        return packed, masks
+
+
+def _marginals(
+    d: JointDistribution, masks: Iterable[int]
+) -> dict[int, dict[int, int]]:
+    """Numerators over ``den`` of the marginal at each packed mask, keyed by
+    ``row & mask`` in the order the outcomes first reach each key.
+
+    Each new mask is counted from the smallest marginal already counted
+    whose mask covers it, or from the packed rows; the sub-keys of a
+    superset come in its key order, so first-reach order is kept.
+    """
+    rows, _ = d._packed
+    memo = {0: {0: d.den}}
+    for mask in masks:
+        if mask in memo:
+            continue
+        source = min(
+            (m for s, m in memo.items() if s & mask == mask),
+            key=len, default=None,
+        )
+        pairs = source.items() if source is not None else zip(rows, d.nums)
+        out: dict[int, int] = {}
+        get = out.get
+        for key, n in pairs:
+            key &= mask
+            out[key] = get(key, 0) + n
+        memo[mask] = out
+    return memo
+
 
 def _info_sums(d: JointDistribution, triples) -> list[float]:
     """The raw sum ``sum p(abc) * log2(p(abc) p(c) / (p(ac) p(bc)))`` on
     integer numerators, where the den factors cancel, for each resolved
-    ``(a, b, c)``; one memo counts each marginal the call asks for once."""
-    memo: dict[tuple[str, ...], dict[Outcome, int]] = {(): {(): d.den}}
+    ``(a, b, c)``.  A selector is the OR of its variables' field masks, so
+    an abc key projects to its ac, bc and c keys with one AND each; the
+    marginals come from one ``_marginals`` memo, freed on return."""
+    fields = d._packed[1]
+    groups = []
+    for a, b, c in triples:
+        m_a, m_b, m_c = (sum(fields[n] for n in g) for g in (a, b, c))
+        groups.append((m_a | m_b | m_c, m_a | m_c, m_b | m_c, m_c))
+    memo = _marginals(d, (m for group in groups for m in group))
     den = d.den
     sums = []
-    for a, b, c in triples:
-        names = set(a) | set(b) | set(c)
-        abc = tuple(n for n in d.variables if n in names)
-
-        def marginal(group: tuple[str, ...]):
-            sub = tuple(n for n in abc if n in group)
-            if sub not in memo:
-                memo[sub] = d.counts(sub)
-            return memo[sub], _projector(map(abc.index, sub))
-
-        n_abc = marginal(abc)[0]
-        n_ac, project_ac = marginal(a + c)
-        n_bc, project_bc = marginal(b + c)
-        n_c, project_c = marginal(c)
+    for m_abc, m_ac, m_bc, m_c in groups:
+        n_ac, n_bc, n_c = memo[m_ac], memo[m_bc], memo[m_c]
         total = 0.0
-        for values, w in n_abc.items():
-            num = w * n_c[project_c(values)]
-            dnm = n_ac[project_ac(values)] * n_bc[project_bc(values)]
+        for key, w in memo[m_abc].items():
+            num = w * n_c[key & m_c]
+            dnm = n_ac[key & m_ac] * n_bc[key & m_bc]
             if num != dnm:
                 total += (w / den) * math.log2(num / dnm)
         sums.append(total)

@@ -64,6 +64,23 @@ class InputDistribution:
     nums: tuple[int, ...]
     den: int
 
+    def __post_init__(self):
+        if len(self.nums) != len(self.inputs):
+            raise ValueError("every input needs exactly one numerator")
+        if any(x >= y for x, y in zip(self.inputs, self.inputs[1:])):
+            raise ValueError("inputs must be sorted and distinct")
+        if not all(type(n) is int and n > 0 for n in self.nums):
+            raise ValueError("input numerators must be positive ints")
+        if type(self.den) is not int or self.den <= 0:
+            raise ValueError("the input denominator must be a positive int")
+        total = sum(self.nums)
+        if total != self.den:
+            raise ValueError(
+                f"input weights sum to {Fraction(total, self.den)}, not 1"
+            )
+        if math.gcd(self.den, *self.nums) != 1:
+            raise ValueError("input numerators and denominator share a factor")
+
     @property
     def weights(self) -> tuple[tuple[tuple[str, ...], Fraction], ...]:
         """``(input, Fraction)`` pairs, derived on each read."""
@@ -83,9 +100,6 @@ class InputDistribution:
             if frac > 0:
                 items.append((tuple(outcome), frac))
         items.sort()
-        total = sum((w for _, w in items), Fraction(0))
-        if total != 1:
-            raise ValueError(f"input weights sum to {total}, not 1")
         if len({o for o, _ in items}) != len(items):
             raise ValueError("duplicate input tuples")
         den = math.lcm(*(w.denominator for _, w in items))
@@ -214,6 +228,7 @@ def build_joint(
         variables += [f"f{i}" for i in p.players]
     rows, den = weighted_executions(p, mu, budget)
     counts: dict[tuple, int] = {}
+    last_x = fx = None
     for x, n, e in rows:
         recs = [e.record(i) for i in p.players]
         received = tuple([rec.received for rec in recs])
@@ -226,7 +241,9 @@ def build_joint(
             + ("".join(received),)
         )
         if family is not None:
-            row += tuple(family.value(i, x) for i in p.players)
+            if x != last_x:  # rows come input by input
+                last_x, fx = x, tuple(family.value(i, x) for i in p.players)
+            row += fx
         counts[row] = counts.get(row, 0) + n
     return JointDistribution(
         tuple(variables), tuple(counts), tuple(counts.values()), den

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from protolab.info import (
     JointDistribution,
+    _marginals,
     apply_function,
     cond_entropy,
     entropy,
@@ -377,3 +378,99 @@ def test_public_api_keeps_fraction_weights():
     assert cond.marginal("x") == {("0",): F(2, 5), ("1",): F(3, 5)}
     assert sum(w for _, w in cond.outcomes) == 1
     assert d.support_size("x") == 2
+
+
+# -- packed kernel keys -------------------------------------------------------
+
+
+def assert_packed_counts(d, selectors):
+    """One ``_marginals`` call over ``selectors``, in their order, gives each
+    marginal as ``counts`` does: the same numerators, in the same key order,
+    one packed key per value tuple."""
+    rows, fields = d._packed
+    masks = [sum(fields[n] for n in sel) for sel in selectors]
+    memo = _marginals(d, masks)
+    for sel, mask in zip(selectors, masks):
+        idx = [d.variables.index(n) for n in d.resolve(sel)]
+        key_of = {}
+        for values, row in zip(d.rows, rows):
+            sub = tuple(values[i] for i in idx)
+            assert key_of.setdefault(sub, row & mask) == row & mask
+        expected = [(key_of[k], n) for k, n in d.counts(sel).items()]
+        assert list(memo[mask].items()) == expected, sel
+
+
+def wide_joint():
+    """8 variables with 300+ values each: 9-bit fields, 72-bit rows."""
+    rng = random.Random(2028)
+    rows = {
+        tuple(str(rng.randrange(400)) for _ in range(8)): rng.randint(1, 5)
+        for _ in range(700)
+    }
+    d = JointDistribution(tuple(f"w{j}" for j in range(8)), tuple(rows),
+                          tuple(rows.values()), sum(rows.values()))
+    assert all(len(d.counts(n)) > 256 for n in d.variables)
+    assert max(d._packed[0]).bit_length() > 64
+    return d
+
+
+def odd_values_joint():
+    """Derived values that are no strings: ints, None and tuples, with
+    ``1 == True == 1.0``, ``0 == False`` and ``hash(-1) == hash(-2)``."""
+    d = random_joint(random.Random(7), n_vars=3, max_vals=4)
+    pool = [1, None, True, (1, "a"), 0, -1, False, -2, 1.0, ("a",), (1, "a")]
+    f = {v: pool[j % len(pool)] for j, v in enumerate(d.counts(d.variables))}
+    d = apply_function(d, d.variables, f, "odd")
+    d = apply_function(d, ("v2", "odd"), lambda v: (v[1], v[0][-1]), "pair")
+    # 16 outcomes reach 7 distinct values: 1, True and 1.0 are one value.
+    assert len(d.counts("odd")) == 7
+    assert {None, -1, -2} <= {v for v, in d.counts("odd")}
+    return d
+
+
+def constant_joint():
+    """A law conditioned on its first value, plus a constant column."""
+    d = random_joint(random.Random(8), n_vars=4)
+    d = d.condition({"v0": d.rows[0][0]})
+    d = apply_function(d, "v1", lambda v: "k", "k")
+    assert d.support_size("v0") == d.support_size("k") == 1
+    assert all(d._packed[1][n].bit_count() == 1 for n in ("v0", "k"))
+    return d
+
+
+@pytest.mark.parametrize("make", [wide_joint, odd_values_joint, constant_joint])
+def test_packed_kernel_matches_counts_and_the_fraction_reference(make):
+    """Packed marginals against ``counts``, counted big-to-small (each from
+    a counted superset) and in a shuffled order; H(A), I(A ; B | C) and
+    H(A B | B C) with overlapping selectors, bit for bit against the
+    Fraction kernels of ``helpers``."""
+    d = make()
+    rng = random.Random(make.__name__)
+    vs = d.variables
+    subsets = [
+        s for r in range(1, len(vs) + 1) for s in itertools.combinations(vs, r)
+    ]
+    assert_packed_counts(d, sorted(subsets, key=len, reverse=True))
+    assert_packed_counts(d, rng.sample(subsets, len(subsets)))
+    for a in rng.sample(subsets, min(len(subsets), 40)):
+        assert entropy(d, a) == reference_entropy(d, a)
+    for _ in range(40):
+        roles = [rng.choice("abc-") for _ in vs]
+        a, b, c = ([v for v, r in zip(vs, roles) if r == g] for g in "abc")
+        if not a or not b:
+            continue
+        given = c or None
+        assert mutual_info(d, a, b, given) == reference_mutual_info(d, a, b, given)
+        assert cond_entropy(d, a + b, b + c) == reference_cond_entropy(
+            d, a + b, b + c
+        )
+
+
+def test_the_joint_packs_its_rows_once_on_the_first_kernel_call():
+    d = random_joint(random.Random(9), n_vars=3)
+    d.counts("v0"), d.marginal("v1"), d.support_size("v2")
+    assert "_packed" not in vars(d)
+    h = entropy(d, "v0")
+    packed = vars(d)["_packed"]
+    assert mutual_info(d, "v0", "v1") >= 0.0
+    assert d._packed is packed and entropy(d, "v0") == h

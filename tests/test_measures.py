@@ -686,6 +686,33 @@ def test_input_distribution_validation():
         )
 
 
+# Every constructor goes through these checks; a law built directly is
+# held to them too, before any measure reads it.
+@pytest.mark.parametrize("inputs,nums,den,message", [
+    ((("0", "0"),), (1, 1), 2, "every input needs exactly one numerator"),
+    ((("1", "1"), ("0", "0")), (1, 1), 2, "inputs must be sorted and distinct"),
+    ((("0", "0"), ("0", "0")), (1, 1), 2, "inputs must be sorted and distinct"),
+    ((("0", "0"), ("1", "1")), (0, 1), 1,
+     "input numerators must be positive ints"),
+    ((("0", "0"),), (True,), 1, "input numerators must be positive ints"),
+    ((("0", "0"),), (1.0,), 1, "input numerators must be positive ints"),
+    ((("0", "0"),), (1,), True, "the input denominator must be a positive int"),
+    ((), (), 0, "the input denominator must be a positive int"),
+    ((), (), 1, "input weights sum to 0, not 1"),
+    ((("0", "0"), ("1", "1")), (1, 1), 4, "input weights sum to 1/2, not 1"),
+    ((("0", "0"), ("1", "1")), (2, 2), 4,
+     "input numerators and denominator share a factor"),
+])
+def test_each_input_law_check_names_its_fault(inputs, nums, den, message):
+    with pytest.raises(ValueError) as info:
+        InputDistribution("bad", inputs, nums, den)
+    assert str(info.value) == message
+    mu = InputDistribution.uniform(get_entry("and-opt").protocol)
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(mu, inputs=inputs, nums=nums, den=den)
+    assert str(info.value) == message
+
+
 def test_validate_for_names_the_first_bad_entry():
     # Entries are checked in mu's sorted order and, within an entry, its
     # arity before its players in order; the first fault is the one named.
@@ -785,6 +812,22 @@ def test_sup_pic_grid_golden_pin():
     assert g.beta == Fraction(1, 2)
     assert g.value == 1.5849263727797278
     assert g.grid_value == 1.5849263727797274
+
+
+def test_a_measure_suite_peaks_below_a_fixed_bound():
+    # ring-parity(4,2) with its parity family under uniform, cold after
+    # run_all: with tuple-keyed kernel marginals and one family tuple per
+    # row the suite peaked at 1180 KiB; packed keys bring it near 800 KiB.
+    e = get_entry("ring-parity", k=4, n=2)
+    run_all(e.protocol)
+    mu = InputDistribution.uniform(e.protocol)
+    tracemalloc.start()
+    try:
+        measure_protocol(e.protocol, mu, e.family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 << 10, peak
 
 
 def test_measure_protocol_rejects_a_bad_tolerance():
