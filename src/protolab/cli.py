@@ -296,7 +296,7 @@ def _cmd_demo(args) -> int:
                 "input": x,
                 "message_contents": [m.content for m in e.messages],
                 "transcripts": {
-                    str(i): e.received_transcript(i) for i in p.players
+                    str(i): e.record(i).received for i in p.players
                 },
                 "outputs": list(e.outputs),
             }

@@ -81,12 +81,14 @@ class TreeNode:
 @dataclass
 class TranscriptTree:
     """Weighted prefix tree over one player's possible transcripts;
-    ``leaves`` maps each transcript to its leaf, and ``reached`` each full
-    input with the owner's input to the leaf its execution reaches."""
+    ``leaves`` maps each transcript to its leaf, ``reached`` each full
+    input with the owner's input to the leaf its execution reaches, and
+    ``mu`` is the law its weights were taken from."""
 
     root: TreeNode
     leaves: dict[str, TreeNode]
     reached: dict[tuple[str, ...], TreeNode]
+    mu: InputDistribution
 
     @property
     def depth(self) -> int:
@@ -144,9 +146,11 @@ def build_tree(
     Leaves cover every transcript reachable over the full domain of the
     other players' inputs; a node's weight over the root's is its
     probability given X_i under mu (so leaves unreachable under mu carry
-    weight zero), and the root holds X_i's marginal numerator.  Each leaf's transcript is parsed here, once, into the owner's
-    output and its per-peer conversations, and each full input is mapped to
-    the leaf it reaches.  Requires an oblivious public-coin protocol.
+    weight zero), and the root holds X_i's marginal numerator.  Each
+    distinct final view's transcript is read once, and each leaf's
+    transcript is parsed here, once, into the owner's output and its
+    per-peer conversations; each full input is mapped to the leaf it
+    reaches.  Requires an oblivious public-coin protocol.
     """
     _require_public_coin(p)
     struct = structure or ObliviousStructure.build(p, budget)
@@ -165,13 +169,20 @@ def build_tree(
     weights: dict[str, int] = {}
     outputs: dict[str, str] = {}
     transcript_of: dict[tuple[str, ...], str] = {}
+    # Player i's final view fixes its transcript; a trie node is a dict,
+    # so views are told apart by identity.
+    view_transcript: dict[int, str] = {}
     none_tapes = tuple("" for _ in range(p.k))
     # The inputs that hold the owner's, in input_space() order.
     domains = list(p.input_domains)
     domains[i - 1] = (own_input,)
     for x in itertools.product(*domains):
         e = executions[(x, none_tapes, public_tape)]
-        t = transcript_of[x] = struct.transcript(e, i)
+        view = id(e.nodes[i - 1])
+        t = view_transcript.get(view)
+        if t is None:
+            t = view_transcript[view] = struct.transcript(e, i)
+        transcript_of[x] = t
         weights[t] = weights.get(t, 0) + cond.get(x, 0)
         outputs[t] = e.outputs[i - 1]
     leaves: dict[str, TreeNode] = {}
@@ -183,7 +194,7 @@ def build_tree(
         leaf.conversations = struct.parse_transcript(i, t)
     return TranscriptTree(
         root=root, leaves=leaves,
-        reached={x: leaves[t] for x, t in transcript_of.items()},
+        reached={x: leaves[t] for x, t in transcript_of.items()}, mu=mu,
     )
 
 
@@ -291,6 +302,8 @@ def compress_run(
     asserted against the true leaves the trees recorded; with a
     randomized box the truth checks are skipped (a box error may derail a
     stage) and the result may be wrong with small probability.
+    ``trees`` memoizes the trees by (player, own input, public tape); a
+    memo tree built under a law other than ``mu`` raises ``ValueError``.
     """
     _require_public_coin(p)
     struct = structure or ObliviousStructure.build(p, budget)
@@ -303,11 +316,17 @@ def compress_run(
     tree_of = {}
     for i in p.players:
         key = (i, inputs[i - 1], public_tape)
-        if key not in trees:
-            trees[key] = build_tree(
+        tree = trees.get(key)
+        if tree is None:
+            tree = trees[key] = build_tree(
                 p, i, inputs[i - 1], public_tape, mu, budget, structure=struct
             )
-        tree_of[i] = trees[key]
+        elif tree.mu is not mu and tree.mu != mu:
+            raise ValueError(
+                f"the tree memo holds player {i}'s tree under law "
+                f"{tree.mu.name!r}, not under {mu.name!r}"
+            )
+        tree_of[i] = tree
     # Each tree checked its owner's input, so the trees reached this one.
     truth = {i: tree_of[i].reached[inputs] for i in p.players}
 

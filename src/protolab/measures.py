@@ -801,7 +801,7 @@ def sup_pic_grid(
     rows, _ = weighted_executions(p, InputDistribution.uniform(p), budget)
     for x, _, e in rows:
         for i, o in ((1, 2), (2, 1)):
-            key = (e.received_transcript(i), e.private_tapes[o - 1],
+            key = (e.record(i).received, e.private_tapes[o - 1],
                    e.private_tapes[i - 1], e.public_tape)
             table = counts[i, x[i - 1]]
             table.setdefault(key, [0, 0])[int(x[o - 1])] += 1

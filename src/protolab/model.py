@@ -11,10 +11,12 @@ exactly the loophole the restricted model closes.
 Executions are deterministic given inputs and tapes.  A finished execution
 keeps its inputs, tapes and outputs and, per player, the final view it
 reached in its driver's view trie.  The final view yields the player's
-record: the messages read (ordered by round, then sender index) and sent
-(ordered by round, then recipient index), from which the various transcript
-orderings are derived; it is derived once per distinct final view and
-shared by every execution that ends there.  The engine only feeds messages
+record, the one way to read its run: the messages read (ordered by round,
+then sender index) and sent (ordered by round, then recipient index), the
+wait and send sets per round, and Pi_i and the sent string; it is derived
+once per distinct final view and shared by every execution that ends
+there.  The bidirectional transcript is Pi_i followed by the sent string,
+and Pi joins every Pi_i by player index.  The engine only feeds messages
 from senders to readers; the message list in the global order is derived
 from those records when it is first read.  The global order groups
 messages into causal lots: the lot of the messages a player sends in some
@@ -34,6 +36,7 @@ never come).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -41,12 +44,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
-    BudgetExceededError,
     DeadlockError,
     ModelViolationError,
     NonTerminationError,
     NotObliviousError,
     SelfDelimitingError,
+    budgeted_count,
 )
 
 #: Wait marker for "block until any one message arrives" (relaxed mode only).
@@ -230,15 +233,16 @@ class ViewRecord(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Execution:
     """One deterministic run: its inputs, tapes and outputs, and per player
-    the final view it reached in its driver's trie.  What each player read,
-    sent and waited for, round by round, is that view's ``ViewRecord``
-    (``record(i)``), derived once per distinct final view and shared by
-    every execution that ends there; ``reads``, ``sends``, ``patterns``,
-    ``received`` and ``total_bits`` are read off the records.  Equality
-    and hashing go over that content, not over the trie nodes, so a fresh
-    ``run`` equals the ``run_all`` execution on the same arguments.
-    ``messages`` is derived when first read, so the engine builds no
-    per-message records."""
+    the final view it reached in its driver's trie.  ``record(i)`` is the
+    one way to read player i's run: that view's ``ViewRecord``, with what
+    the player read, sent and waited for, round by round, and its Pi_i
+    and sent strings, derived once per distinct final view and shared by
+    every execution that ends there.  ``patterns`` (every player's wait
+    and send sets) and ``total_bits`` (|Pi|) are read off the records.
+    Equality and hashing go over that content, not over the trie nodes,
+    so a fresh ``run`` equals the ``run_all`` execution on the same
+    arguments.  ``messages`` is derived when first read, so the engine
+    builds no per-message records."""
 
     protocol: ProtocolDef
     inputs: tuple[str, ...]
@@ -252,24 +256,12 @@ class Execution:
         return self.nodes[i - 1].record()
 
     @property
-    def reads(self) -> tuple[PerRound, ...]:
-        return tuple([node.record().reads for node in self.nodes])
-
-    @property
-    def sends(self) -> tuple[PerRound, ...]:
-        return tuple([node.record().sends for node in self.nodes])
-
-    @property
     def patterns(self) -> tuple[tuple[Pattern, ...], ...]:
         return tuple([node.record().patterns for node in self.nodes])
 
     @property
-    def received(self) -> tuple[str, ...]:
-        """Pi_i per player."""
-        return tuple([node.record().received for node in self.nodes])
-
-    @property
     def total_bits(self) -> int:
+        """|Pi|: the bits every player read."""
         return sum([len(node.record().received) for node in self.nodes])
 
     def _content(self) -> tuple:
@@ -287,13 +279,15 @@ class Execution:
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
-        """Every message in the global order, derived from ``reads`` and
-        ``sends`` on first access by walking the players' rounds in the
-        engine's sweeps, so in the engine's read order.  A sending round's
-        lot is one more than the largest lot the player sent in an earlier
-        round or read before it.  Restricted mode sorts messages by lot,
-        then link; relaxed mode keeps read order, each lot its index."""
+        """Every message in the global order, derived from the players'
+        records on first access by walking their rounds in the engine's
+        sweeps, so in the engine's read order.  A sending round's lot is
+        one more than the largest lot the player sent in an earlier round
+        or read before it.  Restricted mode sorts messages by lot, then
+        link; relaxed mode keeps read order, each lot its index."""
         k = self.protocol.k
+        # Per player, its record's reads and sends, read once.
+        rounds = [node.record()[:2] for node in self.nodes]
         # A record holds the fields of its Message in order; the receiver
         # round is filled in when the walk reads it, the global index last.
         sent = defaultdict(list)  # (sender, receiver) -> records, FIFO
@@ -305,7 +299,7 @@ class Execution:
         while progress:
             progress = False
             for i in range(1, k + 1):
-                reads, sends = self.reads[i - 1], self.sends[i - 1]
+                reads, sends = rounds[i - 1]
                 for r in range(done[i], len(sends)):
                     # Local round r + 1 runs right after read round r.
                     links = [(s, i) for s, _ in reads[r - 1]] if r else []
@@ -333,25 +327,6 @@ class Execution:
         for g, rec in enumerate(records, start=1):
             rec[7] = g
         return tuple(itertools.starmap(Message, records))
-
-    # -- transcript orderings ----------------------------------------------
-
-    def received_transcript(self, i: int) -> str:
-        """Pi_i: messages read by player i, by round then sender index."""
-        return self.record(i).received
-
-    def sent_transcript(self, i: int) -> str:
-        """Messages sent by player i, by round then recipient index."""
-        return self.record(i).sent
-
-    def bidirectional_transcript(self, i: int) -> str:
-        """Received-then-sent concatenation (the base model's ordering)."""
-        rec = self.record(i)
-        return rec.received + rec.sent
-
-    def full_transcript(self) -> str:
-        """Pi: concatenation of all Pi_i by player index."""
-        return "".join(self.received)
 
 
 def _validate_run_args(p, inputs, private_tapes, public_tape):
@@ -547,16 +522,15 @@ def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTab
 
     Certifies termination (every run completes), the self-delimiting
     invariant (per-position codebooks are prefix-free), and output validity.
-    The budget is checked on every call; the table is built once per
-    protocol object and freed with it.
+    The budget (2^64 if None) is checked on every call; the table is built
+    once per protocol object and freed with it.
     """
     if p.mode != RESTRICTED:
         raise ModelViolationError(
             f"{p.name}: exhaustive enumeration requires restricted mode"
         )
-    required = p.execution_count()
-    if budget is not None and required > budget:
-        raise BudgetExceededError(required, budget)
+    budgeted_count(budget, p.total_tape_bits,
+                   lambda: math.prod(map(len, p.input_domains)))
     return p._table
 
 
@@ -721,23 +695,18 @@ class _ViewNode(dict):
         self.step = step
         self._record = None
 
-    def path(self) -> list[_ViewNode]:
-        """The views from the root to this one."""
-        path = []
-        node = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return path
-
     def record(self) -> ViewRecord:
         """The player's rounds up to and including this view's, read up
         the parent chain on first request and kept.  Only final views are
         asked, so inner views of a deep trie keep no copies."""
         rec = self._record
         if rec is None:
-            path = self.path()
+            path = []  # the views from the root to this one
+            node = self
+            while node is not None:
+                path.append(node)
+                node = node.parent
+            path.reverse()
             reads = tuple([node.step for node in path[1:]])
             acts = [node.act for node in path]
             sends = tuple([act[0] for act in acts])
@@ -768,9 +737,10 @@ class ProgramDriver:
     wait-any read takes the first sender of ``schedule`` that has a message
     waiting (entries are consumed as they are tried, and drivers handed one
     iterator share it), else the lowest such sender.  Per round the driver
-    records ``reads`` and ``sends`` (sorted by recipient); ``patterns``
-    (wait set, recipients) is read off its trie, and ``waiting`` is the
-    blocking wait set.
+    records ``reads`` and ``sends`` (sorted by recipient), its working
+    state; ``waiting`` is the blocking wait set.  Everything else about
+    the run, the wait and send sets included, is ``node.record()`` once
+    the run has ended at ``node``.
 
     A driver is built once per player (and side, in a wrapper) and kept;
     ``restart`` starts each of its runs.  A program is a pure function of
@@ -821,11 +791,6 @@ class ProgramDriver:
         self.halted = False
         self.waiting: tuple[int, ...] | str | None = None
         return self
-
-    @property
-    def patterns(self) -> list[Pattern]:
-        """(wait set, recipients) of every local round run so far."""
-        return [node.act[1] for node in self.node.path()[:len(self.sends)]]
 
     def feed(self, sender: int, message: str) -> None:
         self.inbox[sender].append(message)

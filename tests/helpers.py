@@ -95,9 +95,11 @@ def execution_digest(table) -> str:
     executions = table.values() if hasattr(table, "values") else table
     h = hashlib.sha256()
     for e in executions:
+        recs = [e.record(i) for i in e.protocol.players]
         record = (
-            e.inputs, e.private_tapes, e.public_tape, e.outputs, e.reads,
-            e.sends, e.patterns,
+            e.inputs, e.private_tapes, e.public_tape, e.outputs,
+            tuple(rec.reads for rec in recs),
+            tuple(rec.sends for rec in recs), e.patterns,
             tuple(
                 (m.sender, m.receiver, m.content, m.sender_round,
                  m.receiver_round, m.link_index, m.lot, m.global_index)
@@ -117,10 +119,10 @@ def distinct_views(table) -> int:
     views = set()
     for e in table.values():
         for i in e.protocol.players:
-            reads = e.reads[i - 1]
-            for r in range(len(e.patterns[i - 1])):
+            rec = e.record(i)
+            for r in range(len(rec.patterns)):
                 views.add((i, e.inputs[i - 1], e.private_tapes[i - 1],
-                           e.public_tape, reads[:r]))
+                           e.public_tape, rec.reads[:r]))
     return len(views)
 
 
@@ -130,9 +132,9 @@ def reference_codebooks(table) -> dict:
     sends; the engine walks each player's view trie once instead."""
     books: dict[tuple[int, int, int], set[str]] = {}
     for e in table.values():
-        for i, rounds in enumerate(e.sends, start=1):
+        for i in e.protocol.players:
             pos: dict[int, int] = {}
-            for rnd in rounds:
+            for rnd in e.record(i).sends:
                 for q, content in rnd:
                     n = pos.get(q, 0)
                     pos[q] = n + 1
@@ -142,11 +144,12 @@ def reference_codebooks(table) -> dict:
 
 def reference_messages(e) -> tuple[Message, ...]:
     """The messages of a restricted-mode execution, rebuilt after the run
-    from ``e.reads`` and ``e.sends`` by resolving the graph of causal
-    dependencies between sending rounds, kept as the reference for the
-    causal walk of ``Execution.messages``."""
+    from the players' recorded reads and sends by resolving the graph of
+    causal dependencies between sending rounds, kept as the reference for
+    the causal walk of ``Execution.messages``."""
     p = e.protocol
-    reads, sends = e.reads, e.sends
+    reads = [e.record(i).reads for i in p.players]
+    sends = [e.record(i).sends for i in p.players]
     read_counts: dict[tuple[int, int], int] = {}
     recv_round = {}  # (sender, receiver, link_index) -> reader round
     for i in p.players:
@@ -292,7 +295,7 @@ def random_relaxed_protocol(seed: int, k: int, ticks: int) -> ProtocolDef:
     )
 
 
-def decode_received_transcript(
+def decode_pi(
     table: ExecutionTable,
     p: ProtocolDef,
     i: int,
@@ -391,7 +394,7 @@ def round_interleaved_transcript(e, i: int) -> str:
     """Player i's messages per local round: sent, then read.  On the zoo
     protocols this equals the global-order transcript compression reads
     (``ObliviousStructure.transcript``)."""
-    sends, reads = e.sends[i - 1], e.reads[i - 1]
+    sends, reads = e.record(i).sends, e.record(i).reads
     parts = []
     for r in range(max(len(sends), len(reads))):
         if r < len(sends):
@@ -416,15 +419,15 @@ def reference_events(p) -> dict:
         ev = []
         send_pos = {}
         read_pos = {}
-        n_rounds = len(ref.patterns[i - 1])
-        for r in range(1, n_rounds + 1):
-            if r <= len(ref.sends[i - 1]):
-                for q, _ in ref.sends[i - 1][r - 1]:
+        rec = ref.record(i)
+        for r in range(1, len(rec.patterns) + 1):
+            if r <= len(rec.sends):
+                for q, _ in rec.sends[r - 1]:
                     pos = send_pos.get(q, 0)
                     send_pos[q] = pos + 1
                     ev.append((gidx[(i, q, pos)], "s", q, pos))
-            if r <= len(ref.reads[i - 1]):
-                for s, _ in ref.reads[i - 1][r - 1]:
+            if r <= len(rec.reads):
+                for s, _ in rec.reads[r - 1]:
                     pos = read_pos.get(s, 0)
                     read_pos[s] = pos + 1
                     ev.append((gidx[(s, i, pos)], "r", s, pos))
@@ -524,11 +527,11 @@ def reference_randomized_error(p, mu, delta, family, seed=0, trials=8,
 
 
 def _pi(e, i):
-    return "".join(m for rnd in e.reads[i - 1] for _, m in rnd)
+    return "".join(m for rnd in e.record(i).reads for _, m in rnd)
 
 
 def _sent(e, i):
-    return "".join(m for rnd in e.sends[i - 1] for _, m in rnd)
+    return "".join(m for rnd in e.record(i).sends for _, m in rnd)
 
 
 def _without(values, i):
@@ -1380,7 +1383,7 @@ def reference_sup_pic_grid(
                 {
                     "x": x,
                     "tapes": (privs, pub),
-                    "pi": tuple(e.received_transcript(i) for i in (1, 2)),
+                    "pi": tuple(e.record(i).received for i in (1, 2)),
                 }
             )
 

@@ -320,7 +320,7 @@ def test_criterion_10_order_leak_demo():
     p = get_entry("order-leak").protocol
     runs = {x: run_relaxed(p, (x, "", "", "")) for x in ("0", "1")}
     contents_match = all(
-        runs["0"].received_transcript(i) == runs["1"].received_transcript(i)
+        runs["0"].record(i).received == runs["1"].record(i).received
         for i in p.players
     )
     contents_match &= [m.content for m in runs["0"].messages] == [

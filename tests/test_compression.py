@@ -740,8 +740,8 @@ def test_theorem_check_looks_true_executions_up_without_checking(monkeypatch):
 
 def test_theorem_check_reads_transcripts_only_in_tree_builds(monkeypatch):
     # compress_run takes the true leaves from its trees, so the check looks
-    # no execution up, and only build_tree reads transcripts: one per full
-    # input each tree covers.
+    # no execution up, and only build_tree reads transcripts: one per
+    # distinct final view of its owner that the tree covers.
     gets = []
     callers = Counter()
     get = model.ExecutionTable.get
@@ -763,8 +763,12 @@ def test_theorem_check_reads_transcripts_only_in_tree_builds(monkeypatch):
                                        lcp_mode="randomized", seed=1)
     assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
     assert gets == []
-    runs = len(list(p.input_space())) << p.public_tape_length
-    assert callers == {"build_tree": p.k * runs}
+    table = run_all(p)
+    views = sum(len({id(e.nodes[i - 1]) for e in table.values()})
+                for i in p.players)
+    runs = len(table)
+    assert views < p.k * runs  # executions share final views
+    assert callers == {"build_tree": views}
 
 
 def test_compress_run_rejects_inputs_and_tapes_off_the_domain():
@@ -782,6 +786,31 @@ def test_compress_run_rejects_inputs_and_tapes_off_the_domain():
             with pytest.raises(ValueError, match="public tape"):
                 compress_run(p, mu, x, tape, LcpBox(), structure=struct,
                              trees=trees)
+
+
+def test_compress_run_refuses_a_tree_memo_built_under_another_law():
+    # A memo tree's weights come from the law it was built under, so a run
+    # under another law must not read it: it would report that law's bound.
+    p = publicize(get_entry("star-parity", k=3, n=1).protocol)
+    skewed = InputDistribution.from_weights(
+        "skewed", {x: Fraction(n, 36)
+                   for n, x in enumerate(sorted(p.input_space()), start=1)},
+    )
+    x = ("0", "1", "1")
+    trees = {}
+    memo = compress_run(p, uniform(p), x, "", LcpBox(), trees=trees)
+    fresh = compress_run(p, skewed, x, "", LcpBox())
+    assert fresh.log_weight_bound != memo.log_weight_bound
+    with pytest.raises(ValueError, match="law 'uniform', not under 'skewed'"):
+        compress_run(p, skewed, x, "", LcpBox(), trees=trees)
+    assert all(tree.mu == uniform(p) for tree in trees.values())
+    # An equal law, not the same object, reads the memo.
+    again = compress_run(p, uniform(p), x, "", LcpBox(), trees=trees)
+    assert again.log_weight_bound == memo.log_weight_bound
+    skewed_trees = {}
+    compress_run(p, skewed, x, "", LcpBox(), trees=skewed_trees)
+    rerun = compress_run(p, skewed, x, "", LcpBox(), trees=skewed_trees)
+    assert rerun.log_weight_bound == fresh.log_weight_bound
 
 
 class OneSidedBox(LcpBox):

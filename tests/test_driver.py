@@ -287,10 +287,10 @@ def test_wrapper_rounds_do_not_depend_on_call_order(build):
     calls = []
     for (x, privs, pub), e in table.items():
         for i in p.players:
-            for r, pattern in enumerate(e.patterns[i - 1]):
+            for r, pattern in enumerate(e.record(i).patterns):
                 view = View(i, x[i - 1], privs[i - 1], pub,
-                            e.reads[i - 1][:r])
-                calls.append((view, e.sends[i - 1][r], pattern))
+                            e.record(i).reads[:r])
+                calls.append((view, e.record(i).sends[r], pattern))
 
     def play(view, sends, pattern):
         act = p.program(view.player)(view)
@@ -347,7 +347,7 @@ def test_driver_blocks_until_every_waited_sender_has_a_message():
     assert d.halted and d.waiting is None
     assert d.reads == [((2, "01"), (3, "00")), ((2, "1"),)]
     assert d.sends == [((2, "1"),), (), ()]
-    assert d.patterns == [((2, 3), (2,)), ((2,), ()), ((), ())]
+    assert d.node.record().patterns == (((2, 3), (2,)), ((2,), ()), ((), ()))
     assert d.output == "01001"
 
 
@@ -360,7 +360,7 @@ def test_driver_runs_empty_wait_sets_without_messages():
     d = _driver(prog).run()
     assert d.halted and d.reads == [(), ()]
     assert d.sends[0] == ((2, "0"), (3, "1"))
-    assert d.patterns == [((), (2, 3)), ((), ()), ((), ())]
+    assert d.node.record().patterns == (((), (2, 3)), ((), ()), ((), ()))
 
 
 DRIVER_ERRORS = [
@@ -407,7 +407,8 @@ def test_relaxed_wait_any_follows_the_schedule():
     # sender with a message waiting is read.
     assert d.halted
     assert d.reads == [((3, "1"),), ((2, "0"),)]
-    assert d.patterns == [(WAIT_ANY, ()), (WAIT_ANY, ()), ((), ())]
+    assert d.node.record().patterns == ((WAIT_ANY, ()), (WAIT_ANY, ()),
+                                        ((), ()))
 
 
 # -- one view trie per player per enumeration -----------------------------------
@@ -498,14 +499,18 @@ def test_run_all_matches_runs_on_random_table_protocols(seed):
     )
     table = run_all(p)
     assert len(table) == p.execution_count()
+    # Pi, the players' Pi_i joined by index, as the joint law holds it.
+    joint = build_joint(p, uniform(p))
+    full = {row[:2 * p.k + 1]: row[joint.variables.index("pi")]
+            for row in joint.rows}
     for key, e in table.items():
         fresh = run(p, *key)
         assert e == fresh, key
         assert e.messages == fresh.messages == helpers.reference_messages(e)
-        joined = ["".join(m for rnd in e.reads[i - 1] for _, m in rnd)
+        joined = ["".join(m for rnd in e.record(i).reads for _, m in rnd)
                   for i in p.players]
-        assert [e.received_transcript(i) for i in p.players] == joined
-        assert e.full_transcript() == "".join(joined)
+        assert [e.record(i).received for i in p.players] == joined
+        assert full[key[0] + key[1] + (key[2],)] == "".join(joined)
         # The fresh run walked its own trie: equality and hashing go over
         # the records, not over the trie nodes.
         assert hash(e) == hash(fresh)
@@ -540,10 +545,10 @@ def test_executions_that_end_at_one_view_share_its_record():
             for group in by_view.values():
                 first = group[0]
                 for e in group[1:]:
-                    assert e.sends[i - 1] is first.sends[i - 1]
+                    assert e.record(i).sends is first.record(i).sends
                     assert e.record(i) is first.record(i)
-                    assert (e.received_transcript(i)
-                            is first.received_transcript(i))
+                    assert (e.record(i).received
+                            is first.record(i).received)
                 shared += len(group) - 1
     assert shared > 0
 
@@ -658,14 +663,15 @@ def test_a_runs_tries_are_freed_with_the_execution(name, execute):
 
 def _drive(d, e):
     """Feed driver d everything its player read in e, and run it."""
-    for rnd in e.reads[d.player - 1]:
+    for rnd in e.record(d.player).reads:
         for sender, content in rnd:
             d.feed(sender, content)
     return d.run()
 
 
 def _record(d):
-    return (d.reads, d.sends, d.patterns, d.output, d.halted, d.waiting)
+    return (d.reads, d.sends, d.node.record().patterns, d.output, d.halted,
+            d.waiting)
 
 
 def test_a_restarted_driver_matches_a_fresh_one():
@@ -682,9 +688,10 @@ def test_a_restarted_driver_matches_a_fresh_one():
             _drive(d.restart(*args), e)
             fresh = _drive(ProgramDriver(p, i).restart(*args), e)
             assert _record(d) == _record(fresh)
-            assert (d.reads, d.sends, d.patterns, d.output) == (
-                list(e.reads[i - 1]), list(e.sends[i - 1]),
-                list(e.patterns[i - 1]), e.outputs[i - 1])
+            rec = e.record(i)
+            assert (d.reads, d.sends, d.node.record().patterns,
+                    d.output) == (list(rec.reads), list(rec.sends),
+                                  rec.patterns, e.outputs[i - 1])
 
 
 def test_tables_and_joints_live_as_long_as_their_owners():

@@ -348,7 +348,7 @@ def test_publicize_keeps_transcripts_bit_identical():
             assert got_pub == "" and got_privs == (pad, "", "")
             for i in p.players:
                 assert (
-                    orig.received_transcript(i) == new.received_transcript(i)
+                    orig.record(i).received == new.record(i).received
                 )
             assert orig.outputs == new.outputs
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from protolab import model
 from protolab.errors import (
     BudgetExceededError,
     DeadlockError,
@@ -16,7 +17,12 @@ from protolab.errors import (
     NonTerminationError,
     SelfDelimitingError,
 )
-from protolab.measures import InputDistribution, product_protocol, publicize
+from protolab.measures import (
+    InputDistribution,
+    build_joint,
+    product_protocol,
+    publicize,
+)
 from protolab.model import (
     RELAXED,
     WAIT_ANY,
@@ -60,9 +66,9 @@ def test_run_is_deterministic():
 def test_reads_sorted_by_sender_within_round():
     p = get_entry("star-parity", k=4, n=1).protocol
     e = run(p, ("0", "1", "0", "1"))
-    senders = [s for s, _ in e.reads[0][0]]
+    senders = [s for s, _ in e.record(1).reads[0]]
     assert senders == [2, 3, 4]
-    assert e.received_transcript(1) == "101"
+    assert e.record(1).received == "101"
 
 
 def test_transcript_length_accounting():
@@ -73,7 +79,7 @@ def test_transcript_length_accounting():
     ):
         for key, e in run_all(entry.protocol).items():
             assert sum(
-                len(e.received_transcript(i)) for i in entry.protocol.players
+                len(e.record(i).received) for i in entry.protocol.players
             ) == e.total_bits
 
 
@@ -114,7 +120,7 @@ def test_lot_order_respects_causality():
                 i = m.sender
                 read_before = [
                     rm
-                    for r, rnd in enumerate(e.reads[i - 1], start=1)
+                    for r, rnd in enumerate(e.record(i).reads, start=1)
                     if r < m.sender_round
                     for rm in rnd
                 ]
@@ -129,7 +135,7 @@ def test_lot_order_respects_causality():
                     input=e.inputs[i - 1],
                     private_tape=e.private_tapes[i - 1],
                     public_tape=e.public_tape,
-                    reads=e.reads[i - 1][: m.sender_round - 1],
+                    reads=e.record(i).reads[: m.sender_round - 1],
                 )
                 act = p.program(i)(view)
                 assert dict(act.sends)[m.receiver] == m.content
@@ -176,7 +182,8 @@ def _assert_message_invariants(e):
         range(1, len(e.messages) + 1)
     )
     assert (e.total_bits == sum(len(m.content) for m in e.messages)
-            == len(e.full_transcript()))
+            == len("".join(e.record(i).received
+                           for i in e.protocol.players)))
 
 
 def test_lots_match_the_reference_resolver():
@@ -483,6 +490,22 @@ def test_budget_exceeded_reports_requirement():
     assert err.value.budget == 100
 
 
+def test_run_all_without_a_budget_is_capped_at_2_to_the_64(monkeypatch):
+    # None means 2^64 executions, as it does for the zoo and tree files:
+    # 2^84 executions are refused before a single tape is built.
+    def enumerate_all(p):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(model, "_enumerate_all", enumerate_all)
+    p = dataclasses.replace(ring_parity(3, 1).protocol, public_tape_length=80)
+    assert p.execution_count() == 1 << 84
+    with pytest.raises(BudgetExceededError, match=r"budget is 2\^64$") as err:
+        run_all(p, None)
+    assert err.value.budget == 1 << 64
+    with pytest.raises(BudgetExceededError, match="budget is 65536$"):
+        run_all(p)
+
+
 def test_is_oblivious_examples():
     assert is_oblivious(get_entry("ring-parity", k=3, n=1).protocol)[0]
     assert is_oblivious(get_entry("and-opt").protocol)[0]
@@ -537,27 +560,37 @@ def test_transcripts_are_prefix_decodable():
         table = run_all(p)
         for (x, privs, pub), e in table.items():
             for i in p.players:
-                events = helpers.decode_received_transcript(
+                events = helpers.decode_pi(
                     table, p, i, x[i - 1], privs[i - 1], pub,
-                    e.received_transcript(i),
+                    e.record(i).received,
                 )
                 assert events == tuple(
-                    rm for rnd in e.reads[i - 1] for rm in rnd
+                    rm for rnd in e.record(i).reads for rm in rnd
                 )
 
 
 def test_bidirectional_orderings():
     p = get_entry("and-opt").protocol
     e = run(p, ("1", "1"))
+    rec1, rec2 = e.record(1), e.record(2)
     # Player 2 (round 1: read x; round 2: send and output):
-    assert e.received_transcript(2) == "1"
-    assert e.sent_transcript(2) == "1"
-    assert e.bidirectional_transcript(2) == "11"  # received then sent
+    assert rec2.received == "1"
+    assert rec2.sent == "1"
+    assert rec2.received + rec2.sent == "11"  # received then sent
     # Round 1 received, round 2 sent:
     assert helpers.round_interleaved_transcript(e, 2) == "11"
     # Player 1 (round 1: send x; round 2: read reply):
-    assert e.bidirectional_transcript(1) == "11"
+    assert rec1.received + rec1.sent == "11"
     assert helpers.round_interleaved_transcript(e, 1) == "11"
+    # The joint law owns the received-then-sent ordering: bidi_i.  On
+    # x = (1, 0) player 1 sends 1 and reads 0, so the orderings differ.
+    joint = build_joint(p, InputDistribution.uniform(p))
+    bidi = {row[:2]: row[joint.variables.index("bidi1"):][:2]
+            for row in joint.rows}
+    assert bidi[("1", "1")] == ("11", "11")
+    assert bidi[("1", "0")] == ("01", "10")
+    e = run(p, ("1", "0"))
+    assert helpers.round_interleaved_transcript(e, 1) == "10"
 
 
 def test_relaxed_schedule_controls_wait_any():

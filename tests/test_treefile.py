@@ -394,7 +394,9 @@ def _outcome(p, x, privs, pub):
         e = run(p, x, privs, pub)
     except ProtoLabError as exc:
         return type(exc), str(exc)
-    return e.outputs, e.reads, e.sends, e.patterns, e.messages
+    recs = [e.record(i) for i in p.players]
+    return (e.outputs, [rec.reads for rec in recs],
+            [rec.sends for rec in recs], e.patterns, e.messages)
 
 
 @pytest.mark.parametrize("block", range(4))

@@ -73,11 +73,11 @@ def test_star_counts():
 def test_and_opt_examples():
     p = get_entry("and-opt").protocol
     e = run(p, ("1", "1"))
-    assert e.received_transcript(2) == "1"
-    assert e.received_transcript(1) == "1"
+    assert e.record(2).received == "1"
+    assert e.record(1).received == "1"
     assert e.outputs == ("1", "1")
     e = run(p, ("0", "1"))
-    assert e.received_transcript(2) == "0"
+    assert e.record(2).received == "0"
     assert e.outputs == ("0", "0")
 
 
@@ -130,11 +130,11 @@ def test_order_leak_runs():
         assert all(m.content == "0" for m in e.messages)
         assert e.total_bits == 8
     # First read of player 2 comes from player 3 iff x = 0.
-    assert runs["0"].reads[1][0][0][0] == 3
-    assert runs["1"].reads[1][0][0][0] == 4
+    assert runs["0"].record(2).reads[0][0][0] == 3
+    assert runs["1"].record(2).reads[0][0][0] == 4
     # Content-only transcripts coincide.
     for i in p.players:
-        assert runs["0"].received_transcript(i) == runs["1"].received_transcript(i)
+        assert runs["0"].record(i).received == runs["1"].record(i).received
 
 
 def test_registry_errors():
