@@ -35,7 +35,8 @@ from .errors import (
     ModelViolationError,
 )
 from .lcp import LcpBox, draw_plan, lcp_exact, plan_holds
-from .measures import InputDistribution, acc, ic, weighted_executions
+from .measures import (InputDistribution, acc, distributional_error, ic,
+                       weighted_executions)
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
@@ -332,7 +333,7 @@ def compress_run(
 
     tau = {i: tree_of[i].root for i in p.players}
     moves = {i: 0 for i in p.players}
-    broadcast_bits = math.ceil(math.log2(struct.cc + 2))
+    broadcast_bits = math.ceil(math.log2(struct.table.cc + 2))
     trace: list[StageRecord] = []
     comm_broadcast = 0
     stage = 0
@@ -483,22 +484,6 @@ class CompressionReport:
         return out
 
 
-def distributional_error(
-    p: ProtocolDef,
-    mu: InputDistribution,
-    family: FunctionFamily,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Fraction:
-    """Probability over mu and the tapes that some player outputs a wrong
-    value for its target function."""
-    rows, den = weighted_executions(p, mu, budget)
-    bad = sum(
-        n for x, n, e in rows
-        if any(e.outputs[i - 1] != family.value(i, x) for i in p.players)
-    )
-    return Fraction(bad, den)
-
-
 def compression_theorem_check(
     p: ProtocolDef,
     mu: InputDistribution,
@@ -580,11 +565,13 @@ def compression_theorem_check(
         return sum(n * getter(r) for _, n, _, r, _, _ in exact_runs) / den
 
     ic_value = ic(p, mu, budget)
-    cc_value = struct.cc
+    cc_value = struct.table.cc
     # log2(cc) is 0 at cc = 1, and a protocol that sends nothing (cc = 0)
     # gets the same zero bound.
     inner = p.k * p.k * ic_value * math.log2(max(cc_value, 1))
-    bound = inner * math.log2(inner / delta) if inner > 0 else 0.0
+    # A difference of logarithms: inner / delta overflows for a tiny delta.
+    bound = (inner * (math.log2(inner) - math.log2(delta)) if inner > 0
+             else 0.0)
     acc_compressed = mean(lambda r: r.comm_bits)
     max_calls = max(r.lcp_calls for _, _, _, r, _, _ in exact_runs)
 
@@ -599,6 +586,9 @@ def compression_theorem_check(
                                       "compress runs")
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
+            if eps_call == 0:
+                raise ConfigError(f"delta {delta} leaves a per-call lcp error "
+                                  "rate that underflows to 0")
 
         rng = random.Random(seed)
         bad = 0

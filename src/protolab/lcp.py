@@ -46,7 +46,7 @@ def _hash_bits(m: int, eps: float) -> int:
     """Masks per equality test of a search over m prefix lengths: the union
     bound over its at most ``tests`` tests stays within eps."""
     tests = max(1, math.ceil(math.log2(m + 1)))
-    return max(1, math.ceil(math.log2(tests / eps)))
+    return max(1, math.ceil(math.log2(tests) - math.log2(eps)))
 
 
 def lcp_exact(x: str, y: str) -> int | None:

@@ -12,6 +12,8 @@ tree) holds integer numerators over one integer denominator.  Measure names:
   ic    internal information cost   sum_i I(X_-i ; Pi_i | X_i R_i Rp)
   pic   public information cost     sum_i I(X_-i ; Pi_i R_-i | X_i R_i Rp)
   spy   sum_i I(X_i ; Pi_i<->)      leakage to a per-player wiretapper
+
+Each per-player information term is defined once, in ``player_term``.
 """
 
 from __future__ import annotations
@@ -196,15 +198,6 @@ def weighted_executions(
     return rows, mu.den << p.total_tape_bits
 
 
-def _var_names(k: int) -> dict[str, list[str]]:
-    return {
-        "x": [f"x{i}" for i in range(1, k + 1)],
-        "r": [f"r{i}" for i in range(1, k + 1)],
-        "pi": [f"pi{i}" for i in range(1, k + 1)],
-        "bidi": [f"bidi{i}" for i in range(1, k + 1)],
-    }
-
-
 def build_joint(
     p: ProtocolDef,
     mu: InputDistribution,
@@ -220,10 +213,8 @@ def build_joint(
     Weights are integer numerators over ``mu.den`` times the number of tape
     assignments.
     """
-    names = _var_names(p.k)
-    variables = (
-        names["x"] + names["r"] + ["rp"] + names["pi"] + names["bidi"] + ["pi"]
-    )
+    variables = [f"{v}{i}" for v in ("x", "r") for i in p.players] + ["rp"]
+    variables += [f"{v}{i}" for v in ("pi", "bidi") for i in p.players] + ["pi"]
     if family is not None:
         variables += [f"f{i}" for i in p.players]
     rows, den = weighted_executions(p, mu, budget)
@@ -250,13 +241,9 @@ def build_joint(
     )
 
 
-def _others(names: list[str], i: int) -> list[str]:
-    return [n for j, n in enumerate(names, start=1) if j != i]
-
-
 def cc(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> int:
-    """Worst-case communication: max transcript length over all executions."""
-    return max(e.total_bits for e in run_all(p, budget).values())
+    """Worst-case communication: ``ExecutionTable.cc``."""
+    return run_all(p, budget).cc
 
 
 def acc(
@@ -267,41 +254,59 @@ def acc(
     return Fraction(sum(n * e.total_bits for _, n, e in rows), den)
 
 
-def _ic_term(names, i: int) -> tuple:
-    """I(X_-i ; Pi_i | X_i R_i Rp)"""
-    return _others(names["x"], i), [f"pi{i}"], [f"x{i}", f"r{i}", "rp"]
-
-
-def _pic_term(names, i: int) -> tuple:
-    """I(X_-i ; Pi_i R_-i | X_i R_i Rp)"""
-    return (
-        _others(names["x"], i),
-        [f"pi{i}"] + _others(names["r"], i),
-        [f"x{i}", f"r{i}", "rp"],
+def distributional_error(
+    p: ProtocolDef,
+    mu: InputDistribution,
+    family: FunctionFamily,
+    budget: int | None = DEFAULT_BUDGET,
+) -> Fraction:
+    """Probability over mu and the tapes that some player outputs a wrong
+    value for its target function."""
+    rows, den = weighted_executions(p, mu, budget)
+    bad = sum(
+        n for x, n, e in rows
+        if any(e.outputs[i - 1] != family.value(i, x) for i in p.players)
     )
+    return Fraction(bad, den)
 
 
-def _random_term(names, i: int) -> tuple:
-    """I(R_-i ; X_-i | X_i Pi_i R_i Rp)"""
-    return (
-        _others(names["r"], i),
-        _others(names["x"], i),
-        [f"x{i}", f"pi{i}", f"r{i}", "rp"],
-    )
+def player_term(kind: str, k: int, i: int) -> tuple:
+    """Player i's selectors ``(A, B, C)`` of its term I(A ; B | C) in a
+    k-player measure, read off ``build_joint``'s variables:
+
+      ic       I(X_-i ; Pi_i | X_i R_i Rp)
+      pic      I(X_-i ; Pi_i R_-i | X_i R_i Rp)
+      random   I(R_-i ; X_-i | X_i Pi_i R_i Rp), pic's part beyond ic
+      leakage  I(X_-i ; Pi_i | X_i R_i Rp f_i)
+      spy      I(X_i ; Pi_i<->)
+    """
+    x_others = [f"x{j}" for j in range(1, k + 1) if j != i]
+    r_others = [f"r{j}" for j in range(1, k + 1) if j != i]
+    own, pi = [f"x{i}", f"r{i}", "rp"], [f"pi{i}"]
+    return {
+        "ic": (x_others, pi, own),
+        "pic": (x_others, pi + r_others, own),
+        "random": (r_others, x_others, [f"x{i}", f"pi{i}", f"r{i}", "rp"]),
+        "leakage": (x_others, pi, own + [f"f{i}"]),
+        "spy": ([f"x{i}"], [f"bidi{i}"], None),
+    }[kind]
+
+
+def _terms(d: JointDistribution, k: int, kind: str) -> list[float]:
+    """Every player's term of one kind, in player order."""
+    return [mutual_info(d, *player_term(kind, k, i)) for i in range(1, k + 1)]
 
 
 def ic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Internal information cost sum_i I(X_-i ; Pi_i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
-    return sum(mutual_info(d, *_ic_term(names, i)) for i in p.players)
+    return sum(_terms(d, p.k, "ic"))
 
 
 def pic(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """Public information cost sum_i I(X_-i ; Pi_i R_-i | X_i R_i Rp)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
-    return sum(mutual_info(d, *_pic_term(names, i)) for i in p.players)
+    return sum(_terms(d, p.k, "pic"))
 
 
 def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, float]:
@@ -312,13 +317,12 @@ def pic_decomposition(p, mu, budget=DEFAULT_BUDGET, joint=None) -> tuple[float, 
     must recompose to pic within TOLERANCE.
     """
     d = joint if joint is not None else build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
     # One player's three terms ask for 6 distinct marginals, so one kernel
     # call per player counts each once; no memo outlives the player.
     ic_term = random_term = total = 0
     for i in p.players:
         ic_i, random_i, pic_i = mutual_infos(
-            d, [_ic_term(names, i), _random_term(names, i), _pic_term(names, i)]
+            d, [player_term(kind, p.k, i) for kind in ("ic", "random", "pic")]
         )
         ic_term += ic_i
         random_term += random_i
@@ -335,18 +339,9 @@ def privacy_terms(
 ) -> list[float]:
     """Per-player leakage terms I(X_-i ; Pi_i | X_i R_i Rp f_i(X))."""
     d = joint if joint is not None else build_joint(p, mu, family, budget)
-    names = _var_names(p.k)
     if "f1" not in d.variables:
         raise ValueError("joint law was built without a function family")
-    return [
-        mutual_info(
-            d,
-            _others(names["x"], i),
-            [f"pi{i}"],
-            [f"x{i}", f"r{i}", "rp", f"f{i}"],
-        )
-        for i in p.players
-    ]
+    return _terms(d, p.k, "leakage")
 
 
 def privacy_leakage(
@@ -361,17 +356,14 @@ def transcript_entropy(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """H(Pi | X Rp): randomness visible in the full transcript once inputs
     and public coins are fixed; lower-bounds the private entropy used."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
-    return cond_entropy(d, ["pi"], names["x"] + ["rp"])
+    return cond_entropy(d, ["pi"], [f"x{i}" for i in p.players] + ["rp"])
 
 
 def spy_info(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
     """sum_i I(X_i ; Pi_i<->): what a wiretapper of each player's links
     learns about that player's input (no conditioning)."""
     d = joint if joint is not None else build_joint(p, mu, None, budget)
-    return sum(
-        mutual_info(d, [f"x{i}"], [f"bidi{i}"]) for i in p.players
-    )
+    return sum(_terms(d, p.k, "spy"))
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +520,24 @@ def publicize(p: ProtocolDef) -> ProtocolDef:
 def public_seed_scores(
     p: ProtocolDef, mu: InputDistribution, budget: int | None = DEFAULT_BUDGET
 ) -> dict[str, float]:
-    """t(r) = sum_i I(X_-i ; Pi_i | X_i, Rp=r) for each public seed r."""
+    """t(r) = sum_i I(X_-i ; Pi_i | X_i, Rp=r) for each public seed r: the
+    ic terms on the law given Rp = r, where the tapes are constant."""
     if sum(p.private_tape_lengths) != 0:
         raise ValueError("seed scores are defined for public-coin protocols")
     d = build_joint(p, mu, None, budget)
-    names = _var_names(p.k)
-    scores = {}
-    for seed in bitstrings(p.public_tape_length):
-        cond = d.condition({"rp": seed})
-        scores[seed] = sum(
-            mutual_info(cond, _others(names["x"], i), [f"pi{i}"], [f"x{i}"])
-            for i in p.players
-        )
-    return scores
+    return {seed: sum(_terms(d.condition({"rp": seed}), p.k, "ic"))
+            for seed in bitstrings(p.public_tape_length)}
 
 
 def _is_zero_error(p, mu, family, budget) -> bool:
+    """No wrong output on the support of mu; without a family, outputs that
+    do not depend on the tapes."""
+    if family is not None:
+        return distributional_error(p, mu, family, budget) == 0
     reference = {}
     rows, _ = weighted_executions(p, mu, budget)
-    for x, _, e in rows:
-        if reference.setdefault(x, e.outputs) != e.outputs:
-            return False
-    return family is None or all(
-        outputs[i - 1] == family.value(i, x)
-        for x, outputs in reference.items()
-        for i in p.players
-    )
+    return all(reference.setdefault(x, e.outputs) == e.outputs
+               for x, _, e in rows)
 
 
 def derandomize_zero_error(
@@ -785,7 +769,9 @@ def sup_pic_grid(
         )
     if not 0 < grid_step < math.inf:
         raise ConfigError("grid step must be a positive finite number")
-    m = round(1.0 / grid_step)
+    # Below 2^-1024 the float 1 / grid_step overflows; the exact one does not.
+    inverse = 1.0 / grid_step
+    m = round(inverse if inverse < math.inf else 1 / Fraction(grid_step))
     if m < 2:
         raise ConfigError("grid step too coarse")
     if budget is not None and m - 1 > budget:

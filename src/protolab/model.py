@@ -189,12 +189,6 @@ class ProtocolDef:
         pubs = bitstrings(self.public_tape_length)
         return itertools.product(itertools.product(*parts), pubs)
 
-    def execution_count(self) -> int:
-        n = 1
-        for dom in self.input_domains:
-            n *= len(dom)
-        return n << self.total_tape_bits
-
     @cached_property
     def _table(self) -> ExecutionTable:
         return _enumerate_all(self)
@@ -438,7 +432,8 @@ def run_relaxed(
 
 @dataclass
 class ExecutionTable:
-    """Every execution of a protocol, plus whole-space certifications."""
+    """Every execution of a protocol, the prefix-free codebook of every
+    link position, and ``cc``, kept from its first read with the table."""
 
     protocol: ProtocolDef
     executions: dict[tuple, Execution]
@@ -472,6 +467,11 @@ class ExecutionTable:
         raise ModelViolationError(
             f"bits at link {sender}->{receiver} position {pos} fit no codeword"
         )
+
+    @cached_property
+    def cc(self) -> int:
+        """Worst-case communication: the longest |Pi| of any execution."""
+        return max(e.total_bits for e in self.executions.values())
 
     def values(self):
         return self.executions.values()
@@ -592,9 +592,9 @@ def is_oblivious(
 class ObliviousStructure:
     """What compression needs of an oblivious protocol, fixed across its
     executions: the execution ``table`` (whose ``codeword`` splits bits
-    into messages), the reference execution's ``messages`` in global
-    order (the skeleton every execution shares: only the contents
-    differ), the worst-case communication ``cc``, and per player i
+    into messages and whose ``cc`` is the worst-case communication), the
+    reference execution's ``messages`` in global order (the skeleton
+    every execution shares: only the contents differ), and per player i
     ``events[i]``, its messages, sent and received, in global order as
     ``(global index, "s" or "r", peer, position on the link)``.  Player
     i's compression transcript joins the contents of those messages in
@@ -603,7 +603,6 @@ class ObliviousStructure:
     table: ExecutionTable
     messages: tuple[Message, ...]
     events: dict[int, tuple[tuple[int, str, int, int], ...]]
-    cc: int
 
     @classmethod
     def build(cls, p: ProtocolDef, budget: int | None = DEFAULT_BUDGET):
@@ -626,7 +625,6 @@ class ObliviousStructure:
             table=table,
             messages=ref.messages,
             events={i: tuple(ev) for i, ev in events.items()},
-            cc=max(e.total_bits for e in table.values()),
         )
 
     def transcript(self, e: Execution, i: int) -> str:

@@ -433,11 +433,9 @@ REGISTRY = {
     },
 }
 
-_entry_cache: dict = {}
-
 
 def get_entry(name: str, budget: int | None = None, **params) -> ZooEntry:
-    """Build (and cache) a registry entry; unknown names or parameters are
+    """Build a registry entry; unknown names or parameters are
     configuration errors.  An entry with more executions than ``budget``
     fails before its input domains are built: its count comes from the
     parameters alone."""
@@ -454,7 +452,4 @@ def get_entry(name: str, budget: int | None = None, **params) -> ZooEntry:
             raise ConfigError(f"protocol {name!r} takes no parameter {key!r}")
         args[key] = value
     meta["executions"](budget=budget, **args)
-    cache_key = (name, tuple(sorted(args.items())))
-    if cache_key not in _entry_cache:
-        _entry_cache[cache_key] = meta["factory"](**args)
-    return _entry_cache[cache_key]
+    return meta["factory"](**args)

@@ -84,6 +84,11 @@ def enumerate_runs(p: ProtocolDef, mu: InputDistribution):
             yield wx * tape_weight, run(p, x, privs, pub)
 
 
+def execution_count(p: ProtocolDef) -> int:
+    """p's executions, counted from its input domains and tape bits."""
+    return math.prod(map(len, p.input_domains)) << p.total_tape_bits
+
+
 def execution_digest(table) -> str:
     """SHA-256 over every recorded field of every execution, in table order.
 

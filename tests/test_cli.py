@@ -162,6 +162,9 @@ def test_exit_codes(capsys, tmp_path):
          "--trials", "0"),
         ("compress", "--protocol", "star-parity", "--delta", "inf"),
         ("compress", "--protocol", "star-parity", "--delta", "nan"),
+        # The default per-call lcp error rate, delta over twice the calls.
+        ("compress", "--protocol", "star-parity", "--lcp", "randomized",
+         "--delta", "5e-324"),
         ("audit", "--protocol", "ring-parity", "--tolerance", "nan"),
         ("audit", "--protocol", "ring-parity", "--tolerance", "-1"),
         ("audit", "--protocol", "star-parity", "--tolerance", "inf"),
@@ -415,6 +418,32 @@ def test_compress_report_with_zero_bound_is_strict_json(capsys):
     assert payload["ratio"] is None
 
 
+def test_subnormal_grid_step_exits_2(capsys):
+    # 1 / 5e-324 overflows a float; the step's exact inverse is 2^1074.
+    code, out, err = run_cli(capsys, "measure", "--protocol", "and-opt",
+                             "--mu", "grid:5e-324")
+    assert (code, out) == (2, "")
+    assert err == ("error: pic grid needs more than 2^1073 grid points per "
+                   "axis, budget is 65536\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lcp", "randomized", "--eps", "1e-320", "--trials", "1"),
+    ("--lcp", "randomized", "--delta", "1e-320", "--trials", "1"),
+    ("--delta", "1e-320"),
+], ids=["randomized-eps", "randomized-delta", "exact-delta"])
+def test_subnormal_error_rates_compress(capsys, argv):
+    # tests / eps and inner / delta overflow a float; the differences of
+    # their logarithms do not.
+    code, out, err = run_cli(capsys, "compress", "--protocol", "star-parity",
+                             *argv)
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    assert payload["measured_error"] == 0.0
+    if "--delta" in argv:
+        assert payload["bound_value"] == 19209.364765681
+
+
 def test_non_finite_report_value_exits_5(capsys, monkeypatch):
     from protolab import measures
 
@@ -603,7 +632,7 @@ _INT_TEXT = (
 )
 _FLOAT_TEXT = (
     st.one_of(st.floats().map(repr), st.sampled_from(
-        ["0.5", "0.25", "1e-300", "1e400", "-inf", "nan"])),
+        ["0.5", "0.25", "1e-300", "5e-324", "1e400", "-inf", "nan"])),
     st.sampled_from(["1/3", "", "abc", "1e" + HUGE]),
 )
 _MU_ENTRY = st.fixed_dictionaries({
@@ -654,8 +683,10 @@ def _argv(draw, tmp_path):
     directory and to nothing.  A well-formed draw takes well-formed values
     only, so it gets past the parser."""
     mu, tree = tmp_path / "mu.json", tmp_path / "tree.json"
-    mu.write_text(json.dumps(draw(_MU_FILE)))
-    tree.write_text(json.dumps(draw(_tree_file())))
+    # Both files are drawn here, so the draw order stays fixed, and
+    # written only when the command line names them.
+    files = {mu: json.dumps(draw(_MU_FILE)),
+             tree: json.dumps(draw(_tree_file()))}
     nowhere = st.sampled_from([str(tmp_path),
                                str(tmp_path / "missing" / "x.json")])
     values = {
@@ -701,6 +732,9 @@ def _argv(draw, tmp_path):
     if command in ("measure", "audit", "compress"):
         budget = draw(st.one_of(st.just(64), st.integers(1, 64)))
         argv += ["--budget", str(budget)]
+    for path, text in files.items():
+        if any(str(path) in arg for arg in argv):
+            path.write_text(text)
     return argv
 
 

@@ -498,7 +498,7 @@ def test_run_all_without_a_budget_is_capped_at_2_to_the_64(monkeypatch):
 
     monkeypatch.setattr(model, "_enumerate_all", enumerate_all)
     p = dataclasses.replace(ring_parity(3, 1).protocol, public_tape_length=80)
-    assert p.execution_count() == 1 << 84
+    assert helpers.execution_count(p) == 1 << 84
     with pytest.raises(BudgetExceededError, match=r"budget is 2\^64$") as err:
         run_all(p, None)
     assert err.value.budget == 1 << 64

@@ -1,10 +1,13 @@
 """Tests for the built-in protocols."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
+import helpers
 from protolab.errors import BudgetExceededError, ConfigError
 from protolab.model import run, run_all, run_relaxed
 from protolab.treefile import protocol_from_dict
@@ -160,7 +163,7 @@ def test_registry_counts_executions_from_the_parameters():
         for args in params:
             count = REGISTRY[name]["executions"](**args)
             built = REGISTRY[name]["factory"](**args).protocol
-            assert count == built.execution_count(), (name, args)
+            assert count == helpers.execution_count(built), (name, args)
             assert get_entry(name, budget=count, **args).protocol.k == built.k
             with pytest.raises(BudgetExceededError):
                 get_entry(name, budget=count - 1, **args)
@@ -187,10 +190,15 @@ def test_huge_sizes_without_a_budget_are_named_not_shifted():
     assert REGISTRY["star-parity"]["executions"](k=64, n=1) == 1 << 64
 
 
-def test_registry_caches_entries():
-    a = get_entry("ring-parity", k=3, n=1)
-    b = get_entry("ring-parity", k=3, n=1)
-    assert a is b
+def test_registry_keeps_no_entry():
+    # An entry's protocol owns its execution table, so a kept entry would
+    # pin the table for the life of the process.
+    entry = get_entry("ring-parity", k=3, n=1)
+    table = weakref.ref(run_all(entry.protocol))
+    assert get_entry("ring-parity", k=3, n=1) is not entry
+    del entry
+    gc.collect()
+    assert table() is None
 
 
 def test_lift_entry():
