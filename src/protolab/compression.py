@@ -166,7 +166,6 @@ def build_tree(
             "weights are undefined"
         )
     public_tape = validate_public_tape(p, public_tape)
-    executions = struct.table.executions
     weights: dict[str, int] = {}
     outputs: dict[str, str] = {}
     transcript_of: dict[tuple[str, ...], str] = {}
@@ -178,14 +177,14 @@ def build_tree(
     domains = list(p.input_domains)
     domains[i - 1] = (own_input,)
     for x in itertools.product(*domains):
-        e = executions[(x, none_tapes, public_tape)]
-        view = id(e.nodes[i - 1])
-        t = view_transcript.get(view)
+        node = struct.table.final_views(x, none_tapes, public_tape)[i - 1]
+        rec = node.record()
+        t = view_transcript.get(id(node))
         if t is None:
-            t = view_transcript[view] = struct.transcript(e, i)
+            t = view_transcript[id(node)] = struct.transcript(rec, i)
         transcript_of[x] = t
         weights[t] = weights.get(t, 0) + cond.get(x, 0)
-        outputs[t] = e.outputs[i - 1]
+        outputs[t] = rec.output
     leaves: dict[str, TreeNode] = {}
     root = _build_node(weights, leaves)
     if root.weight != marginal:
@@ -550,12 +549,12 @@ def compression_theorem_check(
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
     ties = 0
-    for x, n, e in rows:
+    for x, n, _, pub, _ in rows:
         box = LcpBox(mode="exact")
-        r = compress_run(p, mu, x, e.public_tape, box, budget,
+        r = compress_run(p, mu, x, pub, box, budget,
                          structure=struct, trees=trees)
         ties += sum(rec.tie for rec in r.trace)
-        exact_runs.append((x, n, e.public_tape, replace(r, trace=[]),
+        exact_runs.append((x, n, pub, replace(r, trace=[]),
                            wrong(x, r.outputs), box.history))
     err_exact = Fraction(
         sum(n for _, n, _, _, is_wrong, _ in exact_runs if is_wrong), den

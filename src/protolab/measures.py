@@ -42,6 +42,7 @@ from .model import (
     View,
     bitstrings,
     fold_views,
+    pi_bits,
     run_all,
 )
 from .zoo import FunctionFamily
@@ -182,18 +183,21 @@ def weighted_executions(
 ):
     """Every execution of p on the support of mu, with an integer weight.
 
-    Returns ``(rows, den)``: ``rows`` yields ``(x, n, execution)`` per input
-    x of mu's support, then per tape assignment, and the execution has
+    Returns ``(rows, den)``: ``rows`` yields ``(x, n, private tapes, public
+    tape, final views)`` per input x of mu's support, then per tape
+    assignment, where the final views are the players' nodes in the view
+    tries (``node.record()`` reads each player's run); the execution has
     probability ``n / den``.  ``den`` is ``mu.den`` times the number of
-    tape assignments, and ``n`` is x's numerator in mu.
+    tape assignments, and ``n`` is x's numerator in mu.  No ``Execution``
+    is built.
     """
     mu.validate_for(p)
-    executions = run_all(p, budget).executions
+    views = run_all(p, budget).views
     tapes = list(p.tape_space())
     rows = (
-        (x, n, executions[(x, privs, pub)])
+        (x, n, privs, pub, nodes)
         for x, n in zip(mu.inputs, mu.nums)
-        for privs, pub in tapes
+        for (privs, pub), nodes in zip(tapes, views[x])
     )
     return rows, mu.den << p.total_tape_bits
 
@@ -220,13 +224,13 @@ def build_joint(
     rows, den = weighted_executions(p, mu, budget)
     counts: dict[tuple, int] = {}
     last_x = fx = None
-    for x, n, e in rows:
-        recs = [e.record(i) for i in p.players]
+    for x, n, privs, pub, nodes in rows:
+        recs = [node.record() for node in nodes]
         received = tuple([rec.received for rec in recs])
         row = (
             x
-            + e.private_tapes
-            + (e.public_tape,)
+            + privs
+            + (pub,)
             + received
             + tuple([rec.received + rec.sent for rec in recs])
             + ("".join(received),)
@@ -251,7 +255,7 @@ def acc(
 ) -> Fraction:
     """Average communication under mu and uniform tapes, exact."""
     rows, den = weighted_executions(p, mu, budget)
-    return Fraction(sum(n * e.total_bits for _, n, e in rows), den)
+    return Fraction(sum(n * pi_bits(nodes) for _, n, _, _, nodes in rows), den)
 
 
 def distributional_error(
@@ -263,10 +267,9 @@ def distributional_error(
     """Probability over mu and the tapes that some player outputs a wrong
     value for its target function."""
     rows, den = weighted_executions(p, mu, budget)
-    bad = sum(
-        n for x, n, e in rows
-        if any(e.outputs[i - 1] != family.value(i, x) for i in p.players)
-    )
+    bad = sum(n for x, n, _, _, nodes in rows
+              if any(node.record().output != family.value(i, x)
+                     for i, node in enumerate(nodes, 1)))
     return Fraction(bad, den)
 
 
@@ -536,8 +539,9 @@ def _is_zero_error(p, mu, family, budget) -> bool:
         return distributional_error(p, mu, family, budget) == 0
     reference = {}
     rows, _ = weighted_executions(p, mu, budget)
-    return all(reference.setdefault(x, e.outputs) == e.outputs
-               for x, _, e in rows)
+    return all(reference.setdefault(x, outputs) == outputs
+               for x, _, _, _, nodes in rows
+               for outputs in [[node.record().output for node in nodes]])
 
 
 def derandomize_zero_error(
@@ -761,7 +765,8 @@ def sup_pic_grid(
     over the grid steps; the winning grid point (ties resolved toward
     smaller alpha, then smaller beta) is then re-evaluated exactly.
     Returns a lower bound on the supremum.  The budget caps the grid
-    points per axis as well as the executions.
+    points per axis as well as the executions; a budget of None caps both
+    at 2^64.
     """
     if p.k != 2 or any(set(d) != {"0", "1"} for d in p.input_domains):
         raise ConfigError(
@@ -774,8 +779,9 @@ def sup_pic_grid(
     m = round(inverse if inverse < math.inf else 1 / Fraction(grid_step))
     if m < 2:
         raise ConfigError("grid step too coarse")
-    if budget is not None and m - 1 > budget:
-        raise BudgetExceededError(m - 1, budget, "pic grid",
+    cap = 1 << 64 if budget is None else budget
+    if m - 1 > cap:
+        raise BudgetExceededError(m - 1, cap, "pic grid",
                                   "grid points per axis")
     steps = np.arange(1, m) / m
 
@@ -785,10 +791,10 @@ def sup_pic_grid(
         (i, v): {} for i in (1, 2) for v in "01"
     }
     rows, _ = weighted_executions(p, InputDistribution.uniform(p), budget)
-    for x, _, e in rows:
+    for x, _, privs, pub, nodes in rows:
         for i, o in ((1, 2), (2, 1)):
-            key = (e.record(i).received, e.private_tapes[o - 1],
-                   e.private_tapes[i - 1], e.public_tape)
+            key = (nodes[i - 1].record().received, privs[o - 1],
+                   privs[i - 1], pub)
             table = counts[i, x[i - 1]]
             table.setdefault(key, [0, 0])[int(x[o - 1])] += 1
     g = {}

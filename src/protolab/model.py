@@ -9,22 +9,22 @@ in relaxed mode a program may instead wait for "any next message", which is
 exactly the loophole the restricted model closes.
 
 Executions are deterministic given inputs and tapes.  A finished execution
-keeps its inputs, tapes and outputs and, per player, the final view it
-reached in its driver's view trie.  The final view yields the player's
-record, the one way to read its run: the messages read (ordered by round,
-then sender index) and sent (ordered by round, then recipient index), the
-wait and send sets per round, and Pi_i and the sent string; it is derived
-once per distinct final view and shared by every execution that ends
-there.  The bidirectional transcript is Pi_i followed by the sent string,
-and Pi joins every Pi_i by player index.  The engine only feeds messages
-from senders to readers; the message list in the global order is derived
-from those records when it is first read.  The global order groups
-messages into causal lots: the lot of the messages a player sends in some
-round is one more than the largest lot among the messages it had read
-before that round and its own earlier sending rounds; inside a lot,
-messages are ordered lexicographically by link.  Relaxed mode has no lots:
-messages follow the order in which they were read, which the walk that
-derives them replays.
+is fixed by its inputs and tapes and, per player, the final view it reached
+in its driver's view trie; an execution table keeps only those final views.
+The final view yields the player's record, the one way to read its run: the
+messages read (ordered by round, then sender index) and sent (ordered by
+round, then recipient index), the wait and send sets per round, Pi_i, the
+sent string and the output; it is derived once per distinct final view and
+shared by every execution that ends there.  The bidirectional transcript is
+Pi_i followed by the sent string, and Pi joins every Pi_i by player index.
+The engine only feeds messages from senders to readers; the message list in
+the global order is derived from those records when it is first read.  The
+global order groups messages into causal lots: the lot of the messages a
+player sends in some round is one more than the largest lot among the
+messages it had read before that round and its own earlier sending rounds;
+inside a lot, messages are ordered lexicographically by link.  Relaxed mode
+has no lots: messages follow the order in which they were read, which the
+walk that derives them replays.
 
 Termination: the simulation stops when nobody can advance.  That is an error
 only if some player never wrote an output or some sent message was never
@@ -214,40 +214,51 @@ Pattern = tuple[tuple[int, ...] | str, tuple[int, ...]]
 
 class ViewRecord(NamedTuple):
     """A player's rounds up to one of its views: per round what it read,
-    sent and waited for (``patterns``: wait set, recipients), and the
-    strings it read (Pi_i) and sent, each joined in round order."""
+    sent and waited for (``patterns``: wait set, recipients), the strings
+    it read (Pi_i) and sent, each joined in round order, and the output it
+    wrote (None if it wrote none)."""
 
     reads: PerRound
     sends: PerRound
     patterns: tuple[Pattern, ...]
     received: str
     sent: str
+    output: str | None
+
+
+def pi_bits(nodes) -> int:
+    """|Pi|, the bits every player read, off the players' final views."""
+    return sum([len(node.record().received) for node in nodes])
 
 
 @dataclass(frozen=True, eq=False)
 class Execution:
-    """One deterministic run: its inputs, tapes and outputs, and per player
-    the final view it reached in its driver's trie.  ``record(i)`` is the
-    one way to read player i's run: that view's ``ViewRecord``, with what
-    the player read, sent and waited for, round by round, and its Pi_i
-    and sent strings, derived once per distinct final view and shared by
-    every execution that ends there.  ``patterns`` (every player's wait
-    and send sets) and ``total_bits`` (|Pi|) are read off the records.
-    Equality and hashing go over that content, not over the trie nodes,
-    so a fresh ``run`` equals the ``run_all`` execution on the same
-    arguments.  ``messages`` is derived when first read, so the engine
-    builds no per-message records."""
+    """One deterministic run, built on demand from its inputs and tapes
+    and, per player, the final view it reached in its driver's trie.
+    ``record(i)`` is the one way to read player i's run: that view's
+    ``ViewRecord``, with what the player read, sent and waited for, round
+    by round, its Pi_i and sent strings and its output, derived once per
+    distinct final view and shared by every execution that ends there.
+    ``outputs``, ``patterns`` (every player's wait and send sets) and
+    ``total_bits`` (|Pi|) are read off the records.  Equality and hashing
+    go over that content, not over the trie nodes, so a fresh ``run``
+    equals the ``run_all`` execution on the same arguments.  ``messages``
+    is derived when first read, so the engine builds no per-message
+    records."""
 
     protocol: ProtocolDef
     inputs: tuple[str, ...]
     private_tapes: tuple[str, ...]
     public_tape: str
-    outputs: tuple[str, ...]
     nodes: tuple[_ViewNode, ...] = field(repr=False)
 
     def record(self, i: int) -> ViewRecord:
-        """Player i's reads, sends, patterns, Pi_i and sent string."""
+        """Player i's reads, sends, patterns, Pi_i, sent string and output."""
         return self.nodes[i - 1].record()
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        return tuple([node.record().output for node in self.nodes])
 
     @property
     def patterns(self) -> tuple[tuple[Pattern, ...], ...]:
@@ -256,12 +267,11 @@ class Execution:
     @property
     def total_bits(self) -> int:
         """|Pi|: the bits every player read."""
-        return sum([len(node.record().received) for node in self.nodes])
+        return pi_bits(self.nodes)
 
     def _content(self) -> tuple:
         return (self.protocol, self.inputs, self.private_tapes,
-                self.public_tape, self.outputs,
-                tuple([node.record()[:3] for node in self.nodes]))
+                self.public_tape, tuple(map(_ViewNode.record, self.nodes)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -349,13 +359,15 @@ def validate_public_tape(p: ProtocolDef, public_tape: str | None) -> str:
     return public_tape
 
 
-def _execute(p, inputs, private_tapes, public_tape, drivers):
+def _execute(inputs, private_tapes, public_tape, drivers):
     """One execution by ``drivers``, one per player: each is restarted on
     its input and tapes, then they run in sweeps, each in index order as
     far as its inbox allows, its new sends fed to their readers' inboxes
-    (the sweeps ``Execution.messages`` replays).  The arguments are not
-    checked here: ``run`` and ``run_relaxed`` check them, and
-    ``_enumerate_all`` builds them from the protocol's own spaces."""
+    (the sweeps ``Execution.messages`` replays).  Returns the players'
+    final views, the drivers' last nodes, which fix the execution.  The
+    arguments are not checked here: ``run`` and ``run_relaxed`` check
+    them, and ``_enumerate_all`` builds them from the protocol's own
+    spaces."""
     for d, x, tape in zip(drivers, inputs, private_tapes):
         d.restart(x, tape, public_tape)
     inboxes = [d.inbox for d in drivers]
@@ -384,9 +396,7 @@ def _execute(p, inputs, private_tapes, public_tape, drivers):
         stuck = dict(sorted(((s, d.player), len(unread)) for d in drivers
                             for s, unread in d.inbox.items() if unread))
         raise DeadlockError(f"unread messages left in transit: {stuck}")
-    return Execution(p, inputs, private_tapes, public_tape,
-                     tuple([d.output for d in drivers]),
-                     tuple([d.node for d in drivers]))
+    return tuple([d.node for d in drivers])
 
 
 def _run_once(p, inputs, private_tapes, public_tape, schedule):
@@ -394,8 +404,8 @@ def _run_once(p, inputs, private_tapes, public_tape, schedule):
     schedule iterator."""
     args = _validate_run_args(p, inputs, private_tapes, public_tape)
     schedule = iter(schedule)
-    return _execute(p, *args, [ProgramDriver(p, i, schedule)
-                               for i in p.players])
+    return Execution(p, *args, _execute(*args, [ProgramDriver(p, i, schedule)
+                                                for i in p.players]))
 
 
 def run(
@@ -432,21 +442,35 @@ def run_relaxed(
 
 @dataclass
 class ExecutionTable:
-    """Every execution of a protocol, the prefix-free codebook of every
-    link position, and ``cc``, kept from its first read with the table."""
+    """Every execution of a protocol as its players' final views, the
+    prefix-free codebook of every link position, and ``cc``, kept from its
+    first read with the table.
+
+    ``views`` maps each input, in ``input_space()`` order, to the players'
+    final-view tuples of its executions in ``tape_space()`` order; nothing
+    else of an execution is stored.  ``get``, ``items`` and ``values``
+    build an ``Execution`` only when asked for one."""
 
     protocol: ProtocolDef
-    executions: dict[tuple, Execution]
+    views: dict[tuple[str, ...], list[tuple[_ViewNode, ...]]]
     codebooks: dict[tuple[int, int, int], tuple[str, ...]]
 
     def __len__(self):
-        return len(self.executions)
+        return len(self.views) << self.protocol.total_tape_bits
+
+    def final_views(self, inputs, private_tapes, public_tape):
+        """The players' final views on these arguments, unchecked.  The
+        tapes' position in ``tape_space()`` is their bits, the private
+        tapes joined and then the public tape, read as a binary number."""
+        tapes = "0" + "".join(private_tapes) + public_tape
+        return self.views[inputs][int(tapes, 2)]
 
     def get(self, inputs, private_tapes=None, public_tape=None) -> Execution:
         """The execution on these arguments, checked the way ``run`` checks
         them."""
-        return self.executions[_validate_run_args(
-            self.protocol, inputs, private_tapes, public_tape)]
+        args = _validate_run_args(self.protocol, inputs, private_tapes,
+                                  public_tape)
+        return Execution(self.protocol, *args, self.final_views(*args))
 
     def codeword(self, sender: int, receiver: int, pos: int, bits: str,
                  offset: int = 0) -> str | None:
@@ -471,23 +495,32 @@ class ExecutionTable:
     @cached_property
     def cc(self) -> int:
         """Worst-case communication: the longest |Pi| of any execution."""
-        return max(e.total_bits for e in self.executions.values())
+        return max(map(pi_bits, itertools.chain(*self.views.values())))
 
-    def values(self):
-        return self.executions.values()
+    def _keyed_views(self):
+        """``((inputs, private tapes, public tape), final views)`` for every
+        execution, in table order."""
+        tapes = list(self.protocol.tape_space())
+        for x, row in self.views.items():
+            for (privs, pub), nodes in zip(tapes, row):
+                yield (x, privs, pub), nodes
 
     def items(self):
-        return self.executions.items()
+        for key, nodes in self._keyed_views():
+            yield key, Execution(self.protocol, *key, nodes)
+
+    def values(self):
+        return (e for _, e in self.items())
 
 
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # One driver and one view trie per player, restarted for every
-    # execution; the executions keep their final views, so the tries live
-    # as long as the table.
+    # execution; the table keeps the final views, so the tries live as
+    # long as the table.
     drivers = [ProgramDriver(p, i) for i in p.players]
     tapes = list(p.tape_space())
-    executions = {(x, privs, pub): _execute(p, x, privs, pub, drivers)
-                  for x in p.input_space() for privs, pub in tapes}
+    views = {x: [_execute(x, privs, pub, drivers) for privs, pub in tapes]
+             for x in p.input_space()}
     # Every view in a trie is on the path of some execution, so one walk
     # per trie, once per distinct view, finds every (position, content)
     # sent on each link.  The walk carries the link position per recipient.
@@ -514,7 +547,7 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
                 f"not prefix-free: {witness[0]!r} prefixes {witness[1]!r}"
             )
         frozen[key] = tuple(sorted(contents))
-    return ExecutionTable(p, executions, frozen)
+    return ExecutionTable(p, views, frozen)
 
 
 def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTable:
@@ -557,11 +590,10 @@ def is_oblivious(
     p: ProtocolDef, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[bool, ObliviousWitness | None]:
     """Check that wait- and send-sets depend only on (player, round)."""
-    table = run_all(p, budget)
-    items = list(table.items())
-    ref_key, ref = items[0]
-    for key, e in items[1:]:
-        for i, ref_node, node in zip(p.players, ref.nodes, e.nodes):
+    rows = run_all(p, budget)._keyed_views()
+    ref_key, ref_nodes = next(rows)
+    for key, nodes in rows:
+        for i, ref_node, node in zip(p.players, ref_nodes, nodes):
             if node is ref_node:  # the same final view, the same record
                 continue
             a, b = ref_node.record().patterns, node.record().patterns
@@ -627,11 +659,11 @@ class ObliviousStructure:
             events={i: tuple(ev) for i, ev in events.items()},
         )
 
-    def transcript(self, e: Execution, i: int) -> str:
-        """Player i's transcript in ``e``: the contents of its messages,
-        sent and received, joined in global order.  They are looked up in
-        player i's own record, so ``e.messages`` is never derived."""
-        rec = e.record(i)
+    def transcript(self, rec: ViewRecord, i: int) -> str:
+        """Player i's transcript in an execution where its record is
+        ``rec``: the contents of its messages, sent and received, joined in
+        global order.  They are looked up in the record, so no execution's
+        ``messages`` is derived."""
         words = {}  # ("s" or "r", peer) -> contents on that link, FIFO
         for direction, rounds in (("s", rec.sends), ("r", rec.reads)):
             for rnd in rounds:
@@ -712,6 +744,7 @@ class _ViewNode(dict):
                 reads, sends, tuple([act[1] for act in acts]),
                 "".join([m for rnd in reads for _, m in rnd]),
                 "".join([m for rnd in sends for _, m in rnd]),
+                next((act[2] for act in acts if act[2] is not None), None),
             )
         return rec
 

@@ -21,6 +21,7 @@ from .model import (
     Round,
     View,
     fold_views,
+    pi_bits,
     run_all,
 )
 
@@ -33,7 +34,8 @@ def truncation_mass(
 ) -> Fraction:
     """Exact probability that a run of p transmits >= threshold bits."""
     rows, den = weighted_executions(p, mu, budget)
-    return Fraction(sum(n for _, n, e in rows if e.total_bits >= threshold), den)
+    heavy = (n for _, n, _, _, nodes in rows if pi_bits(nodes) >= threshold)
+    return Fraction(sum(heavy), den)
 
 
 def _player_width(k: int) -> int:

@@ -471,8 +471,8 @@ def reference_tree_weights(p, i: int, own: str, pub: str, mu):
     for x in p.input_space():
         if x[i - 1] != own:
             continue
-        e = struct.table.executions[(x, none_tapes, pub)]
-        t = reached[x] = struct.transcript(e, i)
+        e = struct.table.get(x, none_tapes, pub)
+        t = reached[x] = struct.transcript(e.record(i), i)
         weights[t] = (weights.get(t, Fraction(0))
                       + cond.get(x, Fraction(0)) / marginal)
     return weights, reached
@@ -513,19 +513,19 @@ def reference_randomized_error(p, mu, delta, family, seed=0, trials=8,
     rows = list(rows)
     if eps_call is None:
         max_calls = max(
-            compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"),
+            compress_run(p, mu, x, pub, LcpBox(mode="exact"),
                          structure=struct, trees=trees).lcp_calls
-            for x, _, e in rows
+            for x, _, _, pub, _ in rows
         )
         eps_call = delta / max(2 * max_calls, 1)
     rng = random.Random(seed)
     bad = 0
-    for x, n, e in rows:
+    for x, n, _, pub, _ in rows:
         want = tuple(family.value(i, x) for i in p.players)
         for _ in range(trials):
             box = LcpBox(mode="randomized", eps=eps_call,
                          seed=rng.getrandbits(48))
-            result = compress_run(p, mu, x, e.public_tape, box,
+            result = compress_run(p, mu, x, pub, box,
                                   structure=struct, trees=trees)
             bad += n * (result.outputs != want)
     return bad / (den * trials)

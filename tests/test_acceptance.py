@@ -180,7 +180,7 @@ def test_criterion_6_compression_zero_error_and_stage_bound():
                 structure=struct, trees=trees,
             )
             e = struct.table.get(x)
-            truth = tuple(struct.transcript(e, i) for i in p.players)
+            truth = tuple(struct.transcript(e.record(i), i) for i in p.players)
             ok &= result.profile == truth
             # On these protocols a player's round order is the global one.
             ok &= truth == tuple(
@@ -197,7 +197,7 @@ def test_criterion_6_compression_zero_error_and_stage_bound():
         entropy_sum = sum(
             oracle_cond_entropy(
                 [
-                    (w, struct.transcript(e, i),
+                    (w, struct.transcript(e.record(i), i),
                      (e.inputs[i - 1], e.public_tape))
                     for w, e in helpers.enumerate_runs(p, mu)
                 ]
@@ -242,7 +242,7 @@ def test_criterion_7_coherent_profile_uniqueness():
             # The one coherent profile is the true one, in global order,
             # which on these protocols is also each player's round order.
             e = struct.table.get(x)
-            truth = tuple(struct.transcript(e, i) for i in p.players)
+            truth = tuple(struct.transcript(e.record(i), i) for i in p.players)
             ok &= coherent == [truth]
             ok &= truth == tuple(
                 helpers.round_interleaved_transcript(e, i) for i in p.players
@@ -264,7 +264,7 @@ def test_criterion_8_obliviousize():
     agree_ok = True
     for key, e in old.items():
         if e.total_bits < threshold:
-            agree_ok &= new.executions[key].outputs == e.outputs
+            agree_ok &= new.get(*key).outputs == e.outputs
     report(8, "coordinator rewrite is oblivious, Markov bound exact, "
               "non-truncated runs agree", oblivious_ok and markov_ok and agree_ok)
 

@@ -318,7 +318,7 @@ def test_a_product_compresses_with_zero_error():
     off_order = 0
     for e in struct.table.values():
         x, pub = e.inputs, e.public_tape
-        truth = tuple(struct.transcript(e, i) for i in p.players)
+        truth = tuple(struct.transcript(e.record(i), i) for i in p.players)
         off_order += truth != tuple(
             helpers.round_interleaved_transcript(e, i) for i in p.players
         )
@@ -347,11 +347,12 @@ def test_random_oblivious_protocols_compress_exactly():
         trees = {}
         rows, den = weighted_executions(p, mu)
         stages = 0
-        for x, n, e in rows:
-            result = compress_run(p, mu, x, e.public_tape, LcpBox(mode="exact"),
+        for x, n, privs, pub, _ in rows:
+            e = struct.table.get(x, privs, pub)
+            result = compress_run(p, mu, x, pub, LcpBox(mode="exact"),
                                   structure=struct, trees=trees)
             assert result.profile == tuple(
-                struct.transcript(e, i) for i in p.players), seed
+                struct.transcript(e.record(i), i) for i in p.players), seed
             assert result.outputs == e.outputs, seed
             assert result.stages <= result.log_weight_bound + TOL, seed
             stages += n * result.stages
@@ -380,7 +381,7 @@ def test_leaves_carry_the_outputs_their_transcripts_yield():
         mu = uniform(p)
         for x in p.input_space():
             e = struct.table.get(x)
-            truth = tuple(struct.transcript(e, i) for i in p.players)
+            truth = tuple(struct.transcript(e.record(i), i) for i in p.players)
             for i in p.players:
                 tree = build_tree(p, i, x[i - 1], "", mu, structure=struct)
                 assert sorted(tree.leaves) == sorted(leaves_of(tree))
@@ -493,7 +494,7 @@ def test_true_profiles_are_coherent_and_flips_are_not():
         for x in p.input_space():
             e = struct.table.get(x)
             profile = tuple(
-                struct.transcript(e, i) for i in p.players
+                struct.transcript(e.record(i), i) for i in p.players
             )
             assert is_coherent(profile, p, struct)
             flipped = list(profile)
@@ -507,7 +508,7 @@ def test_a_transcript_that_does_not_split_is_not_coherent():
     p = get_entry("star-parity", k=3, n=1).protocol
     struct = ObliviousStructure.build(p)
     e = struct.table.get(("0", "1", "1"))
-    profile = tuple(struct.transcript(e, i) for i in p.players)
+    profile = tuple(struct.transcript(e.record(i), i) for i in p.players)
     assert is_coherent(profile, p, struct)
     t = profile[0]
     for broken, why in ((t[:-1], "unparseable at bit 1"),
@@ -541,7 +542,7 @@ def test_a_product_true_profile_is_coherent_and_a_truncated_one_is_not():
     p, _family = ring_star_product()
     struct = ObliviousStructure.build(p)
     for e in struct.table.values():
-        profile = tuple(struct.transcript(e, i) for i in p.players)
+        profile = tuple(struct.transcript(e.record(i), i) for i in p.players)
         assert is_coherent(profile, p, struct)
         for i in p.players:
             broken = list(profile)
@@ -596,7 +597,7 @@ def test_compress_run_recovers_every_profile_exactly():
             )
             e = struct.table.get(x)
             assert result.profile == tuple(
-                struct.transcript(e, i) for i in p.players
+                struct.transcript(e.record(i), i) for i in p.players
             )
             # Per player: moves <= log2(1/weight of its true leaf) + 1.
             for i in p.players:
@@ -622,7 +623,7 @@ def test_expected_stage_count_bounded_by_ic():
         entropy_sum = sum(
             oracle_cond_entropy(
                 [
-                    (w, struct.transcript(e, i),
+                    (w, struct.transcript(e.record(i), i),
                      (e.inputs[i - 1], e.public_tape))
                     for w, e in enumerate_runs(p, mu)
                 ]
@@ -960,7 +961,7 @@ def test_obliviousize_ring_with_private_tape():
     table_old = run_all(entry.protocol)
     table_new = run_all(obl)
     for key, e_old in table_old.items():
-        assert table_new.executions[key].outputs == e_old.outputs
+        assert table_new.get(*key).outputs == e_old.outputs
 
 
 @pytest.mark.parametrize("case", ["ring-parity", 0, 1, 2])
@@ -983,7 +984,7 @@ def test_obliviousize_reassembles_multi_bit_messages(case):
              if e.total_bits < phases}
     assert below
     for key, outputs in below.items():
-        assert table_new.executions[key].outputs == outputs
+        assert table_new.get(*key).outputs == outputs
 
 
 def test_trace_format_is_line_oriented():
@@ -1024,7 +1025,7 @@ def test_randomized_boxes_with_absurd_error_rates_degrade_gracefully():
         result = compress_run(p, mu, x, "", box, structure=struct,
                               trees=trees)
         e = struct.table.get(x)
-        truth = tuple(struct.transcript(e, i) for i in p.players)
+        truth = tuple(struct.transcript(e.record(i), i) for i in p.players)
         wrong += result.profile != truth
     assert wrong / 300 <= 0.05
 
@@ -1121,15 +1122,13 @@ def test_randomized_run_outputs_match_a_replay_of_their_profiles(monkeypatch):
     trees = {}
     rows = list(weighted_executions(p, mu)[0])
     met_wrong = 0
-    for x, _, e in rows:
+    for x, _, _, pub, _ in rows:
         exact = LcpBox(mode="exact")
-        original(p, mu, x, e.public_tape, exact, structure=struct,
-                 trees=trees)
+        original(p, mu, x, pub, exact, structure=struct, trees=trees)
         for _ in range(8):
             box = LcpBox(mode="randomized", eps=report.eps_per_call,
                          seed=rng.getrandbits(48))
-            original(p, mu, x, e.public_tape, box, structure=struct,
-                     trees=trees)
+            original(p, mu, x, pub, box, structure=struct, trees=trees)
             met_wrong += box.history != exact.history
     assert 0 < len(runs) == met_wrong < 8 * len(rows)
 

@@ -549,6 +549,16 @@ def test_sup_pic_grid_budget_caps_points_per_axis():
     assert err.value.unit == "grid points per axis"
 
 
+@pytest.mark.parametrize("step", [1e-300, 5e-324])
+def test_an_unbudgeted_pic_grid_is_capped_at_2_to_the_64_points(step):
+    # Without a budget the grid is capped as run_all caps executions, so a
+    # tiny step is refused by count before numpy is asked for the grid.
+    with pytest.raises(BudgetExceededError, match=r"budget is 2\^64") as err:
+        sup_pic_grid(get_entry("and-opt").protocol, step, budget=None)
+    assert err.value.unit == "grid points per axis"
+    assert err.value.required > 1 << 64
+
+
 def _assert_same_grid(p, step):
     got = sup_pic_grid(p, step)
     want = helpers.reference_sup_pic_grid(p, step)

@@ -1,8 +1,10 @@
 """Tests for the protocol execution engine, lot ordering, and certifications."""
 
 import dataclasses
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -240,7 +242,7 @@ def test_events_follow_the_global_order():
         assert len(layouts) == 1, p.name
         for e in run_all(p).values():
             for i in p.players:
-                assert struct.transcript(e, i) == "".join(
+                assert struct.transcript(e.record(i), i) == "".join(
                     m.content for m in e.messages if i in (m.sender, m.receiver)
                 ), p.name
     assert walks_off_the_global_order > 0
@@ -828,12 +830,42 @@ def test_relaxed_messages_follow_the_engine_read_log():
             break
 
 
-def test_only_the_reference_execution_derives_its_messages():
+def test_only_the_reference_execution_derives_its_messages(monkeypatch):
     # A fresh protocol object, so no other test has read its executions.
+    # Each execution that derives its messages builds its own Message
+    # records, so a build that derives any execution's messages but the
+    # reference's builds more of them than the structure keeps.
     p = ring_parity(4, 2).protocol
     table = run_all(p)
+    built = []
+    message = model.Message
+
+    def counted(*fields):
+        built.append(fields)
+        return message(*fields)
+
+    monkeypatch.setattr(model, "Message", counted)
     struct = ObliviousStructure.build(p)
+    monkeypatch.undo()
     assert struct.table is table
-    derived = [key for key, e in table.items() if "messages" in vars(e)]
-    assert derived == [next(iter(table.executions))]
+    assert len(built) == len(struct.messages) > 0
+    # The reference is the first execution in table order.
+    assert struct.messages == next(iter(table.values())).messages
+
+
+def test_a_table_holds_only_its_players_final_views():
+    # A fresh protocol, so run_all enumerates and keeps its own table.  It
+    # keeps one tuple of final views per execution; a table that kept an
+    # Execution, its key and its outputs per execution held 1.67 MiB here.
+    p = ring_parity(5, 2).protocol
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = run_all(p)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == helpers.execution_count(p)
+    assert held <= 0.8 * 2**20
 

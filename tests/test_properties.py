@@ -28,6 +28,7 @@ from protolab.measures import (
     transcript_entropy,
 )
 from protolab.model import ObliviousStructure, bitstrings, run, run_all
+from protolab.treefile import protocol_from_dict
 from protolab.zoo import FunctionFamily
 
 import helpers
@@ -46,6 +47,22 @@ def table_protocols(draw, k=None, public=None):
                                     max_size=k))),
         public=draw(st.integers(0, 1)) if public is None else public,
     )
+
+
+@st.composite
+def tree_protocols(draw):
+    """``helpers.random_multiparty_tree_dict`` compiled, with k in {2, 3},
+    0 to 2 private tape bits per player and 0 or 1 public bit, so the
+    players' tapes often differ in length."""
+    k = draw(st.sampled_from((2, 3)))
+    return protocol_from_dict(helpers.random_multiparty_tree_dict(
+        draw(st.integers(0, 2**32 - 1)),
+        k,
+        depth=draw(st.integers(1, 3)),
+        private=tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                    max_size=k))),
+        public=draw(st.integers(0, 1)),
+    ))
 
 
 @st.composite
@@ -169,3 +186,18 @@ def test_relabeling_the_inputs_changes_no_measure(drawn, data):
     undo = {new: old for old, new in relabel[0].items()}
     assert_same_measures(measure_protocol(p, mu, first_input(p.k)),
                          measure_protocol(q, nu, first_input(p.k, undo)))
+
+
+@settings(max_examples=60)
+@given(tree_protocols())
+def test_a_table_position_is_the_execution_a_fresh_run_gives(p):
+    # The table stores no keys: an execution's inputs and tapes are read
+    # off its position, so every position must hold the run on its key.
+    table = run_all(p)
+    assert len(table) == helpers.execution_count(p)
+    keys = []
+    for key, e in table.items():
+        assert table.get(*key) == run(p, *key) == e
+        keys.append(key)
+    assert keys == [(x, privs, pub) for x in p.input_space()
+                    for privs, pub in p.tape_space()]
