@@ -363,11 +363,13 @@ def _execute(inputs, private_tapes, public_tape, drivers):
     """One execution by ``drivers``, one per player: each is restarted on
     its input and tapes, then they run in sweeps, each in index order as
     far as its inbox allows, its new sends fed to their readers' inboxes
-    (the sweeps ``Execution.messages`` replays).  Returns the players'
-    final views, the drivers' last nodes, which fix the execution.  The
-    arguments are not checked here: ``run`` and ``run_relaxed`` check
-    them, and ``_enumerate_all`` builds them from the protocol's own
-    spaces."""
+    (the sweeps ``Execution.messages`` replays).  A sweep skips a halted
+    driver: it would send nothing and draw nothing from the schedule, so
+    the live drivers run in the same order and read the same messages as
+    when every driver is called.  Returns the players' final views, the
+    drivers' last nodes, which fix the execution.  The arguments are not
+    checked here: ``run`` and ``run_relaxed`` check them, and
+    ``_enumerate_all`` builds them from the protocol's own spaces."""
     for d, x, tape in zip(drivers, inputs, private_tapes):
         d.restart(x, tape, public_tape)
     inboxes = [d.inbox for d in drivers]
@@ -376,6 +378,8 @@ def _execute(inputs, private_tapes, public_tape, drivers):
     while progress:
         progress = False
         for d in drivers:
+            if d.halted:
+                continue
             sends = d.sends
             n_rounds = len(sends)
             d.run()
@@ -771,7 +775,13 @@ class ProgramDriver:
     records ``reads`` and ``sends`` (sorted by recipient), its working
     state; ``waiting`` is the blocking wait set.  Everything else about
     the run, the wait and send sets included, is ``node.record()`` once
-    the run has ended at ``node``.
+    the run has ended at ``node``.  ``run`` appends to ``reads`` and
+    ``sends`` and sets ``output`` as each round runs, but walks the trie
+    in locals: it writes ``node`` and ``waiting`` back when it returns
+    (blocked, with the wait set it blocks on, or halted, with ``halted``
+    set and ``waiting`` None) and before it calls the program or raises
+    ``NonTerminationError`` (with ``waiting`` None), so a program or
+    rule error leaves them at the view it failed on.
 
     A driver is built once per player (and side, in a wrapper) and kept;
     ``restart`` starts each of its runs.  A program is a pure function of
@@ -805,16 +815,13 @@ class ProgramDriver:
         """Start the player on these input and tapes, from its root view:
         the only way to start a run.  The program, the trie and the
         schedule are kept; a message that an abandoned run left unread is
-        dropped."""
+        dropped.  ``key`` is the root's trie key."""
         for queue in self.inbox.values():
             queue.clear()
-        self.input = input_value
-        self.private_tape = private_tape
-        self.public_tape = public_tape
-        root_key = (input_value, private_tape, public_tape)
-        node = self.trie.get(root_key)
+        self.key = key = (input_value, private_tape, public_tape)
+        node = self.trie.get(key)
         if node is None:
-            node = self.trie[root_key] = _ViewNode()
+            node = self.trie[key] = _ViewNode()
         self.node = node
         self.reads: list[tuple[tuple[int, str], ...]] = []
         self.sends: list[tuple[tuple[int, str], ...]] = []
@@ -827,66 +834,93 @@ class ProgramDriver:
         self.inbox[sender].append(message)
 
     def run(self) -> "ProgramDriver":
-        i = self.player
+        if self.halted:
+            return self
+        # The walk keeps its state in locals; ``node`` and ``waiting`` are
+        # written back where it returns or raises.
+        node = self.node
+        waits = self.waiting
         inbox = self.inbox
-        while not self.halted:
-            waits = self.waiting
-            if waits == WAIT_ANY:
-                avail = [s for s, queue in inbox.items() if queue]
-                if not avail:
-                    return self
-                pick = avail[0]
-                for cand in self.schedule:
-                    if cand in avail:
-                        pick = cand
-                        break
-                waits = (pick,)
-            elif waits is not None and not all(map(inbox.__getitem__, waits)):
-                return self
+        reads = self.reads
+        sends = self.sends
+        while True:
             if waits is not None:
+                if waits is WAIT_ANY:
+                    avail = [s for s, queue in inbox.items() if queue]
+                    if not avail:
+                        break
+                    pick = avail[0]
+                    for cand in self.schedule:
+                        if cand in avail:
+                            pick = cand
+                            break
+                    step = ((pick, inbox[pick].popleft()),)
+                elif len(waits) == 1:
+                    queue = inbox[waits[0]]
+                    if not queue:
+                        break
+                    step = ((waits[0], queue.popleft()),)
+                elif all(map(inbox.__getitem__, waits)):
+                    step = tuple([(s, inbox[s].popleft()) for s in waits])
+                else:
+                    break
                 # Step to the view that adds this read round.
-                round_reads = tuple((s, inbox[s].popleft()) for s in waits)
-                node = self.node
-                child = node.get(round_reads)
+                child = node.get(step)
                 if child is None:
-                    child = node[round_reads] = _ViewNode(node, round_reads)
-                self.node = child
-                self.reads.append(round_reads)
+                    child = node[step] = _ViewNode(node, step)
+                node = child
+                reads.append(step)
+            if len(sends) >= self.max_rounds:
+                self.node = node
                 self.waiting = None
-            if len(self.sends) >= self.max_rounds:
                 raise NonTerminationError(
-                    f"player {i} exceeded {self.max_rounds} local rounds"
+                    f"player {self.player} exceeded {self.max_rounds} local "
+                    "rounds"
                 )
-            act = self.node.act
+            act = node.act
             if act is None:
-                act = self.node.act = self._checked(self.program(View(
-                    i, self.input, self.private_tape, self.public_tape,
-                    tuple(self.reads),
+                self.node = node
+                self.waiting = None
+                act = node.act = self._checked(self.program(View(
+                    self.player, *self.key, tuple(reads)
                 )))
-            sends, pattern, output, halt = act
-            self.sends.append(sends)
+            round_sends, pattern, output, halt = act
+            sends.append(round_sends)
             if output is not None:
                 self.output = output
             if halt:
                 self.halted = True
-            else:
-                self.waiting = pattern[0]  # () is read at once, as a round
+                waits = None
+                break
+            waits = pattern[0]  # () is read at once, as a round
+        self.node = node
+        self.waiting = waits
         return self
 
     def _checked(self, act: Round):
         """The program's round for the current view, checked against the
-        model's rules, as a trie node keeps it."""
+        model's rules, as a trie node keeps it.  A malformed field raises
+        ``ModelViolationError`` naming it, never a bare Python error."""
         i = self.player
         inbox = self.inbox
         if not isinstance(act, Round):
             raise ModelViolationError(
                 f"player {i}'s program returned {type(act).__name__}"
             )
+        sends = _collection(i, "sends", act.sends)
         recipients = []
-        for q, content in act.sends:
-            if q not in inbox:
+        for entry in sends:
+            try:
+                q, content = entry
+            except (TypeError, ValueError):
                 raise ModelViolationError(
-                    f"player {i} sends to invalid recipient {q}"
+                    f"player {i}'s Round.sends entry {entry!r} is not a "
+                    "(recipient, message) pair"
+                ) from None
+            if not _is_peer(q, inbox):
+                raise ModelViolationError(
+                    f"player {i} sends to invalid recipient {q!r} "
+                    "(Round.sends)"
                 )
             if q in recipients:
                 raise ModelViolationError(
@@ -912,14 +946,32 @@ class ProgramDriver:
                 )
             waits = WAIT_ANY
         else:
-            waits = tuple(sorted(set(act.waits)))
+            waits = _collection(i, "waits", act.waits)
             for s in waits:
-                if s not in inbox:
+                if not _is_peer(s, inbox):
                     raise ModelViolationError(
-                        f"player {i} waits on invalid player {s}"
+                        f"player {i} waits on invalid player {s!r} "
+                        "(Round.waits)"
                     )
-        return (tuple(sorted(act.sends)), (waits, tuple(sorted(recipients))),
+            waits = tuple(sorted(set(waits)))
+        return (tuple(sorted(sends)), (waits, tuple(sorted(recipients))),
                 act.output, act.halt)
+
+
+def _collection(i: int, name: str, value) -> tuple:
+    """A ``Round`` field that holds a collection, as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ModelViolationError(
+            f"player {i}'s Round.{name} is {value!r}, not a collection"
+        ) from None
+
+
+def _is_peer(q, inbox: dict) -> bool:
+    """Whether ``q`` names a player of ``inbox``: an int key, not a value
+    that only equals one (``2.0``, ``True``) nor an unhashable one."""
+    return type(q) is int and q in inbox
 
 
 def fold_views(start: Callable[[View], object],

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from protolab.compression import compress_run
-from protolab.errors import ConfigError, ModelViolationError
+from protolab.errors import (
+    ConfigError,
+    DeadlockError,
+    ModelViolationError,
+    NonTerminationError,
+)
 from protolab.info import NEGATIVE_RESIDUE, JointDistribution
 from protolab.lcp import LcpBox, _len_exchange_bits
 from protolab.model import (
@@ -35,6 +40,7 @@ from protolab.model import (
     WAIT_ANY,
     Round,
     View,
+    ViewRecord,
     bitstrings,
     fold_views,
     run,
@@ -135,11 +141,18 @@ def reference_codebooks(table) -> dict:
     """Per (sender, receiver, link position), the sorted contents sent there
     in any execution of ``table``, found by walking every execution's
     sends; the engine walks each player's view trie once instead."""
+    return codebooks_of(tuple(e.record(i) for i in e.protocol.players)
+                        for e in table.values())
+
+
+def codebooks_of(runs) -> dict:
+    """``reference_codebooks`` over runs given as their players' records,
+    one tuple per run in player order."""
     books: dict[tuple[int, int, int], set[str]] = {}
-    for e in table.values():
-        for i in e.protocol.players:
+    for records in runs:
+        for i, rec in enumerate(records, start=1):
             pos: dict[int, int] = {}
-            for rnd in e.record(i).sends:
+            for rnd in rec.sends:
                 for q, content in rnd:
                     n = pos.get(q, 0)
                     pos[q] = n + 1
@@ -223,6 +236,74 @@ def reference_messages(e) -> tuple[Message, ...]:
             global_index=g,
         )
         for g, (s, q, content, r, pos) in enumerate(ordered, start=1)
+    )
+
+
+def reference_execute(p: ProtocolDef, inputs, private_tapes=None,
+                      public_tape="", schedule=()) -> tuple[ViewRecord, ...]:
+    """Every player's record of one execution, by the model itself: the
+    players run in sweeps in index order, each as far as its inbox allows,
+    and every local round calls the program on a freshly built ``View``.
+    This is the model the drivers' view tries memoize, written without
+    ``ProgramDriver`` or a trie, for valid protocols: it applies the round
+    bound and the end-of-run checks but not the per-round model checks.
+    A wait-any read takes the first sender of ``schedule`` (one iterator,
+    shared by every player) with a message waiting, else the lowest."""
+    schedule = iter(schedule)
+    players = p.players
+    private_tapes = private_tapes or ("",) * p.k
+    inbox = {i: {s: deque() for s in players if s != i} for i in players}
+    reads = {i: [] for i in players}
+    sends = {i: [] for i in players}
+    patterns = {i: [] for i in players}
+    output = dict.fromkeys(players)
+    waits = dict.fromkeys(players)  # None: the next round reads nothing
+    halted = set()
+    progress = True
+    while progress:
+        progress = False
+        for i in players:
+            while i not in halted:
+                queues = inbox[i]
+                if waits[i] == WAIT_ANY:
+                    avail = [s for s in sorted(queues) if queues[s]]
+                    if not avail:
+                        break
+                    pick = next((s for s in schedule if s in avail), avail[0])
+                    reads[i].append(((pick, queues[pick].popleft()),))
+                elif waits[i] is not None:
+                    if not all(queues[s] for s in waits[i]):
+                        break
+                    reads[i].append(tuple((s, queues[s].popleft())
+                                          for s in waits[i]))
+                if len(sends[i]) == p.max_local_rounds:
+                    raise NonTerminationError(
+                        f"player {i} exceeded {p.max_local_rounds} local "
+                        "rounds"
+                    )
+                act = p.program(i)(View(i, inputs[i - 1], private_tapes[i - 1],
+                                        public_tape, tuple(reads[i])))
+                sent = tuple(sorted(act.sends))
+                for q, content in sent:
+                    inbox[q][i].append(content)
+                waits[i] = (WAIT_ANY if act.waits == WAIT_ANY
+                            else tuple(sorted(set(act.waits))))
+                sends[i].append(sent)
+                patterns[i].append((waits[i], tuple(q for q, _ in sent)))
+                if act.output is not None:
+                    output[i] = act.output
+                if act.halt:
+                    halted.add(i)
+                progress = True
+    if None in output.values():
+        raise DeadlockError("a player wrote no output")
+    if any(queue for queues in inbox.values() for queue in queues.values()):
+        raise DeadlockError("a message was never read")
+    return tuple(
+        ViewRecord(tuple(reads[i]), tuple(sends[i]), tuple(patterns[i]),
+                   "".join(m for rnd in reads[i] for _, m in rnd),
+                   "".join(m for rnd in sends[i] for _, m in rnd), output[i])
+        for i in players
     )
 
 

@@ -6,6 +6,7 @@ tries."""
 import dataclasses
 import gc
 import random
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -383,6 +384,24 @@ DRIVER_ERRORS = [
     (Round(waits=(1,)), ModelViolationError,
      "player 1 waits on invalid player 1"),
     ((), ModelViolationError, "player 1's program returned tuple"),
+    # A malformed field is a model violation that names the field.
+    (Round(waits=2), ModelViolationError,
+     re.escape("player 1's Round.waits is 2, not a collection")),
+    (Round(waits=None), ModelViolationError,
+     re.escape("player 1's Round.waits is None, not a collection")),
+    (Round(sends=5), ModelViolationError,
+     re.escape("player 1's Round.sends is 5, not a collection")),
+    (Round(sends=((2, "1", "x"),)), ModelViolationError,
+     re.escape("player 1's Round.sends entry (2, '1', 'x') is not a "
+               "(recipient, message) pair")),
+    (Round(sends=(([2], "1"),)), ModelViolationError,
+     re.escape("player 1 sends to invalid recipient [2] (Round.sends)")),
+    (Round(waits=([2],)), ModelViolationError,
+     re.escape("player 1 waits on invalid player [2] (Round.waits)")),
+    (Round(sends=((2.0, "1"),)), ModelViolationError,
+     re.escape("player 1 sends to invalid recipient 2.0 (Round.sends)")),
+    (Round(waits=(2.0,)), ModelViolationError,
+     re.escape("player 1 waits on invalid player 2.0 (Round.waits)")),
 ]
 
 
@@ -390,6 +409,98 @@ def test_driver_errors():
     for act, error, match in DRIVER_ERRORS:
         with pytest.raises(error, match=match):
             _driver(lambda view: act, max_rounds=4).run()
+
+
+def _path(node):
+    """The read rounds from the root view to ``node``."""
+    steps = []
+    while node.parent is not None:
+        steps.append(node.step)
+        node = node.parent
+    return steps[::-1]
+
+
+def _exit(d, batches):
+    """Feed d each batch of (sender, message) and run it after each; its
+    state where the last run returned or raised, and the error if any."""
+    error = None
+    try:
+        for batch in batches:
+            for sender, content in batch:
+                d.feed(sender, content)
+            d.run()
+    except ModelViolationError as err:
+        error = (type(err), str(err))
+    return (d.reads, d.sends, d.output, d.halted, d.waiting,
+            _path(d.node)), error
+
+
+# Per exit of ``run``: player 1's program, the mode, the batches fed, and
+# the state it leaves (reads, sends, output, halted, waiting, path to its
+# node) or the error it raises.
+DRIVER_EXITS = {
+    "blocked-on-a-wait-set": (
+        lambda view: (Round(sends=((2, "1"),), waits=(3, 2))
+                      if view.round == 1 else Round(waits=(2,))),
+        RESTRICTED, [[], [(2, "01"), (3, "00")]],
+        ([((2, "01"), (3, "00"))], [((2, "1"),), ()], None, False, (2,),
+         [((2, "01"), (3, "00"))]),
+    ),
+    "blocked-on-wait-any": (
+        lambda view: Round(waits=WAIT_ANY), RELAXED, [[], [(2, "0")]],
+        ([((2, "0"),)], [(), ()], None, False, WAIT_ANY, [((2, "0"),)]),
+    ),
+    "halted": (
+        lambda view: (Round(waits=(2,)) if view.round == 1
+                      else Round(output="0", halt=True)),
+        RESTRICTED, [[], [(2, "1")]],
+        ([((2, "1"),)], [(), ()], "0", True, None, [((2, "1"),)]),
+    ),
+    "too-many-rounds": (
+        lambda view: Round(), RESTRICTED, [[]],
+        (NonTerminationError, "player 1 exceeded 6 local rounds"),
+    ),
+    "model-violation": (
+        lambda view: (Round(waits=(2,)) if view.round == 1
+                      else Round(sends=((4, "1"),))),
+        RESTRICTED, [[], [(2, "1")]],
+        (ModelViolationError, "player 1 sends to invalid recipient 4"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DRIVER_EXITS))
+def test_every_exit_of_run_leaves_a_state_restart_starts_over(case):
+    program, mode, batches, expected = DRIVER_EXITS[case]
+    d = _driver(program, mode=mode)
+    first = _exit(d, batches)
+    # The second run walks the views the first one left in the trie.
+    again = _exit(d.restart("0", "", ""), batches)
+    fresh = _exit(_driver(program, mode=mode), batches)
+    state, error = first
+    if error is None:
+        assert state == expected
+    else:
+        assert error[0] is expected[0] and error[1].startswith(expected[1])
+    assert again == fresh == first
+
+
+def test_run_all_runs_each_driver_only_until_it_halts(monkeypatch):
+    # In ring-parity(4,2) each relay runs both its rounds in the first
+    # sweep and player 1 one round per sweep: 5 calls per execution when
+    # a halted driver is not called again, 12 when every sweep calls all.
+    calls = 0
+    driver_run = ProgramDriver.run
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return driver_run(self)
+
+    monkeypatch.setattr(ProgramDriver, "run", counted)
+    table = run_all(ring_parity(4, 2).protocol)
+    assert len(table) == 1024
+    assert calls <= 5 * len(table)
 
 
 def test_relaxed_wait_any_follows_the_schedule():
