@@ -215,7 +215,7 @@ def _cmd_measure(args) -> int:
         result = measures.sup_pic_grid(p, grid_step, args.budget)
         mu = result.mu
         extras = {
-            "sup_pic_value": round(result.value, 9),
+            "sup_pic_value": measures.report_float(result.value),
             "sup_alpha": str(result.alpha),
             "sup_beta": str(result.beta),
         }
@@ -239,16 +239,15 @@ def _cmd_audit(args) -> int:
     if mu is None:
         raise ConfigError("privacy audit needs a concrete distribution")
     terms = measures.privacy_terms(p, mu, family, args.budget)
-    per_player = [round(t, 9) for t in terms]
     leakage = sum(terms)
     payload = {
         "report": "audit",
         "protocol": p.name,
         "distribution": mu.name,
         "family": family.name,
-        "tolerance": args.tolerance,
-        "privacy_leakage": round(leakage, 9),
-        "per_player": per_player,
+        "tolerance": measures.report_float(args.tolerance),
+        "privacy_leakage": measures.report_float(leakage),
+        "per_player": [measures.report_float(t) for t in terms],
         "verdict": "private" if leakage <= args.tolerance else "not-private",
     }
     _emit(payload, args)

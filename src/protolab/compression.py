@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lcp import LcpBox, draw_plan, lcp_exact, plan_holds
 from .measures import (InputDistribution, acc, distributional_error, ic,
-                       weighted_executions)
+                       report_dict, weighted_executions)
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
@@ -477,10 +477,7 @@ class CompressionReport:
     ties_seen: int
 
     def to_dict(self) -> dict:
-        out = {"report": "compress"}
-        for key, value in self.__dict__.items():
-            out[key] = round(value, 9) if isinstance(value, float) else value
-        return out
+        return report_dict("compress", self)
 
 
 def compression_theorem_check(

@@ -93,14 +93,14 @@ class JointDistribution:
                 raise ValueError(
                     f"outcome {values!r} has arity {len(values)}, expected {arity}"
                 )
-            if not isinstance(n, int):
+            if type(n) is not int:
                 raise ValueError("weight numerators must be ints")
             if n <= 0:
                 raise ValueError(f"outcome {values!r} has non-positive weight")
             if values in seen:
                 raise ValueError(f"duplicate outcome {values!r}")
             seen.add(values)
-        if not isinstance(self.den, int) or self.den <= 0:
+        if type(self.den) is not int or self.den <= 0:
             raise ValueError("the weight denominator must be a positive int")
         total = sum(self.nums)
         if total != self.den:

@@ -18,7 +18,6 @@ Each per-player information term is defined once, in ``player_term``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -374,6 +373,30 @@ def spy_info(p, mu, budget=DEFAULT_BUDGET, joint=None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def report_float(x: float) -> float:
+    """The printed form of a float in every report: ``round(x, 9)``, or x
+    to 9 significant digits where that rounding would read a nonzero x as
+    0."""
+    rounded = round(x, 9)
+    return rounded if rounded or not x else float(f"{x:.9g}")
+
+
+def report_dict(name: str, report) -> dict:
+    """A report dataclass as the dict a report prints: its fields in order,
+    each float through ``report_float``, and each exact ``Fraction`` as its
+    string beside a float ``<field>_bits``."""
+    out = {"report": name}
+    for key, value in vars(report).items():
+        if isinstance(value, Fraction):
+            out[key] = str(value)
+            out[f"{key}_bits"] = report_float(float(value))
+        elif isinstance(value, float):
+            out[key] = report_float(value)
+        else:
+            out[key] = value
+    return out
+
+
 @dataclass
 class MeasureReport:
     """Named measure values in bits, with the inputs that produced them."""
@@ -397,27 +420,7 @@ class MeasureReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "report": "measure",
-            "protocol": self.protocol,
-            "distribution": self.distribution,
-            "tolerance": self.tolerance,
-            "cc": self.cc,
-            "acc": str(self.acc),
-            "acc_bits": round(float(self.acc), 9),
-            "ic": round(self.ic, 9),
-            "pic": round(self.pic, 9),
-            "pic_random_term": round(self.pic_random_term, 9),
-            "transcript_entropy": round(self.transcript_entropy, 9),
-            "spy_info": round(self.spy_info, 9),
-            "privacy_leakage": (
-                None if self.privacy_leakage is None
-                else round(self.privacy_leakage, 9)
-            ),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report_dict("measure", self)
 
 
 def measure_protocol(
@@ -783,7 +786,12 @@ def sup_pic_grid(
     if m - 1 > cap:
         raise BudgetExceededError(m - 1, cap, "pic grid",
                                   "grid points per axis")
-    steps = np.arange(1, m) / m
+    try:
+        steps = np.arange(1, m) / m
+    except (ValueError, MemoryError) as exc:  # numpy refused or ran out
+        raise BudgetExceededError(m - 1, cap, "pic grid",
+                                  "grid points per axis, more than numpy "
+                                  "can hold") from exc
 
     # Per player i and own input v: the executions per value of
     # (Pi_i, R_o, R_i, Rp), counted apart for X_o = 0 and X_o = 1.

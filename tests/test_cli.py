@@ -442,6 +442,43 @@ def test_subnormal_error_rates_compress(capsys, argv):
     assert payload["measured_error"] == 0.0
     if "--delta" in argv:
         assert payload["bound_value"] == 19209.364765681
+        assert payload["delta"] == 1e-320
+    else:
+        assert payload["eps_per_call"] == 1e-320
+
+
+# Under this law only one input in 10^11 makes star-parity leak: 3.8e-10
+# bits, which round(x, 9) alone prints as 0.
+_RARE_LEAK_MU = [
+    {"inputs": ["0", "0", "0"], "num": 99999999999, "den": 10**11},
+    {"inputs": ["0", "1", "1"], "num": 1, "den": 10**11},
+]
+
+
+def test_audit_prints_a_tiny_leakage_as_nonzero(tmp_path, capsys):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(_RARE_LEAK_MU))
+    code, out, _ = run_cli(capsys, "audit", "--protocol", "star-parity",
+                           "--mu", f"file:{path}", "--tolerance", "1e-12")
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["privacy_leakage"] == 3.79839042e-10
+    assert payload["per_player"] == [3.79839042e-10, 0.0, 0.0]
+    assert payload["tolerance"] == 1e-12
+    assert payload["verdict"] == "not-private"
+    code, out, _ = run_cli(capsys, "measure", "--protocol", "star-parity",
+                           "--mu", f"file:{path}")
+    payload = _strict_json(out)
+    assert code == 0
+    for key in ("ic", "pic", "privacy_leakage"):
+        assert payload[key] == 3.79839042e-10, key
+
+
+def test_compress_echoes_a_tiny_delta_as_given(capsys):
+    code, out, _ = run_cli(capsys, "compress", "--protocol", "star-parity",
+                           "--delta", "1e-300")
+    assert code == 0
+    assert _strict_json(out)["delta"] == 1e-300
 
 
 def test_non_finite_report_value_exits_5(capsys, monkeypatch):
@@ -744,6 +781,26 @@ def _argv(draw, tmp_path):
 def test_any_command_line_exits_with_a_documented_code(data, capsys, tmp_path):
     argv = data.draw(_argv(tmp_path))
     code = main(argv)  # an exception escaping main fails the test
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert code in range(6), (argv, code)
     assert code == 0 or err.startswith("error: "), (argv, err)
+    if code == 0:
+        _assert_rates_print_nonzero(argv, out)
+
+
+# The report key that echoes each rate flag a command reads.
+_RATE_KEYS = {"--tolerance": "tolerance", "--delta": "delta",
+              "--eps": "eps_per_call"}
+
+
+def _assert_rates_print_nonzero(argv, out):
+    """A JSON report echoes each positive rate its command line gave as a
+    nonzero number (the parser keeps a repeated flag's last value)."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    if options.get("--format", "json") != "json":
+        return
+    text = Path(options["--out"]).read_text() if "--out" in options else out
+    payload = _strict_json(text)
+    for flag, key in _RATE_KEYS.items():
+        if flag in options and float(options[flag]) > 0:
+            assert payload[key] != 0, (argv, key, payload[key])

@@ -150,6 +150,9 @@ def test_construction_validations():
      "the weight denominator must be a positive int"),
     (("x",), (("0",),), (1,), 0,
      "the weight denominator must be a positive int"),
+    (("x",), (("0",),), (True,), 1, "weight numerators must be ints"),
+    (("x",), (("0",),), (1,), True,
+     "the weight denominator must be a positive int"),
 ])
 def test_each_construction_check_names_its_fault(variables, rows, nums, den,
                                                  message):

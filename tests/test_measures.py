@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from protolab import cli
 from protolab.errors import BudgetExceededError, ConfigError
 from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
@@ -27,6 +28,7 @@ from protolab.measures import (
     product_protocol,
     public_seed_scores,
     publicize,
+    report_float,
     spy_info,
     sup_pic_grid,
     transcript_entropy,
@@ -332,6 +334,15 @@ def test_measure_report_validates_decomposition():
         )
 
 
+def test_a_report_prints_no_nonzero_value_as_0():
+    values = [0.0, 1.5849625007211563, 3.7983904203997434e-10, 1e-300,
+              5e-324]
+    assert cli._render({"v": [report_float(v) for v in values]}, "json") == (
+        '{\n  "v": [\n    0.0,\n    1.584962501,\n    3.79839042e-10,\n'
+        '    1e-300,\n    5e-324\n  ]\n}\n'
+    )
+
+
 # -- publicize / derandomize -------------------------------------------------
 
 
@@ -557,6 +568,14 @@ def test_an_unbudgeted_pic_grid_is_capped_at_2_to_the_64_points(step):
         sup_pic_grid(get_entry("and-opt").protocol, step, budget=None)
     assert err.value.unit == "grid points per axis"
     assert err.value.required > 1 << 64
+
+
+def test_a_grid_numpy_refuses_is_over_budget():
+    # 2^62 points per axis are under the 2^64 cap, but numpy refuses the
+    # axis before it allocates anything.
+    with pytest.raises(BudgetExceededError,
+                       match="4611686018427387903 grid points per axis"):
+        sup_pic_grid(get_entry("and-opt").protocol, 2.0**-62, budget=None)
 
 
 def _assert_same_grid(p, step):
@@ -858,7 +877,7 @@ def test_measure_report_golden_pin():
     assert (report.transcript_entropy, report.spy_info) == (
         1.0000000000000004, 2.019973094021975
     )
-    assert report.to_json().encode() == (
+    assert cli._render(report.to_dict(), "json").encode() == (
         b'{\n  "acc": "3",\n  "acc_bits": 3.0,\n  "cc": 3,\n'
         b'  "distribution": "random",\n  "ic": 0.9509775,\n'
         b'  "pic": 2.892878689,\n  "pic_random_term": 1.941901189,\n'
