@@ -59,16 +59,17 @@ class TreeNode:
     ``weight`` sums mu's integer numerators over the inputs that reach the
     node, ``candidate`` is the leaf the max-weight descent from the node
     reaches (ties take the 0-labelled child), ``height`` the number of
-    branching nodes on the longest path down.  A leaf is its own candidate
-    and also carries its transcript parsed once, when the tree is built:
-    the owner's output there and its conversation with each peer, as
+    branching nodes on the longest path down.  An inner node stores its
+    candidate in ``best``; a leaf is its own candidate, returned without
+    being stored, so a tree holds no reference cycle.  A leaf also carries
+    its transcript parsed once, when the tree is built: the owner's output
+    there and its conversation with each peer, as
     ``ObliviousStructure.parse_transcript`` returns them."""
 
     prefix: str
     weight: int
     children: dict[str, "TreeNode"]
-    candidate: "TreeNode | None" = field(default=None, repr=False,
-                                         compare=False)
+    best: "TreeNode | None" = field(default=None, repr=False, compare=False)
     height: int = 0
     leaf_label: str | None = None
     output: str | None = None
@@ -77,6 +78,10 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.leaf_label is not None
+
+    @property
+    def candidate(self) -> "TreeNode":
+        return self if self.is_leaf else self.best
 
 
 @dataclass
@@ -105,7 +110,6 @@ def _build_node(weights: dict[str, int],
     if len(strings) == 1:
         leaf = leaves[first] = TreeNode(prefix=first, weight=total,
                                         children={}, leaf_label=first)
-        leaf.candidate = leaf
         return leaf
     cut = lcp_exact(first, last)
     groups: dict[str, dict[str, int]] = {"0": {}, "1": {}}
@@ -120,7 +124,7 @@ def _build_node(weights: dict[str, int],
     zero, one = (_build_node(groups[bit], leaves) for bit in "01")
     return TreeNode(
         prefix=first[:cut], weight=total, children={"0": zero, "1": one},
-        candidate=(zero if zero.weight >= one.weight else one).candidate,
+        best=(zero if zero.weight >= one.weight else one).candidate,
         height=1 + max(zero.height, one.height),
     )
 

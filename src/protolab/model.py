@@ -39,7 +39,7 @@ import itertools
 import math
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -367,8 +367,9 @@ def _execute(inputs, private_tapes, public_tape, drivers):
     driver: it would send nothing and draw nothing from the schedule, so
     the live drivers run in the same order and read the same messages as
     when every driver is called.  Returns the players' final views, the
-    drivers' last nodes, which fix the execution.  The arguments are not
-    checked here: ``run`` and ``run_relaxed`` check them, and
+    drivers' last nodes, which fix the execution; each keeps its player's
+    record, stored the first time an execution ends there.  The arguments
+    are not checked here: ``run`` and ``run_relaxed`` check them, and
     ``_enumerate_all`` builds them from the protocol's own spaces."""
     for d, x, tape in zip(drivers, inputs, private_tapes):
         d.restart(x, tape, public_tape)
@@ -400,7 +401,11 @@ def _execute(inputs, private_tapes, public_tape, drivers):
         stuck = dict(sorted(((s, d.player), len(unread)) for d in drivers
                             for s, unread in d.inbox.items() if unread))
         raise DeadlockError(f"unread messages left in transit: {stuck}")
-    return tuple([d.node for d in drivers])
+    nodes = tuple([d.node for d in drivers])
+    for d, node in zip(drivers, nodes):
+        if node._record is None:  # the first execution to end here
+            node._record = d.record()
+    return nodes
 
 
 def _run_once(p, inputs, private_tapes, public_tape, schedule):
@@ -453,7 +458,10 @@ class ExecutionTable:
     ``views`` maps each input, in ``input_space()`` order, to the players'
     final-view tuples of its executions in ``tape_space()`` order; nothing
     else of an execution is stored.  ``get``, ``items`` and ``values``
-    build an ``Execution`` only when asked for one."""
+    build an ``Execution`` only when asked for one.  ``protocol`` equals
+    the protocol enumerated but is a copy with no table of its own, so the
+    protocol that caches the table is not pointed back to and nothing here
+    forms a reference cycle."""
 
     protocol: ProtocolDef
     views: dict[tuple[str, ...], list[tuple[_ViewNode, ...]]]
@@ -551,7 +559,10 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
                 f"not prefix-free: {witness[0]!r} prefixes {witness[1]!r}"
             )
         frozen[key] = tuple(sorted(contents))
-    return ExecutionTable(p, views, frozen)
+    # The table keeps a field-equal copy of p that has no table cached, so
+    # p, which caches the table, is not pointed back to: p and its table
+    # are freed by reference counting.
+    return ExecutionTable(replace(p), views, frozen)
 
 
 def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTable:
@@ -715,42 +726,23 @@ class ObliviousStructure:
 
 class _ViewNode(dict):
     """One view of a player in a view trie.  As a dict it maps each next
-    read round to the child view; ``parent`` is the view it extends and
-    ``step`` the read round that leads to it (None at a root), both set
-    when the node is made.  ``act`` is the checked round the program
-    returned for this view, once it has run on it: (sends sorted by
-    recipient, (wait set, recipients), output, halt)."""
+    read round to the child view; a node keeps no link back to the view it
+    extends, so a trie's inner views are freed with its driver.  ``act`` is
+    the checked round the program returned for this view, once it has run
+    on it: (sends sorted by recipient, (wait set, recipients), output,
+    halt).  A final view, where an execution stopped, keeps the player's
+    record, stored by the engine the first time an execution ends there."""
 
-    __slots__ = ("act", "parent", "step", "_record")
+    __slots__ = ("act", "_record")
 
-    def __init__(self, parent: _ViewNode | None = None, step=None):
+    def __init__(self):
         self.act = None
-        self.parent = parent
-        self.step = step
         self._record = None
 
     def record(self) -> ViewRecord:
-        """The player's rounds up to and including this view's, read up
-        the parent chain on first request and kept.  Only final views are
-        asked, so inner views of a deep trie keep no copies."""
-        rec = self._record
-        if rec is None:
-            path = []  # the views from the root to this one
-            node = self
-            while node is not None:
-                path.append(node)
-                node = node.parent
-            path.reverse()
-            reads = tuple([node.step for node in path[1:]])
-            acts = [node.act for node in path]
-            sends = tuple([act[0] for act in acts])
-            rec = self._record = ViewRecord(
-                reads, sends, tuple([act[1] for act in acts]),
-                "".join([m for rnd in reads for _, m in rnd]),
-                "".join([m for rnd in sends for _, m in rnd]),
-                next((act[2] for act in acts if act[2] is not None), None),
-            )
-        return rec
+        """The player's rounds up to and including this final view's; None
+        at a view where no execution has ended."""
+        return self._record
 
 
 class ProgramDriver:
@@ -774,14 +766,13 @@ class ProgramDriver:
     iterator share it), else the lowest such sender.  Per round the driver
     records ``reads`` and ``sends`` (sorted by recipient), its working
     state; ``waiting`` is the blocking wait set.  Everything else about
-    the run, the wait and send sets included, is ``node.record()`` once
-    the run has ended at ``node``.  ``run`` appends to ``reads`` and
-    ``sends`` and sets ``output`` as each round runs, but walks the trie
-    in locals: it writes ``node`` and ``waiting`` back when it returns
-    (blocked, with the wait set it blocks on, or halted, with ``halted``
-    set and ``waiting`` None) and before it calls the program or raises
-    ``NonTerminationError`` (with ``waiting`` None), so a program or
-    rule error leaves them at the view it failed on.
+    the run, the wait and send sets included, is ``record()``.  ``run``
+    appends to ``reads`` and ``sends`` and sets ``output`` as each round
+    runs, but walks the trie in locals: it writes ``node`` and ``waiting``
+    back when it returns (blocked, with the wait set it blocks on, or
+    halted, with ``halted`` set and ``waiting`` None) and before it calls
+    the program or raises ``NonTerminationError`` (with ``waiting`` None),
+    so a program or rule error leaves them at the view it failed on.
 
     A driver is built once per player (and side, in a wrapper) and kept;
     ``restart`` starts each of its runs.  A program is a pure function of
@@ -791,11 +782,13 @@ class ProgramDriver:
     on nobody).  A node keeps the checked round the program returned for
     its view, so the program runs, its ``View`` is built and its round is
     checked only on a view no earlier run reached.  A round that breaks a
-    rule is not kept.  A node keeps one parent pointer and the read round
-    that leads to it, not the reads before it: a tuple of every read per
-    node would cost memory and garbage-collector time growing with rounds
-    squared.  Only a final view, where an execution stopped, keeps its
-    record (``_ViewNode.record``), once it is asked for.
+    rule is not kept.  A node keeps neither the reads before it (a tuple of
+    every read per node would cost memory growing with rounds squared) nor
+    a link back to its parent: the trie holds no reference cycle, so its
+    views are freed by reference counting as soon as nothing holds them.
+    ``record()`` reads the run's rounds in one walk down from the root
+    along ``reads``; the engine stores that record in a final view, where
+    an execution stopped, the first time one ends there.
     """
 
     def __init__(self, p: ProtocolDef, player: int, schedule=()):
@@ -867,7 +860,7 @@ class ProgramDriver:
                 # Step to the view that adds this read round.
                 child = node.get(step)
                 if child is None:
-                    child = node[step] = _ViewNode(node, step)
+                    child = node[step] = _ViewNode()
                 node = child
                 reads.append(step)
             if len(sends) >= self.max_rounds:
@@ -896,6 +889,23 @@ class ProgramDriver:
         self.node = node
         self.waiting = waits
         return self
+
+    def record(self) -> ViewRecord:
+        """The player's rounds up to and including the current view's: the
+        run's ``reads``, ``sends`` and ``output``, and the wait and send
+        sets read in one walk down the trie from the root along ``reads``."""
+        node = self.trie[self.key]
+        patterns = [node.act[1]]
+        for step in self.reads:
+            node = node[step]
+            patterns.append(node.act[1])
+        reads, sends = tuple(self.reads), tuple(self.sends)
+        return ViewRecord(
+            reads, sends, tuple(patterns),
+            "".join([m for rnd in reads for _, m in rnd]),
+            "".join([m for rnd in sends for _, m in rnd]),
+            self.output,
+        )
 
     def _checked(self, act: Round):
         """The program's round for the current view, checked against the

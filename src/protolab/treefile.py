@@ -190,18 +190,18 @@ class _TreeMachine:
 
     def _decide(self, player, key, nodes) -> _Decision:
         """The player's decision at the next leaves and nodes where it sends
-        or receives below ``nodes``; other players' nodes fan out."""
+        or receives below ``nodes``; other players' nodes fan out.  A loop
+        finds the points depth first, each node's children in order (a
+        recursive closure would refer to itself: one reference cycle per
+        call)."""
         points: list[_Node] = []
-
-        def walk(node: _Node):
+        stack = list(reversed(nodes))
+        while stack:
+            node = stack.pop()
             if node.is_leaf or player in (node.sender, node.receiver):
                 points.append(node)
             else:
-                for child in node.children.values():
-                    walk(child)
-
-        for node in nodes:
-            walk(node)
+                stack.extend(reversed(node.children.values()))
         if not points:
             raise ModelViolationError(
                 f"player {player} observed messages inconsistent with the tree"

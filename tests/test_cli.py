@@ -804,3 +804,17 @@ def _assert_rates_print_nonzero(argv, out):
     for flag, key in _RATE_KEYS.items():
         if flag in options and float(options[flag]) > 0:
             assert payload[key] != 0, (argv, key, payload[key])
+
+
+# One exit-0 command line per rate flag, so the fuzz test's rate check is
+# run on each flag whatever the draws reach.
+@pytest.mark.parametrize("argv", [
+    ["audit", "--protocol", "star-parity", "--tolerance", "1e-300"],
+    ["compress", "--protocol", "star-parity", "--delta", "1e-300"],
+    ["compress", "--protocol", "star-parity", "--lcp", "randomized",
+     "--eps", "1e-320", "--trials", "1"],
+], ids=["tolerance", "delta", "eps"])
+def test_the_rate_check_reads_each_rate_flag(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _assert_rates_print_nonzero(argv, out)

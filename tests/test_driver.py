@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 from helpers import execution_digest
+from protolab.compression import compression_theorem_check
 from protolab.errors import (
     BudgetExceededError,
     ModelViolationError,
@@ -25,6 +26,7 @@ from protolab.measures import (
     InputDistribution,
     build_joint,
     derandomize_zero_error,
+    measure_protocol,
     product_protocol,
     publicize,
 )
@@ -348,7 +350,7 @@ def test_driver_blocks_until_every_waited_sender_has_a_message():
     assert d.halted and d.waiting is None
     assert d.reads == [((2, "01"), (3, "00")), ((2, "1"),)]
     assert d.sends == [((2, "1"),), (), ()]
-    assert d.node.record().patterns == (((2, 3), (2,)), ((2,), ()), ((), ()))
+    assert d.record().patterns == (((2, 3), (2,)), ((2,), ()), ((), ()))
     assert d.output == "01001"
 
 
@@ -361,7 +363,7 @@ def test_driver_runs_empty_wait_sets_without_messages():
     d = _driver(prog).run()
     assert d.halted and d.reads == [(), ()]
     assert d.sends[0] == ((2, "0"), (3, "1"))
-    assert d.node.record().patterns == (((), (2, 3)), ((), ()), ((), ()))
+    assert d.record().patterns == (((), (2, 3)), ((), ()), ((), ()))
 
 
 DRIVER_ERRORS = [
@@ -411,13 +413,16 @@ def test_driver_errors():
             _driver(lambda view: act, max_rounds=4).run()
 
 
-def _path(node):
-    """The read rounds from the root view to ``node``."""
-    steps = []
-    while node.parent is not None:
-        steps.append(node.step)
-        node = node.parent
-    return steps[::-1]
+def _path(d):
+    """The read rounds from d's root view to its node, found by a search
+    down the trie (a node keeps no link to its parent)."""
+    stack = [(d.trie[d.key], [])]
+    while stack:
+        node, steps = stack.pop()
+        if node is d.node:
+            return steps
+        stack.extend([(child, steps + [step]) for step, child in node.items()])
+    raise AssertionError("the driver's node is not in its trie")
 
 
 def _exit(d, batches):
@@ -432,7 +437,7 @@ def _exit(d, batches):
     except ModelViolationError as err:
         error = (type(err), str(err))
     return (d.reads, d.sends, d.output, d.halted, d.waiting,
-            _path(d.node)), error
+            _path(d)), error
 
 
 # Per exit of ``run``: player 1's program, the mode, the batches fed, and
@@ -518,8 +523,8 @@ def test_relaxed_wait_any_follows_the_schedule():
     # sender with a message waiting is read.
     assert d.halted
     assert d.reads == [((3, "1"),), ((2, "0"),)]
-    assert d.node.record().patterns == ((WAIT_ANY, ()), (WAIT_ANY, ()),
-                                        ((), ()))
+    assert d.record().patterns == ((WAIT_ANY, ()), (WAIT_ANY, ()),
+                                   ((), ()))
 
 
 # -- one view trie per player per enumeration -----------------------------------
@@ -781,7 +786,7 @@ def _drive(d, e):
 
 
 def _record(d):
-    return (d.reads, d.sends, d.node.record().patterns, d.output, d.halted,
+    return (d.reads, d.sends, d.record().patterns, d.output, d.halted,
             d.waiting)
 
 
@@ -800,7 +805,7 @@ def test_a_restarted_driver_matches_a_fresh_one():
             fresh = _drive(ProgramDriver(p, i).restart(*args), e)
             assert _record(d) == _record(fresh)
             rec = e.record(i)
-            assert (d.reads, d.sends, d.node.record().patterns,
+            assert (d.reads, d.sends, d.record().patterns,
                     d.output) == (list(rec.reads), list(rec.sends),
                                   rec.patterns, e.outputs[i - 1])
 
@@ -818,6 +823,67 @@ def test_tables_and_joints_live_as_long_as_their_owners():
     del p, table, joint
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_tables_and_joints_are_freed_as_soon_as_their_owners_are_dropped():
+    # The collector stays off, so only reference counting can free them.
+    gc.disable()
+    try:
+        p = publicize(_zoo("ring-parity", k=3, n=1))
+        table = run_all(p)
+        joint = build_joint(p, uniform(p))
+        refs = [weakref.ref(obj) for obj in (p, table, joint)]
+        del p, table, joint
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def _enumerate_and_measure(p):
+    return run_all(p), measure_protocol(p, uniform(p))
+
+
+def _compress(**options):
+    entry = get_entry("star-parity", k=3, n=1)
+    p = entry.protocol
+    return compression_theorem_check(p, uniform(p), 0.3, entry.family,
+                                     **options)
+
+
+# A tree drawn once: the drawing helper's recursive closure is itself a
+# reference cycle.
+LIFETIME_TREE = helpers.random_tree_dict(random.Random(3), 4, input_bits=2)
+
+# Each operation on protocols it builds itself, so everything it makes is
+# dropped with its result.
+LIFETIME_CASES = {
+    "ring-parity": lambda: _enumerate_and_measure(
+        _zoo("ring-parity", k=3, n=1)),
+    "product": lambda: _enumerate_and_measure(product_protocol(
+        _zoo("star-parity", k=3, n=1), _zoo("ring-parity", k=3, n=1))),
+    "obliviousize": lambda: _obliviousized(Fraction(1, 4)),
+    "publicize": lambda: _enumerate_and_measure(
+        publicize(_zoo("ring-parity", k=3, n=1))),
+    "tree-file": lambda: _enumerate_and_measure(
+        protocol_from_dict(LIFETIME_TREE)),
+    "compress-exact": _compress,
+    "compress-randomized": lambda: _compress(lcp_mode="randomized",
+                                             seed=11, trials=6),
+}
+
+
+@pytest.mark.parametrize("case", list(LIFETIME_CASES))
+def test_an_operation_leaves_no_cyclic_garbage(case):
+    # With the collector off, reference counting alone frees what the
+    # operation built once its result is dropped; a full collection then
+    # finds every reference cycle left behind.
+    gc.collect()
+    gc.disable()
+    try:
+        LIFETIME_CASES[case]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_product_side_tries_are_freed_with_the_product():
