@@ -8,10 +8,10 @@ Commands:
   list      show the built-in protocol registry
 
 Exit codes: 0 ok, 1 bad configuration, 2 budget exceeded (the budget caps
-enumerated executions, the pic grid's points per axis and the local rounds
-of --obliviousize), 3 model violation, 4 compression refused a
-non-oblivious protocol, 5 an internal invariant check failed (a bug in
-protolab).
+enumerated executions, the pic grid's points per axis, the local rounds
+of --obliviousize and the runs of --lcp randomized, executions x trials),
+3 model violation, 4 compression refused a non-oblivious protocol, 5 an
+internal invariant check failed (a bug in protolab).
 """
 
 from __future__ import annotations
@@ -272,11 +272,11 @@ def _cmd_compress(args) -> int:
             raise ConfigError(f"bad --obliviousize EPS {args.obliviousize!r}")
         p = oblivious.obliviousize(p, mu, eps, args.budget)
     p = measures.publicize(p)
+    # Only the flags given: the check owns the defaults of the others.
+    given = {"seed": args.seed, "trials": args.trials, "eps_call": args.eps}
     report = compression.compression_theorem_check(
-        p, mu, args.delta, family,
-        lcp_mode=args.lcp, seed=args.seed or 0,
-        trials=8 if args.trials is None else args.trials,
-        budget=args.budget, eps_call=args.eps,
+        p, mu, args.delta, family, lcp_mode=args.lcp, budget=args.budget,
+        **{name: value for name, value in given.items() if value is not None},
     )
     _emit(report.to_dict(), args)
     return EXIT_OK

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     InvariantError,
     ModelViolationError,
+    check_budget,
 )
 from .lcp import LcpBox, draw_plan, lcp_exact, plan_holds
 from .measures import (InputDistribution, acc, distributional_error, ic,
@@ -510,7 +510,9 @@ def compression_theorem_check(
     delta assertion is then skipped, since the caller chose the operating
     point, and only the measured value is reported.  ``delta`` is an error
     probability, so it must lie in (0, 1); the mode and ``eps_call`` are
-    checked before any enumeration too.
+    checked before any enumeration too.  With randomized boxes the budget
+    (2^64 if None) also caps the runs, executions x trials, before the
+    first trial.
 
     A run is a deterministic function of its box's answers, so a trial
     follows the exact run until its box's first wrong answer (the fact
@@ -580,10 +582,8 @@ def compression_theorem_check(
         measured = float(err_exact)
         eps_call = None
     else:
-        runs = len(exact_runs) * trials
-        if budget is not None and runs > budget:
-            raise BudgetExceededError(runs, budget, "randomized compression",
-                                      "compress runs")
+        check_budget(budget, len(exact_runs) * trials,
+                     "randomized compression", "compress runs")
         if eps_call is None:
             eps_call = delta / max(2 * max_calls, 1)
             if eps_call == 0:

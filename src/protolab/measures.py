@@ -30,6 +30,8 @@ from .errors import (
     ConfigError,
     InvariantError,
     ModelViolationError,
+    budgeted_count,
+    check_budget,
 )
 from .info import JointDistribution, cond_entropy, mutual_info, mutual_infos
 from .model import (
@@ -614,10 +616,15 @@ def product_protocol(
     each side's view is reconstructed exactly.  Each player keeps one
     driver per side, restarted for every state it rebuilds, so a side
     program runs once per distinct side view of that player.  Both
-    protocols must be oblivious and have the same number of players.
+    protocols must be oblivious and have the same number of players.  A
+    product with more executions than the budget (2^64 if None) is refused
+    before either side is enumerated.
     """
     if p.k != q.k:
         raise ConfigError("product needs the same number of players")
+    # The product's executions, counted from its sides before it is built.
+    budgeted_count(budget, p.total_tape_bits + q.total_tape_bits, lambda:
+                   math.prod(map(len, p.input_domains + q.input_domains)))
     sa = ObliviousStructure.build(p, budget)
     sb = ObliviousStructure.build(q, budget)
     k = p.k
@@ -782,14 +789,11 @@ def sup_pic_grid(
     m = round(inverse if inverse < math.inf else 1 / Fraction(grid_step))
     if m < 2:
         raise ConfigError("grid step too coarse")
-    cap = 1 << 64 if budget is None else budget
-    if m - 1 > cap:
-        raise BudgetExceededError(m - 1, cap, "pic grid",
-                                  "grid points per axis")
+    check_budget(budget, m - 1, "pic grid", "grid points per axis")
     try:
         steps = np.arange(1, m) / m
     except (ValueError, MemoryError) as exc:  # numpy refused or ran out
-        raise BudgetExceededError(m - 1, cap, "pic grid",
+        raise BudgetExceededError(m - 1, budget, "pic grid",
                                   "grid points per axis, more than numpy "
                                   "can hold") from exc
 

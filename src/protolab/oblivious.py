@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError, check_budget
 from .measures import InputDistribution, acc, weighted_executions
 from .model import (
     DEFAULT_BUDGET,
@@ -97,8 +97,8 @@ def obliviousize(
     forwarded bits.  After the last phase everyone outputs what its local
     replay produced, or a fixed fallback if the replay is unfinished; a run
     is truncated only if p would transmit at least T bits, which has
-    probability at most acc/T <= eps/2 by Markov.  The budget caps each
-    player's 2T + 2 local rounds as well as the executions.
+    probability at most acc/T <= eps/2 by Markov.  The budget (2^64 if
+    None) caps each player's 2T + 2 local rounds as well as the executions.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -107,10 +107,8 @@ def obliviousize(
     table = run_all(p, budget)
     avg = acc(p, mu, budget)
     phases = max(1, math.ceil(2 * avg / eps))
-    rounds = 2 * phases + 2
-    if budget is not None and rounds > budget:
-        raise BudgetExceededError(rounds, budget, "obliviousize",
-                                  "local rounds")
+    rounds = check_budget(budget, 2 * phases + 2, "obliviousize",
+                          "local rounds")
     k = p.k
     width = _player_width(k)
     fallback = tuple(min(p.output_domain(i)) for i in p.players)

@@ -867,6 +867,23 @@ def second_bit_dict() -> dict:
     }
 
 
+def _random_tree_node(rng, d: int, depth: int, senders, keys) -> dict:
+    """One node of ``random_tree_dict`` and, depth first, its subtree.  A
+    module function rather than a closure over itself, so a draw leaves no
+    reference cycle behind."""
+    if d == depth:
+        return {"outputs": [rng.choice("01"), rng.choice("01")]}
+    sender = rng.choice((1, 2)) if senders is None else senders[d]
+    return {
+        "sender": sender, "receiver": 3 - sender, "msg_bits": 1,
+        "message_table": {key: rng.choice("01") for key in keys[sender]},
+        "children": {
+            "0": _random_tree_node(rng, d + 1, depth, senders, keys),
+            "1": _random_tree_node(rng, d + 1, depth, senders, keys),
+        },
+    }
+
+
 def random_tree_dict(rng, depth: int, input_bits: int = 1,
                      private: tuple[int, int] = (0, 0),
                      public: int = 0, oblivious: bool = False) -> dict:
@@ -877,34 +894,56 @@ def random_tree_dict(rng, depth: int, input_bits: int = 1,
     sender for all its nodes, so the tree is an oblivious protocol."""
     inputs = ["".join(b) for b in itertools.product("01", repeat=input_bits)]
     senders = [rng.choice((1, 2)) for _ in range(depth)] if oblivious else None
-
-    def keys(sender: int) -> list[str]:
-        if not any(private) and not public:
-            return inputs
-        return [
+    keys = {
+        sender: inputs if not any(private) and not public else [
             f"{x}:{r}:{rp}"
             for x in inputs
             for r in bitstrings(private[sender - 1])
             for rp in bitstrings(public)
         ]
-
-    def node(d: int) -> dict:
-        if d == depth:
-            return {"outputs": [rng.choice("01"), rng.choice("01")]}
-        sender = senders[d] if oblivious else rng.choice((1, 2))
-        return {
-            "sender": sender, "receiver": 3 - sender, "msg_bits": 1,
-            "message_table": {key: rng.choice("01") for key in keys(sender)},
-            "children": {"0": node(d + 1), "1": node(d + 1)},
-        }
-
+        for sender in (1, 2)
+    }
     return {
         "name": f"random-tree(depth={depth})",
         "k": 2,
         "input_bits": [input_bits, input_bits],
         "tape_bits": {"private": list(private), "public": public},
-        "tree": node(0),
+        "tree": _random_tree_node(rng, 0, depth, senders, keys),
     }
+
+
+def _multiparty_node(draw: dict, d: int, seen: dict) -> dict:
+    """One node of ``random_multiparty_tree_dict`` and, depth first, its
+    subtree; ``draw`` holds what the whole draw shares.  A module function
+    rather than a closure over itself, so a draw leaves no reference cycle
+    behind."""
+    rng, seed, players = draw["rng"], draw["seed"], draw["players"]
+    if d == len(draw["pairs"]):
+        if draw["valid"]:
+            return {"outputs": [
+                random.Random(repr((seed, "out", i, seen[i]))).choice("01")
+                for i in players
+            ]}
+        return {"outputs": [rng.choice("01") for _ in players]}
+    if draw["valid"]:
+        (sender, receiver), bits = draw["pairs"][d], 1
+        choose = random.Random(repr((seed, d, seen[sender])))
+        table = {key: choose.choice("01") for key in draw["keys"][sender]}
+        values = ("0", "1")
+    else:
+        sender, receiver = rng.sample(players, 2)
+        bits = rng.choice((1, 2))
+        table = {key: rng.choice(bitstrings(bits))
+                 for key in draw["keys"][sender]}
+        values = sorted(set(table.values()) | {rng.choice(bitstrings(bits))})
+    children = {}
+    for value in values:
+        after = dict(seen)
+        after[sender] += (value,)
+        after[receiver] += (value,)
+        children[value] = _multiparty_node(draw, d + 1, after)
+    return {"sender": sender, "receiver": receiver, "msg_bits": bits,
+            "message_table": table, "children": children}
 
 
 def random_multiparty_tree_dict(seed: int, k: int, depth: int,
@@ -926,47 +965,22 @@ def random_multiparty_tree_dict(seed: int, k: int, depth: int,
     private = tuple(private or (0,) * k)
     players = range(1, k + 1)
     pairs = [tuple(rng.sample(players, 2)) for _ in range(depth)]
-
-    def keys(sender: int) -> list[str]:
-        if not any(private) and not public:
-            return ["0", "1"]
-        return [f"{x}:{r}:{rp}" for x in "01"
-                for r in bitstrings(private[sender - 1])
-                for rp in bitstrings(public)]
-
-    def node(d: int, seen: dict) -> dict:
-        if d == depth:
-            if valid:
-                return {"outputs": [
-                    random.Random(repr((seed, "out", i, seen[i]))).choice("01")
-                    for i in players
-                ]}
-            return {"outputs": [rng.choice("01") for _ in players]}
-        if valid:
-            (sender, receiver), bits = pairs[d], 1
-            draw = random.Random(repr((seed, d, seen[sender])))
-            table = {key: draw.choice("01") for key in keys(sender)}
-            values = ("0", "1")
-        else:
-            sender, receiver = rng.sample(players, 2)
-            bits = rng.choice((1, 2))
-            table = {key: rng.choice(bitstrings(bits)) for key in keys(sender)}
-            values = sorted(set(table.values()) | {rng.choice(bitstrings(bits))})
-        children = {}
-        for value in values:
-            after = dict(seen)
-            after[sender] += (value,)
-            after[receiver] += (value,)
-            children[value] = node(d + 1, after)
-        return {"sender": sender, "receiver": receiver, "msg_bits": bits,
-                "message_table": table, "children": children}
-
+    keys = {
+        sender: ["0", "1"] if not any(private) and not public else [
+            f"{x}:{r}:{rp}" for x in "01"
+            for r in bitstrings(private[sender - 1])
+            for rp in bitstrings(public)
+        ]
+        for sender in players
+    }
+    draw = {"rng": rng, "seed": seed, "players": players, "pairs": pairs,
+            "keys": keys, "valid": valid}
     return {
         "name": f"multiparty-tree(seed={seed},k={k},depth={depth})",
         "k": k,
         "input_bits": [1] * k,
         "tape_bits": {"private": list(private), "public": public},
-        "tree": node(0, {i: () for i in players}),
+        "tree": _multiparty_node(draw, 0, {i: () for i in players}),
     }
 
 

@@ -244,6 +244,30 @@ def test_budget_caps_randomized_compress_runs(capsys, monkeypatch):
     assert calls == ["exact"] * 8
 
 
+def test_compress_passes_only_the_randomized_flags_given(capsys, monkeypatch):
+    # The library owns the defaults of --seed, --trials and --eps: the CLI
+    # passes on only the flags the user gave.
+    calls = []
+
+    def check(*args, **kwargs):
+        calls.append(sorted(set(kwargs) - {"lcp_mode", "budget"}))
+        return exact(*args, **kwargs)
+
+    exact = compression.compression_theorem_check
+    monkeypatch.setattr(compression, "compression_theorem_check", check)
+    outs = []
+    for argv in ((), ("--seed", "0", "--trials", "8")):
+        code, out, _ = run_cli(capsys, "compress", "--protocol", "star-parity",
+                               "--lcp", "randomized", *argv)
+        assert code == 0
+        outs.append(out)
+    code, _, _ = run_cli(capsys, "compress", "--protocol", "star-parity",
+                         "--lcp", "randomized", "--eps", "0.01")
+    assert code == 0
+    assert calls == [[], ["seed", "trials"], ["eps_call"]]
+    assert outs[0] == outs[1]  # the defaults are seed 0 and 8 trials
+
+
 def test_budget_fails_before_the_zoo_builds_a_protocol(capsys, monkeypatch):
     def refuse(**params):
         raise AssertionError(f"factory called with {params}")

@@ -937,7 +937,7 @@ def test_obliviousize_budget_caps_local_rounds():
     with pytest.raises(BudgetExceededError, match="18 local rounds") as err:
         obliviousize(p, mu, Fraction(1, 2), budget=17)
     assert err.value.unit == "local rounds"
-    # No budget, no cap: 400000 phases are built (and not run).
+    # No budget caps them at 2^64: 400000 phases are built (and not run).
     wide = obliviousize(p, mu, Fraction(1, 100000), budget=None)
     assert wide.max_local_rounds == 800002
 

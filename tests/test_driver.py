@@ -850,10 +850,6 @@ def _compress(**options):
                                      **options)
 
 
-# A tree drawn once: the drawing helper's recursive closure is itself a
-# reference cycle.
-LIFETIME_TREE = helpers.random_tree_dict(random.Random(3), 4, input_bits=2)
-
 # Each operation on protocols it builds itself, so everything it makes is
 # dropped with its result.
 LIFETIME_CASES = {
@@ -864,8 +860,8 @@ LIFETIME_CASES = {
     "obliviousize": lambda: _obliviousized(Fraction(1, 4)),
     "publicize": lambda: _enumerate_and_measure(
         publicize(_zoo("ring-parity", k=3, n=1))),
-    "tree-file": lambda: _enumerate_and_measure(
-        protocol_from_dict(LIFETIME_TREE)),
+    "tree-file": lambda: _enumerate_and_measure(protocol_from_dict(
+        helpers.random_tree_dict(random.Random(3), 4, input_bits=2))),
     "compress-exact": _compress,
     "compress-randomized": lambda: _compress(lcp_mode="randomized",
                                              seed=11, trials=6),

@@ -11,21 +11,25 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from protolab import model
+from protolab import compression, measures, model, oblivious, treefile, zoo
+from protolab.compression import compression_theorem_check
 from protolab.errors import (
     BudgetExceededError,
     DeadlockError,
     ModelViolationError,
     NonTerminationError,
     SelfDelimitingError,
+    format_count,
 )
 from protolab.measures import (
     InputDistribution,
     build_joint,
     product_protocol,
     publicize,
+    sup_pic_grid,
 )
 from protolab.model import (
+    DEFAULT_BUDGET,
     RELAXED,
     WAIT_ANY,
     ObliviousStructure,
@@ -506,6 +510,110 @@ def test_run_all_without_a_budget_is_capped_at_2_to_the_64(monkeypatch):
     assert err.value.budget == 1 << 64
     with pytest.raises(BudgetExceededError, match="budget is 65536$"):
         run_all(p)
+
+
+def _never(work):
+    def start(*args, **kwargs):
+        raise AssertionError(f"{work} started")
+
+    return start
+
+
+def _wide_ring(public: int) -> ProtocolDef:
+    # ring-parity(3, 1): 2^3 inputs x player 1's pad bit x the public tape.
+    return dataclasses.replace(ring_parity(3, 1).protocol,
+                               public_tape_length=public)
+
+
+def _run_all_site(budget, monkeypatch):
+    monkeypatch.setattr(model, "_enumerate_all", _never("the enumeration"))
+    run_all(_wide_ring(0 if budget else 80), budget)
+
+
+def _zoo_site(budget, monkeypatch):
+    monkeypatch.setitem(zoo.REGISTRY["ring-parity"], "factory",
+                        _never("the zoo factory"))
+    k, n = (3, 1) if budget else (8, 8)
+    get_entry("ring-parity", budget=budget, k=k, n=n)
+
+
+def _tree_header_site(budget, monkeypatch):
+    monkeypatch.setattr(treefile, "_parse_tree", _never("the tree parse"))
+    bits = 2 if budget else 40
+    protocol_from_dict({"k": 2, "input_bits": [bits, bits],
+                        "tape_bits": {"private": [0, 0], "public": 0},
+                        "tree": {"outputs": ["0", "0"]}}, budget=budget)
+
+
+def _grid_site(budget, monkeypatch):
+    monkeypatch.setattr(measures.np, "arange", _never("the grid"))
+    sup_pic_grid(get_entry("and-opt").protocol, 0.001 if budget else 1e-300,
+                 budget)
+
+
+def _obliviousize_site(budget, monkeypatch):
+    monkeypatch.setattr(oblivious, "_player_width", _never("the rewrite"))
+    p = get_entry("q-index", k=3, q=1).protocol  # acc = 2 bits
+    eps = Fraction(1, 2) if budget else Fraction(1, 1 << 80)
+    obliviousize(p, InputDistribution.uniform(p), eps, budget)
+
+
+def _compression_site(budget, monkeypatch):
+    monkeypatch.setattr(compression, "draw_plan", _never("the first trial"))
+    entry = get_entry("star-parity", k=3, n=1)  # 8 executions, no tapes
+    p = entry.protocol
+    compression_theorem_check(p, InputDistribution.uniform(p), 0.1,
+                              entry.family, lcp_mode="randomized",
+                              trials=200 if budget else (1 << 61) + 1,
+                              budget=budget)
+
+
+def _product_site(budget, monkeypatch):
+    if budget:  # two 10-input-bit trees: 2^20 executions together
+        side = protocol_from_dict(helpers.random_tree_dict(
+            random.Random(1), 2, input_bits=5, oblivious=True))
+        sides = side, side
+    else:  # 2^44 executions a side
+        sides = _wide_ring(40), _wide_ring(40)
+    monkeypatch.setattr(measures.ObliviousStructure, "build",
+                        _never("a side's structure"))
+    product_protocol(*sides, budget)
+
+
+# Every cap on work: the site, its work and unit, and the budget under
+# which its smaller parameters ask one unit too many (the product's,
+# 2^20 executions, is the default).
+BUDGET_SITES = {
+    "run_all": (_run_all_site, "enumeration", "executions", 15),
+    "zoo": (_zoo_site, "enumeration", "executions", 15),
+    "tree-header": (_tree_header_site, "enumeration", "executions", 15),
+    "sup_pic_grid": (_grid_site, "pic grid", "grid points per axis", 998),
+    "obliviousize": (_obliviousize_site, "obliviousize", "local rounds", 17),
+    "compression": (_compression_site, "randomized compression",
+                    "compress runs", 1599),
+    "product": (_product_site, "enumeration", "executions", DEFAULT_BUDGET),
+}
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["budget", "none"])
+@pytest.mark.parametrize("site", list(BUDGET_SITES))
+def test_every_budget_site_refuses_past_its_cap(site, bounded, monkeypatch):
+    # One rule everywhere: over the budget, or past 2^64 without one, the
+    # work is refused by name and unit before it starts.
+    refuse, work, unit, budget = BUDGET_SITES[site]
+    budget = budget if bounded else None
+    cap = 1 << 64 if budget is None else budget
+    with pytest.raises(BudgetExceededError) as err:
+        refuse(budget, monkeypatch)
+    assert err.value.budget == cap and err.value.unit == unit
+    message = str(err.value)
+    assert message.startswith(f"{work} needs ")
+    assert message.endswith(f" {unit}, budget is {format_count(cap)}")
+    if err.value.required is not None:  # else named by a power over the cap
+        assert err.value.required > cap
+    if bounded:
+        assert err.value.required == (1 << 20 if site == "product"
+                                      else budget + 1)
 
 
 def test_is_oblivious_examples():
