@@ -34,7 +34,7 @@ from .errors import (
     ModelViolationError,
     check_budget,
 )
-from .lcp import LcpBox, draw_plan, lcp_exact, plan_holds
+from .lcp import DrawPlan, LcpBox, draw_plan, lcp_exact, plan_holds
 from .measures import (InputDistribution, acc, distributional_error, ic,
                        report_dict, weighted_executions)
 from .model import (
@@ -305,20 +305,24 @@ def compress_run(
     profile always equals the true one and the stage invariants are
     asserted against the true leaves the trees recorded; with a
     randomized box the truth checks are skipped (a box error may derail a
-    stage) and the result may be wrong with small probability.
+    stage) and the result may be wrong with small probability.  The run
+    reports the box's calls and bits made during the run, so one box may
+    serve several runs; its ``history`` keeps every run's calls in order.
     ``trees`` memoizes the trees by (player, own input, public tape); a
     memo tree built under a law other than ``mu`` raises ``ValueError``.
     """
     _require_public_coin(p)
     struct = structure or ObliviousStructure.build(p, budget)
     exact = box.mode == "exact"
+    calls_before, bits_before = box.calls, box.comm_bits
     k = p.k
+    players = tuple(p.players)
     inputs = tuple(inputs)
     if len(inputs) != k:
         raise ValueError("need one input per player")
     trees = {} if trees is None else trees
     tree_of = {}
-    for i in p.players:
+    for i in players:
         key = (i, inputs[i - 1], public_tape)
         tree = trees.get(key)
         if tree is None:
@@ -332,10 +336,15 @@ def compress_run(
             )
         tree_of[i] = tree
     # Each tree checked its owner's input, so the trees reached this one.
-    truth = {i: tree_of[i].reached[inputs] for i in p.players}
+    truth = {i: tree_of[i].reached[inputs] for i in players}
+    # The pairs that exchange a message, in pair order; every transcript
+    # of an oblivious protocol has the structure's messages.
+    pairs = tuple((i, j) for i in players for j in players
+                  if i < j and any(peer == j for _, _, peer, _
+                                   in struct.events[i]))
 
-    tau = {i: tree_of[i].root for i in p.players}
-    moves = {i: 0 for i in p.players}
+    tau = {i: tree_of[i].root for i in players}
+    moves = {i: 0 for i in players}
     broadcast_bits = math.ceil(math.log2(struct.table.cc + 2))
     trace: list[StageRecord] = []
     comm_broadcast = 0
@@ -344,7 +353,7 @@ def compress_run(
     # loop is bounded by the total tree depth; erring boxes can also cause
     # no-op stages, so randomized runs get slack and then give up with
     # whatever candidates they hold (counted as an error by the caller).
-    depth_total = sum(tree_of[i].depth for i in p.players)
+    depth_total = sum(tree_of[i].depth for i in players)
     stage_cap = depth_total + 2 if exact else 16 * (depth_total + 4)
 
     def finish(cand):
@@ -358,12 +367,12 @@ def compress_run(
             for i, leaf in truth.items()
         )
         return CompressRun(
-            profile=tuple(cand[i].leaf_label for i in p.players),
-            outputs=tuple(cand[i].output for i in p.players),
+            profile=tuple(cand[i].leaf_label for i in players),
+            outputs=tuple(cand[i].output for i in players),
             stages=sum(moves.values()),
             total_stages=stage,
-            comm_bits=box.comm_bits + comm_broadcast,
-            lcp_calls=box.calls,
+            comm_bits=box.comm_bits - bits_before + comm_broadcast,
+            lcp_calls=box.calls - calls_before,
             trace=trace,
             log_weight_bound=log_bound,
             moves_per_player=moves,
@@ -371,38 +380,34 @@ def compress_run(
 
     while True:
         stage += 1
-        cand = {i: tau[i].candidate for i in p.players}
+        cand = {i: tau[i].candidate for i in players}
         if stage > stage_cap:
             if exact:
                 raise ModelViolationError("stage loop failed to terminate")
             return finish(cand)
         q_values: dict[tuple[int, int], int | None] = {}
-        hits: dict[tuple[int, int], tuple[int, int]] = {}  # (diff, extent)
-        for i in p.players:
-            for j in p.players:
-                if i >= j:
-                    continue
-                conv_i, ext_i = cand[i].conversations[j]
-                conv_j, ext_j = cand[j].conversations[i]
-                if not ext_i and not ext_j:
-                    continue
-                diff = box.compare(conv_i, conv_j)
-                if diff is None:
-                    q_values[(i, j)] = None
-                    continue
-                extents = ext_i if diff < len(conv_i) else ext_j
-                n = _extent_at(extents, diff)
-                q_values[(i, j)] = extents[n][0]
-                hits[(i, j)] = diff, n
+        # The smallest q so far, the first pair that reached it with its
+        # (diff, extent), and whether a later pair reached it too.
+        q_min = pair = hit = None
+        tie = False
+        for i, j in pairs:
+            conv_i, ext_i = cand[i].conversations[j]
+            conv_j, ext_j = cand[j].conversations[i]
+            diff = box.compare(conv_i, conv_j)
+            if diff is None:
+                q_values[(i, j)] = None
+                continue
+            extents = ext_i if diff < len(conv_i) else ext_j
+            n = _extent_at(extents, diff)
+            g = q_values[(i, j)] = extents[n][0]
+            if q_min is None or g < q_min:
+                q_min, pair, hit, tie = g, (i, j), (diff, n), False
+            elif g == q_min:
+                tie = True
         comm_broadcast += k * (k - 1) * broadcast_bits
-        finite = {pair: g for pair, g in q_values.items() if g is not None}
-        if not finite:
+        if q_min is None:
             trace.append(StageRecord(stage, q_values, None, None, False))
             return finish(cand)
-        q_min = min(finite.values())
-        winners = sorted(pair for pair, g in finite.items() if g == q_min)
-        pair = winners[0]
-        tie = len(winners) > 1
         # Message q_min's sender is "correct"; its receiver moves.
         message = struct.messages[q_min - 1]
         sender, mover = message.sender, message.receiver
@@ -421,7 +426,7 @@ def compress_run(
             continue
         # Both sides of a conversation list its messages in global order,
         # so the mover's extent of message q_min has the same index.
-        diff, n = hits[pair]
+        diff, n = hit
         _, start, end, at = cand[mover].conversations[sender][1][n]
         wrong_at = at + min(max(diff - start, 0), end - start - 1)
         # The anchor is the deepest inner node between tau and the candidate
@@ -518,15 +523,16 @@ def compression_theorem_check(
     follows the exact run until its box's first wrong answer (the fact
     behind Braverman and Rao's union bound).  A box answers wrong exactly
     when a hash test on the exact search path collides, and those tests
-    depend only on the exact run's lcp calls and the rate.  So each exact
-    run's calls are compiled once into a draw plan (``lcp.draw_plan``), and
-    a trial walks the plan with its seed (``lcp.plan_holds``); if no test
-    collides, its outputs are the exact run's.  Otherwise the trial runs
-    ``compress_run`` with a fresh box on the same seed, which returns what
-    running the trial in full returns.  Reports stay byte-identical to
-    running every trial through ``compress_run``; the trials cost about
-    planned tests times trials, plus one run per trial that meets a wrong
-    answer.
+    depend only on the exact run's lcp calls and the rate.  So each distinct
+    history of exact-run calls is compiled once into a draw plan
+    (``lcp.draw_plan``), and a trial walks its run's plan with its seed
+    (``lcp.plan_holds``); if no test collides, its outputs are the exact
+    run's.  Otherwise the trial runs ``compress_run`` with a fresh box on
+    the same seed, which returns what running the trial in full returns.
+    Reports stay byte-identical to running every trial through
+    ``compress_run``; the trials cost about planned tests times trials,
+    plus one run per trial that meets a wrong answer.  The exact runs share
+    one exact box, which answers each distinct comparison once.
     """
     if not 0 < delta < 1:
         raise ConfigError(f"delta must be an error probability in (0, 1), "
@@ -546,19 +552,21 @@ def compression_theorem_check(
         return outputs != tuple(family.value(i, x) for i in p.players)
 
     # One exact run per (input, public tape); it has probability n / den.
-    # Each is kept with its verdict and its box's calls, for the trials'
-    # draw plans, and without its stage trace, of which the report reads
-    # only the ties.
+    # The runs share one exact box, which answers each distinct comparison
+    # once.  Each run is kept with its verdict and its own calls, for the
+    # trials' draw plans, and without its stage trace, of which the report
+    # reads only the ties.
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
     ties = 0
+    box = LcpBox(mode="exact")
     for x, n, _, pub, _ in rows:
-        box = LcpBox(mode="exact")
+        start = box.calls
         r = compress_run(p, mu, x, pub, box, budget,
                          structure=struct, trees=trees)
         ties += sum(rec.tie for rec in r.trace)
         exact_runs.append((x, n, pub, replace(r, trace=[]),
-                           wrong(x, r.outputs), box.history))
+                           wrong(x, r.outputs), tuple(box.history[start:])))
     err_exact = Fraction(
         sum(n for _, n, _, _, is_wrong, _ in exact_runs if is_wrong), den
     )
@@ -592,8 +600,11 @@ def compression_theorem_check(
 
         rng = random.Random(seed)
         bad = 0
+        plans: dict[tuple, DrawPlan] = {}  # one per distinct exact history
         for x, n, pub, _, is_wrong, history in exact_runs:
-            plan = draw_plan(history, eps_call)
+            plan = plans.get(history)
+            if plan is None:
+                plan = plans[history] = draw_plan(history, eps_call)
             for _ in range(trials):
                 box_seed = rng.getrandbits(48)
                 if plan_holds(plan, box_seed):

@@ -164,7 +164,11 @@ def plan_holds(plan: DrawPlan, seed: int) -> bool:
 class LcpBox:
     """Accounting wrapper around the exact or randomized first-difference
     subroutine; exact mode never errs and draws no randomness.  ``history``
-    lists every call as (x, y, answer), in order."""
+    lists every call as (x, y, answer), in order.
+
+    An exact box computes each distinct (x, y) pair's answer and cost once
+    and keeps them for the box's life; a repeated call still counts as a
+    call, with its bits and its ``history`` entry."""
 
     mode: str = "exact"
     eps: float = 0.01
@@ -174,6 +178,9 @@ class LcpBox:
         init=False, default_factory=list, repr=False
     )
     _rng: random.Random | None = field(init=False, default=None, repr=False)
+    _answers: dict[tuple[str, str], tuple[int | None, int]] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self):
         if self.mode not in ("exact", "randomized"):
@@ -189,7 +196,11 @@ class LcpBox:
 
     def compare(self, x: str, y: str) -> int | None:
         if self.mode == "exact":
-            answer, comm = lcp_exact(x, y), lcp_exact_cost(x, y)
+            known = self._answers.get((x, y))
+            if known is None:
+                known = self._answers[x, y] = (lcp_exact(x, y),
+                                               lcp_exact_cost(x, y))
+            answer, comm = known
         else:
             answer, comm = lcp_randomized(x, y, self.eps, self._rng)
         self.comm_bits += comm

@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     InvariantError,
     ModelViolationError,
+    budget_cap,
     budgeted_count,
     check_budget,
 )
@@ -132,9 +133,14 @@ class InputDistribution:
 
     @classmethod
     def product(
-        cls, a: "InputDistribution", b: "InputDistribution", name: str | None = None
+        cls, a: "InputDistribution", b: "InputDistribution",
+        name: str | None = None, budget: int | None = DEFAULT_BUDGET,
     ) -> "InputDistribution":
-        """Product measure on per-player concatenated inputs."""
+        """Product measure on per-player concatenated inputs; its support,
+        counted from the factors before anything is built, is capped by
+        the budget (2^64 if None)."""
+        check_budget(budget, len(a.inputs) * len(b.inputs),
+                     "product distribution", "inputs")
         nums: dict[tuple[str, ...], int] = {}
         for xa, na in zip(a.inputs, a.nums):
             for xb, nb in zip(b.inputs, b.nums):
@@ -147,13 +153,23 @@ class InputDistribution:
                                 {x: Fraction(n, den) for x, n in nums.items()})
 
     @classmethod
-    def power(cls, mu: "InputDistribution", t: int) -> "InputDistribution":
-        """t-fold product of a distribution with itself."""
+    def power(cls, mu: "InputDistribution", t: int,
+              budget: int | None = DEFAULT_BUDGET) -> "InputDistribution":
+        """t-fold product of a distribution with itself; its support,
+        counted before anything is built, is capped by the budget (2^64 if
+        None)."""
         if t < 1:
-            raise ValueError("power needs t >= 1")
+            raise ConfigError("power needs t >= 1")
+        size = len(mu.inputs)
+        if size > 1 and t >= budget_cap(budget).bit_length():
+            # size^t >= 2^t exceeds the cap; a huge t would take long to
+            # raise to, so the count is named, not built.
+            raise BudgetExceededError(None, budget, "product distribution",
+                                      "inputs", count=f"{size}^{t}")
+        check_budget(budget, size ** t, "product distribution", "inputs")
         out = mu
         for _ in range(t - 1):
-            out = cls.product(out, mu)
+            out = cls.product(out, mu, budget=budget)
         return replace(out, name=f"{mu.name}^{t}")
 
     def validate_for(self, p: ProtocolDef) -> None:
@@ -268,9 +284,13 @@ def distributional_error(
     """Probability over mu and the tapes that some player outputs a wrong
     value for its target function."""
     rows, den = weighted_executions(p, mu, budget)
-    bad = sum(n for x, n, _, _, nodes in rows
-              if any(node.record().output != family.value(i, x)
-                     for i, node in enumerate(nodes, 1)))
+    bad = 0
+    last_x = fx = None
+    for x, n, _, _, nodes in rows:
+        if x != last_x:  # rows come input by input
+            last_x, fx = x, tuple(family.value(i, x) for i in p.players)
+        if any(node.record().output != f for node, f in zip(nodes, fx)):
+            bad += n
     return Fraction(bad, den)
 
 

@@ -175,6 +175,28 @@ def test_lcp_box_accounting():
             LcpBox(**counter)
 
 
+def test_an_exact_box_counts_every_repeated_call(monkeypatch):
+    # The box computes a repeated pair's answer once, but every call still
+    # counts: one call, its bits and one history entry each.
+    computed = Counter()
+    exact = lcp.lcp_exact
+
+    def counted(x, y):
+        computed[x, y] += 1
+        return exact(x, y)
+
+    monkeypatch.setattr(lcp, "lcp_exact", counted)
+    box = LcpBox(mode="exact")
+    pairs = [("0101", "0111"), ("0101", "0111"), ("11", "11"),
+             ("0101", "0111"), ("11", "11")]
+    answers = [box.compare(x, y) for x, y in pairs]
+    assert answers == [2, 2, None, 2, None]
+    assert box.calls == len(pairs)
+    assert box.comm_bits == sum(lcp.lcp_exact_cost(x, y) for x, y in pairs)
+    assert box.history == [(x, y, a) for (x, y), a in zip(pairs, answers)]
+    assert computed == {("0101", "0111"): 1, ("11", "11"): 1}
+
+
 def test_randomized_box_checks_its_rate_up_front():
     for eps in (2, 1, 0, -0.5, float("nan")):
         with pytest.raises(ConfigError, match="error rate"):
@@ -1157,6 +1179,84 @@ def test_randomized_trials_call_boxes_only_in_fallback_runs(monkeypatch):
                                        lcp_mode="randomized", seed=1)
     assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
     assert calls["outside"] == 0 and calls["inside"] > 0, calls
+
+
+@pytest.mark.parametrize("name", ["star", "obliviousized", "randomized"])
+def test_a_reused_exact_box_reports_each_run_as_a_fresh_box(name):
+    # compress_run counts the calls and bits of its own run, so one exact
+    # box over every (input, public tape) gives each run's fresh-box result,
+    # and each run's slice of the shared history is its fresh box's.
+    p, _, _ = golden_case(name)
+    mu = uniform(p)
+    struct = ObliviousStructure.build(p)
+    trees = {}
+    shared = LcpBox(mode="exact")
+    calls = bits = 0
+    for x, _, _, pub, _ in weighted_executions(p, mu)[0]:
+        start = shared.calls
+        reused = compress_run(p, mu, x, pub, shared,
+                              structure=struct, trees=trees)
+        fresh = LcpBox(mode="exact")
+        alone = compress_run(p, mu, x, pub, fresh,
+                             structure=struct, trees=trees)
+        assert reused == alone
+        assert (reused.lcp_calls, reused.comm_bits) == (
+            fresh.calls, alone.comm_bits)
+        assert shared.history[start:] == fresh.history
+        calls += fresh.calls
+        bits += fresh.comm_bits
+    assert (shared.calls, shared.comm_bits) == (calls, bits)
+
+
+@pytest.mark.parametrize("name", ["star", "obliviousized", "randomized"])
+def test_a_theorem_check_computes_each_distinct_lcp_pair_once(name,
+                                                              monkeypatch):
+    # The exact runs share one box, which computes each distinct (x, y)
+    # once however many runs and stages compare it.
+    computed = Counter()
+    exact = lcp.lcp_exact
+
+    def counted(x, y):
+        computed[x, y] += 1
+        return exact(x, y)
+
+    monkeypatch.setattr(lcp, "lcp_exact", counted)
+    p, family, mode = golden_case(name)
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode=mode, seed=1)
+    assert report.to_dict() == COMPRESS_GOLDEN[name]
+    assert set(computed.values()) == {1}
+    # Every run has the same weight under uniform inputs and tapes.
+    runs = len(run_all(p))
+    assert len(computed) < report.mean_lcp_calls * runs
+
+
+def test_a_randomized_check_builds_one_draw_plan_per_distinct_history(
+        monkeypatch):
+    plans = Counter()
+    plan = compression.draw_plan
+
+    def counted(history, eps):
+        plans[history] += 1
+        return plan(history, eps)
+
+    monkeypatch.setattr(compression, "draw_plan", counted)
+    p, family = publicized_ring()
+    report = compression_theorem_check(p, uniform(p), 0.1, family,
+                                       lcp_mode="randomized", seed=1)
+    assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
+    assert set(plans.values()) == {1}
+    # Each exact run's history, computed afresh: the plans cover exactly
+    # the distinct ones, and runs share them.
+    struct = ObliviousStructure.build(p)
+    mu, trees = uniform(p), {}
+    histories = []
+    for x, _, _, pub, _ in weighted_executions(p, mu)[0]:
+        box = LcpBox(mode="exact")
+        compress_run(p, mu, x, pub, box, structure=struct, trees=trees)
+        histories.append(tuple(box.history))
+    assert set(plans) == set(histories)
+    assert len(plans) < len(histories)
 
 
 @pytest.mark.parametrize("case", ["ring", "star", "relay3", "coarse-rate"])

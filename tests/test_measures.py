@@ -810,8 +810,12 @@ def test_power_distribution_matches_iterated_products():
     assert len(cubed.weights) == len(mu.weights) ** 3
     twice = InputDistribution.product(mu, mu)
     assert InputDistribution.power(mu, 2).weights == twice.weights
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         InputDistribution.power(mu, 0)
+    # A huge t is refused by naming its count, which is never built.
+    with pytest.raises(BudgetExceededError,
+                       match=r"needs 8\^1000000000 inputs, budget is 2\^64"):
+        InputDistribution.power(mu, 10**9, budget=None)
     rng = random.Random(11)
     a, b = random_mu(rng, s, "a"), random_mu(rng, s, "b")
     ab = InputDistribution.product(a, b)

@@ -580,6 +580,27 @@ def _product_site(budget, monkeypatch):
     product_protocol(*sides, budget)
 
 
+class _UnreadLaw:
+    """A law's stand-in with ``size`` inputs whose weights are never read."""
+
+    name = "unread"
+    nums = property(_never("reading the weights"))
+
+    def __init__(self, size):
+        self.inputs = range(size)
+
+
+def _product_law_site(budget, monkeypatch):
+    # 4 x 4 inputs, or 2^33 x 2^33.
+    side = _UnreadLaw(4 if budget else 1 << 33)
+    InputDistribution.product(side, side, budget=budget)
+
+
+def _power_law_site(budget, monkeypatch):
+    # 4^3 inputs, or 4^33 = 2^66; refused before the first product.
+    InputDistribution.power(_UnreadLaw(4), 3 if budget else 33, budget)
+
+
 # Every cap on work: the site, its work and unit, and the budget under
 # which its smaller parameters ask one unit too many (the product's,
 # 2^20 executions, is the default).
@@ -592,6 +613,8 @@ BUDGET_SITES = {
     "compression": (_compression_site, "randomized compression",
                     "compress runs", 1599),
     "product": (_product_site, "enumeration", "executions", DEFAULT_BUDGET),
+    "product-law": (_product_law_site, "product distribution", "inputs", 15),
+    "power-law": (_power_law_site, "product distribution", "inputs", 63),
 }
 
 
