@@ -118,16 +118,15 @@ def _build_parser() -> _Parser:
 
 
 def _load_protocol(args):
-    """The protocol, its function family and its name; a protocol whose
-    executions exceed the budget fails here, before any input domain is
-    built."""
+    """The protocol and its function family; a protocol whose executions
+    exceed the budget fails here, before any input domain is built."""
     name = args.protocol
     if name.startswith("tree:"):
         p = treefile.load_protocol(name[len("tree:"):], budget=args.budget)
-        return p, None, name
+        return p, None
     entry = zoo.get_entry(name, budget=args.budget,
                           k=args.k, n=args.n, q=args.q)
-    return entry.protocol, entry.family, name
+    return entry.protocol, entry.family
 
 
 def _load_distribution(args, p):
@@ -208,7 +207,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _cmd_measure(args) -> int:
-    p, family, _ = _load_protocol(args)
+    p, family = _load_protocol(args)
     mu, grid_step = _load_distribution(args, p)
     extras = {}
     if grid_step is not None:
@@ -229,7 +228,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    p, family, _ = _load_protocol(args)
+    p, family = _load_protocol(args)
     if family is None:
         raise ConfigError(
             "privacy audit needs a function family; tree protocols do not "
@@ -259,7 +258,7 @@ def _cmd_compress(args) -> int:
         for flag in ("eps", "trials", "seed"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag} is read by --lcp randomized only")
-    p, family, _ = _load_protocol(args)
+    p, family = _load_protocol(args)
     if family is None:
         raise ConfigError("compression check needs a function family")
     mu, grid_step = _load_distribution(args, p)

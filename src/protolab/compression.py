@@ -264,16 +264,18 @@ class CompressRun:
 
 
 def format_trace(result: CompressRun) -> str:
-    """Line-oriented debugging trace: per stage, the mover, the smallest
-    inconsistent message number, and the per-pair q values ("." = agree,
-    "-" = pair never talks)."""
+    """Line-oriented debugging trace: per stage, the mover (or "nobody
+    moves" when a randomized box blamed a player whose transcript is
+    settled), the smallest inconsistent message number, and the per-pair
+    q values ("." = agree, "-" = pair never talks)."""
     lines = []
     for rec in result.trace:
         pairs = " ".join(
             f"q{i},{j}={'.' if g is None else g}"
             for (i, j), g in sorted(rec.q_values.items())
         )
-        mover = f"player {rec.mover} moves" if rec.mover else "coherent"
+        mover = (f"player {rec.mover} moves" if rec.mover is not None
+                 else "coherent" if rec.q_min is None else "nobody moves")
         tie = " (tie)" if rec.tie else ""
         qmin = "inf" if rec.q_min is None else rec.q_min
         lines.append(f"stage {rec.stage}: Q={qmin} {mover}{tie}  [{pairs}]")

@@ -9,15 +9,18 @@ terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
 which keeps conditional decompositions free of drift.  One such sum serves
 every measure: I(A ; B | C), then H(A | C) at B = A and H(A) at C = {}.
 
-Inside the kernel a marginal is keyed by one packed int, not a tuple of
-values.  On its first kernel call a joint codes each variable's values as
-0..m-1, in the order the outcomes first reach them, gives each variable
-its own bit field and packs every outcome into one int; the joint owns
-these packed rows.  A selector is then the OR of its variables' field
-masks, and an outcome's key in a marginal is ``row & mask``.  One kernel
-call (``mutual_infos`` takes several triples) counts each marginal it needs
+A joint stores each outcome as one packed int, and nothing else per
+outcome.  Its constructor codes each variable's values as 0..m-1, in the
+order the outcomes first reach them, as the outcomes arrive; it then
+gives each variable its own bit field and packs every outcome into one
+int.  ``rows``, ``counts``, ``marginal``, ``condition`` and
+``apply_function`` decode from these rows and one value table per
+variable.  A selector is the OR of its variables' field masks, and an
+outcome's key in a marginal is ``row & mask``.  One kernel call
+(``mutual_infos`` takes several triples) counts each marginal it needs
 once, from the smallest marginal it has already counted whose mask covers
-it (or from the packed rows), and its memo is freed when the call returns.
+it (or from the packed rows), and its memo is freed when the call
+returns; ``counts`` is one such call.
 
 Conventions:
   * ``0 * log(1/0) = 0`` (outcomes with zero conditional mass are skipped);
@@ -30,10 +33,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter, or_
+from itertools import chain, islice, repeat
+from operator import or_
 from typing import Any
 
 from .errors import InvariantError
@@ -43,68 +45,90 @@ NEGATIVE_RESIDUE = 1e-12
 
 Outcome = tuple[Any, ...]
 
+#: Outcomes the constructor reads and codes at a time.
+_BLOCK = 1024
+
 
 def _as_fraction(w: Any) -> Fraction:
     if isinstance(w, Fraction):
         return w
-    if isinstance(w, int):
+    if isinstance(w, int) and not isinstance(w, bool):
         return Fraction(w)
     raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
 
 
-def _projector(idx: Iterable[int]) -> Callable[[Outcome], Outcome]:
-    """Function mapping an outcome tuple to its sub-tuple at ``idx``."""
-    idx = tuple(idx)
-    if not idx:
-        return lambda values: ()
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda values: (values[i],)
-    return itemgetter(*idx)
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """Probability mass over tuples of named discrete variables.
 
     ``variables`` gives the coordinate order of every outcome tuple.
     Outcome ``rows[j]`` has probability ``nums[j] / den``; the numerators
-    are positive ints summing to exactly ``den``.
+    are positive ints summing to exactly ``den``.  ``rows`` may be any
+    iterable: it is read once, ``_BLOCK`` outcomes at a time, and only
+    the packed rows are kept.  Variable ``v`` holds its value's code in
+    the bit field ``_masks[v]`` of each packed row, and ``_values[v]``
+    lists its values by code; a value equal to an earlier one (``1`` and
+    ``True``) shares its code and reads back as the earlier one.
     """
 
-    variables: tuple[str, ...]
-    rows: tuple[Outcome, ...]
-    nums: tuple[int, ...]
-    den: int
-
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: Iterable[str], rows: Iterable[Outcome],
+                 nums: Iterable[int], den: int):
+        self.variables = variables = tuple(variables)
+        if not variables:
             raise ValueError("a distribution needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        if not self.rows:
+        self.nums = nums = tuple(nums)
+        tables: list[dict[Any, int]] = [{} for _ in variables]
+        # Each variable's codes, one chunk per block: bytes while the
+        # variable has at most 256 values, a list of ints after.
+        columns: list[list] = [[] for _ in variables]
+        count, outcomes = 0, iter(rows)
+        for block in iter(lambda: list(islice(outcomes, _BLOCK)), []):
+            weights = nums[count:count + len(block)]
+            count += len(block)
+            # An outcome past the last weight is refused after the loop.
+            for values, n in zip(block, weights):
+                if len(values) != len(variables):
+                    raise ValueError(
+                        f"outcome {values!r} has arity {len(values)}, "
+                        f"expected {len(variables)}"
+                    )
+                if type(n) is not int:
+                    raise ValueError("weight numerators must be ints")
+                if n <= 0:
+                    raise ValueError(f"outcome {values!r} has non-positive weight")
+            for table, column, values in zip(tables, columns, zip(*block)):
+                # A value new to its table takes the table's size: the next code.
+                codes = list(map(table.setdefault, values, map(len, repeat(table))))
+                column.append(bytes(codes) if len(table) <= 256 else codes)
+        if not count:
             raise ValueError("a distribution needs at least one outcome")
-        if len(self.nums) != len(self.rows):
+        if count != len(nums):
             raise ValueError("every outcome needs exactly one weight")
-        arity = len(self.variables)
-        seen = set()
-        for values, n in zip(self.rows, self.nums):
-            if len(values) != arity:
-                raise ValueError(
-                    f"outcome {values!r} has arity {len(values)}, expected {arity}"
-                )
-            if type(n) is not int:
-                raise ValueError("weight numerators must be ints")
-            if n <= 0:
-                raise ValueError(f"outcome {values!r} has non-positive weight")
-            if values in seen:
-                raise ValueError(f"duplicate outcome {values!r}")
-            seen.add(values)
-        if type(self.den) is not int or self.den <= 0:
+        # A variable with m values gets max(1, (m - 1).bit_length()) bits.
+        self._rows: list[int] = [0] * count
+        self._masks: dict[str, int] = {}
+        self._values: dict[str, tuple] = {}
+        shift = 0
+        for name, table, column in zip(variables, tables, columns):
+            shifted = [code << shift for code in range(len(table))]
+            codes = map(shifted.__getitem__, chain.from_iterable(column))
+            self._rows = list(map(or_, self._rows, codes))
+            column.clear()
+            width = max(1, (len(table) - 1).bit_length())
+            self._masks[name] = ((1 << width) - 1) << shift
+            self._values[name] = tuple(table)
+            shift += width
+        if len(set(self._rows)) != count:
+            seen: set[int] = set()
+            row = next(r for r in self._rows if r in seen or seen.add(r))
+            raise ValueError(f"duplicate outcome {self._decoder(variables)(row)!r}")
+        if type(den) is not int or den <= 0:
             raise ValueError("the weight denominator must be a positive int")
-        total = sum(self.nums)
-        if total != self.den:
-            raise ValueError(f"weights sum to {Fraction(total, self.den)}, not 1")
+        self.den = den
+        total = sum(nums)
+        if total != den:
+            raise ValueError(f"weights sum to {Fraction(total, den)}, not 1")
 
     @classmethod
     def from_mapping(
@@ -122,12 +146,14 @@ class JointDistribution:
         )
 
     @property
+    def rows(self) -> tuple[Outcome, ...]:
+        """The outcome tuples, decoded on each read."""
+        return tuple(map(self._decoder(self.variables), self._rows))
+
+    @property
     def outcomes(self) -> tuple[tuple[Outcome, Fraction], ...]:
         """``(value_tuple, weight)`` pairs with exact ``Fraction`` weights."""
-        den = self.den
-        return tuple(
-            (values, Fraction(n, den)) for values, n in zip(self.rows, self.nums)
-        )
+        return tuple(zip(self.rows, map(Fraction, self.nums, repeat(self.den))))
 
     # -- selectors ---------------------------------------------------------
 
@@ -142,25 +168,28 @@ class JointDistribution:
         chosen = set(names)
         return tuple(n for n in self.variables if n in chosen)
 
-    def _indices(self, names: tuple[str, ...]) -> tuple[int, ...]:
-        pos = {n: i for i, n in enumerate(self.variables)}
-        return tuple(pos[n] for n in names)
+    def _decoder(self, names: Iterable[str]) -> Callable[[int], Outcome]:
+        """Function mapping a packed row, or a key whose mask covers
+        ``names``, to the values of ``names``."""
+        fields = []
+        for n in names:
+            mask = self._masks[n]
+            fields.append((mask, (mask & -mask).bit_length() - 1, self._values[n]))
+        return lambda row: tuple([
+            values[(row & mask) >> shift] for mask, shift, values in fields
+        ])
 
     def counts(self, selector: str | Iterable[str]) -> dict[Outcome, int]:
         """Marginal numerators over ``den`` of the selected variables, keyed
         in the order the outcomes first reach each key."""
-        project = _projector(self._indices(self.resolve(selector)))
-        out: dict[Outcome, int] = {}
-        get = out.get
-        for values, n in zip(self.rows, self.nums):
-            key = project(values)
-            out[key] = get(key, 0) + n
-        return out
+        names = self.resolve(selector)
+        mask = sum(self._masks[n] for n in names)
+        decode = self._decoder(names)
+        return {decode(key): n for key, n in _marginals(self, [mask])[mask].items()}
 
     def marginal(self, selector: str | Iterable[str]) -> dict[Outcome, Fraction]:
         """Exact marginal mass over the selected variables."""
-        den = self.den
-        return {key: Fraction(n, den) for key, n in self.counts(selector).items()}
+        return {key: Fraction(n, self.den) for key, n in self.counts(selector).items()}
 
     def condition(self, assignment: Mapping[str, Any]) -> "JointDistribution":
         """Renormalized distribution given ``variable == value`` constraints.
@@ -172,45 +201,14 @@ class JointDistribution:
         for n in assignment:
             if n not in self.variables:
                 raise ValueError(f"unknown variable name: {n}")
-        idx = {self.variables.index(n): v for n, v in assignment.items()}
-        kept = [
-            (values, n)
-            for values, n in zip(self.rows, self.nums)
-            if all(values[i] == v for i, v in idx.items())
-        ]
-        mass = sum(n for _, n in kept)
-        if mass == 0:
+        pick, wanted = self._decoder(assignment), tuple(assignment.values())
+        kept = [(row, n) for row, n in zip(self._rows, self.nums)
+                if pick(row) == wanted]
+        if not kept:
             raise ValueError(f"conditioning event {dict(assignment)!r} has zero mass")
-        return JointDistribution(
-            self.variables,
-            tuple(values for values, _ in kept),
-            tuple(n for _, n in kept),
-            mass,
-        )
-
-    def support_size(self, selector: str | Iterable[str]) -> int:
-        return len(self.counts(selector))
-
-    @cached_property
-    def _packed(self) -> tuple[list[int], dict[str, int]]:
-        """The outcomes as packed ints, and each variable's field mask.
-
-        A variable with m distinct values gets a field of
-        ``max(1, (m - 1).bit_length())`` bits holding its value's code, the
-        order in which the outcomes first reach that value.  Computed on
-        the first kernel call and kept for the life of the joint.
-        """
-        packed = [0] * len(self.rows)
-        masks = {}
-        shift = 0
-        for j, name in enumerate(self.variables):
-            column = list(map(itemgetter(j), self.rows))
-            codes = {v: i << shift for i, v in enumerate(dict.fromkeys(column))}
-            width = max(1, (len(codes) - 1).bit_length())
-            masks[name] = ((1 << width) - 1) << shift
-            shift += width
-            packed = list(map(or_, packed, map(codes.__getitem__, column)))
-        return packed, masks
+        rows, nums = zip(*kept)
+        decode = self._decoder(self.variables)
+        return JointDistribution(self.variables, map(decode, rows), nums, sum(nums))
 
 
 def _marginals(
@@ -223,7 +221,7 @@ def _marginals(
     whose mask covers it, or from the packed rows; the sub-keys of a
     superset come in its key order, so first-reach order is kept.
     """
-    rows, _ = d._packed
+    rows = d._rows
     memo = {0: {0: d.den}}
     for mask in masks:
         if mask in memo:
@@ -248,7 +246,7 @@ def _info_sums(d: JointDistribution, triples) -> list[float]:
     ``(a, b, c)``.  A selector is the OR of its variables' field masks, so
     an abc key projects to its ac, bc and c keys with one AND each; the
     marginals come from one ``_marginals`` memo, freed on return."""
-    fields = d._packed[1]
+    fields = d._masks
     groups = []
     for a, b, c in triples:
         m_a, m_b, m_c = (sum(fields[n] for n in g) for g in (a, b, c))
@@ -345,7 +343,6 @@ def apply_function(
     if new_name in d.variables:
         raise ValueError(f"variable {new_name!r} already exists")
     names = d.resolve(selector)
-    idx = d._indices(names)
 
     def evaluate(key: Outcome) -> Any:
         if callable(f):
@@ -356,6 +353,6 @@ def apply_function(
             return f[key[0]]
         raise ValueError(f"function not total on support: missing {key!r}")
 
-    project = _projector(idx)
-    rows = tuple(values + (evaluate(project(values)),) for values in d.rows)
+    key_of, decode = d._decoder(names), d._decoder(d.variables)
+    rows = (decode(row) + (evaluate(key_of(row)),) for row in d._rows)
     return JointDistribution(d.variables + (new_name,), rows, d.nums, d.den)

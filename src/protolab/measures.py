@@ -99,6 +99,8 @@ class InputDistribution:
         for outcome, w in (
             weights.items() if isinstance(weights, Mapping) else weights
         ):
+            if isinstance(w, bool):
+                raise ValueError(f"weight for {outcome!r} is a bool, not a number")
             frac = w if isinstance(w, Fraction) else Fraction(w)
             if frac < 0:
                 raise ValueError(f"negative weight for {outcome!r}")
@@ -238,28 +240,32 @@ def build_joint(
     variables += [f"{v}{i}" for v in ("pi", "bidi") for i in p.players] + ["pi"]
     if family is not None:
         variables += [f"f{i}" for i in p.players]
-    rows, den = weighted_executions(p, mu, budget)
-    counts: dict[tuple, int] = {}
-    last_x = fx = None
-    for x, n, privs, pub, nodes in rows:
-        recs = [node.record() for node in nodes]
-        received = tuple([rec.received for rec in recs])
-        row = (
-            x
-            + privs
-            + (pub,)
-            + received
-            + tuple([rec.received + rec.sent for rec in recs])
-            + ("".join(received),)
-        )
-        if family is not None:
-            if x != last_x:  # rows come input by input
-                last_x, fx = x, tuple(family.value(i, x) for i in p.players)
-            row += fx
-        counts[row] = counts.get(row, 0) + n
-    return JointDistribution(
-        tuple(variables), tuple(counts), tuple(counts.values()), den
-    )
+    execs, den = weighted_executions(p, mu, budget)
+    # Each input's numerator, once per tape assignment, in the rows' order.
+    nums = [n for n in mu.nums for _ in range(den // mu.den)]
+
+    def outcomes():
+        # Each row holds its execution's inputs and tapes, so no two rows
+        # are equal; the joint codes each one as it arrives.
+        last_x = fx = None
+        for x, _, privs, pub, nodes in execs:
+            recs = [node.record() for node in nodes]
+            received = tuple([rec.received for rec in recs])
+            row = (
+                x
+                + privs
+                + (pub,)
+                + received
+                + tuple([rec.received + rec.sent for rec in recs])
+                + ("".join(received),)
+            )
+            if family is not None:
+                if x != last_x:  # rows come input by input
+                    last_x, fx = x, tuple(family.value(i, x) for i in p.players)
+                row += fx
+            yield row
+
+    return JointDistribution(tuple(variables), outcomes(), nums, den)
 
 
 def cc(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> int:

@@ -969,6 +969,10 @@ class ProgramDriver:
                         "(Round.waits)"
                     )
             waits = tuple(sorted(set(waits)))
+        if type(act.halt) is not bool:
+            raise ModelViolationError(
+                f"player {i}'s Round.halt is {act.halt!r}, not a bool"
+            )
         return (tuple(sorted(sends)), (waits, tuple(sorted(recipients))),
                 act.output, act.halt)
 

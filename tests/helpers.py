@@ -1285,14 +1285,32 @@ def oblivious_trees(count: int = 20) -> list[ProtocolDef]:
 # Reference kernel: the Fraction-based entropy, cond_entropy and mutual_info,
 # kept verbatim (only renamed) as the exact-equality reference for the
 # integer-numerator kernel in protolab.info.  They read the joint law only
-# through ``resolve`` and the Fraction-valued ``marginal``.
+# through ``resolve`` and the decoded ``rows`` and ``nums``, counted here
+# by value tuple, so they share no counting code with the packed kernel.
 # ---------------------------------------------------------------------------
+
+
+def reference_counts(d: JointDistribution, selector) -> dict:
+    """Marginal numerators over ``den`` of the selected variables, counted
+    from the decoded rows, keyed in the order the rows first reach each
+    key."""
+    idx = [d.variables.index(n) for n in d.resolve(selector)]
+    out = {}
+    for values, n in zip(d.rows, d.nums):
+        key = tuple(values[i] for i in idx)
+        out[key] = out.get(key, 0) + n
+    return out
+
+
+def _reference_marginal(d: JointDistribution, selector) -> dict:
+    return {key: Fraction(n, d.den)
+            for key, n in reference_counts(d, selector).items()}
 
 
 def reference_entropy(d: JointDistribution, selector: str | Iterable[str]) -> float:
     """Shannon entropy H(A) in bits of the selected marginal."""
     total = 0.0
-    for w in d.marginal(selector).values():
+    for w in _reference_marginal(d, selector).values():
         total += float(w) * math.log2(w.denominator / w.numerator)
     return total
 
@@ -1310,8 +1328,8 @@ def reference_cond_entropy(
     a = d.resolve(selector)
     c = d.resolve(given)
     ac = d.resolve(a + c)  # union, in distribution order
-    p_ac = d.marginal(ac)
-    p_c = d.marginal(c)
+    p_ac = _reference_marginal(d, ac)
+    p_c = _reference_marginal(d, c)
     c_in_ac = [ac.index(n) for n in c]
     total = 0.0
     for values, w in p_ac.items():
@@ -1346,16 +1364,16 @@ def reference_mutual_info(
                     f"overlapping selectors: {sorted(groups[i] & groups[j])}"
                 )
     abc = tuple(n for n in d.variables if n in groups[0] | groups[1] | groups[2])
-    p_abc = d.marginal(abc)
+    p_abc = _reference_marginal(d, abc)
     ac_names = tuple(n for n in abc if n in groups[0] | groups[2])
     bc_names = tuple(n for n in abc if n in groups[1] | groups[2])
     c_names = tuple(n for n in abc if n in groups[2])
     i_ac = [abc.index(n) for n in ac_names]
     i_bc = [abc.index(n) for n in bc_names]
     i_c = [abc.index(n) for n in c_names]
-    p_ac = d.marginal(ac_names)
-    p_bc = d.marginal(bc_names)
-    p_c = d.marginal(c_names) if c_names else {(): Fraction(1)}
+    p_ac = _reference_marginal(d, ac_names)
+    p_bc = _reference_marginal(d, bc_names)
+    p_c = _reference_marginal(d, c_names) if c_names else {(): Fraction(1)}
     total = 0.0
     for values, w in p_abc.items():
         pac = p_ac[tuple(values[i] for i in i_ac)]

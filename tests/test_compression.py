@@ -1023,6 +1023,24 @@ def test_trace_format_is_line_oriented():
     assert any("moves" in line for line in lines[:-1])
 
 
+def test_trace_names_a_stage_in_which_nobody_moves():
+    """A randomized box can blame a player whose transcript is settled:
+    the stage has a smallest inconsistent message but no mover."""
+    from protolab.compression import CompressRun, StageRecord, format_trace
+
+    trace = [
+        StageRecord(1, {(1, 2): 3}, 3, 2, False),
+        StageRecord(2, {(1, 2): 3}, 3, None, False),
+        StageRecord(3, {(1, 2): None}, None, None, False),
+    ]
+    run = CompressRun(("0", "0"), ("0", "0"), 1, 3, 0, 3, trace, 0.0, {1: 0, 2: 1})
+    assert format_trace(run).splitlines() == [
+        "stage 1: Q=3 player 2 moves  [q1,2=3]",
+        "stage 2: Q=3 nobody moves  [q1,2=3]",
+        "stage 3: Q=inf coherent  [q1,2=.]",
+    ]
+
+
 def test_randomized_boxes_with_absurd_error_rates_degrade_gracefully():
     # Near-coin-flip boxes derail stages constantly; runs must terminate
     # and return *some* profile rather than crash, and with a sane rate

@@ -404,6 +404,13 @@ DRIVER_ERRORS = [
      re.escape("player 1 sends to invalid recipient 2.0 (Round.sends)")),
     (Round(waits=(2.0,)), ModelViolationError,
      re.escape("player 1 waits on invalid player 2.0 (Round.waits)")),
+    # A truthy non-bool would halt the player, and 1 == True would pass.
+    (Round(halt="no"), ModelViolationError,
+     re.escape("player 1's Round.halt is 'no', not a bool")),
+    (Round(halt=1), ModelViolationError,
+     re.escape("player 1's Round.halt is 1, not a bool")),
+    (Round(halt=None), ModelViolationError,
+     re.escape("player 1's Round.halt is None, not a bool")),
 ]
 
 

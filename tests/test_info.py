@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,13 @@ from protolab.info import (
     mutual_info,
     mutual_infos,
 )
+from protolab.measures import InputDistribution, build_joint, pic_decomposition
+from protolab.model import run_all
+from protolab.zoo import get_entry
 
 from helpers import (
     random_joint,
+    reference_counts,
     reference_cond_entropy,
     reference_entropy,
     reference_mutual_info,
@@ -136,6 +141,9 @@ def test_construction_validations():
         JointDistribution.from_mapping(("x", "x"), {("0", "0"): F(1)})
     with pytest.raises(TypeError, match="exact rationals, got float"):
         JointDistribution.from_mapping(("x",), {("0",): 1.0})
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="exact rationals, got bool"):
+            JointDistribution.from_mapping(("x",), {("0",): flag})
 
 
 # The checks test_construction_validations does not reach through
@@ -273,7 +281,7 @@ def test_entropy_support_bound():
     for _ in range(40):
         d = random_joint(rng)
         for name in d.variables:
-            assert entropy(d, name) <= math.log2(d.support_size(name)) + TOL
+            assert entropy(d, name) <= math.log2(len(d.counts(name))) + TOL
 
 
 def test_entropy_prefix_free_expected_length_bound():
@@ -380,7 +388,7 @@ def test_public_api_keeps_fraction_weights():
     cond = d.condition({"y": "1"})
     assert cond.marginal("x") == {("0",): F(2, 5), ("1",): F(3, 5)}
     assert sum(w for _, w in cond.outcomes) == 1
-    assert d.support_size("x") == 2
+    assert len(d.counts("x")) == 2
 
 
 # -- packed kernel keys -------------------------------------------------------
@@ -388,19 +396,21 @@ def test_public_api_keeps_fraction_weights():
 
 def assert_packed_counts(d, selectors):
     """One ``_marginals`` call over ``selectors``, in their order, gives each
-    marginal as ``counts`` does: the same numerators, in the same key order,
-    one packed key per value tuple."""
-    rows, fields = d._packed
-    masks = [sum(fields[n] for n in sel) for sel in selectors]
+    marginal as ``reference_counts`` counts it from the decoded rows: the
+    same numerators, in the same key order, one packed key per value
+    tuple; ``counts`` gives the same dict."""
+    masks = [sum(d._masks[n] for n in sel) for sel in selectors]
     memo = _marginals(d, masks)
     for sel, mask in zip(selectors, masks):
         idx = [d.variables.index(n) for n in d.resolve(sel)]
         key_of = {}
-        for values, row in zip(d.rows, rows):
+        for values, row in zip(d.rows, d._rows):
             sub = tuple(values[i] for i in idx)
             assert key_of.setdefault(sub, row & mask) == row & mask
-        expected = [(key_of[k], n) for k, n in d.counts(sel).items()]
+        counted = reference_counts(d, sel)
+        expected = [(key_of[k], n) for k, n in counted.items()]
         assert list(memo[mask].items()) == expected, sel
+        assert list(d.counts(sel).items()) == list(counted.items()), sel
 
 
 def wide_joint():
@@ -413,7 +423,7 @@ def wide_joint():
     d = JointDistribution(tuple(f"w{j}" for j in range(8)), tuple(rows),
                           tuple(rows.values()), sum(rows.values()))
     assert all(len(d.counts(n)) > 256 for n in d.variables)
-    assert max(d._packed[0]).bit_length() > 64
+    assert max(d._rows).bit_length() > 64
     return d
 
 
@@ -436,17 +446,17 @@ def constant_joint():
     d = random_joint(random.Random(8), n_vars=4)
     d = d.condition({"v0": d.rows[0][0]})
     d = apply_function(d, "v1", lambda v: "k", "k")
-    assert d.support_size("v0") == d.support_size("k") == 1
-    assert all(d._packed[1][n].bit_count() == 1 for n in ("v0", "k"))
+    assert len(d.counts("v0")) == len(d.counts("k")) == 1
+    assert all(d._masks[n].bit_count() == 1 for n in ("v0", "k"))
     return d
 
 
 @pytest.mark.parametrize("make", [wide_joint, odd_values_joint, constant_joint])
 def test_packed_kernel_matches_counts_and_the_fraction_reference(make):
-    """Packed marginals against ``counts``, counted big-to-small (each from
-    a counted superset) and in a shuffled order; H(A), I(A ; B | C) and
-    H(A B | B C) with overlapping selectors, bit for bit against the
-    Fraction kernels of ``helpers``."""
+    """Packed marginals against the decoded rows, counted big-to-small
+    (each from a counted superset) and in a shuffled order; H(A),
+    I(A ; B | C) and H(A B | B C) with overlapping selectors, bit for bit
+    against the Fraction kernels of ``helpers``."""
     d = make()
     rng = random.Random(make.__name__)
     vs = d.variables
@@ -469,11 +479,54 @@ def test_packed_kernel_matches_counts_and_the_fraction_reference(make):
         )
 
 
-def test_the_joint_packs_its_rows_once_on_the_first_kernel_call():
-    d = random_joint(random.Random(9), n_vars=3)
-    d.counts("v0"), d.marginal("v1"), d.support_size("v2")
-    assert "_packed" not in vars(d)
-    h = entropy(d, "v0")
-    packed = vars(d)["_packed"]
-    assert mutual_info(d, "v0", "v1") >= 0.0
-    assert d._packed is packed and entropy(d, "v0") == h
+def test_a_joint_reads_its_outcomes_once_block_by_block():
+    """2500 outcomes from a generator span three blocks of the constructor,
+    and ``a`` passes 256 values inside the first: the rows read back in
+    order, and a fault in a later block is still named."""
+    rows = [(str(j), str(j % 3), str(j * 7 % 11)) for j in range(2500)]
+    nums = [1 + j % 4 for j in range(2500)]
+    d = JointDistribution(("a", "b", "c"), iter(rows), iter(nums), sum(nums))
+    assert d.rows == tuple(rows) and d.nums == tuple(nums)
+    assert d._masks["a"].bit_count() == 12
+    for sel in ("a", "b", ("b", "c")):
+        assert d.counts(sel) == reference_counts(d, sel)
+    at = 2000  # in the second block
+    faults = [
+        (rows[:at] + [rows[5]] + rows[at + 1:], nums,
+         "duplicate outcome ('5', '2', '2')"),
+        (rows[:at] + [("x",)] + rows[at + 1:], nums,
+         "outcome ('x',) has arity 1, expected 3"),
+        (rows, nums[:at] + [0] + nums[at + 1:],
+         "outcome ('2000', '2', '8') has non-positive weight"),
+        (rows, nums[:-1], "every outcome needs exactly one weight"),
+        (rows, nums + [1], "every outcome needs exactly one weight"),
+    ]
+    for bad_rows, bad_nums, message in faults:
+        with pytest.raises(ValueError) as info:
+            JointDistribution(("a", "b", "c"), iter(bad_rows), bad_nums,
+                              sum(bad_nums))
+        assert str(info.value) == message
+
+
+def test_a_joint_keeps_only_its_packed_rows():
+    """ring-parity(4,2)'s joint under its family, after the joint is built
+    and after a whole pic decomposition, holds under 200 B per outcome:
+    no outcome tuples, only a packed int, a numerator and its share of the
+    value tables.  The protocol caches its table before tracing starts."""
+    entry = get_entry("ring-parity", k=4, n=2)
+    p = entry.protocol
+    mu = InputDistribution.uniform(p)
+    run_all(p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = build_joint(p, mu, entry.family)
+        built = tracemalloc.get_traced_memory()[0] - base
+        pic_decomposition(p, mu, joint=d)
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    outcomes = len(d.nums)
+    assert outcomes == 1024
+    for kept in (built, after):
+        assert kept / outcomes < 200, kept / outcomes

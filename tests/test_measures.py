@@ -396,6 +396,20 @@ def test_seed_scores_average_to_ic():
         assert avg == pytest.approx(ic(p, mu), abs=TOL)
 
 
+def test_seed_scores_are_pinned_bit_for_bit():
+    """Each seed's score on the law given Rp = r, exactly as recorded."""
+    h = float.fromhex("0x1.2678d477790cap-1")
+    pins = {
+        masked_ping_dict: ({"0": 1.0, "1": 1.0}, {"0": h, "1": h}),
+        and_mask_dict: ({"0": 0.0, "1": 1.0}, {"0": 0.0, "1": h}),
+    }
+    for build, (under_uniform, under_random) in pins.items():
+        p = publicize(protocol_from_dict(build()))
+        assert public_seed_scores(p, uniform(p)) == under_uniform
+        mu = helpers.random_mu(random.Random(5), p)
+        assert public_seed_scores(p, mu) == under_random
+
+
 def test_derandomize_picks_the_best_seed():
     p = publicize(protocol_from_dict(and_mask_dict()))
     mu = uniform(p)
@@ -706,6 +720,12 @@ def test_input_distribution_validation():
         InputDistribution.from_weights(
             "neg", {("0", "0"): Fraction(3, 2), ("0", "1"): -half}
         )
+    # True would count as 1 and False would drop its input.
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=r"weight for \('0', '1'\) is a bool"):
+            InputDistribution.from_weights(
+                "flag", {("0", "0"): half, ("0", "1"): flag}
+            )
     # "01" names the same tuple of per-player inputs as ("0", "1").
     with pytest.raises(ValueError, match="duplicate input tuples"):
         InputDistribution.from_weights("dup", {"01": half, ("0", "1"): half})
