@@ -33,6 +33,7 @@ from .errors import (
     ModelViolationError,
     NotObliviousError,
 )
+from .info import exact_weight
 from .model import DEFAULT_BUDGET, run_relaxed
 
 EXIT_OK = 0
@@ -122,6 +123,10 @@ def _load_protocol(args):
     exceed the budget fails here, before any input domain is built."""
     name = args.protocol
     if name.startswith("tree:"):
+        for flag in ("k", "n", "q"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} is not read with --protocol "
+                                  "tree:FILE; the file sets its sizes")
         p = treefile.load_protocol(name[len("tree:"):], budget=args.budget)
         return p, None
     entry = zoo.get_entry(name, budget=args.budget,
@@ -139,7 +144,7 @@ def _load_distribution(args, p):
             entries = json.loads(path.read_text())
         except (OSError, ValueError) as exc:  # also bad UTF-8, huge ints
             raise ConfigError(f"cannot read distribution {path}: {exc}")
-        weights = {}
+        weights = []
         try:
             for item in entries:
                 inputs, num, den = item["inputs"], item["num"], item["den"]
@@ -147,13 +152,8 @@ def _load_distribution(args, p):
                         and all(isinstance(v, str) for v in inputs)):
                     raise TypeError(f"inputs {inputs!r} is not a list of "
                                     "bit strings")
-                if any(type(n) is not int for n in (num, den)):
-                    raise TypeError(f"num {num!r} and den {den!r} must be "
-                                    "integers")
-                if tuple(inputs) in weights:
-                    raise ConfigError(f"bad distribution entry in {path}: "
-                                      f"inputs {inputs!r} listed twice")
-                weights[tuple(inputs)] = Fraction(num, den)
+                weights.append((inputs, Fraction(exact_weight(num),
+                                                 exact_weight(den))))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad distribution entry in {path}: {exc}")
         try:

@@ -158,6 +158,9 @@ def build_tree(
     reaches.  Requires an oblivious public-coin protocol.
     """
     _require_public_coin(p)
+    if i not in p.players:
+        raise ValueError(f"{i!r} is not a player index of a "
+                         f"{p.k}-player protocol")
     struct = structure or ObliviousStructure.build(p, budget)
     if own_input not in p.input_domain(i):
         raise ValueError(f"{own_input!r} is not an input of player {i}")
@@ -247,7 +250,6 @@ class StageRecord:
     q_values: dict[tuple[int, int], int | None]
     q_min: int | None
     mover: int | None
-    tie: bool
 
 
 @dataclass
@@ -276,9 +278,8 @@ def format_trace(result: CompressRun) -> str:
         )
         mover = (f"player {rec.mover} moves" if rec.mover is not None
                  else "coherent" if rec.q_min is None else "nobody moves")
-        tie = " (tie)" if rec.tie else ""
         qmin = "inf" if rec.q_min is None else rec.q_min
-        lines.append(f"stage {rec.stage}: Q={qmin} {mover}{tie}  [{pairs}]")
+        lines.append(f"stage {rec.stage}: Q={qmin} {mover}  [{pairs}]")
     return "\n".join(lines) + "\n"
 
 
@@ -388,10 +389,10 @@ def compress_run(
                 raise ModelViolationError("stage loop failed to terminate")
             return finish(cand)
         q_values: dict[tuple[int, int], int | None] = {}
-        # The smallest q so far, the first pair that reached it with its
-        # (diff, extent), and whether a later pair reached it too.
+        # The smallest q so far, and the pair that reached it with its
+        # (diff, extent).  A q is the global number of a message between
+        # its pair, so no two pairs reach the same q.
         q_min = pair = hit = None
-        tie = False
         for i, j in pairs:
             conv_i, ext_i = cand[i].conversations[j]
             conv_j, ext_j = cand[j].conversations[i]
@@ -403,12 +404,10 @@ def compress_run(
             n = _extent_at(extents, diff)
             g = q_values[(i, j)] = extents[n][0]
             if q_min is None or g < q_min:
-                q_min, pair, hit, tie = g, (i, j), (diff, n), False
-            elif g == q_min:
-                tie = True
+                q_min, pair, hit = g, (i, j), (diff, n)
         comm_broadcast += k * (k - 1) * broadcast_bits
         if q_min is None:
-            trace.append(StageRecord(stage, q_values, None, None, False))
+            trace.append(StageRecord(stage, q_values, None, None))
             return finish(cand)
         # Message q_min's sender is "correct"; its receiver moves.
         message = struct.messages[q_min - 1]
@@ -424,7 +423,7 @@ def compress_run(
                 raise ModelViolationError(
                     "exact boxes blamed a player with a settled transcript"
                 )
-            trace.append(StageRecord(stage, q_values, q_min, None, tie))
+            trace.append(StageRecord(stage, q_values, q_min, None))
             continue
         # Both sides of a conversation list its messages in global order,
         # so the mover's extent of message q_min has the same index.
@@ -457,7 +456,7 @@ def compress_run(
             )
         tau[mover] = new_tau
         moves[mover] += 1
-        trace.append(StageRecord(stage, q_values, q_min, mover, tie))
+        trace.append(StageRecord(stage, q_values, q_min, mover))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +484,6 @@ class CompressionReport:
     ratio: float | None
     mean_lcp_calls: float
     max_lcp_calls: int
-    ties_seen: int
 
     def to_dict(self) -> dict:
         return report_dict("compress", self)
@@ -556,17 +554,15 @@ def compression_theorem_check(
     # One exact run per (input, public tape); it has probability n / den.
     # The runs share one exact box, which answers each distinct comparison
     # once.  Each run is kept with its verdict and its own calls, for the
-    # trials' draw plans, and without its stage trace, of which the report
-    # reads only the ties.
+    # trials' draw plans, and without its stage trace, which the report
+    # does not read.
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
-    ties = 0
     box = LcpBox(mode="exact")
     for x, n, _, pub, _ in rows:
         start = box.calls
         r = compress_run(p, mu, x, pub, box, budget,
                          structure=struct, trees=trees)
-        ties += sum(rec.tie for rec in r.trace)
         exact_runs.append((x, n, pub, replace(r, trace=[]),
                            wrong(x, r.outputs), tuple(box.history[start:])))
     err_exact = Fraction(
@@ -642,5 +638,4 @@ def compression_theorem_check(
         ratio=acc_compressed / bound if bound > 0 else None,
         mean_lcp_calls=mean(lambda r: r.lcp_calls),
         max_lcp_calls=max_calls,
-        ties_seen=ties,
     )

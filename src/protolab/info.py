@@ -1,8 +1,11 @@
 """Exact finite joint distributions and entropy/mutual-information measures.
 
 Weights are positive integer numerators over one common integer denominator
-``den``, so every probability is still an exact rational.  Floating point
-enters only through ``n / den`` (a weight) and ``math.log2`` of an exact
+``den``, so every probability is still an exact rational.
+``law_numerators`` is the one rule that turns exact weights (ints and
+``Fraction``s) into such numerators, and ``check_total`` the one check,
+shared with ``measures.InputDistribution``, that they sum to a positive int
+``den``.  Floating point enters only through ``n / den`` (a weight) and ``math.log2`` of an exact
 integer ratio; Python's ``int / int`` is correctly rounded, so each of these
 is the double nearest the exact value.  Every measure is therefore a sum of
 terms ``p * log2(ratio)`` where both ``p`` and ``ratio`` are exact rationals,
@@ -49,12 +52,43 @@ Outcome = tuple[Any, ...]
 _BLOCK = 1024
 
 
-def _as_fraction(w: Any) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int) and not isinstance(w, bool):
-        return Fraction(w)
-    raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
+def exact_weight(w: Any) -> int | Fraction:
+    """``w`` if it is an exact rational weight, an int or a ``Fraction``;
+    a bool, float, str or anything else raises ``TypeError``."""
+    if type(w) is bool or not isinstance(w, (int, Fraction)):
+        raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
+    return w
+
+
+def law_numerators(
+    weights: Mapping[Outcome, Any] | Iterable[tuple[Outcome, Any]],
+) -> tuple[tuple[Outcome, ...], tuple[int, ...], int]:
+    """The one rule that turns weights into an exact law.
+
+    ``weights`` is ``{outcome: weight}`` or ``(outcome, weight)`` pairs,
+    each weight checked by ``exact_weight``.  Returns ``(outcomes, nums,
+    den)``: the outcomes as tuples, in the order given, each weight's
+    integer numerator over ``den``, and ``den``, the lcm of the weights'
+    denominators.  Signs, zeros and repeats are the caller's to check.
+    """
+    pairs = weights.items() if isinstance(weights, Mapping) else weights
+    outcomes, values = [], []
+    for outcome, w in pairs:
+        outcomes.append(tuple(outcome))
+        values.append(exact_weight(w))
+    den = math.lcm(*(w.denominator for w in values))
+    return (tuple(outcomes),
+            tuple([w.numerator * (den // w.denominator) for w in values]), den)
+
+
+def check_total(nums: tuple[int, ...], den: int) -> None:
+    """The total check both law types share: ``den`` is a positive int and
+    the numerators sum to it."""
+    if type(den) is not int or den <= 0:
+        raise ValueError("the weight denominator must be a positive int")
+    total = sum(nums)
+    if total != den:
+        raise ValueError(f"weights sum to {Fraction(total, den)}, not 1")
 
 
 class JointDistribution:
@@ -123,27 +157,16 @@ class JointDistribution:
             seen: set[int] = set()
             row = next(r for r in self._rows if r in seen or seen.add(r))
             raise ValueError(f"duplicate outcome {self._decoder(variables)(row)!r}")
-        if type(den) is not int or den <= 0:
-            raise ValueError("the weight denominator must be a positive int")
+        check_total(nums, den)
         self.den = den
-        total = sum(nums)
-        if total != den:
-            raise ValueError(f"weights sum to {Fraction(total, den)}, not 1")
 
     @classmethod
     def from_mapping(
         cls, variables: Iterable[str], weights: Mapping[Outcome, Any]
     ) -> "JointDistribution":
-        """Joint law from ``{outcome: exact weight}``; the weights are scaled
-        to the lcm of their denominators."""
-        items = [(tuple(values), _as_fraction(w)) for values, w in weights.items()]
-        den = math.lcm(*(w.denominator for _, w in items))
-        return cls(
-            tuple(variables),
-            tuple(values for values, _ in items),
-            tuple(w.numerator * (den // w.denominator) for _, w in items),
-            den,
-        )
+        """Joint law from ``{outcome: exact weight}``, through
+        ``law_numerators``."""
+        return cls(variables, *law_numerators(weights))
 
     @property
     def rows(self) -> tuple[Outcome, ...]:

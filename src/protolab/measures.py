@@ -5,7 +5,8 @@ and the two-party grid search for the distribution maximizing PIC).
 Every measure is an exact finite sum: the joint law of inputs, tapes,
 transcripts and outputs is enumerated, and the information quantities are
 evaluated on it.  Every exact law (input distribution, joint law, transcript
-tree) holds integer numerators over one integer denominator.  Measure names:
+tree) holds integer numerators over one integer denominator; weights become
+numerators through ``info.law_numerators`` only.  Measure names:
 
   cc    worst-case total communication, in bits (an integer)
   acc   expected total communication under an input distribution (rational)
@@ -19,7 +20,6 @@ Each per-player information term is defined once, in ``player_term``.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -34,7 +34,14 @@ from .errors import (
     budgeted_count,
     check_budget,
 )
-from .info import JointDistribution, cond_entropy, mutual_info, mutual_infos
+from .info import (
+    JointDistribution,
+    check_total,
+    cond_entropy,
+    law_numerators,
+    mutual_info,
+    mutual_infos,
+)
 from .model import (
     DEFAULT_BUDGET,
     ObliviousStructure,
@@ -62,7 +69,8 @@ TOLERANCE = 1e-9
 class InputDistribution:
     """Exact law over tuples of per-player inputs: sorted distinct
     ``inputs``, positive int ``nums`` with ``sum(nums) == den`` and
-    ``gcd(den, *nums) == 1``, as ``JointDistribution`` holds its rows."""
+    ``gcd(den, *nums) == 1``, as ``JointDistribution`` holds its rows; the
+    two share ``info.check_total``."""
 
     name: str
     inputs: tuple[tuple[str, ...], ...]
@@ -76,13 +84,7 @@ class InputDistribution:
             raise ValueError("inputs must be sorted and distinct")
         if not all(type(n) is int and n > 0 for n in self.nums):
             raise ValueError("input numerators must be positive ints")
-        if type(self.den) is not int or self.den <= 0:
-            raise ValueError("the input denominator must be a positive int")
-        total = sum(self.nums)
-        if total != self.den:
-            raise ValueError(
-                f"input weights sum to {Fraction(total, self.den)}, not 1"
-            )
+        check_total(self.nums, self.den)
         if math.gcd(self.den, *self.nums) != 1:
             raise ValueError("input numerators and denominator share a factor")
 
@@ -94,25 +96,19 @@ class InputDistribution:
 
     @classmethod
     def from_weights(cls, name: str, weights) -> "InputDistribution":
-        """Law from ``{input: exact weight}`` or pairs, over the lcm."""
-        items = []
-        for outcome, w in (
-            weights.items() if isinstance(weights, Mapping) else weights
-        ):
-            if isinstance(w, bool):
-                raise ValueError(f"weight for {outcome!r} is a bool, not a number")
-            frac = w if isinstance(w, Fraction) else Fraction(w)
-            if frac < 0:
-                raise ValueError(f"negative weight for {outcome!r}")
-            if frac > 0:
-                items.append((tuple(outcome), frac))
-        items.sort()
-        if len({o for o, _ in items}) != len(items):
-            raise ValueError("duplicate input tuples")
-        den = math.lcm(*(w.denominator for _, w in items))
+        """Law from ``{input: exact weight}`` or ``(input, weight)`` pairs,
+        through ``info.law_numerators``; a negative weight or a repeated
+        input is refused, and zero weights drop out."""
+        inputs, nums, den = law_numerators(weights)
+        for x, n in zip(inputs, nums):
+            if n < 0:
+                raise ValueError(f"negative weight for {x!r}")
+        items = sorted((x, n) for x, n in zip(inputs, nums) if n)
+        for (x, _), (y, _) in zip(items, items[1:]):
+            if x == y:
+                raise ValueError(f"duplicate input tuples: {x!r} is given twice")
         return cls(name, tuple(x for x, _ in items),
-                   tuple(w.numerator * (den // w.denominator) for _, w in items),
-                   den)
+                   tuple(n for _, n in items), den)
 
     @classmethod
     def uniform(cls, p: ProtocolDef) -> "InputDistribution":
@@ -136,11 +132,12 @@ class InputDistribution:
     @classmethod
     def product(
         cls, a: "InputDistribution", b: "InputDistribution",
-        name: str | None = None, budget: int | None = DEFAULT_BUDGET,
+        budget: int | None = DEFAULT_BUDGET,
     ) -> "InputDistribution":
         """Product measure on per-player concatenated inputs; its support,
         counted from the factors before anything is built, is capped by
-        the budget (2^64 if None)."""
+        the budget (2^64 if None).  Input pairs that concatenate to the
+        same input add their numerators, so one gcd reduces the law."""
         check_budget(budget, len(a.inputs) * len(b.inputs),
                      "product distribution", "inputs")
         nums: dict[tuple[str, ...], int] = {}
@@ -151,8 +148,10 @@ class InputDistribution:
                 key = tuple(s + t for s, t in zip(xa, xb))
                 nums[key] = nums.get(key, 0) + na * nb
         den = a.den * b.den
-        return cls.from_weights(name or f"product({a.name},{b.name})",
-                                {x: Fraction(n, den) for x, n in nums.items()})
+        g = math.gcd(den, *nums.values())
+        inputs = tuple(sorted(nums))
+        return cls(f"product({a.name},{b.name})", inputs,
+                   tuple(nums[x] // g for x in inputs), den // g)
 
     @classmethod
     def power(cls, mu: "InputDistribution", t: int,
@@ -160,8 +159,8 @@ class InputDistribution:
         """t-fold product of a distribution with itself; its support,
         counted before anything is built, is capped by the budget (2^64 if
         None)."""
-        if t < 1:
-            raise ConfigError("power needs t >= 1")
+        if type(t) is not int or t < 1:
+            raise ConfigError(f"power needs an int t >= 1, got {t!r}")
         size = len(mu.inputs)
         if size > 1 and t >= budget_cap(budget).bit_length():
             # size^t >= 2^t exceeds the cap; a huge t would take long to

@@ -169,6 +169,9 @@ class _TreeMachine:
         self.public_bits = _count(tape["public"], "tape_bits.public")
         if len(self.input_bits) != self.k or len(self.private_bits) != self.k:
             raise ConfigError("input_bits/tape_bits must list every player")
+        name = spec.get("name")
+        self.name = _typed(name, "name", "a string",
+                           name is None or isinstance(name, str)) or source
         tape_bits = sum(self.private_bits) + self.public_bits
         self.has_tapes = tape_bits > 0
         budgeted_count(budget, sum(self.input_bits) + tape_bits)
@@ -181,7 +184,6 @@ class _TreeMachine:
             for bits, private in zip(self.input_bits, self.private_bits)
         ]
         self.root = _parse_tree(spec["tree"], view_keys, {})
-        self.name = spec.get("name") or source
 
     def view_key(self, inp: str, priv: str, pub: str) -> str:
         if not self.has_tapes:

@@ -111,6 +111,20 @@ def test_measure_tree_protocol(tmp_path, capsys):
     assert payload["privacy_leakage"] is None
 
 
+@pytest.mark.parametrize("command", ["measure", "audit", "compress"])
+def test_a_tree_protocol_refuses_the_size_flags(command, tmp_path, capsys):
+    # A tree file sets its own sizes, so --k, --n and --q go unread.
+    path = tmp_path / "relay3.json"
+    path.write_text(json.dumps(relay3_dict()))
+    for flags, flag in ((("--k", "7", "--n", "9"), "k"), (("--n", "1"), "n"),
+                        (("--q", "1"), "q")):
+        code, out, err = run_cli(capsys, command, "--protocol",
+                                 f"tree:{path}", *flags)
+        assert (code, out) == (1, ""), flags
+        assert err == (f"error: --{flag} is not read with --protocol "
+                       "tree:FILE; the file sets its sizes\n"), flags
+
+
 def test_exit_codes(capsys, tmp_path):
     # 1: configuration problems.
     code, _, err = run_cli(capsys, "measure", "--protocol", "no-such")
@@ -189,6 +203,10 @@ def test_exit_codes(capsys, tmp_path):
          "protocol 'ring-parity' takes no parameter 'q'"),
         (("measure", "--protocol", "ring-parity", "--k", "2"),
          "ring parity needs at least 3 players"),
+        (("measure", "--protocol", "q-index", "--k", "2"),
+         "q-index needs at least 3 players"),
+        (("audit", "--protocol", "star-parity", "--mu", "grid:0.1"),
+         "privacy audit needs a concrete distribution"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
@@ -596,17 +614,22 @@ def test_bad_distribution_files(tmp_path, capsys):
     assert code == 1 and "sum" in err
     # inputs must be a list of strings, num and den integers but not bools,
     # and each input tuple is listed once (here the weights sum to 3/2).
-    for entry in ('{"inputs": "00", "num": 1, "den": 1}',
-                  '{"inputs": ["0", "0"], "num": true, "den": 1}',
-                  '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
-                  '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
-                  '{"inputs": ["1", "1"], "num": 1, "den": 2}'):
+    bad_entry = f"bad distribution entry in {path}: "
+    for entry, message in (
+        ('{"inputs": "00", "num": 1, "den": 1}',
+         bad_entry + "inputs '00' is not a list of bit strings"),
+        ('{"inputs": ["0", "0"], "num": true, "den": 1}',
+         bad_entry + "weights must be exact rationals, got bool"),
+        ('{"inputs": ["0", "0"], "num": 1, "den": 2}, '
+         '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
+         '{"inputs": ["1", "1"], "num": 1, "den": 2}',
+         "duplicate input tuples: ('0', '0') is given twice"),
+    ):
         path.write_text("[" + entry + "]")
         code, out, err = run_cli(
             capsys, "measure", "--protocol", "and-opt", "--mu", f"file:{path}"
         )
-        assert code == 1 and err.startswith("error: "), entry
-        assert err.count("\n") == 1 and out == "", entry
+        assert (code, out, err) == (1, "", f"error: {message}\n"), entry
 
 
 def test_unreadable_json_files_exit_1(tmp_path, capsys):

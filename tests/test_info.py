@@ -1,6 +1,7 @@
 """Tests for the exact joint-distribution and information measures."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protolab.cli import main
+from protolab.errors import InvariantError
 from protolab.info import (
     JointDistribution,
     _marginals,
@@ -146,6 +149,34 @@ def test_construction_validations():
             JointDistribution.from_mapping(("x",), {("0",): flag})
 
 
+@pytest.mark.parametrize("weight", [True, False, 0.5, 1.0, "1"])
+@pytest.mark.parametrize("entry", ["from_weights", "from_mapping", "law-file"])
+def test_every_law_entry_point_refuses_inexact_weights(
+        entry, weight, tmp_path, capsys):
+    # info.law_numerators is the one rule: an int or a Fraction, never a
+    # bool (True would count as 1), a float or a string.
+    message = f"weights must be exact rationals, got {type(weight).__name__}"
+    if entry == "law-file":
+        # A law file's num and den go through the same check.
+        path = tmp_path / "mu.json"
+        for num, den in ((weight, 1), (1, weight)):
+            path.write_text(json.dumps(
+                [{"inputs": ["0", "0"], "num": num, "den": den}]))
+            code = main(["measure", "--protocol", "and-opt",
+                         "--mu", f"file:{path}"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == (
+                f"error: bad distribution entry in {path}: {message}\n")
+        return
+    with pytest.raises(TypeError) as raised:
+        if entry == "from_weights":
+            InputDistribution.from_weights("mu", {("0", "0"): weight})
+        else:
+            JointDistribution.from_mapping(("x",), {("0",): weight})
+    assert str(raised.value) == message
+
+
 # The checks test_construction_validations does not reach through
 # from_mapping, each with its whole message.
 @pytest.mark.parametrize("variables,rows,nums,den,message", [
@@ -210,13 +241,21 @@ def test_condition():
     assert str(info.value) == "unknown variable name: nope"
 
 
-def test_mi_clamps_tiny_negative_only():
+def test_mi_clamps_tiny_negative_only(monkeypatch):
     # Exact-rational path should not produce noticeable negatives at all.
     rng = random.Random(11)
     for _ in range(20):
         d = random_joint(rng)
         names = d.variables
         assert mutual_info(d, names[0], names[1]) >= 0.0
+    # A raw sum just below 0 is rounding residue; one past the residue
+    # bound is a bug.
+    sums = "protolab.info._info_sums"
+    monkeypatch.setattr(sums, lambda d, triples: [-1e-13])
+    assert mutual_info(UNIFORM_XY, "x", "y") == 0.0
+    monkeypatch.setattr(sums, lambda d, triples: [-1e-11])
+    with pytest.raises(InvariantError, match="-1e-11"):
+        mutual_info(UNIFORM_XY, "x", "y")
 
 
 # -- property suite ---------------------------------------------------------

@@ -697,10 +697,11 @@ def test_uniform_equals_normalized_equal_weights():
 
 
 def test_input_distribution_validation():
-    # Unreduced and float weights reduce to the same law; zeros drop out.
+    # Unreduced weights and pairs reduce to the same law; zeros drop out.
     quarter = {("0", "0"): Fraction(1, 4), ("1", "1"): Fraction(3, 4)}
     for weights in ({("1", "1"): Fraction(6, 8), ("0", "0"): Fraction(2, 8)},
-                    {("0", "0"): 0.25, ("0", "1"): 0, ("1", "1"): 0.75}):
+                    [(("0", "0"), Fraction(1, 4)), (("0", "1"), 0),
+                     (("1", "1"), Fraction(3, 4))]):
         mu = InputDistribution.from_weights("quarter", weights)
         assert (mu.nums, mu.den) == ((1, 3), 4)
         assert_exact_law(mu, quarter, get_entry("and-opt").protocol)
@@ -722,12 +723,13 @@ def test_input_distribution_validation():
         )
     # True would count as 1 and False would drop its input.
     for flag in (True, False):
-        with pytest.raises(ValueError, match=r"weight for \('0', '1'\) is a bool"):
+        with pytest.raises(TypeError, match="exact rationals, got bool"):
             InputDistribution.from_weights(
                 "flag", {("0", "0"): half, ("0", "1"): flag}
             )
     # "01" names the same tuple of per-player inputs as ("0", "1").
-    with pytest.raises(ValueError, match="duplicate input tuples"):
+    with pytest.raises(ValueError, match=r"duplicate input tuples: "
+                       r"\('0', '1'\) is given twice"):
         InputDistribution.from_weights("dup", {"01": half, ("0", "1"): half})
     with pytest.raises(ValueError, match="player counts differ"):
         InputDistribution.product(
@@ -745,10 +747,10 @@ def test_input_distribution_validation():
      "input numerators must be positive ints"),
     ((("0", "0"),), (True,), 1, "input numerators must be positive ints"),
     ((("0", "0"),), (1.0,), 1, "input numerators must be positive ints"),
-    ((("0", "0"),), (1,), True, "the input denominator must be a positive int"),
-    ((), (), 0, "the input denominator must be a positive int"),
-    ((), (), 1, "input weights sum to 0, not 1"),
-    ((("0", "0"), ("1", "1")), (1, 1), 4, "input weights sum to 1/2, not 1"),
+    ((("0", "0"),), (1,), True, "the weight denominator must be a positive int"),
+    ((), (), 0, "the weight denominator must be a positive int"),
+    ((), (), 1, "weights sum to 0, not 1"),
+    ((("0", "0"), ("1", "1")), (1, 1), 4, "weights sum to 1/2, not 1"),
     ((("0", "0"), ("1", "1")), (2, 2), 4,
      "input numerators and denominator share a factor"),
 ])
@@ -830,8 +832,11 @@ def test_power_distribution_matches_iterated_products():
     assert len(cubed.weights) == len(mu.weights) ** 3
     twice = InputDistribution.product(mu, mu)
     assert InputDistribution.power(mu, 2).weights == twice.weights
-    with pytest.raises(ConfigError):
-        InputDistribution.power(mu, 0)
+    # t is a count: an int of at least 1, and a bool is not one.
+    for t in (0, True, 2.5, "2"):
+        with pytest.raises(ConfigError) as info:
+            InputDistribution.power(mu, t)
+        assert str(info.value) == f"power needs an int t >= 1, got {t!r}"
     # A huge t is refused by naming its count, which is never built.
     with pytest.raises(BudgetExceededError,
                        match=r"needs 8\^1000000000 inputs, budget is 2\^64"):

@@ -247,6 +247,8 @@ def test_format_validation():
          "message value 0 is not a 1-bit string"),
         (lambda spec: spec.update(tape_bits=[0, 0]),
          "malformed protocol tree: tape_bits must be an object, got [0, 0]"),
+        (lambda spec: spec.update(name=["a", 1]),
+         "malformed protocol tree: name must be a string, got ['a', 1]"),
         (lambda spec: spec["tree"].update(msg_bits=0),
          "msg_bits must be positive"),
         (lambda spec: spec["tree"]["children"].pop("1"),
