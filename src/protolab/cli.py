@@ -137,7 +137,7 @@ def _load_protocol(args):
 def _load_distribution(args, p):
     spec = args.mu
     if spec == "uniform":
-        return measures.InputDistribution.uniform(p), None
+        return measures.InputDistribution.uniform(p, args.budget), None
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
         try:
@@ -161,7 +161,7 @@ def _load_distribution(args, p):
                 f"file:{path.name}", weights
             )
         except ValueError as exc:
-            raise ConfigError(str(exc))
+            raise ConfigError(f"bad distribution in {path}: {exc}")
         mu.validate_for(p)
         return mu, None
     if spec.startswith("grid:"):

@@ -155,13 +155,14 @@ def build_tree(
     distinct final view's transcript is read once, and each leaf's
     transcript is parsed here, once, into the owner's output and its
     per-peer conversations; each full input is mapped to the leaf it
-    reaches.  Requires an oblivious public-coin protocol.
+    reaches.  Requires an oblivious public-coin protocol.  The arguments
+    are checked before the structure is built, so no budget error can hide
+    a fault in them.
     """
     _require_public_coin(p)
     if i not in p.players:
         raise ValueError(f"{i!r} is not a player index of a "
                          f"{p.k}-player protocol")
-    struct = structure or ObliviousStructure.build(p, budget)
     if own_input not in p.input_domain(i):
         raise ValueError(f"{own_input!r} is not an input of player {i}")
     mu.validate_for(p)
@@ -173,22 +174,22 @@ def build_tree(
             "weights are undefined"
         )
     public_tape = validate_public_tape(p, public_tape)
+    struct = structure or ObliviousStructure.build(p, budget)
     weights: dict[str, int] = {}
     outputs: dict[str, str] = {}
     transcript_of: dict[tuple[str, ...], str] = {}
-    # Player i's final view fixes its transcript; a trie node is a dict,
-    # so views are told apart by identity.
-    view_transcript: dict[int, str] = {}
+    # Player i's record fixes its transcript; the engine derives one
+    # record per final view, so records are told apart by identity.
+    record_transcript: dict[int, str] = {}
     none_tapes = tuple("" for _ in range(p.k))
     # The inputs that hold the owner's, in input_space() order.
     domains = list(p.input_domains)
     domains[i - 1] = (own_input,)
     for x in itertools.product(*domains):
-        node = struct.table.final_views(x, none_tapes, public_tape)[i - 1]
-        rec = node.record()
-        t = view_transcript.get(id(node))
+        rec = struct.table.records_at(x, none_tapes, public_tape)[i - 1]
+        t = record_transcript.get(id(rec))
         if t is None:
-            t = view_transcript[id(node)] = struct.transcript(rec, i)
+            t = record_transcript[id(rec)] = struct.transcript(rec, i)
         transcript_of[x] = t
         weights[t] = weights.get(t, 0) + cond.get(x, 0)
         outputs[t] = rec.output
@@ -217,12 +218,13 @@ def is_coherent(
 ) -> bool:
     """True iff every pairwise conversation matches message by message;
     False also when a transcript does not split into its player's
-    messages."""
-    struct = structure or ObliviousStructure.build(p)
+    messages.  The profile's length is checked before the structure is
+    built."""
     if len(profile) != p.k:
         raise ValueError(
             f"a profile holds {p.k} transcripts, not {len(profile)}"
         )
+    struct = structure or ObliviousStructure.build(p)
     try:
         parsed = [struct.parse_transcript(i, t)
                   for i, t in zip(p.players, profile)]
@@ -514,7 +516,8 @@ def compression_theorem_check(
     trials.  Passing ``eps_call`` overrides the rate; the error-within-
     delta assertion is then skipped, since the caller chose the operating
     point, and only the measured value is reported.  ``delta`` is an error
-    probability, so it must lie in (0, 1); the mode and ``eps_call`` are
+    probability, so it must lie in (0, 1); the mode, ``eps_call`` and
+    ``trials`` (an int of at least 1, read by randomized boxes only) are
     checked before any enumeration too.  With randomized boxes the budget
     (2^64 if None) also caps the runs, executions x trials, before the
     first trial.
@@ -541,15 +544,16 @@ def compression_theorem_check(
         raise ConfigError(f"unknown lcp mode {lcp_mode!r}")
     if eps_call is not None and not 0 < eps_call < 1:
         raise ConfigError("lcp error rate must be in (0, 1)")
-    if lcp_mode == "randomized" and trials < 1:
-        raise ConfigError("randomized compression needs at least one trial")
+    if type(trials) is not int or trials < 1:
+        raise ConfigError(f"compression needs an int trials >= 1, "
+                          f"got {trials!r}")
     _require_public_coin(p)
     struct = ObliviousStructure.build(p, budget)
     eps0 = float(distributional_error(p, mu, family, budget))
     trees: dict = {}
 
     def wrong(x, outputs) -> bool:
-        return outputs != tuple(family.value(i, x) for i in p.players)
+        return outputs != family.values(x)
 
     # One exact run per (input, public tape); it has probability n / den.
     # The runs share one exact box, which answers each distinct comparison

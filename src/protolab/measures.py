@@ -111,7 +111,13 @@ class InputDistribution:
                    tuple(n for _, n in items), den)
 
     @classmethod
-    def uniform(cls, p: ProtocolDef) -> "InputDistribution":
+    def uniform(cls, p: ProtocolDef,
+                budget: int | None = DEFAULT_BUDGET) -> "InputDistribution":
+        """Equal weight on every input of p; the inputs, counted from the
+        domains before any is built, are capped by the budget (2^64 if
+        None)."""
+        check_budget(budget, math.prod(map(len, p.input_domains)),
+                     "uniform distribution", "inputs")
         inputs = tuple(sorted(p.input_space()))
         return cls("uniform", inputs, (1,) * len(inputs), len(inputs))
 
@@ -202,20 +208,19 @@ def weighted_executions(
     """Every execution of p on the support of mu, with an integer weight.
 
     Returns ``(rows, den)``: ``rows`` yields ``(x, n, private tapes, public
-    tape, final views)`` per input x of mu's support, then per tape
-    assignment, where the final views are the players' nodes in the view
-    tries (``node.record()`` reads each player's run); the execution has
-    probability ``n / den``.  ``den`` is ``mu.den`` times the number of
+    tape, records)`` per input x of mu's support, then per tape assignment,
+    where the records are the players' ``ViewRecord``s, one way to read
+    each player's run; the execution has probability ``n / den``.  ``den`` is ``mu.den`` times the number of
     tape assignments, and ``n`` is x's numerator in mu.  No ``Execution``
     is built.
     """
     mu.validate_for(p)
-    views = run_all(p, budget).views
+    records = run_all(p, budget).records
     tapes = list(p.tape_space())
     rows = (
-        (x, n, privs, pub, nodes)
+        (x, n, privs, pub, recs)
         for x, n in zip(mu.inputs, mu.nums)
-        for (privs, pub), nodes in zip(tapes, views[x])
+        for (privs, pub), recs in zip(tapes, records[x])
     )
     return rows, mu.den << p.total_tape_bits
 
@@ -247,8 +252,7 @@ def build_joint(
         # Each row holds its execution's inputs and tapes, so no two rows
         # are equal; the joint codes each one as it arrives.
         last_x = fx = None
-        for x, _, privs, pub, nodes in execs:
-            recs = [node.record() for node in nodes]
+        for x, _, privs, pub, recs in execs:
             received = tuple([rec.received for rec in recs])
             row = (
                 x
@@ -260,7 +264,7 @@ def build_joint(
             )
             if family is not None:
                 if x != last_x:  # rows come input by input
-                    last_x, fx = x, tuple(family.value(i, x) for i in p.players)
+                    last_x, fx = x, family.values(x)
                 row += fx
             yield row
 
@@ -277,7 +281,7 @@ def acc(
 ) -> Fraction:
     """Average communication under mu and uniform tapes, exact."""
     rows, den = weighted_executions(p, mu, budget)
-    return Fraction(sum(n * pi_bits(nodes) for _, n, _, _, nodes in rows), den)
+    return Fraction(sum(n * pi_bits(recs) for _, n, _, _, recs in rows), den)
 
 
 def distributional_error(
@@ -291,10 +295,10 @@ def distributional_error(
     rows, den = weighted_executions(p, mu, budget)
     bad = 0
     last_x = fx = None
-    for x, n, _, _, nodes in rows:
+    for x, n, _, _, recs in rows:
         if x != last_x:  # rows come input by input
-            last_x, fx = x, tuple(family.value(i, x) for i in p.players)
-        if any(node.record().output != f for node, f in zip(nodes, fx)):
+            last_x, fx = x, family.values(x)
+        if any(rec.output != f for rec, f in zip(recs, fx)):
             bad += n
     return Fraction(bad, den)
 
@@ -570,8 +574,8 @@ def _is_zero_error(p, mu, family, budget) -> bool:
     reference = {}
     rows, _ = weighted_executions(p, mu, budget)
     return all(reference.setdefault(x, outputs) == outputs
-               for x, _, _, _, nodes in rows
-               for outputs in [[node.record().output for node in nodes]])
+               for x, _, _, _, recs in rows
+               for outputs in [[rec.output for rec in recs]])
 
 
 def derandomize_zero_error(
@@ -827,10 +831,11 @@ def sup_pic_grid(
     counts: dict[tuple[int, str], dict] = {
         (i, v): {} for i in (1, 2) for v in "01"
     }
-    rows, _ = weighted_executions(p, InputDistribution.uniform(p), budget)
-    for x, _, privs, pub, nodes in rows:
+    rows, _ = weighted_executions(p, InputDistribution.uniform(p, budget),
+                                  budget)
+    for x, _, privs, pub, recs in rows:
         for i, o in ((1, 2), (2, 1)):
-            key = (nodes[i - 1].record().received, privs[o - 1],
+            key = (recs[i - 1].received, privs[o - 1],
                    privs[i - 1], pub)
             table = counts[i, x[i - 1]]
             table.setdefault(key, [0, 0])[int(x[o - 1])] += 1

@@ -9,14 +9,15 @@ in relaxed mode a program may instead wait for "any next message", which is
 exactly the loophole the restricted model closes.
 
 Executions are deterministic given inputs and tapes.  A finished execution
-is fixed by its inputs and tapes and, per player, the final view it reached
-in its driver's view trie; an execution table keeps only those final views.
-The final view yields the player's record, the one way to read its run: the
-messages read (ordered by round, then sender index) and sent (ordered by
-round, then recipient index), the wait and send sets per round, Pi_i, the
-sent string and the output; it is derived once per distinct final view and
-shared by every execution that ends there.  The bidirectional transcript is
-Pi_i followed by the sent string, and Pi joins every Pi_i by player index.
+is fixed by its inputs and tapes and, per player, its record, the one way to
+read its run: the messages read (ordered by round, then sender index) and
+sent (ordered by round, then recipient index), the wait and send sets per
+round, Pi_i, the sent string and the output.  The engine derives a record
+once per distinct final view a player reaches in its driver's view trie, and
+every execution that ends there shares it; an execution table keeps only the
+records, and the tries are freed when the enumeration returns.  The
+bidirectional transcript is Pi_i followed by the sent string, and Pi joins
+every Pi_i by player index.
 The engine only feeds messages from senders to readers; the message list in
 the global order is derived from those records when it is first read.  The
 global order groups messages into causal lots: the lot of the messages a
@@ -39,7 +40,7 @@ import itertools
 import math
 from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -226,60 +227,46 @@ class ViewRecord(NamedTuple):
     output: str | None
 
 
-def pi_bits(nodes) -> int:
-    """|Pi|, the bits every player read, off the players' final views."""
-    return sum([len(node.record().received) for node in nodes])
+def pi_bits(records) -> int:
+    """|Pi|, the bits every player read, off the players' records."""
+    return sum([len(rec.received) for rec in records])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Execution:
     """One deterministic run, built on demand from its inputs and tapes
-    and, per player, the final view it reached in its driver's trie.
-    ``record(i)`` is the one way to read player i's run: that view's
-    ``ViewRecord``, with what the player read, sent and waited for, round
-    by round, its Pi_i and sent strings and its output, derived once per
-    distinct final view and shared by every execution that ends there.
-    ``outputs``, ``patterns`` (every player's wait and send sets) and
-    ``total_bits`` (|Pi|) are read off the records.  Equality and hashing
-    go over that content, not over the trie nodes, so a fresh ``run``
-    equals the ``run_all`` execution on the same arguments.  ``messages``
-    is derived when first read, so the engine builds no per-message
-    records."""
+    and its players' records.  ``record(i)`` is the one way to read player
+    i's run: its ``ViewRecord``, with what the player read, sent and waited
+    for, round by round, its Pi_i and sent strings and its output, derived
+    once per distinct final view and shared by every execution that ends
+    there.  ``outputs``, ``patterns`` (every player's wait and send sets)
+    and ``total_bits`` (|Pi|) are read off the records.  Equality and
+    hashing go over the fields, so a fresh ``run`` equals the ``run_all``
+    execution on the same arguments.  ``messages`` is derived when first
+    read, so the engine builds no per-message records."""
 
     protocol: ProtocolDef
     inputs: tuple[str, ...]
     private_tapes: tuple[str, ...]
     public_tape: str
-    nodes: tuple[_ViewNode, ...] = field(repr=False)
+    records: tuple[ViewRecord, ...]
 
     def record(self, i: int) -> ViewRecord:
         """Player i's reads, sends, patterns, Pi_i, sent string and output."""
-        return self.nodes[i - 1].record()
+        return self.records[i - 1]
 
     @property
     def outputs(self) -> tuple[str, ...]:
-        return tuple([node.record().output for node in self.nodes])
+        return tuple([rec.output for rec in self.records])
 
     @property
     def patterns(self) -> tuple[tuple[Pattern, ...], ...]:
-        return tuple([node.record().patterns for node in self.nodes])
+        return tuple([rec.patterns for rec in self.records])
 
     @property
     def total_bits(self) -> int:
         """|Pi|: the bits every player read."""
-        return pi_bits(self.nodes)
-
-    def _content(self) -> tuple:
-        return (self.protocol, self.inputs, self.private_tapes,
-                self.public_tape, tuple(map(_ViewNode.record, self.nodes)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._content() == other._content()
-
-    def __hash__(self):
-        return hash(self._content())
+        return pi_bits(self.records)
 
     @cached_property
     def messages(self) -> tuple[Message, ...]:
@@ -291,7 +278,7 @@ class Execution:
         link; relaxed mode keeps read order, each lot its index."""
         k = self.protocol.k
         # Per player, its record's reads and sends, read once.
-        rounds = [node.record()[:2] for node in self.nodes]
+        rounds = [rec[:2] for rec in self.records]
         # A record holds the fields of its Message in order; the receiver
         # round is filled in when the walk reads it, the global index last.
         sent = defaultdict(list)  # (sender, receiver) -> records, FIFO
@@ -366,9 +353,9 @@ def _execute(inputs, private_tapes, public_tape, drivers):
     (the sweeps ``Execution.messages`` replays).  A sweep skips a halted
     driver: it would send nothing and draw nothing from the schedule, so
     the live drivers run in the same order and read the same messages as
-    when every driver is called.  Returns the players' final views, the
-    drivers' last nodes, which fix the execution; each keeps its player's
-    record, stored the first time an execution ends there.  The arguments
+    when every driver is called.  Returns the players' records, which fix
+    the execution; each is derived the first time an execution ends at its
+    final view, the driver's last node, and kept there.  The arguments
     are not checked here: ``run`` and ``run_relaxed`` check them, and
     ``_enumerate_all`` builds them from the protocol's own spaces."""
     for d, x, tape in zip(drivers, inputs, private_tapes):
@@ -401,11 +388,10 @@ def _execute(inputs, private_tapes, public_tape, drivers):
         stuck = dict(sorted(((s, d.player), len(unread)) for d in drivers
                             for s, unread in d.inbox.items() if unread))
         raise DeadlockError(f"unread messages left in transit: {stuck}")
-    nodes = tuple([d.node for d in drivers])
-    for d, node in zip(drivers, nodes):
-        if node._record is None:  # the first execution to end here
-            node._record = d.record()
-    return nodes
+    for d in drivers:
+        if d.node.record is None:  # the first execution to end here
+            d.node.record = d.record()
+    return tuple([d.node.record for d in drivers])
 
 
 def _run_once(p, inputs, private_tapes, public_tape, schedule):
@@ -451,38 +437,38 @@ def run_relaxed(
 
 @dataclass
 class ExecutionTable:
-    """Every execution of a protocol as its players' final views, the
+    """Every execution of a protocol as its players' records, the
     prefix-free codebook of every link position, and ``cc``, kept from its
     first read with the table.
 
-    ``views`` maps each input, in ``input_space()`` order, to the players'
-    final-view tuples of its executions in ``tape_space()`` order; nothing
-    else of an execution is stored.  ``get``, ``items`` and ``values``
+    ``records`` maps each input, in ``input_space()`` order, to the
+    players' record tuples of its executions in ``tape_space()`` order;
+    nothing else of an execution is stored.  ``get``, ``items`` and ``values``
     build an ``Execution`` only when asked for one.  ``protocol`` equals
     the protocol enumerated but is a copy with no table of its own, so the
     protocol that caches the table is not pointed back to and nothing here
     forms a reference cycle."""
 
     protocol: ProtocolDef
-    views: dict[tuple[str, ...], list[tuple[_ViewNode, ...]]]
+    records: dict[tuple[str, ...], list[tuple[ViewRecord, ...]]]
     codebooks: dict[tuple[int, int, int], tuple[str, ...]]
 
     def __len__(self):
-        return len(self.views) << self.protocol.total_tape_bits
+        return len(self.records) << self.protocol.total_tape_bits
 
-    def final_views(self, inputs, private_tapes, public_tape):
-        """The players' final views on these arguments, unchecked.  The
+    def records_at(self, inputs, private_tapes, public_tape):
+        """The players' records on these arguments, unchecked.  The
         tapes' position in ``tape_space()`` is their bits, the private
         tapes joined and then the public tape, read as a binary number."""
         tapes = "0" + "".join(private_tapes) + public_tape
-        return self.views[inputs][int(tapes, 2)]
+        return self.records[inputs][int(tapes, 2)]
 
     def get(self, inputs, private_tapes=None, public_tape=None) -> Execution:
         """The execution on these arguments, checked the way ``run`` checks
         them."""
         args = _validate_run_args(self.protocol, inputs, private_tapes,
                                   public_tape)
-        return Execution(self.protocol, *args, self.final_views(*args))
+        return Execution(self.protocol, *args, self.records_at(*args))
 
     def codeword(self, sender: int, receiver: int, pos: int, bits: str,
                  offset: int = 0) -> str | None:
@@ -507,19 +493,19 @@ class ExecutionTable:
     @cached_property
     def cc(self) -> int:
         """Worst-case communication: the longest |Pi| of any execution."""
-        return max(map(pi_bits, itertools.chain(*self.views.values())))
+        return max(map(pi_bits, itertools.chain(*self.records.values())))
 
-    def _keyed_views(self):
-        """``((inputs, private tapes, public tape), final views)`` for every
+    def _keyed_records(self):
+        """``((inputs, private tapes, public tape), records)`` for every
         execution, in table order."""
         tapes = list(self.protocol.tape_space())
-        for x, row in self.views.items():
-            for (privs, pub), nodes in zip(tapes, row):
-                yield (x, privs, pub), nodes
+        for x, row in self.records.items():
+            for (privs, pub), records in zip(tapes, row):
+                yield (x, privs, pub), records
 
     def items(self):
-        for key, nodes in self._keyed_views():
-            yield key, Execution(self.protocol, *key, nodes)
+        for key, records in self._keyed_records():
+            yield key, Execution(self.protocol, *key, records)
 
     def values(self):
         return (e for _, e in self.items())
@@ -527,12 +513,12 @@ class ExecutionTable:
 
 def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # One driver and one view trie per player, restarted for every
-    # execution; the table keeps the final views, so the tries live as
-    # long as the table.
+    # execution; the table keeps the records, so the tries are freed with
+    # the drivers when this returns.
     drivers = [ProgramDriver(p, i) for i in p.players]
     tapes = list(p.tape_space())
-    views = {x: [_execute(x, privs, pub, drivers) for privs, pub in tapes]
-             for x in p.input_space()}
+    records = {x: [_execute(x, privs, pub, drivers) for privs, pub in tapes]
+               for x in p.input_space()}
     # Every view in a trie is on the path of some execution, so one walk
     # per trie, once per distinct view, finds every (position, content)
     # sent on each link.  The walk carries the link position per recipient.
@@ -562,7 +548,7 @@ def _enumerate_all(p: ProtocolDef) -> ExecutionTable:
     # The table keeps a field-equal copy of p that has no table cached, so
     # p, which caches the table, is not pointed back to: p and its table
     # are freed by reference counting.
-    return ExecutionTable(replace(p), views, frozen)
+    return ExecutionTable(replace(p), records, frozen)
 
 
 def run_all(p: ProtocolDef, budget: int | None = DEFAULT_BUDGET) -> ExecutionTable:
@@ -605,18 +591,19 @@ def is_oblivious(
     p: ProtocolDef, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[bool, ObliviousWitness | None]:
     """Check that wait- and send-sets depend only on (player, round)."""
-    rows = run_all(p, budget)._keyed_views()
-    ref_key, ref_nodes = next(rows)
-    # Each player's final views already compared, by identity: the table
-    # holds every node for the whole loop, and a view met again has passed.
-    seen = [{id(node)} for node in ref_nodes]
-    for key, nodes in rows:
-        for i, ref_node, node, compared in zip(p.players, ref_nodes, nodes,
-                                               seen):
-            if id(node) in compared:
+    rows = run_all(p, budget)._keyed_records()
+    ref_key, ref_records = next(rows)
+    # Each player's records already compared, by identity: one record per
+    # final view, the table holds every one for the whole loop, and a
+    # record met again has passed.
+    seen = [{id(rec)} for rec in ref_records]
+    for key, records in rows:
+        for i, ref_rec, rec, compared in zip(p.players, ref_records, records,
+                                             seen):
+            if id(rec) in compared:
                 continue
-            compared.add(id(node))
-            a, b = ref_node.record().patterns, node.record().patterns
+            compared.add(id(rec))
+            a, b = ref_rec.patterns, rec.patterns
             for r in range(max(len(a), len(b))):
                 pa = a[r] if r < len(a) else None
                 pb = b[r] if r < len(b) else None
@@ -736,18 +723,14 @@ class _ViewNode(dict):
     the checked round the program returned for this view, once it has run
     on it: (sends sorted by recipient, (wait set, recipients), output,
     halt).  A final view, where an execution stopped, keeps the player's
-    record, stored by the engine the first time an execution ends there."""
+    ``record``, stored by the engine the first time an execution ends
+    there (None at a view where no execution has ended)."""
 
-    __slots__ = ("act", "_record")
+    __slots__ = ("act", "record")
 
     def __init__(self):
         self.act = None
-        self._record = None
-
-    def record(self) -> ViewRecord:
-        """The player's rounds up to and including this final view's; None
-        at a view where no execution has ended."""
-        return self._record
+        self.record = None
 
 
 class ProgramDriver:

@@ -34,7 +34,7 @@ def truncation_mass(
 ) -> Fraction:
     """Exact probability that a run of p transmits >= threshold bits."""
     rows, den = weighted_executions(p, mu, budget)
-    heavy = (n for _, n, _, _, nodes in rows if pi_bits(nodes) >= threshold)
+    heavy = (n for _, n, _, _, recs in rows if pi_bits(recs) >= threshold)
     return Fraction(sum(heavy), den)
 
 

@@ -35,6 +35,10 @@ class FunctionFamily:
     def value(self, i: int, x: tuple[str, ...]) -> str:
         return self.functions[i - 1](x)
 
+    def values(self, x: tuple[str, ...]) -> tuple[str, ...]:
+        """Every player's target value on x, in player order."""
+        return tuple([f(x) for f in self.functions])
+
 
 @dataclass
 class ZooEntry:

@@ -623,7 +623,8 @@ def test_bad_distribution_files(tmp_path, capsys):
         ('{"inputs": ["0", "0"], "num": 1, "den": 2}, '
          '{"inputs": ["0", "0"], "num": 1, "den": 2}, '
          '{"inputs": ["1", "1"], "num": 1, "den": 2}',
-         "duplicate input tuples: ('0', '0') is given twice"),
+         f"bad distribution in {path}: duplicate input tuples: ('0', '0') "
+         "is given twice"),
     ):
         path.write_text("[" + entry + "]")
         code, out, err = run_cli(

@@ -314,6 +314,23 @@ def test_build_tree_preconditions():
             f"{i} is not a player index of a 3-player protocol")
 
 
+def test_build_tree_and_is_coherent_check_arguments_before_enumerating():
+    # A fault in the arguments is named even when the budget would refuse
+    # the enumeration, and before a non-oblivious protocol is noticed.
+    star = get_entry("star-parity", k=3, n=1).protocol
+    mu = uniform(star)
+    with pytest.raises(ValueError, match="'zz' is not an input of player 1"):
+        build_tree(star, 1, "zz", "", mu, budget=1)
+    with pytest.raises(ValueError, match="public tape must have 0 bits"):
+        build_tree(star, 1, "0", "1", mu, budget=1)
+    with pytest.raises(ConfigError, match="for a 3-player protocol"):
+        build_tree(star, 1, "0", "", uniform(get_entry("and-opt").protocol),
+                   budget=1)
+    q_index = get_entry("q-index", k=3, q=1).protocol
+    with pytest.raises(ValueError, match="holds 3 transcripts, not 1"):
+        is_coherent(("0",), q_index)
+
+
 def test_build_tree_rejects_a_wrong_length_public_tape():
     p = publicize(get_entry("ring-parity", k=3, n=1).protocol)
     assert p.public_tape_length == 1
@@ -794,7 +811,8 @@ def test_theorem_check_reads_transcripts_only_in_tree_builds(monkeypatch):
     assert report.to_dict() == COMPRESS_GOLDEN["randomized"]
     assert gets == []
     table = run_all(p)
-    views = sum(len({id(e.nodes[i - 1]) for e in table.values()})
+    # One record per distinct final view, which the table holds.
+    views = sum(len({id(e.record(i)) for e in table.values()})
                 for i in p.players)
     runs = len(table)
     assert views < p.k * runs  # executions share final views
@@ -1331,6 +1349,13 @@ def test_theorem_check_refuses_a_bad_mode_or_rate_before_enumeration(
     with pytest.raises(ConfigError, match="unknown lcp mode"):
         compression_theorem_check(p, uniform(p), 0.1, star.family,
                                   lcp_mode="bogus")
+    for mode in ("exact", "randomized"):
+        for trials in (0, -1, 2.5, "3", True):
+            with pytest.raises(ConfigError) as info:
+                compression_theorem_check(p, uniform(p), 0.1, star.family,
+                                          lcp_mode=mode, trials=trials)
+            assert str(info.value) == (
+                f"compression needs an int trials >= 1, got {trials!r}")
     assert calls == Counter()
 
 

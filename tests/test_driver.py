@@ -664,7 +664,11 @@ def test_executions_that_end_at_one_view_share_its_record():
         for i in p.players:
             by_view = {}
             for e in run_all(p).values():
-                by_view.setdefault(id(e.nodes[i - 1]), []).append(e)
+                # A final view is the player's input and tapes and what it
+                # read, round by round.
+                view = (e.inputs[i - 1], e.private_tapes[i - 1],
+                        e.public_tape, e.record(i).reads)
+                by_view.setdefault(view, []).append(e)
             for group in by_view.values():
                 first = group[0]
                 for e in group[1:]:
@@ -755,18 +759,16 @@ def _live_view_nodes():
     return sum(isinstance(obj, _ViewNode) for obj in gc.get_objects())
 
 
-def test_the_tries_live_as_long_as_the_table():
+def test_the_tries_are_freed_when_run_all_returns():
     before = _live_view_nodes()
     # A fresh protocol object, so run_all enumerates instead of reading a
     # table some other test built.
     p = dataclasses.replace(_zoo("ring-parity", k=3, n=1))
     table = run_all(p)
     assert len(table) == helpers.execution_count(p)
-    del table
-    # The protocol keeps its table, whose executions keep their final
-    # views, and so the tries.
-    assert _live_view_nodes() > before
-    del p
+    # The protocol keeps its table, which holds its players' records and
+    # no trie node.
+    assert run_all(p) is table
     assert _live_view_nodes() == before
 
 
@@ -775,12 +777,10 @@ def test_the_tries_live_as_long_as_the_table():
     ("order-leak",
      lambda p: run_relaxed(p, ("1", "", "", ""), schedule=(4, 3))),
 ], ids=["run", "run_relaxed"])
-def test_a_runs_tries_are_freed_with_the_execution(name, execute):
+def test_a_runs_tries_are_freed_when_it_returns(name, execute):
     before = _live_view_nodes()
     e = execute(_zoo(name))
     assert all(e.outputs)
-    assert _live_view_nodes() > before
-    del e
     assert _live_view_nodes() == before
 
 

@@ -601,6 +601,22 @@ def _power_law_site(budget, monkeypatch):
     InputDistribution.power(_UnreadLaw(4), 3 if budget else 33, budget)
 
 
+class _UnbuiltDomains:
+    """A protocol's stand-in with two domains of ``size`` inputs each whose
+    input space is never built."""
+
+    input_space = _never("building the inputs")
+
+    def __init__(self, size):
+        self.input_domains = (range(size), range(size))
+
+
+def _uniform_law_site(budget, monkeypatch):
+    # 4 x 4 inputs, or 2^33 x 2^33.
+    InputDistribution.uniform(_UnbuiltDomains(4 if budget else 1 << 33),
+                              budget)
+
+
 # Every cap on work: the site, its work and unit, and the budget under
 # which its smaller parameters ask one unit too many (the product's,
 # 2^20 executions, is the default).
@@ -615,6 +631,7 @@ BUDGET_SITES = {
     "product": (_product_site, "enumeration", "executions", DEFAULT_BUDGET),
     "product-law": (_product_law_site, "product distribution", "inputs", 15),
     "power-law": (_power_law_site, "product distribution", "inputs", 63),
+    "uniform-law": (_uniform_law_site, "uniform distribution", "inputs", 15),
 }
 
 

@@ -212,10 +212,6 @@ def test_a_table_position_is_the_execution_a_fresh_run_gives(p):
                     for privs, pub in p.tape_space()]
 
 
-def _records(e):
-    return tuple(e.record(i) for i in e.protocol.players)
-
-
 @settings(max_examples=100)
 @given(st.one_of(tree_protocols(), table_protocols()))
 def test_the_engine_gives_every_execution_the_model_gives(p):
@@ -226,7 +222,7 @@ def test_the_engine_gives_every_execution_the_model_gives(p):
     oracle = []
     for key, e in table.items():
         oracle.append(helpers.reference_execute(p, *key))
-        assert _records(e) == oracle[-1], key
+        assert e.records == oracle[-1], key
     assert table.codebooks == helpers.codebooks_of(oracle)
 
 
@@ -271,10 +267,8 @@ def test_relaxed_runs_follow_the_model_under_any_schedule(seed, k, ticks,
     no_tapes = ("",) * k
     for x in p.input_space():
         replayed.rewind()
-        kept = _outcome(lambda: tuple(node.record() for node in _execute(
-            x, no_tapes, "", drivers)))
-        fresh = _outcome(lambda: _records(run_relaxed(p, x,
-                                                     schedule=schedule)))
+        kept = _outcome(lambda: _execute(x, no_tapes, "", drivers))
+        fresh = _outcome(lambda: run_relaxed(p, x, schedule=schedule).records)
         oracle = _outcome(lambda: helpers.reference_execute(
             p, x, schedule=schedule))
         assert kept == fresh == oracle, x
