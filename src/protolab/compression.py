@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -342,15 +343,11 @@ def compress_run(
         tree_of[i] = tree
     # Each tree checked its owner's input, so the trees reached this one.
     truth = {i: tree_of[i].reached[inputs] for i in players}
-    # The pairs that exchange a message, in pair order; every transcript
-    # of an oblivious protocol has the structure's messages.
-    pairs = tuple((i, j) for i in players for j in players
-                  if i < j and any(peer == j for _, _, peer, _
-                                   in struct.events[i]))
+    pairs = struct.talking_pairs
 
     tau = {i: tree_of[i].root for i in players}
     moves = {i: 0 for i in players}
-    broadcast_bits = math.ceil(math.log2(struct.table.cc + 2))
+    broadcast_bits = struct.broadcast_bits
     trace: list[StageRecord] = []
     comm_broadcast = 0
     stage = 0
@@ -385,7 +382,8 @@ def compress_run(
 
     while True:
         stage += 1
-        cand = {i: tau[i].candidate for i in players}
+        # An inner node stores its candidate; a leaf is its own.
+        cand = {i: tau[i].best or tau[i] for i in players}
         if stage > stage_cap:
             if exact:
                 raise ModelViolationError("stage loop failed to terminate")
@@ -558,23 +556,27 @@ def compression_theorem_check(
     # One exact run per (input, public tape); it has probability n / den.
     # The runs share one exact box, which answers each distinct comparison
     # once.  Each run is kept with its verdict and its own calls, for the
-    # trials' draw plans, and without its stage trace, which the report
-    # does not read.
+    # trials' draw plans, and its numbers with its weight, for the report.
     rows, den = weighted_executions(p, mu, budget)
     exact_runs = []
+    numbers = []
     box = LcpBox(mode="exact")
     for x, n, _, pub, _ in rows:
         start = box.calls
         r = compress_run(p, mu, x, pub, box, budget,
                          structure=struct, trees=trees)
-        exact_runs.append((x, n, pub, replace(r, trace=[]),
-                           wrong(x, r.outputs), tuple(box.history[start:])))
+        exact_runs.append((x, n, pub, wrong(x, r.outputs),
+                           tuple(box.history[start:])))
+        numbers.append((n, r.comm_bits, r.lcp_calls, r.stages,
+                        r.total_stages, r.log_weight_bound))
     err_exact = Fraction(
-        sum(n for _, n, _, _, is_wrong, _ in exact_runs if is_wrong), den
+        sum(n for _, n, _, is_wrong, _ in exact_runs if is_wrong), den
     )
-
-    def mean(getter) -> float:
-        return sum(n * getter(r) for _, n, _, r, _, _ in exact_runs) / den
+    weights, *columns = zip(*numbers)
+    acc_compressed, mean_calls, stages, total_stages, log_bound = (
+        sum(map(operator.mul, weights, column)) / den for column in columns
+    )
+    max_calls = max(columns[1])
 
     ic_value = ic(p, mu, budget)
     cc_value = struct.table.cc
@@ -584,8 +586,6 @@ def compression_theorem_check(
     # A difference of logarithms: inner / delta overflows for a tiny delta.
     bound = (inner * (math.log2(inner) - math.log2(delta)) if inner > 0
              else 0.0)
-    acc_compressed = mean(lambda r: r.comm_bits)
-    max_calls = max(r.lcp_calls for _, _, _, r, _, _ in exact_runs)
 
     assert_budget = eps_call is None
     if lcp_mode == "exact":
@@ -603,7 +603,7 @@ def compression_theorem_check(
         rng = random.Random(seed)
         bad = 0
         plans: dict[tuple, DrawPlan] = {}  # one per distinct exact history
-        for x, n, pub, _, is_wrong, history in exact_runs:
+        for x, n, pub, is_wrong, history in exact_runs:
             plan = plans.get(history)
             if plan is None:
                 plan = plans[history] = draw_plan(history, eps_call)
@@ -635,11 +635,11 @@ def compression_theorem_check(
         acc_compressed=acc_compressed,
         cc_original=cc_value,
         ic_original=ic_value,
-        expected_stages=mean(lambda r: r.stages),
-        expected_total_stages=mean(lambda r: r.total_stages),
-        expected_log_weight_bound=mean(lambda r: r.log_weight_bound),
+        expected_stages=stages,
+        expected_total_stages=total_stages,
+        expected_log_weight_bound=log_bound,
         bound_value=bound,
         ratio=acc_compressed / bound if bound > 0 else None,
-        mean_lcp_calls=mean(lambda r: r.lcp_calls),
+        mean_lcp_calls=mean_calls,
         max_lcp_calls=max_calls,
     )

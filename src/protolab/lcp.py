@@ -12,8 +12,9 @@ exact search path collides, and which tests those are depends only on the
 strings and the rate.  ``draw_plan`` lists them once, and ``plan_holds``
 decides for one seed, drawing the same random words as the box, whether a
 box on that seed would answer the whole history exactly.  Randomized
-compression trials use the pair instead of running a box per trial.  Box
-and plan share one search walk, ``_walk``, and one test, ``_detected``.
+compression trials use the pair instead of running a box per trial.  All
+three share one walk over a pair's search facts, ``_walk``, and one test,
+``_detected``; a box derives each distinct pair's facts once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .errors import ConfigError
 
@@ -68,17 +69,24 @@ def lcp_exact_cost(x: str, y: str) -> int:
     return _len_exchange_bits(n) + math.ceil(math.log2(n + 2))
 
 
-def _walk(x: str, y: str, eps: float, owed: int,
+def _search_facts(x: str, y: str, eps: float) -> tuple:
+    """What a randomized search at rate eps reads of x and y: the shorter
+    length m, the XOR of the m-bit prefixes, the first difference, the hash
+    bits and the length-exchange bits."""
+    m, full_diff = _prefix_xor(x, y)
+    return (m, full_diff, m - full_diff.bit_length(), _hash_bits(m, eps),
+            _len_exchange_bits(max(len(x), len(y))))
+
+
+def _walk(facts: tuple, owed: int,
           test: Callable[[tuple], bool]) -> tuple[int, int, int]:
-    """A randomized box's binary search over the prefix lengths of x and
-    y, ``owed`` RNG words in debt.  A test at or below the first difference
+    """A randomized box's binary search over the prefix lengths of a pair,
+    ``owed`` RNG words in debt.  A test at or below the first difference
     passes whatever its masks are, so it only owes the 32-bit words they
     take; any other calls ``test((owed, mid, XOR of the mid-bit prefixes,
     hash_bits))``, which pays the debt and is True iff it finds them
     unequal.  Returns the answer, the tests' bits and the words owed."""
-    m, full_diff = _prefix_xor(x, y)
-    first_diff = m - full_diff.bit_length()
-    hash_bits = _hash_bits(m, eps)
+    m, full_diff, first_diff, hash_bits, _ = facts
     tests = 0
     lo, hi = 0, m
     while lo < hi:
@@ -109,6 +117,19 @@ def _detected(getrandbits, tests) -> bool:
     return True
 
 
+def _search(facts: tuple, same_length: bool, getrandbits):
+    """A randomized box's answer and bits on a pair; the RNG ends as if
+    it drew every mask."""
+    lo, test_bits, owed = _walk(facts, 0,
+                                lambda test: _detected(getrandbits, (test,)))
+    if owed:
+        getrandbits(32 * owed)
+    comm = facts[4] + test_bits
+    if same_length and lo == facts[0]:
+        return None, comm
+    return lo, comm
+
+
 def lcp_randomized(
     x: str, y: str, eps: float, rng: random.Random
 ) -> tuple[int | None, int]:
@@ -122,15 +143,8 @@ def lcp_randomized(
     """
     if not 0 < eps < 1:
         raise ConfigError("lcp error rate must be in (0, 1)")
-    getrandbits = rng.getrandbits
-    lo, test_bits, owed = _walk(x, y, eps, 0,
-                                lambda test: _detected(getrandbits, (test,)))
-    if owed:
-        getrandbits(32 * owed)
-    comm = _len_exchange_bits(max(len(x), len(y))) + test_bits
-    if lo == len(x) == len(y):
-        return None, comm
-    return lo, comm
+    return _search(_search_facts(x, y, eps), len(x) == len(y),
+                   rng.getrandbits)
 
 
 def draw_plan(history, eps: float) -> DrawPlan:
@@ -150,7 +164,7 @@ def draw_plan(history, eps: float) -> DrawPlan:
 
     owed = 0
     for x, y, _ in history:
-        owed = _walk(x, y, eps, owed, planned)[2]
+        owed = _walk(_search_facts(x, y, eps), owed, planned)[2]
     return plan
 
 
@@ -160,25 +174,44 @@ def plan_holds(plan: DrawPlan, seed: int) -> bool:
     return not plan or _detected(random.Random(seed).getrandbits, plan)
 
 
+class _SetOnce:
+    """A field that only the constructor sets."""
+
+    def __init__(self, default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, box, owner=None):
+        return self.default if box is None else box.__dict__[self.name]
+
+    def __set__(self, box, value):
+        if self.name in box.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {self.name!r}")
+        box.__dict__[self.name] = value
+
+
 @dataclass
 class LcpBox:
     """Accounting wrapper around the exact or randomized first-difference
     subroutine; exact mode never errs and draws no randomness.  ``history``
     lists every call as (x, y, answer), in order.
 
-    An exact box computes each distinct (x, y) pair's answer and cost once
-    and keeps them for the box's life; a repeated call still counts as a
-    call, with its bits and its ``history`` entry."""
+    A box keeps each distinct (x, y) pair's answer and cost (exact) or
+    search facts (randomized, masks drawn afresh per call) for its life,
+    so ``mode``, ``eps`` and ``seed`` are fixed.  A repeated call still
+    counts as a call, with its bits and its ``history`` entry."""
 
-    mode: str = "exact"
-    eps: float = 0.01
-    seed: int = 0
+    mode: str = _SetOnce("exact")
+    eps: float = _SetOnce(0.01)
+    seed: int = _SetOnce(0)
     comm_bits: int = field(init=False, default=0)
     history: list[tuple[str, str, int | None]] = field(
         init=False, default_factory=list, repr=False
     )
     _rng: random.Random | None = field(init=False, default=None, repr=False)
-    _answers: dict[tuple[str, str], tuple[int | None, int]] = field(
+    _known: dict[tuple[str, str], tuple] = field(
         init=False, default_factory=dict, repr=False
     )
 
@@ -195,14 +228,17 @@ class LcpBox:
         return len(self.history)
 
     def compare(self, x: str, y: str) -> int | None:
-        if self.mode == "exact":
-            known = self._answers.get((x, y))
+        known = self._known.get((x, y))
+        if self._rng is None:
             if known is None:
-                known = self._answers[x, y] = (lcp_exact(x, y),
-                                               lcp_exact_cost(x, y))
+                known = self._known[x, y] = (lcp_exact(x, y),
+                                             lcp_exact_cost(x, y))
             answer, comm = known
         else:
-            answer, comm = lcp_randomized(x, y, self.eps, self._rng)
+            if known is None:
+                known = self._known[x, y] = _search_facts(x, y, self.eps)
+            answer, comm = _search(known, len(x) == len(y),
+                                   self._rng.getrandbits)
         self.comm_bits += comm
         self.history.append((x, y, answer))
         return answer

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -179,22 +180,32 @@ class InputDistribution:
             out = cls.product(out, mu, budget=budget)
         return replace(out, name=f"{mu.name}^{t}")
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """Input lengths, and the values at each position."""
+        return (frozenset(map(len, self.inputs)),
+                tuple(map(frozenset, zip(*self.inputs))))
+
     def validate_for(self, p: ProtocolDef) -> None:
+        """Refuse inputs that are not k-tuples in p's domains; only a law
+        that fails is scanned, to name its first fault."""
+        lengths, columns = self._columns
         domains = [frozenset(dom) for dom in p.input_domains]
-        contains = frozenset.__contains__
+        if lengths == {p.k} and all(map(frozenset.issubset, columns,
+                                        domains)):
+            return
         for x in self.inputs:
             if len(x) != p.k:
                 raise ConfigError(
                     f"distribution {self.name!r} has {len(x)}-tuples for a "
                     f"{p.k}-player protocol"
                 )
-            if not all(map(contains, domains, x)):
-                i = next(i for i, (dom, xi) in enumerate(zip(domains, x), 1)
-                         if xi not in dom)
-                raise ConfigError(
-                    f"distribution {self.name!r} puts weight on "
-                    f"{x[i-1]!r}, outside player {i}'s domain"
-                )
+            for i, (dom, xi) in enumerate(zip(domains, x), 1):
+                if xi not in dom:
+                    raise ConfigError(
+                        f"distribution {self.name!r} puts weight on "
+                        f"{xi!r}, outside player {i}'s domain"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -637,7 +637,8 @@ class ObliviousStructure:
     ``events[i]``, its messages, sent and received, in global order as
     ``(global index, "s" or "r", peer, position on the link)``.  Player
     i's compression transcript joins the contents of those messages in
-    that order."""
+    that order; ``talking_pairs`` and ``broadcast_bits`` are derived
+    once."""
 
     table: ExecutionTable
     messages: tuple[Message, ...]
@@ -665,6 +666,19 @@ class ObliviousStructure:
             messages=ref.messages,
             events={i: tuple(ev) for i, ev in events.items()},
         )
+
+    @cached_property
+    def talking_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j), i < j, that exchange a message, in order."""
+        players = self.table.protocol.players
+        return tuple((i, j) for i in players for j in players
+                     if i < j and any(peer == j for _, _, peer, _
+                                      in self.events[i]))
+
+    @cached_property
+    def broadcast_bits(self) -> int:
+        """Bits to broadcast a message number up to ``cc``, or none."""
+        return math.ceil(math.log2(self.table.cc + 2))
 
     def transcript(self, rec: ViewRecord, i: int) -> str:
         """Player i's transcript in an execution where its record is

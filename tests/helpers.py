@@ -468,6 +468,20 @@ def reference_replays(box: LcpBox, history) -> bool:
     return all(box.compare(x, y) == answer for x, y, answer in history)
 
 
+def reference_validate_for(mu: InputDistribution, p: ProtocolDef):
+    """The message of ``mu.validate_for(p)``'s error, or None: a scan of
+    every input in order, its length before its players' values."""
+    for x in mu.inputs:
+        if len(x) != p.k:
+            return (f"distribution {mu.name!r} has {len(x)}-tuples for a "
+                    f"{p.k}-player protocol")
+        for i, xi in enumerate(x, 1):
+            if xi not in p.input_domain(i):
+                return (f"distribution {mu.name!r} puts weight on {xi!r}, "
+                        f"outside player {i}'s domain")
+    return None
+
+
 def split_public_tape(p: ProtocolDef, combined: str) -> tuple[str, tuple[str, ...]]:
     """Invert the bit-by-bit interleaving used by publicize()."""
     lengths = [p.public_tape_length] + list(p.private_tape_lengths)

@@ -1,6 +1,7 @@
 """Tests for transcript trees, lcp boxes, the stage loop, and the
 coordinator-phase conversion."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -195,6 +196,51 @@ def test_an_exact_box_counts_every_repeated_call(monkeypatch):
     assert box.comm_bits == sum(lcp.lcp_exact_cost(x, y) for x, y in pairs)
     assert box.history == [(x, y, a) for (x, y), a in zip(pairs, answers)]
     assert computed == {("0101", "0111"): 1, ("11", "11"): 1}
+
+
+def test_a_randomized_box_derives_each_pairs_search_facts_once(
+        monkeypatch):
+    # A box keeps each distinct pair's search facts and draws fresh masks
+    # on every call.  At eps = 0.9, where wrong answers occur, a sequence
+    # with repeated pairs gets lcp_randomized's answers and bits on the
+    # same seed, and leaves the RNG in the same state.
+    derived = Counter()
+    facts = lcp._search_facts
+
+    def counted(x, y, eps):
+        derived[x, y] += 1
+        return facts(x, y, eps)
+
+    monkeypatch.setattr(lcp, "_search_facts", counted)
+    draw = random.Random(41)
+    pool = [random_lcp_pair(draw) for _ in range(8)]
+    pairs = [draw.choice(pool) for _ in range(300)]
+    box = LcpBox(mode="randomized", eps=0.9, seed=43)
+    answers = [box.compare(x, y) for x, y in pairs]
+    assert derived == Counter(set(pairs))
+    ref = random.Random(43)
+    want = [lcp_randomized(x, y, 0.9, ref) for x, y in pairs]
+    assert answers == [answer for answer, _ in want]
+    assert box.comm_bits == sum(bits for _, bits in want)
+    assert box.history == [(x, y, a) for (x, y), a in zip(pairs, answers)]
+    assert box._rng.getstate() == ref.getstate()
+    assert any(a != lcp_exact(x, y) for (x, y), a in zip(pairs, answers))
+
+
+def test_a_box_keeps_its_mode_rate_and_seed():
+    # The memo belongs to the mode, rate and seed, so none can change.
+    for box in (LcpBox(mode="exact"),
+                LcpBox(mode="randomized", eps=0.3, seed=4)):
+        fixed = (box.mode, box.eps, box.seed)
+        box.compare("0101", "0111")
+        for name, value in (("mode", "randomized"), ("mode", "exact"),
+                            ("eps", 0.5), ("seed", 9)):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"cannot assign to field {name!r}"):
+                setattr(box, name, value)
+        assert (box.mode, box.eps, box.seed) == fixed
+        box.compare("0101", "0111")
+        assert box.calls == 2
 
 
 def test_randomized_box_checks_its_rate_up_front():
@@ -1198,10 +1244,11 @@ def test_randomized_run_outputs_match_a_replay_of_their_profiles(monkeypatch):
 
 
 def test_randomized_trials_call_boxes_only_in_fallback_runs(monkeypatch):
-    # Trials walk draw plans, so every randomized lcp call comes from a
-    # compress_run of a trial that met a wrong answer.
+    # Trials walk draw plans, so every randomized search (the one a box
+    # runs per call) comes from a compress_run of a trial that met a wrong
+    # answer.
     depth, calls = [0], Counter()
-    run, randomized = compression.compress_run, lcp.lcp_randomized
+    run, randomized = compression.compress_run, lcp._search
 
     def counted_run(*args, **kwargs):
         depth[0] += 1
@@ -1215,7 +1262,7 @@ def test_randomized_trials_call_boxes_only_in_fallback_runs(monkeypatch):
         return randomized(*args)
 
     monkeypatch.setattr(compression, "compress_run", counted_run)
-    monkeypatch.setattr(lcp, "lcp_randomized", counted_randomized)
+    monkeypatch.setattr(lcp, "_search", counted_randomized)
     p, family = publicized_ring()
     report = compression_theorem_check(p, uniform(p), 0.1, family,
                                        lcp_mode="randomized", seed=1)

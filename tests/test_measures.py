@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -785,6 +786,65 @@ def test_validate_for_names_the_first_bad_entry():
             mu.validate_for(p)
         assert str(info.value) == message, weights
     InputDistribution.uniform(p).validate_for(p)
+
+
+def test_validate_for_agrees_with_a_scan_of_every_input():
+    # Drawn laws with wrong lengths and values outside a domain, each
+    # checked against every protocol: the check accepts and refuses what a
+    # scan of every input does, with the same message.
+    rng = random.Random(40)
+    protocols = [get_entry("and-opt").protocol,
+                 get_entry("star-parity", k=3, n=1).protocol,
+                 get_entry("star-parity", k=3, n=2).protocol]
+    outside = ("2", "", "000", "x")
+    verdicts = Counter()
+    for _ in range(300):
+        p = rng.choice(protocols)
+        weights = {}
+        for _ in range(rng.randint(1, 6)):
+            length = (p.k if rng.random() < 0.8
+                      else rng.choice((p.k - 1, p.k + 1)))
+            weights[tuple(
+                rng.choice(outside) if rng.random() < 0.05
+                else rng.choice(p.input_domains[min(at, p.k - 1)])
+                for at in range(length)
+            )] = rng.randint(1, 4)
+        total = sum(weights.values())
+        mu = InputDistribution.from_weights(
+            "drawn", {x: Fraction(w, total) for x, w in weights.items()})
+        for q in protocols:
+            want = helpers.reference_validate_for(mu, q)
+            try:
+                mu.validate_for(q)
+                got = None
+            except ConfigError as exc:
+                got = str(exc)
+            assert got == want, (mu, q.name)
+            verdicts[want and want.split()[2]] += 1
+    # Accepted, refused for a length, refused for a value.
+    assert set(verdicts) == {None, "has", "puts"}, verdicts
+
+
+def test_a_law_reads_its_inputs_once_across_validations():
+    class Counted(tuple):
+        reads = 0
+
+        def __iter__(self):
+            Counted.reads += 1
+            return super().__iter__()
+
+    star = get_entry("star-parity", k=3, n=1).protocol
+    u = InputDistribution.uniform(star)
+    mu = InputDistribution(u.name, Counted(u.inputs), u.nums, u.den)
+    made = Counted.reads
+    mu.validate_for(star)
+    first = Counted.reads
+    assert first > made
+    for p in (star, get_entry("ring-parity", k=3, n=1).protocol) * 20:
+        mu.validate_for(p)
+    assert Counted.reads == first
+    with pytest.raises(ConfigError, match="3-tuples for a 2-player"):
+        mu.validate_for(get_entry("and-opt").protocol)
 
 
 def test_independent_bits_bounds():

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from collections import defaultdict
@@ -250,6 +251,38 @@ def test_events_follow_the_global_order():
                     m.content for m in e.messages if i in (m.sender, m.receiver)
                 ), p.name
     assert walks_off_the_global_order > 0
+
+
+def test_talking_pairs_are_the_pairs_the_messages_join():
+    # Read once per structure off its events, they are the pairs, in pair
+    # order, that the messages join: on every oblivious zoo protocol at
+    # two sizes, on an obliviousized one and on products.
+    zoo_protocols = [get_entry(name, **params).protocol
+                     for name, meta in zoo.REGISTRY.items()
+                     for params in ({}, {"k": 4})
+                     if not params or "k" in meta["defaults"]]
+    oblivious_zoo = [p for p in zoo_protocols
+                     if p.mode != RELAXED and is_oblivious(p)[0]]
+    assert len(oblivious_zoo) == 5  # ring and star at k = 3, 4; and-opt
+    star = get_entry("star-parity", k=3, n=1).protocol
+    ring = get_entry("ring-parity", k=3, n=1).protocol
+    q1 = get_entry("q-index", k=3, q=1).protocol
+    cases = oblivious_zoo + [
+        obliviousize(q1, InputDistribution.uniform(q1), Fraction(1, 2)),
+        product_protocol(star, ring),
+        product_protocol(product_protocol(ring, ring), star),
+    ]
+    seen = set()
+    for p in cases:
+        struct = ObliviousStructure.build(p)
+        joined = {tuple(sorted((m.sender, m.receiver)))
+                  for m in struct.messages}
+        assert struct.talking_pairs == tuple(sorted(joined)), p.name
+        assert struct.talking_pairs is struct.talking_pairs
+        assert struct.broadcast_bits == math.ceil(
+            math.log2(struct.table.cc + 2))
+        seen.add(len(joined) < p.k * (p.k - 1) // 2)
+    assert seen == {True, False}  # some protocols leave pairs silent
 
 
 def test_fifo_order_within_link():
