@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -174,42 +174,27 @@ def plan_holds(plan: DrawPlan, seed: int) -> bool:
     return not plan or _detected(random.Random(seed).getrandbits, plan)
 
 
-class _SetOnce:
-    """A field that only the constructor sets."""
-
-    def __init__(self, default):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, box, owner=None):
-        return self.default if box is None else box.__dict__[self.name]
-
-    def __set__(self, box, value):
-        if self.name in box.__dict__:
-            raise FrozenInstanceError(f"cannot assign to field {self.name!r}")
-        box.__dict__[self.name] = value
-
-
-@dataclass
+@dataclass(frozen=True)
 class LcpBox:
     """Accounting wrapper around the exact or randomized first-difference
     subroutine; exact mode never errs and draws no randomness.  ``history``
-    lists every call as (x, y, answer), in order.
+    lists every call as (x, y, answer), in order, and ``comm_bits`` sums
+    their bits.
 
     A box keeps each distinct (x, y) pair's answer and cost (exact) or
     search facts (randomized, masks drawn afresh per call) for its life,
-    so ``mode``, ``eps`` and ``seed`` are fixed.  A repeated call still
-    counts as a call, with its bits and its ``history`` entry."""
+    so it is frozen: ``mode``, ``eps`` and ``seed`` cannot change under the
+    memo.  A repeated call still counts as a call, with its bits and its
+    ``history`` entry."""
 
-    mode: str = _SetOnce("exact")
-    eps: float = _SetOnce(0.01)
-    seed: int = _SetOnce(0)
-    comm_bits: int = field(init=False, default=0)
+    mode: str = "exact"
+    eps: float = 0.01
+    seed: int = 0
     history: list[tuple[str, str, int | None]] = field(
         init=False, default_factory=list, repr=False
     )
+    _bits: list[int] = field(init=False, default_factory=lambda: [0],
+                             repr=False)
     _rng: random.Random | None = field(init=False, default=None, repr=False)
     _known: dict[tuple[str, str], tuple] = field(
         init=False, default_factory=dict, repr=False
@@ -221,7 +206,11 @@ class LcpBox:
         if self.mode == "randomized":
             if not 0 < self.eps < 1:
                 raise ConfigError("lcp error rate must be in (0, 1)")
-            self._rng = random.Random(self.seed)
+            object.__setattr__(self, "_rng", random.Random(self.seed))
+
+    @property
+    def comm_bits(self) -> int:
+        return self._bits[0]
 
     @property
     def calls(self) -> int:
@@ -239,6 +228,6 @@ class LcpBox:
                 known = self._known[x, y] = _search_facts(x, y, self.eps)
             answer, comm = _search(known, len(x) == len(y),
                                    self._rng.getrandbits)
-        self.comm_bits += comm
+        self._bits[0] += comm
         self.history.append((x, y, answer))
         return answer

@@ -439,7 +439,7 @@ def report_dict(name: str, report) -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureReport:
     """Named measure values in bits, with the inputs that produced them."""
 

@@ -435,7 +435,7 @@ def run_relaxed(
     return _run_once(p, inputs, private_tapes, public_tape, schedule or ())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionTable:
     """Every execution of a protocol as its players' records, the
     prefix-free codebook of every link position, and ``cc``, kept from its
@@ -627,7 +627,7 @@ def is_oblivious(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObliviousStructure:
     """What compression needs of an oblivious protocol, fixed across its
     executions: the execution ``table`` (whose ``codeword`` splits bits

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import random
+import weakref
 from collections import defaultdict, deque
 from collections.abc import Iterable
 from fractions import Fraction
@@ -1304,14 +1305,21 @@ def oblivious_trees(count: int = 20) -> list[ProtocolDef]:
 # ---------------------------------------------------------------------------
 
 
+# Each joint's decoded rows, read once: ``rows`` decodes on every read.
+_DECODED_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def reference_counts(d: JointDistribution, selector) -> dict:
     """Marginal numerators over ``den`` of the selected variables, counted
     from the decoded rows, keyed in the order the rows first reach each
     key."""
     idx = [d.variables.index(n) for n in d.resolve(selector)]
+    rows = _DECODED_ROWS.get(d)
+    if rows is None:
+        rows = _DECODED_ROWS[d] = d.rows
     out = {}
-    for values, n in zip(d.rows, d.nums):
-        key = tuple(values[i] for i in idx)
+    for values, n in zip(rows, d.nums):
+        key = tuple(map(values.__getitem__, idx))
         out[key] = out.get(key, 0) + n
     return out
 

@@ -358,6 +358,15 @@ def test_build_tree_preconditions():
             build_tree(star, i, "0", "", uniform(star))
         assert str(info.value) == (
             f"{i} is not a player index of a 3-player protocol")
+    # An owner input that mu gives no mass has no conditional law.
+    and_opt = get_entry("and-opt").protocol
+    mu = InputDistribution.from_weights(
+        "x1=0", {("0", "0"): Fraction(1, 2), ("0", "1"): Fraction(1, 2)})
+    with pytest.raises(ValueError) as info:
+        build_tree(and_opt, 1, "1", "", mu)
+    assert str(info.value) == ("mu gives X_1='1' zero mass; the conditional "
+                               "weights are undefined")
+    assert build_tree(and_opt, 1, "0", "", mu).root.weight == 2
 
 
 def test_build_tree_and_is_coherent_check_arguments_before_enumerating():

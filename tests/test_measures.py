@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from protolab import cli
-from protolab.errors import BudgetExceededError, ConfigError
+from protolab import cli, measures
+from protolab.errors import BudgetExceededError, ConfigError, InvariantError
 from protolab.info import apply_function, entropy, mutual_info
 from protolab.measures import (
     TOLERANCE,
@@ -335,6 +335,15 @@ def test_measure_report_validates_decomposition():
         )
 
 
+def test_pic_decomposition_refuses_parts_that_drift_from_pic(monkeypatch):
+    # Each player's pic exceeds its ic and random parts by 2 * TOLERANCE.
+    p = get_entry("and-opt").protocol
+    monkeypatch.setattr(measures, "mutual_infos",
+                        lambda d, triples: [0.5, 0.25, 0.75 + 2 * TOLERANCE])
+    with pytest.raises(InvariantError, match="pic decomposition drifted"):
+        pic_decomposition(p, uniform(p))
+
+
 def test_a_report_prints_no_nonzero_value_as_0():
     values = [0.0, 1.5849625007211563, 3.7983904203997434e-10, 1e-300,
               5e-324]
@@ -513,6 +522,16 @@ def test_product_requires_matching_player_count():
             get_entry("and-opt").protocol,
             get_entry("star-parity", k=3, n=1).protocol,
         )
+
+
+def test_product_requires_fixed_length_input_domains():
+    p = get_entry("and-opt").protocol
+    mixed = dataclasses.replace(p, input_domains=(("0", "1"), ("0", "10")))
+    for sides in ((mixed, p), (p, mixed)):
+        with pytest.raises(ConfigError) as info:
+            product_protocol(*sides)
+        assert str(info.value) == ("product needs fixed-length input "
+                                   "domains; player 2 of and-opt mixes lengths")
 
 
 def test_product_additivity_on_random_distributions():

@@ -361,6 +361,54 @@ def test_round_limit_is_enforced():
         run(p, ("0", "0"))
 
 
+def test_a_program_may_play_exactly_max_local_rounds():
+    def halts_in_round(last):
+        def program(view):
+            if view.round == last:
+                return Round(output="0", halt=True)
+            return Round(waits=())
+        return program
+
+    def other(view):
+        return Round(output="0", halt=True)
+
+    for limit in (1, 4):
+        p = two_player("limit", halts_in_round(limit), other,
+                       max_local_rounds=limit)
+        assert run(p, ("0", "0")).outputs == ("0", "0")
+        p = two_player("limit", halts_in_round(limit + 1), other,
+                       max_local_rounds=limit)
+        with pytest.raises(NonTerminationError,
+                           match=f"player 1 exceeded {limit} local rounds"):
+            run(p, ("0", "0"))
+
+
+def test_a_fold_that_raises_leaves_no_half_folded_state():
+    # The fold changes its state before it raises, once; the next view one
+    # round past the kept one must not fold onto that state, but equal a
+    # fresh rebuild.
+    failures = [ModelViolationError("fold failed")]
+
+    def fold(state, round_reads, index):
+        state.append(round_reads)
+        if index == 1 and failures:
+            raise failures.pop()
+
+    def start(view):
+        return []
+
+    def view(*reads):
+        return View(1, "0", "", "", reads)
+
+    r0, r1 = ((2, "0"),), ((2, "1"),)
+    state_of = model.fold_views(start, fold)
+    assert state_of(view(r0)) == [r0]
+    with pytest.raises(ModelViolationError, match="fold failed"):
+        state_of(view(r0, r1))
+    fresh = model.fold_views(start, fold)(view(r0, r1))
+    assert state_of(view(r0, r1)) == fresh == [r0, r1]
+
+
 def test_double_output_rejected():
     def chatty(view):
         if view.round == 1:
